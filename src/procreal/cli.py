@@ -27,10 +27,18 @@ from .logic import (
     print_sequent,
 )
 from .names import REGISTRY
-from .parsing import ParseError, parse_program
-from .semantics import ExplorationBudget, build_lts
+from .parsing import ParseError, parse_program, parse_term
+from .semantics import ExplorationBudget, build_lts, exhausted_limit
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
-from .terms import InputPrefix, OutputPrefix, Term, expand_values, print_term, well_formed
+from .terms import (
+    InputPrefix,
+    OutputPrefix,
+    Term,
+    expand_values,
+    print_term,
+    subterms,
+    well_formed,
+)
 
 EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
@@ -48,12 +56,7 @@ def _has_value_prefixes(t) -> bool:
         u = stack.pop()
         if isinstance(u, (InputPrefix, OutputPrefix)):
             return True
-        for name in ("cont", "body", "proc", "left", "right"):
-            child = getattr(u, name, None)
-            if child is not None:
-                stack.append(child)
-        if hasattr(u, "branches"):
-            stack.extend(p for _, p in u.branches)
+        stack.extend(subterms(u))
     return False
 
 
@@ -113,13 +116,14 @@ def _emit_text(data, indent: int = 0) -> None:
 
 def cmd_lts(args) -> int:
     term = load_term(args.term, args.values)
-    lts = build_lts(term, _budget(args))
+    budget = _budget(args)
+    lts = build_lts(term, budget)
     if args.format == "dot":
         print(lts.to_dot())
     else:
         print(json.dumps(lts.to_json(), indent=2, sort_keys=True))
     if not lts.complete:
-        print("state budget exhausted; graph is partial", file=sys.stderr)
+        print(f"{exhausted_limit(lts, budget)}; graph is partial", file=sys.stderr)
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -234,8 +238,6 @@ def cmd_verify_cut(args) -> int:
 
 
 def _load_type_env(path: str, budget: ExplorationBudget):
-    from .parsing import parse_term
-
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     atom_types = {}

@@ -56,6 +56,11 @@ class AlphabetTooLarge(Exception):
     pass
 
 
+# The wire has one branch per nonempty action over its 2n labels: 255 at
+# n = 4, four times as many with each further name.
+WIRE_MAX_NAMES = 4
+
+
 def fresh_var(base: str, term: Term) -> str:
     used = free_process_vars(term)
     if base not in used:
@@ -104,13 +109,13 @@ def act_plus(alphabet: Alphabet) -> list:
     return actions
 
 
-def identity_wire(alphabet: Alphabet, max_names: int = 4) -> Term:
+def identity_wire(alphabet: Alphabet) -> Term:
     """The wire relaying each action a over the alphabet on its left half
     simultaneously with the dual action on its right half.  The empty
     alphabet yields the inert process."""
-    if len(alphabet) > max_names:
+    if len(alphabet) > WIRE_MAX_NAMES:
         raise AlphabetTooLarge(
-            f"identity wire over {len(alphabet)} names exceeds the cap {max_names}"
+            f"identity wire over {len(alphabet)} names exceeds the cap {WIRE_MAX_NAMES}"
         )
     if not alphabet:
         return NIL

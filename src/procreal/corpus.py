@@ -16,6 +16,7 @@ from .logic import (
     FForall,
     FPar,
     FPlus,
+    FQuest,
     FTensor,
     FWith,
     PAxiom,
@@ -150,7 +151,7 @@ def corpus_proofs() -> dict:
     )
     proofs["weak_prom"] = dict(
         proof=PCut(
-            FQuest_DUAL(),
+            FQuest(DUAL_BODY),
             PWeak(DUAL_BODY, PAxiom(B)),
             _prom_empty(),
             -1,
@@ -174,7 +175,7 @@ def corpus_proofs() -> dict:
         expect_kinds={"prom-derel"},
     )
     proofs["derel_prom"] = dict(
-        proof=PCut(FQuest_DUAL(), PDerel(tens), _prom_empty(), -1, -1),
+        proof=PCut(FQuest(DUAL_BODY), PDerel(tens), _prom_empty(), -1, -1),
         values=(),
         expect_kinds={"derel-prom"},
     )
@@ -202,7 +203,7 @@ def corpus_proofs() -> dict:
     )
     proofs["contr_prom"] = dict(
         proof=PCut(
-            FQuest_DUAL(),
+            FQuest(DUAL_BODY),
             PContr(PWeak(DUAL_BODY, PWeak(DUAL_BODY, PAxiom(B)))),
             _prom_empty(),
             -1,
@@ -275,9 +276,3 @@ def corpus_proofs() -> dict:
         expect_kinds={"push-right-weak"},
     )
     return proofs
-
-
-def FQuest_DUAL():
-    from .logic import FQuest
-
-    return FQuest(DUAL_BODY)

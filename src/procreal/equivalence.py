@@ -15,23 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .names import Action, TAU, action_key, print_action
-from .semantics import DEPTH_CAP, ExplorationBudget, LTS, build_lts, diverges, step
+from .names import ALL_LABELS, Action, TAU, action_key, print_action
+from .semantics import (
+    DEPTH_CAP,
+    ExplorationBudget,
+    LTS,
+    build_lts,
+    diverges,
+    exhausted_limit,
+    step,
+    tau_closure,
+)
 from .terms import Par, Restrict, Term, print_term, term_depth
-from .names import ALL_LABELS
 
 
 class BudgetExceeded(Exception):
     pass
 
 
-def _action_str(a: Action) -> str:
-    return print_action(a)
-
-
 def _family_json(family) -> list:
     return sorted(
-        [sorted(_action_str(a) for a in acc) for acc in family]
+        [sorted(print_action(a) for a in acc) for acc in family]
     )
 
 
@@ -65,7 +69,7 @@ class FailureSet:
     def to_json(self) -> list:
         return [
             {
-                "trace": [_action_str(a) for a in tr],
+                "trace": [print_action(a) for a in tr],
                 "acceptances": _family_json(self.table[tr]),
             }
             for tr in self.traces()
@@ -82,14 +86,14 @@ class FailureSet:
             theirs = other.table.get(tr)
             if mine is None or theirs is None:
                 return {
-                    "trace": [_action_str(a) for a in tr],
+                    "trace": [print_action(a) for a in tr],
                     "reason": "trace on one side only",
                     "left": mine is not None,
                     "right": theirs is not None,
                 }
             if mine != theirs:
                 return {
-                    "trace": [_action_str(a) for a in tr],
+                    "trace": [print_action(a) for a in tr],
                     "reason": "acceptance families differ",
                     "left": _family_json(mine),
                     "right": _family_json(theirs),
@@ -129,18 +133,6 @@ class _StepCache:
         return cached
 
 
-def _tau_closure(cache: _StepCache, keys: frozenset) -> frozenset:
-    seen = set(keys)
-    stack = list(keys)
-    while stack:
-        key = stack.pop()
-        for a, dst in cache.successors(key):
-            if a == TAU and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
-
-
 def _node_family(cache: _StepCache, node: frozenset) -> frozenset:
     acceptances = set()
     for key in node:
@@ -169,7 +161,7 @@ def failures_bounded(
     tau-closing or stepping outruns the state budget.
     """
     cache = _StepCache(budget)
-    root = _tau_closure(cache, frozenset([cache.key_of(t)]))
+    root = tau_closure(cache, frozenset([cache.key_of(t)]))
     fs = FailureSet()
     node_by_trace = {(): root}
     frontier = [((), root)]
@@ -180,7 +172,7 @@ def failures_bounded(
             for a, dsts in sorted(
                 _node_moves(cache, node).items(), key=lambda kv: action_key(kv[0])
             ):
-                succ = _tau_closure(cache, frozenset(dsts))
+                succ = tau_closure(cache, frozenset(dsts))
                 tr2 = trace + (a,)
                 if tr2 in node_by_trace:
                     continue
@@ -221,22 +213,10 @@ class NormalForm:
         return fs
 
 
-def _lts_tau_closure(lts: LTS, keys: frozenset) -> frozenset:
-    seen = set(keys)
-    stack = list(keys)
-    while stack:
-        key = stack.pop()
-        for a, dst in lts.successors(key):
-            if a == TAU and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
-
-
 def normal_form(lts: LTS) -> NormalForm:
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
-    root = _lts_tau_closure(lts, frozenset([lts.initial]))
+    root = tau_closure(lts, frozenset([lts.initial]))
     nf = NormalForm(root=root)
     todo = [root]
     while todo:
@@ -255,7 +235,7 @@ def normal_form(lts: LTS) -> NormalForm:
         nf.families[node] = _minimize(acceptances)
         edges = []
         for a, dsts in sorted(moves.items(), key=lambda kv: action_key(kv[0])):
-            succ = _lts_tau_closure(lts, frozenset(dsts))
+            succ = tau_closure(lts, frozenset(dsts))
             edges.append((a, succ))
             todo.append(succ)
         nf.edges[node] = tuple(edges)
@@ -286,7 +266,7 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
                 return EquivResult(
                     "distinguished",
                     witness={
-                        "trace": [_action_str(a) for a in trace],
+                        "trace": [print_action(a) for a in trace],
                         "reason": "acceptance families differ",
                         "left": _family_json(nf1.families[n1]),
                         "right": _family_json(nf2.families[n2]),
@@ -299,7 +279,7 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
                 return EquivResult(
                     "distinguished",
                     witness={
-                        "trace": [_action_str(a) for a in trace + (only,)],
+                        "trace": [print_action(a) for a in trace + (only,)],
                         "reason": "trace on one side only",
                         "left": only in e1,
                         "right": only in e2,
@@ -342,17 +322,7 @@ def failures_equiv(
 
 def _saturate(lts: LTS):
     """Weak moves per state: eps-closure and a -> eps-closed targets."""
-    tau_reach: dict[str, frozenset] = {}
-    for s in lts.states:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for a, v in lts.successors(u):
-                if a == TAU and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        tau_reach[s] = frozenset(seen)
+    tau_reach = {s: tau_closure(lts, (s,)) for s in lts.states}
     weak: dict[str, dict] = {s: {} for s in lts.states}
     for s in lts.states:
         for u in tau_reach[s]:
@@ -363,13 +333,24 @@ def _saturate(lts: LTS):
     return tau_reach, weak
 
 
+def _signature(s: str, tau_reach: dict, weak: dict, block: dict) -> frozenset:
+    """The blocks that state s reaches by weak moves, each tagged with the
+    printed action ("" for the silent move)."""
+    sig = {("", block[t]) for t in tau_reach[s]}
+    for a, targets in weak[s].items():
+        sig.update((print_action(a), block[t]) for t in targets)
+    return frozenset(sig)
+
+
 def weak_bisim(
     p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()
 ) -> EquivResult:
     lts_p = build_lts(p, budget)
     lts_q = build_lts(q, budget)
-    if not (lts_p.complete and lts_q.complete):
-        return EquivResult("unknown", detail="state budget exhausted")
+    if not lts_p.complete:
+        return EquivResult("unknown", detail=exhausted_limit(lts_p, budget))
+    if not lts_q.complete:
+        return EquivResult("unknown", detail=exhausted_limit(lts_q, budget))
     # Shared printed keys denote identical behaviour; merge the graphs.
     merged = LTS(initial=lts_p.initial)
     merged.terms = {**lts_p.terms, **lts_q.terms}
@@ -378,19 +359,10 @@ def weak_bisim(
     states = merged.states
     block = {s: 0 for s in states}
     while True:
-        signatures = {}
-        for s in states:
-            sig = set()
-            for t in tau_reach[s]:
-                sig.add(("", block[t]))
-            for a, targets in weak[s].items():
-                for t in targets:
-                    sig.add((print_action(a), block[t]))
-            signatures[s] = frozenset(sig)
         buckets: dict[tuple, int] = {}
         new_block = {}
         for s in states:
-            key = (block[s], signatures[s])
+            key = (block[s], _signature(s, tau_reach, weak, block))
             if key not in buckets:
                 buckets[key] = len(buckets)
             new_block[s] = buckets[key]
@@ -399,24 +371,16 @@ def weak_bisim(
         block = new_block
     if block[lts_p.initial] == block[lts_q.initial]:
         return EquivResult("equal")
-    mine = sorted({a for a, _ in _sig_diff(weak, tau_reach, block, lts_p.initial, lts_q.initial)})
+    diff = _signature(lts_p.initial, tau_reach, weak, block) ^ _signature(
+        lts_q.initial, tau_reach, weak, block
+    )
     return EquivResult(
         "distinguished",
-        witness={"reason": "weak bisimulation classes differ", "actions": mine},
+        witness={
+            "reason": "weak bisimulation classes differ",
+            "actions": sorted({a for a, _ in diff}),
+        },
     )
-
-
-def _sig_diff(weak, tau_reach, block, s1, s2):
-    def sig(s):
-        out = set()
-        for t in tau_reach[s]:
-            out.add(("", block[t]))
-        for a, targets in weak[s].items():
-            for t in targets:
-                out.add((print_action(a), block[t]))
-        return out
-
-    return sig(s1) ^ sig(s2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .combinators import identity_wire, seq
-from .equivalence import EquivResult, failures_equiv
+from .equivalence import EquivResult, failures_equiv, perp
 from .names import (
     ALPHA,
     BETA,
@@ -71,8 +71,10 @@ from .logic import (
     _resolve,
     check_proof,
     negate,
+    subst_value_formula,
     subst_value_proof,
 )
+from .semtypes import formula_to_type, par_type
 
 
 class ExtractionError(Exception):
@@ -91,10 +93,6 @@ def atom_alphabet(env: AtomEnv, ident: str) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # Port renaming helpers
-
-
-def port_embed(i: int, k: int) -> Renaming:
-    return KwayCode(i, k)
 
 
 def port_action(i: int, k: int, labels) -> frozenset:
@@ -184,8 +182,6 @@ def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
         if not values:
             raise ExtractionError("quantifier wire needs a declared value domain")
         branches = []
-        from .logic import subst_value_formula
-
         for v in values:
             sv = value_name(SIGMA, v)  # sigma has registry code 5
             guard = frozenset([Label(2 * sv.code, True), Label(2 * sv.code + 1, False)])
@@ -423,9 +419,6 @@ def verify_totality_pipeline(
     """Checks the extracted realizer against every negative representative
     of the conclusion's folded type: "convergent" when all closed systems
     converge, "diverging" when one diverges, else "unknown"."""
-    from .equivalence import perp
-    from .semtypes import formula_to_type, par_type
-
     concl = check_proof(proof).sequent
     ty = formula_to_type(concl[0], atom_types, budget)
     for f in concl[1:]:

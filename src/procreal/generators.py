@@ -28,29 +28,25 @@ from .terms import (
     TAU,
     Term,
     Var,
+    print_term,
+    well_formed,
 )
 
 
-def action_pool(atoms, include_tau: bool = True, max_size: int = 2):
+def action_pool(atoms, include_tau: bool = True):
     labels = [positive(a) for a in atoms] + [negative(a) for a in atoms]
     pool = []
     if include_tau:
         pool.append(TAU)
     pool += [frozenset([l]) for l in labels]
-    if max_size >= 2:
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if labels[i].code != labels[j].code:
-                    pool.append(frozenset([labels[i], labels[j]]))
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if labels[i].code != labels[j].code:
+                pool.append(frozenset([labels[i], labels[j]]))
     return pool
 
 
-def random_term(
-    rng: random.Random,
-    atoms,
-    size: int,
-    allow_rec: bool = True,
-) -> Term:
+def random_term(rng: random.Random, atoms, size: int) -> Term:
     """Closed well-formed guarded term over the given atoms."""
     atoms = tuple(atoms)
     guards = action_pool(atoms, include_tau=False)
@@ -63,7 +59,7 @@ def random_term(
                 return Var(rng.choice(bound))
             return NIL
         choices = ["prefix", "prefix", "sum", "par", "restrict", "rename"]
-        if allow_rec and budget >= 3:
+        if budget >= 3:
             choices.append("rec")
         kind = rng.choice(choices)
         if kind == "prefix":
@@ -180,7 +176,7 @@ def random_context(rng: random.Random, atoms, size: int) -> Callable[[Term], Ter
     return plug
 
 
-def enumerate_terms(atoms, max_size: int, include_rec: bool = True):
+def enumerate_terms(atoms, max_size: int):
     """Exhaustive enumeration of closed well-formed terms up to the node
     count, over a fixed small pool of actions, restriction sets and one
     swap renaming.  The pool is what "over the atoms" means here: tau and
@@ -219,7 +215,7 @@ def enumerate_terms(atoms, max_size: int, include_rec: bool = True):
                     yield Restrict(p, L)
                 for f in renamings:
                     yield Rename(p, f)
-            if include_rec and not bound:
+            if not bound:
                 for body in gen(size - 1, ("X",), False):
                     if _body_guarded(body):
                         yield Rec("X", body)
@@ -236,13 +232,9 @@ def enumerate_terms(atoms, max_size: int, include_rec: bool = True):
                                 yield Sum(((ga, p), (gb, q)))
 
     def _body_guarded(body: Term) -> bool:
-        from .terms import well_formed
-
         return not well_formed(Rec("X", body))
 
     seen = set()
-    from .terms import print_term, well_formed
-
     for size in range(1, max_size + 1):
         for t in gen(size, (), False):
             key = print_term(t)

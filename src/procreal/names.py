@@ -423,14 +423,6 @@ def compose_renamings(after: Renaming, first: Renaming) -> Renaming:
     return Compose(after, first)
 
 
-def invert_renaming(f: Renaming) -> Renaming:
-    return f.inverse()
-
-
-def apply_renaming(f: Renaming, a: Action) -> Action:
-    return f.apply_action(a)
-
-
 # ---------------------------------------------------------------------------
 # Restriction sets: symbolic predicates over labels, decidable membership.
 
@@ -517,10 +509,6 @@ LR_CLASS = CodingClass("Lr")
 N1_CLASS = CodingClass("N1")
 N2_CLASS = CodingClass("N2")
 N3_CLASS = CodingClass("N3")
-
-
-def in_restriction(L: RestrictionSet, lab: Label) -> bool:
-    return L.contains_label(lab)
 
 
 def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from . import combinators as C
 from .names import (
     Action,
     CodingClass,
@@ -40,6 +41,7 @@ from .names import (
     Label,
     Name,
     PhiCode,
+    Piecewise,
     RCODE,
     REGISTRY,
     Renaming,
@@ -212,8 +214,6 @@ class _Parser:
             self.expect(")")
             return Compose(after, first)
         if ident == "piece":
-            from .names import Piecewise
-
             self.expect("(")
             pieces = [self.parse_renaming()]
             while self.at("|"):
@@ -376,8 +376,6 @@ class _Parser:
         self.error(f"expected a term, found {tok.text!r}")
 
     def _builder(self, name: str) -> Term:
-        from . import combinators as C
-
         self.expect("(")
         if name == "wire":
             self.expect("{")

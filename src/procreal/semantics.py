@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .names import Action, action_key, dual_action, print_action
+from .names import action_key, dual_action, print_action
 from .terms import (
     InputPrefix,
     OutputPrefix,
@@ -47,7 +47,6 @@ DEPTH_CAP = 200
 @dataclass(frozen=True)
 class ExplorationBudget:
     max_states: int = 5000
-    max_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.max_states < 1:
@@ -120,9 +119,6 @@ class LTS:
     def states(self) -> list:
         return sorted(self.terms)
 
-    def expanded(self, key: str) -> bool:
-        return key in self.transitions
-
     def successors(self, key: str):
         return self.transitions.get(key, ())
 
@@ -164,13 +160,10 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     init_key = print_term(t)
     lts = LTS(initial=init_key)
     lts.terms[init_key] = t
-    frontier = [(init_key, 0)]
+    frontier = [init_key]
     while frontier:
         next_frontier = []
-        for key, depth in frontier:
-            if budget.max_depth is not None and depth >= budget.max_depth:
-                lts.complete = False
-                continue
+        for key in frontier:
             if term_depth(lts.terms[key]) > DEPTH_CAP:
                 lts.complete = False
                 continue
@@ -182,12 +175,35 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
                         lts.complete = False
                         continue
                     lts.terms[dst] = p
-                    next_frontier.append((dst, depth + 1))
+                    next_frontier.append(dst)
                 succs.append((a, dst))
             succs.sort(key=lambda s: (action_key(s[0]), s[1]))
             lts.transitions[key] = tuple(succs)
         frontier = next_frontier
     return lts
+
+
+def exhausted_limit(lts: LTS, budget: ExplorationBudget) -> str:
+    """Names the limit that left a partial `lts` unexpanded: the state
+    budget when the graph filled it, else the depth cap."""
+    if len(lts.terms) >= budget.max_states:
+        return "state budget exhausted"
+    return f"depth cap {DEPTH_CAP} reached"
+
+
+def tau_closure(graph, keys) -> frozenset:
+    """The states reachable from `keys` by tau moves alone, `keys`
+    included.  `graph` is anything whose `successors(key)` gives
+    (action, key) pairs; an exception raised there propagates."""
+    seen = set(keys)
+    stack = list(keys)
+    while stack:
+        key = stack.pop()
+        for a, dst in graph.successors(key):
+            if a == TAU and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return frozenset(seen)
 
 
 def tau_cycle_exists(lts: LTS) -> bool:
@@ -196,30 +212,26 @@ def tau_cycle_exists(lts: LTS) -> bool:
     for start in lts.states:
         if color.get(start):
             continue
-        stack = [(start, iter(self_tau(lts, start)))]
+        stack = [(start, iter(lts.successors(start)))]
         color[start] = 1
         while stack:
             node, it = stack[-1]
             advanced = False
-            for nxt in it:
+            for a, nxt in it:
+                if a != TAU:
+                    continue
                 c = color.get(nxt, 0)
                 if c == 1:
                     return True
                 if c == 0:
                     color[nxt] = 1
-                    stack.append((nxt, iter(self_tau(lts, nxt))))
+                    stack.append((nxt, iter(lts.successors(nxt))))
                     advanced = True
                     break
             if not advanced:
                 color[node] = 2
                 stack.pop()
     return False
-
-
-def self_tau(lts: LTS, key: str):
-    for a, dst in lts.successors(key):
-        if a == TAU:
-            yield dst
 
 
 def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:

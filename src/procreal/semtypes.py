@@ -29,9 +29,9 @@ from .combinators import (
     tensor,
 )
 from .equivalence import BudgetExceeded, failures_equiv, perp
-from .names import ALPHA, BETA, DELTA, Name, OMEGA, SIGMA, negative, positive
+from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
-from .terms import NIL, Prefix, Term, print_term, value_name
+from .terms import NIL, Prefix, Sum, Term, print_term, value_name
 from .logic import (
     FAtom,
     FBang,
@@ -71,10 +71,6 @@ class SemType:
 
     def dual(self) -> "SemType":
         return SemType(self.neg, self.pos, self.interface)
-
-
-def dual(t: SemType) -> SemType:
-    return t.dual()
 
 
 @dataclass
@@ -152,8 +148,13 @@ def unit_type() -> SemType:
     return SemType(per, per, frozenset())
 
 
-def _cap_members(cls, cap=2):
-    return tuple(cls[:cap])
+# Members a connective keeps per class.  `is_morphism` and
+# `validate_repper` decide an equivalence for every member kept.
+CLASS_MEMBER_CAP = 2
+
+
+def _cap_members(cls):
+    return tuple(cls[:CLASS_MEMBER_CAP])
 
 
 def tensor_type(
@@ -247,8 +248,6 @@ def bang_type(
     stage = [weaken]
     stage += [Prefix(frozenset([negative(DELTA)]), n) for n in t.neg.reps()]
     accumulated = list(stage)
-    from .names import GAMMA
-
     for _ in range(fuel):
         fresh = []
         prev = list(accumulated)
@@ -300,7 +299,7 @@ def forall_v_type(
             branches.append(
                 (frozenset([positive(sv)]), family[v].pos.classes[idx][0])
             )
-        pos_classes.append((SumTerm(branches),))
+        pos_classes.append((Sum(tuple(branches)),))
     neg_classes = []
     for v in values:
         for cls in family[v].neg.classes:
@@ -309,12 +308,6 @@ def forall_v_type(
                 _cap_members(tuple(Prefix(frozenset([negative(sv)]), n) for n in cls))
             )
     return SemType(RepPER(tuple(pos_classes)), RepPER(tuple(neg_classes)), None)
-
-
-def SumTerm(branches) -> Term:
-    from .terms import Sum
-
-    return Sum(tuple(branches))
 
 
 def exists_v_type(family: dict, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
@@ -528,8 +521,6 @@ def list_consumer(q_family) -> Term:
         raise ValueError("need at least the empty-list consumer")
     out = Prefix(frozenset([positive(ALPHA)]), qs[-1])
     for q in reversed(qs[:-1]):
-        from .terms import Sum
-
         out = Sum(
             (
                 (frozenset([positive(ALPHA)]), q),
@@ -547,10 +538,8 @@ def list_type_example(
     tensor-consumers of the element type."""
     pos_classes = []
     reps = a.pos.reps()
-    from itertools import product as iproduct
-
     for n in range(max_len + 1):
-        for combo in iproduct(range(len(reps)), repeat=n):
+        for combo in product(range(len(reps)), repeat=n):
             pos_classes.append((list_realizer([reps[i] for i in combo]),))
     q_family = []
     for n in range(max_len + 1):
@@ -569,8 +558,6 @@ def _tensor_consumer(a: SemType, n: int) -> Term:
 
 
 def stream_realizer(a: SemType, depth: int) -> Term:
-    from .terms import Sum
-
     stop = Prefix(frozenset([positive(ALPHA)]), NIL)
     if depth == 0:
         return stop

@@ -13,16 +13,18 @@ from typing import Optional, Union
 
 from .names import (
     Action,
+    IdentityRenaming,
     Label,
     Name,
     REGISTRY,
     Renaming,
     RestrictionSet,
     TAU,
-    action_key,
+    compose_renamings,
     print_action,
     print_name,
     positive,
+    union_restriction,
 )
 
 
@@ -95,8 +97,6 @@ NIL: Term = Sum(())
 def rename(proc: Term, ren: Renaming) -> Term:
     """Renaming constructor that fuses nested renamings and drops
     identities, keeping unfolded state keys canonical."""
-    from .names import IdentityRenaming, compose_renamings
-
     if isinstance(proc, Rename):
         return rename(proc.proc, compose_renamings(ren, proc.ren))
     if isinstance(ren, IdentityRenaming):
@@ -107,11 +107,51 @@ def rename(proc: Term, ren: Renaming) -> Term:
 def restrict(proc: Term, labels: RestrictionSet) -> Term:
     """Restriction constructor that fuses nested restrictions into one
     canonical union, keeping unfolded state keys canonical."""
-    from .names import union_restriction
-
     if isinstance(proc, Restrict):
         return Restrict(proc.proc, union_restriction(labels, proc.labels))
     return Restrict(proc, labels)
+
+
+def subterms(t: Term) -> tuple:
+    """Immediate children of a node, in field order."""
+    if isinstance(t, Prefix):
+        return (t.cont,)
+    if isinstance(t, Sum):
+        return tuple(p for _, p in t.branches)
+    if isinstance(t, Par):
+        return (t.left, t.right)
+    if isinstance(t, (Restrict, Rename)):
+        return (t.proc,)
+    if isinstance(t, (Rec, InputPrefix, OutputPrefix)):
+        return (t.body,)
+    if isinstance(t, Var):
+        return ()
+    raise TypeError(f"not a term: {t!r}")
+
+
+def map_subterms(t: Term, f) -> Term:
+    """The node rebuilt with `f` applied to each immediate child, in field
+    order.  Uses the raw constructors, so nested renamings and
+    restrictions are not fused."""
+    if isinstance(t, Prefix):
+        return Prefix(t.action, f(t.cont))
+    if isinstance(t, Sum):
+        return Sum(tuple((a, f(p)) for a, p in t.branches))
+    if isinstance(t, Par):
+        return Par(f(t.left), f(t.right))
+    if isinstance(t, Restrict):
+        return Restrict(f(t.proc), t.labels)
+    if isinstance(t, Rename):
+        return Rename(f(t.proc), t.ren)
+    if isinstance(t, Rec):
+        return Rec(t.var, f(t.body))
+    if isinstance(t, InputPrefix):
+        return InputPrefix(t.chan, t.var, f(t.body))
+    if isinstance(t, OutputPrefix):
+        return OutputPrefix(t.chan, t.value, f(t.body))
+    if isinstance(t, Var):
+        return t
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +194,21 @@ def print_term(t: Term) -> str:
     return _print(t, 0)
 
 
-def term_key(t: Term) -> str:
-    return print_term(t)
-
-
 def term_depth(t: Term) -> int:
-    """Maximum constructor nesting, computed iteratively.  Exploration
+    """Maximum constructor nesting, counted level by level.  Exploration
     engines cap this: unfoldings that stack wrappers without bound (for
     example a restriction under a partial renaming under recursion) have
     no finite state space, and beyond the cap they are reported as
     budget exhaustion instead of overflowing the interpreter."""
-    best = 0
-    stack = [(t, 1)]
-    while stack:
-        node, d = stack.pop()
-        if d > best:
-            best = d
-        if isinstance(node, Prefix):
-            stack.append((node.cont, d + 1))
-        elif isinstance(node, Sum):
-            stack.extend((p, d + 1) for _, p in node.branches)
-        elif isinstance(node, Par):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-        elif isinstance(node, (Restrict, Rename)):
-            stack.append((node.proc, d + 1))
-        elif isinstance(node, Rec):
-            stack.append((node.body, d + 1))
-        elif isinstance(node, (InputPrefix, OutputPrefix)):
-            stack.append((node.body, d + 1))
-    return best
+    depth = 0
+    level = [t]
+    while level:
+        depth += 1
+        below = []
+        for u in level:
+            below.extend(subterms(u))
+        level = below
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -191,97 +216,51 @@ def term_depth(t: Term) -> int:
 
 
 def substitute_var(t: Term, ident: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.ident == ident else t
-    if isinstance(t, Rec):
-        if t.var == ident:
-            return t
-        return Rec(t.var, substitute_var(t.body, ident, repl))
-    if isinstance(t, Prefix):
-        return Prefix(t.action, substitute_var(t.cont, ident, repl))
-    if isinstance(t, Sum):
-        return Sum(tuple((a, substitute_var(p, ident, repl)) for a, p in t.branches))
-    if isinstance(t, Par):
-        return Par(substitute_var(t.left, ident, repl), substitute_var(t.right, ident, repl))
-    if isinstance(t, Restrict):
-        return Restrict(substitute_var(t.proc, ident, repl), t.labels)
-    if isinstance(t, Rename):
-        return Rename(substitute_var(t.proc, ident, repl), t.ren)
-    if isinstance(t, InputPrefix):
-        return InputPrefix(t.chan, t.var, substitute_var(t.body, ident, repl))
-    if isinstance(t, OutputPrefix):
-        return OutputPrefix(t.chan, t.value, substitute_var(t.body, ident, repl))
-    raise TypeError(f"not a term: {t!r}")
+    def go(u: Term) -> Term:
+        if isinstance(u, Var):
+            return repl if u.ident == ident else u
+        if isinstance(u, Rec) and u.var == ident:
+            return u
+        return map_subterms(u, go)
+
+    return go(t)
 
 
 def substitute_value(t: Term, var: str, value: int) -> Term:
-    if isinstance(t, InputPrefix):
-        if t.var == var:
-            return t
-        return InputPrefix(t.chan, t.var, substitute_value(t.body, var, value))
-    if isinstance(t, OutputPrefix):
-        v = value if t.value == var else t.value
-        return OutputPrefix(t.chan, v, substitute_value(t.body, var, value))
-    if isinstance(t, Prefix):
-        return Prefix(t.action, substitute_value(t.cont, var, value))
-    if isinstance(t, Sum):
-        return Sum(tuple((a, substitute_value(p, var, value)) for a, p in t.branches))
-    if isinstance(t, Par):
-        return Par(substitute_value(t.left, var, value), substitute_value(t.right, var, value))
-    if isinstance(t, Restrict):
-        return Restrict(substitute_value(t.proc, var, value), t.labels)
-    if isinstance(t, Rename):
-        return Rename(substitute_value(t.proc, var, value), t.ren)
-    if isinstance(t, Rec):
-        return Rec(t.var, substitute_value(t.body, var, value))
-    if isinstance(t, Var):
-        return t
-    raise TypeError(f"not a term: {t!r}")
+    def go(u: Term) -> Term:
+        if isinstance(u, InputPrefix) and u.var == var:
+            return u
+        if isinstance(u, OutputPrefix) and u.value == var:
+            return OutputPrefix(u.chan, value, go(u.body))
+        return map_subterms(u, go)
+
+    return go(t)
 
 
 def free_process_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset([t.ident])
-    if isinstance(t, Rec):
-        return free_process_vars(t.body) - {t.var}
-    if isinstance(t, Prefix):
-        return free_process_vars(t.cont)
-    if isinstance(t, Sum):
-        out = frozenset()
-        for _, p in t.branches:
-            out |= free_process_vars(p)
-        return out
-    if isinstance(t, Par):
-        return free_process_vars(t.left) | free_process_vars(t.right)
-    if isinstance(t, (Restrict, Rename)):
-        return free_process_vars(t.proc)
-    if isinstance(t, (InputPrefix, OutputPrefix)):
-        return free_process_vars(t.body)
-    raise TypeError(f"not a term: {t!r}")
+    free = set()
+    stack = [(t, frozenset())]
+    while stack:
+        u, bound = stack.pop()
+        if isinstance(u, Var) and u.ident not in bound:
+            free.add(u.ident)
+        elif isinstance(u, Rec):
+            bound = bound | {u.var}
+        stack.extend((c, bound) for c in subterms(u))
+    return frozenset(free)
 
 
 def free_value_vars(t: Term) -> frozenset:
-    if isinstance(t, InputPrefix):
-        return free_value_vars(t.body) - {t.var}
-    if isinstance(t, OutputPrefix):
-        own = frozenset([t.value]) if isinstance(t.value, str) else frozenset()
-        return own | free_value_vars(t.body)
-    if isinstance(t, Prefix):
-        return free_value_vars(t.cont)
-    if isinstance(t, Sum):
-        out = frozenset()
-        for _, p in t.branches:
-            out |= free_value_vars(p)
-        return out
-    if isinstance(t, Par):
-        return free_value_vars(t.left) | free_value_vars(t.right)
-    if isinstance(t, (Restrict, Rename)):
-        return free_value_vars(t.proc)
-    if isinstance(t, Rec):
-        return free_value_vars(t.body)
-    if isinstance(t, Var):
-        return frozenset()
-    raise TypeError(f"not a term: {t!r}")
+    free = set()
+    stack = [(t, frozenset())]
+    while stack:
+        u, bound = stack.pop()
+        if isinstance(u, InputPrefix):
+            bound = bound | {u.var}
+        elif isinstance(u, OutputPrefix) and isinstance(u.value, str) and u.value not in bound:
+            free.add(u.value)
+        stack.extend((c, bound) for c in subterms(u))
+    return frozenset(free)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +460,6 @@ def expand_values(t: Term, values: tuple) -> Term:
                 raise ValueError(f"value {u.value} outside the declared domain")
             lab = Label(value_name(u.chan, u.value).code, True)
             return Prefix(frozenset([lab]), go(u.body))
-        if isinstance(u, Prefix):
-            return Prefix(u.action, go(u.cont))
-        if isinstance(u, Sum):
-            return Sum(tuple((a, go(p)) for a, p in u.branches))
-        if isinstance(u, Par):
-            return Par(go(u.left), go(u.right))
-        if isinstance(u, Restrict):
-            return Restrict(go(u.proc), u.labels)
-        if isinstance(u, Rename):
-            return Rename(go(u.proc), u.ren)
-        if isinstance(u, Rec):
-            return Rec(u.var, go(u.body))
-        if isinstance(u, Var):
-            return u
-        raise TypeError(f"not a term: {u!r}")
+        return map_subterms(u, go)
 
     return go(t)

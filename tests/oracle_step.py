@@ -8,7 +8,6 @@ intersecting against duals first.
 
 from itertools import combinations
 
-from procreal.names import in_restriction
 from procreal.terms import (
     InputPrefix,
     OutputPrefix,
@@ -80,7 +79,7 @@ def naive_step(t):
         out = set()
         for a, p in naive_step(t.proc):
             if any(
-                in_restriction(t.labels, l) or in_restriction(t.labels, l.dual())
+                t.labels.contains_label(l) or t.labels.contains_label(l.dual())
                 for l in a
             ):
                 continue

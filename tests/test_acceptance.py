@@ -31,7 +31,6 @@ from procreal.semtypes import (
     RepPER,
     SemType,
     bang_type,
-    dual,
     inhabited,
     list_type_example,
     realizes_pos,
@@ -165,7 +164,7 @@ def test_acceptance_07_totality_closure():
     instances = []
     for base in bases:
         assert _total_inhabited(base, budget)
-        instances.append(("dual", dual(base)))
+        instances.append(("dual", base.dual()))
         instances.append(("bang1", bang_type(base, 1, budget)))
     for left, right in [(ta, tb), (tb, tc), (ta, unit_type()), (tau_a, tb)]:
         instances.append(("tensor", tensor_type(left, right, budget)))

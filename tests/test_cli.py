@@ -5,6 +5,7 @@ import pytest
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
 from procreal.logic import proof_to_json
+from procreal.parsing import parse_term
 
 
 @pytest.fixture()
@@ -49,6 +50,16 @@ def test_equiv_unknown_exit_two(files, capsys):
     p = files("p.term", "rec X. {a}.(X [n1of3])\n")
     q = files("q.term", "rec X. {a}.(X [n1of3]) | 0\n")
     assert main(["equiv", p, q, "--max-states", "30", "--depth", "2"]) == 2
+
+
+def test_partial_graph_names_depth_cap(files, capsys):
+    # 300 nested prefixes exceed the depth cap long before the state budget
+    path = files("deep.term", "{a}." * 300 + "0\n")
+    assert main(["lts", path, "--max-states", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert "depth cap" in err and "state budget" not in err
+    assert main(["equiv", path, path, "--mode", "weak-bisim", "--format", "json"]) == 2
+    assert "depth cap" in json.loads(capsys.readouterr().out)["detail"]
 
 
 def test_equiv_weak_bisim_mode(files):
@@ -99,8 +110,6 @@ def test_extract_and_verify_cut(files, tmp_path, capsys):
     ppath = files("p.json", json.dumps(proof_to_json(proof)))
     out = str(tmp_path / "out.term")
     assert main(["extract", ppath, "-o", out]) == 0
-    from procreal.parsing import parse_term
-
     parse_term(open(out).read())
     capsys.readouterr()
     assert main(["verify-cut", ppath, "--format", "json"]) == 0

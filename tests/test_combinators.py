@@ -6,7 +6,7 @@ from procreal import combinators as C
 from procreal.equivalence import failures_equiv, weak_bisim
 from procreal.exercises import pairing_counterexample
 from procreal.generators import random_term
-from procreal.names import REGISTRY, print_action
+from procreal.names import REGISTRY, Label, l_code, print_action, r_code
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget, step
 from procreal.terms import NIL, print_term
@@ -27,8 +27,6 @@ def test_tensor_nil_inert():
 def test_tensor_steps_disjoint_and_simultaneous():
     # expected labels built through the same coding (printed spellings
     # depend on which atoms the registry has seen)
-    from procreal.names import Label, l_code, r_code
-
     la = Label(l_code(A).code, False)
     rb = Label(r_code(B).code, False)
     t = C.tensor(parse_term("{a}.0"), parse_term("{b}.0"))
@@ -56,8 +54,6 @@ def test_tensor_decomposition_unique():
 
 
 def test_identity_wire_one_atom_summands():
-    from procreal.names import Label, l_code, r_code
-
     w = C.identity_wire(frozenset([A]))
     branches = w.body.branches
     assert len(branches) == 3

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from procreal.combinators import bang
 from procreal.equivalence import (
     BudgetExceeded,
     failures_bounded,
@@ -55,8 +56,6 @@ def test_failures_acceptances_are_antichains():
 
 
 def test_failures_budget_reported():
-    from procreal.combinators import bang
-
     with pytest.raises(BudgetExceeded):
         failures_bounded(bang(parse_term("{}.0")), 3, ExplorationBudget(max_states=20))
 
@@ -81,8 +80,6 @@ def test_equiv_tau_prefix():
 
 
 def test_equiv_unknown_on_budget():
-    from procreal.combinators import bang
-
     res = failures_equiv(
         bang(parse_term("{a}.0")), bang(parse_term("{a}.0")),
         ExplorationBudget(max_states=30), depth=2,

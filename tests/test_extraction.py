@@ -1,6 +1,6 @@
 import pytest
 
-from procreal.combinators import identity_wire
+from procreal.combinators import identity_wire, lapp, tensor
 from procreal.corpus import corpus_proofs
 from procreal.equivalence import failures_equiv, perp
 from procreal.extraction import (
@@ -20,14 +20,15 @@ from procreal.logic import (
     PForallR,
     PParR,
     PTensorR,
+    conclusion,
     cut_eliminate,
     negate,
 )
-from procreal.names import REGISTRY
+from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget
 from procreal.semtypes import RepPER, SemType
-from procreal.terms import rename, well_formed
+from procreal.terms import NIL, Prefix, rename, well_formed
 
 A = FAtom("a")
 B = FAtom("b")
@@ -91,8 +92,6 @@ def test_verify_cut_soundness_catches_wrong_reduct():
 def test_tensor_wire_relays_jointly():
     w = formula_wire(FTensor(A, B), {})
     # plugging a tensor of prefixes through the wire reproduces it
-    from procreal.combinators import lapp, tensor
-
     p = tensor(parse_term("{a}.0"), parse_term("{b}.0"))
     assert failures_equiv(lapp(p, w), p, BUD).equal
 
@@ -101,8 +100,6 @@ def test_port_layout_pack_unpack_neutral():
     for name in ("tensor_par", "with_plus1", "prom_derel"):
         entry = corpus_proofs()[name]
         t = extract(entry["proof"], {}, entry["values"])
-        from procreal.logic import conclusion
-
         k = len(conclusion(entry["proof"]))
         pack = pack_to_nested_binary(k)
         packed_unpacked = rename(rename(t, pack), pack.inverse())
@@ -111,9 +108,6 @@ def test_port_layout_pack_unpack_neutral():
 
 def _atom_type(ident):
     n = REGISTRY.intern(ident)
-    from procreal.names import negative, positive
-    from procreal.terms import NIL, Prefix
-
     pos = Prefix(frozenset([positive(n)]), NIL)
     neg = Prefix(frozenset([negative(n)]), NIL)
     return SemType(RepPER(((pos,),)), RepPER(((neg,),)), frozenset([n]))

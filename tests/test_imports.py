@@ -1,0 +1,41 @@
+"""Import structure: every module loads on its own, and the one-step
+oracle stays independent of the engine it checks."""
+
+import ast
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import procreal
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(procreal.__path__))
+SRC = str(Path(procreal.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_alone(name):
+    # a fresh interpreter per module, so an import cycle cannot hide
+    # behind a module that an earlier import already loaded
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import procreal.{name}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_step_does_not_import_the_engine():
+    tree = ast.parse((Path(__file__).parent / "oracle_step.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    engine = ("procreal.semantics", "procreal.equivalence")
+    assert not [m for m in imported if m.startswith(engine)]

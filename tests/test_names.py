@@ -15,11 +15,9 @@ from procreal.names import (
     RCODE,
     REGISTRY,
     SWAP,
-    apply_renaming,
+    IdentityRenaming,
     compose_renamings,
     dual_action,
-    in_restriction,
-    invert_renaming,
     l_code,
     phi,
     positive,
@@ -28,6 +26,7 @@ from procreal.names import (
     union_restriction,
     FiniteRestriction,
 )
+from procreal.parsing import parse_renaming_text
 
 
 def test_lr_coding_base_cases():
@@ -79,13 +78,13 @@ def test_renamings_commute_with_involution(code, neg):
 
 
 def test_invert_lcode_partial():
-    inv = invert_renaming(LCODE)
+    inv = LCODE.inverse()
     assert inv.apply_code(7) is None
     assert inv.apply_code(8) == 4
 
 
 def test_compose_inverse_is_identity():
-    comp = compose_renamings(invert_renaming(LCODE), LCODE)
+    comp = compose_renamings(LCODE.inverse(), LCODE)
     for code in range(200):
         assert comp.apply_code(code) == code
 
@@ -97,30 +96,28 @@ def test_finite_map_composition_materializes():
 
 
 def test_swap_composition_cancels():
-    from procreal.names import IdentityRenaming
-
     assert isinstance(compose_renamings(SWAP, SWAP), IdentityRenaming)
 
 
 def test_apply_renaming_examples():
     a = REGISTRY.intern("a")
     act = frozenset([positive(a), negative(REGISTRY.intern("b"))])
-    image = apply_renaming(LCODE, act)
+    image = LCODE.apply_action(act)
     assert image == frozenset(
         [positive(l_code(a)), negative(l_code(REGISTRY.intern("b")))]
     )
-    assert apply_renaming(LCODE, frozenset()) == frozenset()
-    assert dual_action(image) == apply_renaming(LCODE, dual_action(act))
+    assert LCODE.apply_action(frozenset()) == frozenset()
+    assert dual_action(image) == LCODE.apply_action(dual_action(act))
 
 
 def test_restriction_classes():
     even = Label(14, False)
     odd = Label(15, True)
-    assert in_restriction(LL_CLASS, even)
-    assert not in_restriction(LL_CLASS, odd)
-    assert in_restriction(ALL_LABELS, odd)
-    assert in_restriction(N2_CLASS, Label(7, False))  # 7 = 3*2+1
-    assert not in_restriction(N2_CLASS, Label(6, False))
+    assert LL_CLASS.contains_label(even)
+    assert not LL_CLASS.contains_label(odd)
+    assert ALL_LABELS.contains_label(odd)
+    assert N2_CLASS.contains_label(Label(7, False))  # 7 = 3*2+1
+    assert not N2_CLASS.contains_label(Label(6, False))
 
 
 def test_union_restriction_canonical():
@@ -136,8 +133,6 @@ def test_union_restriction_canonical():
 
 
 def test_kway_decode_describe_roundtrip():
-    from procreal.parsing import parse_renaming_text
-
     for ren in (LCODE, RCODE, SWAP, KwayCode(2, 3), PhiCode(1, 3),
                 Compose(KwayCode(1, 3), KwayDecode(1, 2)), KwayDecode(2, 2)):
         assert parse_renaming_text(ren.describe()) == ren

@@ -5,8 +5,9 @@ import pytest
 from oracle_step import canonical, naive_step
 
 from procreal.combinators import bang
+from procreal.equivalence import BudgetExceeded
 from procreal.generators import enumerate_terms, random_term
-from procreal.names import REGISTRY, print_action
+from procreal.names import REGISTRY, TAU, FiniteRestriction, positive, print_action
 from procreal.parsing import parse_term
 from procreal.semantics import (
     ExplorationBudget,
@@ -14,8 +15,9 @@ from procreal.semantics import (
     build_lts,
     diverges,
     step,
+    tau_closure,
 )
-from procreal.terms import NIL, Par, Var, print_term
+from procreal.terms import NIL, AllSort, Par, Restrict, Var, print_term, restrict, sort_of
 
 A = REGISTRY.intern("a")
 B = REGISTRY.intern("b")
@@ -123,9 +125,6 @@ def test_par_symmetry():
 
 def test_restriction_monotonicity():
     rng = random.Random(4)
-    from procreal.names import FiniteRestriction, positive
-    from procreal.terms import Restrict, restrict
-
     L = FiniteRestriction([positive(A)])
     for _ in range(40):
         p = random_term(rng, (A, B), rng.randint(1, 7))
@@ -156,8 +155,6 @@ def test_step_agrees_with_naive_oracle_random_size_8():
 
 def test_sort_soundness_along_transitions():
     # every performed action stays within the syntactic sort bound
-    from procreal.terms import AllSort, sort_of
-
     rng = random.Random(23)
     for _ in range(100):
         t = random_term(rng, (A, B), rng.randint(1, 8))
@@ -168,3 +165,35 @@ def test_sort_soundness_along_transitions():
         for src in lts.states:
             for a, _ in lts.successors(src):
                 assert frozenset(a) <= bound.labels, print_term(t)
+
+
+class _Graph:
+    def __init__(self, edges):
+        self.edges = edges
+
+    def successors(self, key):
+        if key == "boom":
+            raise BudgetExceeded("state budget 1 exhausted")
+        return self.edges.get(key, ())
+
+
+def test_tau_closure_chain_cycle_and_visible_edges():
+    a = frozenset([positive(A)])
+    g = _Graph({
+        0: ((TAU, 1), (a, 5)),  # tau chain 0 -> 1 -> 2
+        1: ((TAU, 2),),
+        2: ((a, 3),),
+        3: ((TAU, 4),),  # tau cycle 3 <-> 4
+        4: ((TAU, 3), (a, 0)),
+    })
+    assert tau_closure(g, [0]) == frozenset({0, 1, 2})
+    assert tau_closure(g, [2]) == frozenset({2})
+    assert tau_closure(g, [3]) == frozenset({3, 4})
+    assert tau_closure(g, [5]) == frozenset({5})
+    assert tau_closure(g, [2, 4]) == frozenset({2, 3, 4})
+
+
+def test_tau_closure_propagates_budget_exhaustion():
+    g = _Graph({0: ((TAU, 1),), 1: ((TAU, "boom"),)})
+    with pytest.raises(BudgetExceeded):
+        tau_closure(g, [0])

@@ -10,7 +10,6 @@ from procreal.semtypes import (
     SemType,
     bang_type,
     compose_morphisms,
-    dual,
     formula_to_type,
     forall_v_type,
     identity_morphism,
@@ -48,7 +47,7 @@ TB = atom_type("b")
 
 def test_unit_self_dual_and_total():
     u = unit_type()
-    assert dual(u).pos == u.pos
+    assert u.dual().pos == u.pos
     assert total(u, BUD).verdict == "yes"
     assert inhabited(u)
 
@@ -68,7 +67,7 @@ def test_partition_groups_by_behaviour():
 
 def test_dual_involutive():
     t = tensor_type(TA, TB, BUD)
-    d = dual(dual(t))
+    d = t.dual().dual()
     assert d.pos == t.pos and d.neg == t.neg
 
 
@@ -107,8 +106,8 @@ def test_tensor_type_adversarial_candidate_dropped():
 
 
 def test_de_morgan_coherence():
-    lhs = dual(tensor_type(TA, TB, BUD))
-    rhs = par_type(dual(TA), dual(TB), BUD)
+    lhs = tensor_type(TA, TB, BUD).dual()
+    rhs = par_type(TA.dual(), TB.dual(), BUD)
     assert len(lhs.pos.classes) == len(rhs.pos.classes)
     for c1, c2 in zip(lhs.pos.classes, rhs.pos.classes):
         assert failures_equiv(c1[0], c2[0], BUD).equal
@@ -119,7 +118,7 @@ def test_de_morgan_coherence():
 def test_bang_type_stage_zero_contains_discard():
     bt = bang_type(TA, 0, BUD)
     discard = Prefix(frozenset([positive(REGISTRY.intern("omega"))]), NIL)
-    assert realizes_pos(discard, dual(bt), BUD).verdict == "class"
+    assert realizes_pos(discard, bt.dual(), BUD).verdict == "class"
 
 
 def test_bang_type_total_inhabited():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from procreal.combinators import bang
 from procreal.generators import random_term
-from procreal.names import FiniteRestriction, REGISTRY, negative, positive
+from procreal.names import SWAP, FiniteRestriction, REGISTRY, negative, positive
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
     AllSort,
@@ -20,8 +21,12 @@ from procreal.terms import (
     Var,
     expand_values,
     free_process_vars,
+    map_subterms,
     print_term,
+    rename,
+    restrict,
     sort_of,
+    subterms,
     substitute_value,
     well_formed,
 )
@@ -95,8 +100,6 @@ def test_sort_examples():
 
 
 def test_sort_symbolic_for_replicating_terms():
-    from procreal.combinators import bang
-
     assert isinstance(sort_of(bang(parse_term("{a}.0"))), AllSort)
 
 
@@ -160,17 +163,45 @@ def test_free_process_vars():
 
 
 def test_rename_constructor_fuses():
-    from procreal.terms import rename
-    from procreal.names import SWAP
-
     t = parse_term("{a}.0")
     assert rename(rename(t, SWAP), SWAP) == t
 
 
 def test_restrict_constructor_fuses():
-    from procreal.terms import restrict
-
     t = parse_term("{a}.0")
     r = restrict(restrict(t, FiniteRestriction([positive(A)])), FiniteRestriction([positive(B)]))
     assert isinstance(r, Restrict)
     assert not isinstance(r.proc, Restrict)
+
+
+def test_subterms_and_map_subterms_on_every_constructor():
+    s = REGISTRY.intern("s")
+    a, b = frozenset([positive(A)]), frozenset([positive(B)])
+    p, q = Prefix(a, NIL), Prefix(b, NIL)
+    la, lb = FiniteRestriction([positive(A)]), FiniteRestriction([positive(B)])
+    cases = [
+        (p, (NIL,)),
+        (Sum(((b, q), (a, p))), (q, p)),
+        (Par(p, q), (p, q)),
+        # restrict() would fuse these two restrictions, rename() cancel the swaps
+        (Restrict(Restrict(p, la), lb), (Restrict(p, la),)),
+        (Rename(Rename(p, SWAP), SWAP), (Rename(p, SWAP),)),
+        (Var("X"), ()),
+        (Rec("X", Prefix(a, Var("X"))), (Prefix(a, Var("X")),)),
+        (InputPrefix(s, "x", OutputPrefix(s, "x", NIL)), (OutputPrefix(s, "x", NIL),)),
+        (OutputPrefix(s, 1, p), (p,)),
+    ]
+    for t, children in cases:
+        assert subterms(t) == children
+        same = map_subterms(t, lambda u: u)
+        assert same == t and type(same) is type(t)
+        seen = []
+        map_subterms(t, lambda u: seen.append(u) or u)
+        assert tuple(seen) == children
+    # a sum keeps its guards and its branch order
+    swapped = map_subterms(Sum(((b, q), (a, p))), lambda u: Par(u, NIL))
+    assert swapped.branches == ((b, Par(q, NIL)), (a, Par(p, NIL)))
+    with pytest.raises(TypeError):
+        subterms("not a term")
+    with pytest.raises(TypeError):
+        map_subterms("not a term", lambda u: u)
