@@ -3,7 +3,7 @@ linear-logic realizability."""
 
 import sys as _sys
 
-# recursion headroom for hashing and printing deeply nested terms near
+# recursion headroom for comparing and printing deeply nested terms near
 # the exploration depth cap
 if _sys.getrecursionlimit() < 20000:
     _sys.setrecursionlimit(20000)

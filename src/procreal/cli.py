@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except (ParseError, json.JSONDecodeError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

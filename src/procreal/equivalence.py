@@ -214,6 +214,15 @@ class NormalForm:
 
 
 def normal_form(lts: LTS) -> NormalForm:
+    """The normal form of a complete graph, computed once per graph and
+    kept on it, so a graph shared by `build_lts` is normalised once and
+    its normal form goes when the graph does."""
+    if lts.normal_form is None:
+        lts.normal_form = _normalise(lts)
+    return lts.normal_form
+
+
+def _normalise(lts: LTS) -> NormalForm:
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
     root = tau_closure(lts, frozenset([lts.initial]))

@@ -10,6 +10,7 @@ singleton gives the classic tau synchronization.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -108,12 +109,18 @@ def step(t: Term, _depth: int = 0) -> set:
 
 @dataclass
 class LTS:
-    """Explored transition graph with canonical printed-form state keys."""
+    """Explored transition graph with canonical printed-form state keys.
+
+    A graph returned by `build_lts` is shared: later calls on a term that
+    prints the same, under the same state budget, return the same object,
+    and `equivalence.normal_form` keeps its result on it.  It must not be
+    mutated."""
 
     initial: str
     terms: dict = field(default_factory=dict)  # key -> Term
     transitions: dict = field(default_factory=dict)  # key -> tuple[(Action, key)]
     complete: bool = True
+    normal_form: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def states(self) -> list:
@@ -152,12 +159,57 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+# Bound on the states of all graphs `build_lts` keeps for reuse.  The
+# semantic-type drivers re-decide a few hundred small representatives,
+# which a few hundred states hold.  Kept graphs cost memory and make each
+# garbage collection walk their terms, so the bound counts states, not
+# graphs: a count of graphs would keep big ones alive.
+MEMO_STATES = 500
+
+
+class _GraphMemo:
+    """Explored graphs by (printed term, state budget), least recently
+    used first, holding at most MEMO_STATES states in total.  A graph
+    larger than that is never kept."""
+
+    def __init__(self):
+        self.graphs: OrderedDict = OrderedDict()
+        self.states = 0
+
+    def get(self, key):
+        lts = self.graphs.get(key)
+        if lts is not None:
+            self.graphs.move_to_end(key)
+        return lts
+
+    def put(self, key, lts: LTS):
+        size = len(lts.terms)
+        if size > MEMO_STATES:
+            return
+        self.graphs[key] = lts
+        self.states += size
+        while self.states > MEMO_STATES:
+            _, old = self.graphs.popitem(last=False)
+            self.states -= len(old.terms)
+
+
+_MEMO = _GraphMemo()
+
+
 def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     """Breadth-first closure of `step`.  Deterministic: transitions are
     stored sorted by (action, target key).  When the state budget is hit
     the result carries complete=False and the frontier left unexpanded.
+
+    The result is shared with every other call on a term that prints the
+    same, under the same `max_states`, while it stays in the memo; it
+    must not be mutated.
     """
     init_key = print_term(t)
+    memo_key = (init_key, budget.max_states)
+    lts = _MEMO.get(memo_key)
+    if lts is not None:
+        return lts
     lts = LTS(initial=init_key)
     lts.terms[init_key] = t
     frontier = [init_key]
@@ -180,6 +232,7 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
             succs.sort(key=lambda s: (action_key(s[0]), s[1]))
             lts.transitions[key] = tuple(succs)
         frontier = next_frontier
+    _MEMO.put(memo_key, lts)
     return lts
 
 

@@ -110,7 +110,8 @@ def partition(terms, budget: ExplorationBudget) -> RepPER:
         for cls in classes:
             res = failures_equiv(term, cls[0], budget)
             if res.verdict == "equal":
-                if not any(print_term(term) == print_term(u) for u in cls):
+                key = print_term(term)
+                if not any(key == print_term(u) for u in cls):
                     cls.append(term)
                 placed = True
                 break
@@ -248,6 +249,7 @@ def bang_type(
     stage = [weaken]
     stage += [Prefix(frozenset([negative(DELTA)]), n) for n in t.neg.reps()]
     accumulated = list(stage)
+    banged = [cls[0] for cls in pos_classes]  # bang of each positive rep
     for _ in range(fuel):
         fresh = []
         prev = list(accumulated)
@@ -255,28 +257,24 @@ def bang_type(
             for n2 in prev:
                 body = tensor(n1, n2)
                 cand = Prefix(frozenset([negative(GAMMA)]), body)
-                if _passes_bang_neg_clause(body, t, accumulated, budget):
+                if _passes_bang_neg_clause(body, banged, accumulated, budget):
                     fresh.append(cand)
         accumulated += fresh
     neg = partition(accumulated, budget)
     return SemType(RepPER(tuple(pos_classes)), neg, None)
 
 
-def _passes_bang_neg_clause(body: Term, t: SemType, stage_reps, budget) -> bool:
+def _passes_bang_neg_clause(body: Term, banged, stage_reps, budget) -> bool:
     """After a split request the remaining consumer must still consume a
-    replicable resource on either half, checked against the previous
-    stage's representatives."""
-    for r in t.pos.reps():
-        br = bang(r)
-        left_ok = any(
-            failures_equiv(lapp(br, body), s, budget).equal for s in stage_reps
-        )
-        if not left_ok:
+    replicable resource (`banged`: the type's positive representatives
+    under `bang`) on either half, checked against the previous stage's
+    representatives."""
+    for br in banged:
+        left = lapp(br, body)
+        if not any(failures_equiv(left, s, budget).equal for s in stage_reps):
             return False
-        right_ok = any(
-            failures_equiv(rapp(body, br), s, budget).equal for s in stage_reps
-        )
-        if not right_ok:
+        right = rapp(body, br)
+        if not any(failures_equiv(right, s, budget).equal for s in stage_reps):
             return False
     return True
 

@@ -8,7 +8,8 @@ their labels sorted, sums print their branches in construction order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Union
 
 from .names import (
@@ -31,43 +32,79 @@ from .names import (
 class Term:
     __slots__ = ()
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: restoring the
+        # slots would go through the frozen __setattr__, and a hash of a
+        # string is only valid in the process that computed it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """A frozen dataclass whose hash, the same value the dataclass would
+    compute from its fields, is computed once, on construction, and kept
+    in the `_hash` slot.  Every (action, term) set insert in `step` hashes
+    a term; without the slot each one walks the whole tree.  Filling the
+    slot on first use instead would raise and catch an AttributeError for
+    every fresh node, which costs more than the hash itself."""
+    names = tuple(cls.__annotations__)
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else (lambda self: (get(self),))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(values(self)))
+
+    def __hash__(self):
+        return self._hash
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Prefix(Term):
+    __slots__ = ("action", "cont", "_hash")
     action: Action
     cont: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Term):
+    __slots__ = ("branches", "_hash")
     branches: tuple  # tuple[tuple[Action, Term], ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Term):
+    __slots__ = ("left", "right", "_hash")
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Restrict(Term):
+    __slots__ = ("proc", "labels", "_hash")
     proc: Term
     labels: RestrictionSet
 
 
-@dataclass(frozen=True)
+@_node
 class Rename(Term):
+    __slots__ = ("proc", "ren", "_hash")
     proc: Term
     ren: Renaming
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Term):
+    __slots__ = ("ident", "_hash")
     ident: str
 
 
-@dataclass(frozen=True)
+@_node
 class Rec(Term):
+    __slots__ = ("var", "body", "_hash")
     var: str
     body: Term
 
@@ -77,15 +114,17 @@ class Rec(Term):
 ValueExpr = Union[int, str]
 
 
-@dataclass(frozen=True)
+@_node
 class InputPrefix(Term):
+    __slots__ = ("chan", "var", "body", "_hash")
     chan: Name
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
+@_node
 class OutputPrefix(Term):
+    __slots__ = ("chan", "value", "body", "_hash")
     chan: Name
     value: ValueExpr
     body: Term

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import procreal
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
 from procreal.logic import proof_to_json
@@ -60,6 +65,21 @@ def test_partial_graph_names_depth_cap(files, capsys):
     assert "depth cap" in err and "state budget" not in err
     assert main(["equiv", path, path, "--mode", "weak-bisim", "--format", "json"]) == 2
     assert "depth cap" in json.loads(capsys.readouterr().out)["detail"]
+
+
+def test_deeply_nested_input_exits_three(files):
+    # 20,000 nested prefixes overflow the recursive-descent parser; the
+    # command must say so and exit 3 (input), not 1 with a traceback
+    path = files("deeper.term", "{a}." * 20000 + "0\n")
+    src = str(Path(procreal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "procreal.cli", "lts", path],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_equiv_weak_bisim_mode(files):

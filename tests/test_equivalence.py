@@ -109,6 +109,14 @@ def test_normal_form_failures_match_bounded():
         assert nf.failures_to_depth(4) == failures_bounded(t, 4, BUD)
 
 
+def test_normal_form_computed_once_per_shared_graph():
+    text = "{a}.({b}.0 + {c}.0) | {~a}.0"
+    lts = build_lts(parse_term(text), BUD)
+    nf = normal_form(lts)
+    assert normal_form(lts) is nf
+    assert normal_form(build_lts(parse_term(text), BUD)) is nf
+
+
 def test_weak_bisim_tau_law():
     assert weak_bisim(parse_term("{}.{a}.0"), parse_term("{a}.0"), BUD).equal
 

@@ -10,10 +10,13 @@ from procreal.generators import enumerate_terms, random_term
 from procreal.names import REGISTRY, TAU, FiniteRestriction, positive, print_action
 from procreal.parsing import parse_term
 from procreal.semantics import (
+    MEMO_STATES,
+    _MEMO,
     ExplorationBudget,
     SemanticsError,
     build_lts,
     diverges,
+    exhausted_limit,
     step,
     tau_closure,
 )
@@ -96,6 +99,52 @@ def test_build_lts_deterministic():
     l1 = build_lts(t)
     l2 = build_lts(t)
     assert l1.to_json() == l2.to_json()
+
+
+def test_equal_printing_terms_share_one_graph():
+    text = "rec X. ({a}.X + {b}.0) | {~a}.0"
+    t1, t2 = parse_term(text), parse_term(text)
+    assert t1 is not t2
+    budget = ExplorationBudget(max_states=300)
+    shared = build_lts(t1, budget)
+    assert build_lts(t2, budget) is shared
+    # another state budget is another exploration, with the same result
+    other = build_lts(t1, ExplorationBudget(max_states=301))
+    assert other is not shared
+    assert other.to_json() == shared.to_json()
+
+
+def test_incomplete_graph_is_memoised_with_its_limit():
+    budget = ExplorationBudget(max_states=20)
+    full = build_lts(bang(parse_term("{a}.0")), budget)
+    assert not full.complete
+    assert build_lts(bang(parse_term("{a}.0")), budget) is full
+    assert exhausted_limit(full, budget) == "state budget exhausted"
+    deep = "{a}." * 300 + "0"
+    capped = build_lts(parse_term(deep), budget)
+    assert not capped.complete and len(capped.terms) == 1
+    assert build_lts(parse_term(deep), budget) is capped
+    assert exhausted_limit(capped, budget) == "depth cap 200 reached"
+
+
+def test_graph_memo_keeps_at_most_its_state_bound():
+    chains = [parse_term("{b}." * k + "0") for k in range(1, 41)]
+    graphs = [build_lts(t) for t in chains]
+    assert sum(len(g.terms) for g in graphs) > MEMO_STATES
+    kept = list(_MEMO.graphs.values())
+    assert _MEMO.states == sum(len(g.terms) for g in kept) <= MEMO_STATES
+    # the most recent graph stays, the least recently used went first
+    assert build_lts(chains[-1]) is graphs[-1]
+    assert build_lts(chains[0]) is not graphs[0]
+
+
+def test_graph_larger_than_memo_bound_is_not_kept():
+    # three independent 8-cycles: 512 states
+    text = " | ".join("rec X. " + ("{%s}." % c) * 8 + "X" for c in "abc")
+    big = build_lts(parse_term(text))
+    assert big.complete and len(big.terms) > MEMO_STATES
+    assert all(g is not big for g in _MEMO.graphs.values())
+    assert build_lts(parse_term(text)) is not big
 
 
 def test_diverges_examples():

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -172,6 +174,42 @@ def test_restrict_constructor_fuses():
     r = restrict(restrict(t, FiniteRestriction([positive(A)])), FiniteRestriction([positive(B)]))
     assert isinstance(r, Restrict)
     assert not isinstance(r.proc, Restrict)
+
+
+def test_term_nodes_are_slotted_and_hash_once():
+    s = REGISTRY.intern("s")
+    a = frozenset([positive(A)])
+    la = FiniteRestriction([positive(A)])
+
+    def every_constructor():
+        p = Prefix(a, NIL)
+        return [
+            p,
+            Sum(((a, p),)),
+            Par(p, NIL),
+            Restrict(p, la),
+            Rename(p, SWAP),
+            Var("X"),
+            Rec("X", Prefix(a, Var("X"))),
+            InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
+            OutputPrefix(s, 1, p),
+        ]
+
+    for first, second in zip(every_constructor(), every_constructor()):
+        assert not hasattr(first, "__dict__")
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        # the dataclass's own hash of the fields, so set order is unchanged
+        values = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
+        assert hash(first) == hash(values)
+        assert pickle.loads(pickle.dumps(first)) == first
+        field = dataclasses.fields(first)[-1].name
+        changed = dataclasses.replace(first, **{field: getattr(first, field)})
+        assert changed == first and hash(changed) == hash(first)
+    assert dataclasses.replace(Var("X"), ident="Y") == Var("Y")
+    assert hash(dataclasses.replace(Var("X"), ident="Y")) == hash(Var("Y"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Var("X").ident = "Y"
 
 
 def test_subterms_and_map_subterms_on_every_constructor():
