@@ -192,6 +192,10 @@ class _GraphMemo:
             _, old = self.graphs.popitem(last=False)
             self.states -= len(old.terms)
 
+    def clear(self):
+        self.graphs.clear()
+        self.states = 0
+
 
 _MEMO = _GraphMemo()
 

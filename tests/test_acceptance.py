@@ -26,7 +26,7 @@ from procreal.extraction import verify_cut_soundness, verify_totality_pipeline
 from procreal.generators import enumerate_terms
 from procreal.logic import cut_eliminate
 from procreal.names import REGISTRY
-from procreal.semantics import ExplorationBudget, build_lts
+from procreal.semantics import _MEMO, ExplorationBudget, build_lts
 from procreal.semtypes import (
     RepPER,
     SemType,
@@ -220,10 +220,13 @@ def test_acceptance_09_list_example():
 
 
 def test_acceptance_10_determinism():
-    # in-process double run plus two subprocess runs under different hash
-    # seeds: reports must be byte-identical
+    # in-process double run, each exploring afresh with the graph memo
+    # emptied, plus two subprocess runs under different hash seeds:
+    # reports must be byte-identical
     small = ExplorationBudget(max_states=1000)
+    _MEMO.clear()
     a = json.dumps(run_exercises(SEED, small, trials=3), sort_keys=True)
+    _MEMO.clear()
     b = json.dumps(run_exercises(SEED, small, trials=3), sort_keys=True)
     outs = []
     for hash_seed in ("1", "2"):

@@ -11,6 +11,7 @@ from procreal.cli import main
 from procreal.corpus import corpus_proofs
 from procreal.logic import proof_to_json
 from procreal.parsing import parse_term
+from procreal.semantics import _MEMO
 
 
 @pytest.fixture()
@@ -155,8 +156,11 @@ def test_check_type(files, capsys):
 def test_cli_deterministic_output(files, capsys):
     proof = corpus_proofs()["with_plus1"]["proof"]
     ppath = files("p.json", json.dumps(proof_to_json(proof)))
+    # each run explores afresh, with the graph memo emptied
+    _MEMO.clear()
     assert main(["verify-cut", ppath, "--format", "json"]) == 0
     first = capsys.readouterr().out
+    _MEMO.clear()
     assert main(["verify-cut", ppath, "--format", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second

@@ -96,8 +96,11 @@ def test_bang_not_finite_state():
 
 def test_build_lts_deterministic():
     t = parse_term("{a}.{b}.0 | {~a}.0")
+    _MEMO.clear()
     l1 = build_lts(t)
+    _MEMO.clear()
     l2 = build_lts(t)
+    assert l2 is not l1
     assert l1.to_json() == l2.to_json()
 
 
