@@ -17,11 +17,10 @@ from .equivalence import BudgetExceeded, failures_bounded, failures_equiv, perp,
 from .exercises import run_exercises
 from .extraction import extract, verify_cut_soundness
 from .logic import (
+    FAtom,
+    Formula,
     check_proof,
     cut_eliminate,
-    cut_step_kinded,
-    find_redex,
-    has_cut,
     load_proof,
     parse_formula,
     print_sequent,
@@ -163,11 +162,21 @@ def cmd_perp(args) -> int:
     return {"yes": EXIT_OK, "no": EXIT_DISTINGUISHED}.get(verdict, EXIT_UNKNOWN)
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _is_names(x) -> bool:
+    return isinstance(x, list) and all(isinstance(n, str) for n in x)
+
+
 def _load_atom_env(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
+    if not isinstance(raw, dict) or not all(_is_names(names) for names in raw.values()):
+        raise CliError(f"{path}: expected an object mapping each atom to a list of names")
     return {
         ident: frozenset(REGISTRY.intern(n) for n in names)
         for ident, names in raw.items()
@@ -200,34 +209,24 @@ def cmd_verify_cut(args) -> int:
         return EXIT_USAGE
     env = _load_atom_env(args.atoms)
     budget = _budget(args)
+    elim = cut_eliminate(proof, args.step_bound, keep_trail=True)
     steps = []
-    current = proof
-    overall = "pass"
-    count = 0
-    while has_cut(current) and count < args.step_bound:
-        path = find_redex(current)
-        if path is None:
-            steps.append({"step": count, "kind": "stuck", "verdict": "unknown"})
-            overall = "unknown" if overall == "pass" else overall
-            break
-        after, kind = cut_step_kinded(current, path)
-        report = verify_cut_soundness(current, after, env, args.values, budget, args.depth)
+    for count, (before, after, kind) in enumerate(zip(elim.trail, elim.trail[1:], elim.kinds)):
+        report = verify_cut_soundness(before, after, env, args.values, budget, args.depth)
         entry = {"step": count, "kind": kind, "verdict": report.verdict}
         if report.witness:
             entry["witness"] = report.witness
         if report.detail:
             entry["detail"] = report.detail
         steps.append(entry)
-        if report.verdict == "fail":
-            overall = "fail"
-        elif report.verdict == "unknown" and overall == "pass":
-            overall = "unknown"
-        current = after
-        count += 1
+    if elim.status == "stuck":
+        steps.append({"step": elim.steps, "kind": "stuck", "verdict": "unknown"})
+    verdicts = {entry["verdict"] for entry in steps}
+    overall = "fail" if "fail" in verdicts else "unknown" if "unknown" in verdicts else "pass"
     out = {
         "conclusion": print_sequent(res.sequent),
         "steps": steps,
-        "cut_free": not has_cut(current),
+        "cut_free": elim.status == "done",
         "overall": overall,
     }
     _emit(out, args)
@@ -238,16 +237,36 @@ def cmd_verify_cut(args) -> int:
 
 
 def _load_type_env(path: str, budget: ExplorationBudget):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
+    atoms = raw.get("atoms", {}) if isinstance(raw, dict) else None
+    values = raw.get("values", []) if isinstance(raw, dict) else None
+    if not isinstance(atoms, dict) or not isinstance(values, list) or not all(
+        type(v) is int for v in values
+    ):
+        raise CliError(f'{path}: expected an "atoms" object and a "values" list of integers')
     atom_types = {}
-    for ident, spec in raw.get("atoms", {}).items():
+    for ident, spec in atoms.items():
+        if not (
+            isinstance(spec, dict)
+            and _is_names(spec.get("pos"))
+            and _is_names(spec.get("neg"))
+            and _is_names(spec.get("alphabet", []))
+        ):
+            raise CliError(
+                f'{path}: atom {ident!r} needs "pos" and "neg" lists of terms '
+                f'and an optional "alphabet" list of names'
+            )
         alphabet = frozenset(REGISTRY.intern(n) for n in spec.get("alphabet", [ident]))
         pos = partition([parse_term(s) for s in spec["pos"]], budget)
         neg = partition([parse_term(s) for s in spec["neg"]], budget)
         atom_types[ident] = SemType(pos, neg, alphabet)
-    values = tuple(raw.get("values", ()))
-    return atom_types, values
+    return atom_types, tuple(values)
+
+
+def _formula_atoms(f: Formula) -> set:
+    if isinstance(f, FAtom):
+        return {f.ident}
+    return set().union(*(_formula_atoms(g) for g in vars(f).values() if isinstance(g, Formula)))
 
 
 def cmd_check_type(args) -> int:
@@ -256,6 +275,9 @@ def cmd_check_type(args) -> int:
     atom_types, env_values = _load_type_env(args.type_env, budget)
     values = args.values or env_values
     formula = parse_formula(args.type)
+    undeclared = sorted(_formula_atoms(formula) - atom_types.keys())
+    if undeclared:
+        raise CliError(f"{args.type_env}: type {args.type!r} names undeclared atoms {undeclared}")
     ty = formula_to_type(formula, atom_types, budget, values, fuel=args.fuel)
     cls = realizes_pos(term, ty, budget)
     out = {"verdict": cls.verdict}

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional, Union
 
 ValueExpr = Union[int, str]  # int literal or value variable
@@ -103,10 +104,6 @@ def negate(a: Formula) -> Formula:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def lolli(a: Formula, b: Formula) -> Formula:
-    return FPar(negate(a), b)
-
-
 def subst_value_formula(a: Formula, var: str, value: int) -> Formula:
     if isinstance(a, FAtom):
         args = tuple(value if arg == var else arg for arg in a.args)
@@ -172,7 +169,7 @@ _F_TOKEN = re.compile(
 )
 
 
-class FormulaParseError(Exception):
+class FormulaParseError(ValueError):
     pass
 
 
@@ -264,27 +261,26 @@ def print_sequent(seq: Sequent) -> str:
 
 
 class Proof:
+    """A proof node.  Its premises are its fields annotated `Proof`, in
+    field order; every other field is a side datum of the rule."""
+
     __slots__ = ()
+    premise_names: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.premise_names = tuple(n for n, t in cls.__annotations__.items() if t == "Proof")
 
     def premises(self) -> tuple:
-        out = []
-        for name in ("left", "right", "premise"):
-            child = getattr(self, name, None)
-            if child is not None:
-                out.append(child)
-        return tuple(out)
+        return tuple([getattr(self, name) for name in self.premise_names])
 
     def with_premises(self, premises: tuple) -> "Proof":
-        raise NotImplementedError
+        return replace(self, **dict(zip(self.premise_names, premises, strict=True)))
 
 
 @dataclass(frozen=True)
 class PAxiom(Proof):
     formula: Formula
-
-    def with_premises(self, premises):
-        assert not premises
-        return self
 
 
 @dataclass(frozen=True)
@@ -295,25 +291,16 @@ class PCut(Proof):
     pos_left: int = -1
     pos_right: int = -1
 
-    def with_premises(self, premises):
-        return PCut(self.formula, premises[0], premises[1], self.pos_left, self.pos_right)
-
 
 @dataclass(frozen=True)
 class PTensorR(Proof):
     left: Proof
     right: Proof
 
-    def with_premises(self, premises):
-        return PTensorR(premises[0], premises[1])
-
 
 @dataclass(frozen=True)
 class PParR(Proof):
     premise: Proof
-
-    def with_premises(self, premises):
-        return PParR(premises[0])
 
 
 @dataclass(frozen=True)
@@ -321,17 +308,11 @@ class PWithR(Proof):
     left: Proof
     right: Proof
 
-    def with_premises(self, premises):
-        return PWithR(premises[0], premises[1])
-
 
 @dataclass(frozen=True)
 class PPlusR1(Proof):
     premise: Proof
     other: Formula  # the absent right disjunct
-
-    def with_premises(self, premises):
-        return PPlusR1(premises[0], self.other)
 
 
 @dataclass(frozen=True)
@@ -339,17 +320,11 @@ class PPlusR2(Proof):
     premise: Proof
     other: Formula  # the absent left disjunct
 
-    def with_premises(self, premises):
-        return PPlusR2(premises[0], self.other)
-
 
 @dataclass(frozen=True)
 class PExchange(Proof):
     perm: tuple  # conclusion[i] = premise_sequent[perm[i]]
     premise: Proof
-
-    def with_premises(self, premises):
-        return PExchange(self.perm, premises[0])
 
 
 @dataclass(frozen=True)
@@ -357,32 +332,20 @@ class PWeak(Proof):
     formula: Formula  # introduces ?formula
     premise: Proof
 
-    def with_premises(self, premises):
-        return PWeak(self.formula, premises[0])
-
 
 @dataclass(frozen=True)
 class PDerel(Proof):
     premise: Proof
-
-    def with_premises(self, premises):
-        return PDerel(premises[0])
 
 
 @dataclass(frozen=True)
 class PContr(Proof):
     premise: Proof
 
-    def with_premises(self, premises):
-        return PContr(premises[0])
-
 
 @dataclass(frozen=True)
 class PProm(Proof):
     premise: Proof
-
-    def with_premises(self, premises):
-        return PProm(premises[0])
 
 
 @dataclass(frozen=True)
@@ -390,18 +353,12 @@ class PForallR(Proof):
     var: str
     premise: Proof
 
-    def with_premises(self, premises):
-        return PForallR(self.var, premises[0])
-
 
 @dataclass(frozen=True)
 class PExistsR(Proof):
     value: int
     formula: Formula  # the existential conclusion formula
     premise: Proof
-
-    def with_premises(self, premises):
-        return PExistsR(self.value, self.formula, premises[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +381,26 @@ def _resolve(pos: int, length: int) -> int:
 
 
 def check_proof(p: Proof, path: tuple = ()) -> CheckResult:
-    def fail(msg: str, at: tuple = path) -> CheckResult:
-        return CheckResult(None, msg, at)
+    """Checks the premises in order, stopping at the first failure, then
+    this rule's side condition; returns the conclusion."""
+
+    def fail(msg: str) -> CheckResult:
+        return CheckResult(None, msg, path)
+
+    if not isinstance(p, Proof):
+        return fail(f"unknown proof node {p!r}")
+    seqs = []
+    for k, q in enumerate(p.premises()):
+        sub = check_proof(q, path + (k,))
+        if not sub.ok:
+            return sub
+        seqs.append(sub.sequent)
+    s = seqs[0] if seqs else ()
 
     if isinstance(p, PAxiom):
         return CheckResult((negate(p.formula), p.formula))
     if isinstance(p, PCut):
-        left = check_proof(p.left, path + (0,))
-        if not left.ok:
-            return left
-        right = check_proof(p.right, path + (1,))
-        if not right.ok:
-            return right
-        ls, rs = left.sequent, right.sequent
+        ls, rs = seqs
         i = _resolve(p.pos_left, len(ls))
         j = _resolve(p.pos_right, len(rs))
         if not (0 <= i < len(ls)) or ls[i] != p.formula:
@@ -452,116 +416,70 @@ def check_proof(p: Proof, path: tuple = ()) -> CheckResult:
             return fail("cut would produce an empty sequent")
         return CheckResult(conclusion)
     if isinstance(p, PTensorR):
-        left = check_proof(p.left, path + (0,))
-        if not left.ok:
-            return left
-        right = check_proof(p.right, path + (1,))
-        if not right.ok:
-            return right
-        if not left.sequent or not right.sequent:
+        ls, rs = seqs
+        if not ls or not rs:
             return fail("tensor premises must be nonempty")
-        a, b = left.sequent[-1], right.sequent[-1]
-        return CheckResult(left.sequent[:-1] + right.sequent[:-1] + (FTensor(a, b),))
+        return CheckResult(ls[:-1] + rs[:-1] + (FTensor(ls[-1], rs[-1]),))
     if isinstance(p, PParR):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if len(sub.sequent) < 2:
+        if len(s) < 2:
             return fail("par needs two formulas to merge")
-        a, b = sub.sequent[-2], sub.sequent[-1]
-        return CheckResult(sub.sequent[:-2] + (FPar(a, b),))
+        return CheckResult(s[:-2] + (FPar(s[-2], s[-1]),))
     if isinstance(p, PWithR):
-        left = check_proof(p.left, path + (0,))
-        if not left.ok:
-            return left
-        right = check_proof(p.right, path + (1,))
-        if not right.ok:
-            return right
-        if not left.sequent or not right.sequent:
+        ls, rs = seqs
+        if not ls or not rs:
             return fail("with premises must be nonempty")
-        if left.sequent[:-1] != right.sequent[:-1]:
+        if ls[:-1] != rs[:-1]:
             return fail("with premises must share their context")
-        return CheckResult(
-            left.sequent[:-1] + (FWith(left.sequent[-1], right.sequent[-1]),)
-        )
+        return CheckResult(ls[:-1] + (FWith(ls[-1], rs[-1]),))
     if isinstance(p, PPlusR1):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if not sub.sequent:
+        if not s:
             return fail("plus premise must be nonempty")
-        return CheckResult(sub.sequent[:-1] + (FPlus(sub.sequent[-1], p.other),))
+        return CheckResult(s[:-1] + (FPlus(s[-1], p.other),))
     if isinstance(p, PPlusR2):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if not sub.sequent:
+        if not s:
             return fail("plus premise must be nonempty")
-        return CheckResult(sub.sequent[:-1] + (FPlus(p.other, sub.sequent[-1]),))
+        return CheckResult(s[:-1] + (FPlus(p.other, s[-1]),))
     if isinstance(p, PExchange):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if sorted(p.perm) != list(range(len(sub.sequent))):
-            return fail(f"invalid permutation {p.perm} for {print_sequent(sub.sequent)}")
-        return CheckResult(tuple(sub.sequent[k] for k in p.perm))
+        if sorted(p.perm) != list(range(len(s))):
+            return fail(f"invalid permutation {p.perm} for {print_sequent(s)}")
+        return CheckResult(tuple(s[k] for k in p.perm))
     if isinstance(p, PWeak):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        return CheckResult(sub.sequent + (FQuest(p.formula),))
+        return CheckResult(s + (FQuest(p.formula),))
     if isinstance(p, PDerel):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if not sub.sequent:
+        if not s:
             return fail("dereliction premise must be nonempty")
-        return CheckResult(sub.sequent[:-1] + (FQuest(sub.sequent[-1]),))
+        return CheckResult(s[:-1] + (FQuest(s[-1]),))
     if isinstance(p, PContr):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if len(sub.sequent) < 2 or sub.sequent[-1] != sub.sequent[-2]:
+        if len(s) < 2 or s[-1] != s[-2]:
             return fail("contraction needs two equal final formulas")
-        if not isinstance(sub.sequent[-1], FQuest):
+        if not isinstance(s[-1], FQuest):
             return fail("contraction applies to ?-formulas only")
-        return CheckResult(sub.sequent[:-1])
+        return CheckResult(s[:-1])
     if isinstance(p, PProm):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if not sub.sequent:
+        if not s:
             return fail("promotion premise must be nonempty")
-        context = sub.sequent[:-1]
-        if not all(isinstance(f, FQuest) for f in context):
+        if not all(isinstance(f, FQuest) for f in s[:-1]):
             return fail("promotion context must consist of ?-formulas")
-        return CheckResult(context + (FBang(sub.sequent[-1]),))
+        return CheckResult(s[:-1] + (FBang(s[-1]),))
     if isinstance(p, PForallR):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
-        if not sub.sequent:
+        if not s:
             return fail("forall premise must be nonempty")
-        context = sub.sequent[:-1]
-        for f in context:
+        for f in s[:-1]:
             if p.var in free_value_vars_formula(f):
                 return fail(f"value variable {p.var} free in the context")
-        return CheckResult(context + (FForall(p.var, sub.sequent[-1]),))
+        return CheckResult(s[:-1] + (FForall(p.var, s[-1]),))
     if isinstance(p, PExistsR):
-        sub = check_proof(p.premise, path + (0,))
-        if not sub.ok:
-            return sub
         if not isinstance(p.formula, FExists):
             return fail("exists rule must carry an existential formula")
-        if not sub.sequent:
+        if not s:
             return fail("exists premise must be nonempty")
         expected = subst_value_formula(p.formula.body, p.formula.var, p.value)
-        if sub.sequent[-1] != expected:
+        if s[-1] != expected:
             return fail(
-                f"premise ends with {print_formula(sub.sequent[-1])}, expected "
+                f"premise ends with {print_formula(s[-1])}, expected "
                 f"{print_formula(expected)}"
             )
-        return CheckResult(sub.sequent[:-1] + (p.formula,))
+        return CheckResult(s[:-1] + (p.formula,))
     return fail(f"unknown proof node {p!r}")
 
 
@@ -573,32 +491,18 @@ def conclusion(p: Proof) -> Sequent:
 
 
 def subst_value_proof(p: Proof, var: str, value: int) -> Proof:
-    sub = lambda f: subst_value_formula(f, var, value)
-    if isinstance(p, PAxiom):
-        return PAxiom(sub(p.formula))
-    if isinstance(p, PCut):
-        return PCut(
-            sub(p.formula),
-            subst_value_proof(p.left, var, value),
-            subst_value_proof(p.right, var, value),
-            p.pos_left,
-            p.pos_right,
-        )
-    if isinstance(p, PPlusR1):
-        return PPlusR1(subst_value_proof(p.premise, var, value), sub(p.other))
-    if isinstance(p, PPlusR2):
-        return PPlusR2(subst_value_proof(p.premise, var, value), sub(p.other))
-    if isinstance(p, PWeak):
-        return PWeak(sub(p.formula), subst_value_proof(p.premise, var, value))
-    if isinstance(p, PForallR):
-        if p.var == var:
-            return p
-        return PForallR(p.var, subst_value_proof(p.premise, var, value))
-    if isinstance(p, PExistsR):
-        f = p.formula
-        nf = f if f.var == var else FExists(f.var, subst_value_formula(f.body, var, value))
-        return PExistsR(p.value, nf, subst_value_proof(p.premise, var, value))
-    return p.with_premises(tuple(subst_value_proof(q, var, value) for q in p.premises()))
+    """Substitutes `value` for `var` in every formula of the proof; a
+    forall rule binding `var` shields its premise."""
+    if isinstance(p, PForallR) and p.var == var:
+        return p
+    changes = {}
+    for f in fields(p):
+        v = getattr(p, f.name)
+        if isinstance(v, Formula):
+            changes[f.name] = subst_value_formula(v, var, value)
+        elif isinstance(v, Proof):
+            changes[f.name] = subst_value_proof(v, var, value)
+    return replace(p, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -616,24 +520,21 @@ def _exchange_to(proof: Proof, length: int, order: list) -> Proof:
 
 
 def _intro_arity(p: Proof) -> Optional[int]:
-    """Number of trailing premise formulas consumed by the last rule when
-    it introduces one formula at the end; None when not of that shape."""
+    """Number of trailing formulas of each premise consumed by the last
+    rule when it introduces one formula at the end; None when not of that
+    shape."""
     if isinstance(p, (PParR, PContr)):
         return 2
-    if isinstance(p, (PDerel, PForallR, PExistsR, PPlusR1, PPlusR2)):
+    if isinstance(p, (PDerel, PForallR, PExistsR, PPlusR1, PPlusR2, PWithR)):
         return 1
     if isinstance(p, PWeak):
         return 0
     return None
 
 
-def reduce_cut(cut: PCut) -> Proof:
-    return reduce_cut_kinded(cut)[0]
-
-
-def reduce_cut_kinded(cut: PCut) -> tuple:
-    """One standard cut-elimination step at this node, tagged with the
-    step kind it performed."""
+def reduce_cut(cut: PCut) -> tuple:
+    """One standard cut-elimination step at this node: the reduced proof
+    and the kind of step performed."""
     ls = conclusion(cut.left)
     rs = conclusion(cut.right)
     i = _resolve(cut.pos_left, len(ls))
@@ -652,33 +553,17 @@ def reduce_cut_kinded(cut: PCut) -> tuple:
 
     # strip exchanges
     if isinstance(left, PExchange):
-        inner_seq = conclusion(left.premise)
         i2 = left.perm[i]
         new_cut = PCut(cut.formula, left.premise, right, i2, j)
         # order of the new conclusion: (inner minus i2) ++ (rs minus j)
-        inner_rank = {}
-        rank = 0
-        for m in range(len(inner_seq)):
-            if m == i2:
-                continue
-            inner_rank[m] = rank
-            rank += 1
-        order = [inner_rank[left.perm[k]] for k in range(len(ls)) if k != i]
-        order += [rank + m for m in range(len(rs) - 1)]
+        order = [m - (m > i2) for k, m in enumerate(left.perm) if k != i]
+        order += range(len(ls) - 1, len(target))
         return _exchange_to(new_cut, len(target), order), "exchange-left"
     if isinstance(right, PExchange):
-        inner_seq = conclusion(right.premise)
         j2 = right.perm[j]
         new_cut = PCut(cut.formula, left, right.premise, i, j2)
-        inner_rank = {}
-        rank = 0
-        for m in range(len(inner_seq)):
-            if m == j2:
-                continue
-            inner_rank[m] = rank
-            rank += 1
         order = list(range(len(ls) - 1))
-        order += [len(ls) - 1 + inner_rank[right.perm[k]] for k in range(len(rs)) if k != j]
+        order += [len(ls) - 1 + m - (m > j2) for k, m in enumerate(right.perm) if k != j]
         return _exchange_to(new_cut, len(target), order), "exchange-right"
 
     left_principal = i == len(ls) - 1
@@ -819,60 +704,25 @@ def _contract_pairs(proof: Proof, m: int, rest: int, context_first: bool) -> Pro
     return _exchange_to(out, len(slots), order)
 
 
-def _reapply_tail(rule: Proof, new_premise: Proof):
-    """Rebuilds a tail-introducing rule over a replacement premise."""
-    if isinstance(rule, PParR):
-        return PParR(new_premise)
-    if isinstance(rule, PDerel):
-        return PDerel(new_premise)
-    if isinstance(rule, PContr):
-        return PContr(new_premise)
-    if isinstance(rule, PWeak):
-        return PWeak(rule.formula, new_premise)
-    if isinstance(rule, PForallR):
-        return PForallR(rule.var, new_premise)
-    if isinstance(rule, PExistsR):
-        return PExistsR(rule.value, rule.formula, new_premise)
-    if isinstance(rule, PPlusR1):
-        return PPlusR1(new_premise, rule.other)
-    if isinstance(rule, PPlusR2):
-        return PPlusR2(new_premise, rule.other)
-    raise NotReducible(f"cannot push a cut through {type(rule).__name__}")
-
-
 def _push_left(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
     left, right = cut.left, cut.right
     dlen = len(rs) - 1
     arity = _intro_arity(left)
     if arity is not None:
         gg = len(ls) - 1
-        premise = left.premise
-        inner = PCut(cut.formula, premise, right, i, j)
-        # inner: (Γ minus i) ++ tail ++ Δ'; move the tail to the end
+        # each premise cut: (Γ minus i) ++ tail ++ Δ'; move the tail to the end
         order = (
             list(range(gg - 1))
             + list(range(gg - 1 + arity, gg - 1 + arity + dlen))
             + list(range(gg - 1, gg - 1 + arity))
         )
-        moved = _exchange_to(inner, gg - 1 + arity + dlen, order)
-        reapplied = _reapply_tail(left, moved)
+        reapplied = left.with_premises(tuple(
+            _exchange_to(PCut(cut.formula, prem, right, i, j), gg - 1 + arity + dlen, order)
+            for prem in left.premises()
+        ))
         # reapplied: (Γ minus i) ++ Δ' ++ intro; target wants intro before Δ'
         order2 = list(range(gg - 1)) + [gg - 1 + dlen] + list(range(gg - 1, gg - 1 + dlen))
         return _exchange_to(reapplied, gg + dlen, order2), f"push-left-{type(left).__name__[1:].lower()}"
-    if isinstance(left, PWithR):
-        gg = len(ls) - 1
-        outs = []
-        for prem in (left.left, left.right):
-            inner = PCut(cut.formula, prem, right, i, j)
-            order = (
-                list(range(gg - 1))
-                + list(range(gg, gg + dlen))
-                + [gg - 1]
-            )
-            outs.append(_exchange_to(inner, gg + dlen, order))
-        reapplied = PWithR(outs[0], outs[1])
-        order2 = list(range(gg - 1)) + [gg - 1 + dlen] + list(range(gg - 1, gg - 1 + dlen))
-        return _exchange_to(reapplied, gg + dlen, order2), "push-left-withr"
     if isinstance(left, PTensorR):
         s1 = conclusion(left.left)
         s2 = conclusion(left.right)
@@ -913,15 +763,9 @@ def _push_right(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
     glen = len(ls) - 1
     arity = _intro_arity(right)
     if arity is not None:
-        premise = right.premise
-        inner = PCut(cut.formula, left, premise, i, j)
-        # inner: Γ' ++ (Θ minus j) ++ tail, tail already last
-        return _reapply_tail(right, inner), f"push-right-{type(right).__name__[1:].lower()}"
-    if isinstance(right, PWithR):
-        outs = []
-        for prem in (right.left, right.right):
-            outs.append(PCut(cut.formula, left, prem, i, j))
-        return PWithR(outs[0], outs[1]), "push-right-withr"
+        # each premise cut: Γ' ++ (Θ minus j) ++ tail, tail already last
+        premises = tuple(PCut(cut.formula, left, prem, i, j) for prem in right.premises())
+        return right.with_premises(premises), f"push-right-{type(right).__name__[1:].lower()}"
     if isinstance(right, PTensorR):
         s2 = conclusion(right.left)
         s3 = conclusion(right.right)
@@ -983,18 +827,12 @@ def replace_at(p: Proof, path: tuple, repl: Proof) -> Proof:
     return p.with_premises(tuple(premises))
 
 
-def cut_step(p: Proof, path: tuple) -> Proof:
+def cut_step(p: Proof, path: tuple) -> tuple:
+    """Reduces the cut at `path`: the new proof and the step kind."""
     node = proof_at(p, path)
     if not isinstance(node, PCut):
         raise NotReducible(f"no cut at path {path}")
-    return replace_at(p, path, reduce_cut(node))
-
-
-def cut_step_kinded(p: Proof, path: tuple) -> tuple:
-    node = proof_at(p, path)
-    if not isinstance(node, PCut):
-        raise NotReducible(f"no cut at path {path}")
-    reduced, kind = reduce_cut_kinded(node)
+    reduced, kind = reduce_cut(node)
     return replace_at(p, path, reduced), kind
 
 
@@ -1018,7 +856,7 @@ def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> 
         path = find_redex(current)
         if path is None:
             return ElimResult(current, steps, "stuck", trail, kinds)
-        current, kind = cut_step_kinded(current, path)
+        current, kind = cut_step(current, path)
         steps += 1
         kinds.append(kind)
         if keep_trail:
@@ -1030,103 +868,95 @@ def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> 
 # JSON serialization
 
 
+# JSON rule names; a node's other keys are its side fields, by field name
+# and in field order, then "premises" (absent for an axiom)
+RULE_NAMES = {
+    PAxiom: "axiom",
+    PCut: "cut",
+    PTensorR: "tensor",
+    PParR: "par",
+    PWithR: "with",
+    PPlusR1: "plus1",
+    PPlusR2: "plus2",
+    PExchange: "exchange",
+    PWeak: "weakening",
+    PDerel: "dereliction",
+    PContr: "contraction",
+    PProm: "promotion",
+    PForallR: "forall",
+    PExistsR: "exists",
+}
+_RULES = {name: cls for cls, name in RULE_NAMES.items()}
+
+_EXPECTED = {
+    "Formula": "a formula string",
+    "tuple": "a list of integers",
+    "int": "an integer",
+    "str": "a string",
+}
+
+
+def _decode_field(ftype: str, v):
+    """A side field's value from JSON, or None when `v` is ill-typed."""
+    if ftype == "Formula" and isinstance(v, str):
+        return parse_formula(v)
+    if ftype == "tuple" and isinstance(v, list) and all(type(x) is int for x in v):
+        return tuple(v)
+    if ftype == "int" and type(v) is int:
+        return v
+    if ftype == "str" and isinstance(v, str):
+        return v
+    return None
+
+
 def proof_to_json(p: Proof) -> dict:
-    if isinstance(p, PAxiom):
-        return {"rule": "axiom", "formula": print_formula(p.formula)}
-    if isinstance(p, PCut):
-        return {
-            "rule": "cut",
-            "formula": print_formula(p.formula),
-            "pos_left": p.pos_left,
-            "pos_right": p.pos_right,
-            "premises": [proof_to_json(p.left), proof_to_json(p.right)],
-        }
-    if isinstance(p, PTensorR):
-        return {"rule": "tensor", "premises": [proof_to_json(p.left), proof_to_json(p.right)]}
-    if isinstance(p, PParR):
-        return {"rule": "par", "premises": [proof_to_json(p.premise)]}
-    if isinstance(p, PWithR):
-        return {"rule": "with", "premises": [proof_to_json(p.left), proof_to_json(p.right)]}
-    if isinstance(p, PPlusR1):
-        return {
-            "rule": "plus1",
-            "other": print_formula(p.other),
-            "premises": [proof_to_json(p.premise)],
-        }
-    if isinstance(p, PPlusR2):
-        return {
-            "rule": "plus2",
-            "other": print_formula(p.other),
-            "premises": [proof_to_json(p.premise)],
-        }
-    if isinstance(p, PExchange):
-        return {
-            "rule": "exchange",
-            "perm": list(p.perm),
-            "premises": [proof_to_json(p.premise)],
-        }
-    if isinstance(p, PWeak):
-        return {
-            "rule": "weakening",
-            "formula": print_formula(p.formula),
-            "premises": [proof_to_json(p.premise)],
-        }
-    if isinstance(p, PDerel):
-        return {"rule": "dereliction", "premises": [proof_to_json(p.premise)]}
-    if isinstance(p, PContr):
-        return {"rule": "contraction", "premises": [proof_to_json(p.premise)]}
-    if isinstance(p, PProm):
-        return {"rule": "promotion", "premises": [proof_to_json(p.premise)]}
-    if isinstance(p, PForallR):
-        return {"rule": "forall", "var": p.var, "premises": [proof_to_json(p.premise)]}
-    if isinstance(p, PExistsR):
-        return {
-            "rule": "exists",
-            "value": p.value,
-            "formula": print_formula(p.formula),
-            "premises": [proof_to_json(p.premise)],
-        }
-    raise TypeError(f"not a proof: {p!r}")
+    if type(p) not in RULE_NAMES:
+        raise TypeError(f"not a proof: {p!r}")
+    out = {"rule": RULE_NAMES[type(p)]}
+    for f in fields(p):
+        v = getattr(p, f.name)
+        if f.type == "Formula":
+            out[f.name] = print_formula(v)
+        elif f.type == "tuple":
+            out[f.name] = list(v)
+        elif f.type != "Proof":
+            out[f.name] = v
+    premises = [proof_to_json(q) for q in p.premises()]
+    if premises:
+        out["premises"] = premises
+    return out
 
 
-def proof_from_json(data: dict) -> Proof:
+def proof_from_json(data) -> Proof:
+    """Decodes `proof_to_json` output; raises ValueError naming the rule
+    on a malformed node."""
+    if not isinstance(data, dict):
+        raise ValueError(f"proof node must be a JSON object, found {reprlib.repr(data)}")
     rule = data.get("rule")
-    prems = [proof_from_json(q) for q in data.get("premises", [])]
-    if rule == "axiom":
-        return PAxiom(parse_formula(data["formula"]))
-    if rule == "cut":
-        return PCut(
-            parse_formula(data["formula"]),
-            prems[0],
-            prems[1],
-            data.get("pos_left", -1),
-            data.get("pos_right", -1),
+    cls = _RULES.get(rule) if isinstance(rule, str) else None
+    if cls is None:
+        raise ValueError(f"unknown proof rule {rule!r}")
+    premises = data.get("premises", [])
+    if not isinstance(premises, list) or len(premises) != len(cls.premise_names):
+        raise ValueError(
+            f"proof rule {rule!r} takes {len(cls.premise_names)} premises, "
+            f"found {reprlib.repr(premises)}"
         )
-    if rule == "tensor":
-        return PTensorR(prems[0], prems[1])
-    if rule == "par":
-        return PParR(prems[0])
-    if rule == "with":
-        return PWithR(prems[0], prems[1])
-    if rule == "plus1":
-        return PPlusR1(prems[0], parse_formula(data["other"]))
-    if rule == "plus2":
-        return PPlusR2(prems[0], parse_formula(data["other"]))
-    if rule == "exchange":
-        return PExchange(tuple(data["perm"]), prems[0])
-    if rule == "weakening":
-        return PWeak(parse_formula(data["formula"]), prems[0])
-    if rule == "dereliction":
-        return PDerel(prems[0])
-    if rule == "contraction":
-        return PContr(prems[0])
-    if rule == "promotion":
-        return PProm(prems[0])
-    if rule == "forall":
-        return PForallR(data["var"], prems[0])
-    if rule == "exists":
-        return PExistsR(data["value"], parse_formula(data["formula"]), prems[0])
-    raise ValueError(f"unknown proof rule {rule!r}")
+    kwargs = {name: proof_from_json(q) for name, q in zip(cls.premise_names, premises)}
+    for f in fields(cls):
+        if f.name in kwargs:
+            continue
+        if f.name not in data:
+            if f.default is MISSING:
+                raise ValueError(f"proof rule {rule!r} needs field {f.name!r}")
+            continue
+        kwargs[f.name] = _decode_field(f.type, data[f.name])
+        if kwargs[f.name] is None:
+            raise ValueError(
+                f"proof rule {rule!r}: {f.name!r} must be {_EXPECTED[f.type]}, "
+                f"found {reprlib.repr(data[f.name])}"
+            )
+    return cls(**kwargs)
 
 
 def load_proof(path: str) -> Proof:

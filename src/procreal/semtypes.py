@@ -209,15 +209,6 @@ def par_type(
     return tensor_type(t.dual(), u.dual(), budget, extra_neg=extra_pos).dual()
 
 
-def lolli_type(
-    t: SemType,
-    u: SemType,
-    budget: ExplorationBudget = ExplorationBudget(),
-    extra_pos=(),
-) -> SemType:
-    return par_type(t.dual(), u, budget, extra_pos=extra_pos)
-
-
 def with_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
     pos_classes = []
     for c1 in t.pos.classes:
@@ -306,10 +297,6 @@ def forall_v_type(
                 _cap_members(tuple(Prefix(frozenset([negative(sv)]), n) for n in cls))
             )
     return SemType(RepPER(tuple(pos_classes)), RepPER(tuple(neg_classes)), None)
-
-
-def exists_v_type(family: dict, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
-    return forall_v_type({v: t.dual() for v, t in family.items()}, budget).dual()
 
 
 def formula_to_type(

@@ -289,19 +289,6 @@ def free_process_vars(t: Term) -> frozenset:
     return frozenset(free)
 
 
-def free_value_vars(t: Term) -> frozenset:
-    free = set()
-    stack = [(t, frozenset())]
-    while stack:
-        u, bound = stack.pop()
-        if isinstance(u, InputPrefix):
-            bound = bound | {u.var}
-        elif isinstance(u, OutputPrefix) and isinstance(u.value, str) and u.value not in bound:
-            free.add(u.value)
-        stack.extend((c, bound) for c in subterms(u))
-    return frozenset(free)
-
-
 # ---------------------------------------------------------------------------
 # Sorts: sound over-approximation of the labels a term can ever perform.
 

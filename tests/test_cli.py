@@ -9,7 +9,17 @@ import pytest
 import procreal
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
-from procreal.logic import proof_to_json
+from procreal.logic import (
+    FAtom,
+    FBang,
+    PAxiom,
+    PCut,
+    PDerel,
+    PExchange,
+    PProm,
+    negate,
+    proof_to_json,
+)
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO
 
@@ -138,6 +148,78 @@ def test_extract_and_verify_cut(files, tmp_path, capsys):
     assert data["overall"] == "pass"
     assert data["cut_free"] is True
     assert all(s["verdict"] == "pass" for s in data["steps"])
+
+
+def test_verify_cut_output_matches_golden(files, capsys):
+    # stdout captured before the proof rules were made table-driven
+    proof = corpus_proofs()["push_left"]["proof"]
+    ppath = files("p.json", json.dumps(proof_to_json(proof)))
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        assert main(["verify-cut", ppath, "--format", fmt]) == 0
+        golden = Path(__file__).parent / "golden" / f"verify_cut_push_left.{ext}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_cut_reports_stuck_cut(files, capsys):
+    # no step pushes a cut into a promotion's context
+    promo = PProm(PExchange((1, 0), PDerel(PAxiom(negate(FAtom("a"))))))
+    stuck = PCut(FBang(FAtom("a")), promo, promo, -1, 0)
+    ppath = files("p.json", json.dumps(proof_to_json(stuck)))
+    assert main(["verify-cut", ppath, "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["steps"] == [{"kind": "stuck", "step": 0, "verdict": "unknown"}]
+    assert data["cut_free"] is False and data["overall"] == "unknown"
+
+
+AXIOM = {"rule": "axiom", "formula": "a"}
+TYPE_ENV = {"atoms": {"a": {"alphabet": ["a"], "pos": ["{a}.0"], "neg": ["{~a}.0"]}}}
+
+
+def _check_type(env, type_text="a"):
+    return ["check-type", "t.term", "env.json", type_text], {
+        "t.term": "{a}.0\n",
+        "env.json": json.dumps(env),
+    }
+
+
+def _proof(cmd, data, *extra):
+    return [cmd, "p.json", *extra], {"p.json": json.dumps(data)}
+
+
+@pytest.mark.parametrize(
+    "argv, contents",
+    [
+        pytest.param(*_proof("verify-cut", {"rule": "par"}), id="par-without-premise"),
+        pytest.param(*_proof("extract", {"rule": "axiom"}), id="axiom-without-formula"),
+        pytest.param(*_proof("extract", {"rule": "axiom", "formula": "a*"}),
+                     id="bad-formula-extract"),
+        pytest.param(*_proof("verify-cut", {"rule": "weakening", "formula": "a)",
+                                            "premises": [AXIOM]}),
+                     id="bad-formula-verify-cut"),
+        pytest.param(*_proof("verify-cut", [1]), id="proof-not-an-object"),
+        pytest.param(*_proof("verify-cut", {"rule": "cut", "formula": "a", "premises": [AXIOM]}),
+                     id="one-premise-cut"),
+        pytest.param(*_proof("extract", {"rule": "exchange", "perm": 5, "premises": [AXIOM]}),
+                     id="ill-typed-perm"),
+        pytest.param(*_proof("extract", {"rule": "lemma"}), id="unknown-rule"),
+        pytest.param(*_check_type(TYPE_ENV, "a*"), id="bad-formula-check-type"),
+        pytest.param(*_check_type({"atoms": {"a": {"pos": ["{a}.0"]}}}), id="atom-without-neg"),
+        pytest.param(*_check_type(TYPE_ENV, "a*zz"), id="undeclared-atom"),
+        pytest.param(*_check_type(dict(TYPE_ENV, values=5)), id="values-not-a-list"),
+        pytest.param(*_check_type([TYPE_ENV]), id="type-env-not-an-object"),
+        pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
+                     {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps({"a": 5})},
+                     id="atoms-alphabet-not-a-list"),
+        pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
+                     {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps(["a"])},
+                     id="atoms-not-an-object"),
+    ],
+)
+def test_malformed_input_exits_three(argv, contents, files, capsys):
+    paths = {name: files(name, text) for name, text in contents.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err and "\n" not in err and "Traceback" not in err
 
 
 def test_check_type(files, capsys):

@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +17,11 @@ from procreal.logic import (
     FTensor,
     FWith,
     NotReducible,
+    RULE_NAMES,
     PAxiom,
     PCut,
     PExchange,
+    PForallR,
     PParR,
     PTensorR,
     Proof,
@@ -33,6 +38,7 @@ from procreal.logic import (
     proof_from_json,
     proof_to_json,
     subst_value_formula,
+    subst_value_proof,
 )
 
 A = FAtom("a")
@@ -167,6 +173,9 @@ def test_corpus_covers_every_step_kind():
 def test_cut_step_requires_cut_position():
     with pytest.raises(NotReducible):
         cut_step(PAxiom(A), ())
+    cut = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
+    proof, kind = cut_step(PParR(cut), (0,))
+    assert kind == "axiom-left" and not has_cut(proof)
 
 
 def test_find_redex_innermost_first():
@@ -179,3 +188,72 @@ def test_json_roundtrip_corpus():
     for entry in corpus_proofs().values():
         j = proof_to_json(entry["proof"])
         assert proof_from_json(j) == entry["proof"]
+
+
+def test_proof_json_matches_golden():
+    # captured before the proof rules were made table-driven; key order counts
+    golden = Path(__file__).parent / "golden" / "corpus_proof_json.txt"
+    got = [f"{name} {json.dumps(proof_to_json(e['proof']))}" for name, e in corpus_proofs().items()]
+    assert got == golden.read_text(encoding="utf-8").splitlines()
+
+
+AXIOM_JSON = {"rule": "axiom", "formula": "a"}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1], "JSON object"),
+        ({"rule": "axiom", "formula": "a*"}, "<eof>"),  # a FormulaParseError
+        ({"rule": "lemma"}, "'lemma'"),
+        ({"rule": "par"}, "'par'"),
+        ({"rule": "axiom"}, "'axiom'"),
+        ({"rule": "cut", "formula": "a", "premises": [AXIOM_JSON]}, "'cut'"),
+        ({"rule": "exchange", "perm": 5, "premises": [AXIOM_JSON]}, "'exchange'"),
+        ({"rule": "exists", "value": "1", "formula": "exists x. a", "premises": [AXIOM_JSON]},
+         "'exists'"),
+    ],
+)
+def test_proof_from_json_refuses_malformed_nodes(data, message):
+    # a ValueError, so the command line exits 3; its message names the rule
+    with pytest.raises(ValueError, match=message):
+        proof_from_json(data)
+
+
+def _every_rule(x, y):
+    """One node of each proof rule: formula fields bind y, premises mention x and y."""
+    p = lambda arg: FAtom("p", True, (arg,))
+    side = {"Formula": FExists("y", FPar(p(x), p("y"))), "tuple": (0, 1), "int": 0, "str": "z"}
+    for cls in RULE_NAMES:
+        yield cls(**{
+            f.name: PAxiom(FPar(p(x), p(y))) if f.type == "Proof" else side[f.type]
+            for f in fields(cls)
+        })
+
+
+def test_with_premises_rebuilds_every_rule():
+    for p in _every_rule("x", "y"):
+        assert p.with_premises(p.premises()) == p
+        new = tuple(PAxiom(FAtom(f"n{k}")) for k in range(len(p.premises())))
+        q = p.with_premises(new)
+        assert type(q) is type(p) and q.premises() == new
+        assert all(getattr(q, f.name) == getattr(p, f.name)
+                   for f in fields(p) if f.type != "Proof")
+        with pytest.raises(ValueError):
+            p.with_premises(new + (PAxiom(A),))
+    for entry in corpus_proofs().values():
+        stack = [entry["proof"]]
+        while stack:
+            node = stack.pop()
+            assert node.with_premises(node.premises()) == node
+            stack.extend(node.premises())
+
+
+def test_subst_value_proof_on_every_rule():
+    rules = zip(_every_rule("x", "y"), _every_rule(1, "y"), _every_rule("x", 2))
+    for before, x_done, y_done in rules:
+        assert subst_value_proof(before, "x", 1) == x_done
+        # y is bound in every formula field, so only the premises change
+        assert subst_value_proof(before, "y", 2) == y_done
+    shielded = PForallR("x", PAxiom(FAtom("p", True, ("x",))))
+    assert subst_value_proof(shielded, "x", 1) == shielded
