@@ -17,8 +17,6 @@ from .equivalence import BudgetExceeded, failures_bounded, failures_equiv, perp,
 from .exercises import run_exercises
 from .extraction import extract, verify_cut_soundness
 from .logic import (
-    FAtom,
-    Formula,
     check_proof,
     cut_eliminate,
     load_proof,
@@ -263,21 +261,12 @@ def _load_type_env(path: str, budget: ExplorationBudget):
     return atom_types, tuple(values)
 
 
-def _formula_atoms(f: Formula) -> set:
-    if isinstance(f, FAtom):
-        return {f.ident}
-    return set().union(*(_formula_atoms(g) for g in vars(f).values() if isinstance(g, Formula)))
-
-
 def cmd_check_type(args) -> int:
     term = load_term(args.term, args.values)
     budget = _budget(args)
     atom_types, env_values = _load_type_env(args.type_env, budget)
     values = args.values or env_values
     formula = parse_formula(args.type)
-    undeclared = sorted(_formula_atoms(formula) - atom_types.keys())
-    if undeclared:
-        raise CliError(f"{args.type_env}: type {args.type!r} names undeclared atoms {undeclared}")
     ty = formula_to_type(formula, atom_types, budget, values, fuel=args.fuel)
     cls = realizes_pos(term, ty, budget)
     out = {"verdict": cls.verdict}

@@ -16,7 +16,7 @@ import json
 import re
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 ValueExpr = Union[int, str]  # int literal or value variable
 
@@ -272,7 +272,10 @@ class Proof:
         cls.premise_names = tuple(n for n, t in cls.__annotations__.items() if t == "Proof")
 
     def premises(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.premise_names])
+        out = []
+        for name in self.premise_names:
+            out.append(getattr(self, name))
+        return tuple(out)
 
     def with_premises(self, premises: tuple) -> "Proof":
         return replace(self, **dict(zip(self.premise_names, premises, strict=True)))
@@ -888,25 +891,32 @@ RULE_NAMES = {
 }
 _RULES = {name: cls for cls, name in RULE_NAMES.items()}
 
-_EXPECTED = {
-    "Formula": "a formula string",
-    "tuple": "a list of integers",
-    "int": "an integer",
-    "str": "a string",
+
+class _SideCodec(NamedTuple):
+    accepts: Callable  # JSON value -> is it well-typed for the field
+    decode: Callable  # JSON value -> field value
+    encode: Callable  # field value -> JSON value
+    expected: str  # the JSON type, for error messages
+
+
+def _same(v):
+    return v
+
+
+# a side field's JSON codec, by the field's annotated type
+_SIDE_CODECS = {
+    "Formula": _SideCodec(
+        lambda v: isinstance(v, str), parse_formula, print_formula, "a formula string"
+    ),
+    "tuple": _SideCodec(
+        lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+        tuple,
+        list,
+        "a list of integers",
+    ),
+    "int": _SideCodec(lambda v: type(v) is int, _same, _same, "an integer"),
+    "str": _SideCodec(lambda v: isinstance(v, str), _same, _same, "a string"),
 }
-
-
-def _decode_field(ftype: str, v):
-    """A side field's value from JSON, or None when `v` is ill-typed."""
-    if ftype == "Formula" and isinstance(v, str):
-        return parse_formula(v)
-    if ftype == "tuple" and isinstance(v, list) and all(type(x) is int for x in v):
-        return tuple(v)
-    if ftype == "int" and type(v) is int:
-        return v
-    if ftype == "str" and isinstance(v, str):
-        return v
-    return None
 
 
 def proof_to_json(p: Proof) -> dict:
@@ -914,13 +924,8 @@ def proof_to_json(p: Proof) -> dict:
         raise TypeError(f"not a proof: {p!r}")
     out = {"rule": RULE_NAMES[type(p)]}
     for f in fields(p):
-        v = getattr(p, f.name)
-        if f.type == "Formula":
-            out[f.name] = print_formula(v)
-        elif f.type == "tuple":
-            out[f.name] = list(v)
-        elif f.type != "Proof":
-            out[f.name] = v
+        if f.type != "Proof":
+            out[f.name] = _SIDE_CODECS[f.type].encode(getattr(p, f.name))
     premises = [proof_to_json(q) for q in p.premises()]
     if premises:
         out["premises"] = premises
@@ -950,12 +955,13 @@ def proof_from_json(data) -> Proof:
             if f.default is MISSING:
                 raise ValueError(f"proof rule {rule!r} needs field {f.name!r}")
             continue
-        kwargs[f.name] = _decode_field(f.type, data[f.name])
-        if kwargs[f.name] is None:
+        codec = _SIDE_CODECS[f.type]
+        if not codec.accepts(data[f.name]):
             raise ValueError(
-                f"proof rule {rule!r}: {f.name!r} must be {_EXPECTED[f.type]}, "
+                f"proof rule {rule!r}: {f.name!r} must be {codec.expected}, "
                 f"found {reprlib.repr(data[f.name])}"
             )
+        kwargs[f.name] = codec.decode(data[f.name])
     return cls(**kwargs)
 
 

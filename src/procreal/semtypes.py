@@ -307,6 +307,8 @@ def formula_to_type(
     fuel: int = 1,
 ) -> SemType:
     if isinstance(f, FAtom):
+        if f.ident not in atom_types:
+            raise ValueError(f"undeclared atom {f.ident!r} in a type")
         base = atom_types[f.ident]
         return base if f.pos else base.dual()
     if isinstance(f, FTensor):

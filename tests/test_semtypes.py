@@ -1,3 +1,5 @@
+import pytest
+
 from procreal.combinators import identity_wire, pairing, tensor
 from procreal.equivalence import failures_equiv, perp
 from procreal.logic import parse_formula
@@ -179,6 +181,12 @@ def test_formula_to_type():
     assert realizes_pos(
         pairing(TA.pos.classes[0][0], TA.pos.classes[0][0], port="plain"), w, BUD
     ).verdict == "class"
+
+
+def test_formula_to_type_names_undeclared_atom():
+    # a ValueError, so the command line exits 3 with this message
+    with pytest.raises(ValueError, match="undeclared atom 'c'"):
+        formula_to_type(parse_formula("a*(b@~c)"), {"a": TA, "b": TB}, BUD)
 
 
 def test_forall_v_type_clauses():
