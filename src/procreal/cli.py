@@ -267,7 +267,10 @@ def cmd_check_type(args) -> int:
     atom_types, env_values = _load_type_env(args.type_env, budget)
     values = args.values or env_values
     formula = parse_formula(args.type)
-    ty = formula_to_type(formula, atom_types, budget, values, fuel=args.fuel)
+    try:
+        ty = formula_to_type(formula, atom_types, budget, values, fuel=args.fuel)
+    except ValueError as exc:  # e.g. an atom the environment does not declare
+        raise CliError(f"{args.type_env}: {exc}") from exc
     cls = realizes_pos(term, ty, budget)
     out = {"verdict": cls.verdict}
     if cls.index is not None:
