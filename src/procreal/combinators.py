@@ -31,6 +31,7 @@ from .names import (
     action_key,
     dual_action,
     l_code,
+    label_key,
     negative,
     positive,
     r_code,
@@ -99,7 +100,7 @@ def act_plus(alphabet: Alphabet) -> list:
     """All nonempty actions over the alphabet's labels, canonically ordered."""
     labels = sorted(
         [positive(n) for n in alphabet] + [negative(n) for n in alphabet],
-        key=lambda l: (l.code, l.neg),
+        key=label_key,
     )
     actions = []
     for k in range(1, len(labels) + 1):

@@ -106,15 +106,22 @@ class FailureSet:
 
 
 class _StepCache:
+    """The states one `failures_bounded` call has met, by printed key, and
+    their sorted transitions.  Like `build_lts` it memoises the
+    transitions and texts of the nodes it meets for its own life only;
+    it reads no graph or memo of another exploration."""
+
     def __init__(self, budget: ExplorationBudget):
         self.terms: dict[str, Term] = {}
         self.trans: dict[str, tuple] = {}
         self.budget = budget
+        self.steps: dict = {}
+        self.texts: dict = {}
 
     def key_of(self, t: Term) -> str:
         if term_depth(t) > DEPTH_CAP:
             raise BudgetExceeded("state nesting exceeds the depth cap")
-        key = print_term(t)
+        key = print_term(t, self.texts)
         if key not in self.terms:
             if len(self.terms) >= self.budget.max_states:
                 raise BudgetExceeded(f"state budget {self.budget.max_states} exhausted")
@@ -125,7 +132,7 @@ class _StepCache:
         cached = self.trans.get(key)
         if cached is None:
             succs = []
-            for a, p in step(self.terms[key]):
+            for a, p in step(self.terms[key], 0, self.steps):
                 succs.append((a, self.key_of(p)))
             succs.sort(key=lambda s: (action_key(s[0]), s[1]))
             cached = tuple(succs)

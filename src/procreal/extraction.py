@@ -197,18 +197,24 @@ def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
 
 
 def extract(proof: Proof, env: Optional[AtomEnv] = None, values: tuple = ()) -> Term:
-    env = env or {}
-    res = check_proof(proof)
+    return _extract_checked(proof, env or {}, values, {})
+
+
+def _extract_checked(proof: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
+    """Checks the proof once, recording every sub-proof's conclusion in
+    `conclusions`, then extracts.  The rules read their premises'
+    conclusions there (port layouts depend on the premises' lengths)
+    instead of re-checking a sub-proof at every node above it."""
+    res = check_proof(proof, (), conclusions)
     if not res.ok:
         raise ExtractionError(f"invalid proof at {res.path}: {res.error}")
-    return _extract(proof, env, values)
+    return _extract(proof, env, values, conclusions)
 
 
-def _concl(proof: Proof):
-    return check_proof(proof).sequent
+def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
+    def _concl(q: Proof):
+        return conclusions[id(q)][1]
 
-
-def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if isinstance(p, PAxiom):
         return formula_wire(p.formula, env, values)
 
@@ -218,8 +224,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         k1, k2 = len(ls), len(rs)
         i = _resolve(p.pos_left, k1) + 1  # 1-based cut ports
         j = _resolve(p.pos_right, k2) + 1
-        tl = _extract(p.left, env, values)
-        tr = _extract(p.right, env, values)
+        tl = _extract(p.left, env, values, conclusions)
+        tr = _extract(p.right, env, values, conclusions)
         pieces_l = []
         rank = 0
         for m in range(1, k1 + 1):
@@ -247,8 +253,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         s1, s2 = _concl(p.left), _concl(p.right)
         k1, k2 = len(s1), len(s2)
         k = k1 + k2 - 1
-        tl = _extract(p.left, env, values)
-        tr = _extract(p.right, env, values)
+        tl = _extract(p.left, env, values, conclusions)
+        tr = _extract(p.right, env, values, conclusions)
         pieces_l = [(m, k1, None, m, k) for m in range(1, k1)]
         pieces_l.append((k1, k1, LCODE, k, k))
         pieces_r = [(m, k2, None, k1 - 1 + m, k) for m in range(1, k2)]
@@ -259,7 +265,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         s = _concl(p.premise)
         kp = len(s)
         k = kp - 1
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, conclusions)
         pieces = [(m, kp, None, m, k) for m in range(1, k)]
         pieces.append((k, kp, LCODE, k, k))
         pieces.append((kp, kp, RCODE, k, k))
@@ -268,8 +274,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if isinstance(p, PWithR):
         s = _concl(p.left)
         k = len(s)
-        tl = _extract(p.left, env, values)
-        tr = _extract(p.right, env, values)
+        tl = _extract(p.left, env, values, conclusions)
+        tr = _extract(p.right, env, values, conclusions)
         ga = port_action(k, k, [positive(ALPHA)])
         gb = port_action(k, k, [positive(BETA)])
         return Sum(((ga, tl), (gb, tr)))
@@ -278,17 +284,17 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         s = _concl(p.premise)
         k = len(s)
         guard = port_action(k, k, [negative(ALPHA)])
-        return Prefix(guard, _extract(p.premise, env, values))
+        return Prefix(guard, _extract(p.premise, env, values, conclusions))
     if isinstance(p, PPlusR2):
         s = _concl(p.premise)
         k = len(s)
         guard = port_action(k, k, [negative(BETA)])
-        return Prefix(guard, _extract(p.premise, env, values))
+        return Prefix(guard, _extract(p.premise, env, values, conclusions))
 
     if isinstance(p, PExchange):
         s = _concl(p.premise)
         k = len(s)
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, conclusions)
         pieces = [(p.perm[m] + 1, k, None, m + 1, k) for m in range(k)]
         return rename(tp, relayout(pieces))
 
@@ -296,7 +302,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         s = _concl(p.premise)
         kp = len(s)
         k = kp + 1
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, conclusions)
         pieces = [(m, kp, None, m, k) for m in range(1, kp + 1)]
         unit = Prefix(port_action(k, k, [positive(OMEGA)]), NIL)
         return Par(rename(tp, relayout(pieces)), unit)
@@ -305,13 +311,13 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         s = _concl(p.premise)
         k = len(s)
         guard = port_action(k, k, [negative(DELTA)])
-        return Prefix(guard, _extract(p.premise, env, values))
+        return Prefix(guard, _extract(p.premise, env, values, conclusions))
 
     if isinstance(p, PContr):
         s = _concl(p.premise)
         kp = len(s)
         k = kp - 1
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, conclusions)
         pieces = [(m, kp, None, m, k) for m in range(1, k)]
         pieces.append((k, kp, LCODE, k, k))
         pieces.append((kp, kp, RCODE, k, k))
@@ -321,7 +327,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if isinstance(p, PProm):
         s = _concl(p.premise)
         k = len(s)
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, conclusions)
         var = "X"
         theta1 = relayout([(m, k, LCODE, m, k) for m in range(1, k + 1)])
         theta2 = relayout([(m, k, RCODE, m, k) for m in range(1, k + 1)])
@@ -346,7 +352,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
             inst = subst_value_proof(p.premise, p.var, v)
             sv = value_name(SIGMA, v)
             guard = port_action(k, k, [positive(sv)])
-            branches.append((guard, _extract(inst, env, values)))
+            branches.append((guard, _extract_checked(inst, env, values, conclusions)))
         return Sum(tuple(branches))
 
     if isinstance(p, PExistsR):
@@ -354,7 +360,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         k = len(s)
         sv = value_name(SIGMA, p.value)
         guard = port_action(k, k, [negative(sv)])
-        return Prefix(guard, _extract(p.premise, env, values))
+        return Prefix(guard, _extract(p.premise, env, values, conclusions))
 
     raise ExtractionError(f"unsupported proof node {type(p).__name__}")
 

@@ -383,9 +383,14 @@ def _resolve(pos: int, length: int) -> int:
     return length - 1 if pos == -1 else pos
 
 
-def check_proof(p: Proof, path: tuple = ()) -> CheckResult:
+def check_proof(p: Proof, path: tuple = (), _conclusions: Optional[dict] = None) -> CheckResult:
     """Checks the premises in order, stopping at the first failure, then
-    this rule's side condition; returns the conclusion."""
+    this rule's side condition; returns the conclusion.
+
+    Given `_conclusions`, it also records there the conclusion of every
+    sub-proof below `p`, by `id` of the node, as (node, sequent): the
+    entry keeps the node alive, so its id is not reused while the table
+    is.  One pass then gives every premise's conclusion."""
 
     def fail(msg: str) -> CheckResult:
         return CheckResult(None, msg, path)
@@ -394,9 +399,11 @@ def check_proof(p: Proof, path: tuple = ()) -> CheckResult:
         return fail(f"unknown proof node {p!r}")
     seqs = []
     for k, q in enumerate(p.premises()):
-        sub = check_proof(q, path + (k,))
+        sub = check_proof(q, path + (k,), _conclusions)
         if not sub.ok:
             return sub
+        if _conclusions is not None:
+            _conclusions[id(q)] = (q, sub.sequent)
         seqs.append(sub.sequent)
     s = seqs[0] if seqs else ()
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .names import action_key, dual_action, print_action
+from .names import action_key, dual_action, label_key, print_action
 from .terms import (
     InputPrefix,
     OutputPrefix,
@@ -60,17 +60,28 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
             yield frozenset(combo)
 
 
-def step(t: Term, _depth: int = 0) -> set:
-    """One-step transitions: a set of (action, successor term) pairs."""
+def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> set:
+    """One-step transitions: a set of (action, successor term) pairs.
+
+    `_memo` is an exploration's memo of the transitions of the nodes it
+    has stepped, read and filled here, so a component that several states
+    share is stepped once and the result set is shared: it must not be
+    mutated.  It lives as long as that exploration only (see `build_lts`
+    for why).  A node whose step raises is not remembered; prefixes and
+    sums, read straight off the node, are not remembered either."""
     if _depth > 512:
         raise SemanticsError("recursion unfolding too deep; term is likely unguarded")
     if isinstance(t, Prefix):
         return {(t.action, t.cont)}
     if isinstance(t, Sum):
-        return {(a, p) for a, p in t.branches}
+        return set(t.branches)
+    if _memo is not None:
+        out = _memo.get(t)
+        if out is not None:
+            return out
     if isinstance(t, Par):
-        left = step(t.left, _depth)
-        right = step(t.right, _depth)
+        left = step(t.left, _depth, _memo)
+        right = step(t.right, _depth, _memo)
         out = set()
         for a, p in left:
             out.add((a, Par(p, t.right)))
@@ -79,32 +90,33 @@ def step(t: Term, _depth: int = 0) -> set:
         for d, p in left:
             for e, q in right:
                 dual_e = dual_action(e)
-                matchable = tuple(sorted(d & dual_e, key=lambda l: (l.code, l.neg)))
+                matchable = tuple(sorted(d & dual_e, key=label_key))
                 for b in _subsets(matchable):
                     combined_l = d - b
                     combined_r = e - dual_action(b)
                     if combined_l & combined_r:
                         continue
                     out.add((combined_l | combined_r, Par(p, q)))
-        return out
-    if isinstance(t, Restrict):
+    elif isinstance(t, Restrict):
         out = set()
-        for a, p in step(t.proc, _depth):
+        for a, p in step(t.proc, _depth, _memo):
             if not t.labels.blocks(a):
                 out.add((a, restrict(p, t.labels)))
-        return out
-    if isinstance(t, Rename):
+    elif isinstance(t, Rename):
         out = set()
-        for a, p in step(t.proc, _depth):
+        for a, p in step(t.proc, _depth, _memo):
             out.add((t.ren.apply_action(a), rename(p, t.ren)))
-        return out
-    if isinstance(t, Rec):
-        return step(substitute_var(t.body, t.var, t), _depth + 1)
-    if isinstance(t, Var):
+    elif isinstance(t, Rec):
+        out = step(substitute_var(t.body, t.var, t), _depth + 1, _memo)
+    elif isinstance(t, Var):
         raise SemanticsError(f"cannot step open term with free variable {t.ident}")
-    if isinstance(t, (InputPrefix, OutputPrefix)):
+    elif isinstance(t, (InputPrefix, OutputPrefix)):
         raise SemanticsError("value-passing prefix not expanded; apply expand_values first")
-    raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if _memo is not None:
+        _memo[t] = out
+    return out
 
 
 @dataclass
@@ -136,7 +148,7 @@ class LTS:
             "initial": self.initial,
             "complete": self.complete,
             "transitions": [
-                [src, [str(l) for l in sorted(a, key=lambda x: (x.code, x.neg))], dst]
+                [src, [str(l) for l in sorted(a, key=label_key)], dst]
                 for src in states
                 for a, dst in self.successors(src)
             ],
@@ -208,12 +220,21 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     The result is shared with every other call on a term that prints the
     same, under the same `max_states`, while it stays in the memo; it
     must not be mutated.
+
+    While it runs, an exploration memoises the transitions and printed
+    texts of the nodes it meets (`step`'s `_memo`, `print_term`'s
+    `_texts`): a successor such as `Par(p, R)` re-uses what `R` gave in
+    the state it came from.  Both memos go when the call returns.  Kept
+    longer, they would hold every node the caller keeps alive, and the
+    inputs of a large batch of queries hold many.
     """
     init_key = print_term(t)
     memo_key = (init_key, budget.max_states)
     lts = _MEMO.get(memo_key)
     if lts is not None:
         return lts
+    steps: dict = {}
+    texts = {t: init_key}
     lts = LTS(initial=init_key)
     lts.terms[init_key] = t
     frontier = [init_key]
@@ -224,8 +245,8 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
                 lts.complete = False
                 continue
             succs = []
-            for a, p in step(lts.terms[key]):
-                dst = print_term(p)
+            for a, p in step(lts.terms[key], 0, steps):
+                dst = print_term(p, texts)
                 if dst not in lts.terms:
                     if len(lts.terms) >= budget.max_states:
                         lts.complete = False

@@ -1,13 +1,22 @@
+import gc
 import random
 
 import pytest
 
 from oracle_step import canonical, naive_step
 
-from procreal.combinators import bang
-from procreal.equivalence import BudgetExceeded
+from procreal.combinators import bang, identity_wire, seq, tensor
+from procreal.equivalence import BudgetExceeded, failures_bounded
 from procreal.generators import enumerate_terms, random_term
-from procreal.names import REGISTRY, TAU, FiniteRestriction, positive, print_action
+from procreal.names import (
+    LL_CLASS,
+    REGISTRY,
+    TAU,
+    FiniteRestriction,
+    action_key,
+    positive,
+    print_action,
+)
 from procreal.parsing import parse_term
 from procreal.semantics import (
     MEMO_STATES,
@@ -20,7 +29,20 @@ from procreal.semantics import (
     step,
     tau_closure,
 )
-from procreal.terms import NIL, AllSort, Par, Restrict, Var, print_term, restrict, sort_of
+from procreal.terms import (
+    NIL,
+    AllSort,
+    Par,
+    Prefix,
+    Rec,
+    Restrict,
+    Sum,
+    Term,
+    Var,
+    print_term,
+    restrict,
+    sort_of,
+)
 
 A = REGISTRY.intern("a")
 B = REGISTRY.intern("b")
@@ -31,7 +53,7 @@ def as_set(steps):
 
 
 def test_step_prefix():
-    assert step(parse_term("{a}.0")) == {(frozenset({next(iter(parse_term('{a}.0').action))}), NIL)} or True
+    assert step(parse_term("{a}.0")) == {(frozenset([positive(A)]), NIL)}
     s = step(parse_term("{a}.0"))
     assert len(s) == 1
     (a, p), = s
@@ -249,3 +271,98 @@ def test_tau_closure_propagates_budget_exhaustion():
     g = _Graph({0: ((TAU, 1),), 1: ((TAU, "boom"),)})
     with pytest.raises(BudgetExceeded):
         tau_closure(g, [0])
+
+
+# ---------------------------------------------------------------------------
+# Exploration memos: `step`'s `_memo` and `print_term`'s `_texts`
+
+
+def _memo_cases():
+    rng = random.Random(31)
+    cases = list(enumerate_terms((A, B), 4))[::7]
+    cases += [random_term(rng, (A, B), rng.randint(6, 9)) for _ in range(150)]
+    wire = identity_wire(frozenset([A]))
+    cases += [
+        # coding-class restrictions and coding renamings
+        seq(wire, wire),
+        tensor(wire, identity_wire(frozenset([B]))),
+        Restrict(Par(wire, wire), LL_CLASS),
+        # rec under renamings
+        bang(parse_term("{a}.0")),
+        Par(bang(parse_term("{a}.0")), parse_term("{~a}.0")),
+    ]
+    return cases
+
+
+def test_memoised_step_and_print_agree_with_unmemoised_and_oracle():
+    # one memo pair for every state of every case, as in one long exploration
+    steps, texts = {}, {}
+    stepped = 0
+    for t in _memo_cases():
+        lts = build_lts(t, ExplorationBudget(max_states=40))
+        for u in lts.terms.values():
+            memoised = step(u, 0, steps)
+            assert memoised == step(u), print_term(u)
+            # prefixes and sums are read off the node, the rest remembered
+            again = step(u, 0, steps)
+            assert again is memoised or (isinstance(u, (Prefix, Sum)) and again == memoised)
+            assert as_set(memoised) == as_set(naive_step(u)), print_term(u)
+            assert print_term(u, texts) == print_term(u)
+            for _, p in memoised:
+                assert print_term(p, texts) == print_term(p)
+                assert print_term(p, texts) == print_term(p)
+            stepped += 1
+    assert stepped > 1000 and len(steps) > 100 and len(texts) > 1000
+
+
+def test_exploration_memos_do_not_change_graphs():
+    complete = 0
+    for t in _memo_cases()[-60:]:
+        _MEMO.clear()
+        lts = build_lts(t, ExplorationBudget(max_states=60))
+        if not lts.complete:
+            continue
+        complete += 1
+        # the graph rebuilt state by state without any memo
+        for key, u in lts.terms.items():
+            assert print_term(u) == key
+            plain = sorted(
+                ((a, print_term(p)) for a, p in step(u)),
+                key=lambda s: (action_key(s[0]), s[1]),
+            )
+            assert list(lts.transitions[key]) == plain
+    assert complete > 30
+
+
+def test_unguarded_recursion_raises_and_caches_nothing():
+    t = Rec("X", Par(Var("X"), Prefix(frozenset([positive(A)]), NIL)))
+    steps = {}
+    with pytest.raises(SemanticsError):
+        step(t, 0, steps)
+    assert steps == {}
+    before = dict(_MEMO.graphs)
+    with pytest.raises(SemanticsError):
+        build_lts(t)
+    assert _MEMO.graphs == before
+
+
+def _live_terms() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Term))
+
+
+def test_explorations_keep_no_state_beyond_the_graph_memo():
+    terms = list(enumerate_terms((A, B), 5))[-1000:]
+    assert len({print_term(t) for t in terms}) == 1000
+    _MEMO.clear()
+    before = _live_terms()
+    budget = ExplorationBudget(max_states=50)
+    for t in terms:
+        build_lts(t, budget)
+        failures_bounded(t, 3, budget)
+    assert 0 < _MEMO.states <= MEMO_STATES
+    info = action_key.cache_info()
+    assert info.currsize <= info.maxsize
+    _MEMO.clear()
+    # every node the explorations built is gone with them
+    assert _live_terms() == before

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from procreal.combinators import bang
-from procreal.generators import random_term
+from procreal.generators import enumerate_terms, random_term
 from procreal.names import SWAP, FiniteRestriction, REGISTRY, negative, positive
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
@@ -30,6 +30,7 @@ from procreal.terms import (
     sort_of,
     subterms,
     substitute_value,
+    term_depth,
     well_formed,
 )
 
@@ -243,3 +244,59 @@ def test_subterms_and_map_subterms_on_every_constructor():
         subterms("not a term")
     with pytest.raises(TypeError):
         map_subterms("not a term", lambda u: u)
+
+
+def _level_count(t) -> int:
+    """Constructor nesting counted level by level, the way `term_depth`
+    counted before nodes stored it."""
+    depth = 0
+    level = [t]
+    while level:
+        depth += 1
+        level = [c for u in level for c in subterms(u)]
+    return depth
+
+
+def test_term_depth_equals_level_count_on_every_constructor():
+    s = REGISTRY.intern("s")
+    a = frozenset([positive(A)])
+    la = FiniteRestriction([positive(A)])
+    p = Prefix(a, Prefix(a, NIL))
+    cases = [
+        NIL,
+        p,
+        Sum(((a, p), (a, NIL))),
+        Sum(((a, NIL), (a, p))),
+        Par(NIL, p),
+        Par(p, NIL),
+        Restrict(p, la),
+        Rename(p, SWAP),
+        Var("X"),
+        Rec("X", Prefix(a, Var("X"))),
+        InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
+        OutputPrefix(s, 1, p),
+    ]
+    rng = random.Random(41)
+    cases += list(enumerate_terms((A, B), 4))[::5]
+    cases += [random_term(rng, (A, B), rng.randint(1, 12)) for _ in range(200)]
+    for t in cases:
+        assert term_depth(t) == _level_count(t), print_term(t)
+    assert term_depth(NIL) == term_depth(Var("X")) == 1
+
+
+def test_deep_nesting_builds_without_recursion_error():
+    a = frozenset([positive(A)])
+    la = FiniteRestriction([positive(A)])
+    wrap = [
+        lambda t: Prefix(a, t),
+        lambda t: Par(NIL, t),
+        lambda t: Restrict(t, la),
+        lambda t: Rename(t, SWAP),
+        lambda t: Sum(((a, t),)),
+        lambda t: Rec("X", t),
+    ]
+    t = NIL
+    for k in range(20000):
+        t = wrap[k % len(wrap)](t)
+    assert term_depth(t) == 20001
+    assert hash(t) == hash(t) and {t: 1}[t] == 1
