@@ -13,6 +13,7 @@ import json
 import sys
 from typing import Optional
 
+from .combinators import AlphabetTooLarge
 from .equivalence import BudgetExceeded, failures_bounded, failures_equiv, perp, weak_bisim
 from .exercises import run_exercises
 from .extraction import extract, verify_cut_soundness
@@ -23,7 +24,7 @@ from .logic import (
     parse_formula,
     print_sequent,
 )
-from .names import REGISTRY
+from .names import REGISTRY, RenamingDomainError
 from .parsing import ParseError, parse_program, parse_term
 from .semantics import ExplorationBudget, build_lts, exhausted_limit
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
@@ -377,7 +378,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, json.JSONDecodeError, ValueError, OSError) as exc:
+    except (ParseError, json.JSONDecodeError, ValueError, OSError, RenamingDomainError,
+            AlphabetTooLarge) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

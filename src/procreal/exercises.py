@@ -192,7 +192,7 @@ def category_instance(budget: ExplorationBudget) -> tuple:
     tb = atom_type("b")
     tu = unit_type()
     tab = tensor_type(ta, tb, budget)
-    twab = with_type(ta, tb, budget)
+    twab = with_type(ta, tb)
     types = {"A": ta, "B": tb, "I": tu, "AxB": tab, "AwB": twab}
     morphisms = [
         {"name": "idA", "src": "A", "dst": "A", "term": C.identity_wire(frozenset([a]))},

@@ -16,6 +16,7 @@ quantifiers) and a recursive relay for the exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .combinators import identity_wire, seq
@@ -30,6 +31,7 @@ from .names import (
     KwayDecode,
     LCODE,
     Label,
+    Name,
     OMEGA,
     Piecewise,
     RCODE,
@@ -43,13 +45,11 @@ from .names import (
 from .semantics import ExplorationBudget
 from .terms import NIL, Par, Prefix, Rec, Sum, Term, Var, rename, value_name
 from .logic import (
+    DUAL_CONNECTIVES,
     FAtom,
     FBang,
-    FExists,
     FForall,
     FPar,
-    FPlus,
-    FQuest,
     FTensor,
     FWith,
     Formula,
@@ -74,7 +74,7 @@ from .logic import (
     subst_value_formula,
     subst_value_proof,
 )
-from .semtypes import formula_to_type, par_type
+from .semtypes import formula_to_type
 
 
 class ExtractionError(Exception):
@@ -130,65 +130,50 @@ THROUGH_R = through(RCODE)
 # Structural wires for axiom instances
 
 
+def _relay(n: Name) -> frozenset:
+    """The guard {~l(n), r(n)}: n taken on the left half, offered on the right."""
+    return frozenset([Label(2 * n.code, True), Label(2 * n.code + 1, False)])
+
+
 def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
     """Realizer of the identity axiom on `a`: left half carries the dual
-    position, right half the formula itself."""
+    position, right half the formula itself.  A dual connective's wire is
+    its de Morgan dual's with the halves swapped."""
+    if isinstance(a, DUAL_CONNECTIVES):
+        return rename(formula_wire(negate(a), env, values), SWAP)
     if isinstance(a, FAtom):
         return identity_wire(atom_alphabet(env, a.ident))
     if isinstance(a, FTensor):
         wl = rename(formula_wire(a.left, env, values), THROUGH_L)
         wr = rename(formula_wire(a.right, env, values), THROUGH_R)
         return Par(wl, wr)
-    if isinstance(a, FPar):
-        return rename(formula_wire(FTensor(negate(a.left), negate(a.right)), env, values), SWAP)
     if isinstance(a, FWith):
-        la, ra = positive(ALPHA), positive(BETA)
         return Sum(
             (
-                (
-                    frozenset([Label(2 * la.code, True), Label(2 * la.code + 1, False)]),
-                    formula_wire(a.left, env, values),
-                ),
-                (
-                    frozenset([Label(2 * ra.code, True), Label(2 * ra.code + 1, False)]),
-                    formula_wire(a.right, env, values),
-                ),
+                (_relay(ALPHA), formula_wire(a.left, env, values)),
+                (_relay(BETA), formula_wire(a.right, env, values)),
             )
         )
-    if isinstance(a, FPlus):
-        return rename(formula_wire(FWith(negate(a.left), negate(a.right)), env, values), SWAP)
     if isinstance(a, FBang):
         inner = formula_wire(a.body, env, values)
         var = "W"
         split = Par(rename(Var(var), THROUGH_L), rename(Var(var), THROUGH_R))
-        omega_l = Label(2 * OMEGA.code, False)
-        omega_r = Label(2 * OMEGA.code + 1, False)
+        discard = _relay(OMEGA)
         branches = (
-            (frozenset([omega_l.dual(), omega_r]), NIL),
-            (frozenset([omega_l, omega_r.dual()]), NIL),
-            (
-                frozenset([Label(2 * DELTA.code, True), Label(2 * DELTA.code + 1, False)]),
-                inner,
-            ),
-            (
-                frozenset([Label(2 * GAMMA.code, True), Label(2 * GAMMA.code + 1, False)]),
-                split,
-            ),
+            (discard, NIL),
+            (frozenset(lab.dual() for lab in discard), NIL),
+            (_relay(DELTA), inner),
+            (_relay(GAMMA), split),
         )
         return Rec(var, Sum(branches))
-    if isinstance(a, FQuest):
-        return rename(formula_wire(FBang(negate(a.body)), env, values), SWAP)
     if isinstance(a, FForall):
         if not values:
             raise ExtractionError("quantifier wire needs a declared value domain")
         branches = []
         for v in values:
-            sv = value_name(SIGMA, v)  # sigma has registry code 5
-            guard = frozenset([Label(2 * sv.code, True), Label(2 * sv.code + 1, False)])
-            branches.append((guard, formula_wire(subst_value_formula(a.body, a.var, v), env, values)))
+            sv = value_name(SIGMA, v)
+            branches.append((_relay(sv), formula_wire(subst_value_formula(a.body, a.var, v), env, values)))
         return Sum(tuple(branches))
-    if isinstance(a, FExists):
-        return rename(formula_wire(FForall(a.var, negate(a.body)), env, values), SWAP)
     raise TypeError(f"not a formula: {a!r}")
 
 
@@ -209,6 +194,26 @@ def _extract_checked(proof: Proof, env: AtomEnv, values: tuple, conclusions: dic
     if not res.ok:
         raise ExtractionError(f"invalid proof at {res.path}: {res.error}")
     return _extract(proof, env, values, conclusions)
+
+
+# Rules realized by the premise's realizer behind one co-signal at the
+# last port, and the name each signals.
+_SIGNALS = {
+    PPlusR1: lambda p: ALPHA,
+    PPlusR2: lambda p: BETA,
+    PDerel: lambda p: DELTA,
+    PExistsR: lambda p: value_name(SIGMA, p.value),
+}
+
+
+def _merge_last_two(kp: int) -> Renaming:
+    """A kp-way layout onto kp - 1 ports: the last two ports become the
+    l and r halves of the new last one."""
+    k = kp - 1
+    pieces = [(m, kp, None, m, k) for m in range(1, k)]
+    pieces.append((k, kp, LCODE, k, k))
+    pieces.append((kp, kp, RCODE, k, k))
+    return relayout(pieces)
 
 
 def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
@@ -262,14 +267,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
         return Par(rename(tl, relayout(pieces_l)), rename(tr, relayout(pieces_r)))
 
     if isinstance(p, PParR):
-        s = _concl(p.premise)
-        kp = len(s)
-        k = kp - 1
-        tp = _extract(p.premise, env, values, conclusions)
-        pieces = [(m, kp, None, m, k) for m in range(1, k)]
-        pieces.append((k, kp, LCODE, k, k))
-        pieces.append((kp, kp, RCODE, k, k))
-        return rename(tp, relayout(pieces))
+        kp = len(_concl(p.premise))
+        return rename(_extract(p.premise, env, values, conclusions), _merge_last_two(kp))
 
     if isinstance(p, PWithR):
         s = _concl(p.left)
@@ -280,15 +279,10 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
         gb = port_action(k, k, [positive(BETA)])
         return Sum(((ga, tl), (gb, tr)))
 
-    if isinstance(p, PPlusR1):
-        s = _concl(p.premise)
-        k = len(s)
-        guard = port_action(k, k, [negative(ALPHA)])
-        return Prefix(guard, _extract(p.premise, env, values, conclusions))
-    if isinstance(p, PPlusR2):
-        s = _concl(p.premise)
-        k = len(s)
-        guard = port_action(k, k, [negative(BETA)])
+    signal = _SIGNALS.get(type(p))
+    if signal is not None:
+        k = len(_concl(p.premise))
+        guard = port_action(k, k, [negative(signal(p))])
         return Prefix(guard, _extract(p.premise, env, values, conclusions))
 
     if isinstance(p, PExchange):
@@ -307,22 +301,11 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
         unit = Prefix(port_action(k, k, [positive(OMEGA)]), NIL)
         return Par(rename(tp, relayout(pieces)), unit)
 
-    if isinstance(p, PDerel):
-        s = _concl(p.premise)
-        k = len(s)
-        guard = port_action(k, k, [negative(DELTA)])
-        return Prefix(guard, _extract(p.premise, env, values, conclusions))
-
     if isinstance(p, PContr):
-        s = _concl(p.premise)
-        kp = len(s)
-        k = kp - 1
+        kp = len(_concl(p.premise))
         tp = _extract(p.premise, env, values, conclusions)
-        pieces = [(m, kp, None, m, k) for m in range(1, k)]
-        pieces.append((k, kp, LCODE, k, k))
-        pieces.append((kp, kp, RCODE, k, k))
-        guard = port_action(k, k, [negative(GAMMA)])
-        return Prefix(guard, rename(tp, relayout(pieces)))
+        guard = port_action(kp - 1, kp - 1, [negative(GAMMA)])
+        return Prefix(guard, rename(tp, _merge_last_two(kp)))
 
     if isinstance(p, PProm):
         s = _concl(p.premise)
@@ -354,13 +337,6 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
             guard = port_action(k, k, [positive(sv)])
             branches.append((guard, _extract_checked(inst, env, values, conclusions)))
         return Sum(tuple(branches))
-
-    if isinstance(p, PExistsR):
-        s = _concl(p.premise)
-        k = len(s)
-        sv = value_name(SIGMA, p.value)
-        guard = port_action(k, k, [negative(sv)])
-        return Prefix(guard, _extract(p.premise, env, values, conclusions))
 
     raise ExtractionError(f"unsupported proof node {type(p).__name__}")
 
@@ -426,9 +402,7 @@ def verify_totality_pipeline(
     of the conclusion's folded type: "convergent" when all closed systems
     converge, "diverging" when one diverges, else "unknown"."""
     concl = check_proof(proof).sequent
-    ty = formula_to_type(concl[0], atom_types, budget)
-    for f in concl[1:]:
-        ty = par_type(ty, formula_to_type(f, atom_types, budget), budget)
+    ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
     packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
     saw_unknown = False
     for cls in ty.neg.classes:

@@ -5,6 +5,7 @@ random.Random so runs are reproducible."""
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable
 
 from .names import (
@@ -33,24 +34,25 @@ from .terms import (
 )
 
 
-def action_pool(atoms, include_tau: bool = True):
+@lru_cache(maxsize=64)
+def _action_pools(atoms: tuple) -> tuple:
+    """The guards over the atoms (each label alone, and each pair of
+    labels on different atoms) and the prefixes (tau, then the guards).
+    They depend on the atoms alone, so each tuple of atoms builds them
+    once."""
     labels = [positive(a) for a in atoms] + [negative(a) for a in atoms]
-    pool = []
-    if include_tau:
-        pool.append(TAU)
-    pool += [frozenset([l]) for l in labels]
+    guards = [frozenset([l]) for l in labels]
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             if labels[i].code != labels[j].code:
-                pool.append(frozenset([labels[i], labels[j]]))
-    return pool
+                guards.append(frozenset([labels[i], labels[j]]))
+    return tuple(guards), (TAU, *guards)
 
 
 def random_term(rng: random.Random, atoms, size: int) -> Term:
     """Closed well-formed guarded term over the given atoms."""
     atoms = tuple(atoms)
-    guards = action_pool(atoms, include_tau=False)
-    prefixes = action_pool(atoms, include_tau=True)
+    guards, prefixes = _action_pools(atoms)
     counter = [0]
 
     def gen(budget: int, bound: tuple, guarded: bool) -> Term:
@@ -120,8 +122,7 @@ def random_context(rng: random.Random, atoms, size: int) -> Callable[[Term], Ter
     term yields a closed well-formed term.  All context randomness is
     drawn up front so both plugs see the identical context."""
     atoms = tuple(atoms)
-    guards = action_pool(atoms, include_tau=False)
-    prefixes = action_pool(atoms, include_tau=True)
+    guards, prefixes = _action_pools(atoms)
     layers = []
     budget = size
     rec_count = 0

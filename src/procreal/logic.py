@@ -26,7 +26,20 @@ ValueExpr = Union[int, str]  # int literal or value variable
 
 
 class Formula:
+    """A formula node.  Its subformulas are its fields annotated
+    `Formula`, in field order; every other field is a side datum."""
+
     __slots__ = ()
+    formula_names: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.formula_names = tuple(n for n, t in cls.__annotations__.items() if t == "Formula")
+
+    def rebuild(self, cls: type, fn: Callable) -> "Formula":
+        """`cls` over this node's fields, with `fn` applied to each subformula."""
+        return cls(*[fn(getattr(self, n)) if n in self.formula_names else getattr(self, n)
+                     for n in self.__match_args__])
 
 
 @dataclass(frozen=True)
@@ -82,56 +95,47 @@ class FExists(Formula):
     body: Formula
 
 
+# Each connective's de Morgan dual, which has the same fields.  Semantic
+# types and axiom wires are built for the connectives on the left and
+# obtained for those on the right by dualising.
+DUALS = {FTensor: FPar, FWith: FPlus, FBang: FQuest, FForall: FExists}
+DUAL_CONNECTIVES = tuple(DUALS.values())
+_DUAL_OF = {**DUALS, **{d: c for c, d in DUALS.items()}}
+
+# How each connective is written, for printing and parsing.
+_INFIX = (FTensor, FPar, FWith, FPlus)
+_PREFIX = (FBang, FQuest)
+_QUANTIFIERS = (FForall, FExists)
+_SYMBOLS = {
+    FTensor: "*", FPar: "@", FWith: "&", FPlus: "(+)",
+    FBang: "!", FQuest: "?", FForall: "forall", FExists: "exists",
+}
+_BY_SYMBOL = {sym: cls for cls, sym in _SYMBOLS.items()}
+
+
 def negate(a: Formula) -> Formula:
     if isinstance(a, FAtom):
         return FAtom(a.ident, not a.pos, a.args)
-    if isinstance(a, FTensor):
-        return FPar(negate(a.left), negate(a.right))
-    if isinstance(a, FPar):
-        return FTensor(negate(a.left), negate(a.right))
-    if isinstance(a, FWith):
-        return FPlus(negate(a.left), negate(a.right))
-    if isinstance(a, FPlus):
-        return FWith(negate(a.left), negate(a.right))
-    if isinstance(a, FBang):
-        return FQuest(negate(a.body))
-    if isinstance(a, FQuest):
-        return FBang(negate(a.body))
-    if isinstance(a, FForall):
-        return FExists(a.var, negate(a.body))
-    if isinstance(a, FExists):
-        return FForall(a.var, negate(a.body))
-    raise TypeError(f"not a formula: {a!r}")
+    dual = _DUAL_OF.get(type(a))
+    if dual is None:
+        raise TypeError(f"not a formula: {a!r}")
+    return a.rebuild(dual, negate)
 
 
 def subst_value_formula(a: Formula, var: str, value: int) -> Formula:
     if isinstance(a, FAtom):
         args = tuple(value if arg == var else arg for arg in a.args)
         return FAtom(a.ident, a.pos, args)
-    if isinstance(a, (FTensor, FPar, FWith, FPlus)):
-        return type(a)(
-            subst_value_formula(a.left, var, value),
-            subst_value_formula(a.right, var, value),
-        )
-    if isinstance(a, (FBang, FQuest)):
-        return type(a)(subst_value_formula(a.body, var, value))
-    if isinstance(a, (FForall, FExists)):
-        if a.var == var:
-            return a
-        return type(a)(a.var, subst_value_formula(a.body, var, value))
-    raise TypeError(f"not a formula: {a!r}")
+    if isinstance(a, _QUANTIFIERS) and a.var == var:
+        return a
+    return a.rebuild(type(a), lambda f: subst_value_formula(f, var, value))
 
 
 def free_value_vars_formula(a: Formula) -> frozenset:
     if isinstance(a, FAtom):
         return frozenset(arg for arg in a.args if isinstance(arg, str))
-    if isinstance(a, (FTensor, FPar, FWith, FPlus)):
-        return free_value_vars_formula(a.left) | free_value_vars_formula(a.right)
-    if isinstance(a, (FBang, FQuest)):
-        return free_value_vars_formula(a.body)
-    if isinstance(a, (FForall, FExists)):
-        return free_value_vars_formula(a.body) - {a.var}
-    raise TypeError(f"not a formula: {a!r}")
+    out = frozenset().union(*(free_value_vars_formula(getattr(a, n)) for n in a.formula_names))
+    return out - {a.var} if isinstance(a, _QUANTIFIERS) else out
 
 
 def print_formula(a: Formula) -> str:
@@ -141,19 +145,14 @@ def print_formula(a: Formula) -> str:
             if f.args:
                 base += "(" + ",".join(str(x) for x in f.args) + ")"
             return base
-        if isinstance(f, FBang):
-            return "!" + prn(f.body, True)
-        if isinstance(f, FQuest):
-            return "?" + prn(f.body, True)
-        if isinstance(f, (FTensor, FPar, FWith, FPlus)):
-            op = {FTensor: "*", FPar: "@", FWith: "&", FPlus: "(+)"}[type(f)]
-            s = prn(f.left, True) + op + prn(f.right, True)
-            return f"({s})" if need_parens else s
-        if isinstance(f, (FForall, FExists)):
-            q = "forall" if isinstance(f, FForall) else "exists"
-            s = f"{q} {f.var}. " + prn(f.body, False)
-            return f"({s})" if need_parens else s
-        raise TypeError(f"not a formula: {f!r}")
+        sym = _SYMBOLS[type(f)]
+        if isinstance(f, _PREFIX):
+            return sym + prn(f.body, True)
+        if isinstance(f, _QUANTIFIERS):
+            s = f"{sym} {f.var}. " + prn(f.body, False)
+        else:
+            s = prn(f.left, True) + sym + prn(f.right, True)
+        return f"({s})" if need_parens else s
 
     return prn(a, False)
 
@@ -198,28 +197,24 @@ def parse_formula(text: str) -> Formula:
         return tok
 
     def parse_expr() -> Formula:
-        if peek() in ("forall", "exists"):
-            q = take()
+        cls = _BY_SYMBOL.get(peek())
+        if cls in _QUANTIFIERS:
+            take()
             var = take()
             take(".")
-            body = parse_expr()
-            return FForall(var, body) if q == "forall" else FExists(var, body)
+            return cls(var, parse_expr())
         left = parse_unary()
-        while peek() in ("*", "@", "&", "(+)"):
-            op = take()
-            right = parse_unary()
-            cls = {"*": FTensor, "@": FPar, "&": FWith, "(+)": FPlus}[op]
-            left = cls(left, right)
+        while _BY_SYMBOL.get(peek()) in _INFIX:
+            cls = _BY_SYMBOL[take()]
+            left = cls(left, parse_unary())
         return left
 
     def parse_unary() -> Formula:
         tok = peek()
-        if tok == "!":
+        cls = _BY_SYMBOL.get(tok)
+        if cls in _PREFIX:
             take()
-            return FBang(parse_unary())
-        if tok == "?":
-            take()
-            return FQuest(parse_unary())
+            return cls(parse_unary())
         if tok == "~":
             take()
             inner = parse_unary()
@@ -229,7 +224,7 @@ def parse_formula(text: str) -> Formula:
             inner = parse_expr()
             take(")")
             return inner
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in ("forall", "exists"):
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and cls is None:
             take()
             args: list = []
             if peek() == "(":

@@ -518,9 +518,7 @@ class UnionRestriction(RestrictionSet):
 ALL_LABELS = CodingClass("all")
 LL_CLASS = CodingClass("Ll")
 LR_CLASS = CodingClass("Lr")
-N1_CLASS = CodingClass("N1")
 N2_CLASS = CodingClass("N2")
-N3_CLASS = CodingClass("N3")
 
 
 def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:

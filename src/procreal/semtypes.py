@@ -33,13 +33,10 @@ from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, posi
 from .semantics import ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, print_term, value_name
 from .logic import (
+    DUAL_CONNECTIVES,
     FAtom,
     FBang,
-    FExists,
     FForall,
-    FPar,
-    FPlus,
-    FQuest,
     FTensor,
     FWith,
     Formula,
@@ -158,12 +155,7 @@ def _cap_members(cls):
     return tuple(cls[:CLASS_MEMBER_CAP])
 
 
-def tensor_type(
-    t: SemType,
-    u: SemType,
-    budget: ExplorationBudget = ExplorationBudget(),
-    extra_neg=(),
-) -> SemType:
+def tensor_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
     pos_classes = []
     for c1 in t.pos.classes:
         for c2 in u.pos.classes:
@@ -173,11 +165,7 @@ def tensor_type(
             pos_classes.append(_cap_members(tuple(members)))
     pos = RepPER(tuple(pos_classes))
     candidates = [tensor(n1, n2) for n1 in t.neg.reps() for n2 in u.neg.reps()]
-    candidates += list(extra_neg)
-    survivors = []
-    for cand in candidates:
-        if _passes_tensor_neg_clause(cand, t, u, budget):
-            survivors.append(cand)
+    survivors = [cand for cand in candidates if _passes_tensor_neg_clause(cand, t, u, budget)]
     neg = partition(survivors, budget)
     iface = None
     if t.interface is not None and u.interface is not None:
@@ -200,16 +188,7 @@ def _passes_tensor_neg_clause(cand: Term, t: SemType, u: SemType, budget) -> boo
     return True
 
 
-def par_type(
-    t: SemType,
-    u: SemType,
-    budget: ExplorationBudget = ExplorationBudget(),
-    extra_pos=(),
-) -> SemType:
-    return tensor_type(t.dual(), u.dual(), budget, extra_neg=extra_pos).dual()
-
-
-def with_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
+def with_type(t: SemType, u: SemType) -> SemType:
     pos_classes = []
     for c1 in t.pos.classes:
         for c2 in u.pos.classes:
@@ -224,10 +203,6 @@ def with_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationBud
     if t.interface is not None and u.interface is not None:
         iface = t.interface | u.interface | frozenset([ALPHA, BETA])
     return SemType(RepPER(tuple(pos_classes)), RepPER(tuple(neg_classes)), iface)
-
-
-def plus_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
-    return with_type(t.dual(), u.dual(), budget).dual()
 
 
 def bang_type(
@@ -270,13 +245,7 @@ def _passes_bang_neg_clause(body: Term, banged, stage_reps, budget) -> bool:
     return True
 
 
-def quest_type(t: SemType, fuel: int = 1, budget: ExplorationBudget = ExplorationBudget()) -> SemType:
-    return bang_type(t.dual(), fuel, budget).dual()
-
-
-def forall_v_type(
-    family: dict, budget: ExplorationBudget = ExplorationBudget()
-) -> SemType:
+def forall_v_type(family: dict) -> SemType:
     """family maps each value of the finite domain to the instance type."""
     values = sorted(family)
     pos_classes = []
@@ -306,6 +275,10 @@ def formula_to_type(
     values: tuple = (),
     fuel: int = 1,
 ) -> SemType:
+    """The semantic type of `f`.  Atoms, tensor, with, of-course and forall
+    are built; each other connective is the dual of its de Morgan dual."""
+    if isinstance(f, DUAL_CONNECTIVES):
+        return formula_to_type(negate(f), atom_types, budget, values, fuel).dual()
     if isinstance(f, FAtom):
         if f.ident not in atom_types:
             raise ValueError(f"undeclared atom {f.ident!r} in a type")
@@ -317,28 +290,13 @@ def formula_to_type(
             formula_to_type(f.right, atom_types, budget, values, fuel),
             budget,
         )
-    if isinstance(f, FPar):
-        return par_type(
-            formula_to_type(f.left, atom_types, budget, values, fuel),
-            formula_to_type(f.right, atom_types, budget, values, fuel),
-            budget,
-        )
     if isinstance(f, FWith):
         return with_type(
             formula_to_type(f.left, atom_types, budget, values, fuel),
             formula_to_type(f.right, atom_types, budget, values, fuel),
-            budget,
-        )
-    if isinstance(f, FPlus):
-        return plus_type(
-            formula_to_type(f.left, atom_types, budget, values, fuel),
-            formula_to_type(f.right, atom_types, budget, values, fuel),
-            budget,
         )
     if isinstance(f, FBang):
         return bang_type(formula_to_type(f.body, atom_types, budget, values, fuel), fuel, budget)
-    if isinstance(f, FQuest):
-        return quest_type(formula_to_type(f.body, atom_types, budget, values, fuel), fuel, budget)
     if isinstance(f, FForall):
         family = {
             v: formula_to_type(subst_value_formula(f.body, f.var, v), atom_types, budget, values, fuel)
@@ -346,9 +304,7 @@ def formula_to_type(
         }
         if not family:
             raise ValueError("quantified type needs a declared value domain")
-        return forall_v_type(family, budget)
-    if isinstance(f, FExists):
-        return formula_to_type(FForall(f.var, negate(f.body)), atom_types, budget, values, fuel).dual()
+        return forall_v_type(family)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -382,45 +338,41 @@ def is_morphism(
     positives of the source, backward on the negatives of the target.
     Every member of a class must land in the same class; that is the
     extensionality the PER structure provides."""
-    f_plus = []
-    for idx, cls in enumerate(a.pos.classes):
-        outcomes = []
-        for q in cls:
-            c = classify(lapp(q, realizer), b.pos, budget)
-            if c.verdict == "unknown":
-                return MorphismResult("unknown", witness=f"source class {idx}: {c.detail}")
-            if c.verdict == "no":
-                return MorphismResult(
-                    "no",
-                    witness=f"image of source class {idx} not a positive of the target",
-                )
-            outcomes.append(c.index)
-        if len(set(outcomes)) != 1:
-            return MorphismResult(
-                "no", witness=f"source class {idx} maps to several target classes"
-            )
-        f_plus.append(outcomes[0])
-    f_minus = []
-    for idx, cls in enumerate(b.neg.classes):
-        outcomes = []
-        for t in cls:
-            c = classify(rapp(realizer, t), a.neg, budget)
-            if c.verdict == "unknown":
-                return MorphismResult("unknown", witness=f"target neg class {idx}: {c.detail}")
-            if c.verdict == "no":
-                return MorphismResult(
-                    "no",
-                    witness=f"preimage of target neg class {idx} not a negative of the source",
-                )
-            outcomes.append(c.index)
-        if len(set(outcomes)) != 1:
-            return MorphismResult(
-                "no", witness=f"target neg class {idx} maps to several source classes"
-            )
-        f_minus.append(outcomes[0])
-    return MorphismResult(
-        "morphism", Morphism(a, b, realizer, tuple(f_plus), tuple(f_minus))
+    f_plus = _class_map(
+        a.pos.classes, lambda q: lapp(q, realizer), b.pos, budget,
+        "source class {}", "image of {} not a positive of the target", "target",
     )
+    if isinstance(f_plus, MorphismResult):
+        return f_plus
+    f_minus = _class_map(
+        b.neg.classes, lambda t: rapp(realizer, t), a.neg, budget,
+        "target neg class {}", "preimage of {} not a negative of the source", "source",
+    )
+    if isinstance(f_minus, MorphismResult):
+        return f_minus
+    return MorphismResult("morphism", Morphism(a, b, realizer, f_plus, f_minus))
+
+
+def _class_map(classes, image, per: RepPER, budget, where: str, outside: str, onto: str):
+    """The class of `per` that `image` sends each class into, or the
+    MorphismResult saying why a class lands outside `per` or in several
+    of its classes.  `where` names a class in witnesses, `outside` says
+    it lands outside, and `onto` names the side `per` belongs to."""
+    out = []
+    for idx, cls in enumerate(classes):
+        name = where.format(idx)
+        landed = set()
+        for member in cls:
+            c = classify(image(member), per, budget)
+            if c.verdict == "unknown":
+                return MorphismResult("unknown", witness=f"{name}: {c.detail}")
+            if c.verdict == "no":
+                return MorphismResult("no", witness=outside.format(name))
+            landed.add(c.index)
+        if len(landed) != 1:
+            return MorphismResult("no", witness=f"{name} maps to several {onto} classes")
+        out.append(landed.pop())
+    return tuple(out)
 
 
 def identity_morphism(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> MorphismResult:
@@ -444,7 +396,7 @@ def pairing_morphism(
     f: Morphism, g: Morphism, budget: ExplorationBudget = ExplorationBudget()
 ) -> MorphismResult:
     """The mediating morphism into a product type built by with_type."""
-    target = with_type(f.target, g.target, budget)
+    target = with_type(f.target, g.target)
     return is_morphism(pairing(f.realizer, g.realizer, port="right"), f.source, target, budget)
 
 
@@ -566,9 +518,7 @@ def stream_consumer(a: SemType, depth: int) -> Term:
     )
 
 
-def stream_type_example(
-    a: SemType, depth: int, budget: ExplorationBudget = ExplorationBudget()
-) -> SemType:
+def stream_type_example(a: SemType, depth: int) -> SemType:
     pos_classes = tuple((stream_realizer(a, d),) for d in range(depth + 1))
     neg_classes = tuple((stream_consumer(a, d),) for d in range(depth + 1))
     return SemType(RepPER(pos_classes), RepPER(neg_classes), None)

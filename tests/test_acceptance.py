@@ -160,7 +160,7 @@ def test_acceptance_07_totality_closure():
     tau_a = SemType(
         RepPER(((Prefix(frozenset(), ta.pos.classes[0][0]),),)), ta.neg, ta.interface
     )
-    bases = [ta, tb, tc, unit_type(), tau_a, with_type(ta, tb, budget)]
+    bases = [ta, tb, tc, unit_type(), tau_a, with_type(ta, tb)]
     instances = []
     for base in bases:
         assert _total_inhabited(base, budget)
@@ -168,7 +168,7 @@ def test_acceptance_07_totality_closure():
         instances.append(("bang1", bang_type(base, 1, budget)))
     for left, right in [(ta, tb), (tb, tc), (ta, unit_type()), (tau_a, tb)]:
         instances.append(("tensor", tensor_type(left, right, budget)))
-        instances.append(("with", with_type(left, right, budget)))
+        instances.append(("with", with_type(left, right)))
     instances.append(("bang2", bang_type(ta, 2, budget)))
     bad = [kind for kind, t in instances if not _total_inhabited(t, budget)]
     # extracted corpus proofs over these atoms stay convergent

@@ -213,6 +213,15 @@ def _proof(cmd, data, *extra):
         pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
                      {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps(["a"])},
                      id="atoms-not-an-object"),
+        pytest.param(["lts", "t.term"], {"t.term": "rec X. ({a}.X) [inv(lcode)]\n"},
+                     id="renaming-outside-its-domain"),
+        pytest.param(["equiv", "t.term", "t.term"], {"t.term": "rec X. ({a}.X) [inv(lcode)]\n"},
+                     id="renaming-outside-its-domain-equiv"),
+        pytest.param(["failures", "t.term"], {"t.term": "wire({a,b,c,d,e})\n"},
+                     id="wire-alphabet-too-large"),
+        pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
+                     {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps({"a": list("abcde")})},
+                     id="atoms-alphabet-too-large"),
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):

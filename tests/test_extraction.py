@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from golden_lines import fresh_lines, golden_lines
 
 from procreal.combinators import identity_wire, lapp, tensor
 from procreal.corpus import corpus_proofs
@@ -13,8 +16,14 @@ from procreal.extraction import (
 )
 from procreal.logic import (
     FAtom,
+    FBang,
+    FExists,
     FForall,
+    FPar,
+    FPlus,
+    FQuest,
     FTensor,
+    FWith,
     PAxiom,
     PCut,
     PForallR,
@@ -24,7 +33,7 @@ from procreal.logic import (
     cut_eliminate,
     negate,
 )
-from procreal.names import REGISTRY, negative, positive
+from procreal.names import REGISTRY, SWAP, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget
 from procreal.semtypes import RepPER, SemType
@@ -87,6 +96,38 @@ def test_verify_cut_soundness_catches_wrong_reduct():
     rep = verify_cut_soundness(before, wrong, budget=BUD)
     assert rep.verdict == "fail"
     assert rep.witness is not None
+
+
+def test_corpus_realizers_match_golden():
+    # captured before the dual connectives' wires were derived by swapping
+    assert fresh_lines("corpus_realizers") == golden_lines("corpus_realizers")
+
+
+def test_formula_wires_match_golden():
+    # the corpus has no axiom on an exponential; captured like the above
+    assert fresh_lines("formula_wires") == golden_lines("formula_wires")
+
+
+FORMULAS = st.recursive(
+    st.builds(FAtom, st.sampled_from("ab"), st.booleans(), st.sampled_from([(), ("x",)])),
+    lambda sub: st.one_of(
+        st.builds(lambda c, l, r: c(l, r), st.sampled_from([FTensor, FPar, FWith, FPlus]), sub, sub),
+        st.builds(lambda c, b: c(b), st.sampled_from([FBang, FQuest]), sub),
+        st.builds(lambda c, b: c("x", b), st.sampled_from([FForall, FExists]), sub),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(FORMULAS)
+def test_dual_wire_is_swapped_wire(a):
+    swapped = rename(formula_wire(a, {}, (0, 1)), SWAP)
+    if isinstance(a, FAtom):
+        # an identity wire is its own mirror image, up to equivalence
+        assert failures_equiv(formula_wire(negate(a), {}, (0, 1)), swapped, BUD).equal
+    else:
+        assert formula_wire(negate(a), {}, (0, 1)) == swapped
 
 
 def test_tensor_wire_relays_jointly():

@@ -1,5 +1,7 @@
 import pytest
 
+from golden_lines import fresh_lines, golden_lines
+
 from procreal.combinators import identity_wire, pairing, tensor
 from procreal.equivalence import failures_equiv, perp
 from procreal.logic import parse_formula
@@ -7,6 +9,7 @@ from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget
 from procreal.semtypes import (
+    _passes_tensor_neg_clause,
     Classification,
     RepPER,
     SemType,
@@ -20,9 +23,7 @@ from procreal.semtypes import (
     list_consumer,
     list_realizer,
     list_type_example,
-    par_type,
     partition,
-    plus_type,
     realizes_pos,
     stream_type_example,
     tensor_type,
@@ -74,7 +75,7 @@ def test_dual_involutive():
 
 
 def test_with_type_classes_are_pairs():
-    w = with_type(TA, TB, BUD)
+    w = with_type(TA, TB)
     assert len(w.pos.classes) == 1
     rep = w.pos.classes[0][0]
     expected = pairing(TA.pos.classes[0][0], TB.pos.classes[0][0], port="plain")
@@ -84,7 +85,7 @@ def test_with_type_classes_are_pairs():
 
 
 def test_plus_type_dual_clauses():
-    p = plus_type(TA, TB, BUD)
+    p = formula_to_type(parse_formula("a(+)b"), {"a": TA, "b": TB}, BUD)
     assert len(p.pos.classes) == 2
     assert len(p.neg.classes) == 1
 
@@ -99,17 +100,18 @@ def test_tensor_type_neg_passes_clause():
 
 
 def test_tensor_type_adversarial_candidate_dropped():
-    # a candidate that deadlocks against the positives is rejected
+    # a candidate that deadlocks against the positives fails the
+    # counter-realizer clause, which the tensor's own candidates pass
     bad = parse_term("rec X. {}.X")
-    t = tensor_type(TA, TB, BUD, extra_neg=[bad])
-    for cls in t.neg.classes:
-        for member in cls:
-            assert not failures_equiv(member, bad, BUD).equal
+    assert not _passes_tensor_neg_clause(bad, TA, TB, BUD)
+    good = tensor(TA.neg.classes[0][0], TB.neg.classes[0][0])
+    assert _passes_tensor_neg_clause(good, TA, TB, BUD)
 
 
 def test_de_morgan_coherence():
-    lhs = tensor_type(TA, TB, BUD).dual()
-    rhs = par_type(TA.dual(), TB.dual(), BUD)
+    types = {"a": TA, "b": TB}
+    lhs = formula_to_type(parse_formula("a*b"), types, BUD).dual()
+    rhs = formula_to_type(parse_formula("~a@~b"), types, BUD)
     assert len(lhs.pos.classes) == len(rhs.pos.classes)
     for c1, c2 in zip(lhs.pos.classes, rhs.pos.classes):
         assert failures_equiv(c1[0], c2[0], BUD).equal
@@ -189,9 +191,14 @@ def test_formula_to_type_names_undeclared_atom():
         formula_to_type(parse_formula("a*(b@~c)"), {"a": TA, "b": TB}, BUD)
 
 
+def test_formula_to_type_matches_golden():
+    # captured before the dual connectives were typed as duals
+    assert fresh_lines("formula_types") == golden_lines("formula_types")
+
+
 def test_forall_v_type_clauses():
     family = {0: TA, 1: TA}
-    t = forall_v_type(family, BUD)
+    t = forall_v_type(family)
     assert len(t.pos.classes) == 1
     assert len(t.neg.classes) == 2
     assert total(t, BUD).verdict == "yes"
@@ -217,7 +224,7 @@ def test_list_example_perp_and_classification():
 
 
 def test_stream_example_perp():
-    st = stream_type_example(TA, 2, BUD)
+    st = stream_type_example(TA, 2)
     assert inhabited(st)
     # depth-d realizer against depth-d consumer converges
     for d in range(3):
