@@ -1,6 +1,6 @@
 """Shipped regression corpus: proofs covering every implemented
-cut-elimination step kind, plus the named combinator-law exercise
-suites used by the command line.
+cut-elimination step kind.  The named combinator-law exercise suites
+that the command line runs live in `exercises.py`.
 
 Promotions in the corpus carry empty ?-contexts except where the
 consumer signals (dereliction): the discard signal carries no handshake,

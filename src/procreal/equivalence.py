@@ -26,7 +26,7 @@ from .semantics import (
     step,
     tau_closure,
 )
-from .terms import Par, Restrict, Term, print_term, term_depth
+from .terms import Par, Restrict, Term, term_depth
 
 
 class BudgetExceeded(Exception):
@@ -106,44 +106,38 @@ class FailureSet:
 
 
 class _StepCache:
-    """The states one `failures_bounded` call has met, by printed key, and
-    their sorted transitions.  Like `build_lts` it memoises the
-    transitions and texts of the nodes it meets for its own life only;
-    it reads no graph or memo of another exploration."""
+    """The states one `failures_bounded` call has met and their
+    transitions.  Like `build_lts` it memoises the transitions of the
+    nodes it meets for its own life only; it reads no graph or memo of
+    another exploration."""
 
     def __init__(self, budget: ExplorationBudget):
-        self.terms: dict[str, Term] = {}
-        self.trans: dict[str, tuple] = {}
+        self.states: set = set()
+        self.trans: dict = {}  # state -> tuple[(Action, state)]
         self.budget = budget
         self.steps: dict = {}
-        self.texts: dict = {}
 
-    def key_of(self, t: Term) -> str:
+    def admit(self, t: Term) -> Term:
         if term_depth(t) > DEPTH_CAP:
             raise BudgetExceeded("state nesting exceeds the depth cap")
-        key = print_term(t, self.texts)
-        if key not in self.terms:
-            if len(self.terms) >= self.budget.max_states:
+        if t not in self.states:
+            if len(self.states) >= self.budget.max_states:
                 raise BudgetExceeded(f"state budget {self.budget.max_states} exhausted")
-            self.terms[key] = t
-        return key
+            self.states.add(t)
+        return t
 
-    def successors(self, key: str) -> tuple:
-        cached = self.trans.get(key)
+    def successors(self, state: Term) -> tuple:
+        cached = self.trans.get(state)
         if cached is None:
-            succs = []
-            for a, p in step(self.terms[key], 0, self.steps):
-                succs.append((a, self.key_of(p)))
-            succs.sort(key=lambda s: (action_key(s[0]), s[1]))
-            cached = tuple(succs)
-            self.trans[key] = cached
+            cached = tuple((a, self.admit(p)) for a, p in step(state, 0, self.steps))
+            self.trans[state] = cached
         return cached
 
 
 def _node_family(cache: _StepCache, node: frozenset) -> frozenset:
     acceptances = set()
-    for key in node:
-        succs = cache.successors(key)
+    for state in node:
+        succs = cache.successors(state)
         if any(a == TAU for a, _ in succs):
             continue
         acceptances.add(frozenset(a for a, _ in succs))
@@ -152,8 +146,8 @@ def _node_family(cache: _StepCache, node: frozenset) -> frozenset:
 
 def _node_moves(cache: _StepCache, node: frozenset) -> dict:
     moves: dict[Action, set] = {}
-    for key in node:
-        for a, dst in cache.successors(key):
+    for state in node:
+        for a, dst in cache.successors(state):
             if a == TAU:
                 continue
             moves.setdefault(a, set()).add(dst)
@@ -168,7 +162,7 @@ def failures_bounded(
     tau-closing or stepping outruns the state budget.
     """
     cache = _StepCache(budget)
-    root = tau_closure(cache, frozenset([cache.key_of(t)]))
+    root = tau_closure(cache, frozenset([cache.admit(t)]))
     fs = FailureSet()
     node_by_trace = {(): root}
     frontier = [((), root)]
@@ -241,8 +235,8 @@ def _normalise(lts: LTS) -> NormalForm:
             continue
         acceptances = set()
         moves: dict[Action, set] = {}
-        for key in node:
-            succs = lts.successors(key)
+        for state in node:
+            succs = lts.successors(state)
             if not any(a == TAU for a, _ in succs):
                 acceptances.add(frozenset(a for a, _ in succs))
             for a, dst in succs:
@@ -338,9 +332,9 @@ def failures_equiv(
 
 def _saturate(lts: LTS):
     """Weak moves per state: eps-closure and a -> eps-closed targets."""
-    tau_reach = {s: tau_closure(lts, (s,)) for s in lts.states}
-    weak: dict[str, dict] = {s: {} for s in lts.states}
-    for s in lts.states:
+    tau_reach = {s: tau_closure(lts, (s,)) for s in lts.terms}
+    weak: dict[Term, dict] = {s: {} for s in lts.terms}
+    for s in lts.terms:
         for u in tau_reach[s]:
             for a, v in lts.successors(u):
                 if a == TAU:
@@ -349,7 +343,7 @@ def _saturate(lts: LTS):
     return tau_reach, weak
 
 
-def _signature(s: str, tau_reach: dict, weak: dict, block: dict) -> frozenset:
+def _signature(s: Term, tau_reach: dict, weak: dict, block: dict) -> frozenset:
     """The blocks that state s reaches by weak moves, each tagged with the
     printed action ("" for the silent move)."""
     sig = {("", block[t]) for t in tau_reach[s]}
@@ -367,12 +361,12 @@ def weak_bisim(
         return EquivResult("unknown", detail=exhausted_limit(lts_p, budget))
     if not lts_q.complete:
         return EquivResult("unknown", detail=exhausted_limit(lts_q, budget))
-    # Shared printed keys denote identical behaviour; merge the graphs.
+    # An equal node behaves the same in both graphs; merge them.
     merged = LTS(initial=lts_p.initial)
     merged.terms = {**lts_p.terms, **lts_q.terms}
     merged.transitions = {**lts_p.transitions, **lts_q.transitions}
     tau_reach, weak = _saturate(merged)
-    states = merged.states
+    states = merged.terms
     block = {s: 0 for s in states}
     while True:
         buckets: dict[tuple, int] = {}

@@ -77,7 +77,7 @@ from .logic import (
 from .semtypes import formula_to_type
 
 
-class ExtractionError(Exception):
+class ExtractionError(ValueError):
     pass
 
 

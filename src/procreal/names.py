@@ -408,12 +408,6 @@ def r_code(n: Name) -> Name:
     return Name(2 * n.code + 1)
 
 
-def phi(i: int, j: int, lab: Label) -> Label:
-    out = PhiCode(i, j).apply_label(lab)
-    assert out is not None  # total
-    return out
-
-
 def compose_renamings(after: Renaming, first: Renaming) -> Renaming:
     """Composition with canonicalization: identities drop out, a total
     renaming followed by its inverse cancels, and finite maps compose to

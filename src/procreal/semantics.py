@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, KeysView, Optional
 
 from .names import action_key, dual_action, label_key, print_action
 from .terms import (
@@ -60,21 +60,26 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
             yield frozenset(combo)
 
 
-def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> set:
-    """One-step transitions: a set of (action, successor term) pairs.
+def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> KeysView:
+    """One-step transitions: the (action, successor term) pairs, as the
+    keys of a dict (they compare with a set as a set), in rule order: a
+    sum's branches; a parallel's left moves, right moves, then
+    synchronisations.  The order depends on the term alone, so an
+    exploration that fills its budget admits the same states whatever the
+    hash seed.
 
     `_memo` is an exploration's memo of the transitions of the nodes it
     has stepped, read and filled here, so a component that several states
-    share is stepped once and the result set is shared: it must not be
+    share is stepped once and the result is shared: it must not be
     mutated.  It lives as long as that exploration only (see `build_lts`
     for why).  A node whose step raises is not remembered; prefixes and
     sums, read straight off the node, are not remembered either."""
     if _depth > 512:
         raise SemanticsError("recursion unfolding too deep; term is likely unguarded")
     if isinstance(t, Prefix):
-        return {(t.action, t.cont)}
+        return {(t.action, t.cont): None}.keys()
     if isinstance(t, Sum):
-        return set(t.branches)
+        return dict.fromkeys(t.branches).keys()
     if _memo is not None:
         out = _memo.get(t)
         if out is not None:
@@ -82,11 +87,11 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> set:
     if isinstance(t, Par):
         left = step(t.left, _depth, _memo)
         right = step(t.right, _depth, _memo)
-        out = set()
+        pairs = {}
         for a, p in left:
-            out.add((a, Par(p, t.right)))
+            pairs[a, Par(p, t.right)] = None
         for a, q in right:
-            out.add((a, Par(t.left, q)))
+            pairs[a, Par(t.left, q)] = None
         for d, p in left:
             for e, q in right:
                 dual_e = dual_action(e)
@@ -96,16 +101,16 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> set:
                     combined_r = e - dual_action(b)
                     if combined_l & combined_r:
                         continue
-                    out.add((combined_l | combined_r, Par(p, q)))
+                    pairs[combined_l | combined_r, Par(p, q)] = None
+        out = pairs.keys()
     elif isinstance(t, Restrict):
-        out = set()
-        for a, p in step(t.proc, _depth, _memo):
-            if not t.labels.blocks(a):
-                out.add((a, restrict(p, t.labels)))
+        out = dict.fromkeys(
+            (a, restrict(p, t.labels)) for a, p in step(t.proc, _depth, _memo) if not t.labels.blocks(a)
+        ).keys()
     elif isinstance(t, Rename):
-        out = set()
-        for a, p in step(t.proc, _depth, _memo):
-            out.add((t.ren.apply_action(a), rename(p, t.ren)))
+        out = dict.fromkeys(
+            (t.ren.apply_action(a), rename(p, t.ren)) for a, p in step(t.proc, _depth, _memo)
+        ).keys()
     elif isinstance(t, Rec):
         out = step(substitute_var(t.body, t.var, t), _depth + 1, _memo)
     elif isinstance(t, Var):
@@ -121,48 +126,56 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> set:
 
 @dataclass
 class LTS:
-    """Explored transition graph with canonical printed-form state keys.
+    """Explored transition graph whose states are term nodes.  Nodes
+    compare structurally and carry their hash, so a node is its own state
+    key; states are printed only when the graph is exported.
 
-    A graph returned by `build_lts` is shared: later calls on a term that
-    prints the same, under the same state budget, return the same object,
-    and `equivalence.normal_form` keeps its result on it.  It must not be
+    A graph returned by `build_lts` is shared: later calls on an equal
+    term, under the same state budget, return the same object, and
+    `equivalence.normal_form` keeps its result on it.  It must not be
     mutated."""
 
-    initial: str
-    terms: dict = field(default_factory=dict)  # key -> Term
-    transitions: dict = field(default_factory=dict)  # key -> tuple[(Action, key)]
+    initial: Term
+    terms: dict = field(default_factory=dict)  # state -> None, in the order admitted
+    transitions: dict = field(default_factory=dict)  # state -> tuple[(Action, state)]
     complete: bool = True
     normal_form: object = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def states(self) -> list:
-        return sorted(self.terms)
+    def successors(self, state: Term):
+        return self.transitions.get(state, ())
 
-    def successors(self, key: str):
-        return self.transitions.get(key, ())
+    def _printed(self) -> tuple:
+        """Every state's printed key, and the edges as sorted (source key,
+        action key, target key, action) tuples.  Distinct nodes can print
+        the same (a one-branch sum and a prefix), and are then exported as
+        one state."""
+        keys = {s: print_term(s) for s in self.terms}
+        return keys, sorted({
+            (keys[src], action_key(a), keys[dst], a)
+            for src, succs in self.transitions.items()
+            for a, dst in succs
+        })
 
     def to_json(self) -> dict:
-        states = self.states
+        keys, edges = self._printed()
         return {
-            "states": states,
-            "initial": self.initial,
+            "states": sorted(set(keys.values())),
+            "initial": keys[self.initial],
             "complete": self.complete,
             "transitions": [
-                [src, [str(l) for l in sorted(a, key=label_key)], dst]
-                for src in states
-                for a, dst in self.successors(src)
+                [src, [str(l) for l in sorted(a, key=label_key)], dst] for src, _, dst, a in edges
             ],
         }
 
     def to_dot(self) -> str:
+        keys, edges = self._printed()
         lines = ["digraph lts {"]
-        lines.append(f'  "{_dot_escape(self.initial)}" [shape=doublecircle];')
-        for src in self.states:
-            for a, dst in self.successors(src):
-                label = print_action(a) if a else "tau"
-                lines.append(
-                    f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" [label="{_dot_escape(label)}"];'
-                )
+        lines.append(f'  "{_dot_escape(keys[self.initial])}" [shape=doublecircle];')
+        for src, _, dst, a in edges:
+            label = print_action(a) if a else "tau"
+            lines.append(
+                f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" [label="{_dot_escape(label)}"];'
+            )
         lines.append("}")
         return "\n".join(lines)
 
@@ -180,9 +193,9 @@ MEMO_STATES = 500
 
 
 class _GraphMemo:
-    """Explored graphs by (printed term, state budget), least recently
-    used first, holding at most MEMO_STATES states in total.  A graph
-    larger than that is never kept."""
+    """Explored graphs by (term, state budget), least recently used
+    first, holding at most MEMO_STATES states in total.  A graph larger
+    than that is never kept."""
 
     def __init__(self):
         self.graphs: OrderedDict = OrderedDict()
@@ -213,49 +226,44 @@ _MEMO = _GraphMemo()
 
 
 def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
-    """Breadth-first closure of `step`.  Deterministic: transitions are
-    stored sorted by (action, target key).  When the state budget is hit
-    the result carries complete=False and the frontier left unexpanded.
+    """Breadth-first closure of `step`, printing nothing.  Deterministic:
+    states are admitted, and each state's transitions stored, in `step`'s
+    order.  When the state budget is hit the result carries
+    complete=False and the frontier left unexpanded.
 
-    The result is shared with every other call on a term that prints the
-    same, under the same `max_states`, while it stays in the memo; it
-    must not be mutated.
+    The result is shared with every other call on an equal term, under
+    the same `max_states`, while it stays in the memo; it must not be
+    mutated.
 
-    While it runs, an exploration memoises the transitions and printed
-    texts of the nodes it meets (`step`'s `_memo`, `print_term`'s
-    `_texts`): a successor such as `Par(p, R)` re-uses what `R` gave in
-    the state it came from.  Both memos go when the call returns.  Kept
-    longer, they would hold every node the caller keeps alive, and the
-    inputs of a large batch of queries hold many.
+    While it runs, an exploration memoises the transitions of the nodes
+    it meets (`step`'s `_memo`): a successor such as `Par(p, R)` re-uses
+    what `R` gave in the state it came from.  The memo goes when the call
+    returns.  Kept longer, it would hold every node the caller keeps
+    alive, and the inputs of a large batch of queries hold many.
     """
-    init_key = print_term(t)
-    memo_key = (init_key, budget.max_states)
+    memo_key = (t, budget.max_states)
     lts = _MEMO.get(memo_key)
     if lts is not None:
         return lts
     steps: dict = {}
-    texts = {t: init_key}
-    lts = LTS(initial=init_key)
-    lts.terms[init_key] = t
-    frontier = [init_key]
+    lts = LTS(initial=t, terms={t: None})
+    frontier = [t]
     while frontier:
         next_frontier = []
-        for key in frontier:
-            if term_depth(lts.terms[key]) > DEPTH_CAP:
+        for u in frontier:
+            if term_depth(u) > DEPTH_CAP:
                 lts.complete = False
                 continue
             succs = []
-            for a, p in step(lts.terms[key], 0, steps):
-                dst = print_term(p, texts)
-                if dst not in lts.terms:
+            for a, p in step(u, 0, steps):
+                if p not in lts.terms:
                     if len(lts.terms) >= budget.max_states:
                         lts.complete = False
                         continue
-                    lts.terms[dst] = p
-                    next_frontier.append(dst)
-                succs.append((a, dst))
-            succs.sort(key=lambda s: (action_key(s[0]), s[1]))
-            lts.transitions[key] = tuple(succs)
+                    lts.terms[p] = None
+                    next_frontier.append(p)
+                succs.append((a, p))
+            lts.transitions[u] = tuple(succs)
         frontier = next_frontier
     _MEMO.put(memo_key, lts)
     return lts
@@ -286,8 +294,8 @@ def tau_closure(graph, keys) -> frozenset:
 
 def tau_cycle_exists(lts: LTS) -> bool:
     """Cycle detection on the tau-subgraph of expanded states."""
-    color: dict[str, int] = {}
-    for start in lts.states:
+    color: dict[Term, int] = {}
+    for start in lts.terms:
         if color.get(start):
             continue
         stack = [(start, iter(lts.successors(start)))]

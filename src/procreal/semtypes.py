@@ -107,8 +107,7 @@ def partition(terms, budget: ExplorationBudget) -> RepPER:
         for cls in classes:
             res = failures_equiv(term, cls[0], budget)
             if res.verdict == "equal":
-                key = print_term(term)
-                if not any(key == print_term(u) for u in cls):
+                if term not in cls:
                     cls.append(term)
                 placed = True
                 break

@@ -1,17 +1,19 @@
 """Guarded process terms: AST, canonical printing, substitution,
 well-formedness, syntactic sorts and value-passing expansion.
 
-Terms are immutable.  Canonical printed form doubles as the state key in
-the transition engine, so printing must be deterministic: actions print
-their labels sorted, sums print their branches in construction order.
+Terms are immutable and compare structurally.  Each node keeps two
+values computed once, when it is built, from its children's: its hash
+and its constructor depth (`term_depth`).  So a node is the state key of
+the transition engine: explorations hash and compare nodes and print
+nothing.  The canonical printed form is made only where text leaves the
+program (graph exports, witnesses, reports), and it is deterministic:
+actions print their labels sorted, sums print their branches in
+construction order.
 
-Each node keeps two values computed once, when it is built, from its
-children's: its hash and its constructor depth (`term_depth`).  Printed
-texts and transitions are not kept on nodes.  An exploration memoises
-them by node for as long as it runs (`print_term`'s `_texts`,
-`semantics.step`'s `_memo`), so a subtree shared by many states is
-printed and stepped once; a one-off `print_term` keeps nothing.  Kept on
-the nodes, they would live as long as the inputs that hold the nodes.
+Transitions are not kept on nodes.  An exploration memoises them by node
+for as long as it runs (`semantics.step`'s `_memo`), so a subtree shared
+by many states is stepped once.  Kept on the nodes, they would live as
+long as the inputs that hold the nodes.
 """
 
 from __future__ import annotations
@@ -242,46 +244,41 @@ _BINDS = {
 }
 
 
-def _print(t: Term, prec: int, texts: Optional[dict]) -> str:
-    s = None if texts is None else texts.get(t)
-    if s is None:
-        kind = type(t)
-        if kind is Par:
-            # parallel parses left-associative; parenthesize a nested right
-            s = _print(t.left, 1, texts) + " | " + _print(t.right, 2, texts)
-        elif kind is Prefix:
-            s = print_action(t.action) + "." + _print(t.cont, 2, texts)
-        elif kind is Sum:
-            s = " + ".join([print_action(a) + "." + _print(p, 2, texts) for a, p in t.branches]) or "0"
-        elif kind is Restrict:
-            s = _print(t.proc, 3, texts) + " \\ " + t.labels.describe()
-        elif kind is Rename:
-            s = _print(t.proc, 3, texts) + " [" + t.ren.describe() + "]"
-        elif kind is Rec:
-            s = f"rec {t.var}. " + _print(t.body, 2, texts)
-        elif kind is Var:
-            s = t.ident
-        elif kind is InputPrefix:
-            s = f"in {print_name(t.chan)}({t.var}). " + _print(t.body, 2, texts)
-        elif kind is OutputPrefix:
-            s = f"out {print_name(t.chan)}({t.value}). " + _print(t.body, 2, texts)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        if texts is not None:
-            texts[t] = s
+def _print(t: Term, prec: int) -> str:
+    kind = type(t)
+    if kind is Par:
+        # parallel parses left-associative; parenthesize a nested right
+        s = _print(t.left, 1) + " | " + _print(t.right, 2)
+    elif kind is Prefix:
+        s = print_action(t.action) + "." + _print(t.cont, 2)
+    elif kind is Sum:
+        s = " + ".join([print_action(a) + "." + _print(p, 2) for a, p in t.branches]) or "0"
+    elif kind is Restrict:
+        s = _print(t.proc, 3) + " \\ " + t.labels.describe()
+    elif kind is Rename:
+        s = _print(t.proc, 3) + " [" + t.ren.describe() + "]"
+    elif kind is Rec:
+        s = f"rec {t.var}. " + _print(t.body, 2)
+    elif kind is Var:
+        s = t.ident
+    elif kind is InputPrefix:
+        s = f"in {print_name(t.chan)}({t.var}). " + _print(t.body, 2)
+    elif kind is OutputPrefix:
+        s = f"out {print_name(t.chan)}({t.value}). " + _print(t.body, 2)
+    else:
+        raise TypeError(f"not a term: {t!r}")
     # the empty sum, 0, is atomic
     if prec > _BINDS[type(t)] and s != "0":
         return "(" + s + ")"
     return s
 
 
-def print_term(t: Term, _texts: Optional[dict] = None) -> str:
-    """The canonical printed form.  `_texts` is an exploration's memo of
-    the texts of the nodes it has printed, read and filled here, so a
-    subtree shared by many states is printed once.  It must come from one
-    exploration only: the atom registry, which printing reads, may grow
-    between explorations and change how a name prints."""
-    return _print(t, 0, _texts)
+def print_term(t: Term) -> str:
+    """The canonical printed form: what `lts` exports as a state's key
+    and the parser reads back.  It reads the atom registry, which may
+    grow and change how a name prints, so nothing keeps a text longer
+    than the output it goes into."""
+    return _print(t, 0)
 
 
 def term_depth(t: Term) -> int:

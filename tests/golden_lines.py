@@ -1,4 +1,5 @@
-"""Printed semantic types and realizers compared against `tests/golden/`.
+"""Printed semantic types, realizers and graph exports compared against
+`tests/golden/`.
 
 Printed names read the atom registry, and a name registered late can take
 the code of a coded name (with atoms a and b registered, the value name
@@ -8,10 +9,12 @@ registry, so the lines are computed in a fresh interpreter:
     PYTHONPATH=src python tests/golden_lines.py formula_types
     PYTHONPATH=src python tests/golden_lines.py formula_wires
     PYTHONPATH=src python tests/golden_lines.py corpus_realizers
+    PYTHONPATH=src python tests/golden_lines.py lts_exports
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -19,11 +22,12 @@ from pathlib import Path
 
 import procreal
 from procreal.corpus import corpus_proofs
-from procreal.exercises import atom_type
+from procreal.exercises import atom_type, pairing_counterexample
 from procreal.extraction import extract, formula_wire
 from procreal.logic import cut_eliminate, parse_formula
 from procreal.names import print_name
-from procreal.semantics import ExplorationBudget
+from procreal.parsing import parse_term
+from procreal.semantics import ExplorationBudget, build_lts
 from procreal.semtypes import formula_to_type, unit_type
 from procreal.terms import print_term
 
@@ -69,6 +73,32 @@ def corpus_realizers() -> list:
     return lines
 
 
+# complete graphs: a wire, the three applications of the combinator layer,
+# coded names and the pairing counterexample
+LTS_TERMS = (
+    "wire({a,b})",
+    "seq({r(a)}.{r(b)}.0, wire({a,b}))",
+    "lapp({a}.0 + {c}.0, {~l(a)}.{r(b)}.0 + {~l(c)}.{r(d)}.0)",
+    "rapp({l(a)}.{r(b)}.{l(c)}.0, {~b}.0)",
+    "({l(a),r(a)}.{~n1(b)}.0 | {n1(b)}.0 | {~l(a)}.0) \\ {n1(b)}",
+)
+
+
+def lts_exports() -> list:
+    """`lts --format json` and `--format dot` of each graph."""
+    lines = []
+    terms = [(text, parse_term(text)) for text in LTS_TERMS]
+    lhs, rhs = pairing_counterexample()
+    terms += [("pairing counterexample, left", lhs), ("pairing counterexample, right", rhs)]
+    for name, t in terms:
+        lts = build_lts(t)
+        assert lts.complete, name
+        lines.append(f"== {name}")
+        lines += json.dumps(lts.to_json(), indent=2, sort_keys=True).splitlines()
+        lines += lts.to_dot().splitlines()
+    return lines
+
+
 def fresh_lines(which: str) -> list:
     src = str(Path(procreal.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -83,5 +113,10 @@ def golden_lines(which: str) -> list:
 
 
 if __name__ == "__main__":
-    goldens = {"formula_types": formula_types, "formula_wires": formula_wires, "corpus_realizers": corpus_realizers}
+    goldens = {
+        "formula_types": formula_types,
+        "formula_wires": formula_wires,
+        "corpus_realizers": corpus_realizers,
+        "lts_exports": lts_exports,
+    }
     print("\n".join(goldens[sys.argv[1]]()))

@@ -219,7 +219,17 @@ def test_acceptance_09_list_example():
     report(9, ok, f"lists of length <= 3 orthogonal to the consumer chain and classified correctly")
 
 
-def test_acceptance_10_determinism():
+# Explorations cut short by their state budget: the states admitted follow
+# `step`'s order, which must not depend on the hash seed.
+DIVERGES_PROBE = (
+    "from procreal.parsing import parse_term\n"
+    "from procreal.semantics import ExplorationBudget, diverges\n"
+    "t = parse_term('bang({a}.0) | {b}.rec X. {}.X')\n"
+    "print([diverges(t, ExplorationBudget(n)) for n in range(3, 80)])\n"
+)
+
+
+def test_acceptance_10_determinism(tmp_path):
     # in-process double run, each exploring afresh with the graph memo
     # emptied, plus two subprocess runs under different hash seeds:
     # reports must be byte-identical
@@ -228,14 +238,25 @@ def test_acceptance_10_determinism():
     a = json.dumps(run_exercises(SEED, small, trials=3), sort_keys=True)
     _MEMO.clear()
     b = json.dumps(run_exercises(SEED, small, trials=3), sort_keys=True)
+    term = tmp_path / "bang.term"
+    term.write_text("bang({a}.0)\n", encoding="utf-8")
     outs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "procreal.cli", "exercises", "--trials", "2",
+        runs = []
+        for argv in (
+            ["-m", "procreal.cli", "exercises", "--trials", "2",
              "--max-states", "800", "--seed", str(SEED), "--format", "json"],
-            capture_output=True, text=True, env=env,
-        )
-        outs.append((proc.returncode, proc.stdout))
-    ok = a == b and outs[0] == outs[1] and outs[0][0] == 0
+            ["-m", "procreal.cli", "lts", str(term), "--max-states", "60"],
+            ["-c", DIVERGES_PROBE],
+        ):
+            proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+            runs.append((proc.returncode, proc.stdout))
+        outs.append(runs)
+    ok = (
+        a == b
+        and outs[0] == outs[1]
+        and [code for code, _ in outs[0]] == [0, 2, 0]
+        and "unknown" in outs[0][2][1]
+    )
     report(10, ok, "identical seeds give byte-identical reports across runs and hash seeds")

@@ -222,6 +222,12 @@ def _proof(cmd, data, *extra):
         pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
                      {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps({"a": list("abcde")})},
                      id="atoms-alphabet-too-large"),
+        pytest.param(*_proof("extract", {"rule": "axiom", "formula": "forall x. a(x)"}),
+                     id="quantifier-without-values"),
+        pytest.param(*_proof("verify-cut", {"rule": "cut", "formula": "forall x. a(x)", "premises": [
+            {"rule": "axiom", "formula": "forall x. a(x)"},
+            {"rule": "axiom", "formula": "exists x. ~a(x)"},
+        ]}), id="quantifier-cut-without-values"),
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):

@@ -19,7 +19,6 @@ from procreal.names import (
     compose_renamings,
     dual_action,
     l_code,
-    phi,
     positive,
     negative,
     r_code,
@@ -66,7 +65,7 @@ def test_phi_examples():
 @given(st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_phi_inverse_roundtrip(code, neg):
     lab = Label(code, neg)
-    image = phi(1, 3, lab)
+    image = PhiCode(1, 3).apply_label(lab)
     assert PhiCode(1, 3).inverse().apply_label(image) == lab
 
 

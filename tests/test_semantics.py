@@ -3,10 +3,17 @@ import random
 
 import pytest
 
+from golden_lines import fresh_lines, golden_lines
 from oracle_step import canonical, naive_step
 
 from procreal.combinators import bang, identity_wire, seq, tensor
-from procreal.equivalence import BudgetExceeded, failures_bounded
+from procreal.equivalence import (
+    BudgetExceeded,
+    failures_bounded,
+    failures_equiv,
+    perp,
+    weak_bisim,
+)
 from procreal.generators import enumerate_terms, random_term
 from procreal.names import (
     LL_CLASS,
@@ -100,14 +107,14 @@ def test_step_value_prefix_rejected():
 
 def test_build_lts_nil():
     lts = build_lts(NIL)
-    assert len(lts.states) == 1
+    assert len(lts.terms) == 1
     assert lts.successors(lts.initial) == ()
     assert lts.complete
 
 
 def test_build_lts_wire():
     lts = build_lts(parse_term("rec X. {a,b}.X"))
-    assert len(lts.states) == 1
+    assert len(lts.terms) == 1
     assert len(lts.successors(lts.initial)) == 1
 
 
@@ -236,7 +243,7 @@ def test_sort_soundness_along_transitions():
         bound = sort_of(t)
         if isinstance(bound, AllSort):
             continue
-        for src in lts.states:
+        for src in lts.terms:
             for a, _ in lts.successors(src):
                 assert frozenset(a) <= bound.labels, print_term(t)
 
@@ -274,7 +281,7 @@ def test_tau_closure_propagates_budget_exhaustion():
 
 
 # ---------------------------------------------------------------------------
-# Exploration memos: `step`'s `_memo` and `print_term`'s `_texts`
+# The exploration memo: `step`'s `_memo`
 
 
 def _memo_cases():
@@ -294,25 +301,22 @@ def _memo_cases():
     return cases
 
 
-def test_memoised_step_and_print_agree_with_unmemoised_and_oracle():
-    # one memo pair for every state of every case, as in one long exploration
-    steps, texts = {}, {}
+def test_memoised_step_agrees_with_unmemoised_and_oracle():
+    # one memo for every state of every case, as in one long exploration
+    steps = {}
     stepped = 0
     for t in _memo_cases():
         lts = build_lts(t, ExplorationBudget(max_states=40))
-        for u in lts.terms.values():
+        for u in lts.terms:
             memoised = step(u, 0, steps)
-            assert memoised == step(u), print_term(u)
+            # the same pairs in the same order
+            assert list(memoised) == list(step(u)), print_term(u)
             # prefixes and sums are read off the node, the rest remembered
             again = step(u, 0, steps)
             assert again is memoised or (isinstance(u, (Prefix, Sum)) and again == memoised)
             assert as_set(memoised) == as_set(naive_step(u)), print_term(u)
-            assert print_term(u, texts) == print_term(u)
-            for _, p in memoised:
-                assert print_term(p, texts) == print_term(p)
-                assert print_term(p, texts) == print_term(p)
             stepped += 1
-    assert stepped > 1000 and len(steps) > 100 and len(texts) > 1000
+    assert stepped > 1000 and len(steps) > 100
 
 
 def test_exploration_memos_do_not_change_graphs():
@@ -323,14 +327,11 @@ def test_exploration_memos_do_not_change_graphs():
         if not lts.complete:
             continue
         complete += 1
+        assert lts.initial is t and next(iter(lts.terms)) is t
         # the graph rebuilt state by state without any memo
-        for key, u in lts.terms.items():
-            assert print_term(u) == key
-            plain = sorted(
-                ((a, print_term(p)) for a, p in step(u)),
-                key=lambda s: (action_key(s[0]), s[1]),
-            )
-            assert list(lts.transitions[key]) == plain
+        for u in lts.terms:
+            assert lts.transitions[u] == tuple(step(u))
+            assert all(p in lts.terms for _, p in lts.transitions[u])
     assert complete > 30
 
 
@@ -366,3 +367,47 @@ def test_explorations_keep_no_state_beyond_the_graph_memo():
     _MEMO.clear()
     # every node the explorations built is gone with them
     assert _live_terms() == before
+
+
+def test_exploration_never_prints(monkeypatch):
+    # states are nodes: only exports print them
+    def refuse(t, prec):
+        raise AssertionError("a state was printed during exploration")
+
+    p = parse_term("rec X. ({a}.X + {b}.0) | {~a}.0")
+    q = parse_term("rec X. ({a}.X + {b}.0)")
+    # infinite-state: only the bounded route decides them
+    bang_a, bang_b = bang(parse_term("{a}.0")), bang(parse_term("{b}.0"))
+    small = ExplorationBudget(max_states=20)
+    _MEMO.clear()
+    monkeypatch.setattr("procreal.terms._print", refuse)
+    assert build_lts(p) is build_lts(p)  # a miss, then a hit
+    failures_bounded(p, 4)
+    assert failures_equiv(p, q).verdict == "distinguished"  # the exact route
+    assert failures_equiv(bang_a, bang_b, small, depth=1).verdict == "distinguished"
+    assert failures_equiv(bang_a, bang_a, small, depth=1).verdict == "unknown"
+    assert weak_bisim(p, q).verdict == "distinguished"
+    assert weak_bisim(q, q).verdict == "equal"
+    assert perp(p, q) in ("yes", "no")
+    # the check is live: an export prints through `_print`
+    with pytest.raises(AssertionError):
+        build_lts(p).to_json()
+
+
+def test_nodes_that_print_the_same_export_as_one_state():
+    # a one-branch sum and a prefix: two states, one printed key
+    c, d, a = (frozenset([positive(REGISTRY.intern(n))]) for n in "cda")
+    then_b = parse_term("{b}.0")
+    t = Sum(((c, Sum(((a, then_b),))), (d, Prefix(a, then_b))))
+    lts = build_lts(t)
+    assert len(lts.terms) == 5
+    data = lts.to_json()
+    assert data["states"] == sorted(set(data["states"])) and len(data["states"]) == 4
+    assert [e for e in data["transitions"] if e[0] == "{a}.{b}.0"] == [["{a}.{b}.0", ["a"], "{b}.0"]]
+    assert len(lts.to_dot().splitlines()) == 3 + len(data["transitions"]) == 7
+
+
+def test_lts_exports_match_golden():
+    # `lts --format json` and `--format dot` of complete graphs, pinned
+    assert fresh_lines("lts_exports") == golden_lines("lts_exports")
+
