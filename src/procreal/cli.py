@@ -25,7 +25,7 @@ from .logic import (
     print_sequent,
 )
 from .names import REGISTRY, RenamingDomainError
-from .parsing import ParseError, parse_program, parse_term
+from .parsing import ParseError, parse_program
 from .semantics import ExplorationBudget, build_lts, exhausted_limit
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
 from .terms import (
@@ -64,19 +64,26 @@ def load_term(path: str, values: tuple) -> Term:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    return _checked_term(text, path, values)
+
+
+def _checked_term(text: str, where: str, values: tuple) -> Term:
+    """Every term a user supplies: parsed, its value-passing prefixes
+    expanded over `values`, and checked well formed.  Errors name
+    `where`."""
     try:
-        bindings, main = parse_program(text)
+        _, main = parse_program(text)
     except ParseError as exc:
-        raise CliError(f"{path}: {exc}")
+        raise CliError(f"{where}: {exc}")
     if main is None:
-        raise CliError(f"{path}: no term (bind `main = ...;` or end with a bare term)")
+        raise CliError(f"{where}: no term (bind `main = ...;` or end with a bare term)")
     if _has_value_prefixes(main):
         if not values:
-            raise CliError(f"{path}: value-passing prefixes need --values")
+            raise CliError(f"{where}: value-passing prefixes need --values")
         main = expand_values(main, values)
     diags = well_formed(main)
     if diags:
-        raise CliError(f"{path}: " + "; ".join(diags))
+        raise CliError(f"{where}: " + "; ".join(diags))
     return main
 
 
@@ -128,11 +135,7 @@ def cmd_lts(args) -> int:
 
 def cmd_failures(args) -> int:
     term = load_term(args.term, args.values)
-    try:
-        fs = failures_bounded(term, args.depth, _budget(args))
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    fs = failures_bounded(term, args.depth, _budget(args))
     print(json.dumps(fs.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -182,12 +185,17 @@ def _load_atom_env(path: Optional[str]) -> dict:
     }
 
 
-def cmd_extract(args) -> int:
-    proof = load_proof(args.proof)
+def _load_checked_proof(path: str):
+    """The proof in the file and its checked conclusion."""
+    proof = load_proof(path)
     res = check_proof(proof)
     if not res.ok:
-        print(f"invalid proof at {res.path}: {res.error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(f"invalid proof at {res.path}: {res.error}")
+    return proof, res.sequent
+
+
+def cmd_extract(args) -> int:
+    proof, sequent = _load_checked_proof(args.proof)
     env = _load_atom_env(args.atoms)
     term = extract(proof, env, args.values)
     text = print_term(term)
@@ -196,16 +204,12 @@ def cmd_extract(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    print(f"conclusion: {print_sequent(res.sequent)}", file=sys.stderr)
+    print(f"conclusion: {print_sequent(sequent)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify_cut(args) -> int:
-    proof = load_proof(args.proof)
-    res = check_proof(proof)
-    if not res.ok:
-        print(f"invalid proof at {res.path}: {res.error}", file=sys.stderr)
-        return EXIT_USAGE
+    proof, sequent = _load_checked_proof(args.proof)
     env = _load_atom_env(args.atoms)
     budget = _budget(args)
     elim = cut_eliminate(proof, args.step_bound, keep_trail=True)
@@ -223,7 +227,7 @@ def cmd_verify_cut(args) -> int:
     verdicts = {entry["verdict"] for entry in steps}
     overall = "fail" if "fail" in verdicts else "unknown" if "unknown" in verdicts else "pass"
     out = {
-        "conclusion": print_sequent(res.sequent),
+        "conclusion": print_sequent(sequent),
         "steps": steps,
         "cut_free": elim.status == "done",
         "overall": overall,
@@ -235,14 +239,17 @@ def cmd_verify_cut(args) -> int:
     return {"pass": EXIT_OK, "fail": EXIT_DISTINGUISHED}.get(overall, EXIT_UNKNOWN)
 
 
-def _load_type_env(path: str, budget: ExplorationBudget):
+def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
+    """The file's atom types, and the value domain: `values` when given,
+    else the file's "values"."""
     raw = _load_json(path)
     atoms = raw.get("atoms", {}) if isinstance(raw, dict) else None
-    values = raw.get("values", []) if isinstance(raw, dict) else None
-    if not isinstance(atoms, dict) or not isinstance(values, list) or not all(
-        type(v) is int for v in values
+    env_values = raw.get("values", []) if isinstance(raw, dict) else None
+    if not isinstance(atoms, dict) or not isinstance(env_values, list) or not all(
+        type(v) is int for v in env_values
     ):
         raise CliError(f'{path}: expected an "atoms" object and a "values" list of integers')
+    values = values or tuple(env_values)
     atom_types = {}
     for ident, spec in atoms.items():
         if not (
@@ -256,17 +263,16 @@ def _load_type_env(path: str, budget: ExplorationBudget):
                 f'and an optional "alphabet" list of names'
             )
         alphabet = frozenset(REGISTRY.intern(n) for n in spec.get("alphabet", [ident]))
-        pos = partition([parse_term(s) for s in spec["pos"]], budget)
-        neg = partition([parse_term(s) for s in spec["neg"]], budget)
+        pos = partition([_checked_term(s, path, values) for s in spec["pos"]], budget)
+        neg = partition([_checked_term(s, path, values) for s in spec["neg"]], budget)
         atom_types[ident] = SemType(pos, neg, alphabet)
-    return atom_types, tuple(values)
+    return atom_types, values
 
 
 def cmd_check_type(args) -> int:
-    term = load_term(args.term, args.values)
     budget = _budget(args)
-    atom_types, env_values = _load_type_env(args.type_env, budget)
-    values = args.values or env_values
+    atom_types, values = _load_type_env(args.type_env, args.values, budget)
+    term = load_term(args.term, values)
     formula = parse_formula(args.type)
     try:
         ty = formula_to_type(formula, atom_types, budget, values, fuel=args.fuel)
@@ -378,6 +384,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceeded as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (ParseError, json.JSONDecodeError, ValueError, OSError, RenamingDomainError,
             AlphabetTooLarge) as exc:
         print(str(exc), file=sys.stderr)

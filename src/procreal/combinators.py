@@ -14,7 +14,6 @@ from itertools import combinations
 
 from .names import (
     ALPHA,
-    Action,
     BETA,
     DELTA,
     GAMMA,

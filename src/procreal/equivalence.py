@@ -344,11 +344,11 @@ def _saturate(lts: LTS):
 
 
 def _signature(s: Term, tau_reach: dict, weak: dict, block: dict) -> frozenset:
-    """The blocks that state s reaches by weak moves, each tagged with the
-    printed action ("" for the silent move)."""
-    sig = {("", block[t]) for t in tau_reach[s]}
+    """The blocks that state s reaches by weak moves, each tagged with its
+    action (TAU for the silent move)."""
+    sig = {(TAU, block[t]) for t in tau_reach[s]}
     for a, targets in weak[s].items():
-        sig.update((print_action(a), block[t]) for t in targets)
+        sig.update((a, block[t]) for t in targets)
     return frozenset(sig)
 
 
@@ -388,7 +388,7 @@ def weak_bisim(
         "distinguished",
         witness={
             "reason": "weak bisimulation classes differ",
-            "actions": sorted({a for a, _ in diff}),
+            "actions": sorted({"" if a == TAU else print_action(a) for a, _ in diff}),
         },
     )
 

@@ -45,7 +45,7 @@ def _law(report: dict, name: str, ok: bool, detail: str = ""):
         report["ok"] = False
 
 
-def identity_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int = 6) -> dict:
+def identity_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     """Both application identities against the alphabet wire, on seeded
     random finite-state terms over two atoms."""
     rng = random.Random(seed)
@@ -54,17 +54,17 @@ def identity_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int
     wire = C.identity_wire(frozenset(atoms))
     for i in range(trials):
         p = random_term(rng, atoms, rng.randint(2, 9))
-        r1 = failures_equiv(C.lapp(p, wire), p, budget, depth)
+        r1 = failures_equiv(C.lapp(p, wire), p, budget)
         if not r1.equal:
             _law(report, f"trial {i}: lapp(P, I) = P", False, f"{r1.verdict} {print_term(p)}")
-        r2 = failures_equiv(C.rapp(wire, p), p, budget, depth)
+        r2 = failures_equiv(C.rapp(wire, p), p, budget)
         if not r2.equal:
             _law(report, f"trial {i}: rapp(I, P) = P", False, f"{r2.verdict} {print_term(p)}")
     _law(report, f"identity laws on {trials} terms", report["ok"])
     return report
 
 
-def composition_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int = 6) -> dict:
+def composition_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     """The five composition facts on seeded random triples."""
     rng = random.Random(seed)
     atoms = _atoms()
@@ -81,7 +81,7 @@ def composition_suite(trials: int, seed: int, budget: ExplorationBudget, depth: 
             ("rapp((P;Q),R) = rapp(P,rapp(Q,R))", C.rapp(C.seq(p, q), r), C.rapp(p, C.rapp(q, r))),
         ]
         for name, lhs, rhs in cases:
-            res = failures_equiv(lhs, rhs, budget, depth)
+            res = failures_equiv(lhs, rhs, budget)
             if not res.equal:
                 _law(report, f"trial {i}: {name}", False, f"{res.verdict} P={print_term(p)[:50]}")
     _law(report, f"composition laws on {trials} triples", report["ok"])
@@ -100,7 +100,7 @@ def pairing_counterexample() -> tuple:
     return lhs, rhs
 
 
-def pairing_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int = 6) -> dict:
+def pairing_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     """The three choice laws: selection laws under both equivalences,
     distribution under failures only, with the recorded weak-bisimulation
     counterexample (non-divergent argument)."""
@@ -119,7 +119,7 @@ def pairing_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int 
             (f"trial {i}: <P,Q>;inl(R) = P;R (failures)", law1_l, law1_r),
             (f"trial {i}: <P,Q>;inr(R) = Q;R (failures)", law2_l, law2_r),
         ):
-            res = failures_equiv(lhs, rhs, budget, depth)
+            res = failures_equiv(lhs, rhs, budget)
             if not res.equal:
                 _law(report, name, False, res.verdict)
         for name, lhs, rhs in (
@@ -131,11 +131,11 @@ def pairing_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int 
                 _law(report, name, False, res.verdict)
         law3_l = C.lapp(r, C.pairing(p, q))
         law3_r = C.pairing(C.lapp(r, p), C.lapp(r, q), port="plain")
-        res = failures_equiv(law3_l, law3_r, budget, depth)
+        res = failures_equiv(law3_l, law3_r, budget)
         if not res.equal:
             _law(report, f"trial {i}: distribution law (failures)", False, res.verdict)
     lhs, rhs = pairing_counterexample()
-    fe = failures_equiv(lhs, rhs, budget, depth)
+    fe = failures_equiv(lhs, rhs, budget)
     _law(report, "counterexample instance: equal under failures", fe.equal, fe.verdict)
     wb = weak_bisim(lhs, rhs, budget)
     _law(
@@ -217,7 +217,7 @@ def product_suite(budget: ExplorationBudget) -> dict:
     return report
 
 
-def congruence_suite(trials: int, seed: int, budget: ExplorationBudget, depth: int = 5) -> dict:
+def congruence_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     """Random one-hole contexts applied to equivalent pairs."""
     rng = random.Random(seed)
     atoms = _atoms()
@@ -225,7 +225,7 @@ def congruence_suite(trials: int, seed: int, budget: ExplorationBudget, depth: i
     for i in range(trials):
         p, q = equivalent_pair(rng, atoms, rng.randint(2, 6))
         ctx = random_context(rng, atoms, rng.randint(1, 5))
-        res = failures_equiv(ctx(p), ctx(q), budget, depth)
+        res = failures_equiv(ctx(p), ctx(q), budget, depth=5)
         if res.verdict == "distinguished":
             _law(report, f"trial {i}: C[P] = C[Q]", False, str(res.witness))
     _law(report, f"congruence on {trials} contexts", report["ok"])

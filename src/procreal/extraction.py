@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Optional
 
 from .combinators import identity_wire, seq
-from .equivalence import EquivResult, failures_equiv, perp
+from .equivalence import EquivResult, failures_equiv
 from .names import (
     ALPHA,
     BETA,
@@ -74,7 +74,7 @@ from .logic import (
     subst_value_formula,
     subst_value_proof,
 )
-from .semtypes import formula_to_type
+from .semtypes import RepPER, SemType, formula_to_type, total
 
 
 class ExtractionError(ValueError):
@@ -404,11 +404,5 @@ def verify_totality_pipeline(
     concl = check_proof(proof).sequent
     ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
     packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
-    saw_unknown = False
-    for cls in ty.neg.classes:
-        outcome = perp(packed, cls[0], budget)
-        if outcome == "no":
-            return "diverging"
-        if outcome == "unknown":
-            saw_unknown = True
-    return "unknown" if saw_unknown else "convergent"
+    verdict = total(SemType(RepPER(((packed,),)), ty.neg), budget).verdict
+    return {"yes": "convergent", "no": "diverging"}.get(verdict, "unknown")

@@ -11,8 +11,6 @@ from typing import Callable
 from .names import (
     FiniteMap,
     FiniteRestriction,
-    Label,
-    Name,
     REGISTRY,
     SWAP,
     negative,
@@ -29,7 +27,6 @@ from .terms import (
     TAU,
     Term,
     Var,
-    print_term,
     well_formed,
 )
 
@@ -185,8 +182,20 @@ def enumerate_terms(atoms, max_size: int):
     singleton and full restriction sets, the name-swap renaming, and one
     recursion variable.  Recursion variables do not occur under parallel
     composition (such terms replicate without bound on unfolding and have
-    no finite state space, hence no normal form to compare against)."""
-    atoms = tuple(atoms)
+    no finite state space, hence no normal form to compare against).
+    Each term comes once, at its first construction."""
+    seen = set()
+    for t in _constructed_terms(tuple(atoms), max_size):
+        if t in seen:
+            continue
+        seen.add(t)
+        if not well_formed(t):
+            yield t
+
+
+def _constructed_terms(atoms: tuple, max_size: int):
+    """Every term `enumerate_terms` builds, by size, with repeats and
+    ill-formed terms."""
     labels = [positive(a) for a in atoms] + [negative(a) for a in atoms]
     guards = [frozenset([l]) for l in labels]
     if len(atoms) >= 2:
@@ -235,12 +244,5 @@ def enumerate_terms(atoms, max_size: int):
     def _body_guarded(body: Term) -> bool:
         return not well_formed(Rec("X", body))
 
-    seen = set()
     for size in range(1, max_size + 1):
-        for t in gen(size, (), False):
-            key = print_term(t)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not well_formed(t):
-                yield t
+        yield from gen(size, (), False)

@@ -802,43 +802,22 @@ def has_cut(p: Proof) -> bool:
     return any(has_cut(q) for q in p.premises())
 
 
-def find_redex(p: Proof, path: tuple = ()) -> Optional[tuple]:
-    """Leftmost-innermost reducible cut: premises first, then this node."""
-    for k, q in enumerate(p.premises()):
-        found = find_redex(q, path + (k,))
+def _reduce_innermost(p: Proof) -> Optional[tuple]:
+    """Reduces the leftmost-innermost reducible cut of `p` (premises
+    first, then this node): the rebuilt proof and the step kind, or None
+    when no cut in `p` reduces."""
+    premises = p.premises()
+    for k, q in enumerate(premises):
+        found = _reduce_innermost(q)
         if found is not None:
-            return found
+            reduced, kind = found
+            return p.with_premises(premises[:k] + (reduced,) + premises[k + 1 :]), kind
     if isinstance(p, PCut):
         try:
-            reduce_cut(p)
-            return path
+            return reduce_cut(p)
         except NotReducible:
             return None
     return None
-
-
-def proof_at(p: Proof, path: tuple) -> Proof:
-    for k in path:
-        p = p.premises()[k]
-    return p
-
-
-def replace_at(p: Proof, path: tuple, repl: Proof) -> Proof:
-    if not path:
-        return repl
-    k = path[0]
-    premises = list(p.premises())
-    premises[k] = replace_at(premises[k], path[1:], repl)
-    return p.with_premises(tuple(premises))
-
-
-def cut_step(p: Proof, path: tuple) -> tuple:
-    """Reduces the cut at `path`: the new proof and the step kind."""
-    node = proof_at(p, path)
-    if not isinstance(node, PCut):
-        raise NotReducible(f"no cut at path {path}")
-    reduced, kind = reduce_cut(node)
-    return replace_at(p, path, reduced), kind
 
 
 @dataclass
@@ -858,10 +837,10 @@ def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> 
     while has_cut(current):
         if steps >= step_bound:
             return ElimResult(current, steps, "bound", trail, kinds)
-        path = find_redex(current)
-        if path is None:
+        found = _reduce_innermost(current)
+        if found is None:
             return ElimResult(current, steps, "stuck", trail, kinds)
-        current, kind = cut_step(current, path)
+        current, kind = found
         steps += 1
         kinds.append(kind)
         if keep_trail:

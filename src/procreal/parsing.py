@@ -117,10 +117,10 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, env: Optional[dict] = None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.env = dict(env or {})
+        self.env: dict[str, Term] = {}  # the bindings `parse_program` has read
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -171,15 +171,20 @@ class _Parser:
         return Label(self.parse_name().code, neg)
 
     def parse_action(self) -> Action:
+        return frozenset(self.parse_braced(self.parse_label))
+
+    def parse_braced(self, item) -> list:
+        """`{item, ..., item}`, possibly empty: actions, finite restriction
+        sets, wire alphabets and renaming maps."""
         self.expect("{")
-        labels = []
+        items = []
         if not self.at("}"):
-            labels.append(self.parse_label())
+            items.append(item())
             while self.at(","):
                 self.next()
-                labels.append(self.parse_label())
+                items.append(item())
         self.expect("}")
-        return frozenset(labels)
+        return items
 
     # -- renamings --------------------------------------------------------
 
@@ -222,34 +227,19 @@ class _Parser:
             self.expect(")")
             return Piecewise(pieces)
         if ident == "map":
-            self.expect("{")
-            pairs = []
-            if not self.at("}"):
-                while True:
-                    src = self.parse_name()
-                    self.expect(":")
-                    dst = self.parse_name()
-                    pairs.append((src, dst))
-                    if not self.at(","):
-                        break
-                    self.next()
-            self.expect("}")
-            return FiniteMap(pairs)
+            return FiniteMap(self.parse_braced(self._map_pair))
         self.error(f"unknown renaming {ident!r}")
+
+    def _map_pair(self) -> tuple:
+        src = self.parse_name()
+        self.expect(":")
+        return src, self.parse_name()
 
     # -- restriction sets -------------------------------------------------
 
     def parse_restriction_atom(self) -> RestrictionSet:
         if self.at("{"):
-            self.next()
-            labels = []
-            if not self.at("}"):
-                labels.append(self.parse_label())
-                while self.at(","):
-                    self.next()
-                    labels.append(self.parse_label())
-            self.expect("}")
-            return FiniteRestriction(labels)
+            return FiniteRestriction(self.parse_braced(self.parse_label))
         tok = self.peek()
         if tok.kind == "ident" and tok.text in _CODING_CLASSES:
             self.next()
@@ -378,14 +368,7 @@ class _Parser:
     def _builder(self, name: str) -> Term:
         self.expect("(")
         if name == "wire":
-            self.expect("{")
-            names = []
-            if not self.at("}"):
-                names.append(self.parse_name())
-                while self.at(","):
-                    self.next()
-                    names.append(self.parse_name())
-            self.expect("}")
+            names = self.parse_braced(self.parse_name)
             self.expect(")")
             return C.identity_wire(frozenset(names))
         args = [self.parse_expr()]
@@ -409,8 +392,8 @@ class _Parser:
         return build(args)
 
 
-def parse_term(text: str, env: Optional[dict] = None) -> Term:
-    p = _Parser(text, env)
+def parse_term(text: str) -> Term:
+    p = _Parser(text)
     t = p.parse_expr()
     if p.peek().kind != "eof":
         p.error(f"trailing input {p.peek().text!r}")

@@ -78,6 +78,9 @@ class Classification:
 
 
 def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
+    """The class of `per` that `term` is failures-equivalent to, compared
+    with each class representative in order.  Every membership question
+    in this module is answered here."""
     saw_unknown = False
     for idx, cls in enumerate(per.classes):
         res = failures_equiv(term, cls[0], budget)
@@ -100,21 +103,17 @@ def realizes_neg(term: Term, t: SemType, budget: ExplorationBudget = Exploration
 
 def partition(terms, budget: ExplorationBudget) -> RepPER:
     """Groups terms into failures-equivalence classes.  Raises
-    BudgetExceeded when an equivalence query cannot be decided."""
+    BudgetExceeded when a term is equal to no class and some comparison
+    is undecided."""
     classes: list[list[Term]] = []
     for term in terms:
-        placed = False
-        for cls in classes:
-            res = failures_equiv(term, cls[0], budget)
-            if res.verdict == "equal":
-                if term not in cls:
-                    cls.append(term)
-                placed = True
-                break
-            if res.verdict == "unknown":
-                raise BudgetExceeded("partitioning undecided within budget")
-        if not placed:
+        c = classify(term, RepPER(tuple((cls[0],) for cls in classes)), budget)
+        if c.verdict == "unknown":
+            raise BudgetExceeded("partitioning undecided within budget")
+        if c.verdict == "no":
             classes.append([term])
+        elif term not in classes[c.index]:
+            classes[c.index].append(term)
     return RepPER(tuple(tuple(cls) for cls in classes))
 
 
@@ -178,13 +177,15 @@ def _passes_tensor_neg_clause(cand: Term, t: SemType, u: SemType, budget) -> boo
     """The counter-realizer clause for a tensor: left application of any
     positive of the first component lands in the second's negatives, and
     right application of any positive of the second lands in the first's."""
-    for q in t.pos.reps():
-        if classify(lapp(q, cand), u.neg, budget).verdict != "class":
-            return False
-    for r in u.pos.reps():
-        if classify(rapp(cand, r), t.neg, budget).verdict != "class":
-            return False
-    return True
+    return _lands_in((lapp(q, cand) for q in t.pos.reps()), u.neg, budget) and _lands_in(
+        (rapp(cand, r) for r in u.pos.reps()), t.neg, budget
+    )
+
+
+def _lands_in(images, per: RepPER, budget) -> bool:
+    """Every term of `images` is in a class of `per`; stops at the first
+    that is not (or is undecided)."""
+    return all(classify(x, per, budget).verdict == "class" for x in images)
 
 
 def with_type(t: SemType, u: SemType) -> SemType:
@@ -234,14 +235,12 @@ def _passes_bang_neg_clause(body: Term, banged, stage_reps, budget) -> bool:
     replicable resource (`banged`: the type's positive representatives
     under `bang`) on either half, checked against the previous stage's
     representatives."""
-    for br in banged:
-        left = lapp(br, body)
-        if not any(failures_equiv(left, s, budget).equal for s in stage_reps):
-            return False
-        right = rapp(body, br)
-        if not any(failures_equiv(right, s, budget).equal for s in stage_reps):
-            return False
-    return True
+    def halves():
+        for br in banged:
+            yield lapp(br, body)
+            yield rapp(body, br)
+
+    return _lands_in(halves(), RepPER(tuple((s,) for s in stage_reps)), budget)
 
 
 def forall_v_type(family: dict) -> SemType:

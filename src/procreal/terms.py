@@ -14,6 +14,12 @@ Transitions are not kept on nodes.  An exploration memoises them by node
 for as long as it runs (`semantics.step`'s `_memo`), so a subtree shared
 by many states is stepped once.  Kept on the nodes, they would live as
 long as the inputs that hold the nodes.
+
+A term's sort (`sort_labels`) is a syntactic bound on the labels it can
+ever perform: a frozenset of labels, or None when no finite bound is
+known (a renaming over a recursion variable, a renaming that leaves its
+domain, an unexpanded value-passing prefix).  A restriction drops the
+labels its set blocks (`RestrictionSet.blocks`, both polarities).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .names import (
     RestrictionSet,
     TAU,
     compose_renamings,
-    label_key,
     print_action,
     print_name,
     positive,
@@ -332,36 +337,12 @@ def free_process_vars(t: Term) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # Sorts: sound over-approximation of the labels a term can ever perform.
+# A sort is a frozenset of labels, or None for the symbolic bound "all
+# labels" (a renaming over a recursion variable, or an unexpanded
+# value-passing prefix).
 
 
-class SortInfo:
-    pass
-
-
-@dataclass(frozen=True)
-class FiniteSort(SortInfo):
-    labels: frozenset
-
-    def __str__(self):
-        return "{" + ",".join(str(l) for l in sorted(self.labels, key=label_key)) + "}"
-
-
-@dataclass(frozen=True)
-class AllSort(SortInfo):
-    """Symbolic bound: the sort may touch the whole label space.
-
-    Produced when a renaming sits over a recursion variable (iterated
-    relabelling) or for unexpanded value-passing prefixes.
-    """
-
-    def __str__(self):
-        return "all"
-
-
-ALL_SORT = AllSort()
-
-
-def _sort(t: Term) -> tuple[SortInfo, bool]:
+def _sort(t: Term) -> tuple[Optional[frozenset], bool]:
     """Returns (sort, touches_free_var)."""
     if isinstance(t, Sum):
         labs: set = set()
@@ -370,60 +351,47 @@ def _sort(t: Term) -> tuple[SortInfo, bool]:
             labs |= a
             sub, tv = _sort(p)
             touched = touched or tv
-            if isinstance(sub, AllSort):
-                return ALL_SORT, touched
-            labs |= sub.labels
-        return FiniteSort(frozenset(labs)), touched
+            if sub is None:
+                return None, touched
+            labs |= sub
+        return frozenset(labs), touched
     if isinstance(t, Prefix):
         sub, tv = _sort(t.cont)
-        if isinstance(sub, AllSort):
-            return ALL_SORT, tv
-        return FiniteSort(frozenset(t.action) | sub.labels), tv
+        return (None if sub is None else t.action | sub), tv
     if isinstance(t, Par):
         sl, tl = _sort(t.left)
         sr, tr = _sort(t.right)
-        if isinstance(sl, AllSort) or isinstance(sr, AllSort):
-            return ALL_SORT, tl or tr
-        return FiniteSort(sl.labels | sr.labels), tl or tr
+        return (None if sl is None or sr is None else sl | sr), tl or tr
     if isinstance(t, Restrict):
         sub, tv = _sort(t.proc)
-        if isinstance(sub, AllSort):
-            return ALL_SORT, tv
-        kept = frozenset(
-            l for l in sub.labels
-            if not (t.labels.contains_label(l) or t.labels.contains_label(l.dual()))
-        )
-        return FiniteSort(kept), tv
+        if sub is None:
+            return None, tv
+        return frozenset(l for l in sub if not t.labels.blocks((l,))), tv
     if isinstance(t, Rename):
         sub, tv = _sort(t.proc)
-        if tv or isinstance(sub, AllSort):
+        if tv or sub is None:
             # iterated relabelling under recursion: no finite bound
-            return ALL_SORT, tv
+            return None, tv
         out = []
-        for l in sub.labels:
+        for l in sub:
             img = t.ren.apply_label(l)
             if img is None:
-                return ALL_SORT, tv
+                return None, tv
             out.append(img)
-        return FiniteSort(frozenset(out)), tv
+        return frozenset(out), tv
     if isinstance(t, Var):
-        return FiniteSort(frozenset()), True
+        return frozenset(), True
     if isinstance(t, Rec):
         sub, _ = _sort(t.body)
         return sub, False
     if isinstance(t, (InputPrefix, OutputPrefix)):
-        return ALL_SORT, False
+        return None, False
     raise TypeError(f"not a term: {t!r}")
-
-
-def sort_of(t: Term) -> SortInfo:
-    return _sort(t)[0]
 
 
 def sort_labels(t: Term) -> Optional[frozenset]:
     """Finite sort label set, or None when only the symbolic bound exists."""
-    s = sort_of(t)
-    return s.labels if isinstance(s, FiniteSort) else None
+    return _sort(t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +415,7 @@ def _guarded(t: Term, var: str) -> bool:
     raise TypeError(f"not a term: {t!r}")
 
 
-def well_formed(t: Term, allow_free: frozenset = frozenset()) -> list[str]:
+def well_formed(t: Term) -> list[str]:
     """Diagnostics list; empty means well-formed."""
     diags: list[str] = []
 
@@ -465,9 +433,9 @@ def well_formed(t: Term, allow_free: frozenset = frozenset()) -> list[str]:
         elif isinstance(u, Restrict):
             walk(u.proc, bound, vbound)
         elif isinstance(u, Rename):
-            sub = sort_of(u.proc)
-            if not isinstance(sub, AllSort):
-                for lab in sub.labels:
+            sub = sort_labels(u.proc)
+            if sub is not None:
+                for lab in sub:
                     if u.ren.apply_label(lab) is None:
                         diags.append(
                             f"label {lab} of sort outside domain of renaming {u.ren}"
@@ -476,7 +444,7 @@ def well_formed(t: Term, allow_free: frozenset = frozenset()) -> list[str]:
             # engine raises a domain error if a step actually escapes
             walk(u.proc, bound, vbound)
         elif isinstance(u, Var):
-            if u.ident not in bound and u.ident not in allow_free:
+            if u.ident not in bound:
                 diags.append(f"unbound process variable {u.ident}")
         elif isinstance(u, Rec):
             if not _guarded(u.body, u.var):

@@ -15,12 +15,11 @@ registry, so the lines are computed in a fresh interpreter:
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import procreal
+from conftest import subprocess_env
 from procreal.corpus import corpus_proofs
 from procreal.exercises import atom_type, pairing_counterexample
 from procreal.extraction import extract, formula_wire
@@ -100,10 +99,9 @@ def lts_exports() -> list:
 
 
 def fresh_lines(which: str) -> list:
-    src = str(Path(procreal.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, __file__, which], capture_output=True, text=True, env=env, check=True
+        [sys.executable, __file__, which],
+        capture_output=True, text=True, env=subprocess_env(), check=True,
     )
     return proc.stdout.splitlines()
 

@@ -4,10 +4,11 @@ themselves live in the package so the command line runs the same code.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
+
+from conftest import subprocess_env
 
 from procreal.corpus import corpus_proofs
 from procreal.equivalence import failures_bounded, failures_equiv, normal_form, perp, weak_bisim
@@ -242,7 +243,7 @@ def test_acceptance_10_determinism(tmp_path):
     term.write_text("bang({a}.0)\n", encoding="utf-8")
     outs = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = subprocess_env(PYTHONHASHSEED=hash_seed)
         runs = []
         for argv in (
             ["-m", "procreal.cli", "exercises", "--trials", "2",

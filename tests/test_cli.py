@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import subprocess_env
 
-import procreal
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
 from procreal.logic import (
@@ -82,11 +81,9 @@ def test_deeply_nested_input_exits_three(files):
     # 20,000 nested prefixes overflow the recursive-descent parser; the
     # command must say so and exit 3 (input), not 1 with a traceback
     path = files("deeper.term", "{a}." * 20000 + "0\n")
-    src = str(Path(procreal.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "procreal.cli", "lts", path],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 3
     assert "nested too deeply" in proc.stderr
@@ -186,6 +183,11 @@ def _proof(cmd, data, *extra):
     return [cmd, "p.json", *extra], {"p.json": json.dumps(data)}
 
 
+def _run(argv, contents, files):
+    paths = {name: files(name, text) for name, text in contents.items()}
+    return main([paths.get(arg, arg) for arg in argv])
+
+
 @pytest.mark.parametrize(
     "argv, contents",
     [
@@ -207,6 +209,12 @@ def _proof(cmd, data, *extra):
         pytest.param(*_check_type(TYPE_ENV, "a*zz"), id="undeclared-atom"),
         pytest.param(*_check_type(dict(TYPE_ENV, values=5)), id="values-not-a-list"),
         pytest.param(*_check_type([TYPE_ENV]), id="type-env-not-an-object"),
+        pytest.param(*_check_type({"atoms": {"a": {"pos": ["rec X. X"], "neg": ["{~a}.0"]}}}),
+                     id="unguarded-environment-term"),
+        pytest.param(*_check_type({"atoms": {"a": {"pos": ["X"], "neg": ["{~a}.0"]}}}),
+                     id="open-environment-term"),
+        pytest.param(*_check_type({"atoms": {"a": {"pos": ["in s(x). 0"], "neg": ["{~a}.0"]}}}),
+                     id="environment-term-without-values"),
         pytest.param(["extract", "p.json", "--atoms", "atoms.json"],
                      {"p.json": json.dumps(AXIOM), "atoms.json": json.dumps({"a": 5})},
                      id="atoms-alphabet-not-a-list"),
@@ -231,10 +239,27 @@ def _proof(cmd, data, *extra):
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):
-    paths = {name: files(name, text) for name, text in contents.items()}
-    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    assert _run(argv, contents, files) == 3
     err = capsys.readouterr().err.strip()
     assert err and "\n" not in err and "Traceback" not in err
+
+
+def test_check_type_expands_terms_over_the_environment_values(files, capsys):
+    env = {"atoms": {"a": {"pos": ["in s(x). 0"], "neg": ["{~a}.0"]}}, "values": [0]}
+    argv, contents = _check_type(env)
+    assert _run(argv, contents, files) == 1
+    contents["t.term"] = "in s(y). 0\n"
+    assert _run(argv, contents, files) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["verdict: class", "class: 0"]
+
+
+def test_check_type_undecided_environment_exits_two(files, capsys):
+    # two replicating terms: no state budget separates their classes
+    env = {"atoms": {"a": {"pos": ["bang({a}.0)", "bang({a}.0 + {b}.0)"], "neg": ["{~a}.0"]}}}
+    argv, contents = _check_type(env)
+    assert _run([*argv, "--max-states", "50"], contents, files) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "budget exhausted: partitioning undecided within budget"
 
 
 def test_check_type(files, capsys):

@@ -2,28 +2,26 @@
 oracle stays independent of the engine it checks."""
 
 import ast
-import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import subprocess_env
 
 import procreal
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(procreal.__path__))
-SRC = str(Path(procreal.__file__).resolve().parent.parent)
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_alone(name):
     # a fresh interpreter per module, so an import cycle cannot hide
     # behind a module that an earlier import already loaded
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", f"import procreal.{name}"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
 

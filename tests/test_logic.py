@@ -16,7 +16,6 @@ from procreal.logic import (
     FQuest,
     FTensor,
     FWith,
-    NotReducible,
     RULE_NAMES,
     PAxiom,
     PCut,
@@ -28,8 +27,6 @@ from procreal.logic import (
     check_proof,
     conclusion,
     cut_eliminate,
-    cut_step,
-    find_redex,
     has_cut,
     negate,
     parse_formula,
@@ -37,6 +34,7 @@ from procreal.logic import (
     print_sequent,
     proof_from_json,
     proof_to_json,
+    reduce_cut,
     subst_value_formula,
     subst_value_proof,
 )
@@ -170,18 +168,34 @@ def test_corpus_covers_every_step_kind():
     assert expected <= seen
 
 
-def test_cut_step_requires_cut_position():
-    with pytest.raises(NotReducible):
-        cut_step(PAxiom(A), ())
+def test_one_step_reduces_a_cut_below_the_root():
+    assert cut_eliminate(PAxiom(A), step_bound=1).steps == 0
     cut = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
-    proof, kind = cut_step(PParR(cut), (0,))
-    assert kind == "axiom-left" and not has_cut(proof)
+    res = cut_eliminate(PParR(cut), step_bound=1)
+    assert (res.status, res.kinds) == ("done", ["axiom-left"])
+    assert not has_cut(res.proof)
 
 
-def test_find_redex_innermost_first():
+def test_innermost_cut_reduces_first():
     inner = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
     outer = PCut(negate(A), inner, PAxiom(A), -1, -1)
-    assert find_redex(outer) == (0,)
+    reduced, kind = reduce_cut(inner)
+    res = cut_eliminate(outer, step_bound=1, keep_trail=True)
+    assert (res.status, res.kinds) == ("bound", [kind])
+    assert res.trail == [outer, PCut(negate(A), reduced, PAxiom(A), -1, -1)]
+
+
+def test_each_elimination_step_reduces_once(monkeypatch):
+    # one walk finds and reduces the redex: one `reduce_cut` per step
+    calls = []
+
+    def counted(cut):
+        calls.append(cut)
+        return reduce_cut(cut)
+
+    monkeypatch.setattr("procreal.logic.reduce_cut", counted)
+    steps = sum(cut_eliminate(e["proof"]).steps for e in corpus_proofs().values())
+    assert len(calls) == steps == 59
 
 
 def test_json_roundtrip_corpus():

@@ -3,7 +3,7 @@ import pytest
 from golden_lines import fresh_lines, golden_lines
 
 from procreal.combinators import identity_wire, pairing, tensor
-from procreal.equivalence import failures_equiv, perp
+from procreal.equivalence import BudgetExceeded, EquivResult, failures_equiv, perp
 from procreal.logic import parse_formula
 from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
@@ -66,6 +66,19 @@ def test_partition_groups_by_behaviour():
     per = partition(terms, BUD)
     assert len(per.classes) == 2
     assert validate_repper(per, BUD) == []
+
+
+def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(monkeypatch):
+    x, y, z, w = (parse_term(f"{{{n}}}.0") for n in "xyzw")
+    verdicts = {(y, x): "distinguished", (z, x): "unknown", (z, y): "equal"}
+    monkeypatch.setattr(
+        "procreal.semtypes.failures_equiv",
+        lambda p, q, budget: EquivResult(verdicts.get((p, q), "unknown")),
+    )
+    assert partition([x, y, z], BUD).classes == ((x,), (y, z))
+    # equal to no class, and undecided against one
+    with pytest.raises(BudgetExceeded):
+        partition([x, y, w], BUD)
 
 
 def test_dual_involutive():

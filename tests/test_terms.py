@@ -5,12 +5,10 @@ import random
 import pytest
 
 from procreal.combinators import bang
-from procreal.generators import enumerate_terms, random_term
+from procreal.generators import _constructed_terms, enumerate_terms, random_term
 from procreal.names import SWAP, FiniteRestriction, REGISTRY, negative, positive
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
-    AllSort,
-    FiniteSort,
     InputPrefix,
     NIL,
     OutputPrefix,
@@ -27,7 +25,7 @@ from procreal.terms import (
     print_term,
     rename,
     restrict,
-    sort_of,
+    sort_labels,
     subterms,
     substitute_value,
     term_depth,
@@ -57,6 +55,23 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse_term("{a}.0 +\n  | 0")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{a, b.0", "expected '}', found '.' (line 1, column 6)"),
+        ("0 \\ {a, b", "expected '}', found '' (line 1, column 10)"),
+        ("wire({a, b)", "expected '}', found ')' (line 1, column 11)"),
+        ("0 [map{a:b, b:a]", "expected '}', found ']' (line 1, column 16)"),
+    ],
+    ids=["action", "restriction", "wire-alphabet", "renaming-map"],
+)
+def test_unclosed_brace_message(text, message):
+    # one braced-list reader serves all four positions
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == message
 
 
 def test_bindings_and_main():
@@ -95,22 +110,22 @@ def test_well_formed_renaming_domain():
 
 
 def test_sort_examples():
-    assert sort_of(NIL) == FiniteSort(frozenset())
+    assert sort_labels(NIL) == frozenset()
     t = parse_term("{a}.0 | {~a}.0")
-    assert sort_of(t) == FiniteSort(frozenset([positive(A), negative(A)]))
+    assert sort_labels(t) == frozenset([positive(A), negative(A)])
     r = parse_term("({a}.0) \\ {a}")
-    assert sort_of(r) == FiniteSort(frozenset())
+    assert sort_labels(r) == frozenset()
 
 
 def test_sort_symbolic_for_replicating_terms():
-    assert isinstance(sort_of(bang(parse_term("{a}.0"))), AllSort)
+    assert sort_labels(bang(parse_term("{a}.0"))) is None
 
 
 def test_sort_sound_for_restriction():
-    t = Restrict(parse_term("{a}.{b}.0"), FiniteRestriction([positive(A)]))
-    s = sort_of(t)
-    assert positive(A) not in s.labels
-    assert positive(B) in s.labels
+    t = Restrict(parse_term("{a}.{b}.0 | {~a}.0"), FiniteRestriction([positive(A)]))
+    s = sort_labels(t)
+    assert positive(A) not in s and negative(A) not in s  # both polarities
+    assert positive(B) in s
 
 
 def test_expand_values_input():
@@ -300,3 +315,18 @@ def test_deep_nesting_builds_without_recursion_error():
         t = wrap[k % len(wrap)](t)
     assert term_depth(t) == 20001
     assert hash(t) == hash(t) and {t: 1}[t] == 1
+
+
+def test_enumeration_prints_nothing_and_matches_printed_key_dedup(monkeypatch):
+    # de-duplicating by node keeps the terms and the order that
+    # de-duplicating by printed text keeps
+    def refuse(t, prec):
+        raise AssertionError("a term was printed during enumeration")
+
+    with monkeypatch.context() as m:
+        m.setattr("procreal.terms._print", refuse)
+        got = list(enumerate_terms((A, B), 4))
+    by_text = {}
+    for t in _constructed_terms((A, B), 4):
+        by_text.setdefault(print_term(t), t)
+    assert got == [t for t in by_text.values() if not well_formed(t)]
