@@ -128,7 +128,7 @@ def cmd_lts(args) -> int:
     else:
         print(json.dumps(lts.to_json(), indent=2, sort_keys=True))
     if not lts.complete:
-        print(f"{exhausted_limit(lts, budget)}; graph is partial", file=sys.stderr)
+        print(f"{exhausted_limit(lts)}; graph is partial", file=sys.stderr)
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -263,10 +263,20 @@ def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
                 f'and an optional "alphabet" list of names'
             )
         alphabet = frozenset(REGISTRY.intern(n) for n in spec.get("alphabet", [ident]))
-        pos = partition([_checked_term(s, path, values) for s in spec["pos"]], budget)
-        neg = partition([_checked_term(s, path, values) for s in spec["neg"]], budget)
+        pos = _partition_side(spec, ident, "pos", path, values, budget)
+        neg = _partition_side(spec, ident, "neg", path, values, budget)
         atom_types[ident] = SemType(pos, neg, alphabet)
     return atom_types, values
+
+
+def _partition_side(spec: dict, ident: str, side: str, path: str, values: tuple, budget):
+    """The classes of one side of an environment atom; an undecided
+    partition names the atom and the side."""
+    terms = [_checked_term(s, path, values) for s in spec[side]]
+    try:
+        return partition(terms, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"atom {ident!r} {side}: {exc}") from exc
 
 
 def cmd_check_type(args) -> int:
@@ -282,6 +292,8 @@ def cmd_check_type(args) -> int:
     out = {"verdict": cls.verdict}
     if cls.index is not None:
         out["class"] = cls.index
+    if cls.detail:
+        out["detail"] = cls.detail
     _emit(out, args)
     return {"class": EXIT_OK, "no": EXIT_DISTINGUISHED}.get(cls.verdict, EXIT_UNKNOWN)
 

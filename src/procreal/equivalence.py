@@ -18,8 +18,10 @@ from typing import Optional
 from .names import ALL_LABELS, Action, TAU, action_key, print_action
 from .semantics import (
     DEPTH_CAP,
+    BudgetExceeded,
     ExplorationBudget,
     LTS,
+    StepMemo,
     build_lts,
     diverges,
     exhausted_limit,
@@ -27,10 +29,6 @@ from .semantics import (
     tau_closure,
 )
 from .terms import Par, Restrict, Term, term_depth
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 def _family_json(family) -> list:
@@ -115,7 +113,7 @@ class _StepCache:
         self.states: set = set()
         self.trans: dict = {}  # state -> tuple[(Action, state)]
         self.budget = budget
-        self.steps: dict = {}
+        self.steps = StepMemo(budget.max_transitions)
 
     def admit(self, t: Term) -> Term:
         if term_depth(t) > DEPTH_CAP:
@@ -358,9 +356,9 @@ def weak_bisim(
     lts_p = build_lts(p, budget)
     lts_q = build_lts(q, budget)
     if not lts_p.complete:
-        return EquivResult("unknown", detail=exhausted_limit(lts_p, budget))
+        return EquivResult("unknown", detail=exhausted_limit(lts_p))
     if not lts_q.complete:
-        return EquivResult("unknown", detail=exhausted_limit(lts_q, budget))
+        return EquivResult("unknown", detail=exhausted_limit(lts_q))
     # An equal node behaves the same in both graphs; merge them.
     merged = LTS(initial=lts_p.initial)
     merged.terms = {**lts_p.terms, **lts_q.terms}

@@ -6,6 +6,22 @@ transitions with actions d and e, every subset b of the matchable part
 (d - b) u (e - dual(b)), provided that union is disjoint.  b empty gives
 the simultaneous performance of independent actions; full matching of a
 singleton gives the classic tau synchronization.
+
+Every hidden-interface combinator (`seq`, `lapp`, `rapp`, and the closed
+composition of `perp`) puts the parallel rule directly under a
+restriction, which blocks most of what the rule could build.  So `step`
+combines the components' transitions under the restriction in one pass
+(`_par_step`), as FDR3's supercombinators build a node's transitions
+from its components' (Gibson-Robinson, Armstrong, Boulgakov and Roscoe,
+TACAS 2014): a blocked interleaving is never built, and a synchronisation
+enumerates only the subsets b that leave no blocked label.  The pairs and
+their order are those of building everything and filtering afterwards.
+
+An exploration is bounded by an `ExplorationBudget`: the states it
+admits, and the successors `step` builds for it.  One state can have
+exponentially many successors, so without the second limit the first
+does not bound memory.  A partial graph records the limit that stopped
+it (`exhausted_limit`).
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, KeysView, Optional
 
-from .names import action_key, dual_action, label_key, print_action
+from .names import RestrictionSet, action_key, dual_action, label_key, print_action
 from .terms import (
     InputPrefix,
     OutputPrefix,
@@ -40,18 +56,38 @@ class SemanticsError(Exception):
     pass
 
 
+class BudgetExceeded(Exception):
+    """An exploration outran one of its limits before it could answer."""
+
+
 # States nested deeper than this are treated as budget exhaustion; see
 # terms.term_depth.
 DEPTH_CAP = 200
 
+# The default bound on the successors one exploration builds (see
+# ExplorationBudget).  Over full benchmark runs (all three workloads,
+# seeds 101-110) no exploration built more than 939, and none in the
+# tests more than about 9,600; the bound is twenty times the latter.  The
+# seq(bang(w), w) probe of the tests hits it at about 160 MB resident.
+MAX_TRANSITIONS = 200_000
+
 
 @dataclass(frozen=True)
 class ExplorationBudget:
+    """The limits of one exploration: the states it admits, and the
+    successors `step` builds for it, counted over every node it memoises
+    (components included).  One state can have exponentially many
+    successors, so the state budget alone does not bound the work or the
+    memory of an exploration."""
+
     max_states: int = 5000
+    max_transitions: int = MAX_TRANSITIONS
 
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        if self.max_transitions < 1:
+            raise ValueError("max_transitions must be at least 1")
 
 
 def _subsets(items: tuple) -> Iterable[frozenset]:
@@ -60,7 +96,25 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
             yield frozenset(combo)
 
 
-def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> KeysView:
+class StepMemo(dict):
+    """An exploration's memo for `step`: the transitions of each node it
+    has stepped, by node, and the number of successors those hold, which
+    must stay within `limit`."""
+
+    __slots__ = ("built", "limit")
+
+    def __init__(self, limit: int):
+        self.built = 0
+        self.limit = limit
+
+    def keep(self, t: Term, out: KeysView):
+        self.built += len(out)
+        if self.built > self.limit:
+            raise BudgetExceeded(f"transition budget {self.limit} exhausted")
+        self[t] = out
+
+
+def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView:
     """One-step transitions: the (action, successor term) pairs, as the
     keys of a dict (they compare with a set as a set), in rule order: a
     sum's branches; a parallel's left moves, right moves, then
@@ -68,12 +122,18 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> KeysView:
     exploration that fills its budget admits the same states whatever the
     hash seed.
 
+    A restriction of a parallel is stepped by `_par_step` in one pass,
+    which builds only the successors the restriction keeps, in the order
+    that filtering all of them would leave.
+
     `_memo` is an exploration's memo of the transitions of the nodes it
     has stepped, read and filled here, so a component that several states
     share is stepped once and the result is shared: it must not be
     mutated.  It lives as long as that exploration only (see `build_lts`
-    for why).  A node whose step raises is not remembered; prefixes and
-    sums, read straight off the node, are not remembered either."""
+    for why), and it counts the successors it holds: past its limit the
+    step raises BudgetExceeded.  A node whose step raises is not
+    remembered; prefixes and sums, read straight off the node, are not
+    remembered either."""
     if _depth > 512:
         raise SemanticsError("recursion unfolding too deep; term is likely unguarded")
     if isinstance(t, Prefix):
@@ -85,28 +145,14 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> KeysView:
         if out is not None:
             return out
     if isinstance(t, Par):
-        left = step(t.left, _depth, _memo)
-        right = step(t.right, _depth, _memo)
-        pairs = {}
-        for a, p in left:
-            pairs[a, Par(p, t.right)] = None
-        for a, q in right:
-            pairs[a, Par(t.left, q)] = None
-        for d, p in left:
-            for e, q in right:
-                dual_e = dual_action(e)
-                matchable = tuple(sorted(d & dual_e, key=label_key))
-                for b in _subsets(matchable):
-                    combined_l = d - b
-                    combined_r = e - dual_action(b)
-                    if combined_l & combined_r:
-                        continue
-                    pairs[combined_l | combined_r, Par(p, q)] = None
-        out = pairs.keys()
+        out = _par_step(t, None, _depth, _memo)
     elif isinstance(t, Restrict):
-        out = dict.fromkeys(
-            (a, restrict(p, t.labels)) for a, p in step(t.proc, _depth, _memo) if not t.labels.blocks(a)
-        ).keys()
+        if isinstance(t.proc, Par):
+            out = _par_step(t.proc, t.labels, _depth, _memo)
+        else:
+            out = dict.fromkeys(
+                (a, restrict(p, t.labels)) for a, p in step(t.proc, _depth, _memo) if not t.labels.blocks(a)
+            ).keys()
     elif isinstance(t, Rename):
         out = dict.fromkeys(
             (t.ren.apply_action(a), rename(p, t.ren)) for a, p in step(t.proc, _depth, _memo)
@@ -120,7 +166,77 @@ def step(t: Term, _depth: int = 0, _memo: Optional[dict] = None) -> KeysView:
     else:
         raise TypeError(f"not a term: {t!r}")
     if _memo is not None:
-        _memo[t] = out
+        _memo.keep(t, out)
+    return out
+
+
+def _par_step(t: Par, labels: Optional[RestrictionSet], depth: int, memo: Optional[StepMemo]) -> KeysView:
+    """The parallel rule on `t`; under the restriction `labels` when it is
+    not None, in the same pass.  Then an action survives only if none of
+    its labels is blocked (`RestrictionSet.blocks`).  An interleaving
+    whose action is blocked is not built.  A synchronisation of d with e
+    leaves (d - b) u (e - dual(b)), so it survives only if b holds every
+    blocked label Bd of d and dual(b) every blocked label Be of e: that
+    needs Bd == dual(Be), and then b is Bd u s for a subset s of the
+    unblocked matchable labels.  Enumerating s in `_subsets` order gives
+    those b in the order of the full enumeration, since adding Bd to
+    subsets of one size keeps their order.  A survivor is built as
+    `Restrict(Par(p, q), labels)`, what `restrict` makes of it after the
+    fact.  `labels` is pushed one level only: the blocked labels of an
+    inner parallel may still be matched by its sibling."""
+    left = step(t.left, depth, memo)
+    right = step(t.right, depth, memo)
+    blocked = {} if labels is None else _blocked_parts(labels, left, right)
+    pairs = {}
+    for a, p in left:
+        if a not in blocked:
+            succ = Par(p, t.right)
+            pairs[a, succ if labels is None else Restrict(succ, labels)] = None
+    for a, q in right:
+        if a not in blocked:
+            succ = Par(t.left, q)
+            pairs[a, succ if labels is None else Restrict(succ, labels)] = None
+    needed = {e: dual_action(be) for e, be in blocked.items()}  # e -> dual(Be)
+    for d, p in left:
+        bd = blocked.get(d, TAU)
+        for e, q in right:
+            if needed.get(e, TAU) != bd:
+                continue
+            dual_e = dual_action(e)
+            succ = None
+            for s in _subsets(tuple(sorted((d & dual_e) - bd, key=label_key))):
+                b = bd | s
+                combined_l = d - b
+                combined_r = e - dual_action(b)
+                if combined_l & combined_r:
+                    continue
+                if succ is None:
+                    succ = Par(p, q)
+                    if labels is not None:
+                        succ = Restrict(succ, labels)
+                pairs[combined_l | combined_r, succ] = None
+    return pairs.keys()
+
+
+def _blocked_parts(labels: RestrictionSet, *steps) -> dict:
+    """Each action of `steps` that `labels` blocks -> its labels that
+    `labels` blocks, in either polarity; each label is looked up once."""
+    status: dict = {}
+    out: dict = {}
+    for pairs in steps:
+        for a, _ in pairs:
+            if a in out:
+                continue
+            found = []
+            for lab in a:
+                hit = status.get(lab)
+                if hit is None:
+                    hit = labels.contains_label(lab) or labels.contains_label(lab.dual())
+                    status[lab] = status[lab.dual()] = hit
+                if hit:
+                    found.append(lab)
+            if found:
+                out[a] = frozenset(found)
     return out
 
 
@@ -138,8 +254,12 @@ class LTS:
     initial: Term
     terms: dict = field(default_factory=dict)  # state -> None, in the order admitted
     transitions: dict = field(default_factory=dict)  # state -> tuple[(Action, state)]
-    complete: bool = True
+    limit: str = ""  # the limit that left the graph partial; "" when complete
     normal_form: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def complete(self) -> bool:
+        return not self.limit
 
     def successors(self, state: Term):
         return self.transitions.get(state, ())
@@ -193,7 +313,7 @@ MEMO_STATES = 500
 
 
 class _GraphMemo:
-    """Explored graphs by (term, state budget), least recently used
+    """Explored graphs by (term, budget), least recently used
     first, holding at most MEMO_STATES states in total.  A graph larger
     than that is never kept."""
 
@@ -228,12 +348,13 @@ _MEMO = _GraphMemo()
 def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     """Breadth-first closure of `step`, printing nothing.  Deterministic:
     states are admitted, and each state's transitions stored, in `step`'s
-    order.  When the state budget is hit the result carries
-    complete=False and the frontier left unexpanded.
+    order.  When a limit is hit the result is partial (complete=False),
+    and its `limit` names the limit: the state budget or the depth cap
+    leave the frontier they refuse unexpanded, and the transition budget
+    ends the exploration where it is.
 
     The result is shared with every other call on an equal term, under
-    the same `max_states`, while it stays in the memo; it must not be
-    mutated.
+    the same budget, while it stays in the memo; it must not be mutated.
 
     While it runs, an exploration memoises the transitions of the nodes
     it meets (`step`'s `_memo`): a successor such as `Par(p, R)` re-uses
@@ -241,40 +362,50 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     returns.  Kept longer, it would hold every node the caller keeps
     alive, and the inputs of a large batch of queries hold many.
     """
-    memo_key = (t, budget.max_states)
+    memo_key = (t, budget.max_states, budget.max_transitions)
     lts = _MEMO.get(memo_key)
     if lts is not None:
         return lts
-    steps: dict = {}
+    steps = StepMemo(budget.max_transitions)
     lts = LTS(initial=t, terms={t: None})
     frontier = [t]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            if term_depth(u) > DEPTH_CAP:
-                lts.complete = False
-                continue
-            succs = []
-            for a, p in step(u, 0, steps):
-                if p not in lts.terms:
-                    if len(lts.terms) >= budget.max_states:
-                        lts.complete = False
-                        continue
-                    lts.terms[p] = None
-                    next_frontier.append(p)
-                succs.append((a, p))
-            lts.transitions[u] = tuple(succs)
-        frontier = next_frontier
+    full = capped = False
+    try:
+        while frontier:
+            next_frontier = []
+            for u in frontier:
+                if term_depth(u) > DEPTH_CAP:
+                    capped = True
+                    continue
+                succs = []
+                for a, p in step(u, 0, steps):
+                    if p not in lts.terms:
+                        if len(lts.terms) >= budget.max_states:
+                            full = True
+                            continue
+                        lts.terms[p] = None
+                        next_frontier.append(p)
+                    succs.append((a, p))
+                lts.transitions[u] = tuple(succs)
+            frontier = next_frontier
+    except BudgetExceeded:
+        lts.limit = "transition budget exhausted"
+    else:
+        if full:
+            lts.limit = "state budget exhausted"
+        elif capped:
+            lts.limit = f"depth cap {DEPTH_CAP} reached"
     _MEMO.put(memo_key, lts)
     return lts
 
 
-def exhausted_limit(lts: LTS, budget: ExplorationBudget) -> str:
-    """Names the limit that left a partial `lts` unexpanded: the state
-    budget when the graph filled it, else the depth cap."""
-    if len(lts.terms) >= budget.max_states:
-        return "state budget exhausted"
-    return f"depth cap {DEPTH_CAP} reached"
+def exhausted_limit(lts: LTS) -> str:
+    """Names the limit that left a partial `lts` unexpanded, as recorded
+    by `build_lts`: "state budget exhausted", "transition budget
+    exhausted" or "depth cap 200 reached" (DEPTH_CAP).  When both the
+    state budget and the depth cap refused states, the state budget is
+    named."""
+    return lts.limit
 
 
 def tau_closure(graph, keys) -> frozenset:

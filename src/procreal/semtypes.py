@@ -80,16 +80,19 @@ class Classification:
 def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
     """The class of `per` that `term` is failures-equivalent to, compared
     with each class representative in order.  Every membership question
-    in this module is answered here."""
-    saw_unknown = False
+    in this module is answered here.  When no class is equal and some
+    comparison was undecided, the verdict is "unknown" and its detail is
+    the first undecided comparison's, which names the limit that stopped
+    it."""
+    undecided = None
     for idx, cls in enumerate(per.classes):
         res = failures_equiv(term, cls[0], budget)
         if res.verdict == "equal":
             return Classification("class", idx)
-        if res.verdict == "unknown":
-            saw_unknown = True
-    if saw_unknown:
-        return Classification("unknown", detail="budget exhausted during classification")
+        if res.verdict == "unknown" and undecided is None:
+            undecided = res.detail
+    if undecided is not None:
+        return Classification("unknown", detail=undecided)
     return Classification("no")
 
 
@@ -109,7 +112,7 @@ def partition(terms, budget: ExplorationBudget) -> RepPER:
     for term in terms:
         c = classify(term, RepPER(tuple((cls[0],) for cls in classes)), budget)
         if c.verdict == "unknown":
-            raise BudgetExceeded("partitioning undecided within budget")
+            raise BudgetExceeded(f"partitioning undecided within budget ({c.detail})")
         if c.verdict == "no":
             classes.append([term])
         elif term not in classes[c.index]:
@@ -363,7 +366,7 @@ def _class_map(classes, image, per: RepPER, budget, where: str, outside: str, on
         for member in cls:
             c = classify(image(member), per, budget)
             if c.verdict == "unknown":
-                return MorphismResult("unknown", witness=f"{name}: {c.detail}")
+                return MorphismResult("unknown", witness=f"{name}: budget exhausted during classification")
             if c.verdict == "no":
                 return MorphismResult("no", witness=outside.format(name))
             landed.add(c.index)

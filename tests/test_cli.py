@@ -259,7 +259,21 @@ def test_check_type_undecided_environment_exits_two(files, capsys):
     argv, contents = _check_type(env)
     assert _run([*argv, "--max-states", "50"], contents, files) == 2
     err = capsys.readouterr().err.strip()
-    assert err == "budget exhausted: partitioning undecided within budget"
+    assert err == (
+        "budget exhausted: atom 'a' pos: partitioning undecided within budget "
+        "(budget exhausted: state budget 50 exhausted)"
+    )
+
+
+def test_check_type_undecided_term_names_the_limit(files, capsys):
+    env = {"atoms": {"a": {"pos": ["bang({a}.0)"], "neg": ["{~a}.0"]}}}
+    argv, contents = _check_type(env)
+    contents["t.term"] = "bang({a}.0 + {b}.0)\n"
+    assert _run([*argv, "--max-states", "50"], contents, files) == 2
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "verdict: unknown",
+        "detail: budget exhausted: state budget 50 exhausted",
+    ]
 
 
 def test_check_type(files, capsys):

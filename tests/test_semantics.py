@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from conftest import run_capped
 from golden_lines import fresh_lines, golden_lines
 from oracle_step import canonical, naive_step
 
-from procreal.combinators import bang, identity_wire, seq, tensor
+from procreal.combinators import bang, identity_wire, lapp, rapp, seq, tensor
 from procreal.equivalence import (
     BudgetExceeded,
     failures_bounded,
@@ -16,11 +17,15 @@ from procreal.equivalence import (
 )
 from procreal.generators import enumerate_terms, random_term
 from procreal.names import (
+    ALL_LABELS,
     LL_CLASS,
+    LR_CLASS,
+    N2_CLASS,
     REGISTRY,
     TAU,
     FiniteRestriction,
     action_key,
+    negative,
     positive,
     print_action,
 )
@@ -30,6 +35,7 @@ from procreal.semantics import (
     _MEMO,
     ExplorationBudget,
     SemanticsError,
+    StepMemo,
     build_lts,
     diverges,
     exhausted_limit,
@@ -150,12 +156,89 @@ def test_incomplete_graph_is_memoised_with_its_limit():
     full = build_lts(bang(parse_term("{a}.0")), budget)
     assert not full.complete
     assert build_lts(bang(parse_term("{a}.0")), budget) is full
-    assert exhausted_limit(full, budget) == "state budget exhausted"
+    assert exhausted_limit(full) == "state budget exhausted"
     deep = "{a}." * 300 + "0"
     capped = build_lts(parse_term(deep), budget)
     assert not capped.complete and len(capped.terms) == 1
     assert build_lts(parse_term(deep), budget) is capped
-    assert exhausted_limit(capped, budget) == "depth cap 200 reached"
+    assert exhausted_limit(capped) == "depth cap 200 reached"
+
+
+# ---------------------------------------------------------------------------
+# The transition budget bounds the work and memory of one exploration
+
+# Each unfolding of `bang` in this composition multiplies one state's
+# successors by about four, so 200 states once took gigabytes.
+SEQ_BANG_PROBE = """
+from procreal.combinators import bang, identity_wire, seq
+from procreal.names import REGISTRY
+from procreal.semantics import ExplorationBudget
+wire = identity_wire(frozenset([REGISTRY.intern("a")]))
+probe = seq(bang(wire), wire)
+budget = ExplorationBudget(max_states=200)
+"""
+GIB = 1 << 30
+
+
+def test_transition_budget_ends_the_seq_bang_probe_under_a_memory_cap():
+    code = SEQ_BANG_PROBE + (
+        "from procreal.equivalence import failures_equiv, perp\n"
+        "from procreal.semantics import build_lts, exhausted_limit\n"
+        "lts = build_lts(probe, budget)\n"
+        "print(lts.complete, exhausted_limit(lts), len(lts.terms))\n"
+        "res = failures_equiv(probe, probe, budget)\n"
+        "print(res.verdict, '|', res.detail)\n"
+        # closed under every label, the composition leaves the probe no move
+        "print(perp(probe, wire, budget))\n"
+    )
+    proc = run_capped(code, GIB, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False transition budget exhausted 200",
+        "unknown | budget exhausted: state budget 200 exhausted",
+        "yes",
+    ]
+
+
+def test_questions_on_runaway_explorations_answer_unknown_under_a_memory_cap():
+    # one state with 2^20 - 1 successors, one per nonempty set of twenty
+    # names; and fourteen independent silent chains, whose states have up
+    # to 2^14 - 1 silent successors each
+    code = (
+        "from procreal.equivalence import failures_equiv, perp\n"
+        "from procreal.parsing import parse_term\n"
+        "from procreal.semantics import ExplorationBudget\n"
+        "from procreal.terms import NIL\n"
+        "budget = ExplorationBudget(max_states=200)\n"
+        "names = parse_term(' | '.join(f'rec X. {{c{i}}}.X' for i in range(20)))\n"
+        "res = failures_equiv(names, names, budget)\n"
+        "print(res.verdict, '|', res.detail)\n"
+        "silent = parse_term(' | '.join(['{}.{}.0'] * 14))\n"
+        "print(perp(silent, NIL, budget))\n"
+    )
+    proc = run_capped(code, GIB, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "unknown | budget exhausted: transition budget 200000 exhausted",
+        "unknown",
+    ]
+
+
+def test_transition_budget_is_named_and_part_of_the_graph_memo_key():
+    fan = parse_term(" | ".join(["{}.0"] * 6))  # 63 successors in the first state
+    small = ExplorationBudget(max_states=1000, max_transitions=100)
+    cut = build_lts(fan, small)
+    assert not cut.complete and exhausted_limit(cut) == "transition budget exhausted"
+    assert build_lts(fan, small) is cut
+    full = build_lts(fan, ExplorationBudget(max_states=1000))
+    assert full.complete and exhausted_limit(full) == "" and len(full.terms) == 64
+    with pytest.raises(BudgetExceeded, match="^transition budget 100 exhausted$"):
+        failures_bounded(fan, 2, small)
+    res = failures_equiv(fan, fan, small, depth=2)
+    assert res.verdict == "unknown"
+    assert res.detail == "budget exhausted: transition budget 100 exhausted"
+    with pytest.raises(ValueError):
+        ExplorationBudget(max_transitions=0)
 
 
 def test_graph_memo_keeps_at_most_its_state_bound():
@@ -215,6 +298,69 @@ def test_restriction_monotonicity():
             if not L.blocks(a)
         }
         assert restricted == filtered
+
+
+# ---------------------------------------------------------------------------
+# The parallel rule under a restriction builds only what the restriction keeps
+
+# coding classes, every label, and finite sets holding one polarity only
+RESTRICTIONS = (
+    LL_CLASS,
+    LR_CLASS,
+    N2_CLASS,
+    ALL_LABELS,
+    FiniteRestriction([positive(A)]),
+    FiniteRestriction([negative(B)]),
+)
+
+
+def _assert_restricted_par_step(t):
+    """`t` is Restrict(Par(p, q), L): its step is the parallel rule
+    filtered by L afterwards, pair for pair and in order, and it agrees
+    with the naive matcher."""
+    par, L = t.proc, t.labels
+    reference = [(a, restrict(p, L)) for a, p in step(par) if not L.blocks(a)]
+    got = step(t)
+    assert list(got) == reference, print_term(t)
+    assert as_set(got) == as_set(naive_step(t)), print_term(t)
+
+
+def test_restricted_parallel_on_enumerated_terms():
+    terms = list(enumerate_terms((A, B), 3))
+    checked = 0
+    for p in terms[::4]:
+        for q in terms[::7]:
+            for L in RESTRICTIONS:
+                _assert_restricted_par_step(Restrict(Par(p, q), L))
+                checked += 1
+    assert checked > 2000
+
+
+def test_restricted_parallel_on_random_terms():
+    rng = random.Random(41)
+    for _ in range(80):
+        p = random_term(rng, (A, B), rng.randint(1, 7))
+        q = random_term(rng, (A, B), rng.randint(1, 7))
+        for L in RESTRICTIONS:
+            _assert_restricted_par_step(Restrict(Par(p, q), L))
+
+
+def test_restricted_parallel_in_the_hidden_interface_closures():
+    # seq, lapp and rapp hide a coding class, perp hides every label: each
+    # state of their graphs that restricts a parallel is checked
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(100):
+        p = random_term(rng, (A, B), rng.randint(2, 8))
+        q = random_term(rng, (A, B), rng.randint(2, 8))
+        for closed in (seq(p, q), lapp(p, q), rapp(p, q), Restrict(Par(p, q), ALL_LABELS)):
+            for u in build_lts(closed, ExplorationBudget(max_states=60)).terms:
+                while not isinstance(u, Restrict) and hasattr(u, "proc"):
+                    u = u.proc  # under the renaming back to the full name space
+                if isinstance(u, Restrict) and isinstance(u.proc, Par):
+                    _assert_restricted_par_step(u)
+                    checked += 1
+    assert checked > 500
 
 
 def test_step_agrees_with_naive_oracle_exhaustively():
@@ -302,7 +448,7 @@ def _memo_cases():
 
 def test_memoised_step_agrees_with_unmemoised_and_oracle():
     # one memo for every state of every case, as in one long exploration
-    steps = {}
+    steps = StepMemo(ExplorationBudget().max_transitions)
     stepped = 0
     for t in _memo_cases():
         lts = build_lts(t, ExplorationBudget(max_states=40))
@@ -336,7 +482,7 @@ def test_exploration_memos_do_not_change_graphs():
 
 def test_unguarded_recursion_raises_and_caches_nothing():
     t = Rec("X", Par(Var("X"), Prefix(frozenset([positive(A)]), NIL)))
-    steps = {}
+    steps = StepMemo(ExplorationBudget().max_transitions)
     with pytest.raises(SemanticsError):
         step(t, 0, steps)
     assert steps == {}

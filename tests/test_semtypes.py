@@ -11,6 +11,7 @@ from procreal.semantics import ExplorationBudget
 from procreal.semtypes import (
     _passes_tensor_neg_clause,
     Classification,
+    classify,
     RepPER,
     SemType,
     bang_type,
@@ -79,6 +80,18 @@ def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(mo
     # equal to no class, and undecided against one
     with pytest.raises(BudgetExceeded):
         partition([x, y, w], BUD)
+
+
+def test_undecided_classification_names_the_limit():
+    # two replicating terms: no state budget separates them
+    per = RepPER(((parse_term("{b}.0"),), (parse_term("bang({a}.0)"),)))
+    term = parse_term("bang({a}.0 + {b}.0)")
+    c = classify(term, per, ExplorationBudget(max_states=50))
+    assert c.verdict == "unknown" and c.index is None
+    assert c.detail == "budget exhausted: state budget 50 exhausted"
+    detail = r"within budget \(budget exhausted: state budget 50 exhausted\)$"
+    with pytest.raises(BudgetExceeded, match=detail):
+        partition([per.classes[1][0], term], ExplorationBudget(max_states=50))
 
 
 def test_dual_involutive():
