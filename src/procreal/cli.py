@@ -26,7 +26,7 @@ from .logic import (
 )
 from .names import REGISTRY, RenamingDomainError
 from .parsing import ParseError, parse_program
-from .semantics import ExplorationBudget, build_lts, exhausted_limit
+from .semantics import ExplorationBudget, build_lts
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
 from .terms import (
     InputPrefix,
@@ -128,7 +128,7 @@ def cmd_lts(args) -> int:
     else:
         print(json.dumps(lts.to_json(), indent=2, sort_keys=True))
     if not lts.complete:
-        print(f"{exhausted_limit(lts)}; graph is partial", file=sys.stderr)
+        print(f"{lts.limit}; graph is partial", file=sys.stderr)
         return EXIT_UNKNOWN
     return EXIT_OK
 

@@ -24,7 +24,6 @@ from .semantics import (
     StepMemo,
     build_lts,
     diverges,
-    exhausted_limit,
     step,
     tau_closure,
 )
@@ -356,9 +355,9 @@ def weak_bisim(
     lts_p = build_lts(p, budget)
     lts_q = build_lts(q, budget)
     if not lts_p.complete:
-        return EquivResult("unknown", detail=exhausted_limit(lts_p))
+        return EquivResult("unknown", detail=lts_p.limit)
     if not lts_q.complete:
-        return EquivResult("unknown", detail=exhausted_limit(lts_q))
+        return EquivResult("unknown", detail=lts_q.limit)
     # An equal node behaves the same in both graphs; merge them.
     merged = LTS(initial=lts_p.initial)
     merged.terms = {**lts_p.terms, **lts_q.terms}

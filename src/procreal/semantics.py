@@ -21,7 +21,7 @@ An exploration is bounded by an `ExplorationBudget`: the states it
 admits, and the successors `step` builds for it.  One state can have
 exponentially many successors, so without the second limit the first
 does not bound memory.  A partial graph records the limit that stopped
-it (`exhausted_limit`).
+it (`LTS.limit`).
 """
 
 from __future__ import annotations
@@ -64,12 +64,16 @@ class BudgetExceeded(Exception):
 # terms.term_depth.
 DEPTH_CAP = 200
 
-# The default bound on the successors one exploration builds (see
-# ExplorationBudget).  Over full benchmark runs (all three workloads,
-# seeds 101-110) no exploration built more than 939, and none in the
-# tests more than about 9,600; the bound is twenty times the latter.  The
-# seq(bang(w), w) probe of the tests hits it at about 160 MB resident.
-MAX_TRANSITIONS = 200_000
+# The successors one exploration may build per state it may admit (see
+# ExplorationBudget.max_transitions), so raising the state budget raises
+# both limits.  Over full benchmark runs (all three workloads, seeds
+# 101-110) no exploration built more than 939 successors, under state
+# budgets of 2,000 and more; no test builds more than 161 per state of its
+# budget.  Twelve independent prefixes on distinct names (4,096 states)
+# need 193 per state, counting the successors of the components.  At the
+# default 5,000 states the bound is a million successors: the
+# seq(bang(w), w) probe of the tests reaches it in 22 s at 800 MB resident.
+TRANSITIONS_PER_STATE = 200
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,14 @@ class ExplorationBudget:
     memory of an exploration."""
 
     max_states: int = 5000
-    max_transitions: int = MAX_TRANSITIONS
 
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
-        if self.max_transitions < 1:
-            raise ValueError("max_transitions must be at least 1")
+
+    @property
+    def max_transitions(self) -> int:
+        return self.max_states * TRANSITIONS_PER_STATE
 
 
 def _subsets(items: tuple) -> Iterable[frozenset]:
@@ -159,6 +164,9 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
         ).keys()
     elif isinstance(t, Rec):
         out = step(substitute_var(t.body, t.var, t), _depth + 1, _memo)
+        if _memo is not None:
+            _memo[t] = out  # the unfolding's successors, counted once
+        return out
     elif isinstance(t, Var):
         raise SemanticsError(f"cannot step open term with free variable {t.ident}")
     elif isinstance(t, (InputPrefix, OutputPrefix)):
@@ -220,7 +228,8 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], depth: int, memo: Option
 
 def _blocked_parts(labels: RestrictionSet, *steps) -> dict:
     """Each action of `steps` that `labels` blocks -> its labels that
-    `labels` blocks, in either polarity; each label is looked up once."""
+    `labels` blocks (`RestrictionSet.blocks`); each label is looked up
+    once."""
     status: dict = {}
     out: dict = {}
     for pairs in steps:
@@ -231,8 +240,7 @@ def _blocked_parts(labels: RestrictionSet, *steps) -> dict:
             for lab in a:
                 hit = status.get(lab)
                 if hit is None:
-                    hit = labels.contains_label(lab) or labels.contains_label(lab.dual())
-                    status[lab] = status[lab.dual()] = hit
+                    hit = status[lab] = labels.blocks((lab,))
                 if hit:
                     found.append(lab)
             if found:
@@ -254,7 +262,11 @@ class LTS:
     initial: Term
     terms: dict = field(default_factory=dict)  # state -> None, in the order admitted
     transitions: dict = field(default_factory=dict)  # state -> tuple[(Action, state)]
-    limit: str = ""  # the limit that left the graph partial; "" when complete
+    # The limit that left the graph partial, "" when complete: "state
+    # budget exhausted", "transition budget exhausted" or "depth cap 200
+    # reached" (DEPTH_CAP).  When both the state budget and the depth cap
+    # refused states, the state budget is named.
+    limit: str = ""
     normal_form: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -362,7 +374,7 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     returns.  Kept longer, it would hold every node the caller keeps
     alive, and the inputs of a large batch of queries hold many.
     """
-    memo_key = (t, budget.max_states, budget.max_transitions)
+    memo_key = (t, budget.max_states)
     lts = _MEMO.get(memo_key)
     if lts is not None:
         return lts
@@ -397,15 +409,6 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
             lts.limit = f"depth cap {DEPTH_CAP} reached"
     _MEMO.put(memo_key, lts)
     return lts
-
-
-def exhausted_limit(lts: LTS) -> str:
-    """Names the limit that left a partial `lts` unexpanded, as recorded
-    by `build_lts`: "state budget exhausted", "transition budget
-    exhausted" or "depth cap 200 reached" (DEPTH_CAP).  When both the
-    state budget and the depth cap refused states, the state budget is
-    named."""
-    return lts.limit
 
 
 def tau_closure(graph, keys) -> frozenset:

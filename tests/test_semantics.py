@@ -7,6 +7,7 @@ from conftest import run_capped
 from golden_lines import fresh_lines, golden_lines
 from oracle_step import canonical, naive_step
 
+from procreal import semantics
 from procreal.combinators import bang, identity_wire, lapp, rapp, seq, tensor
 from procreal.equivalence import (
     BudgetExceeded,
@@ -38,7 +39,6 @@ from procreal.semantics import (
     StepMemo,
     build_lts,
     diverges,
-    exhausted_limit,
     step,
     tau_closure,
 )
@@ -156,12 +156,12 @@ def test_incomplete_graph_is_memoised_with_its_limit():
     full = build_lts(bang(parse_term("{a}.0")), budget)
     assert not full.complete
     assert build_lts(bang(parse_term("{a}.0")), budget) is full
-    assert exhausted_limit(full) == "state budget exhausted"
+    assert full.limit == "state budget exhausted"
     deep = "{a}." * 300 + "0"
     capped = build_lts(parse_term(deep), budget)
     assert not capped.complete and len(capped.terms) == 1
     assert build_lts(parse_term(deep), budget) is capped
-    assert exhausted_limit(capped) == "depth cap 200 reached"
+    assert capped.limit == "depth cap 200 reached"
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,9 @@ GIB = 1 << 30
 def test_transition_budget_ends_the_seq_bang_probe_under_a_memory_cap():
     code = SEQ_BANG_PROBE + (
         "from procreal.equivalence import failures_equiv, perp\n"
-        "from procreal.semantics import build_lts, exhausted_limit\n"
+        "from procreal.semantics import build_lts\n"
         "lts = build_lts(probe, budget)\n"
-        "print(lts.complete, exhausted_limit(lts), len(lts.terms))\n"
+        "print(lts.complete, lts.limit, len(lts.terms))\n"
         "res = failures_equiv(probe, probe, budget)\n"
         "print(res.verdict, '|', res.detail)\n"
         # closed under every label, the composition leaves the probe no move
@@ -219,26 +219,40 @@ def test_questions_on_runaway_explorations_answer_unknown_under_a_memory_cap():
     proc = run_capped(code, GIB, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "unknown | budget exhausted: transition budget 200000 exhausted",
+        "unknown | budget exhausted: transition budget 40000 exhausted",
         "unknown",
     ]
 
 
-def test_transition_budget_is_named_and_part_of_the_graph_memo_key():
+def test_transition_budget_is_named(monkeypatch):
     fan = parse_term(" | ".join(["{}.0"] * 6))  # 63 successors in the first state
-    small = ExplorationBudget(max_states=1000, max_transitions=100)
-    cut = build_lts(fan, small)
-    assert not cut.complete and exhausted_limit(cut) == "transition budget exhausted"
-    assert build_lts(fan, small) is cut
-    full = build_lts(fan, ExplorationBudget(max_states=1000))
-    assert full.complete and exhausted_limit(full) == "" and len(full.terms) == 64
-    with pytest.raises(BudgetExceeded, match="^transition budget 100 exhausted$"):
-        failures_bounded(fan, 2, small)
-    res = failures_equiv(fan, fan, small, depth=2)
-    assert res.verdict == "unknown"
-    assert res.detail == "budget exhausted: transition budget 100 exhausted"
-    with pytest.raises(ValueError):
-        ExplorationBudget(max_transitions=0)
+    budget = ExplorationBudget(max_states=64)
+    full = build_lts(fan, budget)
+    assert full.complete and full.limit == "" and len(full.terms) == 64
+    # one successor per state: the first state and its components build more
+    monkeypatch.setattr(semantics, "TRANSITIONS_PER_STATE", 1)
+    _MEMO.clear()
+    try:
+        cut = build_lts(fan, budget)
+        assert not cut.complete and cut.limit == "transition budget exhausted"
+        assert build_lts(fan, budget) is cut
+        with pytest.raises(BudgetExceeded, match="^transition budget 64 exhausted$"):
+            failures_bounded(fan, 2, budget)
+        res = failures_equiv(fan, fan, budget, depth=2)
+        assert res.verdict == "unknown"
+        assert res.detail == "budget exhausted: transition budget 64 exhausted"
+    finally:
+        _MEMO.clear()
+
+
+def test_transition_budget_grows_with_the_state_budget():
+    # eleven independent prefixes: 2,048 states, 175,099 transitions, and
+    # about 262,000 successors counting those of the components, more than
+    # a fixed bound of 200,000 would allow
+    wide = parse_term(" | ".join(f"{{c{i}}}.0" for i in range(11)))
+    lts = build_lts(wide, ExplorationBudget(max_states=2048))
+    assert lts.complete and len(lts.terms) == 2048
+    assert sum(len(succs) for succs in lts.transitions.values()) == 175_099
 
 
 def test_graph_memo_keeps_at_most_its_state_bound():
