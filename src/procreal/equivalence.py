@@ -6,6 +6,19 @@ trace; a process can refuse X after s iff some acceptance set in the
 family avoids X.  Antichains are canonical for the induced refusal
 family, so failures equivalence is map equality.
 
+A complete graph's failures are also summed up by a canonical
+fingerprint (`fingerprint`): its normal form minimised by partition
+refinement (`refine`) and numbered breadth-first, as in Roscoe's
+normal-form minimisation (*Model-checking CSP*, 1994).  Two complete
+graphs are failures-equal exactly when their fingerprints are equal.  The
+memo's answer tier keeps a term's fingerprint after its graph goes, so
+`failures_verdict`, which the semantic-type drivers ask, explores each
+term once while its answer is kept.  `failures_equiv` still compares two
+normal forms pairwise (`_compare_normal_forms`): it builds a witness, and
+its callers, the law checks, mostly ask about fresh terms, for which a
+fingerprint adds work and memory and is never asked for again.
+`weak_bisim` uses the same `refine` on the saturated graph.
+
 Divergence does not enter the failures model; it is a separate
 predicate used by the orthogonality check `perp`.
 """
@@ -17,6 +30,7 @@ from typing import Optional
 
 from .names import ALL_LABELS, Action, TAU, action_key, print_action
 from .semantics import (
+    _MEMO,
     DEPTH_CAP,
     BudgetExceeded,
     ExplorationBudget,
@@ -249,6 +263,76 @@ def _normalise(lts: LTS) -> NormalForm:
     return nf
 
 
+def refine(nodes, block: dict, signature) -> dict:
+    """Partition refinement.  Splits the blocks of `block` (node -> block
+    number) by `signature(node, block)` until the number of blocks stops
+    growing, and returns the stable partition reached: the coarsest one
+    that refines `block` and in which nodes of a block have equal
+    signatures.  Blocks are numbered in the order of their first node in
+    `nodes`; a signature may hold block numbers."""
+    count = len(set(block.values()))
+    while True:
+        buckets: dict = {}
+        new_block = {n: buckets.setdefault((block[n], signature(n, block)), len(buckets)) for n in nodes}
+        if len(buckets) == count:
+            return new_block
+        block, count = new_block, len(buckets)
+
+
+def _family_key(family: frozenset) -> tuple:
+    return tuple(sorted(tuple(sorted(map(action_key, acc))) for acc in family))
+
+
+def fingerprint(nf: NormalForm) -> tuple:
+    """The canonical failures fingerprint of a normal form: its minimal
+    deterministic graph, one entry per block of failures-equal nodes,
+    numbered breadth-first from the root's block along edges in
+    `action_key` order.  An entry is the block's acceptance family
+    followed by each edge's action key and target block number, all made
+    of `action_key` tuples, so it holds no term and is the same under
+    every hash seed.  Two normal forms have equal fingerprints exactly
+    when `_compare_normal_forms` finds them equal.  Each family, each
+    entry and the whole are the memo's kept copies (`_MEMO.share`), so
+    that equal ones are one object."""
+    edges = nf.edges
+    share = _MEMO.share
+    first: dict = {}
+    block = {
+        n: first.setdefault((family, tuple(a for a, _ in edges[n])), len(first))
+        for n, family in nf.families.items()
+    }
+    block = refine(nf.families, block, lambda n, blk: tuple(blk[dst] for _, dst in edges[n]))
+    number = {block[nf.root]: 0}
+    order = [nf.root]  # a node of each numbered block
+    out = []
+    for node in order:  # grows while it is walked
+        entry = [share(_family_key(nf.families[node]))]
+        for a, dst in edges[node]:
+            b = block[dst]
+            if b not in number:
+                number[b] = len(order)
+                order.append(dst)
+            entry += (action_key(a), number[b])
+        out.append(share(tuple(entry)))
+    return share(tuple(out))
+
+
+# The fingerprint of a term whose graph is partial.
+INCOMPLETE = "incomplete"
+
+
+def failures_fingerprint(t: Term, budget: ExplorationBudget = ExplorationBudget()):
+    """The fingerprint of `t`'s normal form under `budget`, or INCOMPLETE
+    when its graph is partial.  Kept in the memo's answer tier, after the
+    graph goes."""
+    key = ("fingerprint", t, budget.max_states)
+    fp = _MEMO.answer(key)
+    if fp is None:
+        lts = build_lts(t, budget)
+        fp = _MEMO.keep(key, fingerprint(normal_form(lts)) if lts.complete else INCOMPLETE)
+    return fp
+
+
 @dataclass
 class EquivResult:
     verdict: str  # "equal" | "distinguished" | "unknown"
@@ -298,11 +382,15 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
     return EquivResult("equal")
 
 
+# The trace length the bounded route compares to, unless a caller says.
+BOUNDED_DEPTH = 6
+
+
 def failures_equiv(
     p: Term,
     q: Term,
     budget: ExplorationBudget = ExplorationBudget(),
-    depth: int = 6,
+    depth: int = BOUNDED_DEPTH,
 ) -> EquivResult:
     """Exact decision via normal forms when both state spaces complete
     within budget; otherwise a bounded comparison at the given depth,
@@ -312,6 +400,27 @@ def failures_equiv(
     lts_q = build_lts(q, budget)
     if lts_p.complete and lts_q.complete:
         return _compare_normal_forms(normal_form(lts_p), normal_form(lts_q))
+    return _bounded_route(p, q, budget, depth)
+
+
+def failures_verdict(p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()) -> EquivResult:
+    """The verdict of `failures_equiv`, and its detail when undecided,
+    from the fingerprints the answer memo keeps: exact when both graphs
+    are complete, else by the same bounded route.  An exact
+    "distinguished" carries no witness.  A term asked about again is not
+    explored again while its answer is kept, so the semantic-type
+    drivers, which compare a few hundred representatives over and over,
+    ask here."""
+    fp = failures_fingerprint(p, budget)
+    fq = failures_fingerprint(q, budget)
+    if fp is INCOMPLETE or fq is INCOMPLETE:
+        return _bounded_route(p, q, budget, BOUNDED_DEPTH)
+    return EquivResult("equal" if fp == fq else "distinguished")
+
+
+def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> EquivResult:
+    """Failures up to `depth` by brute force, for a pair with a partial
+    graph: "distinguished" with a witness, or "unknown" with the reason."""
     try:
         fp = failures_bounded(p, depth, budget)
         fq = failures_bounded(q, depth, budget)
@@ -363,19 +472,9 @@ def weak_bisim(
     merged.terms = {**lts_p.terms, **lts_q.terms}
     merged.transitions = {**lts_p.transitions, **lts_q.transitions}
     tau_reach, weak = _saturate(merged)
-    states = merged.terms
-    block = {s: 0 for s in states}
-    while True:
-        buckets: dict[tuple, int] = {}
-        new_block = {}
-        for s in states:
-            key = (block[s], _signature(s, tau_reach, weak, block))
-            if key not in buckets:
-                buckets[key] = len(buckets)
-            new_block[s] = buckets[key]
-        if new_block == block:
-            break
-        block = new_block
+    block = refine(
+        merged.terms, dict.fromkeys(merged.terms, 0), lambda s, blk: _signature(s, tau_reach, weak, blk)
+    )
     if block[lts_p.initial] == block[lts_q.initial]:
         return EquivResult("equal")
     diff = _signature(lts_p.initial, tau_reach, weak, block) ^ _signature(

@@ -22,6 +22,13 @@ admits, and the successors `step` builds for it.  One state can have
 exponentially many successors, so without the second limit the first
 does not bound memory.  A partial graph records the limit that stopped
 it (`LTS.limit`).
+
+`_MEMO` keeps what explorations found, in two tiers.  The graph tier
+keeps explored graphs, up to MEMO_STATES states in all.  The answer tier
+keeps, for up to ANSWERS terms, what callers asked of their graphs (a
+`diverges` verdict, a failures fingerprint) after the graph is gone; an
+answer holds no graph.  Both are keyed by term and state budget, and
+`_MEMO.clear()` empties both.
 """
 
 from __future__ import annotations
@@ -323,15 +330,26 @@ def _dot_escape(s: str) -> str:
 # graphs: a count of graphs would keep big ones alive.
 MEMO_STATES = 500
 
+# Bound on the answers `_MEMO` keeps, by entry.  An answer holds no graph,
+# only a fingerprint or a verdict, so it can outlive its graph by far: a
+# full `semtypes` run keeps about 1,100 (the fingerprints of 698 classified
+# terms and the verdicts of 391 closed `perp` compositions), whose graphs
+# hold many times MEMO_STATES states.
+ANSWERS = 2048
+
 
 class _GraphMemo:
-    """Explored graphs by (term, budget), least recently used
-    first, holding at most MEMO_STATES states in total.  A graph larger
-    than that is never kept."""
+    """Two tiers, each least recently used first.  `graphs` holds explored
+    graphs by (term, state budget), at most MEMO_STATES states in total; a
+    graph larger than that is never kept.  `answers` holds at most ANSWERS
+    answers by (question, term, state budget), and `shared` the one kept
+    copy of each value they hold (`share`).  `clear` empties both."""
 
     def __init__(self):
         self.graphs: OrderedDict = OrderedDict()
         self.states = 0
+        self.answers: OrderedDict = OrderedDict()
+        self.shared: dict = {}
 
     def get(self, key):
         lts = self.graphs.get(key)
@@ -349,9 +367,34 @@ class _GraphMemo:
             _, old = self.graphs.popitem(last=False)
             self.states -= len(old.terms)
 
+    def answer(self, key):
+        """The answer kept under `key`, or None."""
+        found = self.answers.get(key)
+        if found is not None:
+            self.answers.move_to_end(key)
+        return found
+
+    def keep(self, key, answer):
+        """Keeps `answer` (not None) under `key` and returns it."""
+        self.answers[key] = answer
+        if len(self.answers) > ANSWERS:
+            self.answers.popitem(last=False)
+        return answer
+
+    def share(self, value):
+        """The kept copy of a value equal to `value`, so that equal answers,
+        and equal parts of them, are one object.  Past 4 * ANSWERS copies
+        (a full `semtypes` run makes about 1,000) they are all forgotten,
+        not freed: the answers that hold them keep them."""
+        if len(self.shared) >= 4 * ANSWERS:
+            self.shared.clear()
+        return self.shared.setdefault(value, value)
+
     def clear(self):
         self.graphs.clear()
         self.states = 0
+        self.answers.clear()
+        self.shared.clear()
 
 
 _MEMO = _GraphMemo()
@@ -457,12 +500,20 @@ def tau_cycle_exists(lts: LTS) -> bool:
 def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:
     """Three-valued: "yes" when some reachable state starts an infinite
     tau-path, "no" when the full graph excludes it, "unknown" when the
-    exploration budget was exhausted first.
+    exploration budget was exhausted first.  The verdict is kept in the
+    memo's answer tier, so the graph is explored once while it stays.
     """
-    lts = build_lts(t, budget)
-    if tau_cycle_exists(lts):
-        return "yes"
-    if lts.complete:
-        return "no"
-    # unexpanded frontier states are reachable and their tau-futures unknown
-    return "unknown"
+    key = ("diverges", t, budget.max_states)
+    verdict = _MEMO.answer(key)
+    if verdict is None:
+        lts = build_lts(t, budget)
+        if tau_cycle_exists(lts):
+            verdict = "yes"
+        elif lts.complete:
+            verdict = "no"
+        else:
+            # unexpanded frontier states are reachable and their
+            # tau-futures unknown
+            verdict = "unknown"
+        _MEMO.keep(key, verdict)
+    return verdict

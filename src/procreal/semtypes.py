@@ -28,7 +28,7 @@ from .combinators import (
     swap_halves,
     tensor,
 )
-from .equivalence import BudgetExceeded, failures_equiv, perp
+from .equivalence import BudgetExceeded, failures_equiv, failures_verdict, perp
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, print_term, value_name
@@ -79,14 +79,15 @@ class Classification:
 
 def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
     """The class of `per` that `term` is failures-equivalent to, compared
-    with each class representative in order.  Every membership question
-    in this module is answered here.  When no class is equal and some
-    comparison was undecided, the verdict is "unknown" and its detail is
-    the first undecided comparison's, which names the limit that stopped
-    it."""
+    with each class representative in order (`failures_verdict`: by
+    fingerprints where both graphs are complete).  Every membership
+    question in this module is answered here.  When no class is equal and
+    some comparison was undecided, the verdict is "unknown" and its detail
+    is the first undecided comparison's, which names the limit that
+    stopped it."""
     undecided = None
     for idx, cls in enumerate(per.classes):
-        res = failures_equiv(term, cls[0], budget)
+        res = failures_verdict(term, cls[0], budget)
         if res.verdict == "equal":
             return Classification("class", idx)
         if res.verdict == "unknown" and undecided is None:
@@ -120,21 +121,30 @@ def partition(terms, budget: ExplorationBudget) -> RepPER:
     return RepPER(tuple(tuple(cls) for cls in classes))
 
 
+# a classification against one class, as the verdict on the pair
+_PAIR_VERDICTS = {"class": "equal", "no": "distinguished", "unknown": "unknown"}
+
+
 def validate_repper(per: RepPER, budget: ExplorationBudget = ExplorationBudget()) -> list:
-    """Intra-class equivalence and inter-class distinguishability."""
+    """Intra-class equivalence and inter-class distinguishability, each
+    pair decided by `classify` against a one-class PER."""
+
+    def verdict(p: Term, q: Term) -> str:
+        return _PAIR_VERDICTS[classify(p, RepPER(((q,),)), budget).verdict]
+
     diags = []
     for i, cls in enumerate(per.classes):
         if not cls:
             diags.append(f"class {i} empty")
             continue
         for u in cls[1:]:
-            if not failures_equiv(cls[0], u, budget).equal:
+            if verdict(cls[0], u) != "equal":
                 diags.append(f"class {i} members not equivalent")
     for i, ci in enumerate(per.classes):
         for j in range(i + 1, len(per.classes)):
-            res = failures_equiv(ci[0], per.classes[j][0], budget)
-            if res.verdict != "distinguished":
-                diags.append(f"classes {i} and {j} not distinguishable ({res.verdict})")
+            res = verdict(ci[0], per.classes[j][0])
+            if res != "distinguished":
+                diags.append(f"classes {i} and {j} not distinguishable ({res})")
     return diags
 
 

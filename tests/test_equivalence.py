@@ -1,17 +1,24 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
+from conftest import subprocess_env
+
+from procreal import combinators as C
 from procreal.combinators import bang
 from procreal.equivalence import (
     BudgetExceeded,
+    _compare_normal_forms,
     failures_bounded,
     failures_equiv,
+    fingerprint,
     normal_form,
     perp,
     weak_bisim,
 )
-from procreal.generators import random_term
+from procreal.generators import enumerate_terms, equivalent_pair, random_context, random_term
 from procreal.names import REGISTRY
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget, build_lts
@@ -115,6 +122,77 @@ def test_normal_form_computed_once_per_shared_graph():
     nf = normal_form(lts)
     assert normal_form(lts) is nf
     assert normal_form(build_lts(parse_term(text), BUD)) is nf
+
+
+def _fingerprints_decide_as_normal_forms(pairs) -> tuple:
+    """Checks that fingerprint equality is `_compare_normal_forms`'s
+    verdict on every pair whose graphs are complete; returns the counts of
+    equal and distinguished pairs."""
+    counts = [0, 0]
+    for p, q in pairs:
+        lp, lq = build_lts(p, BUD), build_lts(q, BUD)
+        if not (lp.complete and lq.complete):
+            continue
+        nfp, nfq = normal_form(lp), normal_form(lq)
+        equal = _compare_normal_forms(nfp, nfq).equal
+        assert (fingerprint(nfp) == fingerprint(nfq)) == equal, (print_term(p), print_term(q))
+        counts[equal] += 1
+    return tuple(counts)
+
+
+def test_fingerprints_decide_every_pair_of_small_terms():
+    terms = list(enumerate_terms((A, B), 3))
+    distinguished, equal = _fingerprints_decide_as_normal_forms(
+        (p, q) for p in terms for q in terms
+    )
+    assert distinguished > 10_000 and equal > 10 * len(terms)
+
+
+def test_fingerprints_decide_combinator_built_pairs():
+    rng = random.Random(41)
+    wire = C.identity_wire(frozenset([A, B]))
+    pairs = []
+    for _ in range(60):
+        p, q = equivalent_pair(rng, (A, B), rng.randint(1, 5))
+        ctx = random_context(rng, (A, B), rng.randint(1, 4))
+        r = random_term(rng, (A, B), rng.randint(1, 5))
+        pairs += [
+            (ctx(p), ctx(q)),
+            (C.lapp(p, wire), p),
+            (C.seq(wire, C.tensor(p, r)), C.tensor(q, r)),
+            (C.tensor(p, r), C.tensor(r, p)),
+            (C.pairing(p, r), C.pairing(q, ctx(r))),
+        ]
+    distinguished, equal = _fingerprints_decide_as_normal_forms(pairs)
+    assert distinguished > 20 and equal > 20
+
+
+# Fingerprints name actions by label code, not by printed text or hash.
+FINGERPRINT_PROBE = (
+    "from procreal import combinators as C\n"
+    "from procreal.equivalence import fingerprint, normal_form\n"
+    "from procreal.names import REGISTRY\n"
+    "from procreal.parsing import parse_term\n"
+    "from procreal.semantics import build_lts\n"
+    "a, b = REGISTRY.intern('a'), REGISTRY.intern('b')\n"
+    "terms = [parse_term(x) for x in ('{a}.({b}.0 + {~a}.0) | {~a}.0', "
+    "'rec X. ({a}.X + {b}.{}.{b,~a}.0)', '({a}.0 | {~a}.{b}.0) \\\\ {a}')]\n"
+    "terms += [C.seq(C.identity_wire(frozenset([a, b])), terms[0]), C.pairing(terms[1], terms[2])]\n"
+    "for t in terms:\n"
+    "    print(fingerprint(normal_form(build_lts(t))))\n"
+)
+
+
+def test_fingerprints_print_the_same_under_every_hash_seed():
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", FINGERPRINT_PROBE],
+            capture_output=True, text=True, env=subprocess_env(PYTHONHASHSEED=hash_seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 5
 
 
 def test_weak_bisim_tau_law():

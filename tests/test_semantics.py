@@ -10,9 +10,11 @@ from oracle_step import canonical, naive_step
 from procreal import semantics
 from procreal.combinators import bang, identity_wire, lapp, rapp, seq, tensor
 from procreal.equivalence import (
+    INCOMPLETE,
     BudgetExceeded,
     failures_bounded,
     failures_equiv,
+    failures_fingerprint,
     perp,
     weak_bisim,
 )
@@ -34,6 +36,7 @@ from procreal.parsing import parse_term
 from procreal.semantics import (
     MEMO_STATES,
     _MEMO,
+    LTS,
     ExplorationBudget,
     SemanticsError,
     StepMemo,
@@ -273,6 +276,69 @@ def test_graph_larger_than_memo_bound_is_not_kept():
     assert big.complete and len(big.terms) > MEMO_STATES
     assert all(g is not big for g in _MEMO.graphs.values())
     assert build_lts(parse_term(text)) is not big
+
+
+def _count_explorations(monkeypatch) -> list:
+    """Counts the calls of `build_lts` made through `semantics`."""
+    calls = []
+    explore = semantics.build_lts
+
+    def counted(*args):
+        calls.append(args)
+        return explore(*args)
+
+    monkeypatch.setattr(semantics, "build_lts", counted)
+    return calls
+
+
+def test_answers_are_kept_and_cleared_with_the_graphs(monkeypatch):
+    loop = parse_term("rec X. {}.X")
+    budget = ExplorationBudget(max_states=40)
+    _MEMO.clear()
+    explored = _count_explorations(monkeypatch)
+    assert diverges(loop, budget) == "yes" and len(explored) == 1
+    _MEMO.graphs.clear()
+    _MEMO.states = 0
+    assert diverges(loop, budget) == "yes" and len(explored) == 1  # the kept answer
+    # equal fingerprints are one object
+    assert failures_fingerprint(parse_term("{}.{b}.0")) is failures_fingerprint(parse_term("{b}.0"))
+    _MEMO.clear()
+    assert not _MEMO.answers and not _MEMO.shared and not _MEMO.graphs
+    assert diverges(loop, budget) == "yes" and len(explored) == 2
+
+
+def test_answers_under_a_patched_transition_budget_go_with_it(monkeypatch):
+    fan = parse_term(" | ".join(["{}.0"] * 6))
+    budget = ExplorationBudget(max_states=64)
+    _MEMO.clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(semantics, "TRANSITIONS_PER_STATE", 1)
+            assert failures_fingerprint(fan, budget) == INCOMPLETE
+            assert diverges(fan, budget) == "unknown"
+    finally:
+        _MEMO.clear()
+    assert failures_fingerprint(fan, budget) != INCOMPLETE
+    assert diverges(fan, budget) == "no"
+
+
+def test_answers_keep_their_bound_and_no_graph(monkeypatch):
+    monkeypatch.setattr(semantics, "ANSWERS", 16)
+    _MEMO.clear()
+    gc.collect()
+    graphs_before = sum(isinstance(o, LTS) for o in gc.get_objects())
+    chains = [parse_term("{b}." * k + "0") for k in range(1, 41)]
+    for t in chains:
+        failures_fingerprint(t)
+        diverges(t)
+    assert len(_MEMO.answers) == 16 and len(_MEMO.shared) <= 4 * 16
+    assert ("diverges", chains[-1], ExplorationBudget().max_states) in _MEMO.answers
+    # the graph tier is as if no answer had been kept
+    kept = list(_MEMO.graphs.values())
+    assert _MEMO.states == sum(len(g.terms) for g in kept) <= MEMO_STATES
+    gc.collect()
+    assert sum(isinstance(o, LTS) for o in gc.get_objects()) == graphs_before + len(kept)
+    _MEMO.clear()
 
 
 def test_diverges_examples():

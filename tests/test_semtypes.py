@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from golden_lines import fresh_lines, golden_lines
 
-from procreal.combinators import identity_wire, pairing, tensor
+from procreal.combinators import bang, identity_wire, pairing, tensor
 from procreal.equivalence import BudgetExceeded, EquivResult, failures_equiv, perp
+from procreal.generators import equivalent_pair, random_term
 from procreal.logic import parse_formula
 from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
-from procreal.semantics import ExplorationBudget
+from procreal.semantics import _MEMO, ExplorationBudget
 from procreal.semtypes import (
     _passes_tensor_neg_clause,
     Classification,
@@ -73,13 +76,81 @@ def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(mo
     x, y, z, w = (parse_term(f"{{{n}}}.0") for n in "xyzw")
     verdicts = {(y, x): "distinguished", (z, x): "unknown", (z, y): "equal"}
     monkeypatch.setattr(
-        "procreal.semtypes.failures_equiv",
+        "procreal.semtypes.failures_verdict",
         lambda p, q, budget: EquivResult(verdicts.get((p, q), "unknown")),
     )
     assert partition([x, y, z], BUD).classes == ((x,), (y, z))
     # equal to no class, and undecided against one
     with pytest.raises(BudgetExceeded):
         partition([x, y, w], BUD)
+
+
+def _pairwise_classify(term, per, budget) -> tuple:
+    """`classify` as one `failures_equiv` per class, for reference."""
+    undecided = None
+    for idx, cls in enumerate(per.classes):
+        res = failures_equiv(term, cls[0], budget)
+        if res.verdict == "equal":
+            return "class", idx, ""
+        if res.verdict == "unknown" and undecided is None:
+            undecided = res.detail
+    if undecided is not None:
+        return "unknown", None, undecided
+    return "no", None, ""
+
+
+def _pairwise_diagnostics(per, budget) -> list:
+    """`validate_repper` as one `failures_equiv` per pair, for reference."""
+    diags = []
+    for i, cls in enumerate(per.classes):
+        for u in cls[1:]:
+            if not failures_equiv(cls[0], u, budget).equal:
+                diags.append(f"class {i} members not equivalent")
+    for i, ci in enumerate(per.classes):
+        for j in range(i + 1, len(per.classes)):
+            res = failures_equiv(ci[0], per.classes[j][0], budget)
+            if res.verdict != "distinguished":
+                diags.append(f"classes {i} and {j} not distinguishable ({res.verdict})")
+    return diags
+
+
+def test_classify_and_validation_agree_with_pairwise_comparison():
+    rng = random.Random(53)
+    atoms = (REGISTRY.intern("a"), REGISTRY.intern("b"))
+    small = ExplorationBudget(max_states=50)
+    # graphs no state budget completes: replicating, or renamings stacking up
+    unbounded = [bang(random_term(rng, atoms, rng.randint(1, 3))) for _ in range(4)] + [
+        parse_term("rec X. {a}.(X [n1of3])"), parse_term("rec X. ({a}.(X [n1of3]) + {b}.0)")
+    ]
+    seen = set()
+    diagnosed = 0
+    for trial in range(120):
+        budget = small if trial % 2 else BUD
+        p, q = equivalent_pair(rng, atoms, rng.randint(1, 4))
+        reps = [p] + [random_term(rng, atoms, rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+        if trial % 2:
+            extra = rng.choice(unbounded)
+            reps.append(extra)
+        rng.shuffle(reps)
+        per = RepPER(tuple((r,) for r in reps))
+        term = rng.choice([q, random_term(rng, atoms, rng.randint(1, 5))])
+        if trial % 4 == 3:
+            term = rng.choice([extra, rng.choice(unbounded)])
+        expected = _pairwise_classify(term, per, budget)
+        if trial % 3 == 0:
+            _MEMO.clear()
+        for _ in range(2):  # answered afresh, then from the kept answers
+            c = classify(term, per, budget)
+            assert (c.verdict, c.index, c.detail) == expected, print_term(term)
+        seen.add(expected[0] if expected[0] != "unknown" else expected[2])
+        members = RepPER(tuple((r, q) if r is p else (r,) for r in reps))
+        diags = validate_repper(members, budget)
+        assert diags == _pairwise_diagnostics(members, budget)
+        diagnosed += bool(diags)
+    assert {
+        "class", "no", "budget exhausted: state budget 50 exhausted", "bounded agreement to depth 6"
+    } <= seen
+    assert diagnosed > 10
 
 
 def test_undecided_classification_names_the_limit():
