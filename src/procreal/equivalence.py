@@ -326,10 +326,10 @@ def failures_fingerprint(t: Term, budget: ExplorationBudget = ExplorationBudget(
     when its graph is partial.  Kept in the memo's answer tier, after the
     graph goes."""
     key = ("fingerprint", t, budget.max_states)
-    fp = _MEMO.answer(key)
+    fp = _MEMO.answers.get(key)
     if fp is None:
         lts = build_lts(t, budget)
-        fp = _MEMO.keep(key, fingerprint(normal_form(lts)) if lts.complete else INCOMPLETE)
+        fp = _MEMO.answers.put(key, fingerprint(normal_form(lts)) if lts.complete else INCOMPLETE)
     return fp
 
 

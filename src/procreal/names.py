@@ -6,12 +6,20 @@ split ``l``/``r`` (code 2n and 2n+1) and k-way residue splits (code
 k*n + i-1 for port i of k).  Every coding is a total injection on the
 naturals, so the binary and k-way interface splits are exact and
 invertible.
+
+Renamings and restriction sets are name maps (`NameMap`): values that
+compare by class and constructor arguments and hash once.  Term nodes
+hold one kept instance per value (`kept`), in the manner of hash-consing
+(Filliâtre and Conchon, *Type-safe modular hash-consing*, 2006), so a
+comparison of equal nodes stops at the map's identity; and each map
+memoises its answers per action (`Renaming.apply_action`,
+`RestrictionSet.blocks`), which the states of one process ask again and
+again.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
@@ -53,6 +61,10 @@ def negative(name: Name) -> Label:
     return Label(name.code, True)
 
 
+# Memoised like `action_key` below, and for the same reason: the
+# synchronisations of the parallel rule dualise the same few hundred
+# actions again and again.
+@lru_cache(maxsize=1024)
 def dual_action(a: Action) -> Action:
     return frozenset(lab.dual() for lab in a)
 
@@ -139,26 +151,86 @@ def _spell(code: int) -> str:
     return f"r({_spell((code - 1) // 2)})"
 
 
+
+# ---------------------------------------------------------------------------
+# Name maps: the renamings and restriction sets that term nodes carry.
+
+
+class NameMap:
+    """A renaming or a restriction set.  Its value is its class and the
+    arguments it was built from (`_args`): `==`, `hash`, `repr` and
+    pickling read those alone, and the hash is computed once, when it is
+    built.  `_memo` keeps what the map has answered per action
+    (`Renaming.apply_action`, `RestrictionSet.blocks`); it is no part of
+    the value, and the text (`describe`) never reads it.
+
+    Term nodes hold the kept instance of their map (`kept`), so equal maps
+    met in two nodes are one object, and a node comparison that reaches
+    them stops at the identity test.  Equality stays structural: a map
+    built apart from the kept one equals it and has its hash."""
+
+    __slots__ = ("_args", "_hash", "_memo")
+
+    def __init__(self, *args):
+        self._args = args
+        self._hash = hash((type(self).__name__, args))
+        self._memo = {}
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._args == other._args)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._args
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._args)
+
+    def __str__(self) -> str:
+        return self.describe()
+
+    def describe(self) -> str:
+        raise NotImplementedError
+
+
+# Bound on the kept name maps.  A full benchmark stream meets 208 distinct
+# renamings (`laws`) or 26 (`semtypes`); past KEPT values the table is
+# emptied and refills.  Kept maps equal their values, so a flush costs
+# speed only.
+KEPT = 4096
+_KEPT: dict = {}
+
+
+def kept(value: NameMap) -> NameMap:
+    """The kept instance equal to `value`: `value` itself, when no equal
+    map is kept yet.  Threads racing here may keep two equal instances,
+    which costs speed only."""
+    found = _KEPT.get(value)
+    if found is None:
+        if len(_KEPT) >= KEPT:
+            _KEPT.clear()
+        found = _KEPT[value] = value
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Renamings: partial injective functions on labels commuting with the
 # involution.  Kept symbolic; applied lazily to the labels that occur.
 
 
-class Renaming:
+class Renaming(NameMap):
+    __slots__ = ()
+
     def apply_code(self, code: int) -> Optional[int]:
         raise NotImplementedError
 
     def inverse(self) -> "Renaming":
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
     def is_total(self) -> bool:
         return False
-
-    def __str__(self) -> str:
-        return self.describe()
 
     def apply_label(self, lab: Label) -> Optional[Label]:
         code = self.apply_code(lab.code)
@@ -167,15 +239,20 @@ class Renaming:
         return Label(code, lab.neg)
 
     def apply_action(self, a: Action) -> Action:
-        out = []
-        for lab in a:
-            img = self.apply_label(lab)
-            if img is None:
-                raise RenamingDomainError(lab, self)
-            out.append(img)
-        image = frozenset(out)
-        if len(image) != len(a):
-            raise ValueError(f"renaming {self} not injective on {print_action(a)}")
+        """The image of `a`, memoised per map and action.  An action the
+        map does not rename raises, every time it is asked."""
+        image = self._memo.get(a)
+        if image is None:
+            out = []
+            for lab in a:
+                img = self.apply_label(lab)
+                if img is None:
+                    raise RenamingDomainError(lab, self)
+                out.append(img)
+            image = frozenset(out)
+            if len(image) != len(a):
+                raise ValueError(f"renaming {self} not injective on {print_action(a)}")
+            self._memo[a] = image
         return image
 
 
@@ -186,8 +263,9 @@ class RenamingDomainError(Exception):
         self.renaming = ren
 
 
-@dataclass(frozen=True)
 class IdentityRenaming(Renaming):
+    __slots__ = ()
+
     def apply_code(self, code: int) -> Optional[int]:
         return code
 
@@ -201,16 +279,16 @@ class IdentityRenaming(Renaming):
         return True
 
 
-@dataclass(frozen=True)
 class KwayCode(Renaming):
     """Total injection onto the i-th residue class mod k: n -> k*n + i-1."""
 
-    port: int
-    ways: int
+    __slots__ = ("port", "ways")
 
-    def __post_init__(self):
-        if not (1 <= self.port <= self.ways):
+    def __init__(self, port: int, ways: int):
+        if not (1 <= port <= ways):
             raise ValueError("port out of range")
+        self.port, self.ways = port, ways
+        super().__init__(port, ways)
 
     def apply_code(self, code: int) -> Optional[int]:
         return self.ways * code + (self.port - 1)
@@ -229,10 +307,12 @@ class KwayCode(Renaming):
         return True
 
 
-@dataclass(frozen=True)
 class KwayDecode(Renaming):
-    port: int
-    ways: int
+    __slots__ = ("port", "ways")
+
+    def __init__(self, port: int, ways: int):
+        self.port, self.ways = port, ways
+        super().__init__(port, ways)
 
     def apply_code(self, code: int) -> Optional[int]:
         if code % self.ways != self.port - 1:
@@ -246,7 +326,6 @@ class KwayDecode(Renaming):
         return f"inv({KwayCode(self.port, self.ways).describe()})"
 
 
-@dataclass(frozen=True)
 class PhiCode(Renaming):
     """Bijection onto the union of residue classes i and j mod 3.
 
@@ -254,12 +333,13 @@ class PhiCode(Renaming):
     2n+1) in class j: 2n -> 3n+i-1 and 2n+1 -> 3n+j-1.
     """
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i == self.j or not (1 <= self.i <= 3 and 1 <= self.j <= 3):
+    def __init__(self, i: int, j: int):
+        if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
             raise ValueError("phi ports must be distinct in 1..3")
+        self.i, self.j = i, j
+        super().__init__(i, j)
 
     def apply_code(self, code: int) -> Optional[int]:
         if code % 2 == 0:
@@ -276,10 +356,12 @@ class PhiCode(Renaming):
         return True
 
 
-@dataclass(frozen=True)
 class PhiDecode(Renaming):
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        self.i, self.j = i, j
+        super().__init__(i, j)
 
     def apply_code(self, code: int) -> Optional[int]:
         r = code % 3
@@ -296,9 +378,10 @@ class PhiDecode(Renaming):
         return f"inv(phi{self.i}{self.j})"
 
 
-@dataclass(frozen=True)
 class SwapLR(Renaming):
     """Interchanges the l/r halves of the name space: code XOR 1."""
+
+    __slots__ = ()
 
     def apply_code(self, code: int) -> Optional[int]:
         return code ^ 1
@@ -316,11 +399,15 @@ class SwapLR(Renaming):
 class FiniteMap(Renaming):
     """Finite injective map on names, extended to co-names pointwise."""
 
+    __slots__ = ("_map",)
+
     def __init__(self, pairs: Iterable[tuple[Name, Name]]):
-        mapping = {src.code: dst.code for src, dst in pairs}
+        mapping = dict(pairs)
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("finite renaming must be injective")
-        self._map = dict(sorted(mapping.items()))
+        items = tuple(sorted(mapping.items()))
+        self._map = {src.code: dst.code for src, dst in items}
+        super().__init__(items)
 
     def apply_code(self, code: int) -> Optional[int]:
         return self._map.get(code)
@@ -334,19 +421,15 @@ class FiniteMap(Renaming):
         )
         return "map{" + items + "}"
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteMap) and self._map == other._map
 
-    def __hash__(self):
-        return hash(tuple(self._map.items()))
-
-
-@dataclass(frozen=True)
 class Compose(Renaming):
     """after(first(x)): `first` applies first."""
 
-    after: Renaming
-    first: Renaming
+    __slots__ = ("after", "first")
+
+    def __init__(self, after: Renaming, first: Renaming):
+        self.after, self.first = after, first
+        super().__init__(after, first)
 
     def apply_code(self, code: int) -> Optional[int]:
         mid = self.first.apply_code(code)
@@ -371,8 +454,11 @@ class Piecewise(Renaming):
     Callers must supply pieces with disjoint domains and disjoint images.
     """
 
+    __slots__ = ("_pieces",)
+
     def __init__(self, pieces: Iterable[Renaming]):
         self._pieces = tuple(pieces)
+        super().__init__(self._pieces)
 
     def apply_code(self, code: int) -> Optional[int]:
         for piece in self._pieces:
@@ -386,12 +472,6 @@ class Piecewise(Renaming):
 
     def describe(self) -> str:
         return "piece(" + "|".join(p.describe() for p in self._pieces) + ")"
-
-    def __eq__(self, other):
-        return isinstance(other, Piecewise) and self._pieces == other._pieces
-
-    def __hash__(self):
-        return hash(self._pieces)
 
 
 IDENT = IdentityRenaming()
@@ -412,69 +492,68 @@ def compose_renamings(after: Renaming, first: Renaming) -> Renaming:
     """Composition with canonicalization: identities drop out, a total
     renaming followed by its inverse cancels, and finite maps compose to
     a finite map.  Keeps state keys stable when recursion unfolding
-    stacks renamings."""
+    stacks renamings.  The result is the kept instance (`kept`)."""
     if isinstance(after, IdentityRenaming):
-        return first
+        return kept(first)
     if isinstance(first, IdentityRenaming):
-        return after
+        return kept(after)
     if first.is_total() and after == first.inverse():
-        return IDENT
+        return kept(IDENT)
     if isinstance(after, FiniteMap) and isinstance(first, FiniteMap):
         pairs = []
         for src_code, mid in first._map.items():
             out = after.apply_code(mid)
             if out is not None:
                 pairs.append((Name(src_code), Name(out)))
-        return FiniteMap(pairs)
-    return Compose(after, first)
+        return kept(FiniteMap(pairs))
+    return kept(Compose(after, first))
 
 
 # ---------------------------------------------------------------------------
 # Restriction sets: symbolic predicates over labels, decidable membership.
 
 
-class RestrictionSet:
+class RestrictionSet(NameMap):
+    __slots__ = ()
+
     def contains_label(self, lab: Label) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.describe()
-
-    def blocks(self, a: Action) -> bool:
-        """True when the action meets the set or its involution closure."""
-        return any(self.contains_label(l) or self.contains_label(l.dual()) for l in a)
+    def blocks(self, a: Iterable[Label]) -> frozenset:
+        """The labels of the action `a` (or tuple of labels) that meet the
+        set or its involution closure: empty, so false, when the set lets
+        `a` pass.  Memoised per set and action."""
+        part = self._memo.get(a)
+        if part is None:
+            part = self._memo[a] = frozenset(
+                l for l in a if self.contains_label(l) or self.contains_label(l.dual())
+            )
+        return part
 
 
 class FiniteRestriction(RestrictionSet):
+    __slots__ = ("labels",)
+
     def __init__(self, labels: Iterable[Label]):
-        self._labels = frozenset(labels)
+        self.labels = frozenset(labels)
+        super().__init__(self.labels)
 
     def contains_label(self, lab: Label) -> bool:
-        return lab in self._labels
+        return lab in self.labels
 
     def describe(self) -> str:
-        return "{" + ",".join(str(l) for l in sorted(self._labels, key=label_key)) + "}"
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteRestriction) and self._labels == other._labels
-
-    def __hash__(self):
-        return hash(self._labels)
-
-    @property
-    def labels(self) -> frozenset:
-        return self._labels
+        return "{" + ",".join(str(l) for l in sorted(self.labels, key=label_key)) + "}"
 
 
-@dataclass(frozen=True)
 class CodingClass(RestrictionSet):
     """One of the coding regions: Ll, Lr (label halves), N1..N3 (mod-3
     name classes, both polarities) or `all` labels."""
 
-    which: str
+    __slots__ = ("which",)
+
+    def __init__(self, which: str):
+        self.which = which
+        super().__init__(which)
 
     def contains_label(self, lab: Label) -> bool:
         w = self.which
@@ -493,20 +572,17 @@ class CodingClass(RestrictionSet):
 
 
 class UnionRestriction(RestrictionSet):
+    __slots__ = ("_parts",)
+
     def __init__(self, parts: Iterable[RestrictionSet]):
         self._parts = tuple(parts)
+        super().__init__(self._parts)
 
     def contains_label(self, lab: Label) -> bool:
         return any(p.contains_label(lab) for p in self._parts)
 
     def describe(self) -> str:
         return "(" + "+".join(p.describe() for p in self._parts) + ")"
-
-    def __eq__(self, other):
-        return isinstance(other, UnionRestriction) and self._parts == other._parts
-
-    def __hash__(self):
-        return hash(self._parts)
 
 
 ALL_LABELS = CodingClass("all")
@@ -518,7 +594,8 @@ N2_CLASS = CodingClass("N2")
 def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:
     """Canonical union: nested unions flatten, finite parts merge, `all`
     absorbs, parts are deduplicated and ordered.  Canonicity keeps state
-    keys stable when restrictions stack up under recursion unfolding."""
+    keys stable when restrictions stack up under recursion unfolding.
+    The result is the kept instance (`kept`)."""
     parts: list[RestrictionSet] = []
 
     def flat(r: RestrictionSet):
@@ -534,7 +611,7 @@ def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:
     others: dict[str, RestrictionSet] = {}
     for p in parts:
         if isinstance(p, CodingClass) and p.which == "all":
-            return ALL_LABELS
+            return kept(ALL_LABELS)
         if isinstance(p, FiniteRestriction):
             finite |= p.labels
         else:
@@ -543,5 +620,5 @@ def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:
     if finite:
         out.append(FiniteRestriction(finite))
     if len(out) == 1:
-        return out[0]
-    return UnionRestriction(out)
+        return kept(out[0])
+    return kept(UnionRestriction(out))

@@ -23,12 +23,21 @@ exponentially many successors, so without the second limit the first
 does not bound memory.  A partial graph records the limit that stopped
 it (`LTS.limit`).
 
-`_MEMO` keeps what explorations found, in two tiers.  The graph tier
+`_MEMO` keeps what explorations found, in three tiers, each least
+recently used first and bounded by a module constant.  The graph tier
 keeps explored graphs, up to MEMO_STATES states in all.  The answer tier
 keeps, for up to ANSWERS terms, what callers asked of their graphs (a
 `diverges` verdict, a failures fingerprint) after the graph is gone; an
-answer holds no graph.  Both are keyed by term and state budget, and
-`_MEMO.clear()` empties both.
+answer holds no graph.  Both are keyed by term and state budget.  The
+step tier keeps what `step` found for a node, up to STEP_SUCCESSORS
+successors, so a node that many explorations meet has its transitions
+built once, as FDR3 builds a node's transitions once from its
+components'.  An exploration that finds a node there still steps its
+components and counts their successors as a fresh step would, so no
+graph, limit or error depends on what ran before.  Only `build_lts`
+reads and fills it: `equivalence.failures_bounded` stays a route of its
+own.  Each tier counts its hits, misses and evictions, and
+`_MEMO.clear()` empties all three.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, KeysView, Optional
+from typing import Callable, Iterable, KeysView, Optional
 
 from .names import RestrictionSet, action_key, dual_action, label_key, print_action
 from .terms import (
@@ -111,13 +120,15 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
 class StepMemo(dict):
     """An exploration's memo for `step`: the transitions of each node it
     has stepped, by node, and the number of successors those hold, which
-    must stay within `limit`."""
+    must stay within `limit`.  `tier` is the step tier of `_MEMO` when the
+    exploration may read and fill it (`build_lts`), else None."""
 
-    __slots__ = ("built", "limit")
+    __slots__ = ("built", "limit", "tier")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, tier: Optional["_Tier"] = None):
         self.built = 0
         self.limit = limit
+        self.tier = tier
 
     def keep(self, t: Term, out: KeysView):
         self.built += len(out)
@@ -141,37 +152,59 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
     `_memo` is an exploration's memo of the transitions of the nodes it
     has stepped, read and filled here, so a component that several states
     share is stepped once and the result is shared: it must not be
-    mutated.  It lives as long as that exploration only (see `build_lts`
-    for why), and it counts the successors it holds: past its limit the
-    step raises BudgetExceeded.  A node whose step raises is not
-    remembered; prefixes and sums, read straight off the node, are not
-    remembered either."""
+    mutated.  It lives as long as that exploration only, and it counts the
+    successors it holds: past its limit the step raises BudgetExceeded.
+    A node whose step raises is not remembered; prefixes and sums, read
+    straight off the node, are not remembered either.
+
+    When the memo has a `tier` (the step tier of `_MEMO`), a node the
+    exploration has not stepped yet is looked up there, and a node it
+    steps afresh is kept there: its pairs, or a recursion's unfolding.
+    A node found there is still walked as a fresh step would walk it:
+    its components are stepped, and counted if this exploration has not
+    counted them yet, in the same order and at the same unfolding depth,
+    and only the combination is skipped.  So the successors counted, the
+    place a limit fires and the unguarded-recursion check are the same,
+    whatever earlier explorations kept."""
     if _depth > 512:
         raise SemanticsError("recursion unfolding too deep; term is likely unguarded")
     if isinstance(t, Prefix):
         return {(t.action, t.cont): None}.keys()
     if isinstance(t, Sum):
         return dict.fromkeys(t.branches).keys()
+    known = None
     if _memo is not None:
         out = _memo.get(t)
         if out is not None:
             return out
+        if _memo.tier is not None:
+            known = _memo.tier.get(t)
     if isinstance(t, Par):
-        out = _par_step(t, None, _depth, _memo)
+        left = step(t.left, _depth, _memo)
+        right = step(t.right, _depth, _memo)
+        out = _par_step(t, None, left, right) if known is None else known
     elif isinstance(t, Restrict):
-        if isinstance(t.proc, Par):
-            out = _par_step(t.proc, t.labels, _depth, _memo)
+        proc, labels = t.proc, t.labels
+        if isinstance(proc, Par):
+            left = step(proc.left, _depth, _memo)
+            right = step(proc.right, _depth, _memo)
+            out = _par_step(proc, labels, left, right) if known is None else known
         else:
-            out = dict.fromkeys(
-                (a, restrict(p, t.labels)) for a, p in step(t.proc, _depth, _memo) if not t.labels.blocks(a)
+            inner = step(proc, _depth, _memo)
+            out = known if known is not None else dict.fromkeys(
+                (a, restrict(p, labels)) for a, p in inner if not labels.blocks(a)
             ).keys()
     elif isinstance(t, Rename):
-        out = dict.fromkeys(
-            (t.ren.apply_action(a), rename(p, t.ren)) for a, p in step(t.proc, _depth, _memo)
+        inner = step(t.proc, _depth, _memo)
+        out = known if known is not None else dict.fromkeys(
+            (t.ren.apply_action(a), rename(p, t.ren)) for a, p in inner
         ).keys()
     elif isinstance(t, Rec):
-        out = step(substitute_var(t.body, t.var, t), _depth + 1, _memo)
+        unfolded = substitute_var(t.body, t.var, t) if known is None else known
+        out = step(unfolded, _depth + 1, _memo)
         if _memo is not None:
+            if known is None and _memo.tier is not None:
+                _memo.tier.put(t, unfolded)
             _memo[t] = out  # the unfolding's successors, counted once
         return out
     elif isinstance(t, Var):
@@ -181,26 +214,27 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
     else:
         raise TypeError(f"not a term: {t!r}")
     if _memo is not None:
+        if known is None and _memo.tier is not None:
+            _memo.tier.put(t, out)
         _memo.keep(t, out)
     return out
 
 
-def _par_step(t: Par, labels: Optional[RestrictionSet], depth: int, memo: Optional[StepMemo]) -> KeysView:
-    """The parallel rule on `t`; under the restriction `labels` when it is
-    not None, in the same pass.  Then an action survives only if none of
-    its labels is blocked (`RestrictionSet.blocks`).  An interleaving
-    whose action is blocked is not built.  A synchronisation of d with e
-    leaves (d - b) u (e - dual(b)), so it survives only if b holds every
-    blocked label Bd of d and dual(b) every blocked label Be of e: that
-    needs Bd == dual(Be), and then b is Bd u s for a subset s of the
-    unblocked matchable labels.  Enumerating s in `_subsets` order gives
-    those b in the order of the full enumeration, since adding Bd to
-    subsets of one size keeps their order.  A survivor is built as
+def _par_step(t: Par, labels: Optional[RestrictionSet], left: KeysView, right: KeysView) -> KeysView:
+    """The parallel rule on `t`, whose components step to `left` and
+    `right`; under the restriction `labels` when it is not None, in the
+    same pass.  Then an action survives only if none of its labels is
+    blocked (`RestrictionSet.blocks`).  An interleaving whose action is
+    blocked is not built.  A synchronisation of d with e leaves
+    (d - b) u (e - dual(b)), so it survives only if b holds every blocked
+    label Bd of d and dual(b) every blocked label Be of e: that needs
+    Bd == dual(Be), and then b is Bd u s for a subset s of the unblocked
+    matchable labels.  Enumerating s in `_subsets` order gives those b in
+    the order of the full enumeration, since adding Bd to subsets of one
+    size keeps their order.  A survivor is built as
     `Restrict(Par(p, q), labels)`, what `restrict` makes of it after the
     fact.  `labels` is pushed one level only: the blocked labels of an
     inner parallel may still be matched by its sibling."""
-    left = step(t.left, depth, memo)
-    right = step(t.right, depth, memo)
     blocked = {} if labels is None else _blocked_parts(labels, left, right)
     pairs = {}
     for a, p in left:
@@ -211,13 +245,16 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], depth: int, memo: Option
         if a not in blocked:
             succ = Par(t.left, q)
             pairs[a, succ if labels is None else Restrict(succ, labels)] = None
-    needed = {e: dual_action(be) for e, be in blocked.items()}  # e -> dual(Be)
+    if not left:
+        return pairs.keys()
+    # each right move e with dual(Be), the blocked part a left move must
+    # have to meet it, and dual(e), computed once for all left moves
+    rights = [(e, q, dual_action(blocked.get(e, TAU)), dual_action(e)) for e, q in right]
     for d, p in left:
         bd = blocked.get(d, TAU)
-        for e, q in right:
-            if needed.get(e, TAU) != bd:
+        for e, q, needed, dual_e in rights:
+            if needed != bd:
                 continue
-            dual_e = dual_action(e)
             succ = None
             for s in _subsets(tuple(sorted((d & dual_e) - bd, key=label_key))):
                 b = bd | s
@@ -235,24 +272,8 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], depth: int, memo: Option
 
 def _blocked_parts(labels: RestrictionSet, *steps) -> dict:
     """Each action of `steps` that `labels` blocks -> its labels that
-    `labels` blocks (`RestrictionSet.blocks`); each label is looked up
-    once."""
-    status: dict = {}
-    out: dict = {}
-    for pairs in steps:
-        for a, _ in pairs:
-            if a in out:
-                continue
-            found = []
-            for lab in a:
-                hit = status.get(lab)
-                if hit is None:
-                    hit = status[lab] = labels.blocks((lab,))
-                if hit:
-                    found.append(lab)
-            if found:
-                out[a] = frozenset(found)
-    return out
+    `labels` blocks (`RestrictionSet.blocks`)."""
+    return {a: part for pairs in steps for a, _ in pairs if (part := labels.blocks(a))}
 
 
 @dataclass
@@ -338,48 +359,79 @@ MEMO_STATES = 500
 ANSWERS = 2048
 
 
-class _GraphMemo:
-    """Two tiers, each least recently used first.  `graphs` holds explored
-    graphs by (term, state budget), at most MEMO_STATES states in total; a
-    graph larger than that is never kept.  `answers` holds at most ANSWERS
-    answers by (question, term, state budget), and `shared` the one kept
-    copy of each value they hold (`share`).  `clear` empties both."""
+# Bound on the step tier of `_MEMO`, in successors: an entry weighs the
+# pairs it holds, and one with none weighs 1.  Steps repeat across
+# explorations, but what the tier keeps are fresh nodes, about 350 to 500
+# bytes per successor with their containers.  Over the first 3,000 `laws`,
+# 2,678 `semtypes` and all `oracle` queries of seed 101, a tier with no
+# bound answered 54%, 71% and 67% of its lookups, at 20% to 30% more peak
+# memory than the engine had before the tier; at this bound it answers
+# 50%, 63% and 61%, at no more than 4% more.  At 4,000 it answered 51%,
+# 67% and 65%, but `semtypes` peaked 8% higher in the benchmark.
+STEP_SUCCESSORS = 2000
 
-    def __init__(self):
-        self.graphs: OrderedDict = OrderedDict()
-        self.states = 0
-        self.answers: OrderedDict = OrderedDict()
-        self.shared: dict = {}
+
+class _Tier(OrderedDict):
+    """A map, least recently used first, whose values weigh at most
+    `bound()` in all (`weigh`); a value heavier than the bound alone is
+    never kept.  The bound is read at each `put`, so it follows its module
+    constant.  The tier counts its hits, misses and evictions; `clear`
+    empties it and resets them."""
+
+    def __init__(self, bound: Callable[[], int], weigh: Callable[[object], int]):
+        super().__init__()
+        self.bound = bound
+        self.weigh = weigh
+        self.clear()
 
     def get(self, key):
-        lts = self.graphs.get(key)
-        if lts is not None:
-            self.graphs.move_to_end(key)
-        return lts
-
-    def put(self, key, lts: LTS):
-        size = len(lts.terms)
-        if size > MEMO_STATES:
-            return
-        self.graphs[key] = lts
-        self.states += size
-        while self.states > MEMO_STATES:
-            _, old = self.graphs.popitem(last=False)
-            self.states -= len(old.terms)
-
-    def answer(self, key):
-        """The answer kept under `key`, or None."""
-        found = self.answers.get(key)
-        if found is not None:
-            self.answers.move_to_end(key)
+        found = OrderedDict.get(self, key)
+        if found is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.move_to_end(key)
         return found
 
-    def keep(self, key, answer):
-        """Keeps `answer` (not None) under `key` and returns it."""
-        self.answers[key] = answer
-        if len(self.answers) > ANSWERS:
-            self.answers.popitem(last=False)
-        return answer
+    def put(self, key, value):
+        """Keeps `value` (not None) under `key`, which the tier does not
+        hold, and returns it."""
+        size = self.weigh(value)
+        bound = self.bound()
+        if size > bound:
+            return value
+        self[key] = value
+        self.weight += size
+        while self.weight > bound:
+            _, old = self.popitem(last=False)
+            self.weight -= self.weigh(old)
+            self.evictions += 1
+        return value
+
+    def clear(self):
+        super().clear()
+        self.weight = self.hits = self.misses = self.evictions = 0
+
+
+def _step_weight(kept) -> int:
+    """A step-tier entry's weight: its pairs, or 1 for an unfolding."""
+    return 1 if isinstance(kept, Term) else len(kept) or 1
+
+
+class _GraphMemo:
+    """Three tiers (`_Tier`).  `graphs` holds explored graphs by (term,
+    state budget), at most MEMO_STATES states in total.  `answers` holds
+    at most ANSWERS answers by (question, term, state budget), and
+    `shared` the one kept copy of each value they hold (`share`).
+    `steps` holds, by node, what `step` found for it (its pairs, or a
+    recursion's unfolding), up to STEP_SUCCESSORS successors; only
+    `build_lts` reads and fills it.  `clear` empties them all."""
+
+    def __init__(self):
+        self.graphs = _Tier(lambda: MEMO_STATES, lambda lts: len(lts.terms))
+        self.answers = _Tier(lambda: ANSWERS, lambda answer: 1)
+        self.steps = _Tier(lambda: STEP_SUCCESSORS, _step_weight)
+        self.shared: dict = {}
 
     def share(self, value):
         """The kept copy of a value equal to `value`, so that equal answers,
@@ -392,8 +444,8 @@ class _GraphMemo:
 
     def clear(self):
         self.graphs.clear()
-        self.states = 0
         self.answers.clear()
+        self.steps.clear()
         self.shared.clear()
 
 
@@ -413,15 +465,17 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
 
     While it runs, an exploration memoises the transitions of the nodes
     it meets (`step`'s `_memo`): a successor such as `Par(p, R)` re-uses
-    what `R` gave in the state it came from.  The memo goes when the call
-    returns.  Kept longer, it would hold every node the caller keeps
-    alive, and the inputs of a large batch of queries hold many.
+    what `R` gave in the state it came from.  That memo goes when the call
+    returns: kept longer, it would hold every node the caller keeps alive,
+    and the inputs of a large batch of queries hold many.  What outlives
+    it is the bounded step tier of `_MEMO`, which `step` reads and fills
+    for the exploration without changing what it counts.
     """
     memo_key = (t, budget.max_states)
-    lts = _MEMO.get(memo_key)
+    lts = _MEMO.graphs.get(memo_key)
     if lts is not None:
         return lts
-    steps = StepMemo(budget.max_transitions)
+    steps = StepMemo(budget.max_transitions, _MEMO.steps)
     lts = LTS(initial=t, terms={t: None})
     frontier = [t]
     full = capped = False
@@ -450,7 +504,7 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
             lts.limit = "state budget exhausted"
         elif capped:
             lts.limit = f"depth cap {DEPTH_CAP} reached"
-    _MEMO.put(memo_key, lts)
+    _MEMO.graphs.put(memo_key, lts)
     return lts
 
 
@@ -504,7 +558,7 @@ def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:
     memo's answer tier, so the graph is explored once while it stays.
     """
     key = ("diverges", t, budget.max_states)
-    verdict = _MEMO.answer(key)
+    verdict = _MEMO.answers.get(key)
     if verdict is None:
         lts = build_lts(t, budget)
         if tau_cycle_exists(lts):
@@ -515,5 +569,5 @@ def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:
             # unexpanded frontier states are reachable and their
             # tau-futures unknown
             verdict = "unknown"
-        _MEMO.keep(key, verdict)
+        _MEMO.answers.put(key, verdict)
     return verdict

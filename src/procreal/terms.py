@@ -12,8 +12,10 @@ construction order.
 
 Transitions are not kept on nodes.  An exploration memoises them by node
 for as long as it runs (`semantics.step`'s `_memo`), so a subtree shared
-by many states is stepped once.  Kept on the nodes, they would live as
-long as the inputs that hold the nodes.
+by many states is stepped once, and the step tier of `semantics._MEMO`
+keeps the most recently stepped nodes' across explorations, within a
+bound.  Kept on the nodes, they would live as long as the inputs that
+hold the nodes.
 
 A term's sort (`sort_labels`) is a syntactic bound on the labels it can
 ever perform: a frozenset of labels, or None when no finite bound is
@@ -38,6 +40,7 @@ from .names import (
     RestrictionSet,
     TAU,
     compose_renamings,
+    kept,
     print_action,
     print_name,
     positive,
@@ -68,7 +71,11 @@ def _node(cls):
     `subterms` instead made each construction about 1 us slower, `laws`
     answer 9% fewer queries per second and `oracle` set-up take 15%
     longer, so they are read here directly; a test checks that
-    `term_depth` agrees with a level count over `subterms`."""
+    `term_depth` agrees with a level count over `subterms`.
+
+    A field annotated `Renaming` or `RestrictionSet` is set to the kept
+    instance of its map (`names.kept`), so equal nodes hold one map
+    object, whichever way they were built."""
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)
     values = get if len(names) > 1 else (lambda self: (get(self),))
@@ -90,6 +97,17 @@ def _node(cls):
     def __post_init__(self):
         set_hash(self, hash(values(self)))
         set_depth(self, below(self) + 1)
+
+    maps = [n for n, a in cls.__annotations__.items() if a in ("Renaming", "RestrictionSet")]
+    if maps:
+        (name,) = maps
+        set_map = cls.__dict__[name].__set__
+        get_map = attrgetter(name)
+        fill = __post_init__
+
+        def __post_init__(self):
+            set_map(self, kept(get_map(self)))
+            fill(self)
 
     def __hash__(self):
         return self._hash
@@ -366,7 +384,7 @@ def _sort(t: Term) -> tuple[Optional[frozenset], bool]:
         sub, tv = _sort(t.proc)
         if sub is None:
             return None, tv
-        return frozenset(l for l in sub if not t.labels.blocks((l,))), tv
+        return sub - t.labels.blocks(sub), tv
     if isinstance(t, Rename):
         sub, tv = _sort(t.proc)
         if tv or sub is None:

@@ -1,5 +1,9 @@
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
+from procreal import names
 from procreal.names import (
     ALL_LABELS,
     Compose,
@@ -24,8 +28,11 @@ from procreal.names import (
     r_code,
     union_restriction,
     FiniteRestriction,
+    Piecewise,
+    RenamingDomainError,
 )
-from procreal.parsing import parse_renaming_text
+from procreal.parsing import parse_renaming_text, parse_term
+from procreal.terms import NIL, Par, Rename, Restrict, rename
 
 
 def test_lr_coding_base_cases():
@@ -135,3 +142,67 @@ def test_kway_decode_describe_roundtrip():
     for ren in (LCODE, RCODE, SWAP, KwayCode(2, 3), PhiCode(1, 3),
                 Compose(KwayCode(1, 3), KwayDecode(1, 2)), KwayDecode(2, 2)):
         assert parse_renaming_text(ren.describe()) == ren
+
+
+def _relayout():
+    return Piecewise([Compose(LCODE, KwayDecode(1, 2)), Compose(RCODE, KwayDecode(2, 2))])
+
+
+def test_nodes_hold_one_kept_instance_of_each_map():
+    a, b = positive(REGISTRY.intern("a")), positive(REGISTRY.intern("b"))
+    p = parse_term("{a}.0")
+    names._KEPT.clear()
+    first, second = _relayout(), _relayout()
+    assert first is not second and first == second and hash(first) == hash(second)
+    node = Rename(p, first)
+    assert Rename(NIL, second).ren is node.ren
+    hidden = Restrict(p, FiniteRestriction([a, b]))
+    assert Restrict(NIL, FiniteRestriction([b, a])).labels is hidden.labels
+    # the canonical constructors hand out kept instances too
+    assert union_restriction(LL_CLASS, FiniteRestriction([a])) is union_restriction(
+        FiniteRestriction([a]), LL_CLASS
+    )
+    assert compose_renamings(LCODE, _relayout()) is compose_renamings(LCODE, _relayout())
+    assert rename(rename(p, LCODE), SWAP).ren is Rename(NIL, Compose(SWAP, LCODE)).ren
+    # a map that no node holds is no kept instance, and is still equal
+    fresh = _relayout()
+    assert fresh is not node.ren and fresh == node.ren and hash(fresh) == hash(node.ren)
+    assert Rename(p, fresh) == node and hash(Rename(p, fresh)) == hash(node)
+    # emptying the table makes new kept instances, equal to the old ones
+    names._KEPT.clear()
+    again = Rename(p, _relayout())
+    assert again.ren is not node.ren
+    assert again == node and hash(again) == hash(node) and {node: 1}[again] == 1
+
+
+def test_map_memos_stay_out_of_value_text_and_pickle():
+    names._KEPT.clear()
+    ren, hidden = _relayout(), FiniteRestriction([positive(REGISTRY.intern("a"))])
+    before = [(m.describe(), pickle.dumps(m), hash(m), repr(m)) for m in (ren, hidden)]
+    act = frozenset([positive(REGISTRY.intern("a")), negative(REGISTRY.intern("b"))])
+    ren.apply_action(act)
+    hidden.blocks(act)
+    assert ren._memo and hidden._memo
+    assert [(m.describe(), pickle.dumps(m), hash(m), repr(m)) for m in (ren, hidden)] == before
+    assert ren == _relayout() and hidden == FiniteRestriction(hidden.labels)
+    # a term holding a piecewise renaming survives a pickle round-trip
+    t = Par(Rename(parse_term("{a}.{~b}.0"), ren), Restrict(NIL, hidden))
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and hash(back) == hash(t)
+    assert back.left.ren is t.left.ren and back.right.labels is t.right.labels
+
+
+def test_memoised_maps_answer_as_before():
+    decode = LCODE.inverse()
+    odd, even = frozenset([Label(7, False)]), frozenset([Label(8, True)])
+    for _ in range(2):
+        with pytest.raises(RenamingDomainError):
+            decode.apply_action(odd)
+    assert decode.apply_action(even) == frozenset([Label(4, True)])
+    assert decode.apply_action(even) is decode.apply_action(even)
+    mixed = frozenset([Label(14, False), Label(15, True)])
+    assert LL_CLASS.blocks(mixed) == frozenset([Label(14, False)])
+    assert LL_CLASS.blocks(mixed) is LL_CLASS.blocks(mixed)
+    assert not LL_CLASS.blocks(frozenset([Label(15, True)]))
+    # a label blocks when its dual is in the set
+    assert FiniteRestriction([Label(9, True)]).blocks((Label(9, False),))

@@ -28,6 +28,7 @@ from procreal.names import (
     TAU,
     FiniteRestriction,
     action_key,
+    dual_action,
     negative,
     positive,
     print_action,
@@ -35,6 +36,7 @@ from procreal.names import (
 from procreal.parsing import parse_term
 from procreal.semantics import (
     MEMO_STATES,
+    STEP_SUCCESSORS,
     _MEMO,
     LTS,
     ExplorationBudget,
@@ -263,7 +265,7 @@ def test_graph_memo_keeps_at_most_its_state_bound():
     graphs = [build_lts(t) for t in chains]
     assert sum(len(g.terms) for g in graphs) > MEMO_STATES
     kept = list(_MEMO.graphs.values())
-    assert _MEMO.states == sum(len(g.terms) for g in kept) <= MEMO_STATES
+    assert _MEMO.graphs.weight == sum(len(g.terms) for g in kept) <= MEMO_STATES
     # the most recent graph stays, the least recently used went first
     assert build_lts(chains[-1]) is graphs[-1]
     assert build_lts(chains[0]) is not graphs[0]
@@ -298,7 +300,6 @@ def test_answers_are_kept_and_cleared_with_the_graphs(monkeypatch):
     explored = _count_explorations(monkeypatch)
     assert diverges(loop, budget) == "yes" and len(explored) == 1
     _MEMO.graphs.clear()
-    _MEMO.states = 0
     assert diverges(loop, budget) == "yes" and len(explored) == 1  # the kept answer
     # equal fingerprints are one object
     assert failures_fingerprint(parse_term("{}.{b}.0")) is failures_fingerprint(parse_term("{b}.0"))
@@ -335,7 +336,7 @@ def test_answers_keep_their_bound_and_no_graph(monkeypatch):
     assert ("diverges", chains[-1], ExplorationBudget().max_states) in _MEMO.answers
     # the graph tier is as if no answer had been kept
     kept = list(_MEMO.graphs.values())
-    assert _MEMO.states == sum(len(g.terms) for g in kept) <= MEMO_STATES
+    assert _MEMO.graphs.weight == sum(len(g.terms) for g in kept) <= MEMO_STATES
     gc.collect()
     assert sum(isinstance(o, LTS) for o in gc.get_objects()) == graphs_before + len(kept)
     _MEMO.clear()
@@ -566,10 +567,12 @@ def test_unguarded_recursion_raises_and_caches_nothing():
     with pytest.raises(SemanticsError):
         step(t, 0, steps)
     assert steps == {}
-    before = dict(_MEMO.graphs)
+    before, kept = dict(_MEMO.graphs), list(_MEMO.steps.items())
     with pytest.raises(SemanticsError):
         build_lts(t)
     assert _MEMO.graphs == before
+    # the step tier gained no entry either, and lost none
+    assert list(_MEMO.steps.items()) == kept
 
 
 def _live_terms() -> int:
@@ -586,12 +589,111 @@ def test_explorations_keep_no_state_beyond_the_graph_memo():
     for t in terms:
         build_lts(t, budget)
         failures_bounded(t, 3, budget)
-    assert 0 < _MEMO.states <= MEMO_STATES
-    info = action_key.cache_info()
-    assert info.currsize <= info.maxsize
+    assert 0 < _MEMO.graphs.weight <= MEMO_STATES
+    assert 0 < _MEMO.steps.weight <= STEP_SUCCESSORS
+    for cache in (action_key, dual_action):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
     _MEMO.clear()
+    assert not _MEMO.steps and _MEMO.steps.hits == _MEMO.steps.misses == 0
     # every node the explorations built is gone with them
     assert _live_terms() == before
+    # the brute-force route neither reads nor fills the step tier
+    for t in terms:
+        failures_bounded(t, 3, budget)
+    assert not _MEMO.steps and _MEMO.steps.hits == _MEMO.steps.misses == 0
+    both = Par(terms[-1], terms[-2])
+    build_lts(both, budget)
+    assert _MEMO.steps and _MEMO.steps.misses > 0
+    kept, misses = list(_MEMO.steps.items()), _MEMO.steps.misses
+    failures_bounded(both, 3, budget)
+    assert list(_MEMO.steps.items()) == kept and _MEMO.steps.misses == misses
+    assert _MEMO.steps.hits == 0
+    del both, kept
+    _MEMO.clear()
+    assert _live_terms() == before
+
+
+# ---------------------------------------------------------------------------
+# The step tier of `_MEMO`: what earlier explorations stepped
+
+
+def _closures(count: int) -> list:
+    rng = random.Random(47)
+    out = []
+    while len(out) < count:
+        p = random_term(rng, (A, B), rng.randint(5, 10))
+        q = random_term(rng, (A, B), rng.randint(5, 10))
+        out += [seq(p, q), lapp(p, q), rapp(p, q)]
+    return out[:count]
+
+
+def _exported(lts: LTS) -> tuple:
+    """A graph's states and transitions, in the order explored, and its limit."""
+    return list(lts.terms), list(lts.transitions.items()), lts.limit
+
+
+def test_step_tier_never_changes_a_graph(monkeypatch):
+    # every closure explored with the step tier empty, then all of them
+    # again, in a shuffled order, with what the earlier ones kept: the same
+    # states in the same order, the same transitions, the same limit
+    cases = [(t, n) for t in _closures(300) for n in (4, 16, 60)]
+    limited = 0
+    try:
+        for per_state in (3, 1):
+            monkeypatch.setattr(semantics, "TRANSITIONS_PER_STATE", per_state)
+            cold = {}
+            for t, n in cases:
+                _MEMO.clear()
+                cold[t, n] = _exported(build_lts(t, ExplorationBudget(max_states=n)))
+            _MEMO.clear()
+            random.Random(per_state).shuffle(cases)
+            for t, n in cases:
+                _MEMO.graphs.clear()
+                warm = build_lts(t, ExplorationBudget(max_states=n))
+                assert _exported(warm) == cold[t, n], print_term(t)
+                limited += warm.limit == "transition budget exhausted"
+            assert _MEMO.steps.hits > 1000
+    finally:
+        _MEMO.clear()
+    assert limited > 200
+
+
+def test_step_tier_keeps_the_unfolding_depth_check():
+    # 150 nested recursions unfold 150 deep: a step at depth 0 succeeds and
+    # is kept, and the same node met at depth 400 still raises
+    chain = parse_term("{a}.0")
+    for i in range(150):
+        chain = Rec(f"X{i}", chain)
+    _MEMO.clear()
+    try:
+        cold = StepMemo(100)
+        with pytest.raises(SemanticsError):
+            step(chain, 400, cold)
+        first = StepMemo(100, _MEMO.steps)
+        assert list(step(chain, 0, first)) == list(step(chain))
+        assert chain in _MEMO.steps
+        warm = StepMemo(100, _MEMO.steps)
+        with pytest.raises(SemanticsError):
+            step(chain, 400, warm)
+        assert _MEMO.steps.hits > 100
+    finally:
+        _MEMO.clear()
+
+
+def test_step_tier_keeps_its_bound_and_counts(monkeypatch):
+    monkeypatch.setattr(semantics, "STEP_SUCCESSORS", 50)
+    _MEMO.clear()
+    for t in _closures(30):
+        build_lts(t, ExplorationBudget(max_states=40))
+    tier = _MEMO.steps
+    assert 0 < tier.weight <= 50
+    assert tier.weight == sum(semantics._step_weight(v) for v in tier.values())
+    assert tier.hits > 0 and tier.misses > 0 and tier.evictions > 0
+    _MEMO.clear()
+    for memo_tier in (_MEMO.graphs, _MEMO.answers, _MEMO.steps):
+        assert not memo_tier and memo_tier.weight == 0
+        assert memo_tier.hits == memo_tier.misses == memo_tier.evictions == 0
 
 
 def test_exploration_never_prints(monkeypatch):
