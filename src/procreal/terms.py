@@ -1,10 +1,13 @@
 """Guarded process terms: AST, canonical printing, substitution,
 well-formedness, syntactic sorts and value-passing expansion.
 
-Terms are immutable and compare structurally.  Each node keeps two
-values computed once, when it is built, from its children's: its hash
-and its constructor depth (`term_depth`).  So a node is the state key of
-the transition engine: explorations hash and compare nodes and print
+Terms are immutable and hash-consed: constructing a node returns the
+live node equal to it, when there is one (`_node`), so equal terms built
+apart are one object and the memo tiers find them by identity.  Equality
+stays structural, as a fallback.  Each node keeps two values computed
+once, when it is built, from its children's: its hash and its
+constructor depth (`term_depth`).  So a node is the state key of the
+transition engine: explorations hash and compare nodes and print
 nothing.  The canonical printed form is made only where text leaves the
 program (graph exports, witnesses, reports), and it is deterministic:
 actions print their labels sorted, sums print their branches in
@@ -26,6 +29,7 @@ labels its set blocks (`RestrictionSet.blocks`, both polarities).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Union
@@ -52,82 +56,134 @@ class Term:
     __slots__ = ()
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor: restoring the
-        # slots would go through the frozen __setattr__, and a hash of a
-        # string is only valid in the process that computed it
+        # pickle and copy rebuild through the constructor, which returns
+        # the live equal node if there is one: restoring the slots would
+        # go through the frozen __setattr__, and a hash of a string is
+        # only valid in the process that computed it
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a node that holds the node's key
+    in its table, the node's hash.  Each node class has its own subclass,
+    whose class attribute `table` is the class's table."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref):
+    # the one death callback of every table: forget a dead node's entry,
+    # unless a node built since has taken it.  A thread switch between the
+    # two lookups can let another thread's entry go, which costs speed
+    # only; `pop` does not raise when one has already gone.
+    table = ref.table
+    if table.get(ref.key) is ref:
+        table.pop(ref.key, None)
+
+
+# Each node class's table: from hash to the entry of the live node with
+# that hash built last.
+_TABLES: dict = {}
+
+
 def _node(cls):
-    """A frozen dataclass that computes two values once, on construction,
-    from its fields and its children's slots.  `_hash` is the hash the
-    dataclass would compute from its fields: every (action, term) set
-    insert in `step` hashes a term, and without the slot each one walks
-    the whole tree.  `_depth` is one more than its deepest child's
-    (`term_depth`); the children are the fields annotated `Term`, or what
-    the class's `_below` reads.  Filling the slots on first use instead
-    would raise and catch an AttributeError for every fresh node, which
-    costs more than computing them.  Reading the children through
-    `subterms` instead made each construction about 1 us slower, `laws`
-    answer 9% fewer queries per second and `oracle` set-up take 15%
-    longer, so they are read here directly; a test checks that
-    `term_depth` agrees with a level count over `subterms`.
+    """A frozen dataclass with one construction path, through the table of
+    its class: constructing returns the live node equal to the request,
+    and builds one only when no equal node is alive.  Parsing a text
+    twice, rebuilding a term with `map_subterms`, a pickle or copy round
+    trip and `dataclasses.replace` all meet the node already built, so
+    dictionaries and sets keyed by nodes find it by identity instead of
+    comparing it field by field.  The table holds each node weakly, by a
+    `_Ref`, and one shared callback (`_drop`) removes a dead node's entry:
+    nothing is kept alive by having been built.  Equality stays
+    structural, so an equal node built twice costs speed only: two
+    threads racing, or two live structures whose hashes collide (the
+    later one takes the entry).  This is Filliâtre and Conchon's
+    *Type-safe modular hash-consing* (2006), without integer ids.
+
+    The table is keyed by the node's hash, not by its field tuple: a
+    field tuple is hashed through its children's `__hash__`, a Python
+    call each, and keyed by the tuple a node's fields would be hashed up
+    to five times in its life (lookup, `_hash`, insert, and twice on
+    death) instead of once.  A hit compares the node's fields with the
+    request's, each comparison stopping at identity when the children
+    are shared.
+
+    A new node gets two values computed once, from its fields and its
+    children's slots.  `_hash` is the hash the dataclass would compute
+    from its fields, hash(field tuple): every (action, term) set insert in
+    `step` hashes a term, and without the slot each one walks the whole
+    tree.  `_depth` is one more than its deepest child's (`term_depth`);
+    the children are the fields annotated `Term`, or what the class's
+    `_below` reads (a test checks that `term_depth` agrees with a level
+    count over `subterms`).  The slots are set through their own setters:
+    the frozen dataclass refuses plain assignment.
 
     A field annotated `Renaming` or `RestrictionSet` is set to the kept
     instance of its map (`names.kept`), so equal nodes hold one map
-    object, whichever way they were built."""
+    object; only a new node looks it up."""
     names = tuple(cls.__annotations__)
-    get = attrgetter(*names)
-    values = get if len(names) > 1 else (lambda self: (get(self),))
-    below = cls.__dict__.get("_below")
-    if below is None:
+    # the depth below the node: what `_below` returns, or the children's
+    # slots read inline, which saves a Python call per new node
+    if "_below" in cls.__dict__:
+        below = "_below(node)"
+    else:
         kids = [f"{n}._depth" for n, a in cls.__annotations__.items() if a == "Term"]
-        if len(kids) == 1:
-            below = attrgetter(kids[0])
-        else:
-            get_kids = attrgetter(*kids)
-
-            def below(self):
-                return max(get_kids(self))
-    # the slots' own setters, cheaper than object.__setattr__ (the frozen
-    # class refuses plain assignment)
-    set_hash = cls.__dict__["_hash"].__set__
-    set_depth = cls.__dict__["_depth"].__set__
-
-    def __post_init__(self):
-        set_hash(self, hash(values(self)))
-        set_depth(self, below(self) + 1)
-
+        below = kids[0] if len(kids) == 1 else "({0} if {0} > {1} else {1})".format(*kids)
+    table = _TABLES[cls] = {}
+    ref = type(f"_{cls.__name__}Ref", (_Ref,), {"__slots__": (), "table": table})
+    env = {
+        "get": table.get, "table": table, "new": object.__new__, "Ref": ref,
+        "drop": _drop, "_below": cls.__dict__.get("_below"), "kept": kept,
+    }
+    for n in names + ("_hash", "_depth"):
+        env[f"set_{n}"] = cls.__dict__[n].__set__
+    args = ", ".join(names)
+    key = f"({args},)"
     maps = [n for n, a in cls.__annotations__.items() if a in ("Renaming", "RestrictionSet")]
-    if maps:
-        (name,) = maps
-        set_map = cls.__dict__[name].__set__
-        get_map = attrgetter(name)
-        fill = __post_init__
-
-        def __post_init__(self):
-            set_map(self, kept(get_map(self)))
-            fill(self)
+    # written out per class, so that its parameters are the field names
+    # (keyword construction, which `dataclasses.replace` uses, needs them)
+    # and no call binds arguments generically
+    source = (
+        f"def __new__(cls, {args}):\n"
+        f"    key = {key}\n"
+        "    h = hash(key)\n"
+        "    entry = get(h)\n"
+        "    if entry is not None:\n"
+        "        node = entry()\n"
+        f"        if node is not None and ({', '.join(f'node.{n}' for n in names)},) == key:\n"
+        "            return node\n"
+        + "".join(f"    {n} = kept({n})\n" for n in maps)
+        + "    node = new(cls)\n"
+        + "".join(f"    set_{n}(node, {n})\n" for n in names)
+        + "    set__hash(node, h)\n"
+        f"    set__depth(node, {below} + 1)\n"
+        "    entry = Ref(node, drop)\n"
+        "    entry.key = h\n"
+        "    table[h] = entry\n"
+        "    return node\n"
+    )
+    exec(source, env)
 
     def __hash__(self):
         return self._hash
 
-    cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True)(cls)
+    cls.__new__ = staticmethod(env["__new__"])
+    cls = dataclass(frozen=True, init=False)(cls)
     cls.__hash__ = __hash__
     return cls
 
 
 @_node
 class Prefix(Term):
-    __slots__ = ("action", "cont", "_hash", "_depth")
+    __slots__ = ("action", "cont", "_hash", "_depth", "__weakref__")
     action: Action
     cont: Term
 
 
 @_node
 class Sum(Term):
-    __slots__ = ("branches", "_hash", "_depth")
+    __slots__ = ("branches", "_hash", "_depth", "__weakref__")
     branches: tuple  # tuple[tuple[Action, Term], ...]
 
     def _below(self):
@@ -136,28 +192,28 @@ class Sum(Term):
 
 @_node
 class Par(Term):
-    __slots__ = ("left", "right", "_hash", "_depth")
+    __slots__ = ("left", "right", "_hash", "_depth", "__weakref__")
     left: Term
     right: Term
 
 
 @_node
 class Restrict(Term):
-    __slots__ = ("proc", "labels", "_hash", "_depth")
+    __slots__ = ("proc", "labels", "_hash", "_depth", "__weakref__")
     proc: Term
     labels: RestrictionSet
 
 
 @_node
 class Rename(Term):
-    __slots__ = ("proc", "ren", "_hash", "_depth")
+    __slots__ = ("proc", "ren", "_hash", "_depth", "__weakref__")
     proc: Term
     ren: Renaming
 
 
 @_node
 class Var(Term):
-    __slots__ = ("ident", "_hash", "_depth")
+    __slots__ = ("ident", "_hash", "_depth", "__weakref__")
     ident: str
 
     def _below(self):
@@ -166,7 +222,7 @@ class Var(Term):
 
 @_node
 class Rec(Term):
-    __slots__ = ("var", "body", "_hash", "_depth")
+    __slots__ = ("var", "body", "_hash", "_depth", "__weakref__")
     var: str
     body: Term
 
@@ -178,7 +234,7 @@ ValueExpr = Union[int, str]
 
 @_node
 class InputPrefix(Term):
-    __slots__ = ("chan", "var", "body", "_hash", "_depth")
+    __slots__ = ("chan", "var", "body", "_hash", "_depth", "__weakref__")
     chan: Name
     var: str
     body: Term
@@ -186,7 +242,7 @@ class InputPrefix(Term):
 
 @_node
 class OutputPrefix(Term):
-    __slots__ = ("chan", "value", "body", "_hash", "_depth")
+    __slots__ = ("chan", "value", "body", "_hash", "_depth", "__weakref__")
     chan: Name
     value: ValueExpr
     body: Term

@@ -168,11 +168,16 @@ def test_nodes_hold_one_kept_instance_of_each_map():
     fresh = _relayout()
     assert fresh is not node.ren and fresh == node.ren and hash(fresh) == hash(node.ren)
     assert Rename(p, fresh) == node and hash(Rename(p, fresh)) == hash(node)
-    # emptying the table makes new kept instances, equal to the old ones
+    # emptying the table makes new kept instances, equal to the old ones;
+    # the live node is dropped first, or re-making it would meet it
+    old_ren, old_hash = node.ren, hash(node)
+    del node
     names._KEPT.clear()
     again = Rename(p, _relayout())
-    assert again.ren is not node.ren
-    assert again == node and hash(again) == hash(node) and {node: 1}[again] == 1
+    assert again.ren is not old_ren
+    assert again.ren == old_ren and hash(again) == old_hash
+    # asked for with the old, equal map, the node is the live one
+    assert Rename(p, old_ren) is again and {again: 1}[Rename(p, old_ren)] == 1
 
 
 def test_map_memos_stay_out_of_value_text_and_pickle():

@@ -146,7 +146,7 @@ def test_build_lts_deterministic():
 def test_equal_printing_terms_share_one_graph():
     text = "rec X. ({a}.X + {b}.0) | {~a}.0"
     t1, t2 = parse_term(text), parse_term(text)
-    assert t1 is not t2
+    assert t1 is t2
     budget = ExplorationBudget(max_states=300)
     shared = build_lts(t1, budget)
     assert build_lts(t2, budget) is shared

@@ -1,15 +1,21 @@
+import copy
 import dataclasses
+import gc
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
 from procreal.combinators import bang
 from procreal.generators import _constructed_terms, enumerate_terms, random_term
-from procreal.names import SWAP, FiniteRestriction, REGISTRY, negative, positive
+from procreal.names import LCODE, SWAP, Compose, FiniteRestriction, REGISTRY, negative, positive
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
+    _TABLES,
     InputPrefix,
+    Term,
     NIL,
     OutputPrefix,
     Par,
@@ -28,6 +34,7 @@ from procreal.terms import (
     sort_labels,
     subterms,
     substitute_value,
+    substitute_var,
     term_depth,
     well_formed,
 )
@@ -213,7 +220,7 @@ def test_term_nodes_are_slotted_and_hash_once():
 
     for first, second in zip(every_constructor(), every_constructor()):
         assert not hasattr(first, "__dict__")
-        assert first == second and first is not second
+        assert first == second and first is second
         assert hash(first) == hash(second)
         # the dataclass's own hash of the fields, so set order is unchanged
         values = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
@@ -226,6 +233,123 @@ def test_term_nodes_are_slotted_and_hash_once():
     assert hash(dataclasses.replace(Var("X"), ident="Y")) == hash(Var("Y"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         Var("X").ident = "Y"
+
+
+def test_every_way_of_building_a_term_meets_the_live_node():
+    s = REGISTRY.intern("s")
+    a = frozenset([positive(A)])
+    la, lb = FiniteRestriction([positive(A)]), FiniteRestriction([positive(B)])
+    p = Prefix(a, NIL)
+    built = [
+        p,
+        Sum(((a, p), (frozenset([positive(B)]), NIL))),
+        Par(p, Var("X")),
+        Restrict(p, la),
+        Rename(p, SWAP),
+        Var("X"),
+        Rec("X", Prefix(a, Var("X"))),
+        InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
+        OutputPrefix(s, 1, p),
+    ]
+    for t in built:
+        values = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+        assert type(t)(*values.values()) is t
+        assert type(t)(**values) is t
+        assert dataclasses.replace(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert map_subterms(t, lambda u: u) is t
+        # children rebuilt from scratch meet the live children, so the node too
+        assert map_subterms(t, lambda u: pickle.loads(pickle.dumps(u))) is t
+        assert parse_term(print_term(t)) is t
+    text = "rec X. ({a}.X + {b}.0) | {~a}.0 \\ {a}"
+    assert parse_term(text) is parse_term(text)
+    # substitution rebuilds only what it changes, and what it rebuilds is live
+    body = Prefix(a, Var("X"))
+    assert substitute_var(body, "X", Var("Y")) is Prefix(a, Var("Y"))
+    assert substitute_var(Rec("X", body), "X", NIL) is Rec("X", body)
+    # the fusing constructors return the node built directly
+    assert rename(rename(p, LCODE), SWAP) is Rename(p, Compose(SWAP, LCODE))
+    both = FiniteRestriction([positive(A), positive(B)])
+    assert restrict(restrict(p, la), lb) is Restrict(p, both)
+
+
+def _live_terms() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Term))
+
+
+def test_built_terms_leave_no_entry_behind():
+    live = _live_terms()
+    before = {cls: len(table) for cls, table in _TABLES.items()}
+    rng = random.Random(61)
+    grown = 0
+    for _ in range(10000):
+        t = random_term(rng, (A, B), rng.randint(1, 9))
+        grown = max(grown, sum(map(len, _TABLES.values())))
+    del t
+    assert grown > sum(before.values())
+    assert _live_terms() == live
+    assert {cls: len(table) for cls, table in _TABLES.items()} == before
+
+
+def test_equal_nodes_built_apart_still_meet():
+    p, q = parse_term("{a}.{b}.0"), parse_term("{b}.0 + {a}.0")
+    first = Par(p, q)
+    _TABLES[Par].clear()
+    second = Par(p, q)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1 and second in {first} and first in {second}
+    # the later node took the entry
+    assert Par(p, q) is second
+    del second
+    assert Par(p, q) is not first and Par(p, q) == first
+    # two live structures whose hashes collide (hash(-1) == hash(-2)): each
+    # construction still returns its own structure, the later one shared
+    s = REGISTRY.intern("s")
+    low = OutputPrefix(s, -1, NIL)
+    # the entry the later node displaces, held as a racing thread would
+    displaced = _TABLES[OutputPrefix][hash(low)]
+    lower = OutputPrefix(s, -2, NIL)
+    assert hash(low) == hash(lower) and low != lower
+    assert (low.value, lower.value) == (-1, -2)
+    # the later node took the entry, and the earlier one's death leaves it
+    del low
+    assert displaced() is None
+    assert OutputPrefix(s, -2, NIL) is lower
+    assert OutputPrefix(s, -1, NIL).value == -1
+
+
+def test_threads_building_equal_terms_get_equal_nodes():
+    rng = random.Random(83)
+    texts = [print_term(random_term(rng, (A, B), rng.randint(3, 8))) for _ in range(40)]
+    live = _live_terms()
+    before = {cls: len(table) for cls, table in _TABLES.items()}
+    wrong, unraisable = [], []
+
+    def work():
+        for _ in range(20):
+            for text in texts:
+                if print_term(parse_term(text)) != text:
+                    wrong.append(text)
+
+    hook, interval = sys.unraisablehook, sys.getswitchinterval()
+    sys.unraisablehook = unraisable.append  # an exception in a death callback
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        sys.unraisablehook = hook
+    assert wrong == [] and unraisable == []
+    assert _live_terms() == live
+    assert {cls: len(table) for cls, table in _TABLES.items()} == before
 
 
 def test_subterms_and_map_subterms_on_every_constructor():
