@@ -392,6 +392,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         args.values = _parse_values(args.values)
+        if args.depth < 0:
+            raise CliError("--depth must be at least 0")
+        if getattr(args, "trials", 1) < 1:
+            raise CliError("--trials must be at least 1")
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

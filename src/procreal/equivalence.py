@@ -19,6 +19,13 @@ its callers, the law checks, mostly ask about fresh terms, for which a
 fingerprint adds work and memory and is never asked for again.
 `weak_bisim` uses the same `refine` on the saturated graph.
 
+`failures_bounded` reaches the same failures by another route, straight
+from the transition rules: it determinises each tau-closed node it meets
+once per call (its acceptance family, its moves and, when a trace short
+of the depth reaches it, their tau closures), whatever the number of
+traces that reach the node.  It reads no graph, normal form or memo tier
+of the engine, so the two routes check each other.
+
 Divergence does not enter the failures model; it is a separate
 predicate used by the orthogonality check `perp`.
 """
@@ -51,9 +58,12 @@ def _family_json(family) -> list:
 
 
 def _minimize(acceptances: set) -> frozenset:
-    """Subset-minimal antichain of a family of acceptance sets."""
+    """Subset-minimal antichain of a family of acceptance sets.  A proper
+    subset is shorter, so sorting by length alone puts it first."""
+    if len(acceptances) < 2:
+        return frozenset(acceptances)
     out = []
-    for acc in sorted(acceptances, key=lambda s: (len(s), sorted(map(action_key, s)))):
+    for acc in sorted(acceptances, key=len):
         if not any(prev <= acc for prev in out):
             out.append(acc)
     return frozenset(out)
@@ -117,20 +127,21 @@ class FailureSet:
 
 
 class _StepCache:
-    """The states one `failures_bounded` call has met and their
-    transitions.  Like `build_lts` it memoises the transitions of the
-    nodes it meets for its own life only; it reads no graph or memo of
-    another exploration."""
+    """The states one `failures_bounded` call has met, their transitions,
+    and the tau-closed nodes it has determinised.  Like `build_lts` it
+    memoises for its own life only; it reads no graph or memo of another
+    exploration."""
 
     def __init__(self, budget: ExplorationBudget):
         self.states: set = set()
         self.trans: dict = {}  # state -> tuple[(Action, state)]
+        self.nodes: dict = {}  # tau-closed node -> _bounded_node's entry
         self.budget = budget
         self.steps = StepMemo(budget.max_transitions)
 
     def admit(self, t: Term) -> Term:
         if term_depth(t) > DEPTH_CAP:
-            raise BudgetExceeded("state nesting exceeds the depth cap")
+            raise BudgetExceeded(f"depth cap {DEPTH_CAP} reached")
         if t not in self.states:
             if len(self.states) >= self.budget.max_states:
                 raise BudgetExceeded(f"state budget {self.budget.max_states} exhausted")
@@ -145,51 +156,54 @@ class _StepCache:
         return cached
 
 
-def _node_family(cache: _StepCache, node: frozenset) -> frozenset:
-    acceptances = set()
-    for state in node:
-        succs = cache.successors(state)
-        if any(a == TAU for a, _ in succs):
-            continue
-        acceptances.add(frozenset(a for a, _ in succs))
-    return _minimize(acceptances)
-
-
-def _node_moves(cache: _StepCache, node: frozenset) -> dict:
-    moves: dict[Action, set] = {}
-    for state in node:
-        for a, dst in cache.successors(state):
-            if a == TAU:
-                continue
-            moves.setdefault(a, set()).add(dst)
-    return moves
+def _bounded_node(cache: _StepCache, node: frozenset) -> list:
+    """The entry of a tau-closed node, made once per call in one pass over
+    its states, which the tau closure that made the node has stepped:
+    [its acceptance family, its visible moves as (action, target states)
+    in `action_key` order, and None until `failures_bounded` expands it,
+    then the moves' (action, tau-closed node) pairs]."""
+    entry = cache.nodes.get(node)
+    if entry is None:
+        acceptances = set()
+        moves: dict[Action, set] = {}
+        for state in node:
+            succs = cache.successors(state)
+            stable = True
+            for a, dst in succs:
+                if a == TAU:
+                    stable = False
+                else:
+                    moves.setdefault(a, set()).add(dst)
+            if stable:
+                acceptances.add(frozenset(a for a, _ in succs))
+        moves = sorted(moves.items(), key=lambda kv: action_key(kv[0]))
+        entry = cache.nodes[node] = [_minimize(acceptances), moves, None]
+    return entry
 
 
 def failures_bounded(
     t: Term, depth: int, budget: ExplorationBudget = ExplorationBudget()
 ) -> FailureSet:
     """Failures for every trace of length <= depth, by determinizing the
-    tau-closed reachable sets on the fly.  Raises BudgetExceeded when
-    tau-closing or stepping outruns the state budget.
+    tau-closed reachable sets on the fly, each once per call.  Raises
+    BudgetExceeded when tau-closing or stepping outruns the state budget.
+    A node's moves are tau-closed only when a trace shorter than `depth`
+    reaches it, so the states stepped are those the traces need.
     """
     cache = _StepCache(budget)
     root = tau_closure(cache, frozenset([cache.admit(t)]))
     fs = FailureSet()
-    node_by_trace = {(): root}
+    fs.table[()] = _bounded_node(cache, root)[0]
     frontier = [((), root)]
-    fs.table[()] = _node_family(cache, root)
     for _ in range(depth):
         next_frontier = []
         for trace, node in frontier:
-            for a, dsts in sorted(
-                _node_moves(cache, node).items(), key=lambda kv: action_key(kv[0])
-            ):
-                succ = tau_closure(cache, frozenset(dsts))
+            entry = _bounded_node(cache, node)
+            if entry[2] is None:
+                entry[2] = [(a, tau_closure(cache, frozenset(dsts))) for a, dsts in entry[1]]
+            for a, succ in entry[2]:
                 tr2 = trace + (a,)
-                if tr2 in node_by_trace:
-                    continue
-                node_by_trace[tr2] = succ
-                fs.table[tr2] = _node_family(cache, succ)
+                fs.table[tr2] = _bounded_node(cache, succ)[0]
                 next_frontier.append((tr2, succ))
         frontier = next_frontier
     return fs
@@ -248,11 +262,14 @@ def _normalise(lts: LTS) -> NormalForm:
         moves: dict[Action, set] = {}
         for state in node:
             succs = lts.successors(state)
-            if not any(a == TAU for a, _ in succs):
-                acceptances.add(frozenset(a for a, _ in succs))
+            stable = True
             for a, dst in succs:
-                if a != TAU:
+                if a == TAU:
+                    stable = False
+                else:
                     moves.setdefault(a, set()).add(dst)
+            if stable:
+                acceptances.add(frozenset(a for a, _ in succs))
         nf.families[node] = _minimize(acceptances)
         edges = []
         for a, dsts in sorted(moves.items(), key=lambda kv: action_key(kv[0])):

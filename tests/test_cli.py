@@ -74,7 +74,12 @@ def test_partial_graph_names_depth_cap(files, capsys):
     err = capsys.readouterr().err
     assert "depth cap" in err and "state budget" not in err
     assert main(["equiv", path, path, "--mode", "weak-bisim", "--format", "json"]) == 2
-    assert "depth cap" in json.loads(capsys.readouterr().out)["detail"]
+    assert json.loads(capsys.readouterr().out)["detail"] == "depth cap 200 reached"
+    # the bounded route names the limit in the same words
+    assert main(["equiv", path, path, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["detail"] == "budget exhausted: depth cap 200 reached"
+    assert main(["failures", path]) == 2
+    assert capsys.readouterr().err == "budget exhausted: depth cap 200 reached\n"
 
 
 def test_deeply_nested_input_exits_three(files):
@@ -236,6 +241,14 @@ def _run(argv, contents, files):
             {"rule": "axiom", "formula": "forall x. a(x)"},
             {"rule": "axiom", "formula": "exists x. ~a(x)"},
         ]}), id="quantifier-cut-without-values"),
+        pytest.param(["failures", "t.term", "--depth", "-1"], {"t.term": "{a}.0\n"},
+                     id="negative-depth-failures"),
+        pytest.param(["equiv", "t.term", "t.term", "--depth", "-1"], {"t.term": "{a}.0\n"},
+                     id="negative-depth-equiv"),
+        pytest.param(["exercises", "--trials", "0"], {}, id="no-trials"),
+        pytest.param(["exercises", "--trials", "-3"], {}, id="negative-trials"),
+        pytest.param(["lts", "t.term", "--max-states", "0"], {"t.term": "{a}.0\n"},
+                     id="empty-state-budget"),
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):

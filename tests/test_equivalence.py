@@ -3,14 +3,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import subprocess_env
+from oracle_step import canonical, naive_step
 
 from procreal import combinators as C
 from procreal.combinators import bang
 from procreal.equivalence import (
     BudgetExceeded,
     _compare_normal_forms,
+    _minimize,
     failures_bounded,
     failures_equiv,
     fingerprint,
@@ -19,10 +22,10 @@ from procreal.equivalence import (
     weak_bisim,
 )
 from procreal.generators import enumerate_terms, equivalent_pair, random_context, random_term
-from procreal.names import REGISTRY
+from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget, build_lts
-from procreal.terms import NIL, print_term
+from procreal.terms import NIL, Rec, Rename, Restrict, print_term, subterms
 
 A = REGISTRY.intern("a")
 B = REGISTRY.intern("b")
@@ -60,6 +63,89 @@ def test_failures_acceptances_are_antichains():
         for family in fs.table.values():
             for acc in family:
                 assert not any(other < acc for other in family)
+
+
+def _reference_failures(t, depth):
+    """Failures to `depth` by determinising each trace's tau-closed state
+    set afresh over the naive one-step matcher, and the number of states
+    that admits, counted as `failures_bounded` counts them: the root and
+    every successor of a state it steps."""
+    steps = {}
+
+    def successors(s):
+        if s not in steps:
+            steps[s] = {(a, canonical(p)) for a, p in naive_step(s)}
+        return steps[s]
+
+    def closure(states):
+        seen, todo = set(states), list(states)
+        while todo:
+            for a, p in successors(todo.pop()):
+                if not a and p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        return seen
+
+    def family(node):
+        offers = {
+            frozenset(a for a, _ in successors(s)) for s in node
+            if all(a for a, _ in successors(s))
+        }
+        return frozenset(x for x in offers if not any(y < x for y in offers))
+
+    table = {}
+
+    def visit(trace, node):
+        table[trace] = family(node)
+        if len(trace) < depth:
+            for a in {a for s in node for a, _ in successors(s) if a}:
+                dsts = {p for s in node for b, p in successors(s) if b == a}
+                visit(trace + (a,), closure(dsts))
+
+    visit((), closure({t}))
+    admitted = {t} | {p for succ in steps.values() for _, p in succ}
+    return table, len(admitted)
+
+
+def test_failures_bounded_matches_per_trace_determinisation():
+    rng = random.Random(57)
+    kinds = set()
+    for i in range(300):
+        # canonical, because the engine keeps a component that does not
+        # move as it was given, and the reference rebuilds every successor
+        t = canonical(random_term(rng, (A, B), rng.randint(4, 14)))
+        depth = i % 5
+        table, admitted = _reference_failures(t, depth)
+        assert failures_bounded(t, depth, ExplorationBudget(max_states=admitted)).table == table, (
+            print_term(t), depth
+        )
+        if admitted > 1:
+            with pytest.raises(BudgetExceeded, match=f"state budget {admitted - 1} exhausted"):
+                failures_bounded(t, depth, ExplorationBudget(max_states=admitted - 1))
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            kinds.add(type(u))
+            todo.extend(subterms(u))
+    assert {Rec, Rename, Restrict} <= kinds
+
+
+# acceptance sets over few actions, so that many contain one another
+ACCEPTANCES = st.frozensets(
+    st.frozensets(st.sampled_from([positive(A), negative(A), positive(B)]), min_size=1),
+    max_size=3,
+)
+
+
+@given(st.one_of(
+    st.lists(ACCEPTANCES, max_size=2, unique=True),
+    st.lists(ACCEPTANCES, min_size=3, max_size=12, unique=True),
+), st.randoms())
+def test_minimize_keeps_exactly_the_minimal_sets(family, rng):
+    minimal = {x for x in family if not any(y < x for y in family)}
+    assert _minimize(set(family)) == minimal
+    rng.shuffle(family)
+    assert _minimize(set(family)) == minimal
 
 
 def test_failures_budget_reported():

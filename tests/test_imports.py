@@ -37,3 +37,23 @@ def test_oracle_step_does_not_import_the_engine():
             imported.update(f"{node.module}.{a.name}" for a in node.names)
     engine = ("procreal.semantics", "procreal.equivalence")
     assert not [m for m in imported if m.startswith(engine)]
+
+
+def test_bounded_failures_route_reads_nothing_of_the_engine_route():
+    # failures_bounded is the oracle the normal-form route is checked
+    # against, so its code names no memo, graph or normal form
+    source = Path(procreal.__file__).parent / "equivalence.py"
+    route = {"failures_bounded", "_StepCache", "_bounded_node"}
+    defs = [
+        node for node in ast.parse(source.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in route
+    ]
+    assert {node.name for node in defs} == route
+    named = set()
+    for node in defs:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                named.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                named.add(sub.attr)
+    assert not named & {"_MEMO", "build_lts", "normal_form", "_normalise"}
