@@ -224,6 +224,9 @@ def cmd_verify_cut(args) -> int:
         steps.append(entry)
     if elim.status == "stuck":
         steps.append({"step": elim.steps, "kind": "stuck", "verdict": "unknown"})
+    elif elim.status == "bound":
+        steps.append({"step": elim.steps, "kind": "bound", "verdict": "unknown",
+                      "detail": f"step bound {args.step_bound} reached"})
     verdicts = {entry["verdict"] for entry in steps}
     overall = "fail" if "fail" in verdicts else "unknown" if "unknown" in verdicts else "pass"
     out = {
@@ -396,6 +399,10 @@ def main(argv=None) -> int:
             raise CliError("--depth must be at least 0")
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be at least 1")
+        if getattr(args, "step_bound", 0) < 0:
+            raise CliError("--step-bound must be at least 0")
+        if getattr(args, "fuel", 0) < 0:
+            raise CliError("--fuel must be at least 0")
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -127,13 +127,13 @@ class FailureSet:
 
 
 class _StepCache:
-    """The states one `failures_bounded` call has met, their transitions,
-    and the tau-closed nodes it has determinised.  Like `build_lts` it
-    memoises for its own life only; it reads no graph or memo of another
-    exploration."""
+    """The states one `failures_bounded` call has met, numbered in the
+    order admitted, their transitions, and the tau-closed nodes it has
+    determinised.  Like `build_lts` it memoises for its own life only; it
+    reads no graph or memo of another exploration."""
 
     def __init__(self, budget: ExplorationBudget):
-        self.states: set = set()
+        self.states: dict = {}  # state -> its number
         self.trans: dict = {}  # state -> tuple[(Action, state)]
         self.nodes: dict = {}  # tau-closed node -> _bounded_node's entry
         self.budget = budget
@@ -145,7 +145,7 @@ class _StepCache:
         if t not in self.states:
             if len(self.states) >= self.budget.max_states:
                 raise BudgetExceeded(f"state budget {self.budget.max_states} exhausted")
-            self.states.add(t)
+            self.states[t] = len(self.states)
         return t
 
     def successors(self, state: Term) -> tuple:
@@ -186,12 +186,15 @@ def failures_bounded(
 ) -> FailureSet:
     """Failures for every trace of length <= depth, by determinizing the
     tau-closed reachable sets on the fly, each once per call.  Raises
-    BudgetExceeded when tau-closing or stepping outruns the state budget.
-    A node's moves are tau-closed only when a trace shorter than `depth`
-    reaches it, so the states stepped are those the traces need.
+    BudgetExceeded when tau-closing or stepping outruns the state budget,
+    or when the successors built and the traces entered together outrun
+    the transition budget: the traces of a few states can grow
+    exponentially with the depth.  A node's moves are tau-closed only when
+    a trace shorter than `depth` reaches it, so the states stepped are
+    those the traces need.
     """
     cache = _StepCache(budget)
-    root = tau_closure(cache, frozenset([cache.admit(t)]))
+    root = tau_closure(cache, [cache.admit(t)])
     fs = FailureSet()
     fs.table[()] = _bounded_node(cache, root)[0]
     frontier = [((), root)]
@@ -200,7 +203,13 @@ def failures_bounded(
         for trace, node in frontier:
             entry = _bounded_node(cache, node)
             if entry[2] is None:
-                entry[2] = [(a, tau_closure(cache, frozenset(dsts))) for a, dsts in entry[1]]
+                # closed from the targets in the order admitted, not in set
+                # order (their addresses), so that which limit a call
+                # reaches first does not vary from run to run
+                entry[2] = [
+                    (a, tau_closure(cache, sorted(dsts, key=cache.states.get))) for a, dsts in entry[1]
+                ]
+            cache.steps.spend(len(entry[2]))
             for a, succ in entry[2]:
                 tr2 = trace + (a,)
                 fs.table[tr2] = _bounded_node(cache, succ)[0]
@@ -240,15 +249,10 @@ class NormalForm:
 
 
 def normal_form(lts: LTS) -> NormalForm:
-    """The normal form of a complete graph, computed once per graph and
-    kept on it, so a graph shared by `build_lts` is normalised once and
-    its normal form goes when the graph does."""
-    if lts.normal_form is None:
-        lts.normal_form = _normalise(lts)
-    return lts.normal_form
-
-
-def _normalise(lts: LTS) -> NormalForm:
+    """The normal form of a complete graph.  Graphs are not shared (each
+    `build_lts` call returns its own), so nothing is kept: a caller that
+    asks again of a term keeps the answer it needs, as
+    `failures_fingerprint` keeps the fingerprint."""
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
     root = tau_closure(lts, frozenset([lts.initial]))

@@ -23,21 +23,20 @@ exponentially many successors, so without the second limit the first
 does not bound memory.  A partial graph records the limit that stopped
 it (`LTS.limit`).
 
-`_MEMO` keeps what explorations found, in three tiers, each least
-recently used first and bounded by a module constant.  The graph tier
-keeps explored graphs, up to MEMO_STATES states in all.  The answer tier
-keeps, for up to ANSWERS terms, what callers asked of their graphs (a
-`diverges` verdict, a failures fingerprint) after the graph is gone; an
-answer holds no graph.  Both are keyed by term and state budget.  The
-step tier keeps what `step` found for a node, up to STEP_SUCCESSORS
-successors, so a node that many explorations meet has its transitions
-built once, as FDR3 builds a node's transitions once from its
-components'.  An exploration that finds a node there still steps its
-components and counts their successors as a fresh step would, so no
-graph, limit or error depends on what ran before.  Only `build_lts`
-reads and fills it: `equivalence.failures_bounded` stays a route of its
-own.  Each tier counts its hits, misses and evictions, and
-`_MEMO.clear()` empties all three.
+`_MEMO` keeps what explorations found, in two tiers, each least
+recently used first and bounded by a module constant.  Graphs are not
+kept: each `build_lts` call explores afresh, and returns a graph of its
+own.  The answer tier keeps, for up to ANSWERS terms, what callers asked
+of their graphs (a `diverges` verdict, a failures fingerprint), keyed by
+term and state budget; an answer holds no graph.  The step tier keeps
+what `step` found for a node, up to STEP_SUCCESSORS successors, so a
+node that many explorations meet has its transitions built once, as
+FDR3 builds a node's transitions once from its components'.  An
+exploration that finds a node there still steps its components and
+counts their successors as a fresh step would, so no graph, limit or
+error depends on what ran before.  Only `build_lts` reads and fills it:
+`equivalence.failures_bounded` stays a route of its own.  Each tier
+counts its hits, misses and evictions, and `_MEMO.clear()` empties both.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
 class StepMemo(dict):
     """An exploration's memo for `step`: the transitions of each node it
     has stepped, by node, and the number of successors those hold, which
-    must stay within `limit`.  `tier` is the step tier of `_MEMO` when the
+    must stay within `limit` (with whatever else the exploration counts
+    against it, `spend`).  `tier` is the step tier of `_MEMO` when the
     exploration may read and fill it (`build_lts`), else None."""
 
     __slots__ = ("built", "limit", "tier")
@@ -130,10 +130,15 @@ class StepMemo(dict):
         self.limit = limit
         self.tier = tier
 
-    def keep(self, t: Term, out: KeysView):
-        self.built += len(out)
+    def spend(self, count: int):
+        """Counts `count` more against the limit; past it, raises
+        BudgetExceeded."""
+        self.built += count
         if self.built > self.limit:
             raise BudgetExceeded(f"transition budget {self.limit} exhausted")
+
+    def keep(self, t: Term, out: KeysView):
+        self.spend(len(out))
         self[t] = out
 
 
@@ -278,14 +283,11 @@ def _blocked_parts(labels: RestrictionSet, *steps) -> dict:
 
 @dataclass
 class LTS:
-    """Explored transition graph whose states are term nodes.  Nodes
-    compare structurally and carry their hash, so a node is its own state
-    key; states are printed only when the graph is exported.
-
-    A graph returned by `build_lts` is shared: later calls on an equal
-    term, under the same state budget, return the same object, and
-    `equivalence.normal_form` keeps its result on it.  It must not be
-    mutated."""
+    """Explored transition graph whose states are term nodes.  No
+    structure has two live nodes, so a node is its own state key, compared
+    by identity; states are printed only when the graph is exported.
+    Each `build_lts` call returns a graph of its own, shared with no
+    other call."""
 
     initial: Term
     terms: dict = field(default_factory=dict)  # state -> None, in the order admitted
@@ -295,7 +297,6 @@ class LTS:
     # reached" (DEPTH_CAP).  When both the state budget and the depth cap
     # refused states, the state budget is named.
     limit: str = ""
-    normal_form: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def complete(self) -> bool:
@@ -344,18 +345,10 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-# Bound on the states of all graphs `build_lts` keeps for reuse.  The
-# semantic-type drivers re-decide a few hundred small representatives,
-# which a few hundred states hold.  Kept graphs cost memory and make each
-# garbage collection walk their terms, so the bound counts states, not
-# graphs: a count of graphs would keep big ones alive.
-MEMO_STATES = 500
-
 # Bound on the answers `_MEMO` keeps, by entry.  An answer holds no graph,
-# only a fingerprint or a verdict, so it can outlive its graph by far: a
-# full `semtypes` run keeps about 1,100 (the fingerprints of 698 classified
-# terms and the verdicts of 391 closed `perp` compositions), whose graphs
-# hold many times MEMO_STATES states.
+# only a fingerprint or a verdict: a full `semtypes` run keeps about 1,100
+# (the fingerprints of 698 classified terms and the verdicts of 391 closed
+# `perp` compositions), whose graphs hold thousands of states.
 ANSWERS = 2048
 
 
@@ -419,16 +412,14 @@ def _step_weight(kept) -> int:
 
 
 class _GraphMemo:
-    """Three tiers (`_Tier`).  `graphs` holds explored graphs by (term,
-    state budget), at most MEMO_STATES states in total.  `answers` holds
-    at most ANSWERS answers by (question, term, state budget), and
-    `shared` the one kept copy of each value they hold (`share`).
-    `steps` holds, by node, what `step` found for it (its pairs, or a
-    recursion's unfolding), up to STEP_SUCCESSORS successors; only
-    `build_lts` reads and fills it.  `clear` empties them all."""
+    """Two tiers (`_Tier`).  `answers` holds at most ANSWERS answers by
+    (question, term, state budget), and `shared` the one kept copy of each
+    value they hold (`share`).  `steps` holds, by node, what `step` found
+    for it (its pairs, or a recursion's unfolding), up to STEP_SUCCESSORS
+    successors; only `build_lts` reads and fills it.  `clear` empties them
+    all."""
 
     def __init__(self):
-        self.graphs = _Tier(lambda: MEMO_STATES, lambda lts: len(lts.terms))
         self.answers = _Tier(lambda: ANSWERS, lambda answer: 1)
         self.steps = _Tier(lambda: STEP_SUCCESSORS, _step_weight)
         self.shared: dict = {}
@@ -443,7 +434,6 @@ class _GraphMemo:
         return self.shared.setdefault(value, value)
 
     def clear(self):
-        self.graphs.clear()
         self.answers.clear()
         self.steps.clear()
         self.shared.clear()
@@ -460,8 +450,9 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     leave the frontier they refuse unexpanded, and the transition budget
     ends the exploration where it is.
 
-    The result is shared with every other call on an equal term, under
-    the same budget, while it stays in the memo; it must not be mutated.
+    Every call explores afresh and returns a graph of its own; what
+    outlives it is what callers keep of it in the answer tier (a
+    `diverges` verdict, a failures fingerprint).
 
     While it runs, an exploration memoises the transitions of the nodes
     it meets (`step`'s `_memo`): a successor such as `Par(p, R)` re-uses
@@ -471,10 +462,6 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     it is the bounded step tier of `_MEMO`, which `step` reads and fills
     for the exploration without changing what it counts.
     """
-    memo_key = (t, budget.max_states)
-    lts = _MEMO.graphs.get(memo_key)
-    if lts is not None:
-        return lts
     steps = StepMemo(budget.max_transitions, _MEMO.steps)
     lts = LTS(initial=t, terms={t: None})
     frontier = [t]
@@ -504,14 +491,15 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
             lts.limit = "state budget exhausted"
         elif capped:
             lts.limit = f"depth cap {DEPTH_CAP} reached"
-    _MEMO.graphs.put(memo_key, lts)
     return lts
 
 
 def tau_closure(graph, keys) -> frozenset:
     """The states reachable from `keys` by tau moves alone, `keys`
     included.  `graph` is anything whose `successors(key)` gives
-    (action, key) pairs; an exception raised there propagates."""
+    (action, key) pairs; an exception raised there propagates.  The walk
+    is depth first from the last key, so the order of its `successors`
+    calls is fixed by the order of `keys`."""
     seen = set(keys)
     stack = list(keys)
     while stack:
@@ -555,7 +543,7 @@ def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:
     """Three-valued: "yes" when some reachable state starts an infinite
     tau-path, "no" when the full graph excludes it, "unknown" when the
     exploration budget was exhausted first.  The verdict is kept in the
-    memo's answer tier, so the graph is explored once while it stays.
+    memo's answer tier, so the term is explored once while it stays.
     """
     key = ("diverges", t, budget.max_states)
     verdict = _MEMO.answers.get(key)

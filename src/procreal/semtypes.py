@@ -614,6 +614,11 @@ def check_category_laws(
             record(f"double dual of {name} tracks the same maps", ok)
 
     for fname, gname in product_cases or []:
+        unverified = [n for n in (fname, gname) if n not in verified]
+        if unverified:
+            record(f"pairing <{fname},{gname}> is a morphism", False,
+                   f"morphism {' and '.join(unverified)} not verified")
+            continue
         f, g = verified[fname], verified[gname]
         pres = pairing_morphism(f, g, budget)
         record(f"pairing <{fname},{gname}> is a morphism", pres.verdict == "morphism", pres.witness or "")

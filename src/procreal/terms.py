@@ -2,16 +2,18 @@
 well-formedness, syntactic sorts and value-passing expansion.
 
 Terms are immutable and hash-consed: constructing a node returns the
-live node equal to it, when there is one (`_node`), so equal terms built
-apart are one object and the memo tiers find them by identity.  Equality
-stays structural, as a fallback.  Each node keeps two values computed
-once, when it is built, from its children's: its hash and its
-constructor depth (`term_depth`).  So a node is the state key of the
-transition engine: explorations hash and compare nodes and print
-nothing.  The canonical printed form is made only where text leaves the
-program (graph exports, witnesses, reports), and it is deterministic:
-actions print their labels sorted, sums print their branches in
-construction order.
+live node with the same fields, when there is one (`_node`), so no
+structure has two live nodes and identity is equality.  A node compares
+and hashes as the object it is, so the memo tiers, graphs and closures
+keyed by nodes do so without a Python call.  Each node keeps one value
+computed once, when it is built, from its children's: its constructor
+depth (`term_depth`).  So a node is the state key of the transition
+engine: explorations hash and compare nodes and print nothing.  The
+canonical printed form is made only where text leaves the program (graph
+exports, witnesses, reports), and it is deterministic: actions print
+their labels sorted, sums print their branches in construction order.
+Nothing printed or compared follows the order of a set of nodes, which
+is the order of their addresses.
 
 Transitions are not kept on nodes.  An exploration memoises them by node
 for as long as it runs (`semantics.step`'s `_memo`), so a subtree shared
@@ -29,6 +31,7 @@ labels its set blocks (`RestrictionSet.blocks`, both polarities).
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -57,67 +60,67 @@ class Term:
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, which returns
-        # the live equal node if there is one: restoring the slots would
-        # go through the frozen __setattr__, and a hash of a string is
-        # only valid in the process that computed it
+        # the live node with these fields if there is one: restoring the
+        # slots would go through the frozen __setattr__ and make a second
+        # node of one structure
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 class _Ref(weakref.ref):
     """A table entry: a weak reference to a node that holds the node's key
-    in its table, the node's hash.  Each node class has its own subclass,
-    whose class attribute `table` is the class's table."""
+    in its table, the node's field tuple.  Each node class has its own
+    subclass, whose class attribute `table` is the class's table."""
 
     __slots__ = ("key",)
 
 
-def _drop(ref):
+# Guards every change to the tables, so that no structure ever has two
+# live nodes, even when threads build it at once.  Reentrant: a node can
+# die, and its callback take the lock, in the thread that holds it.
+_LOCK = threading.RLock()
+
+
+def _drop(ref, lock=_LOCK):
     # the one death callback of every table: forget a dead node's entry,
-    # unless a node built since has taken it.  A thread switch between the
-    # two lookups can let another thread's entry go, which costs speed
-    # only; `pop` does not raise when one has already gone.
-    table = ref.table
-    if table.get(ref.key) is ref:
-        table.pop(ref.key, None)
+    # unless a node built since has taken it.  The lock is a default
+    # argument, since module globals are gone at interpreter shutdown.
+    with lock:
+        table = ref.table
+        if table.get(ref.key) is ref:
+            del table[ref.key]
 
 
-# Each node class's table: from hash to the entry of the live node with
-# that hash built last.
+# Each node class's table: from field tuple to the entry of the live node
+# with those fields.
 _TABLES: dict = {}
 
 
 def _node(cls):
     """A frozen dataclass with one construction path, through the table of
-    its class: constructing returns the live node equal to the request,
-    and builds one only when no equal node is alive.  Parsing a text
-    twice, rebuilding a term with `map_subterms`, a pickle or copy round
-    trip and `dataclasses.replace` all meet the node already built, so
-    dictionaries and sets keyed by nodes find it by identity instead of
-    comparing it field by field.  The table holds each node weakly, by a
-    `_Ref`, and one shared callback (`_drop`) removes a dead node's entry:
-    nothing is kept alive by having been built.  Equality stays
-    structural, so an equal node built twice costs speed only: two
-    threads racing, or two live structures whose hashes collide (the
-    later one takes the entry).  This is Filliâtre and Conchon's
-    *Type-safe modular hash-consing* (2006), without integer ids.
+    its class: constructing returns the live node with the requested
+    fields, and builds one only when none is alive.  So no structure has
+    two live nodes, and identity is equality: `==` and `hash` are the
+    object defaults, and every dictionary or set keyed by nodes compares
+    them without a Python call.  Parsing a text twice, rebuilding a term
+    with `map_subterms`, a pickle or copy round trip and
+    `dataclasses.replace` all meet the node already built.  This is
+    Filliâtre and Conchon's *Type-safe modular hash-consing* (2006),
+    without integer ids.
 
-    The table is keyed by the node's hash, not by its field tuple: a
-    field tuple is hashed through its children's `__hash__`, a Python
-    call each, and keyed by the tuple a node's fields would be hashed up
-    to five times in its life (lookup, `_hash`, insert, and twice on
-    death) instead of once.  A hit compares the node's fields with the
-    request's, each comparison stopping at identity when the children
-    are shared.
+    The table is keyed by the node's field tuple, in which the children
+    are live nodes and so compare by identity: a hit is one dictionary
+    lookup.  The table holds each node weakly, by a `_Ref`, and one shared
+    callback (`_drop`) removes a dead node's entry: nothing is kept alive
+    by having been built.  A hit takes no lock; a miss builds and enters
+    its node under `_LOCK`, after looking again, so that two threads
+    building one structure get one node.
 
-    A new node gets two values computed once, from its fields and its
-    children's slots.  `_hash` is the hash the dataclass would compute
-    from its fields, hash(field tuple): every (action, term) set insert in
-    `step` hashes a term, and without the slot each one walks the whole
-    tree.  `_depth` is one more than its deepest child's (`term_depth`);
-    the children are the fields annotated `Term`, or what the class's
-    `_below` reads (a test checks that `term_depth` agrees with a level
-    count over `subterms`).  The slots are set through their own setters:
-    the frozen dataclass refuses plain assignment.
+    A new node gets `_depth`, one more than its deepest child's
+    (`term_depth`), computed once from the children's slots; the children
+    are the fields annotated `Term`, or what the class's `_below` reads (a
+    test checks that `term_depth` agrees with a level count over
+    `subterms`).  The slots are set through their own setters: the frozen
+    dataclass refuses plain assignment.
 
     A field annotated `Renaming` or `RestrictionSet` is set to the kept
     instance of its map (`names.kept`), so equal nodes hold one map
@@ -134,9 +137,9 @@ def _node(cls):
     ref = type(f"_{cls.__name__}Ref", (_Ref,), {"__slots__": (), "table": table})
     env = {
         "get": table.get, "table": table, "new": object.__new__, "Ref": ref,
-        "drop": _drop, "_below": cls.__dict__.get("_below"), "kept": kept,
+        "drop": _drop, "_below": cls.__dict__.get("_below"), "kept": kept, "lock": _LOCK,
     }
-    for n in names + ("_hash", "_depth"):
+    for n in names + ("_depth",):
         env[f"set_{n}"] = cls.__dict__[n].__set__
     args = ", ".join(names)
     key = f"({args},)"
@@ -147,43 +150,42 @@ def _node(cls):
     source = (
         f"def __new__(cls, {args}):\n"
         f"    key = {key}\n"
-        "    h = hash(key)\n"
-        "    entry = get(h)\n"
+        "    entry = get(key)\n"
         "    if entry is not None:\n"
         "        node = entry()\n"
-        f"        if node is not None and ({', '.join(f'node.{n}' for n in names)},) == key:\n"
+        "        if node is not None:\n"
         "            return node\n"
-        + "".join(f"    {n} = kept({n})\n" for n in maps)
-        + "    node = new(cls)\n"
-        + "".join(f"    set_{n}(node, {n})\n" for n in names)
-        + "    set__hash(node, h)\n"
-        f"    set__depth(node, {below} + 1)\n"
-        "    entry = Ref(node, drop)\n"
-        "    entry.key = h\n"
-        "    table[h] = entry\n"
+        "    with lock:\n"
+        "        entry = get(key)\n"
+        "        if entry is not None:\n"
+        "            node = entry()\n"
+        "            if node is not None:\n"
+        "                return node\n"
+        + "".join(f"        {n} = kept({n})\n" for n in maps)
+        + (f"        key = {key}\n" if maps else "")
+        + "        node = new(cls)\n"
+        + "".join(f"        set_{n}(node, {n})\n" for n in names)
+        + f"        set__depth(node, {below} + 1)\n"
+        "        entry = Ref(node, drop)\n"
+        "        entry.key = key\n"
+        "        table[key] = entry\n"
         "    return node\n"
     )
     exec(source, env)
-
-    def __hash__(self):
-        return self._hash
-
     cls.__new__ = staticmethod(env["__new__"])
-    cls = dataclass(frozen=True, init=False)(cls)
-    cls.__hash__ = __hash__
-    return cls
+    return dataclass(frozen=True, eq=False, init=False)(cls)
 
 
 @_node
 class Prefix(Term):
-    __slots__ = ("action", "cont", "_hash", "_depth", "__weakref__")
+    __slots__ = ("action", "cont", "_depth", "__weakref__")
     action: Action
     cont: Term
 
 
 @_node
 class Sum(Term):
-    __slots__ = ("branches", "_hash", "_depth", "__weakref__")
+    __slots__ = ("branches", "_depth", "__weakref__")
     branches: tuple  # tuple[tuple[Action, Term], ...]
 
     def _below(self):
@@ -192,28 +194,28 @@ class Sum(Term):
 
 @_node
 class Par(Term):
-    __slots__ = ("left", "right", "_hash", "_depth", "__weakref__")
+    __slots__ = ("left", "right", "_depth", "__weakref__")
     left: Term
     right: Term
 
 
 @_node
 class Restrict(Term):
-    __slots__ = ("proc", "labels", "_hash", "_depth", "__weakref__")
+    __slots__ = ("proc", "labels", "_depth", "__weakref__")
     proc: Term
     labels: RestrictionSet
 
 
 @_node
 class Rename(Term):
-    __slots__ = ("proc", "ren", "_hash", "_depth", "__weakref__")
+    __slots__ = ("proc", "ren", "_depth", "__weakref__")
     proc: Term
     ren: Renaming
 
 
 @_node
 class Var(Term):
-    __slots__ = ("ident", "_hash", "_depth", "__weakref__")
+    __slots__ = ("ident", "_depth", "__weakref__")
     ident: str
 
     def _below(self):
@@ -222,7 +224,7 @@ class Var(Term):
 
 @_node
 class Rec(Term):
-    __slots__ = ("var", "body", "_hash", "_depth", "__weakref__")
+    __slots__ = ("var", "body", "_depth", "__weakref__")
     var: str
     body: Term
 
@@ -234,7 +236,7 @@ ValueExpr = Union[int, str]
 
 @_node
 class InputPrefix(Term):
-    __slots__ = ("chan", "var", "body", "_hash", "_depth", "__weakref__")
+    __slots__ = ("chan", "var", "body", "_depth", "__weakref__")
     chan: Name
     var: str
     body: Term
@@ -242,7 +244,7 @@ class InputPrefix(Term):
 
 @_node
 class OutputPrefix(Term):
-    __slots__ = ("chan", "value", "body", "_hash", "_depth", "__weakref__")
+    __slots__ = ("chan", "value", "body", "_depth", "__weakref__")
     chan: Name
     value: ValueExpr
     body: Term

@@ -231,7 +231,7 @@ DIVERGES_PROBE = (
 
 
 def test_acceptance_10_determinism(tmp_path):
-    # in-process double run, each exploring afresh with the graph memo
+    # in-process double run, each exploring afresh with the memo
     # emptied, plus two subprocess runs under different hash seeds:
     # reports must be byte-identical
     small = ExplorationBudget(max_states=1000)

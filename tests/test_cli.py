@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import subprocess_env
+from conftest import run_capped, subprocess_env
 
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
@@ -80,6 +80,24 @@ def test_partial_graph_names_depth_cap(files, capsys):
     assert json.loads(capsys.readouterr().out)["detail"] == "budget exhausted: depth cap 200 reached"
     assert main(["failures", path]) == 2
     assert capsys.readouterr().err == "budget exhausted: depth cap 200 reached\n"
+
+
+def test_failures_trace_table_is_bounded_by_the_transition_budget(files):
+    # one state, two loops: the traces double with each level, and each is
+    # counted against the transition budget (200 per state), so depth 24,
+    # some 33 million traces, ends at 10,000 of them
+    path = files("loop.term", "rec X. ({a}.X + {b}.X)\n")
+    code = (
+        "import sys\n"
+        "from procreal.cli import main\n"
+        f"sys.exit(main(['failures', {path!r}, '--depth', '24', '--max-states', '50']))\n"
+    )
+    proc = run_capped(code, 1 << 30, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exhausted: transition budget 10000 exhausted\n"
+    # below the bound the table is whole: 2^12 - 1 traces to depth 11
+    assert main(["failures", path, "--depth", "11", "--max-states", "50"]) == 0
 
 
 def test_deeply_nested_input_exits_three(files):
@@ -173,6 +191,42 @@ def test_verify_cut_reports_stuck_cut(files, capsys):
     assert data["cut_free"] is False and data["overall"] == "unknown"
 
 
+def test_verify_cut_reports_its_step_bound(files, capsys):
+    # a step bound that cuts elimination short checks nothing beyond it
+    proof = corpus_proofs()["tensor_par"]["proof"]
+    ppath = files("p.json", json.dumps(proof_to_json(proof)))
+    assert main(["verify-cut", ppath, "--step-bound", "0", "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["steps"] == [
+        {"detail": "step bound 0 reached", "kind": "bound", "step": 0, "verdict": "unknown"}
+    ]
+    assert data["cut_free"] is False and data["overall"] == "unknown"
+    assert main(["verify-cut", ppath, "--step-bound", "1"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "overall: unknown",
+        "step   0 tensor-par             pass",
+        "step   1 bound                  unknown",
+    ]
+
+
+@pytest.mark.parametrize("max_states", ["1", "2", "5"])
+def test_exercises_under_small_budgets_report_without_traceback(max_states):
+    # morphisms that do not verify within the budget leave their product
+    # checks failed, and the report is printed
+    proc = subprocess.run(
+        [sys.executable, "-m", "procreal.cli", "exercises", "--trials", "1", "--seed", "1",
+         "--max-states", max_states],
+        capture_output=True, text=True, env=subprocess_env(), timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert "suite product      FAIL" in proc.stdout.splitlines()
+    if max_states == "1":
+        assert "  pairing <idA,a2b> is a morphism: morphism idA and a2b not verified" in (
+            proc.stdout.splitlines()
+        )
+
+
 AXIOM = {"rule": "axiom", "formula": "a"}
 TYPE_ENV = {"atoms": {"a": {"alphabet": ["a"], "pos": ["{a}.0"], "neg": ["{~a}.0"]}}}
 
@@ -249,6 +303,10 @@ def _run(argv, contents, files):
         pytest.param(["exercises", "--trials", "-3"], {}, id="negative-trials"),
         pytest.param(["lts", "t.term", "--max-states", "0"], {"t.term": "{a}.0\n"},
                      id="empty-state-budget"),
+        pytest.param(*_proof("verify-cut", AXIOM, "--step-bound", "-1"),
+                     id="negative-step-bound"),
+        pytest.param(["check-type", "t.term", "env.json", "!a", "--fuel", "-1"],
+                     _check_type(TYPE_ENV)[1], id="negative-fuel"),
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):
@@ -305,7 +363,7 @@ def test_check_type(files, capsys):
 def test_cli_deterministic_output(files, capsys):
     proof = corpus_proofs()["with_plus1"]["proof"]
     ppath = files("p.json", json.dumps(proof_to_json(proof)))
-    # each run explores afresh, with the graph memo emptied
+    # each run explores afresh, with the memo emptied
     _MEMO.clear()
     assert main(["verify-cut", ppath, "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -317,3 +375,59 @@ def test_cli_deterministic_output(files, capsys):
 
 def test_usage_error_exit_three():
     assert main(["no-such-command"]) == 3
+
+
+# Two states reached by one visible move, one of them heading past the depth
+# cap through 200 silent steps and the other into 512 states: which limit a
+# bounded failures call names depends on which it closes first.
+ORDER_TERMS = {
+    "rec.term": "rec X. ({a}.X + {b}.0) | {~a}.0",
+    "par.term": "({a}.0 | {b}.{~a}.0) | rec Y. {~b}.Y",
+    "hidden.term": "(rec X. ({a}.X + {c}.0) | rec Y. {~a}.({b}.Y + {~c}.0)) \\ {a,c}",
+    "limits.term": "{a}.rec X. {}.(X | 0) + {a}.(" + " | ".join(["{}.0"] * 9) + ")",
+}
+
+ORDER_PROBE = """
+import json, random, sys
+from procreal.cli import main
+from procreal.generators import random_term
+from procreal.names import REGISTRY
+if sys.argv[1] == "churn":
+    rng = random.Random(5)
+    atoms = (REGISTRY.intern("a"), REGISTRY.intern("b"))
+    built = [random_term(rng, atoms, rng.randint(1, 9)) for _ in range(10000)]
+    del built
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        print("exit", code, file=stream, flush=True)
+"""
+
+
+def test_no_output_depends_on_node_addresses(tmp_path):
+    # nodes hash by identity, so a set of nodes iterates in address order;
+    # two fresh interpreters, one of which first builds and drops 10,000
+    # unrelated terms, under two hash seeds, must print the same
+    for name, text in ORDER_TERMS.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    commands = []
+    for t in ("rec.term", "par.term", "hidden.term"):
+        commands += [["lts", t, "--format", "json"], ["failures", t, "--depth", "3"]]
+    for left, right in (("rec", "par"), ("par", "hidden"), ("hidden", "rec"), ("rec", "rec")):
+        for mode in ("failures", "weak-bisim"):
+            commands.append(["equiv", f"{left}.term", f"{right}.term", "--mode", mode, "--format", "json"])
+    limits = ["limits.term", "--max-states", "250"]
+    commands += [["equiv", limits[0], *limits, "--format", "json"], ["failures", *limits, "--depth", "2"]]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", ORDER_PROBE, mode, json.dumps(commands)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env=subprocess_env(PYTHONHASHSEED=seed),
+        )
+        for seed, mode in (("0", "plain"), ("1", "churn"))
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout.count("exit ") == len(commands)
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
+    assert "budget exhausted: state budget 250 exhausted" in runs[0].stdout

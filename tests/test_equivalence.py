@@ -203,11 +203,18 @@ def test_normal_form_failures_match_bounded():
 
 
 def test_normal_form_computed_once_per_shared_graph():
+    # no graph is shared and none keeps a normal form: each exploration of a
+    # term is a graph of its own, normalised afresh to the same nodes and
+    # edges, and what outlives it is the kept fingerprint
     text = "{a}.({b}.0 + {c}.0) | {~a}.0"
     lts = build_lts(parse_term(text), BUD)
+    again = build_lts(parse_term(text), BUD)
+    assert again is not lts and not hasattr(lts, "normal_form")
     nf = normal_form(lts)
-    assert normal_form(lts) is nf
-    assert normal_form(build_lts(parse_term(text), BUD)) is nf
+    assert normal_form(lts) is not nf
+    other = normal_form(again)
+    assert (other.root, other.families, other.edges) == (nf.root, nf.families, nf.edges)
+    assert fingerprint(other) is fingerprint(nf)
 
 
 def _fingerprints_decide_as_normal_forms(pairs) -> tuple:

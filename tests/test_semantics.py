@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -35,7 +36,6 @@ from procreal.names import (
 )
 from procreal.parsing import parse_term
 from procreal.semantics import (
-    MEMO_STATES,
     STEP_SUCCESSORS,
     _MEMO,
     LTS,
@@ -144,29 +144,46 @@ def test_build_lts_deterministic():
 
 
 def test_equal_printing_terms_share_one_graph():
+    # one text parsed twice is one node, so its explorations have the same
+    # states, the same nodes in the same order; each is a graph of its own
     text = "rec X. ({a}.X + {b}.0) | {~a}.0"
     t1, t2 = parse_term(text), parse_term(text)
     assert t1 is t2
     budget = ExplorationBudget(max_states=300)
-    shared = build_lts(t1, budget)
-    assert build_lts(t2, budget) is shared
+    first = build_lts(t1, budget)
+    second = build_lts(t2, budget)
+    assert second is not first
+    assert _exported(second) == _exported(first)
+    assert all(u is v for u, v in zip(second.terms, first.terms))
     # another state budget is another exploration, with the same result
     other = build_lts(t1, ExplorationBudget(max_states=301))
-    assert other is not shared
-    assert other.to_json() == shared.to_json()
+    assert _exported(other) == _exported(first)
+    assert other.to_json() == first.to_json()
 
 
-def test_incomplete_graph_is_memoised_with_its_limit():
+def test_incomplete_graph_is_memoised_with_its_limit(monkeypatch):
+    # a partial graph names its limit, every exploration again; what is
+    # memoised is the answer asked of it, which keeps no graph
     budget = ExplorationBudget(max_states=20)
+    _MEMO.clear()
     full = build_lts(bang(parse_term("{a}.0")), budget)
-    assert not full.complete
-    assert build_lts(bang(parse_term("{a}.0")), budget) is full
-    assert full.limit == "state budget exhausted"
+    assert not full.complete and full.limit == "state budget exhausted"
+    again = build_lts(bang(parse_term("{a}.0")), budget)
+    assert again is not full and _exported(again) == _exported(full)
     deep = "{a}." * 300 + "0"
     capped = build_lts(parse_term(deep), budget)
     assert not capped.complete and len(capped.terms) == 1
-    assert build_lts(parse_term(deep), budget) is capped
     assert capped.limit == "depth cap 200 reached"
+    assert _exported(build_lts(parse_term(deep), budget)) == _exported(capped)
+    explored = _count_explorations(monkeypatch)
+    monkeypatch.setattr("procreal.equivalence.build_lts", semantics.build_lts)
+    for t in (bang(parse_term("{a}.0")), parse_term(deep)):
+        assert failures_fingerprint(t, budget) is INCOMPLETE
+        assert diverges(t, budget) == "unknown"
+        assert failures_fingerprint(t, budget) is INCOMPLETE
+        assert diverges(t, budget) == "unknown"
+    assert len(explored) == 4
+    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +257,9 @@ def test_transition_budget_is_named(monkeypatch):
     try:
         cut = build_lts(fan, budget)
         assert not cut.complete and cut.limit == "transition budget exhausted"
-        assert build_lts(fan, budget) is cut
+        # explored again through the step tier, the budget ends it alike
+        again = build_lts(fan, budget)
+        assert again is not cut and _exported(again) == _exported(cut)
         with pytest.raises(BudgetExceeded, match="^transition budget 64 exhausted$"):
             failures_bounded(fan, 2, budget)
         res = failures_equiv(fan, fan, budget, depth=2)
@@ -261,23 +280,37 @@ def test_transition_budget_grows_with_the_state_budget():
 
 
 def test_graph_memo_keeps_at_most_its_state_bound():
+    # the memo keeps no graph at all: a graph lives as long as its caller
+    # holds it, and a term explored again is a new graph with the same states
     chains = [parse_term("{b}." * k + "0") for k in range(1, 41)]
+    _MEMO.clear()
+    gc.collect()
+    graphs_before = _live_graphs()
     graphs = [build_lts(t) for t in chains]
-    assert sum(len(g.terms) for g in graphs) > MEMO_STATES
-    kept = list(_MEMO.graphs.values())
-    assert _MEMO.graphs.weight == sum(len(g.terms) for g in kept) <= MEMO_STATES
-    # the most recent graph stays, the least recently used went first
-    assert build_lts(chains[-1]) is graphs[-1]
-    assert build_lts(chains[0]) is not graphs[0]
+    assert _live_graphs() == graphs_before + len(graphs)
+    assert not hasattr(_MEMO, "graphs")
+    assert _MEMO.steps.weight <= STEP_SUCCESSORS
+    assert build_lts(chains[-1]) is not graphs[-1]
+    assert _exported(build_lts(chains[0])) == _exported(graphs[0])
+    del graphs
+    assert _live_graphs() == graphs_before
 
 
 def test_graph_larger_than_memo_bound_is_not_kept():
-    # three independent 8-cycles: 512 states
+    # three independent 8-cycles: 512 states, gone when the caller drops them
     text = " | ".join("rec X. " + ("{%s}." % c) * 8 + "X" for c in "abc")
     big = build_lts(parse_term(text))
-    assert big.complete and len(big.terms) > MEMO_STATES
-    assert all(g is not big for g in _MEMO.graphs.values())
-    assert build_lts(parse_term(text)) is not big
+    assert big.complete and len(big.terms) == 512
+    gone = weakref.ref(big)
+    again = build_lts(parse_term(text))
+    assert again is not big and _exported(again) == _exported(big)
+    del big
+    assert gone() is None
+
+
+def _live_graphs() -> int:
+    gc.collect()
+    return sum(isinstance(o, LTS) for o in gc.get_objects())
 
 
 def _count_explorations(monkeypatch) -> list:
@@ -299,12 +332,11 @@ def test_answers_are_kept_and_cleared_with_the_graphs(monkeypatch):
     _MEMO.clear()
     explored = _count_explorations(monkeypatch)
     assert diverges(loop, budget) == "yes" and len(explored) == 1
-    _MEMO.graphs.clear()
     assert diverges(loop, budget) == "yes" and len(explored) == 1  # the kept answer
     # equal fingerprints are one object
     assert failures_fingerprint(parse_term("{}.{b}.0")) is failures_fingerprint(parse_term("{b}.0"))
     _MEMO.clear()
-    assert not _MEMO.answers and not _MEMO.shared and not _MEMO.graphs
+    assert not _MEMO.answers and not _MEMO.shared and not _MEMO.steps
     assert diverges(loop, budget) == "yes" and len(explored) == 2
 
 
@@ -326,19 +358,15 @@ def test_answers_under_a_patched_transition_budget_go_with_it(monkeypatch):
 def test_answers_keep_their_bound_and_no_graph(monkeypatch):
     monkeypatch.setattr(semantics, "ANSWERS", 16)
     _MEMO.clear()
-    gc.collect()
-    graphs_before = sum(isinstance(o, LTS) for o in gc.get_objects())
+    graphs_before = _live_graphs()
     chains = [parse_term("{b}." * k + "0") for k in range(1, 41)]
     for t in chains:
         failures_fingerprint(t)
         diverges(t)
     assert len(_MEMO.answers) == 16 and len(_MEMO.shared) <= 4 * 16
     assert ("diverges", chains[-1], ExplorationBudget().max_states) in _MEMO.answers
-    # the graph tier is as if no answer had been kept
-    kept = list(_MEMO.graphs.values())
-    assert _MEMO.graphs.weight == sum(len(g.terms) for g in kept) <= MEMO_STATES
-    gc.collect()
-    assert sum(isinstance(o, LTS) for o in gc.get_objects()) == graphs_before + len(kept)
+    # no graph outlives its question
+    assert _live_graphs() == graphs_before
     _MEMO.clear()
 
 
@@ -567,11 +595,10 @@ def test_unguarded_recursion_raises_and_caches_nothing():
     with pytest.raises(SemanticsError):
         step(t, 0, steps)
     assert steps == {}
-    before, kept = dict(_MEMO.graphs), list(_MEMO.steps.items())
+    kept = list(_MEMO.steps.items())
     with pytest.raises(SemanticsError):
         build_lts(t)
-    assert _MEMO.graphs == before
-    # the step tier gained no entry either, and lost none
+    # the step tier gained no entry, and lost none
     assert list(_MEMO.steps.items()) == kept
 
 
@@ -586,10 +613,11 @@ def test_explorations_keep_no_state_beyond_the_graph_memo():
     _MEMO.clear()
     before = _live_terms()
     budget = ExplorationBudget(max_states=50)
+    graphs_before = _live_graphs()
     for t in terms:
         build_lts(t, budget)
         failures_bounded(t, 3, budget)
-    assert 0 < _MEMO.graphs.weight <= MEMO_STATES
+    assert _live_graphs() == graphs_before
     assert 0 < _MEMO.steps.weight <= STEP_SUCCESSORS
     for cache in (action_key, dual_action):
         info = cache.cache_info()
@@ -649,7 +677,6 @@ def test_step_tier_never_changes_a_graph(monkeypatch):
             _MEMO.clear()
             random.Random(per_state).shuffle(cases)
             for t, n in cases:
-                _MEMO.graphs.clear()
                 warm = build_lts(t, ExplorationBudget(max_states=n))
                 assert _exported(warm) == cold[t, n], print_term(t)
                 limited += warm.limit == "transition budget exhausted"
@@ -691,7 +718,7 @@ def test_step_tier_keeps_its_bound_and_counts(monkeypatch):
     assert tier.weight == sum(semantics._step_weight(v) for v in tier.values())
     assert tier.hits > 0 and tier.misses > 0 and tier.evictions > 0
     _MEMO.clear()
-    for memo_tier in (_MEMO.graphs, _MEMO.answers, _MEMO.steps):
+    for memo_tier in (_MEMO.answers, _MEMO.steps):
         assert not memo_tier and memo_tier.weight == 0
         assert memo_tier.hits == memo_tier.misses == memo_tier.evictions == 0
 
@@ -708,7 +735,8 @@ def test_exploration_never_prints(monkeypatch):
     small = ExplorationBudget(max_states=20)
     _MEMO.clear()
     monkeypatch.setattr("procreal.terms._print", refuse)
-    assert build_lts(p) is build_lts(p)  # a miss, then a hit
+    # explored twice, the second time through the step tier
+    assert _exported(build_lts(p)) == _exported(build_lts(p))
     failures_bounded(p, 4)
     assert failures_equiv(p, q).verdict == "distinguished"  # the exact route
     assert failures_equiv(bang_a, bang_b, small, depth=1).verdict == "distinguished"

@@ -14,6 +14,7 @@ from procreal.names import LCODE, SWAP, Compose, FiniteRestriction, REGISTRY, ne
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
     _TABLES,
+    _drop,
     InputPrefix,
     Term,
     NIL,
@@ -220,17 +221,17 @@ def test_term_nodes_are_slotted_and_hash_once():
 
     for first, second in zip(every_constructor(), every_constructor()):
         assert not hasattr(first, "__dict__")
-        assert first == second and first is second
-        assert hash(first) == hash(second)
-        # the dataclass's own hash of the fields, so set order is unchanged
-        values = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
-        assert hash(first) == hash(values)
-        assert pickle.loads(pickle.dumps(first)) == first
+        assert type(first).__slots__ == tuple(f.name for f in dataclasses.fields(first)) + (
+            "_depth", "__weakref__",
+        )
+        # identity is equality: hash and == are the object's own, no Python call
+        assert type(first).__hash__ is object.__hash__ and type(first).__eq__ is object.__eq__
+        assert first is second and first == second and hash(first) == hash(second)
+        assert pickle.loads(pickle.dumps(first)) is first
         field = dataclasses.fields(first)[-1].name
-        changed = dataclasses.replace(first, **{field: getattr(first, field)})
-        assert changed == first and hash(changed) == hash(first)
-    assert dataclasses.replace(Var("X"), ident="Y") == Var("Y")
-    assert hash(dataclasses.replace(Var("X"), ident="Y")) == hash(Var("Y"))
+        assert dataclasses.replace(first, **{field: getattr(first, field)}) is first
+    assert dataclasses.replace(Var("X"), ident="Y") is Var("Y")
+    assert Var("X") != Var("Y") and Prefix(a, NIL) != Prefix(a, Var("X"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         Var("X").ident = "Y"
 
@@ -294,31 +295,33 @@ def test_built_terms_leave_no_entry_behind():
 
 
 def test_equal_nodes_built_apart_still_meet():
-    p, q = parse_term("{a}.{b}.0"), parse_term("{b}.0 + {a}.0")
-    first = Par(p, q)
-    _TABLES[Par].clear()
-    second = Par(p, q)
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert {first: 1}[second] == 1 and second in {first} and first in {second}
-    # the later node took the entry
-    assert Par(p, q) is second
-    del second
-    assert Par(p, q) is not first and Par(p, q) == first
-    # two live structures whose hashes collide (hash(-1) == hash(-2)): each
-    # construction still returns its own structure, the later one shared
+    # one structure built three ways, its children built apart too, is one node
+    a, b = (frozenset([positive(n)]) for n in (A, B))
+    first = Par(parse_term("{a}.{b}.0"), parse_term("{b}.0 + {a}.0"))
+    second = parse_term("{a}.{b}.0 | ({b}.0 + {a}.0)")
+    third = Par(Prefix(a, Prefix(b, NIL)), Sum(((b, NIL), (a, NIL))))
+    assert first is second is third
+    assert {first: 1}[third] == 1 and len({first, second, third}) == 1
+    # the table is keyed by fields, children by identity: one entry
+    assert _TABLES[Par][first.left, first.right]() is first
+    # two live structures whose field tuples hash alike (hash(-1) ==
+    # hash(-2)) keep an entry each, and each construction returns its own
     s = REGISTRY.intern("s")
-    low = OutputPrefix(s, -1, NIL)
-    # the entry the later node displaces, held as a racing thread would
-    displaced = _TABLES[OutputPrefix][hash(low)]
-    lower = OutputPrefix(s, -2, NIL)
-    assert hash(low) == hash(lower) and low != lower
-    assert (low.value, lower.value) == (-1, -2)
-    # the later node took the entry, and the earlier one's death leaves it
+    low, lower = OutputPrefix(s, -1, NIL), OutputPrefix(s, -2, NIL)
+    assert hash((s, -1, NIL)) == hash((s, -2, NIL)) and low is not lower
+    table = _TABLES[OutputPrefix]
+    assert table[s, -1, NIL]() is low and table[s, -2, NIL]() is lower
+    assert OutputPrefix(s, -1, NIL) is low and OutputPrefix(s, -2, NIL) is lower
+    # a node's death removes its own entry and leaves its neighbour's
+    entry = table[s, -1, NIL]
     del low
-    assert displaced() is None
+    assert entry() is None and (s, -1, NIL) not in table
     assert OutputPrefix(s, -2, NIL) is lower
-    assert OutputPrefix(s, -1, NIL).value == -1
+    # a late callback of the dead node, as a racing thread could run it,
+    # leaves the entry of the node built since
+    again = OutputPrefix(s, -1, NIL)
+    _drop(entry)
+    assert table[s, -1, NIL]() is again and OutputPrefix(s, -1, NIL) is again
 
 
 def test_threads_building_equal_terms_get_equal_nodes():
@@ -327,18 +330,28 @@ def test_threads_building_equal_terms_get_equal_nodes():
     live = _live_terms()
     before = {cls: len(table) for cls, table in _TABLES.items()}
     wrong, unraisable = [], []
+    workers = 4
+    built = [None] * workers
+    # each round, every thread builds every text after the last round's
+    # nodes are gone, and keeps what it built until all have compared
+    start, done, checked = (threading.Barrier(workers, timeout=60) for _ in range(3))
 
-    def work():
+    def work(i):
         for _ in range(20):
-            for text in texts:
-                if print_term(parse_term(text)) != text:
+            start.wait()
+            built[i] = [parse_term(text) for text in texts]
+            done.wait()
+            for text, mine, first in zip(texts, built[i], built[0]):
+                if mine is not first or print_term(mine) != text:
                     wrong.append(text)
+            checked.wait()
+            built[i] = None
 
     hook, interval = sys.unraisablehook, sys.getswitchinterval()
     sys.unraisablehook = unraisable.append  # an exception in a death callback
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
         for th in threads:
             th.start()
         for th in threads:
