@@ -18,7 +18,7 @@ from .equivalence import BudgetExceeded, failures_bounded, failures_equiv, perp,
 from .exercises import run_exercises
 from .extraction import extract, verify_cut_soundness
 from .logic import (
-    check_proof,
+    conclusion,
     cut_eliminate,
     load_proof,
     parse_formula,
@@ -42,6 +42,13 @@ EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+
+# The exit code of each decided verdict of equiv, perp, verify-cut,
+# check-type and exercises; any other verdict exits EXIT_UNKNOWN.
+EXIT_CODES = {
+    "equal": EXIT_OK, "yes": EXIT_OK, "pass": EXIT_OK, "class": EXIT_OK,
+    "distinguished": EXIT_DISTINGUISHED, "no": EXIT_DISTINGUISHED, "fail": EXIT_DISTINGUISHED,
+}
 
 
 class CliError(Exception):
@@ -153,7 +160,7 @@ def cmd_equiv(args) -> int:
     if res.detail:
         out["detail"] = res.detail
     _emit(out, args)
-    return {"equal": EXIT_OK, "distinguished": EXIT_DISTINGUISHED}.get(res.verdict, EXIT_UNKNOWN)
+    return EXIT_CODES.get(res.verdict, EXIT_UNKNOWN)
 
 
 def cmd_perp(args) -> int:
@@ -161,7 +168,7 @@ def cmd_perp(args) -> int:
     t2 = load_term(args.right, args.values)
     verdict = perp(t1, t2, _budget(args))
     _emit({"perp": verdict}, args)
-    return {"yes": EXIT_OK, "no": EXIT_DISTINGUISHED}.get(verdict, EXIT_UNKNOWN)
+    return EXIT_CODES.get(verdict, EXIT_UNKNOWN)
 
 
 def _load_json(path: str):
@@ -188,10 +195,7 @@ def _load_atom_env(path: Optional[str]) -> dict:
 def _load_checked_proof(path: str):
     """The proof in the file and its checked conclusion."""
     proof = load_proof(path)
-    res = check_proof(proof)
-    if not res.ok:
-        raise CliError(f"invalid proof at {res.path}: {res.error}")
-    return proof, res.sequent
+    return proof, conclusion(proof)
 
 
 def cmd_extract(args) -> int:
@@ -239,7 +243,7 @@ def cmd_verify_cut(args) -> int:
     if args.format != "json":
         for entry in steps:
             print(f"step {entry['step']:3d} {entry['kind']:<22} {entry['verdict']}")
-    return {"pass": EXIT_OK, "fail": EXIT_DISTINGUISHED}.get(overall, EXIT_UNKNOWN)
+    return EXIT_CODES.get(overall, EXIT_UNKNOWN)
 
 
 def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
@@ -298,21 +302,25 @@ def cmd_check_type(args) -> int:
     if cls.detail:
         out["detail"] = cls.detail
     _emit(out, args)
-    return {"class": EXIT_OK, "no": EXIT_DISTINGUISHED}.get(cls.verdict, EXIT_UNKNOWN)
+    return EXIT_CODES.get(cls.verdict, EXIT_UNKNOWN)
+
+
+# a law report's "ok" (`semtypes.law_outcome`) as a verdict
+_LAW_VERDICTS = {True: "pass", False: "fail", None: "unknown"}
 
 
 def cmd_exercises(args) -> int:
     report = run_exercises(args.seed, _budget(args), trials=args.trials)
     for suite in report["suites"]:
-        status = "pass" if suite["ok"] else "FAIL"
-        print(f"suite {suite['suite']:<12} {status}")
-        if not suite["ok"]:
+        status = _LAW_VERDICTS[suite["ok"]]
+        print(f"suite {suite['suite']:<12} {'FAIL' if status == 'fail' else status}")
+        if status != "pass":
             for check in suite["checks"]:
-                if not check["ok"]:
+                if check["ok"] is not True:
                     print(f"  {check['law'] if 'law' in check else check['check']}: {check.get('detail','')}")
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK if report["ok"] else EXIT_DISTINGUISHED
+    return EXIT_CODES.get(_LAW_VERDICTS[report["ok"]], EXIT_UNKNOWN)
 
 
 def _parse_values(text: Optional[str]) -> tuple:

@@ -69,23 +69,38 @@ def _minimize(acceptances: set) -> frozenset:
     return frozenset(out)
 
 
+def _trace_key(trace: tuple) -> tuple:
+    """Traces in witness and export order: shorter first, then by
+    `action_key`."""
+    return len(trace), tuple(map(action_key, trace))
+
+
+def _witness(trace: tuple, left, right) -> dict:
+    """The witness that two processes differ after `trace`, given each
+    side's acceptance family there, or None where it has no such trace."""
+    if left is None or right is None:
+        return {
+            "trace": [print_action(a) for a in trace],
+            "reason": "trace on one side only",
+            "left": left is not None,
+            "right": right is not None,
+        }
+    return {
+        "trace": [print_action(a) for a in trace],
+        "reason": "acceptance families differ",
+        "left": _family_json(left),
+        "right": _family_json(right),
+    }
+
+
 @dataclass
 class FailureSet:
     """Map from trace (tuple of non-tau actions) to acceptance family."""
 
     table: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return isinstance(other, FailureSet) and self.table == other.table
-
-    def refuses(self, trace: tuple, refusal: frozenset) -> bool:
-        family = self.table.get(trace)
-        if family is None:
-            return False
-        return any(not (acc & refusal) for acc in family)
-
     def traces(self):
-        return sorted(self.table, key=lambda tr: (len(tr), tuple(map(action_key, tr))))
+        return sorted(self.table, key=_trace_key)
 
     def to_json(self) -> list:
         return [
@@ -99,26 +114,11 @@ class FailureSet:
     def first_difference(self, other: "FailureSet") -> Optional[dict]:
         """A witness for inequality: a trace present on one side only, or
         a trace whose acceptance families differ."""
-        for tr in sorted(
-            set(self.table) | set(other.table),
-            key=lambda tr: (len(tr), tuple(map(action_key, tr))),
-        ):
+        for tr in sorted(self.table.keys() | other.table.keys(), key=_trace_key):
             mine = self.table.get(tr)
             theirs = other.table.get(tr)
-            if mine is None or theirs is None:
-                return {
-                    "trace": [print_action(a) for a in tr],
-                    "reason": "trace on one side only",
-                    "left": mine is not None,
-                    "right": theirs is not None,
-                }
             if mine != theirs:
-                return {
-                    "trace": [print_action(a) for a in tr],
-                    "reason": "acceptance families differ",
-                    "left": _family_json(mine),
-                    "right": _family_json(theirs),
-                }
+                return _witness(tr, mine, theirs)
         return None
 
 
@@ -374,29 +374,18 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
             if (n1, n2) in seen:
                 continue
             seen.add((n1, n2))
-            if nf1.families[n1] != nf2.families[n2]:
-                return EquivResult(
-                    "distinguished",
-                    witness={
-                        "trace": [print_action(a) for a in trace],
-                        "reason": "acceptance families differ",
-                        "left": _family_json(nf1.families[n1]),
-                        "right": _family_json(nf2.families[n2]),
-                    },
-                )
+            f1, f2 = nf1.families[n1], nf2.families[n2]
+            if f1 != f2:
+                return EquivResult("distinguished", witness=_witness(trace, f1, f2))
             e1 = dict(nf1.edges[n1])
             e2 = dict(nf2.edges[n2])
-            if set(e1) != set(e2):
-                only = sorted(set(e1) ^ set(e2), key=action_key)[0]
-                return EquivResult(
-                    "distinguished",
-                    witness={
-                        "trace": [print_action(a) for a in trace + (only,)],
-                        "reason": "trace on one side only",
-                        "left": only in e1,
-                        "right": only in e2,
-                    },
-                )
+            if e1.keys() != e2.keys():
+                only = min(e1.keys() ^ e2.keys(), key=action_key)
+                return EquivResult("distinguished", witness=_witness(
+                    trace + (only,),
+                    nf1.families[e1[only]] if only in e1 else None,
+                    nf2.families[e2[only]] if only in e2 else None,
+                ))
             for a in sorted(e1, key=action_key):
                 next_frontier.append((trace + (a,), e1[a], e2[a]))
         frontier = next_frontier

@@ -6,6 +6,7 @@ seed, and reports are plain dicts with deterministic ordering."""
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from . import combinators as C
 from .equivalence import failures_equiv, weak_bisim
@@ -28,8 +29,10 @@ from .semtypes import (
     RepPER,
     SemType,
     check_category_laws,
+    law_outcome,
     tensor_type,
     unit_type,
+    verdict_ok,
     with_type,
 )
 from .terms import NIL, Par, Prefix, Term, print_term, rename
@@ -39,10 +42,19 @@ def _atoms():
     return (REGISTRY.intern("a"), REGISTRY.intern("b"))
 
 
-def _law(report: dict, name: str, ok: bool, detail: str = ""):
-    report["checks"].append({"law": name, "ok": bool(ok), "detail": detail})
-    if not ok:
-        report["ok"] = False
+def _law(report: dict, name: str, ok: Optional[bool], detail: str = ""):
+    """Records a law check: its outcome is True, False, or None when
+    undecided (`semtypes.verdict_ok`)."""
+    report["checks"].append({"law": name, "ok": ok, "detail": detail})
+    report["ok"] = law_outcome((report["ok"], ok))
+
+
+def _law_equal(report: dict, name: str, res, about: str = ""):
+    """Records the law `name` unless `res` is "equal": failed when it is
+    decided, else undecided.  The detail is the verdict, then `about`."""
+    if not res.equal:
+        detail = f"{res.verdict} {about}" if about else res.verdict
+        _law(report, name, verdict_ok(res.verdict, "equal"), detail)
 
 
 def identity_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
@@ -55,11 +67,9 @@ def identity_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     for i in range(trials):
         p = random_term(rng, atoms, rng.randint(2, 9))
         r1 = failures_equiv(C.lapp(p, wire), p, budget)
-        if not r1.equal:
-            _law(report, f"trial {i}: lapp(P, I) = P", False, f"{r1.verdict} {print_term(p)}")
+        _law_equal(report, f"trial {i}: lapp(P, I) = P", r1, print_term(p))
         r2 = failures_equiv(C.rapp(wire, p), p, budget)
-        if not r2.equal:
-            _law(report, f"trial {i}: rapp(I, P) = P", False, f"{r2.verdict} {print_term(p)}")
+        _law_equal(report, f"trial {i}: rapp(I, P) = P", r2, print_term(p))
     _law(report, f"identity laws on {trials} terms", report["ok"])
     return report
 
@@ -82,8 +92,7 @@ def composition_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict
         ]
         for name, lhs, rhs in cases:
             res = failures_equiv(lhs, rhs, budget)
-            if not res.equal:
-                _law(report, f"trial {i}: {name}", False, f"{res.verdict} P={print_term(p)[:50]}")
+            _law_equal(report, f"trial {i}: {name}", res, f"P={print_term(p)[:50]}")
     _law(report, f"composition laws on {trials} triples", report["ok"])
     return report
 
@@ -119,29 +128,25 @@ def pairing_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
             (f"trial {i}: <P,Q>;inl(R) = P;R (failures)", law1_l, law1_r),
             (f"trial {i}: <P,Q>;inr(R) = Q;R (failures)", law2_l, law2_r),
         ):
-            res = failures_equiv(lhs, rhs, budget)
-            if not res.equal:
-                _law(report, name, False, res.verdict)
+            _law_equal(report, name, failures_equiv(lhs, rhs, budget))
         for name, lhs, rhs in (
             (f"trial {i}: <P,Q>;inl(R) = P;R (weak bisim)", law1_l, law1_r),
             (f"trial {i}: <P,Q>;inr(R) = Q;S (weak bisim)", law2_l, law2_r),
         ):
-            res = weak_bisim(lhs, rhs, budget)
-            if not res.equal:
-                _law(report, name, False, res.verdict)
+            _law_equal(report, name, weak_bisim(lhs, rhs, budget))
         law3_l = C.lapp(r, C.pairing(p, q))
         law3_r = C.pairing(C.lapp(r, p), C.lapp(r, q), port="plain")
         res = failures_equiv(law3_l, law3_r, budget)
-        if not res.equal:
-            _law(report, f"trial {i}: distribution law (failures)", False, res.verdict)
+        _law_equal(report, f"trial {i}: distribution law (failures)", res)
     lhs, rhs = pairing_counterexample()
     fe = failures_equiv(lhs, rhs, budget)
-    _law(report, "counterexample instance: equal under failures", fe.equal, fe.verdict)
+    _law(report, "counterexample instance: equal under failures", verdict_ok(fe.verdict, "equal"),
+         fe.verdict)
     wb = weak_bisim(lhs, rhs, budget)
     _law(
         report,
         "counterexample instance: distinguished under weak bisimulation",
-        wb.verdict == "distinguished",
+        verdict_ok(wb.verdict, "distinguished"),
         wb.verdict,
     )
     _law(report, f"pairing laws on {trials} triples", report["ok"])
@@ -233,11 +238,13 @@ def congruence_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
 
 
 def run_exercises(seed: int, budget: ExplorationBudget, trials: int = 25) -> dict:
-    """The four named suites at CLI scale."""
+    """The four named suites at CLI scale.  A suite's "ok", and the
+    report's, is False when a check fails, else None when one is
+    undecided, else True."""
     suites = [
         identity_suite(trials, seed, budget),
         composition_suite(trials, seed + 1, budget),
         pairing_suite(max(5, trials // 2), seed + 2, budget),
         product_suite(budget),
     ]
-    return {"suites": suites, "ok": all(s["ok"] for s in suites)}
+    return {"suites": suites, "ok": law_outcome(s["ok"] for s in suites)}

@@ -70,6 +70,7 @@ from .logic import (
     Proof,
     _resolve,
     check_proof,
+    conclusion,
     negate,
     subst_value_formula,
     subst_value_proof,
@@ -182,18 +183,13 @@ def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
 
 
 def extract(proof: Proof, env: Optional[AtomEnv] = None, values: tuple = ()) -> Term:
-    return _extract_checked(proof, env or {}, values, {})
-
-
-def _extract_checked(proof: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
-    """Checks the proof once, recording every sub-proof's conclusion in
-    `conclusions`, then extracts.  The rules read their premises'
-    conclusions there (port layouts depend on the premises' lengths)
-    instead of re-checking a sub-proof at every node above it."""
-    res = check_proof(proof, (), conclusions)
+    """The realizer of `proof`; raises ExtractionError naming an invalid
+    proof's path and error.  Each rule's port layout reads its premises'
+    conclusions, kept on the nodes by the check (`conclusion`)."""
+    res = check_proof(proof)
     if not res.ok:
         raise ExtractionError(f"invalid proof at {res.path}: {res.error}")
-    return _extract(proof, env, values, conclusions)
+    return _extract(proof, env or {}, values)
 
 
 # Rules realized by the premise's realizer behind one co-signal at the
@@ -216,38 +212,26 @@ def _merge_last_two(kp: int) -> Renaming:
     return relayout(pieces)
 
 
-def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
-    def _concl(q: Proof):
-        return conclusions[id(q)][1]
+def _cut_layout(k: int, c: int, half: int) -> Renaming:
+    """A cut premise's k-way layout onto the binary one: its cut port `c`
+    to `half`, the other ports, in order, (k-1)-way into the other half."""
+    return relayout([
+        (m, k, None, half, 2) if m == c else (m, k, KwayCode(m - (m > c), k - 1), 3 - half, 2)
+        for m in range(1, k + 1)
+    ])
 
+
+def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if isinstance(p, PAxiom):
         return formula_wire(p.formula, env, values)
 
     if isinstance(p, PCut):
-        ls = _concl(p.left)
-        rs = _concl(p.right)
-        k1, k2 = len(ls), len(rs)
+        k1, k2 = len(conclusion(p.left)), len(conclusion(p.right))
         i = _resolve(p.pos_left, k1) + 1  # 1-based cut ports
         j = _resolve(p.pos_right, k2) + 1
-        tl = _extract(p.left, env, values, conclusions)
-        tr = _extract(p.right, env, values, conclusions)
-        pieces_l = []
-        rank = 0
-        for m in range(1, k1 + 1):
-            if m == i:
-                pieces_l.append((m, k1, None, 2, 2))
-            else:
-                rank += 1
-                pieces_l.append((m, k1, KwayCode(rank, k1 - 1), 1, 2))
-        pieces_r = []
-        rank = 0
-        for m in range(1, k2 + 1):
-            if m == j:
-                pieces_r.append((m, k2, None, 1, 2))
-            else:
-                rank += 1
-                pieces_r.append((m, k2, KwayCode(rank, k2 - 1), 2, 2))
-        composed = seq(rename(tl, relayout(pieces_l)), rename(tr, relayout(pieces_r)))
+        tl = rename(_extract(p.left, env, values), _cut_layout(k1, i, 2))
+        tr = rename(_extract(p.right, env, values), _cut_layout(k2, j, 1))
+        composed = seq(tl, tr)
         g, d = k1 - 1, k2 - 1
         k = g + d
         pieces_out = [(1, 2, KwayDecode(m, g), m, k) for m in range(1, g + 1)]
@@ -255,11 +239,10 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
         return rename(composed, relayout(pieces_out))
 
     if isinstance(p, PTensorR):
-        s1, s2 = _concl(p.left), _concl(p.right)
-        k1, k2 = len(s1), len(s2)
+        k1, k2 = len(conclusion(p.left)), len(conclusion(p.right))
         k = k1 + k2 - 1
-        tl = _extract(p.left, env, values, conclusions)
-        tr = _extract(p.right, env, values, conclusions)
+        tl = _extract(p.left, env, values)
+        tr = _extract(p.right, env, values)
         pieces_l = [(m, k1, None, m, k) for m in range(1, k1)]
         pieces_l.append((k1, k1, LCODE, k, k))
         pieces_r = [(m, k2, None, k1 - 1 + m, k) for m in range(1, k2)]
@@ -267,50 +250,46 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
         return Par(rename(tl, relayout(pieces_l)), rename(tr, relayout(pieces_r)))
 
     if isinstance(p, PParR):
-        kp = len(_concl(p.premise))
-        return rename(_extract(p.premise, env, values, conclusions), _merge_last_two(kp))
+        kp = len(conclusion(p.premise))
+        return rename(_extract(p.premise, env, values), _merge_last_two(kp))
 
     if isinstance(p, PWithR):
-        s = _concl(p.left)
-        k = len(s)
-        tl = _extract(p.left, env, values, conclusions)
-        tr = _extract(p.right, env, values, conclusions)
+        k = len(conclusion(p.left))
+        tl = _extract(p.left, env, values)
+        tr = _extract(p.right, env, values)
         ga = port_action(k, k, [positive(ALPHA)])
         gb = port_action(k, k, [positive(BETA)])
         return Sum(((ga, tl), (gb, tr)))
 
     signal = _SIGNALS.get(type(p))
     if signal is not None:
-        k = len(_concl(p.premise))
+        k = len(conclusion(p.premise))
         guard = port_action(k, k, [negative(signal(p))])
-        return Prefix(guard, _extract(p.premise, env, values, conclusions))
+        return Prefix(guard, _extract(p.premise, env, values))
 
     if isinstance(p, PExchange):
-        s = _concl(p.premise)
-        k = len(s)
-        tp = _extract(p.premise, env, values, conclusions)
+        k = len(conclusion(p.premise))
+        tp = _extract(p.premise, env, values)
         pieces = [(p.perm[m] + 1, k, None, m + 1, k) for m in range(k)]
         return rename(tp, relayout(pieces))
 
     if isinstance(p, PWeak):
-        s = _concl(p.premise)
-        kp = len(s)
+        kp = len(conclusion(p.premise))
         k = kp + 1
-        tp = _extract(p.premise, env, values, conclusions)
+        tp = _extract(p.premise, env, values)
         pieces = [(m, kp, None, m, k) for m in range(1, kp + 1)]
         unit = Prefix(port_action(k, k, [positive(OMEGA)]), NIL)
         return Par(rename(tp, relayout(pieces)), unit)
 
     if isinstance(p, PContr):
-        kp = len(_concl(p.premise))
-        tp = _extract(p.premise, env, values, conclusions)
+        kp = len(conclusion(p.premise))
+        tp = _extract(p.premise, env, values)
         guard = port_action(kp - 1, kp - 1, [negative(GAMMA)])
         return Prefix(guard, rename(tp, _merge_last_two(kp)))
 
     if isinstance(p, PProm):
-        s = _concl(p.premise)
-        k = len(s)
-        tp = _extract(p.premise, env, values, conclusions)
+        k = len(conclusion(p.premise))
+        tp = _extract(p.premise, env, values)
         var = "X"
         theta1 = relayout([(m, k, LCODE, m, k) for m in range(1, k + 1)])
         theta2 = relayout([(m, k, RCODE, m, k) for m in range(1, k + 1)])
@@ -328,14 +307,13 @@ def _extract(p: Proof, env: AtomEnv, values: tuple, conclusions: dict) -> Term:
     if isinstance(p, PForallR):
         if not values:
             raise ExtractionError("quantifier extraction needs a declared value domain")
-        s = _concl(p.premise)
-        k = len(s)
+        k = len(conclusion(p.premise))
         branches = []
         for v in values:
             inst = subst_value_proof(p.premise, p.var, v)
             sv = value_name(SIGMA, v)
             guard = port_action(k, k, [positive(sv)])
-            branches.append((guard, _extract_checked(inst, env, values, conclusions)))
+            branches.append((guard, extract(inst, env, values)))
         return Sum(tuple(branches))
 
     raise ExtractionError(f"unsupported proof node {type(p).__name__}")
@@ -401,7 +379,7 @@ def verify_totality_pipeline(
     """Checks the extracted realizer against every negative representative
     of the conclusion's folded type: "convergent" when all closed systems
     converge, "diverging" when one diverges, else "unknown"."""
-    concl = check_proof(proof).sequent
+    concl = conclusion(proof)
     ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
     packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
     verdict = total(SemType(RepPER(((packed,),)), ty.neg), budget).verdict

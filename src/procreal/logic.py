@@ -257,9 +257,10 @@ def print_sequent(seq: Sequent) -> str:
 
 class Proof:
     """A proof node.  Its premises are its fields annotated `Proof`, in
-    field order; every other field is a side datum of the rule."""
+    field order; every other field is a side datum of the rule.  A checked
+    node keeps its `check_proof` result as `_checked`, which is no field:
+    `==`, `hash`, `repr`, `replace` and `proof_to_json` ignore it."""
 
-    __slots__ = ()
     premise_names: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -267,10 +268,7 @@ class Proof:
         cls.premise_names = tuple(n for n, t in cls.__annotations__.items() if t == "Proof")
 
     def premises(self) -> tuple:
-        out = []
-        for name in self.premise_names:
-            out.append(getattr(self, name))
-        return tuple(out)
+        return tuple(getattr(self, name) for name in self.premise_names)
 
     def with_premises(self, premises: tuple) -> "Proof":
         return replace(self, **dict(zip(self.premise_names, premises, strict=True)))
@@ -363,11 +361,11 @@ class PExistsR(Proof):
 # Proof checking
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     sequent: Optional[Sequent]
     error: Optional[str] = None
-    path: tuple = ()
+    path: tuple = ()  # premise indices from the checked node to the failure
 
     @property
     def ok(self) -> bool:
@@ -378,28 +376,34 @@ def _resolve(pos: int, length: int) -> int:
     return length - 1 if pos == -1 else pos
 
 
-def check_proof(p: Proof, path: tuple = (), _conclusions: Optional[dict] = None) -> CheckResult:
+def check_proof(p: Proof) -> CheckResult:
     """Checks the premises in order, stopping at the first failure, then
-    this rule's side condition; returns the conclusion.
-
-    Given `_conclusions`, it also records there the conclusion of every
-    sub-proof below `p`, by `id` of the node, as (node, sequent): the
-    entry keeps the node alive, so its id is not reused while the table
-    is.  One pass then gives every premise's conclusion."""
-
-    def fail(msg: str) -> CheckResult:
-        return CheckResult(None, msg, path)
-
+    this rule's side condition; returns the conclusion, or the error and
+    its path from `p`.  The result is kept on the node (`_checked`), so a
+    node is checked once, from its premises' kept results, and proofs
+    sharing a subtree share its result; a failing premise's path gets the
+    premise's index prepended."""
     if not isinstance(p, Proof):
-        return fail(f"unknown proof node {p!r}")
+        return CheckResult(None, f"unknown proof node {p!r}")
+    res = p.__dict__.get("_checked")
+    if res is not None:
+        return res
     seqs = []
     for k, q in enumerate(p.premises()):
-        sub = check_proof(q, path + (k,), _conclusions)
+        sub = check_proof(q)
         if not sub.ok:
-            return sub
-        if _conclusions is not None:
-            _conclusions[id(q)] = (q, sub.sequent)
+            res = CheckResult(None, sub.error, (k,) + sub.path)
+            break
         seqs.append(sub.sequent)
+    else:
+        res = _check_rule(p, seqs)
+    p.__dict__["_checked"] = res
+    return res
+
+
+def _check_rule(p: Proof, seqs: list) -> CheckResult:
+    """The side condition of `p`'s rule over its premises' conclusions
+    `seqs`, and the conclusion it gives, or the error."""
     s = seqs[0] if seqs else ()
 
     if isinstance(p, PAxiom):
@@ -409,86 +413,85 @@ def check_proof(p: Proof, path: tuple = (), _conclusions: Optional[dict] = None)
         i = _resolve(p.pos_left, len(ls))
         j = _resolve(p.pos_right, len(rs))
         if not (0 <= i < len(ls)) or ls[i] != p.formula:
-            return fail(
-                f"cut formula {print_formula(p.formula)} not at position {i} of {print_sequent(ls)}"
-            )
+            return CheckResult(None, f"cut formula {print_formula(p.formula)} "
+                                     f"not at position {i} of {print_sequent(ls)}")
         if not (0 <= j < len(rs)) or rs[j] != negate(p.formula):
-            return fail(
-                f"dual cut formula not at position {j} of {print_sequent(rs)}"
-            )
+            return CheckResult(None, f"dual cut formula not at position {j} of {print_sequent(rs)}")
         conclusion = ls[:i] + ls[i + 1 :] + rs[:j] + rs[j + 1 :]
         if not conclusion:
-            return fail("cut would produce an empty sequent")
+            return CheckResult(None, "cut would produce an empty sequent")
         return CheckResult(conclusion)
     if isinstance(p, PTensorR):
         ls, rs = seqs
         if not ls or not rs:
-            return fail("tensor premises must be nonempty")
+            return CheckResult(None, "tensor premises must be nonempty")
         return CheckResult(ls[:-1] + rs[:-1] + (FTensor(ls[-1], rs[-1]),))
     if isinstance(p, PParR):
         if len(s) < 2:
-            return fail("par needs two formulas to merge")
+            return CheckResult(None, "par needs two formulas to merge")
         return CheckResult(s[:-2] + (FPar(s[-2], s[-1]),))
     if isinstance(p, PWithR):
         ls, rs = seqs
         if not ls or not rs:
-            return fail("with premises must be nonempty")
+            return CheckResult(None, "with premises must be nonempty")
         if ls[:-1] != rs[:-1]:
-            return fail("with premises must share their context")
+            return CheckResult(None, "with premises must share their context")
         return CheckResult(ls[:-1] + (FWith(ls[-1], rs[-1]),))
     if isinstance(p, PPlusR1):
         if not s:
-            return fail("plus premise must be nonempty")
+            return CheckResult(None, "plus premise must be nonempty")
         return CheckResult(s[:-1] + (FPlus(s[-1], p.other),))
     if isinstance(p, PPlusR2):
         if not s:
-            return fail("plus premise must be nonempty")
+            return CheckResult(None, "plus premise must be nonempty")
         return CheckResult(s[:-1] + (FPlus(p.other, s[-1]),))
     if isinstance(p, PExchange):
         if sorted(p.perm) != list(range(len(s))):
-            return fail(f"invalid permutation {p.perm} for {print_sequent(s)}")
+            return CheckResult(None, f"invalid permutation {p.perm} for {print_sequent(s)}")
         return CheckResult(tuple(s[k] for k in p.perm))
     if isinstance(p, PWeak):
         return CheckResult(s + (FQuest(p.formula),))
     if isinstance(p, PDerel):
         if not s:
-            return fail("dereliction premise must be nonempty")
+            return CheckResult(None, "dereliction premise must be nonempty")
         return CheckResult(s[:-1] + (FQuest(s[-1]),))
     if isinstance(p, PContr):
         if len(s) < 2 or s[-1] != s[-2]:
-            return fail("contraction needs two equal final formulas")
+            return CheckResult(None, "contraction needs two equal final formulas")
         if not isinstance(s[-1], FQuest):
-            return fail("contraction applies to ?-formulas only")
+            return CheckResult(None, "contraction applies to ?-formulas only")
         return CheckResult(s[:-1])
     if isinstance(p, PProm):
         if not s:
-            return fail("promotion premise must be nonempty")
+            return CheckResult(None, "promotion premise must be nonempty")
         if not all(isinstance(f, FQuest) for f in s[:-1]):
-            return fail("promotion context must consist of ?-formulas")
+            return CheckResult(None, "promotion context must consist of ?-formulas")
         return CheckResult(s[:-1] + (FBang(s[-1]),))
     if isinstance(p, PForallR):
         if not s:
-            return fail("forall premise must be nonempty")
+            return CheckResult(None, "forall premise must be nonempty")
         for f in s[:-1]:
             if p.var in free_value_vars_formula(f):
-                return fail(f"value variable {p.var} free in the context")
+                return CheckResult(None, f"value variable {p.var} free in the context")
         return CheckResult(s[:-1] + (FForall(p.var, s[-1]),))
     if isinstance(p, PExistsR):
         if not isinstance(p.formula, FExists):
-            return fail("exists rule must carry an existential formula")
+            return CheckResult(None, "exists rule must carry an existential formula")
         if not s:
-            return fail("exists premise must be nonempty")
+            return CheckResult(None, "exists premise must be nonempty")
         expected = subst_value_formula(p.formula.body, p.formula.var, p.value)
         if s[-1] != expected:
-            return fail(
+            return CheckResult(None, 
                 f"premise ends with {print_formula(s[-1])}, expected "
                 f"{print_formula(expected)}"
             )
         return CheckResult(s[:-1] + (p.formula,))
-    return fail(f"unknown proof node {p!r}")
+    return CheckResult(None, f"unknown proof node {p!r}")
 
 
 def conclusion(p: Proof) -> Sequent:
+    """The conclusion of `p`, kept on the node once checked; raises
+    ValueError naming an invalid proof's path and error."""
     res = check_proof(p)
     if not res.ok:
         raise ValueError(f"invalid proof at {res.path}: {res.error}")
@@ -594,8 +597,6 @@ def reduce_cut(cut: PCut) -> tuple:
 
 
 def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
-    c = cut.formula
-
     if isinstance(left, PTensorR) and isinstance(right, PParR):
         # C = A (x) B against A' par B'
         p1, p2, p3 = left.left, left.right, right.premise
@@ -628,8 +629,7 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         return PCut(conclusion(left.premise)[-1], left.premise, right.right, -1, -1), "plus2-with"
 
     if isinstance(left, PProm) and isinstance(right, PWeak):
-        s1 = conclusion(left.premise)
-        context = s1[:-1]  # all ?-formulas
+        context = conclusion(left.premise)[:-1]  # all ?-formulas
         out = right.premise
         for qf in context:
             out = PWeak(qf.body, out)
@@ -638,8 +638,7 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         order = list(range(d, d + m)) + list(range(d))
         return _exchange_to(out, d + m, order), "prom-weak"
     if isinstance(left, PWeak) and isinstance(right, PProm):
-        s2 = conclusion(right.premise)
-        context = s2[:-1]
+        context = conclusion(right.premise)[:-1]
         out = left.premise
         for qf in context:
             out = PWeak(qf.body, out)
@@ -651,17 +650,14 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         a = conclusion(left.premise)[-1]
         return PCut(a, left.premise, right.premise, -1, -1), "derel-prom"
     if isinstance(left, PProm) and isinstance(right, PContr):
-        s1 = conclusion(left.premise)
-        m = len(s1) - 1
+        m = len(conclusion(left.premise)) - 1
         c1 = PCut(cut.formula, left, right.premise, -1, -1)
         c2 = PCut(cut.formula, left, c1, -1, -1)
         d = len(conclusion(right.premise)) - 2
         return _contract_pairs(c2, m, d, context_first=True), "prom-contr"
     if isinstance(left, PContr) and isinstance(right, PProm):
-        s2 = conclusion(right.premise)
-        m = len(s2) - 1
-        sl = conclusion(left.premise)
-        g = len(sl) - 2
+        m = len(conclusion(right.premise)) - 1
+        g = len(conclusion(left.premise)) - 2
         c1 = PCut(cut.formula, left.premise, right, -1, -1)
         c2 = PCut(cut.formula, c1, right, g, -1)
         return _contract_pairs(c2, m, g, context_first=False), "contr-prom"
@@ -673,7 +669,6 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         return PCut(inst, subst_value_proof(left.premise, left.var, v), right.premise, -1, -1), "forall-exists"
     if isinstance(left, PExistsR) and isinstance(right, PForallR):
         v = left.value
-        body = conclusion(right.premise)[-1]
         inst = conclusion(left.premise)[-1]
         return PCut(inst, left.premise, subst_value_proof(right.premise, right.var, v), -1, -1), "exists-forall"
 
@@ -729,9 +724,7 @@ def _push_left(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
         order2 = list(range(gg - 1)) + [gg - 1 + dlen] + list(range(gg - 1, gg - 1 + dlen))
         return _exchange_to(reapplied, gg + dlen, order2), f"push-left-{type(left).__name__[1:].lower()}"
     if isinstance(left, PTensorR):
-        s1 = conclusion(left.left)
-        s2 = conclusion(left.right)
-        g1, g2 = len(s1) - 1, len(s2) - 1
+        g1, g2 = len(conclusion(left.left)) - 1, len(conclusion(left.right)) - 1
         if i < g1:
             inner = PCut(cut.formula, left.left, right, i, j)
             # (Γ1 minus i) ++ [A] ++ Δ'; move A to the end
@@ -772,9 +765,7 @@ def _push_right(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
         premises = tuple(PCut(cut.formula, left, prem, i, j) for prem in right.premises())
         return right.with_premises(premises), f"push-right-{type(right).__name__[1:].lower()}"
     if isinstance(right, PTensorR):
-        s2 = conclusion(right.left)
-        s3 = conclusion(right.right)
-        d1, d2 = len(s2) - 1, len(s3) - 1
+        d1, d2 = len(conclusion(right.left)) - 1, len(conclusion(right.right)) - 1
         if j < d1:
             inner = PCut(cut.formula, left, right.left, i, j)
             return PTensorR(inner, right.right), "push-right-tensorr"

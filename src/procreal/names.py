@@ -8,13 +8,15 @@ naturals, so the binary and k-way interface splits are exact and
 invertible.
 
 Renamings and restriction sets are name maps (`NameMap`): values that
-compare by class and constructor arguments and hash once.  Term nodes
-hold one kept instance per value (`kept`), in the manner of hash-consing
-(Filliâtre and Conchon, *Type-safe modular hash-consing*, 2006), so a
-comparison of equal nodes stops at the map's identity; and each map
+compare by class and constructor arguments and hash once.  Each map
 memoises its answers per action (`Renaming.apply_action`,
 `RestrictionSet.blocks`), which the states of one process ask again and
-again.
+again.  Term nodes hold one kept instance per value (`kept`), in the
+manner of hash-consing (Filliâtre and Conchon, *Type-safe modular
+hash-consing*, 2006), so equal maps met in many nodes are one object
+with one memo, and a node constructor's table lookup, whose key holds
+the map, compares the kept instance with itself.  (A term node
+comparison is identity and never reaches a map.)
 """
 
 from __future__ import annotations
@@ -165,9 +167,10 @@ class NameMap:
     the value, and the text (`describe`) never reads it.
 
     Term nodes hold the kept instance of their map (`kept`), so equal maps
-    met in two nodes are one object, and a node comparison that reaches
-    them stops at the identity test.  Equality stays structural: a map
-    built apart from the kept one equals it and has its hash."""
+    met in two nodes are one object and share `_memo`, and a node
+    constructor's table lookup given the kept instance stops at the
+    identity test.  Equality stays structural: a map built apart from the
+    kept one equals it and has its hash."""
 
     __slots__ = ("_args", "_hash", "_memo")
 

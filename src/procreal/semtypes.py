@@ -539,6 +539,19 @@ def stream_type_example(a: SemType, depth: int) -> SemType:
 # Category laws on a finite instance
 
 
+def verdict_ok(verdict: str, passing: str) -> Optional[bool]:
+    """A law check's outcome from a verdict: True when it is `passing`,
+    None when the check is undecided ("unknown"), else False."""
+    return None if verdict == "unknown" else verdict == passing
+
+
+def law_outcome(oks) -> Optional[bool]:
+    """The outcome of a set of law checks: False when one fails, else
+    None when one is undecided, else True."""
+    oks = list(oks)
+    return False if False in oks else None if None in oks else True
+
+
 def check_category_laws(
     types: dict,
     morphisms: list,
@@ -550,18 +563,20 @@ def check_category_laws(
     tracks a morphism, identity laws, associativity of composition,
     duality as a contravariant involution, and the product property of
     the with-construction for the given (f, g) pairs sharing a source.
+    A check is undecided ("ok" None) when a verdict it rests on is.
     """
     report: dict = {"checks": [], "ok": True}
 
-    def record(name: str, ok: bool, detail: str = ""):
-        report["checks"].append({"check": name, "ok": bool(ok), "detail": detail})
-        if not ok:
-            report["ok"] = False
+    def record(name: str, ok: Optional[bool], detail: str = ""):
+        report["checks"].append({"check": name, "ok": ok, "detail": detail})
+        report["ok"] = law_outcome((report["ok"], ok))
 
     verified: dict[str, Morphism] = {}
+    outcomes: dict[str, Optional[bool]] = {}  # morphism name -> its check
     for spec in morphisms:
         res = is_morphism(spec["term"], types[spec["src"]], types[spec["dst"]], budget)
-        record(f"morphism {spec['name']}", res.verdict == "morphism", res.witness or "")
+        outcomes[spec["name"]] = verdict_ok(res.verdict, "morphism")
+        record(f"morphism {spec['name']}", outcomes[spec["name"]], res.witness or "")
         if res.verdict == "morphism":
             verified[spec["name"]] = res.morphism
 
@@ -570,7 +585,7 @@ def check_category_laws(
         if t.interface is None:
             continue
         res = identity_morphism(t, budget)
-        record(f"identity on {tname}", res.verdict == "morphism", res.witness or "")
+        record(f"identity on {tname}", verdict_ok(res.verdict, "morphism"), res.witness or "")
         if res.verdict == "morphism":
             idents[tname] = res.morphism
 
@@ -580,11 +595,11 @@ def check_category_laws(
         if spec["src"] in idents:
             composed = seq(idents[spec["src"]].realizer, m.realizer)
             res = failures_equiv(composed, m.realizer, budget)
-            record(f"id;{name} = {name}", res.equal, res.detail)
+            record(f"id;{name} = {name}", verdict_ok(res.verdict, "equal"), res.detail)
         if spec["dst"] in idents:
             composed = seq(m.realizer, idents[spec["dst"]].realizer)
             res = failures_equiv(composed, m.realizer, budget)
-            record(f"{name};id = {name}", res.equal, res.detail)
+            record(f"{name};id = {name}", verdict_ok(res.verdict, "equal"), res.detail)
 
     # associativity over composable triples
     names = sorted(verified)
@@ -599,15 +614,15 @@ def check_category_laws(
     for n1, n2, n3 in triples:
         f, g, h = verified[n1].realizer, verified[n2].realizer, verified[n3].realizer
         res = failures_equiv(seq(seq(f, g), h), seq(f, seq(g, h)), budget)
-        record(f"({n1};{n2});{n3} assoc", res.equal, res.detail)
+        record(f"({n1};{n2});{n3} assoc", verdict_ok(res.verdict, "equal"), res.detail)
 
     for name, m in sorted(verified.items()):
         dres = dual_morphism(m, budget)
-        record(f"dual of {name} is a morphism", dres.verdict == "morphism", dres.witness or "")
+        record(f"dual of {name} is a morphism", verdict_ok(dres.verdict, "morphism"), dres.witness or "")
         if dres.verdict == "morphism":
             ddres = dual_morphism(dres.morphism, budget)
             ok = (
-                ddres.verdict == "morphism"
+                verdict_ok(ddres.verdict, "morphism")
                 and ddres.morphism.f_plus == m.f_plus
                 and ddres.morphism.f_minus == m.f_minus
             )
@@ -616,24 +631,26 @@ def check_category_laws(
     for fname, gname in product_cases or []:
         unverified = [n for n in (fname, gname) if n not in verified]
         if unverified:
-            record(f"pairing <{fname},{gname}> is a morphism", False,
+            record(f"pairing <{fname},{gname}> is a morphism",
+                   law_outcome(outcomes.get(n, False) for n in unverified),
                    f"morphism {' and '.join(unverified)} not verified")
             continue
         f, g = verified[fname], verified[gname]
         pres = pairing_morphism(f, g, budget)
-        record(f"pairing <{fname},{gname}> is a morphism", pres.verdict == "morphism", pres.witness or "")
+        record(f"pairing <{fname},{gname}> is a morphism", verdict_ok(pres.verdict, "morphism"),
+               pres.witness or "")
         if pres.verdict != "morphism":
             continue
         pair_term = pres.morphism.realizer
         proj1 = projection_realizer(f.target, "left")
         proj2 = projection_realizer(g.target, "right")
         r1 = failures_equiv(seq(pair_term, proj1), f.realizer, budget)
-        record(f"proj1 . <{fname},{gname}> = {fname}", r1.equal, r1.detail)
+        record(f"proj1 . <{fname},{gname}> = {fname}", verdict_ok(r1.verdict, "equal"), r1.detail)
         r2 = failures_equiv(seq(pair_term, proj2), g.realizer, budget)
-        record(f"proj2 . <{fname},{gname}> = {gname}", r2.equal, r2.detail)
+        record(f"proj2 . <{fname},{gname}> = {gname}", verdict_ok(r2.verdict, "equal"), r2.detail)
         # uniqueness on this instance: any mediator with the same
         # projections is equal at the realizer level
         again = pairing(f.realizer, g.realizer, port="right")
         r3 = failures_equiv(again, pair_term, budget)
-        record(f"mediator uniqueness for <{fname},{gname}>", r3.equal, r3.detail)
+        record(f"mediator uniqueness for <{fname},{gname}>", verdict_ok(r3.verdict, "equal"), r3.detail)
     return report

@@ -15,12 +15,15 @@ from procreal.logic import (
     PCut,
     PDerel,
     PExchange,
+    PParR,
     PProm,
+    PTensorR,
     negate,
     proof_to_json,
 )
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO
+from procreal.semtypes import law_outcome
 
 
 @pytest.fixture()
@@ -170,6 +173,16 @@ def test_extract_and_verify_cut(files, tmp_path, capsys):
     assert all(s["verdict"] == "pass" for s in data["steps"])
 
 
+def test_extract_nested_invalid_proof_exits_three(files, capsys):
+    # fails at the exchange, premise 0 of the par, premise 1 of the tensor
+    bad = PTensorR(PAxiom(FAtom("a")), PParR(PExchange((0, 0), PAxiom(FAtom("b")))))
+    ppath = files("p.json", json.dumps(proof_to_json(bad)))
+    for cmd in ("extract", "verify-cut"):
+        assert main([cmd, ppath]) == 3
+        err = capsys.readouterr().err
+        assert err == "invalid proof at (1, 0): invalid permutation (0, 0) for |- ~b, b\n"
+
+
 def test_verify_cut_output_matches_golden(files, capsys):
     # stdout captured before the proof rules were made table-driven
     proof = corpus_proofs()["push_left"]["proof"]
@@ -213,18 +226,56 @@ def test_verify_cut_reports_its_step_bound(files, capsys):
 @pytest.mark.parametrize("max_states", ["1", "2", "5"])
 def test_exercises_under_small_budgets_report_without_traceback(max_states):
     # morphisms that do not verify within the budget leave their product
-    # checks failed, and the report is printed
+    # checks undecided, and the report is printed
     proc = subprocess.run(
         [sys.executable, "-m", "procreal.cli", "exercises", "--trials", "1", "--seed", "1",
          "--max-states", max_states],
         capture_output=True, text=True, env=subprocess_env(), timeout=300,
     )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert "suite product      FAIL" in proc.stdout.splitlines()
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert "suite product      unknown" in proc.stdout.splitlines()
     if max_states == "1":
         assert "  pairing <idA,a2b> is a morphism: morphism idA and a2b not verified" in (
             proc.stdout.splitlines()
         )
+
+
+def test_exercises_that_decide_nothing_false_report_unknown(capsys):
+    # every check this budget leaves short is undecided, not failed
+    argv = ["exercises", "--trials", "1", "--seed", "1", "--max-states", "1"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("suite ")] == [
+        "suite identity     pass",
+        "suite composition  unknown",
+        "suite pairing      unknown",
+        "suite product      unknown",
+    ]
+    assert main([*argv, "--format", "json"]) == 2
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("\n{") :])  # after the text lines
+    assert report["ok"] is None
+    assert [suite["ok"] for suite in report["suites"]] == [True, None, None, None]
+    assert {check["ok"] for suite in report["suites"] for check in suite["checks"]} <= {True, None}
+
+
+@pytest.mark.parametrize(
+    "oks, code, status",
+    [
+        pytest.param([True, True], 0, "pass", id="pass"),
+        pytest.param([True, None], 2, "unknown", id="undecided"),
+        pytest.param([None, False], 1, "FAIL", id="failed"),
+    ],
+)
+def test_exercises_exit_code_follows_the_suites(monkeypatch, capsys, oks, code, status):
+    def run_exercises(seed, budget, trials):
+        suites = [{"suite": f"s{i}", "ok": ok, "checks": [{"law": "x", "ok": ok, "detail": ""}]}
+                  for i, ok in enumerate(oks)]
+        return {"suites": suites, "ok": law_outcome(oks)}
+
+    monkeypatch.setattr("procreal.cli.run_exercises", run_exercises)
+    assert main(["exercises"]) == code
+    assert capsys.readouterr().out.splitlines()[-2].endswith(status)
 
 
 AXIOM = {"rule": "axiom", "formula": "a"}

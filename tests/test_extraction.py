@@ -26,6 +26,7 @@ from procreal.logic import (
     FWith,
     PAxiom,
     PCut,
+    PExchange,
     PForallR,
     PParR,
     PTensorR,
@@ -71,6 +72,13 @@ def test_invalid_proof_rejected():
     bad = PCut(A, PAxiom(A), PAxiom(A), -1, -1)
     with pytest.raises(ExtractionError):
         extract(bad)
+
+
+def test_nested_invalid_proof_names_its_path():
+    bad = PTensorR(PAxiom(A), PParR(PExchange((0, 0), PAxiom(B))))
+    with pytest.raises(ExtractionError) as exc:
+        extract(bad)
+    assert str(exc.value) == "invalid proof at (1, 0): invalid permutation (0, 0) for |- ~b, b"
 
 
 def test_quantifier_extraction_needs_values():
@@ -163,6 +171,12 @@ def test_totality_cut_of_axioms_convergent():
     types = {"a": _atom_type("a")}
     cut = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
     assert verify_totality_pipeline(cut, types, budget=BUD) == "convergent"
+
+
+def test_totality_of_an_invalid_proof_names_its_path():
+    bad = PCut(A, PAxiom(A), PAxiom(A), -1, -1)
+    with pytest.raises(ValueError, match=r"^invalid proof at \(\): dual cut formula"):
+        verify_totality_pipeline(bad, {"a": _atom_type("a")}, budget=BUD)
 
 
 def test_totality_negative_control_diverges():

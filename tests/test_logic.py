@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from procreal.logic import (
     PParR,
     PTensorR,
     Proof,
+    _check_rule,
     check_proof,
     conclusion,
     cut_eliminate,
@@ -106,6 +107,76 @@ def test_cut_mismatch_diagnostic():
     res = check_proof(bad)
     assert not res.ok
     assert "dual cut formula" in res.error
+
+
+# fails at the exchange, premise 0 of the par, premise 1 of the tensor
+NESTED_ERROR = "invalid permutation (0, 0) for |- ~b, b"
+
+
+def nested_invalid():
+    return PTensorR(PAxiom(A), PParR(PExchange((0, 0), PAxiom(B))))
+
+
+def test_nested_invalid_proof_reports_its_path():
+    bad = nested_invalid()
+    res = check_proof(bad)
+    assert (res.ok, res.sequent, res.path, res.error) == (False, None, (1, 0), NESTED_ERROR)
+    with pytest.raises(ValueError, match=r"^invalid proof at \(1, 0\): invalid permutation"):
+        conclusion(bad)
+    # a premise checked first keeps its path relative to itself
+    fresh = nested_invalid()
+    assert check_proof(fresh.right).path == (0,)
+    assert check_proof(fresh) == res
+    assert check_proof(PForallR("x", fresh)).path == (0, 1, 0)
+
+
+def _count_rule_checks(monkeypatch) -> list:
+    checked = []
+
+    def counting(p, seqs):
+        checked.append(p)
+        return _check_rule(p, seqs)
+
+    monkeypatch.setattr("procreal.logic._check_rule", counting)
+    return checked
+
+
+def test_each_proof_node_is_checked_once(monkeypatch):
+    checked = _count_rule_checks(monkeypatch)
+    left = PTensorR(PAxiom(A), PAxiom(B))
+    assert check_proof(left.left).ok and len(checked) == 1
+    proof = PParR(left)
+    assert conclusion(proof) == (negate(A), FPar(negate(B), FTensor(A, B)))
+    assert len(checked) == 4  # the tensor, its right axiom and the par
+    assert check_proof(proof).ok and conclusion(left) and check_proof(left.right).ok
+    assert len(checked) == 4
+    # a failing node keeps its error as well
+    bad = nested_invalid()
+    assert not check_proof(bad).ok and not check_proof(bad).ok
+    # the tensor's left axiom, then the exchange's axiom and the exchange
+    assert len(checked) == 4 + 3
+
+
+def test_cut_elimination_trail_shares_kept_checks(monkeypatch):
+    proof = corpus_proofs()["tensor_par"]["proof"]
+    trail = cut_eliminate(proof, keep_trail=True).trail
+    checked = _count_rule_checks(monkeypatch)
+    for step in trail:
+        assert check_proof(step).ok
+    assert len(checked) == len({id(p) for p in checked})
+
+
+def test_kept_check_is_no_part_of_the_proof_value():
+    checked = PTensorR(PAxiom(A), PParR(PAxiom(B)))
+    plain = PTensorR(PAxiom(A), PParR(PAxiom(B)))
+    assert check_proof(checked).ok and "_checked" in vars(checked)
+    assert "_checked" not in vars(plain)
+    assert checked == plain and hash(checked) == hash(plain)
+    assert repr(checked) == repr(plain)
+    assert proof_to_json(checked) == proof_to_json(plain)
+    assert "_checked" not in {f.name for f in fields(checked)}
+    assert "_checked" not in vars(replace(checked))
+    assert "_checked" not in vars(subst_value_proof(checked, "x", 1))
 
 
 def test_tensor_rule_conclusion():
