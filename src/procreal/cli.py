@@ -311,13 +311,16 @@ _LAW_VERDICTS = {True: "pass", False: "fail", None: "unknown"}
 
 def cmd_exercises(args) -> int:
     report = run_exercises(args.seed, _budget(args), trials=args.trials)
+    # under --format json, stdout carries the JSON document alone
+    status_out = sys.stderr if args.format == "json" else sys.stdout
     for suite in report["suites"]:
         status = _LAW_VERDICTS[suite["ok"]]
-        print(f"suite {suite['suite']:<12} {'FAIL' if status == 'fail' else status}")
+        print(f"suite {suite['suite']:<12} {'FAIL' if status == 'fail' else status}", file=status_out)
         if status != "pass":
             for check in suite["checks"]:
                 if check["ok"] is not True:
-                    print(f"  {check['law'] if 'law' in check else check['check']}: {check.get('detail','')}")
+                    print(f"  {check['law'] if 'law' in check else check['check']}: {check.get('detail','')}",
+                          file=status_out)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_CODES.get(_LAW_VERDICTS[report["ok"]], EXIT_UNKNOWN)

@@ -10,6 +10,7 @@ alphabet between its two halves simultaneously.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .names import (
@@ -29,6 +30,7 @@ from .names import (
     SWAP,
     action_key,
     dual_action,
+    kept,
     l_code,
     label_key,
     negative,
@@ -71,6 +73,15 @@ def fresh_var(base: str, term: Term) -> str:
     return f"{base}{i}"
 
 
+# The codings the applications and composition rename through, built once
+# as kept maps, so a node built over one finds its table entry by identity.
+_PHI12 = kept(PhiCode(1, 2))
+_PHI23 = kept(PhiCode(2, 3))
+_PHI13_INV = kept(PhiCode(1, 3).inverse())
+_LCODE_INV = kept(LCODE.inverse())
+_RCODE_INV = kept(RCODE.inverse())
+
+
 def tensor(p: Term, q: Term) -> Term:
     """Disjoint parallel composition: p on the l-half, q on the r-half."""
     return Par(rename(p, LCODE), rename(q, RCODE))
@@ -80,19 +91,19 @@ def lapp(q: Term, p: Term) -> Term:
     """Left application: q is relabelled into p's left half, interaction
     there is forced, and the remaining right-half behaviour is renamed
     back to the full name space."""
-    return rename(Restrict(Par(rename(q, LCODE), p), LL_CLASS), RCODE.inverse())
+    return rename(Restrict(Par(rename(q, LCODE), p), LL_CLASS), _RCODE_INV)
 
 
 def rapp(p: Term, r: Term) -> Term:
     """Right application, the mirror image of lapp."""
-    return rename(Restrict(Par(p, rename(r, RCODE)), LR_CLASS), LCODE.inverse())
+    return rename(Restrict(Par(p, rename(r, RCODE)), LR_CLASS), _LCODE_INV)
 
 
 def seq(p: Term, q: Term) -> Term:
     """Composition: p's right half meets q's left half in the hidden
     middle region of the three-way split."""
-    inner = Par(rename(p, PhiCode(1, 2)), rename(q, PhiCode(2, 3)))
-    return rename(Restrict(inner, N2_CLASS), PhiCode(1, 3).inverse())
+    inner = Par(rename(p, _PHI12), rename(q, _PHI23))
+    return rename(Restrict(inner, N2_CLASS), _PHI13_INV)
 
 
 def act_plus(alphabet: Alphabet) -> list:
@@ -109,10 +120,13 @@ def act_plus(alphabet: Alphabet) -> list:
     return actions
 
 
+@lru_cache(maxsize=256)
 def identity_wire(alphabet: Alphabet) -> Term:
     """The wire relaying each action a over the alphabet on its left half
     simultaneously with the dual action on its right half.  The empty
-    alphabet yields the inert process."""
+    alphabet yields the inert process.  Built once per alphabet (a
+    frozenset) and kept, so equal alphabets give one node and a repeated
+    call builds none of its up to 255 branches."""
     if len(alphabet) > WIRE_MAX_NAMES:
         raise AlphabetTooLarge(
             f"identity wire over {len(alphabet)} names exceeds the cap {WIRE_MAX_NAMES}"

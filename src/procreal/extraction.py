@@ -16,7 +16,7 @@ quantifiers) and a recursive relay for the exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 from .combinators import identity_wire, seq
@@ -43,7 +43,7 @@ from .names import (
     positive,
 )
 from .semantics import ExplorationBudget
-from .terms import NIL, Par, Prefix, Rec, Sum, Term, Var, rename, value_name
+from .terms import NIL, Par, Prefix, Rec, Sum, Term, Var, choice, rename, value_name
 from .logic import (
     DUAL_CONNECTIVES,
     FAtom,
@@ -174,7 +174,7 @@ def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
         for v in values:
             sv = value_name(SIGMA, v)
             branches.append((_relay(sv), formula_wire(subst_value_formula(a.body, a.var, v), env, values)))
-        return Sum(tuple(branches))
+        return choice(tuple(branches))
     raise TypeError(f"not a formula: {a!r}")
 
 
@@ -184,12 +184,19 @@ def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:
 
 def extract(proof: Proof, env: Optional[AtomEnv] = None, values: tuple = ()) -> Term:
     """The realizer of `proof`; raises ExtractionError naming an invalid
-    proof's path and error.  Each rule's port layout reads its premises'
-    conclusions, kept on the nodes by the check (`conclusion`)."""
+    proof's path and error, and keeps nothing then.  Each rule's port
+    layout reads its premises' conclusions, kept on the nodes by the check
+    (`conclusion`).  Each node keeps its realizer per atom env and value
+    domain (`_realizers`, beside `_checked`): realizers are hash-consed
+    terms, so a kept one is the node a cold extraction builds.  A proof
+    rebuilt by a reduction shares the premises it does not touch, so
+    extracting it builds only the rebuilt path."""
     res = check_proof(proof)
     if not res.ok:
         raise ExtractionError(f"invalid proof at {res.path}: {res.error}")
-    return _extract(proof, env or {}, values)
+    env = env or {}
+    values = tuple(values)
+    return _extract(proof, env, values, (frozenset(env.items()), values))
 
 
 # Rules realized by the premise's realizer behind one co-signal at the
@@ -202,6 +209,7 @@ _SIGNALS = {
 }
 
 
+@lru_cache(maxsize=64)
 def _merge_last_two(kp: int) -> Renaming:
     """A kp-way layout onto kp - 1 ports: the last two ports become the
     l and r halves of the new last one."""
@@ -212,6 +220,7 @@ def _merge_last_two(kp: int) -> Renaming:
     return relayout(pieces)
 
 
+@lru_cache(maxsize=256)
 def _cut_layout(k: int, c: int, half: int) -> Renaming:
     """A cut premise's k-way layout onto the binary one: its cut port `c`
     to `half`, the other ports, in order, (k-1)-way into the other half."""
@@ -221,7 +230,18 @@ def _cut_layout(k: int, c: int, half: int) -> Renaming:
     ])
 
 
-def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
+def _extract(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
+    """The realizer of the checked node `p`, kept on it under `key`, the
+    env's items and the value domain."""
+    kept = p.__dict__.get("_realizers") or {}
+    term = kept.get(key)
+    if term is None:
+        term = kept[key] = _realize(p, env, values, key)
+        p.__dict__["_realizers"] = kept
+    return term
+
+
+def _realize(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
     if isinstance(p, PAxiom):
         return formula_wire(p.formula, env, values)
 
@@ -229,8 +249,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
         k1, k2 = len(conclusion(p.left)), len(conclusion(p.right))
         i = _resolve(p.pos_left, k1) + 1  # 1-based cut ports
         j = _resolve(p.pos_right, k2) + 1
-        tl = rename(_extract(p.left, env, values), _cut_layout(k1, i, 2))
-        tr = rename(_extract(p.right, env, values), _cut_layout(k2, j, 1))
+        tl = rename(_extract(p.left, env, values, key), _cut_layout(k1, i, 2))
+        tr = rename(_extract(p.right, env, values, key), _cut_layout(k2, j, 1))
         composed = seq(tl, tr)
         g, d = k1 - 1, k2 - 1
         k = g + d
@@ -241,8 +261,8 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if isinstance(p, PTensorR):
         k1, k2 = len(conclusion(p.left)), len(conclusion(p.right))
         k = k1 + k2 - 1
-        tl = _extract(p.left, env, values)
-        tr = _extract(p.right, env, values)
+        tl = _extract(p.left, env, values, key)
+        tr = _extract(p.right, env, values, key)
         pieces_l = [(m, k1, None, m, k) for m in range(1, k1)]
         pieces_l.append((k1, k1, LCODE, k, k))
         pieces_r = [(m, k2, None, k1 - 1 + m, k) for m in range(1, k2)]
@@ -251,12 +271,12 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
 
     if isinstance(p, PParR):
         kp = len(conclusion(p.premise))
-        return rename(_extract(p.premise, env, values), _merge_last_two(kp))
+        return rename(_extract(p.premise, env, values, key), _merge_last_two(kp))
 
     if isinstance(p, PWithR):
         k = len(conclusion(p.left))
-        tl = _extract(p.left, env, values)
-        tr = _extract(p.right, env, values)
+        tl = _extract(p.left, env, values, key)
+        tr = _extract(p.right, env, values, key)
         ga = port_action(k, k, [positive(ALPHA)])
         gb = port_action(k, k, [positive(BETA)])
         return Sum(((ga, tl), (gb, tr)))
@@ -265,31 +285,31 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
     if signal is not None:
         k = len(conclusion(p.premise))
         guard = port_action(k, k, [negative(signal(p))])
-        return Prefix(guard, _extract(p.premise, env, values))
+        return Prefix(guard, _extract(p.premise, env, values, key))
 
     if isinstance(p, PExchange):
         k = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, key)
         pieces = [(p.perm[m] + 1, k, None, m + 1, k) for m in range(k)]
         return rename(tp, relayout(pieces))
 
     if isinstance(p, PWeak):
         kp = len(conclusion(p.premise))
         k = kp + 1
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, key)
         pieces = [(m, kp, None, m, k) for m in range(1, kp + 1)]
         unit = Prefix(port_action(k, k, [positive(OMEGA)]), NIL)
         return Par(rename(tp, relayout(pieces)), unit)
 
     if isinstance(p, PContr):
         kp = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, key)
         guard = port_action(kp - 1, kp - 1, [negative(GAMMA)])
         return Prefix(guard, rename(tp, _merge_last_two(kp)))
 
     if isinstance(p, PProm):
         k = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values)
+        tp = _extract(p.premise, env, values, key)
         var = "X"
         theta1 = relayout([(m, k, LCODE, m, k) for m in range(1, k + 1)])
         theta2 = relayout([(m, k, RCODE, m, k) for m in range(1, k + 1)])
@@ -314,7 +334,7 @@ def _extract(p: Proof, env: AtomEnv, values: tuple) -> Term:
             sv = value_name(SIGMA, v)
             guard = port_action(k, k, [positive(sv)])
             branches.append((guard, extract(inst, env, values)))
-        return Sum(tuple(branches))
+        return choice(tuple(branches))
 
     raise ExtractionError(f"unsupported proof node {type(p).__name__}")
 

@@ -258,8 +258,11 @@ def print_sequent(seq: Sequent) -> str:
 class Proof:
     """A proof node.  Its premises are its fields annotated `Proof`, in
     field order; every other field is a side datum of the rule.  A checked
-    node keeps its `check_proof` result as `_checked`, which is no field:
-    `==`, `hash`, `repr`, `replace` and `proof_to_json` ignore it."""
+    node keeps its `check_proof` result as `_checked`, and an extracted
+    one its realizers, per atom env and value domain, as `_realizers`
+    (`extraction.extract`).  Neither is a field: `==`, `hash`, `repr`,
+    `replace` and `proof_to_json` ignore them, and a node that `replace`
+    or a reduction builds starts with neither."""
 
     premise_names: tuple = ()
 

@@ -491,11 +491,28 @@ def r_code(n: Name) -> Name:
     return Name(2 * n.code + 1)
 
 
+# Compositions already made, by (after, first) pair; bounded like the kept
+# maps: past KEPT pairs the table is emptied and refills.
+_COMPOSED: dict = {}
+
+
 def compose_renamings(after: Renaming, first: Renaming) -> Renaming:
     """Composition with canonicalization: identities drop out, a total
     renaming followed by its inverse cancels, and finite maps compose to
     a finite map.  Keeps state keys stable when recursion unfolding
-    stacks renamings.  The result is the kept instance (`kept`)."""
+    stacks renamings.  The result is the kept instance (`kept`) when the
+    pair is first composed; the pair then keeps it (`_COMPOSED`), so a
+    repeated composition builds nothing."""
+    pair = (after, first)
+    found = _COMPOSED.get(pair)
+    if found is None:
+        if len(_COMPOSED) >= KEPT:
+            _COMPOSED.clear()
+        found = _COMPOSED[pair] = _compose(after, first)
+    return found
+
+
+def _compose(after: Renaming, first: Renaming) -> Renaming:
     if isinstance(after, IdentityRenaming):
         return kept(first)
     if isinstance(first, IdentityRenaming):

@@ -31,7 +31,7 @@ from .combinators import (
 from .equivalence import BudgetExceeded, failures_equiv, failures_verdict, perp
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
-from .terms import NIL, Prefix, Sum, Term, print_term, value_name
+from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
 from .logic import (
     DUAL_CONNECTIVES,
     FAtom,
@@ -268,7 +268,7 @@ def forall_v_type(family: dict) -> SemType:
             branches.append(
                 (frozenset([positive(sv)]), family[v].pos.classes[idx][0])
             )
-        pos_classes.append((Sum(tuple(branches)),))
+        pos_classes.append((choice(tuple(branches)),))
     neg_classes = []
     for v in values:
         for cls in family[v].neg.classes:

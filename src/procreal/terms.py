@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional, Union
@@ -74,20 +75,21 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# Guards every change to the tables, so that no structure ever has two
-# live nodes, even when threads build it at once.  Reentrant: a node can
-# die, and its callback take the lock, in the thread that holds it.
+# Guards every entry made in the tables, so that no structure ever has
+# two live nodes, even when threads build it at once.  Reentrant, so that
+# nothing a build sets off (a collection, say) can block the thread that
+# holds it.  Death callbacks do not take it (`_drop`).
 _LOCK = threading.RLock()
 
 
-def _drop(ref, lock=_LOCK):
+def _drop(ref, remove=_remove_dead_weakref):
     # the one death callback of every table: forget a dead node's entry,
-    # unless a node built since has taken it.  The lock is a default
-    # argument, since module globals are gone at interpreter shutdown.
-    with lock:
-        table = ref.table
-        if table.get(ref.key) is ref:
-            del table[ref.key]
+    # unless a node built since has taken it.  One C call, atomic under
+    # the interpreter lock, deletes the key only while its entry is a dead
+    # reference, so it takes no lock (`weakref.WeakValueDictionary` relies
+    # on the same call).  It is a default argument, since module globals
+    # are gone at interpreter shutdown.
+    remove(ref.table, ref.key)
 
 
 # Each node class's table: from field tuple to the entry of the live node
@@ -111,9 +113,9 @@ def _node(cls):
     are live nodes and so compare by identity: a hit is one dictionary
     lookup.  The table holds each node weakly, by a `_Ref`, and one shared
     callback (`_drop`) removes a dead node's entry: nothing is kept alive
-    by having been built.  A hit takes no lock; a miss builds and enters
-    its node under `_LOCK`, after looking again, so that two threads
-    building one structure get one node.
+    by having been built.  A hit takes no lock, and neither does a death;
+    a miss builds and enters its node under `_LOCK`, after looking again,
+    so that two threads building one structure get one node.
 
     A new node gets `_depth`, one more than its deepest child's
     (`term_depth`), computed once from the children's slots; the children
@@ -251,6 +253,16 @@ class OutputPrefix(Term):
 
 
 NIL: Term = Sum(())
+
+
+def choice(branches: tuple) -> Term:
+    """The sum of `branches`, a tuple of (action, continuation) pairs.  A
+    single branch is built as a prefix, the node that the parser builds
+    from the same text, so a graph never holds both as two states."""
+    if len(branches) == 1:
+        ((action, cont),) = branches
+        return Prefix(action, cont)
+    return Sum(branches)
 
 
 def rename(proc: Term, ren: Renaming) -> Term:
@@ -563,7 +575,7 @@ def expand_values(t: Term, values: tuple) -> Term:
                 )
                 for v in vals
             )
-            return Sum(branches)
+            return choice(branches)
         if isinstance(u, OutputPrefix):
             if isinstance(u.value, str):
                 raise ValueError(f"unresolved value variable {u.value}")

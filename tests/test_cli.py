@@ -252,8 +252,9 @@ def test_exercises_that_decide_nothing_false_report_unknown(capsys):
         "suite product      unknown",
     ]
     assert main([*argv, "--format", "json"]) == 2
-    out = capsys.readouterr().out
-    report = json.loads(out[out.index("\n{") :])  # after the text lines
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # stdout is the JSON alone
+    assert "suite identity     pass" in captured.err.splitlines()
     assert report["ok"] is None
     assert [suite["ok"] for suite in report["suites"]] == [True, None, None, None]
     assert {check["ok"] for suite in report["suites"] for check in suite["checks"]} <= {True, None}

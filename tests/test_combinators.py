@@ -65,6 +65,15 @@ def test_identity_wire_one_atom_summands():
     assert frozenset([la, la.dual(), ra, ra.dual()]) in guards
 
 
+def test_identity_wire_of_equal_alphabets_is_one_node():
+    first = C.identity_wire(frozenset([A, B]))
+    hits = C.identity_wire.cache_info().hits
+    assert C.identity_wire(frozenset([B, A])) is first
+    assert C.identity_wire.cache_info().hits == hits + 1
+    # the kept wire is the node a build afresh returns
+    assert C.identity_wire.__wrapped__(frozenset([B, A])) is first
+
+
 def test_identity_wire_cap():
     with pytest.raises(C.AlphabetTooLarge):
         C.identity_wire(frozenset(REGISTRY.intern(f"x{i}") for i in range(6)))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,12 +35,14 @@ from procreal.logic import (
     conclusion,
     cut_eliminate,
     negate,
+    proof_from_json,
+    proof_to_json,
 )
 from procreal.names import REGISTRY, SWAP, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import ExplorationBudget
 from procreal.semtypes import RepPER, SemType
-from procreal.terms import NIL, Prefix, rename, well_formed
+from procreal.terms import NIL, Prefix, Term, rename, well_formed
 
 A = FAtom("a")
 B = FAtom("b")
@@ -84,6 +88,73 @@ def test_nested_invalid_proof_names_its_path():
 def test_quantifier_extraction_needs_values():
     with pytest.raises(ExtractionError):
         extract(PForallR("x", PAxiom(A)))
+
+
+def _cold(p):
+    """A copy of `p` rebuilt from its JSON: no node of it keeps a realizer."""
+    return proof_from_json(proof_to_json(p))
+
+
+def _nodes(p):
+    yield p
+    for q in p.premises():
+        yield from _nodes(q)
+
+
+def test_kept_realizers_are_the_cold_ones():
+    # every corpus proof and every proof on its cut-elimination trail,
+    # whose proofs share the premises a step does not touch
+    for name, entry in corpus_proofs().items():
+        values = entry["values"]
+        trail = cut_eliminate(entry["proof"], keep_trail=True).trail
+        warm = [extract(p, {}, values) for p in trail]
+        for step, (p, t) in enumerate(zip(trail, warm)):
+            assert "_realizers" in p.__dict__
+            assert extract(p, {}, values) is t
+            cold = _cold(p)
+            assert not any("_realizers" in q.__dict__ for q in _nodes(cold))
+            assert extract(cold, {}, values) is t, (name, step)
+
+
+def test_kept_realizers_are_keyed_by_env_and_values():
+    wide = {"a": frozenset([REGISTRY.intern("ch1"), REGISTRY.intern("ch2")])}
+    proof = PTensorR(PAxiom(A), PForallR("x", PAxiom(B)))
+    keys = [(env, values) for env in ({}, wide) for values in ((0,), (0, 1))]
+    cold = [extract(_cold(proof), *key) for key in keys]
+    assert len(set(cold)) == 4
+    for order in (range(4), range(3, -1, -1)):
+        p = _cold(proof)
+        assert [extract(p, *keys[i]) for i in order] == [cold[i] for i in order]
+        assert len(p.__dict__["_realizers"]) == 4
+
+
+def test_an_invalid_proof_keeps_nothing():
+    bad = PTensorR(PAxiom(A), PParR(PExchange((0, 0), PAxiom(B))))
+    for _ in range(2):
+        with pytest.raises(ExtractionError, match=r"^invalid proof at \(1, 0\)"):
+            extract(bad)
+    assert not any("_realizers" in q.__dict__ for q in _nodes(bad))
+
+
+def _live_terms() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, Term))
+
+
+def test_a_trails_realizers_go_with_the_trail():
+    def extracted_trail():
+        proof = _cold(corpus_proofs()["prom_contr_derel"]["proof"])
+        trail = cut_eliminate(proof, keep_trail=True).trail
+        for p in trail:
+            extract(p)
+        return trail
+
+    extracted_trail()  # fills the kept wires, layouts and compositions
+    live = _live_terms()
+    trail = extracted_trail()
+    assert _live_terms() > live  # the realizers, kept on the trail's nodes
+    del trail
+    assert _live_terms() == live
 
 
 def test_verify_cut_soundness_identical_proofs():

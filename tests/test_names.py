@@ -14,6 +14,7 @@ from procreal.names import (
     LL_CLASS,
     Label,
     N2_CLASS,
+    IDENT,
     Name,
     PhiCode,
     RCODE,
@@ -214,3 +215,31 @@ def test_memoised_maps_answer_as_before():
     assert not LL_CLASS.blocks(frozenset([Label(15, True)]))
     # a label blocks when its dual is in the set
     assert FiniteRestriction([Label(9, True)]).blocks((Label(9, False),))
+
+
+FINITE_MAPS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), unique_by=(lambda p: p[0], lambda p: p[1])
+).map(lambda pairs: FiniteMap((Name(s), Name(d)) for s, d in pairs))
+RENAMINGS = st.recursive(
+    st.one_of(
+        FINITE_MAPS,
+        st.sampled_from([IDENT, LCODE, RCODE, SWAP, PhiCode(1, 2), PhiCode(1, 3).inverse(),
+                         KwayCode(2, 3), KwayDecode(1, 2)]),
+    ),
+    lambda sub: st.builds(Compose, sub, sub),
+    max_leaves=3,
+)
+
+
+@given(RENAMINGS, RENAMINGS)
+def test_compose_renamings_agrees_with_a_cold_composition(after, first):
+    cold = names._compose(after, first)
+    composed = compose_renamings(after, first)
+    assert composed == cold
+    for code in range(40):
+        mid = first.apply_code(code)
+        assert composed.apply_code(code) == (None if mid is None else after.apply_code(mid))
+    # asked again, with maps equal to these but built apart, the pair's
+    # composition is the one kept
+    again = compose_renamings(pickle.loads(pickle.dumps(after)), pickle.loads(pickle.dumps(first)))
+    assert again is composed

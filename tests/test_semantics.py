@@ -56,6 +56,7 @@ from procreal.terms import (
     Sum,
     Term,
     Var,
+    expand_values,
     print_term,
     restrict,
     sort_labels,
@@ -763,6 +764,15 @@ def test_nodes_that_print_the_same_export_as_one_state():
     assert data["states"] == sorted(set(data["states"])) and len(data["states"]) == 4
     assert [e for e in data["transitions"] if e[0] == "{a}.{b}.0"] == [["{a}.{b}.0", ["a"], "{b}.0"]]
     assert len(lts.to_dot().splitlines()) == 3 + len(data["transitions"]) == 7
+
+
+def test_a_one_value_domain_gives_one_state_per_printed_key():
+    # the input over one value is a prefix, the node its text parses to,
+    # so it and the written-out prefix are one state
+    t = expand_values(parse_term("{c}.in a(x). 0 + {d}.{a_0}.0"), (0,))
+    assert t.branches[0][1] is t.branches[1][1] is parse_term("{a_0}.0")
+    lts = build_lts(t)
+    assert len(lts.terms) == len(lts.to_json()["states"]) == 3
 
 
 def test_lts_exports_match_golden():

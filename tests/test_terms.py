@@ -26,6 +26,7 @@ from procreal.terms import (
     Restrict,
     Sum,
     Var,
+    choice,
     expand_values,
     free_process_vars,
     map_subterms,
@@ -150,6 +151,17 @@ def test_expand_values_output_single_branch():
     e = expand_values(t, (0, 1))
     assert isinstance(e, Prefix)
     assert str(next(iter(e.action))) == "~s_1"
+
+
+def test_a_one_branch_choice_is_a_prefix():
+    a, b = (frozenset([positive(n)]) for n in (A, B))
+    assert choice(((a, NIL),)) is Prefix(a, NIL) is parse_term("{a}.0")
+    assert choice(((a, NIL), (b, NIL))) is Sum(((a, NIL), (b, NIL)))
+    assert choice(()) is NIL
+    # one value: the input is the prefix on its value name, and prints
+    # with no parentheses where a sum would take them
+    e = expand_values(parse_term("in s(x). 0 | {a}.0"), (0,))
+    assert isinstance(e.left, Prefix) and print_term(e) == "{s_0}.0 | {a}.0"
 
 
 def test_expand_values_binding():
