@@ -99,7 +99,7 @@ def _budget(args) -> ExplorationBudget:
 
 
 def _emit(data, args) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         _emit_text(data)
@@ -335,66 +335,75 @@ def _parse_values(text: Optional[str]) -> tuple:
         raise CliError(f"invalid value domain {text!r}; expected comma-separated integers")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-states", type=int, default=5000, metavar="N")
-    common.add_argument("--depth", type=int, default=6, metavar="K")
-    common.add_argument("--seed", type=int, default=0, metavar="S")
-    common.add_argument("--format", choices=["json", "text", "dot"], default="text")
-    common.add_argument("--values", type=str, default="", metavar="V1,V2,...")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error, in one line as the other errors are reported."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
-    ap = argparse.ArgumentParser(
+
+# The options several subcommands share; each takes those it reads.
+_OPTIONS = {
+    "--max-states": dict(type=int, default=5000, metavar="N"),
+    "--depth": dict(type=int, default=6, metavar="K"),
+    "--seed": dict(type=int, default=0, metavar="S"),
+    "--format": dict(choices=["json", "text"], default="text"),
+    "--values": dict(type=str, default="", metavar="V1,V2,..."),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(
         prog="procreal",
         description="Process calculus with simultaneous actions, failures "
         "equivalence, and proof-to-process extraction.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lts", parents=[common], help="explore a term's transition graph")
-    p.add_argument("term")
-    p.set_defaults(func=cmd_lts)
+    def command(name, func, help, *options):
+        p = sub.add_parser(name, help=help)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("failures", parents=[common], help="bounded failures of a term")
+    p = command("lts", cmd_lts, "explore a term's transition graph", "--max-states", "--values")
     p.add_argument("term")
-    p.set_defaults(func=cmd_failures)
+    p.add_argument("--format", choices=["json", "dot"], default="json")
 
-    p = sub.add_parser("equiv", parents=[common], help="decide equivalence of two terms")
+    p = command("failures", cmd_failures, "bounded failures of a term", "--max-states", "--depth", "--values")
+    p.add_argument("term")
+
+    p = command("equiv", cmd_equiv, "decide equivalence of two terms",
+                "--max-states", "--depth", "--format", "--values")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=["failures", "weak-bisim"], default="failures")
-    p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("perp", parents=[common], help="orthogonality of two terms")
+    p = command("perp", cmd_perp, "orthogonality of two terms", "--max-states", "--format", "--values")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_perp)
 
-    p = sub.add_parser("extract", parents=[common], help="extract a process from a proof")
+    p = command("extract", cmd_extract, "extract a process from a proof", "--values")
     p.add_argument("proof")
     p.add_argument("--atoms", default=None, help="atom alphabet JSON")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser(
-        "verify-cut", parents=[common], help="stepwise cut elimination with equivalence checks"
-    )
+    p = command("verify-cut", cmd_verify_cut, "stepwise cut elimination with equivalence checks",
+                "--max-states", "--depth", "--format", "--values")
     p.add_argument("proof")
     p.add_argument("--atoms", default=None)
     p.add_argument("--step-bound", type=int, default=200)
-    p.set_defaults(func=cmd_verify_cut)
 
-    p = sub.add_parser(
-        "check-type", parents=[common], help="classify a term against a semantic type"
-    )
+    p = command("check-type", cmd_check_type, "classify a term against a semantic type",
+                "--max-states", "--format", "--values")
     p.add_argument("term")
     p.add_argument("type_env", help="type environment JSON")
     p.add_argument("type", help="type expression, e.g. 'a*b'")
     p.add_argument("--fuel", type=int, default=1)
-    p.set_defaults(func=cmd_check_type)
 
-    p = sub.add_parser("exercises", parents=[common], help="run the named verification suites")
+    p = command("exercises", cmd_exercises, "run the named verification suites",
+                "--max-states", "--seed", "--format")
     p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=cmd_exercises)
     return ap
 
 
@@ -405,8 +414,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        args.values = _parse_values(args.values)
-        if args.depth < 0:
+        args.values = _parse_values(getattr(args, "values", ""))
+        if getattr(args, "depth", 0) < 0:
             raise CliError("--depth must be at least 0")
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be at least 1")

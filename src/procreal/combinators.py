@@ -200,26 +200,25 @@ def swap_halves(p: Term) -> Term:
 # Alphabet helpers for placing identity wires against a given process.
 
 
-def full_interface(p: Term) -> Alphabet:
-    """Names underlying the (finite) sort; the wire alphabet for the
-    applications' identity laws."""
+def _finite_sort(p: Term):
+    """The labels of `p`'s sort; AlphabetTooLarge when it is not finite."""
     labels = sort_labels(p)
     if labels is None:
         raise AlphabetTooLarge("term has no finite sort")
-    return frozenset(Name(l.code) for l in labels)
+    return labels
+
+
+def full_interface(p: Term) -> Alphabet:
+    """Names underlying the (finite) sort; the wire alphabet for the
+    applications' identity laws."""
+    return frozenset(Name(l.code) for l in _finite_sort(p))
 
 
 def right_interface(p: Term) -> Alphabet:
     """Decoded names of the sort's r-half; the wire alphabet making
     seq(p, wire) an identity."""
-    labels = sort_labels(p)
-    if labels is None:
-        raise AlphabetTooLarge("term has no finite sort")
-    return frozenset(Name((l.code - 1) // 2) for l in labels if l.code % 2 == 1)
+    return frozenset(Name((l.code - 1) // 2) for l in _finite_sort(p) if l.code % 2 == 1)
 
 
 def left_interface(p: Term) -> Alphabet:
-    labels = sort_labels(p)
-    if labels is None:
-        raise AlphabetTooLarge("term has no finite sort")
-    return frozenset(Name(l.code // 2) for l in labels if l.code % 2 == 0)
+    return frozenset(Name(l.code // 2) for l in _finite_sort(p) if l.code % 2 == 0)

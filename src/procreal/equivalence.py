@@ -6,25 +6,28 @@ trace; a process can refuse X after s iff some acceptance set in the
 family avoids X.  Antichains are canonical for the induced refusal
 family, so failures equivalence is map equality.
 
+Two routes reach failures.  `normal_form` determinises a complete graph
+from `build_lts`, as in Roscoe's *Model-checking CSP* (1994);
+`failures_bounded` steps the term lazily (`_StepCache`) up to a trace
+depth.  Both use `step`, `tau_closure`, `_minimize`, one `_determinise`
+(a node's acceptance family and moves) and one `_unfold` (the traces).
+They differ in the graph each reads and in when a node's moves are
+tau-closed: all at once, or when a trace first leaves the node.  Only
+`build_lts` reads the engine's memo tiers, so a fault there shows as the
+routes disagreeing; the shared code is checked against a reference in
+the tests over an independent one-step matcher.
+
 A complete graph's failures are also summed up by a canonical
 fingerprint (`fingerprint`): its normal form minimised by partition
-refinement (`refine`) and numbered breadth-first, as in Roscoe's
-normal-form minimisation (*Model-checking CSP*, 1994).  Two complete
-graphs are failures-equal exactly when their fingerprints are equal.  The
+refinement (`refine`) and numbered breadth-first.  Two complete graphs
+are failures-equal exactly when their fingerprints are equal.  The
 memo's answer tier keeps a term's fingerprint after its graph goes, so
 `failures_verdict`, which the semantic-type drivers ask, explores each
-term once while its answer is kept.  `failures_equiv` still compares two
-normal forms pairwise (`_compare_normal_forms`): it builds a witness, and
-its callers, the law checks, mostly ask about fresh terms, for which a
-fingerprint adds work and memory and is never asked for again.
+term once while its answer is kept.  `failures_equiv` compares two
+normal forms pairwise (`_compare_normal_forms`), which builds a witness;
+its callers, the law checks, mostly ask about fresh terms, whose
+fingerprints would never be asked for again.
 `weak_bisim` uses the same `refine` on the saturated graph.
-
-`failures_bounded` reaches the same failures by another route, straight
-from the transition rules: it determinises each tau-closed node it meets
-once per call (its acceptance family, its moves and, when a trace short
-of the depth reaches it, their tau closures), whatever the number of
-traces that reach the node.  It reads no graph, normal form or memo tier
-of the engine, so the two routes check each other.
 
 Divergence does not enter the failures model; it is a separate
 predicate used by the orthogonality check `perp`.
@@ -123,19 +126,65 @@ class FailureSet:
 
 
 # ---------------------------------------------------------------------------
+# Determinisation and trace unfolding, shared by the two routes.
+
+
+def _determinise(graph, nodes: dict, node: frozenset) -> tuple:
+    """A tau-closed node's entry in `nodes`, made once in one pass over its
+    states in `graph` (anything with `successors`): its minimal acceptance
+    family, and its visible moves as (action, target states) pairs in
+    `action_key` order."""
+    entry = nodes.get(node)
+    if entry is None:
+        acceptances = set()
+        moves: dict[Action, set] = {}
+        for state in node:
+            succs = graph.successors(state)
+            stable = True
+            for a, dst in succs:
+                if a == TAU:
+                    stable = False
+                else:
+                    moves.setdefault(a, set()).add(dst)
+            if stable:
+                acceptances.add(frozenset(a for a, _ in succs))
+        moves = sorted(moves.items(), key=lambda kv: action_key(kv[0]))
+        entry = nodes[node] = (_minimize(acceptances), moves)
+    return entry
+
+
+def _unfold(root, depth: int, family, edges) -> FailureSet:
+    """Failures of each trace of length <= depth, breadth first from `root`
+    of an action-deterministic graph: `family(node)` gives a node's
+    acceptance family, `edges(node)` its (action, node) moves; only nodes
+    a trace shorter than `depth` reaches are asked for their moves."""
+    fs = FailureSet()
+    fs.table[()] = family(root)
+    frontier = [((), root)]
+    for _ in range(depth):
+        next_frontier = []
+        for trace, node in frontier:
+            for a, succ in edges(node):
+                tr2 = trace + (a,)
+                fs.table[tr2] = family(succ)
+                next_frontier.append((tr2, succ))
+        frontier = next_frontier
+    return fs
+
+
+# ---------------------------------------------------------------------------
 # Bounded failures straight from the transition rules (no normal form).
 
 
 class _StepCache:
     """The states one `failures_bounded` call has met, numbered in the
-    order admitted, their transitions, and the tau-closed nodes it has
-    determinised.  Like `build_lts` it memoises for its own life only; it
-    reads no graph or memo of another exploration."""
+    order admitted, and their transitions.  Like `build_lts` it memoises
+    for its own life only; it reads no graph or memo of another
+    exploration."""
 
     def __init__(self, budget: ExplorationBudget):
         self.states: dict = {}  # state -> its number
         self.trans: dict = {}  # state -> tuple[(Action, state)]
-        self.nodes: dict = {}  # tau-closed node -> _bounded_node's entry
         self.budget = budget
         self.steps = StepMemo(budget.max_transitions)
 
@@ -156,66 +205,38 @@ class _StepCache:
         return cached
 
 
-def _bounded_node(cache: _StepCache, node: frozenset) -> list:
-    """The entry of a tau-closed node, made once per call in one pass over
-    its states, which the tau closure that made the node has stepped:
-    [its acceptance family, its visible moves as (action, target states)
-    in `action_key` order, and None until `failures_bounded` expands it,
-    then the moves' (action, tau-closed node) pairs]."""
-    entry = cache.nodes.get(node)
-    if entry is None:
-        acceptances = set()
-        moves: dict[Action, set] = {}
-        for state in node:
-            succs = cache.successors(state)
-            stable = True
-            for a, dst in succs:
-                if a == TAU:
-                    stable = False
-                else:
-                    moves.setdefault(a, set()).add(dst)
-            if stable:
-                acceptances.add(frozenset(a for a, _ in succs))
-        moves = sorted(moves.items(), key=lambda kv: action_key(kv[0]))
-        entry = cache.nodes[node] = [_minimize(acceptances), moves, None]
-    return entry
-
-
 def failures_bounded(
     t: Term, depth: int, budget: ExplorationBudget = ExplorationBudget()
 ) -> FailureSet:
-    """Failures for every trace of length <= depth, by determinizing the
-    tau-closed reachable sets on the fly, each once per call.  Raises
-    BudgetExceeded when tau-closing or stepping outruns the state budget,
-    or when the successors built and the traces entered together outrun
-    the transition budget: the traces of a few states can grow
-    exponentially with the depth.  A node's moves are tau-closed only when
-    a trace shorter than `depth` reaches it, so the states stepped are
-    those the traces need.
-    """
+    """Failures for every trace of length <= depth, by `_unfold` over the
+    tau-closed state sets, each determinised once per call.  A node's
+    moves are tau-closed when a trace shorter than `depth` first leaves
+    it, so the states stepped are those the traces need.  Raises
+    BudgetExceeded when closing or stepping outruns the state budget, or
+    when the successors built and the traces entered together outrun the
+    transition budget: the traces of a few states grow exponentially with
+    the depth."""
     cache = _StepCache(budget)
-    root = tau_closure(cache, [cache.admit(t)])
-    fs = FailureSet()
-    fs.table[()] = _bounded_node(cache, root)[0]
-    frontier = [((), root)]
-    for _ in range(depth):
-        next_frontier = []
-        for trace, node in frontier:
-            entry = _bounded_node(cache, node)
-            if entry[2] is None:
-                # closed from the targets in the order admitted, not in set
-                # order (their addresses), so that which limit a call
-                # reaches first does not vary from run to run
-                entry[2] = [
-                    (a, tau_closure(cache, sorted(dsts, key=cache.states.get))) for a, dsts in entry[1]
-                ]
-            cache.steps.spend(len(entry[2]))
-            for a, succ in entry[2]:
-                tr2 = trace + (a,)
-                fs.table[tr2] = _bounded_node(cache, succ)[0]
-                next_frontier.append((tr2, succ))
-        frontier = next_frontier
-    return fs
+    nodes: dict = {}  # tau-closed node -> _determinise's entry
+    closed: dict = {}  # tau-closed node -> its (action, tau-closed node) moves
+
+    def family(node):
+        return _determinise(cache, nodes, node)[0]
+
+    def edges(node):
+        succs = closed.get(node)
+        if succs is None:
+            # closed from the targets in the order admitted, not in set
+            # order (their addresses), so that which limit a call reaches
+            # first does not vary from run to run
+            succs = closed[node] = [
+                (a, tau_closure(cache, sorted(dsts, key=cache.states.get)))
+                for a, dsts in _determinise(cache, nodes, node)[1]
+            ]
+        cache.steps.spend(len(succs))
+        return succs
+
+    return _unfold(tau_closure(cache, [cache.admit(t)]), depth, family, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -225,62 +246,34 @@ def failures_bounded(
 @dataclass
 class NormalForm:
     """Action-deterministic graph over tau-closed state sets, each node
-    carrying its minimal acceptance family."""
+    carrying its minimal acceptance family (`_determinise`)."""
 
     root: frozenset
     families: dict = field(default_factory=dict)  # node -> family
     edges: dict = field(default_factory=dict)  # node -> tuple[(Action, node)]
 
     def failures_to_depth(self, depth: int) -> FailureSet:
-        fs = FailureSet()
-        fs.table[()] = self.families[self.root]
-        frontier = [((), self.root)]
-        for _ in range(depth):
-            nxt = []
-            for trace, node in frontier:
-                for a, succ in self.edges[node]:
-                    tr2 = trace + (a,)
-                    if tr2 in fs.table:
-                        continue
-                    fs.table[tr2] = self.families[succ]
-                    nxt.append((tr2, succ))
-            frontier = nxt
-        return fs
+        return _unfold(self.root, depth, self.families.__getitem__, self.edges.__getitem__)
 
 
 def normal_form(lts: LTS) -> NormalForm:
-    """The normal form of a complete graph.  Graphs are not shared (each
-    `build_lts` call returns its own), so nothing is kept: a caller that
-    asks again of a term keeps the answer it needs, as
-    `failures_fingerprint` keeps the fingerprint."""
+    """The normal form of a complete graph: every tau-closed node reached
+    from the initial state, determinised, with its moves tau-closed.
+    Graphs are not shared (each `build_lts` call returns its own), so
+    nothing is kept: a caller that asks again of a term keeps the answer
+    it needs, as `failures_fingerprint` keeps the fingerprint."""
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
-    root = tau_closure(lts, frozenset([lts.initial]))
+    root = tau_closure(lts, [lts.initial])
     nf = NormalForm(root=root)
+    nodes: dict = {}
     todo = [root]
     while todo:
         node = todo.pop()
-        if node in nf.families:
-            continue
-        acceptances = set()
-        moves: dict[Action, set] = {}
-        for state in node:
-            succs = lts.successors(state)
-            stable = True
-            for a, dst in succs:
-                if a == TAU:
-                    stable = False
-                else:
-                    moves.setdefault(a, set()).add(dst)
-            if stable:
-                acceptances.add(frozenset(a for a, _ in succs))
-        nf.families[node] = _minimize(acceptances)
-        edges = []
-        for a, dsts in sorted(moves.items(), key=lambda kv: action_key(kv[0])):
-            succ = tau_closure(lts, frozenset(dsts))
-            edges.append((a, succ))
-            todo.append(succ)
-        nf.edges[node] = tuple(edges)
+        if node not in nf.families:
+            nf.families[node], moves = _determinise(lts, nodes, node)
+            nf.edges[node] = edges = tuple((a, tau_closure(lts, dsts)) for a, dsts in moves)
+            todo.extend(succ for _, succ in edges)
     return nf
 
 

@@ -121,28 +121,20 @@ def partition(terms, budget: ExplorationBudget) -> RepPER:
     return RepPER(tuple(tuple(cls) for cls in classes))
 
 
-# a classification against one class, as the verdict on the pair
-_PAIR_VERDICTS = {"class": "equal", "no": "distinguished", "unknown": "unknown"}
-
-
 def validate_repper(per: RepPER, budget: ExplorationBudget = ExplorationBudget()) -> list:
     """Intra-class equivalence and inter-class distinguishability, each
-    pair decided by `classify` against a one-class PER."""
-
-    def verdict(p: Term, q: Term) -> str:
-        return _PAIR_VERDICTS[classify(p, RepPER(((q,),)), budget).verdict]
-
+    pair decided by `failures_verdict`."""
     diags = []
     for i, cls in enumerate(per.classes):
         if not cls:
             diags.append(f"class {i} empty")
             continue
         for u in cls[1:]:
-            if verdict(cls[0], u) != "equal":
+            if failures_verdict(cls[0], u, budget).verdict != "equal":
                 diags.append(f"class {i} members not equivalent")
     for i, ci in enumerate(per.classes):
         for j in range(i + 1, len(per.classes)):
-            res = verdict(ci[0], per.classes[j][0])
+            res = failures_verdict(ci[0], per.classes[j][0], budget).verdict
             if res != "distinguished":
                 diags.append(f"classes {i} and {j} not distinguishable ({res})")
     return diags

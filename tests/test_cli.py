@@ -359,6 +359,11 @@ def _run(argv, contents, files):
                      id="negative-step-bound"),
         pytest.param(["check-type", "t.term", "env.json", "!a", "--fuel", "-1"],
                      _check_type(TYPE_ENV)[1], id="negative-fuel"),
+        pytest.param(["equiv", "t.term", "t.term", "--seed", "1"], {"t.term": "{a}.0\n"},
+                     id="equiv-takes-no-seed"),
+        pytest.param(["perp", "t.term", "t.term", "--depth", "2"], {"t.term": "{a}.0\n"},
+                     id="perp-takes-no-depth"),
+        pytest.param(*_proof("extract", AXIOM, "--format", "json"), id="extract-takes-no-format"),
     ],
 )
 def test_malformed_input_exits_three(argv, contents, files, capsys):

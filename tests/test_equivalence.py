@@ -130,6 +130,24 @@ def test_failures_bounded_matches_per_trace_determinisation():
     assert {Rec, Rename, Restrict} <= kinds
 
 
+def test_normal_form_failures_match_per_trace_determinisation():
+    # the two routes share their determinisation and unfolding, so the
+    # normal-form route is checked against the reference too
+    rng = random.Random(57)
+    complete = 0
+    for i in range(300):
+        t = canonical(random_term(rng, (A, B), rng.randint(4, 14)))
+        lts = build_lts(t)
+        if not lts.complete:
+            continue
+        complete += 1
+        depth = i % 5
+        assert normal_form(lts).failures_to_depth(depth).table == _reference_failures(t, depth)[0], (
+            print_term(t), depth
+        )
+    assert complete > 200
+
+
 # acceptance sets over few actions, so that many contain one another
 ACCEPTANCES = st.frozensets(
     st.frozensets(st.sampled_from([positive(A), negative(A), positive(B)]), min_size=1),

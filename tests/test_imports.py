@@ -41,9 +41,10 @@ def test_oracle_step_does_not_import_the_engine():
 
 def test_bounded_failures_route_reads_nothing_of_the_engine_route():
     # failures_bounded is the oracle the normal-form route is checked
-    # against, so its code names no memo, graph or normal form
+    # against, so neither its code nor the determinisation and unfolding
+    # the two routes share names a memo, graph or normal form
     source = Path(procreal.__file__).parent / "equivalence.py"
-    route = {"failures_bounded", "_StepCache", "_bounded_node"}
+    route = {"failures_bounded", "_StepCache", "_determinise", "_unfold"}
     defs = [
         node for node in ast.parse(source.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in route
