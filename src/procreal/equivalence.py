@@ -22,11 +22,15 @@ fingerprint (`fingerprint`): its normal form minimised by partition
 refinement (`refine`) and numbered breadth-first.  Two complete graphs
 are failures-equal exactly when their fingerprints are equal.  The
 memo's answer tier keeps a term's fingerprint after its graph goes, so
-`failures_verdict`, which the semantic-type drivers ask, explores each
-term once while its answer is kept.  `failures_equiv` compares two
+`failures_verdict` explores each term once while its answer is kept.
+Its callers ask the same questions again and again: the semantic-type
+drivers compare a few hundred representatives over and over, the
+category laws are re-checked on the same instance, and a cut step is
+re-checked whenever its proof's trail is.  `failures_equiv` compares two
 normal forms pairwise (`_compare_normal_forms`), which builds a witness;
-its callers, the law checks, mostly ask about fresh terms, whose
-fingerprints would never be asked for again.
+its callers, the randomised law checks, mostly ask about fresh terms,
+whose fingerprints would never be asked for again, and a cut step asks
+it only for the witness of a step already found unsound.
 `weak_bisim` uses the same `refine` on the saturated graph.
 
 Divergence does not enter the failures model; it is a separate
@@ -397,27 +401,34 @@ def failures_equiv(
 ) -> EquivResult:
     """Exact decision via normal forms when both state spaces complete
     within budget; otherwise a bounded comparison at the given depth,
-    reporting `unknown` on agreement.
+    reporting `unknown` on agreement.  `q` is explored only when `p`'s
+    graph is complete: a partial `p` sends the pair to the bounded route
+    whatever `q` is.
     """
     lts_p = build_lts(p, budget)
-    lts_q = build_lts(q, budget)
-    if lts_p.complete and lts_q.complete:
-        return _compare_normal_forms(normal_form(lts_p), normal_form(lts_q))
+    if lts_p.complete:
+        lts_q = build_lts(q, budget)
+        if lts_q.complete:
+            return _compare_normal_forms(normal_form(lts_p), normal_form(lts_q))
     return _bounded_route(p, q, budget, depth)
 
 
-def failures_verdict(p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()) -> EquivResult:
-    """The verdict of `failures_equiv`, and its detail when undecided,
-    from the fingerprints the answer memo keeps: exact when both graphs
-    are complete, else by the same bounded route.  An exact
-    "distinguished" carries no witness.  A term asked about again is not
-    explored again while its answer is kept, so the semantic-type
-    drivers, which compare a few hundred representatives over and over,
-    ask here."""
+def failures_verdict(
+    p: Term,
+    q: Term,
+    budget: ExplorationBudget = ExplorationBudget(),
+    depth: int = BOUNDED_DEPTH,
+) -> EquivResult:
+    """The verdict of `failures_equiv` at the same `depth`, and its detail
+    when undecided, from the fingerprints the answer memo keeps: exact
+    when both graphs are complete, else by the same bounded route, which
+    keeps its witness.  An exact "distinguished" carries no witness; a
+    caller that reports one asks `failures_equiv` for it then.  A term
+    asked about again is not explored again while its answer is kept."""
     fp = failures_fingerprint(p, budget)
     fq = failures_fingerprint(q, budget)
     if fp is INCOMPLETE or fq is INCOMPLETE:
-        return _bounded_route(p, q, budget, BOUNDED_DEPTH)
+        return _bounded_route(p, q, budget, depth)
     return EquivResult("equal" if fp == fq else "distinguished")
 
 
@@ -465,9 +476,9 @@ def weak_bisim(
     p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()
 ) -> EquivResult:
     lts_p = build_lts(p, budget)
-    lts_q = build_lts(q, budget)
     if not lts_p.complete:
         return EquivResult("unknown", detail=lts_p.limit)
+    lts_q = build_lts(q, budget)
     if not lts_q.complete:
         return EquivResult("unknown", detail=lts_q.limit)
     # An equal node behaves the same in both graphs; merge them.

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 from .combinators import identity_wire, seq
-from .equivalence import EquivResult, failures_equiv
+from .equivalence import failures_equiv, failures_verdict
 from .names import (
     ALPHA,
     BETA,
@@ -359,10 +359,17 @@ def verify_cut_soundness(
     depth: int = 4,
 ) -> SoundnessReport:
     """Compares the realizers of a proof and its reduct under failures
-    equivalence, with the bounded fallback inherited from the checker."""
+    equivalence, with the bounded fallback at `depth`.  Decided from the
+    fingerprints the answer memo keeps (`failures_verdict`), so a step
+    checked again, whose realizers are kept on its proofs' nodes,
+    explores nothing while its answers are kept; only a step found
+    unsound by the exact route explores again, through `failures_equiv`,
+    for the witness."""
     t1 = extract(before, env, values)
     t2 = extract(after, env, values)
-    res: EquivResult = failures_equiv(t1, t2, budget, depth)
+    res = failures_verdict(t1, t2, budget, depth)
+    if res.verdict == "distinguished" and res.witness is None:
+        res = failures_equiv(t1, t2, budget, depth)
     if res.verdict == "equal":
         return SoundnessReport("pass")
     if res.verdict == "distinguished":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 ValueExpr = Union[int, str]  # int literal or value variable
@@ -258,11 +258,12 @@ def print_sequent(seq: Sequent) -> str:
 class Proof:
     """A proof node.  Its premises are its fields annotated `Proof`, in
     field order; every other field is a side datum of the rule.  A checked
-    node keeps its `check_proof` result as `_checked`, and an extracted
-    one its realizers, per atom env and value domain, as `_realizers`
-    (`extraction.extract`).  Neither is a field: `==`, `hash`, `repr`,
+    node keeps its `check_proof` result as `_checked`, an extracted one
+    its realizers, per atom env and value domain, as `_realizers`
+    (`extraction.extract`), and an eliminated one its `cut_eliminate`
+    results as `_eliminated`.  None is a field: `==`, `hash`, `repr`,
     `replace` and `proof_to_json` ignore them, and a node that `replace`
-    or a reduction builds starts with neither."""
+    or a reduction builds starts with none."""
 
     premise_names: tuple = ()
 
@@ -814,32 +815,52 @@ def _reduce_innermost(p: Proof) -> Optional[tuple]:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElimResult:
     proof: Proof
     steps: int
     status: str  # "done" | "bound" | "stuck"
-    trail: list = field(default_factory=list)  # intermediate proofs
-    kinds: list = field(default_factory=list)  # step kind per transition
+    trail: tuple = ()  # intermediate proofs
+    kinds: tuple = ()  # step kind per transition
 
 
 def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> ElimResult:
+    """Reduces the leftmost-innermost cut until none is left, none
+    reduces ("stuck") or `step_bound` steps are taken ("bound"); with
+    `keep_trail`, the trail holds `p` and each proof after it.  The result
+    is kept on `p` (`_eliminated`, by step bound and `keep_trail`), the way
+    `_checked` and `_realizers` are, so a proof eliminated again returns
+    the same result, whose trail's nodes already hold their realizers.  A
+    kept trail holds `p`, so the cycle collector frees the two together."""
+    kept = p.__dict__.get("_eliminated") or {}
+    key = (step_bound, keep_trail)
+    res = kept.get(key)
+    if res is None:
+        res = kept[key] = _eliminate(p, step_bound, keep_trail)
+        p.__dict__["_eliminated"] = kept
+    return res
+
+
+def _eliminate(p: Proof, step_bound: int, keep_trail: bool) -> ElimResult:
     steps = 0
     trail = [p] if keep_trail else []
     kinds: list = []
     current = p
+    status = "done"
     while has_cut(current):
         if steps >= step_bound:
-            return ElimResult(current, steps, "bound", trail, kinds)
+            status = "bound"
+            break
         found = _reduce_innermost(current)
         if found is None:
-            return ElimResult(current, steps, "stuck", trail, kinds)
+            status = "stuck"
+            break
         current, kind = found
         steps += 1
         kinds.append(kind)
         if keep_trail:
             trail.append(current)
-    return ElimResult(current, steps, "done", trail, kinds)
+    return ElimResult(current, steps, status, tuple(trail), tuple(kinds))
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,12 @@ class _Tier(OrderedDict):
         return found
 
     def put(self, key, value):
-        """Keeps `value` (not None) under `key`, which the tier does not
-        hold, and returns it."""
+        """Keeps `value` (not None) under `key`, replacing the value and
+        weight the tier holds there (two threads that miss on one key both
+        put it), and returns it."""
+        old = self.pop(key, None)
+        if old is not None:
+            self.weight -= self.weigh(old)
         size = self.weigh(value)
         bound = self.bound()
         if size > bound:

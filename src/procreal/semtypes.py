@@ -28,7 +28,7 @@ from .combinators import (
     swap_halves,
     tensor,
 )
-from .equivalence import BudgetExceeded, failures_equiv, failures_verdict, perp
+from .equivalence import BudgetExceeded, failures_verdict, perp
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
@@ -556,6 +556,9 @@ def check_category_laws(
     duality as a contravariant involution, and the product property of
     the with-construction for the given (f, g) pairs sharing a source.
     A check is undecided ("ok" None) when a verdict it rests on is.
+    The equational laws record no witness, so they are decided from kept
+    fingerprints (`failures_verdict`): the instance checked again
+    explores nothing while its answers are kept.
     """
     report: dict = {"checks": [], "ok": True}
 
@@ -586,11 +589,11 @@ def check_category_laws(
         spec = by_name[name]
         if spec["src"] in idents:
             composed = seq(idents[spec["src"]].realizer, m.realizer)
-            res = failures_equiv(composed, m.realizer, budget)
+            res = failures_verdict(composed, m.realizer, budget)
             record(f"id;{name} = {name}", verdict_ok(res.verdict, "equal"), res.detail)
         if spec["dst"] in idents:
             composed = seq(m.realizer, idents[spec["dst"]].realizer)
-            res = failures_equiv(composed, m.realizer, budget)
+            res = failures_verdict(composed, m.realizer, budget)
             record(f"{name};id = {name}", verdict_ok(res.verdict, "equal"), res.detail)
 
     # associativity over composable triples
@@ -605,7 +608,7 @@ def check_category_laws(
                     triples.append((n1, n2, n3))
     for n1, n2, n3 in triples:
         f, g, h = verified[n1].realizer, verified[n2].realizer, verified[n3].realizer
-        res = failures_equiv(seq(seq(f, g), h), seq(f, seq(g, h)), budget)
+        res = failures_verdict(seq(seq(f, g), h), seq(f, seq(g, h)), budget)
         record(f"({n1};{n2});{n3} assoc", verdict_ok(res.verdict, "equal"), res.detail)
 
     for name, m in sorted(verified.items()):
@@ -636,13 +639,13 @@ def check_category_laws(
         pair_term = pres.morphism.realizer
         proj1 = projection_realizer(f.target, "left")
         proj2 = projection_realizer(g.target, "right")
-        r1 = failures_equiv(seq(pair_term, proj1), f.realizer, budget)
+        r1 = failures_verdict(seq(pair_term, proj1), f.realizer, budget)
         record(f"proj1 . <{fname},{gname}> = {fname}", verdict_ok(r1.verdict, "equal"), r1.detail)
-        r2 = failures_equiv(seq(pair_term, proj2), g.realizer, budget)
+        r2 = failures_verdict(seq(pair_term, proj2), g.realizer, budget)
         record(f"proj2 . <{fname},{gname}> = {gname}", verdict_ok(r2.verdict, "equal"), r2.detail)
         # uniqueness on this instance: any mediator with the same
         # projections is equal at the realizer level
         again = pairing(f.realizer, g.realizer, port="right")
-        r3 = failures_equiv(again, pair_term, budget)
+        r3 = failures_verdict(again, pair_term, budget)
         record(f"mediator uniqueness for <{fname},{gname}>", verdict_ok(r3.verdict, "equal"), r3.detail)
     return report

@@ -9,9 +9,11 @@ from conftest import subprocess_env
 from oracle_step import canonical, naive_step
 
 from procreal import combinators as C
+from procreal import equivalence
 from procreal.combinators import bang
 from procreal.equivalence import (
     BudgetExceeded,
+    _bounded_route,
     _compare_normal_forms,
     _minimize,
     failures_bounded,
@@ -207,6 +209,24 @@ def test_bounded_fallback_still_distinguishes():
     assert not lts.complete
     res = failures_equiv(p, q, ExplorationBudget(max_states=30), depth=2)
     assert res.verdict == "distinguished"
+
+
+def test_a_partial_left_graph_leaves_the_right_one_unbuilt(monkeypatch):
+    # a partial `p` sends the pair to the bounded route whatever `q` is,
+    # and weak bisimulation answers with `p`'s limit, so `q`'s graph would
+    # go unused
+    built = []
+    monkeypatch.setattr(equivalence, "build_lts", lambda t, budget: built.append(t) or build_lts(t, budget))
+    p = parse_term("rec X. {a}.(X [n1of3])")
+    q = parse_term("rec X. {b}.(X [n1of3])")
+    small = ExplorationBudget(max_states=30)
+    res = failures_equiv(p, q, small, depth=2)
+    assert built == [p]
+    assert res == _bounded_route(p, q, small, 2) and res.verdict == "distinguished"
+    built.clear()
+    res = weak_bisim(p, q, small)
+    assert built == [p]
+    assert (res.verdict, res.detail) == ("unknown", build_lts(p, small).limit)
 
 
 def test_normal_form_failures_match_bounded():

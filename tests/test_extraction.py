@@ -1,10 +1,12 @@
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden_lines import fresh_lines, golden_lines
 
+from procreal import equivalence
 from procreal.combinators import identity_wire, lapp, tensor
 from procreal.corpus import corpus_proofs
 from procreal.equivalence import failures_equiv, perp
@@ -40,7 +42,7 @@ from procreal.logic import (
 )
 from procreal.names import REGISTRY, SWAP, negative, positive
 from procreal.parsing import parse_term
-from procreal.semantics import ExplorationBudget
+from procreal.semantics import _MEMO, ExplorationBudget, build_lts
 from procreal.semtypes import RepPER, SemType
 from procreal.terms import NIL, Prefix, Term, rename, well_formed
 
@@ -144,17 +146,57 @@ def _live_terms() -> int:
 def test_a_trails_realizers_go_with_the_trail():
     def extracted_trail():
         proof = _cold(corpus_proofs()["prom_contr_derel"]["proof"])
-        trail = cut_eliminate(proof, keep_trail=True).trail
-        for p in trail:
+        elim = cut_eliminate(proof, keep_trail=True)
+        assert cut_eliminate(proof, keep_trail=True) is elim  # kept on the proof
+        for p in elim.trail:
             extract(p)
-        return trail
+        return elim.trail, weakref.ref(elim)
 
     extracted_trail()  # fills the kept wires, layouts and compositions
     live = _live_terms()
-    trail = extracted_trail()
+    trail, elim = extracted_trail()
     assert _live_terms() > live  # the realizers, kept on the trail's nodes
+    assert elim() is not None and elim().trail is trail
     del trail
     assert _live_terms() == live
+    assert elim() is None  # the kept elimination went with its proof
+
+
+def test_a_corpus_trail_checked_again_explores_nothing(monkeypatch):
+    # each realizer on the trail is explored once, for its fingerprint;
+    # checked again, the kept trail, realizers and fingerprints answer
+    built = []
+    monkeypatch.setattr(equivalence, "build_lts", lambda t, budget: built.append(t) or build_lts(t, budget))
+    for name, entry in corpus_proofs().items():
+        _MEMO.clear()
+        passes = []
+        for _ in range(2):
+            built.clear()
+            elim = cut_eliminate(entry["proof"], keep_trail=True)
+            reports = [
+                verify_cut_soundness(b, a, {}, entry["values"], BUD)
+                for b, a in zip(elim.trail, elim.trail[1:])
+            ]
+            passes.append((len(built), reports))
+        assert passes == [(elim.steps + 1, reports), (0, reports)], name
+        assert all(r.verdict == "pass" for r in reports), name
+    _MEMO.clear()
+
+
+def test_an_undecided_step_keeps_its_detail():
+    # the bang wire's graph is partial at any budget, so the step goes to
+    # the bounded route at the caller's depth
+    bang_a = FBang(A)
+    cut = PCut(bang_a, PAxiom(bang_a), PAxiom(negate(bang_a)), -1, -1)
+    before, after = cut_eliminate(cut, keep_trail=True).trail
+    cases = [
+        (10, 4, "budget exhausted: state budget 10 exhausted"),
+        (30, 2, "budget exhausted: state budget 30 exhausted"),
+        (30, 1, "bounded agreement to depth 1"),
+    ]
+    for max_states, depth, detail in cases:
+        rep = verify_cut_soundness(before, after, budget=ExplorationBudget(max_states), depth=depth)
+        assert (rep.verdict, rep.detail, rep.witness) == ("unknown", detail, None)
 
 
 def test_verify_cut_soundness_identical_proofs():
@@ -174,7 +216,9 @@ def test_verify_cut_soundness_catches_wrong_reduct():
     wrong = PAxiom(B)  # same shape of sequent, different atom
     rep = verify_cut_soundness(before, wrong, budget=BUD)
     assert rep.verdict == "fail"
+    # the exact route's witness, from the comparison of the normal forms
     assert rep.witness is not None
+    assert rep.witness == failures_equiv(extract(before), extract(wrong), BUD, 4).witness
 
 
 def test_corpus_realizers_match_golden():

@@ -243,7 +243,7 @@ def test_one_step_reduces_a_cut_below_the_root():
     assert cut_eliminate(PAxiom(A), step_bound=1).steps == 0
     cut = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
     res = cut_eliminate(PParR(cut), step_bound=1)
-    assert (res.status, res.kinds) == ("done", ["axiom-left"])
+    assert (res.status, res.kinds) == ("done", ("axiom-left",))
     assert not has_cut(res.proof)
 
 
@@ -252,8 +252,8 @@ def test_innermost_cut_reduces_first():
     outer = PCut(negate(A), inner, PAxiom(A), -1, -1)
     reduced, kind = reduce_cut(inner)
     res = cut_eliminate(outer, step_bound=1, keep_trail=True)
-    assert (res.status, res.kinds) == ("bound", [kind])
-    assert res.trail == [outer, PCut(negate(A), reduced, PAxiom(A), -1, -1)]
+    assert (res.status, res.kinds) == ("bound", (kind,))
+    assert res.trail == (outer, PCut(negate(A), reduced, PAxiom(A), -1, -1))
 
 
 def test_each_elimination_step_reduces_once(monkeypatch):

@@ -724,6 +724,21 @@ def test_step_tier_keeps_its_bound_and_counts(monkeypatch):
         assert memo_tier.hits == memo_tier.misses == memo_tier.evictions == 0
 
 
+def test_a_tier_put_again_replaces_the_value_and_its_weight():
+    # two threads that miss on one answer key both put it
+    tier = semantics._Tier(lambda: 10, lambda v: v)
+    tier.put("k", 3)
+    tier.put("k", 3)
+    assert (len(tier), tier.weight) == (1, 3)
+    for i in range(5):
+        tier.put(i, 1)
+    assert (len(tier), tier.weight, tier.evictions) == (6, 8, 0)
+    tier.put("k", 4)
+    assert (tier["k"], tier.weight) == (4, 9)
+    tier.put("k", 11)  # heavier than the bound: not kept
+    assert "k" not in tier and tier.weight == 5
+
+
 def test_exploration_never_prints(monkeypatch):
     # states are nodes: only exports print them
     def refuse(*_):

@@ -4,8 +4,10 @@ import pytest
 
 from golden_lines import fresh_lines, golden_lines
 
+from procreal import equivalence, semantics
 from procreal.combinators import bang, identity_wire, pairing, tensor
 from procreal.equivalence import BudgetExceeded, EquivResult, failures_equiv, perp
+from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
 from procreal.logic import parse_formula
 from procreal.names import REGISTRY, negative, positive
@@ -270,6 +272,21 @@ def test_morphism_extensionality_across_members():
     )
     res = is_morphism(identity_wire(frozenset([REGISTRY.intern("a")])), ta2, TA, BUD)
     assert res.verdict == "morphism"
+
+
+def test_the_category_instance_checked_again_explores_nothing(monkeypatch):
+    # its laws are decided from the fingerprints and verdicts the answer
+    # memo keeps
+    budget = ExplorationBudget(max_states=4000)
+    _MEMO.clear()
+    first = product_suite(budget)
+    explored = []
+    for module, name in ((equivalence, "build_lts"), (semantics, "build_lts"), (equivalence, "failures_bounded")):
+        run = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, run=run: explored.append(args) or run(*args))
+    assert product_suite(budget) == first and first["ok"]
+    assert explored == []
+    _MEMO.clear()
 
 
 def test_formula_to_type():
