@@ -424,10 +424,12 @@ def failures_verdict(
     when both graphs are complete, else by the same bounded route, which
     keeps its witness.  An exact "distinguished" carries no witness; a
     caller that reports one asks `failures_equiv` for it then.  A term
-    asked about again is not explored again while its answer is kept."""
+    asked about again is not explored again while its answer is kept.
+    A partial graph of `p` sends the pair to the bounded route whatever
+    `q` is, so `q` is fingerprinted only when `p`'s graph is complete."""
     fp = failures_fingerprint(p, budget)
-    fq = failures_fingerprint(q, budget)
-    if fp is INCOMPLETE or fq is INCOMPLETE:
+    fq = INCOMPLETE if fp is INCOMPLETE else failures_fingerprint(q, budget)
+    if fq is INCOMPLETE:
         return _bounded_route(p, q, budget, depth)
     return EquivResult("equal" if fp == fq else "distinguished")
 

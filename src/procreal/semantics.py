@@ -14,8 +14,13 @@ combines the components' transitions under the restriction in one pass
 (`_par_step`), as FDR3's supercombinators build a node's transitions
 from its components' (Gibson-Robinson, Armstrong, Boulgakov and Roscoe,
 TACAS 2014): a blocked interleaving is never built, and a synchronisation
-enumerates only the subsets b that leave no blocked label.  The pairs and
-their order are those of building everything and filtering afterwards.
+enumerates only the subsets b that leave no blocked label.  A move meets
+only the moves it can fuse with: the right moves are grouped once by the
+blocked part a left move needs to meet them, as a synchronous product
+pairs only the actions its components share (Milner, TCS 1983).  The
+pairs and their order are those of building everything and filtering
+afterwards.  `step` itself dispatches once on the node's type, and reads
+a prefix or sum component in place.
 
 An exploration is bounded by an `ExplorationBudget`: the states it
 admits, and the successors `step` builds for it.  One state can have
@@ -152,7 +157,9 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
 
     A restriction of a parallel is stepped by `_par_step` in one pass,
     which builds only the successors the restriction keeps, in the order
-    that filtering all of them would leave.
+    that filtering all of them would leave.  The step dispatches once on
+    `type(t)`, and reads the prefix or sum components of a parallel, a
+    restricted parallel or a renaming in place.
 
     `_memo` is an exploration's memo of the transitions of the nodes it
     has stepped, read and filled here, so a component that several states
@@ -173,9 +180,10 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
     whatever earlier explorations kept."""
     if _depth > 512:
         raise SemanticsError("recursion unfolding too deep; term is likely unguarded")
-    if isinstance(t, Prefix):
+    kind = type(t)
+    if kind is Prefix:
         return {(t.action, t.cont): None}.keys()
-    if isinstance(t, Sum):
+    if kind is Sum:
         return dict.fromkeys(t.branches).keys()
     known = None
     if _memo is not None:
@@ -184,27 +192,46 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
             return out
         if _memo.tier is not None:
             known = _memo.tier.get(t)
-    if isinstance(t, Par):
-        left = step(t.left, _depth, _memo)
-        right = step(t.right, _depth, _memo)
-        out = _par_step(t, None, left, right) if known is None else known
-    elif isinstance(t, Restrict):
-        proc, labels = t.proc, t.labels
-        if isinstance(proc, Par):
-            left = step(proc.left, _depth, _memo)
-            right = step(proc.right, _depth, _memo)
-            out = _par_step(proc, labels, left, right) if known is None else known
-        else:
-            inner = step(proc, _depth, _memo)
-            out = known if known is not None else dict.fromkeys(
-                (a, restrict(p, labels)) for a, p in inner if not labels.blocks(a)
-            ).keys()
-    elif isinstance(t, Rename):
+    # A prefix or sum component is read in place below, as the two lines
+    # above read it: a leaf has no memo or tier entry, and this call has
+    # already checked the unfolding depth.
+    if kind is Par or kind is Restrict and type(t.proc) is Par:
+        par, labels = (t, None) if kind is Par else (t.proc, t.labels)
+        u = par.left
+        left = (
+            {(u.action, u.cont): None}.keys() if type(u) is Prefix
+            else dict.fromkeys(u.branches).keys() if type(u) is Sum
+            else step(u, _depth, _memo)
+        )
+        u = par.right
+        right = (
+            {(u.action, u.cont): None}.keys() if type(u) is Prefix
+            else dict.fromkeys(u.branches).keys() if type(u) is Sum
+            else step(u, _depth, _memo)
+        )
+        out = _par_step(par, labels, left, right) if known is None else known
+    elif kind is Restrict:
+        labels = t.labels
         inner = step(t.proc, _depth, _memo)
         out = known if known is not None else dict.fromkeys(
-            (t.ren.apply_action(a), rename(p, t.ren)) for a, p in inner
+            (a, restrict(p, labels)) for a, p in inner if not labels.blocks(a)
         ).keys()
-    elif isinstance(t, Rec):
+    elif kind is Rename:
+        u = t.proc
+        inner = (
+            {(u.action, u.cont): None}.keys() if type(u) is Prefix
+            else dict.fromkeys(u.branches).keys() if type(u) is Sum
+            else step(u, _depth, _memo)
+        )
+        if known is None:
+            ren = t.ren
+            images = ren._memo  # what `apply_action` has answered, by action
+            out = dict.fromkeys(
+                (images.get(a) or ren.apply_action(a), rename(p, ren)) for a, p in inner
+            ).keys()
+        else:
+            out = known
+    elif kind is Rec:
         unfolded = substitute_var(t.body, t.var, t) if known is None else known
         out = step(unfolded, _depth + 1, _memo)
         if _memo is not None:
@@ -212,9 +239,9 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
                 _memo.tier.put(t, unfolded)
             _memo[t] = out  # the unfolding's successors, counted once
         return out
-    elif isinstance(t, Var):
+    elif kind is Var:
         raise SemanticsError(f"cannot step open term with free variable {t.ident}")
-    elif isinstance(t, (InputPrefix, OutputPrefix)):
+    elif kind is InputPrefix or kind is OutputPrefix:
         raise SemanticsError("value-passing prefix not expanded; apply expand_values first")
     else:
         raise TypeError(f"not a term: {t!r}")
@@ -234,9 +261,13 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], left: KeysView, right: K
     (d - b) u (e - dual(b)), so it survives only if b holds every blocked
     label Bd of d and dual(b) every blocked label Be of e: that needs
     Bd == dual(Be), and then b is Bd u s for a subset s of the unblocked
-    matchable labels.  Enumerating s in `_subsets` order gives those b in
-    the order of the full enumeration, since adding Bd to subsets of one
-    size keeps their order.  A survivor is built as
+    matchable labels.  So the right moves are grouped once by dual(Be),
+    each group in right-move order, and a left move meets only the group
+    of its Bd.  When no unblocked label matches, b is Bd alone, built
+    directly; else enumerating s in `_subsets` order gives those b in the
+    order of the full enumeration, since adding Bd to subsets of one size
+    keeps their order.  So the pairs and their order are those of testing
+    every left move against every right move.  A survivor is built as
     `Restrict(Par(p, q), labels)`, what `restrict` makes of it after the
     fact.  `labels` is pushed one level only: the blocked labels of an
     inner parallel may still be matched by its sibling."""
@@ -252,16 +283,27 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], left: KeysView, right: K
             pairs[a, succ if labels is None else Restrict(succ, labels)] = None
     if not left:
         return pairs.keys()
-    # each right move e with dual(Be), the blocked part a left move must
-    # have to meet it, and dual(e), computed once for all left moves
-    rights = [(e, q, dual_action(blocked.get(e, TAU)), dual_action(e)) for e, q in right]
+    # the right moves by dual(Be), the blocked part a left move must have
+    # to meet them, each with dual(e) and e - Be, its part left when b is Bd
+    groups: dict = {}
+    for e, q in right:
+        be = blocked.get(e, TAU)
+        groups.setdefault(dual_action(be), []).append((e, q, dual_action(e), e - be))
     for d, p in left:
         bd = blocked.get(d, TAU)
-        for e, q, needed, dual_e in rights:
-            if needed != bd:
+        group = groups.get(bd)
+        if group is None:
+            continue
+        rest_d = d - bd
+        for e, q, dual_e, rest_e in group:
+            free = (d & dual_e) - bd
+            if not free:
+                if not rest_d & rest_e:
+                    succ = Par(p, q)
+                    pairs[rest_d | rest_e, succ if labels is None else Restrict(succ, labels)] = None
                 continue
             succ = None
-            for s in _subsets(tuple(sorted((d & dual_e) - bd, key=label_key))):
+            for s in _subsets(tuple(sorted(free, key=label_key))):
                 b = bd | s
                 combined_l = d - b
                 combined_r = e - dual_action(b)

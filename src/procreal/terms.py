@@ -300,26 +300,28 @@ def subterms(t: Term) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
-def map_subterms(t: Term, f) -> Term:
-    """The node rebuilt with `f` applied to each immediate child, in field
-    order.  Uses the raw constructors, so nested renamings and
-    restrictions are not fused."""
+def map_subterms(t: Term, f, *args) -> Term:
+    """The node rebuilt with `f(child, *args)` for each immediate child, in
+    field order.  Uses the raw constructors, so nested renamings and
+    restrictions are not fused.  A recursive walk passes itself and its
+    own arguments here rather than a nested function that names itself,
+    which would leave a reference cycle for the collector at every call."""
     if isinstance(t, Prefix):
-        return Prefix(t.action, f(t.cont))
+        return Prefix(t.action, f(t.cont, *args))
     if isinstance(t, Sum):
-        return Sum(tuple((a, f(p)) for a, p in t.branches))
+        return Sum(tuple((a, f(p, *args)) for a, p in t.branches))
     if isinstance(t, Par):
-        return Par(f(t.left), f(t.right))
+        return Par(f(t.left, *args), f(t.right, *args))
     if isinstance(t, Restrict):
-        return Restrict(f(t.proc), t.labels)
+        return Restrict(f(t.proc, *args), t.labels)
     if isinstance(t, Rename):
-        return Rename(f(t.proc), t.ren)
+        return Rename(f(t.proc, *args), t.ren)
     if isinstance(t, Rec):
-        return Rec(t.var, f(t.body))
+        return Rec(t.var, f(t.body, *args))
     if isinstance(t, InputPrefix):
-        return InputPrefix(t.chan, t.var, f(t.body))
+        return InputPrefix(t.chan, t.var, f(t.body, *args))
     if isinstance(t, OutputPrefix):
-        return OutputPrefix(t.chan, t.value, f(t.body))
+        return OutputPrefix(t.chan, t.value, f(t.body, *args))
     if isinstance(t, Var):
         return t
     raise TypeError(f"not a term: {t!r}")
@@ -389,25 +391,19 @@ def term_depth(t: Term) -> int:
 
 
 def substitute_var(t: Term, ident: str, repl: Term) -> Term:
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return repl if u.ident == ident else u
-        if isinstance(u, Rec) and u.var == ident:
-            return u
-        return map_subterms(u, go)
-
-    return go(t)
+    if isinstance(t, Var):
+        return repl if t.ident == ident else t
+    if isinstance(t, Rec) and t.var == ident:
+        return t
+    return map_subterms(t, substitute_var, ident, repl)
 
 
 def substitute_value(t: Term, var: str, value: int) -> Term:
-    def go(u: Term) -> Term:
-        if isinstance(u, InputPrefix) and u.var == var:
-            return u
-        if isinstance(u, OutputPrefix) and u.value == var:
-            return OutputPrefix(u.chan, value, go(u.body))
-        return map_subterms(u, go)
-
-    return go(t)
+    if isinstance(t, InputPrefix) and t.var == var:
+        return t
+    if isinstance(t, OutputPrefix) and t.value == var:
+        return OutputPrefix(t.chan, value, substitute_value(t.body, var, value))
+    return map_subterms(t, substitute_value, var, value)
 
 
 def free_process_vars(t: Term) -> frozenset:
@@ -564,25 +560,24 @@ def expand_values(t: Term, values: tuple) -> Term:
     """Compiles value-passing prefixes into finite sums over the domain."""
     if not values:
         raise ValueError("empty value domain")
-    vals = tuple(values)
+    return _expand(t, tuple(values))
 
-    def go(u: Term) -> Term:
-        if isinstance(u, InputPrefix):
-            branches = tuple(
-                (
-                    frozenset([positive(value_name(u.chan, v))]),
-                    go(substitute_value(u.body, u.var, v)),
-                )
-                for v in vals
+
+def _expand(t: Term, vals: tuple) -> Term:
+    if isinstance(t, InputPrefix):
+        branches = tuple(
+            (
+                frozenset([positive(value_name(t.chan, v))]),
+                _expand(substitute_value(t.body, t.var, v), vals),
             )
-            return choice(branches)
-        if isinstance(u, OutputPrefix):
-            if isinstance(u.value, str):
-                raise ValueError(f"unresolved value variable {u.value}")
-            if u.value not in vals:
-                raise ValueError(f"value {u.value} outside the declared domain")
-            lab = Label(value_name(u.chan, u.value).code, True)
-            return Prefix(frozenset([lab]), go(u.body))
-        return map_subterms(u, go)
-
-    return go(t)
+            for v in vals
+        )
+        return choice(branches)
+    if isinstance(t, OutputPrefix):
+        if isinstance(t.value, str):
+            raise ValueError(f"unresolved value variable {t.value}")
+        if t.value not in vals:
+            raise ValueError(f"value {t.value} outside the declared domain")
+        lab = Label(value_name(t.chan, t.value).code, True)
+        return Prefix(frozenset([lab]), _expand(t.body, vals))
+    return map_subterms(t, _expand, vals)

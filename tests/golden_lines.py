@@ -10,25 +10,29 @@ registry, so the lines are computed in a fresh interpreter:
     PYTHONPATH=src python tests/golden_lines.py formula_wires
     PYTHONPATH=src python tests/golden_lines.py corpus_realizers
     PYTHONPATH=src python tests/golden_lines.py lts_exports
+    PYTHONPATH=src python tests/golden_lines.py explorations
 """
 
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import subprocess_env
+from procreal.combinators import bang, identity_wire, lapp, rapp, seq
 from procreal.corpus import corpus_proofs
 from procreal.exercises import atom_type, pairing_counterexample
 from procreal.extraction import extract, formula_wire
-from procreal.logic import cut_eliminate, parse_formula
-from procreal.names import print_name
+from procreal.generators import random_term
+from procreal.logic import PAxiom, PCut, cut_eliminate, parse_formula
+from procreal.names import ALL_LABELS, REGISTRY, action_key, l_code, print_name, r_code
 from procreal.parsing import parse_term
-from procreal.semantics import ExplorationBudget, build_lts
+from procreal.semantics import _MEMO, ExplorationBudget, build_lts
 from procreal.semtypes import formula_to_type, unit_type
-from procreal.terms import print_term
+from procreal.terms import Par, Restrict, print_term
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,6 +102,59 @@ def lts_exports() -> list:
     return lines
 
 
+def _exploration_inputs() -> list:
+    """(name, term, state budget) of each exploration `explorations`
+    prints: a cut of `!a` against its dual axiom and its reduct, the
+    `seq(bang(w), w)` probe, and the closures of seeded random terms under
+    `seq`, `lapp`, `rapp` and the closed composition of `perp`."""
+    bang_a, why_not = parse_formula("!a"), parse_formula("?~a")
+    trail = cut_eliminate(PCut(bang_a, PAxiom(bang_a), PAxiom(why_not)), keep_trail=True).trail
+    cut, reduct = (extract(proof, {}, ()) for proof in trail)
+    wire = identity_wire(frozenset([REGISTRY.intern("a")]))
+    inputs = [
+        (f"{name}, {states} states", t, states)
+        for name, t in (("!a cut", cut), ("!a cut reduct", reduct))
+        for states in (10, 60)
+    ]
+    inputs += [("seq(bang(w), w), 30 states", seq(bang(wire), wire), 30)]
+    rng = random.Random(2014)
+    a, b = REGISTRY.intern("a"), REGISTRY.intern("b")
+    atoms = (l_code(a), r_code(a), l_code(b), r_code(b))  # each closure's interface
+    for k in range(6):
+        # a replicated side, so the closures meet moves again and again
+        p = bang(random_term(rng, atoms, rng.randint(4, 10)))
+        q = random_term(rng, atoms, rng.randint(4, 10))
+        inputs += [
+            (f"seq {k}", seq(p, q), 12),
+            (f"lapp {k}", lapp(q, p), 12),
+            (f"rapp {k}", rapp(p, q), 12),
+            (f"perp {k}", Restrict(Par(p, q), ALL_LABELS), 12),
+        ]
+    return inputs
+
+
+def explorations() -> list:
+    """Each exploration of `_exploration_inputs`: its limit, its states in
+    admission order and each state's transitions in order, as (action key,
+    target index); then the step tier's counters over them all, from an
+    emptied memo."""
+    inputs = _exploration_inputs()
+    _MEMO.clear()
+    lines = []
+    for name, t, states in inputs:
+        lts = build_lts(t, ExplorationBudget(max_states=states))
+        index = {s: k for k, s in enumerate(lts.terms)}
+        lines.append(f"== {name} | {lts.limit or 'complete'}")
+        for s in lts.terms:
+            lines.append(f"{index[s]} {print_term(s)}")
+            moves = " ".join(f"{action_key(a)}>{index[dst]}" for a, dst in lts.successors(s))
+            lines.append(f"  {moves or 'none'}")
+    tier = _MEMO.steps
+    lines.append(f"step tier: {tier.hits} hits, {tier.misses} misses, "
+                 f"{tier.evictions} evictions, weight {tier.weight}")
+    return lines
+
+
 def fresh_lines(which: str) -> list:
     proc = subprocess.run(
         [sys.executable, __file__, which],
@@ -116,5 +173,6 @@ if __name__ == "__main__":
         "formula_wires": formula_wires,
         "corpus_realizers": corpus_realizers,
         "lts_exports": lts_exports,
+        "explorations": explorations,
     }
     print("\n".join(goldens[sys.argv[1]]()))

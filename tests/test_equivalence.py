@@ -18,6 +18,7 @@ from procreal.equivalence import (
     _minimize,
     failures_bounded,
     failures_equiv,
+    failures_verdict,
     fingerprint,
     normal_form,
     perp,
@@ -26,7 +27,7 @@ from procreal.equivalence import (
 from procreal.generators import enumerate_terms, equivalent_pair, random_context, random_term
 from procreal.names import REGISTRY, negative, positive
 from procreal.parsing import parse_term
-from procreal.semantics import ExplorationBudget, build_lts
+from procreal.semantics import _MEMO, ExplorationBudget, build_lts
 from procreal.terms import NIL, Rec, Rename, Restrict, print_term, subterms
 
 A = REGISTRY.intern("a")
@@ -213,8 +214,8 @@ def test_bounded_fallback_still_distinguishes():
 
 def test_a_partial_left_graph_leaves_the_right_one_unbuilt(monkeypatch):
     # a partial `p` sends the pair to the bounded route whatever `q` is,
-    # and weak bisimulation answers with `p`'s limit, so `q`'s graph would
-    # go unused
+    # and weak bisimulation answers with `p`'s limit, so `q`'s graph (or
+    # fingerprint) would go unused
     built = []
     monkeypatch.setattr(equivalence, "build_lts", lambda t, budget: built.append(t) or build_lts(t, budget))
     p = parse_term("rec X. {a}.(X [n1of3])")
@@ -227,6 +228,11 @@ def test_a_partial_left_graph_leaves_the_right_one_unbuilt(monkeypatch):
     res = weak_bisim(p, q, small)
     assert built == [p]
     assert (res.verdict, res.detail) == ("unknown", build_lts(p, small).limit)
+    _MEMO.clear()  # no kept fingerprint of either side
+    built.clear()
+    res = failures_verdict(p, q, small, depth=2)
+    assert built == [p]
+    assert res == _bounded_route(p, q, small, 2) and res.verdict == "distinguished"
 
 
 def test_normal_form_failures_match_bounded():

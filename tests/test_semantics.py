@@ -794,3 +794,10 @@ def test_lts_exports_match_golden():
     # `lts --format json` and `--format dot` of complete graphs, pinned
     assert fresh_lines("lts_exports") == golden_lines("lts_exports")
 
+
+
+def test_explorations_match_golden():
+    # partial and complete explorations under the hidden-interface
+    # restrictions, state by state and transition by transition, and the
+    # step tier's traffic over them, pinned
+    assert fresh_lines("explorations") == golden_lines("explorations")

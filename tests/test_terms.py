@@ -195,6 +195,30 @@ def test_substitute_value_shadowing():
     assert out == inner  # binder shadows
 
 
+def test_substitution_leaves_no_garbage_cycle():
+    # unfolding a recursion, or expanding a value-passing prefix, frees all
+    # it built by reference counting: a walk that recursed through a
+    # nested function naming itself left a cycle at every call
+    recs = [
+        parse_term("rec X. ({a}.X + {b}.(X | {~a}.0))"),
+        parse_term("rec X. {a}.rec Y. ({b}.Y + {~b}.X) [swap]"),
+        bang(parse_term("{a}.0 + {b}.0")),
+    ]
+    s = REGISTRY.intern("s")
+    passing = InputPrefix(s, "x", OutputPrefix(s, "x", InputPrefix(s, "y", OutputPrefix(s, "y", NIL))))
+    gc.collect()
+    gc.disable()
+    try:
+        for t in recs:
+            while isinstance(t, Rename):
+                t = t.proc
+            substitute_var(t.body, t.var, t)
+        expand_values(passing, (0, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_free_process_vars():
     assert free_process_vars(parse_term("rec X. {a}.X")) == frozenset()
     assert free_process_vars(Var("Y")) == frozenset(["Y"])
