@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success/equal/pass, 1 distinguished/fail/no, 2
-unknown/budget exhausted, 3 usage or parse errors.  Output is
+unknown/budget or memory exhausted, 3 usage or parse errors.  Output is
 deterministic for fixed inputs and seed: collections print sorted and
 reports are dumped with stable key order.
 """
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # no verdict, as when a budget runs out
+        print("memory exhausted before an answer was reached", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

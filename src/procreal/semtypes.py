@@ -28,7 +28,7 @@ from .combinators import (
     swap_halves,
     tensor,
 )
-from .equivalence import BudgetExceeded, failures_verdict, perp
+from .equivalence import INCOMPLETE, BudgetExceeded, failures_fingerprint, failures_verdict, perp
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
@@ -49,7 +49,10 @@ from .logic import (
 class RepPER:
     """Finite partial equivalence relation: a tuple of classes, each a
     nonempty tuple of pairwise failures-equivalent terms, with distinct
-    classes pairwise distinguishable."""
+    classes pairwise distinguishable.  `classify` keeps a class index
+    (`_ClassIndex`) per state budget on the instance as `_indices`, which
+    is no field: `==`, `hash` and `repr` ignore it, and it goes with the
+    instance."""
 
     classes: tuple  # tuple[tuple[Term, ...], ...]
 
@@ -77,23 +80,80 @@ class Classification:
     detail: str = ""
 
 
+class _ClassIndex:
+    """What `classify` has learnt of a list of class representatives
+    (`reps`) under one state budget: the failures fingerprints of the
+    first `filled` of them, as the first class with each fingerprint
+    (`first`), and the representatives among them whose graph is partial
+    (`partial`), in class order.  It is filled in class order only as far
+    as a question needs, so it fingerprints the representatives that
+    comparing with each class in order would."""
+
+    __slots__ = ("reps", "filled", "first", "partial")
+
+    def __init__(self, reps: list):
+        self.reps = reps
+        self.filled = 0
+        self.first: dict = {}
+        self.partial: list = []
+
+
 def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
-    """The class of `per` that `term` is failures-equivalent to, compared
-    with each class representative in order (`failures_verdict`: by
-    fingerprints where both graphs are complete).  Every membership
-    question in this module is answered here.  When no class is equal and
-    some comparison was undecided, the verdict is "unknown" and its detail
-    is the first undecided comparison's, which names the limit that
-    stopped it."""
-    undecided = None
-    for idx, cls in enumerate(per.classes):
-        res = failures_verdict(term, cls[0], budget)
-        if res.verdict == "equal":
-            return Classification("class", idx)
-        if res.verdict == "unknown" and undecided is None:
-            undecided = res.detail
-    if undecided is not None:
-        return Classification("unknown", detail=undecided)
+    """The first class of `per` that `term` is failures-equivalent to, as
+    comparing it with each class representative in order by
+    `failures_verdict` finds it.  Every membership question in this
+    module is answered here.  Fingerprints are canonical, so where both
+    graphs are complete the answer is one lookup of `term`'s fingerprint
+    in the class index `per` keeps for this state budget; only the
+    classes whose representative's graph is partial are compared by the
+    bounded route, in order.  When no class is equal and some comparison
+    was undecided, the verdict is "unknown" and its detail is the first
+    undecided comparison's, which names the limit that stopped it."""
+    indices = per.__dict__.get("_indices")
+    if indices is None:
+        indices = per.__dict__["_indices"] = {}
+    index = indices.get(budget.max_states)
+    if index is None:
+        index = indices[budget.max_states] = _ClassIndex(per.reps())
+    return _classify_in(term, index, budget)
+
+
+def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> Classification:
+    """`classify` among the representatives of `index`."""
+    reps = index.reps
+    if not reps:
+        return Classification("no")
+    fp = failures_fingerprint(term, budget)
+    if fp is INCOMPLETE:  # every comparison takes the bounded route
+        return _first_undecided(term, reps, budget)
+    # read before the lookup and advanced only past recorded classes, so
+    # that a thread filling the same index cannot hide an earlier class
+    # from this one; a race only records a class twice
+    j = index.filled
+    found = index.first.get(fp)
+    if found is not None:
+        return Classification("class", found)
+    while j < len(reps):
+        fq = failures_fingerprint(reps[j], budget)
+        if fq is INCOMPLETE:
+            index.partial.append(reps[j])
+        else:
+            index.first.setdefault(fq, j)
+        j += 1
+        index.filled = j
+        if fq == fp:
+            return Classification("class", j - 1)
+    return _first_undecided(term, index.partial, budget)
+
+
+def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Classification:
+    """Verdict "unknown" with the detail of the first of `reps` whose
+    comparison with `term` is undecided, else "no".  Called only where a
+    graph is partial, so no comparison finds them equal."""
+    for rep in reps:
+        res = failures_verdict(term, rep, budget)
+        if res.verdict == "unknown":
+            return Classification("unknown", detail=res.detail)
     return Classification("no")
 
 
@@ -106,16 +166,19 @@ def realizes_neg(term: Term, t: SemType, budget: ExplorationBudget = Exploration
 
 
 def partition(terms, budget: ExplorationBudget) -> RepPER:
-    """Groups terms into failures-equivalence classes.  Raises
-    BudgetExceeded when a term is equal to no class and some comparison
-    is undecided."""
+    """Groups terms into failures-equivalence classes, each term placed
+    as `classify` would place it among the classes made so far, through
+    one class index that grows with them.  Raises BudgetExceeded when a
+    term is equal to no class and some comparison is undecided."""
     classes: list[list[Term]] = []
+    index = _ClassIndex([])
     for term in terms:
-        c = classify(term, RepPER(tuple((cls[0],) for cls in classes)), budget)
+        c = _classify_in(term, index, budget)
         if c.verdict == "unknown":
             raise BudgetExceeded(f"partitioning undecided within budget ({c.detail})")
         if c.verdict == "no":
             classes.append([term])
+            index.reps.append(term)
         elif term not in classes[c.index]:
             classes[c.index].append(term)
     return RepPER(tuple(tuple(cls) for cls in classes))
@@ -224,28 +287,30 @@ def bang_type(
     for _ in range(fuel):
         fresh = []
         prev = list(accumulated)
+        # one stage for the round, so that its candidates share its class index
+        previous_stage = RepPER(tuple((s,) for s in prev))
         for n1 in prev:
             for n2 in prev:
                 body = tensor(n1, n2)
                 cand = Prefix(frozenset([negative(GAMMA)]), body)
-                if _passes_bang_neg_clause(body, banged, accumulated, budget):
+                if _passes_bang_neg_clause(body, banged, previous_stage, budget):
                     fresh.append(cand)
         accumulated += fresh
     neg = partition(accumulated, budget)
     return SemType(RepPER(tuple(pos_classes)), neg, None)
 
 
-def _passes_bang_neg_clause(body: Term, banged, stage_reps, budget) -> bool:
+def _passes_bang_neg_clause(body: Term, banged, previous_stage: RepPER, budget) -> bool:
     """After a split request the remaining consumer must still consume a
     replicable resource (`banged`: the type's positive representatives
     under `bang`) on either half, checked against the previous stage's
-    representatives."""
+    representatives, one class each."""
     def halves():
         for br in banged:
             yield lapp(br, body)
             yield rapp(body, br)
 
-    return _lands_in(halves(), RepPER(tuple((s,) for s in stage_reps)), budget)
+    return _lands_in(halves(), previous_stage, budget)
 
 
 def forall_v_type(family: dict) -> SemType:

@@ -64,6 +64,19 @@ def test_equiv_distinguished_exit_one_with_witness(files, capsys):
     assert data["witness"]["trace"] == ["{a}"]
 
 
+def test_running_out_of_memory_exits_two_with_one_line(files, capsys, monkeypatch):
+    # out of memory is no verdict, not "distinguished" (exit 1)
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("procreal.cli.cmd_equiv", exhausted)
+    p = files("p.term", "{a}.0\n")
+    assert main(["equiv", p, p]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "memory exhausted before an answer was reached\n"
+
+
 def test_equiv_unknown_exit_two(files, capsys):
     p = files("p.term", "rec X. {a}.(X [n1of3])\n")
     q = files("q.term", "rec X. {a}.(X [n1of3]) | 0\n")

@@ -1,12 +1,15 @@
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from golden_lines import fresh_lines, golden_lines
 
 from procreal import equivalence, semantics
 from procreal.combinators import bang, identity_wire, pairing, tensor
-from procreal.equivalence import BudgetExceeded, EquivResult, failures_equiv, perp
+from procreal.equivalence import INCOMPLETE, BudgetExceeded, EquivResult, failures_equiv, perp
 from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
 from procreal.logic import parse_formula
@@ -76,7 +79,11 @@ def test_partition_groups_by_behaviour():
 
 def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(monkeypatch):
     x, y, z, w = (parse_term(f"{{{n}}}.0") for n in "xyzw")
-    verdicts = {(y, x): "distinguished", (z, x): "unknown", (z, y): "equal"}
+    # x's graph is partial, z has y's fingerprint, and the bounded route
+    # leaves z (and w) undecided against x
+    fingerprints = {x: INCOMPLETE, y: ("y",), z: ("y",), w: ("w",)}
+    verdicts = {(y, x): "distinguished", (z, x): "unknown"}
+    monkeypatch.setattr("procreal.semtypes.failures_fingerprint", lambda t, budget: fingerprints[t])
     monkeypatch.setattr(
         "procreal.semtypes.failures_verdict",
         lambda p, q, budget: EquivResult(verdicts.get((p, q), "unknown")),
@@ -85,6 +92,28 @@ def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(mo
     # equal to no class, and undecided against one
     with pytest.raises(BudgetExceeded):
         partition([x, y, w], BUD)
+
+
+def test_the_class_index_explores_what_comparing_in_order_would(monkeypatch):
+    _MEMO.clear()
+    explored = []
+    run = equivalence.build_lts
+    monkeypatch.setattr(equivalence, "build_lts", lambda t, budget: explored.append(t) or run(t, budget))
+    lone = parse_term("{a}.{b}.0")
+    assert partition([lone], BUD).classes == ((lone,),)
+    assert explored == []
+    c0, c1, c2 = (parse_term(s) for s in ("{a}.0", "{b}.0", "{a}.0 + {b}.0"))
+    per = RepPER(((c0,), (c1,), (c2,)))
+    # a term of class 0 never fingerprints class 1's representative
+    assert classify(parse_term("{}.{a}.0"), per, BUD) == Classification("class", 0)
+    assert explored == [parse_term("{}.{a}.0"), c0]
+    # a term of class 1 fingerprints it, and class 2's still not
+    assert classify(parse_term("{}.{b}.0"), per, BUD) == Classification("class", 1)
+    assert explored[2:] == [parse_term("{}.{b}.0"), c1]
+    # the index is no field of the type
+    assert per == RepPER(per.classes) and hash(per) == hash(RepPER(per.classes))
+    assert repr(per) == repr(RepPER(per.classes))
+    _MEMO.clear()
 
 
 def _pairwise_classify(term, per, budget) -> tuple:
@@ -153,6 +182,96 @@ def test_classify_and_validation_agree_with_pairwise_comparison():
         "class", "no", "budget exhausted: state budget 50 exhausted", "bounded agreement to depth 6"
     } <= seen
     assert diagnosed > 10
+
+
+def _pairwise_partition(terms, budget):
+    """`partition` as `_pairwise_classify` against the classes made so
+    far, for reference: the classes, or the detail it raises with."""
+    classes = []
+    for term in terms:
+        verdict, idx, detail = _pairwise_classify(term, RepPER(tuple((c[0],) for c in classes)), budget)
+        if verdict == "unknown":
+            return detail
+        if verdict == "no":
+            classes.append([term])
+        elif term not in classes[idx]:
+            classes[idx].append(term)
+    return tuple(tuple(c) for c in classes)
+
+
+# Graphs of 48 and 64 states, complete under the larger budget only; a
+# replicating term and stacking renamings, partial under both; and terms
+# equal to others of the pool.
+_CLASS_POOL = [
+    parse_term(s)
+    for s in (
+        "{a}.0", "{}.{a}.0", "{b}.0", "{a}.0 + {b}.0", "{a}.({a}.0 + {b}.0)", "{a}.{a}.0 + {a}.{b}.0",
+        "{a}.0 | {b}.0 | {a}.{b}.0 | {b}.0 | {a}.0", "{}.({a}.0 | {b}.0 | {a}.{b}.0 | {b}.0 | {a}.0)",
+        "{a}.0 | {b}.0 | {a}.0 | {b}.0 | {a}.0 | {b}.0", "{a}.0 | {b}.0 | {a}.0 | {b}.0 | {a}.0 | {a}.0",
+        "bang({a}.0)", "rec X. {a}.(X [n1of3])", "rec X. ({a}.(X [n1of3]) + {b}.0)",
+    )
+]
+_CLASS_BUDGETS = (ExplorationBudget(max_states=20), ExplorationBudget(max_states=70))
+
+
+@settings(deadline=None, max_examples=60)
+@example([_CLASS_POOL[0], _CLASS_POOL[1]], [(_CLASS_POOL[2], _CLASS_BUDGETS[0])])
+@given(
+    st.lists(st.sampled_from(_CLASS_POOL), max_size=5),
+    st.lists(st.tuples(st.sampled_from(_CLASS_POOL), st.sampled_from(_CLASS_BUDGETS)), min_size=1, max_size=4),
+)
+def test_classify_and_partition_agree_with_comparing_each_class_in_order(reps, questions):
+    # duplicate classes, the empty type, and one type asked under two budgets
+    per = RepPER(tuple((r,) for r in reps))
+    for term, budget in questions + [(r, b) for r in reps for b in _CLASS_BUDGETS]:
+        c = classify(term, per, budget)
+        assert (c.verdict, c.index, c.detail) == _pairwise_classify(term, per, budget), print_term(term)
+    for budget in _CLASS_BUDGETS:
+        terms = reps + [term for term, _ in questions]
+        expected = _pairwise_partition(terms, budget)
+        if isinstance(expected, str):
+            with pytest.raises(BudgetExceeded) as exc:
+                partition(terms, budget)
+            assert str(exc.value) == f"partitioning undecided within budget ({expected})"
+        else:
+            assert partition(terms, budget).classes == expected
+
+
+def test_threads_filling_one_class_index_get_the_ordered_answers():
+    # duplicate and partial classes, asked by more threads than cores at
+    # once, each round through a fresh type and so a fresh index
+    budget = _CLASS_BUDGETS[0]
+    reps = [_CLASS_POOL[i] for i in (10, 3, 0, 8, 1, 2, 3, 6, 7, 11, 5, 4)]
+    expected = {t: _pairwise_classify(t, RepPER(tuple((r,) for r in reps)), budget) for t in _CLASS_POOL}
+    workers, rounds = 4, 15
+    wrong = []
+
+    def work(seed, per, start):
+        order = list(_CLASS_POOL)
+        random.Random(seed).shuffle(order)
+        start.wait()
+        try:
+            for term in order:
+                c = classify(term, per, budget)
+                if (c.verdict, c.index, c.detail) != expected[term]:
+                    wrong.append(print_term(term))
+        except Exception as exc:  # a thread's error fails the test, not only warns
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(rounds):
+            per, start = RepPER(tuple((t,) for t in reps)), threading.Barrier(workers, timeout=60)
+            threads = [threading.Thread(target=work, args=(r * workers + i, per, start)) for i in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_undecided_classification_names_the_limit():
