@@ -9,10 +9,13 @@ family, so failures equivalence is map equality.
 Two routes reach failures.  `normal_form` determinises a complete graph
 from `build_lts`, as in Roscoe's *Model-checking CSP* (1994);
 `failures_bounded` steps the term lazily (`_StepCache`) up to a trace
-depth.  Both use `step`, `tau_closure`, `_minimize`, one `_determinise`
-(a node's acceptance family and moves) and one `_unfold` (the traces).
-They differ in the graph each reads and in when a node's moves are
-tau-closed: all at once, or when a trace first leaves the node.  Only
+depth.  Both use `step`, `_minimize`, the engine's one `tau_closure`,
+one `_determinise` (a node's acceptance family and moves) and one
+`_unfold` (the traces).  `tau_closure` and `_determinise` take a
+successor lookup: the complete graph's transition table, or the step
+cache's `successors`.  The routes differ in the graph each reads and in
+when a node's moves are tau-closed: all at once, or when a trace first
+leaves the node.  Only
 `build_lts` reads the engine's memo tiers, so a fault there shows as the
 routes disagreeing; the shared code is checked against a reference in
 the tests over an independent one-step matcher.
@@ -133,26 +136,32 @@ class FailureSet:
 # Determinisation and trace unfolding, shared by the two routes.
 
 
-def _determinise(graph, nodes: dict, node: frozenset) -> tuple:
+def _determinise(successors, nodes: dict, node: frozenset) -> tuple:
     """A tau-closed node's entry in `nodes`, made once in one pass over its
-    states in `graph` (anything with `successors`): its minimal acceptance
-    family, and its visible moves as (action, target states) pairs in
-    `action_key` order."""
+    states (`successors(state)` gives a state's (action, state) pairs):
+    its minimal acceptance family, and its visible moves as (action,
+    target states) pairs in `action_key` order."""
     entry = nodes.get(node)
     if entry is None:
         acceptances = set()
         moves: dict[Action, set] = {}
         for state in node:
-            succs = graph.successors(state)
+            succs = successors(state)
             stable = True
             for a, dst in succs:
-                if a == TAU:
+                if not a:  # TAU
                     stable = False
                 else:
-                    moves.setdefault(a, set()).add(dst)
+                    dsts = moves.get(a)
+                    if dsts is None:
+                        moves[a] = {dst}
+                    else:
+                        dsts.add(dst)
             if stable:
-                acceptances.add(frozenset(a for a, _ in succs))
-        moves = sorted(moves.items(), key=lambda kv: action_key(kv[0]))
+                acceptances.add(frozenset([a for a, _ in succs]))
+        moves = list(moves.items())
+        if len(moves) > 1:
+            moves.sort(key=lambda move: action_key(move[0]))
         entry = nodes[node] = (_minimize(acceptances), moves)
     return entry
 
@@ -204,8 +213,10 @@ class _StepCache:
     def successors(self, state: Term) -> tuple:
         cached = self.trans.get(state)
         if cached is None:
-            cached = tuple((a, self.admit(p)) for a, p in step(state, 0, self.steps))
-            self.trans[state] = cached
+            pairs = step(state, 0, self.steps)
+            for _, p in pairs:
+                self.admit(p)
+            cached = self.trans[state] = tuple(pairs)
         return cached
 
 
@@ -221,11 +232,12 @@ def failures_bounded(
     transition budget: the traces of a few states grow exponentially with
     the depth."""
     cache = _StepCache(budget)
+    successors = cache.successors
     nodes: dict = {}  # tau-closed node -> _determinise's entry
     closed: dict = {}  # tau-closed node -> its (action, tau-closed node) moves
 
     def family(node):
-        return _determinise(cache, nodes, node)[0]
+        return _determinise(successors, nodes, node)[0]
 
     def edges(node):
         succs = closed.get(node)
@@ -234,13 +246,13 @@ def failures_bounded(
             # order (their addresses), so that which limit a call reaches
             # first does not vary from run to run
             succs = closed[node] = [
-                (a, tau_closure(cache, sorted(dsts, key=cache.states.get)))
-                for a, dsts in _determinise(cache, nodes, node)[1]
+                (a, tau_closure(successors, sorted(dsts, key=cache.states.get)))
+                for a, dsts in _determinise(successors, nodes, node)[1]
             ]
         cache.steps.spend(len(succs))
         return succs
 
-    return _unfold(tau_closure(cache, [cache.admit(t)]), depth, family, edges)
+    return _unfold(tau_closure(successors, [cache.admit(t)]), depth, family, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +266,7 @@ class NormalForm:
 
     root: frozenset
     families: dict = field(default_factory=dict)  # node -> family
-    edges: dict = field(default_factory=dict)  # node -> tuple[(Action, node)]
+    edges: dict = field(default_factory=dict)  # node -> tuple[(Action, node)], in action_key order
 
     def failures_to_depth(self, depth: int) -> FailureSet:
         return _unfold(self.root, depth, self.families.__getitem__, self.edges.__getitem__)
@@ -268,17 +280,19 @@ def normal_form(lts: LTS) -> NormalForm:
     it needs, as `failures_fingerprint` keeps the fingerprint."""
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
-    root = tau_closure(lts, [lts.initial])
-    nf = NormalForm(root=root)
+    successors = lts.transitions.__getitem__  # every state of a complete graph has its entry
+    root = tau_closure(successors, [lts.initial])
+    families: dict = {}
+    edges: dict = {}
     nodes: dict = {}
     todo = [root]
     while todo:
         node = todo.pop()
-        if node not in nf.families:
-            nf.families[node], moves = _determinise(lts, nodes, node)
-            nf.edges[node] = edges = tuple((a, tau_closure(lts, dsts)) for a, dsts in moves)
-            todo.extend(succ for _, succ in edges)
-    return nf
+        if node not in families:
+            families[node], moves = _determinise(successors, nodes, node)
+            edges[node] = out = tuple([(a, tau_closure(successors, dsts)) for a, dsts in moves])
+            todo.extend([succ for _, succ in out])
+    return NormalForm(root, families, edges)
 
 
 def refine(nodes, block: dict, signature) -> dict:
@@ -374,17 +388,19 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
             f1, f2 = nf1.families[n1], nf2.families[n2]
             if f1 != f2:
                 return EquivResult("distinguished", witness=_witness(trace, f1, f2))
-            e1 = dict(nf1.edges[n1])
-            e2 = dict(nf2.edges[n2])
-            if e1.keys() != e2.keys():
+            # edges are in `action_key` order, so the same actions are
+            # the same sequence, and pairing them keeps that order
+            edges1, edges2 = nf1.edges[n1], nf2.edges[n2]
+            if [a for a, _ in edges1] != [a for a, _ in edges2]:
+                e1, e2 = dict(edges1), dict(edges2)
                 only = min(e1.keys() ^ e2.keys(), key=action_key)
                 return EquivResult("distinguished", witness=_witness(
                     trace + (only,),
                     nf1.families[e1[only]] if only in e1 else None,
                     nf2.families[e2[only]] if only in e2 else None,
                 ))
-            for a in sorted(e1, key=action_key):
-                next_frontier.append((trace + (a,), e1[a], e2[a]))
+            for (a, succ1), (_, succ2) in zip(edges1, edges2):
+                next_frontier.append((trace + (a,), succ1, succ2))
         frontier = next_frontier
     return EquivResult("equal")
 
@@ -437,15 +453,27 @@ def failures_verdict(
 def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> EquivResult:
     """Failures up to `depth` by brute force, for a pair with a partial
     graph: "distinguished" with a witness, or "unknown" with the reason."""
-    try:
-        fp = failures_bounded(p, depth, budget)
-        fq = failures_bounded(q, depth, budget)
-    except BudgetExceeded as exc:
-        return EquivResult("unknown", detail=f"budget exhausted: {exc}")
-    diff = fp.first_difference(fq)
-    if diff is not None:
-        return EquivResult("distinguished", witness=diff)
-    return EquivResult("unknown", detail=f"bounded agreement to depth {depth}")
+    return next(bounded_verdicts(p, (q,), budget, depth))
+
+
+def bounded_verdicts(p: Term, qs, budget: ExplorationBudget, depth: int):
+    """`_bounded_route(p, q, budget, depth)` for each q of `qs` in turn,
+    as they are asked for, with `p`'s failures computed once: a term
+    compared with several others by the bounded route is stepped once."""
+    fp = None
+    for q in qs:
+        try:
+            if fp is None:
+                fp = failures_bounded(p, depth, budget)
+            fq = failures_bounded(q, depth, budget)
+        except BudgetExceeded as exc:
+            yield EquivResult("unknown", detail=f"budget exhausted: {exc}")
+            continue
+        diff = fp.first_difference(fq)
+        if diff is not None:
+            yield EquivResult("distinguished", witness=diff)
+        else:
+            yield EquivResult("unknown", detail=f"bounded agreement to depth {depth}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +481,14 @@ def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> E
 
 
 def _saturate(lts: LTS):
-    """Weak moves per state: eps-closure and a -> eps-closed targets."""
-    tau_reach = {s: tau_closure(lts, (s,)) for s in lts.terms}
+    """Weak moves per state of a complete graph: eps-closure and a ->
+    eps-closed targets."""
+    successors = lts.transitions.__getitem__
+    tau_reach = {s: tau_closure(successors, (s,)) for s in lts.terms}
     weak: dict[Term, dict] = {s: {} for s in lts.terms}
     for s in lts.terms:
         for u in tau_reach[s]:
-            for a, v in lts.successors(u):
+            for a, v in successors(u):
                 if a == TAU:
                     continue
                 weak[s].setdefault(a, set()).update(tau_reach[v])

@@ -42,6 +42,13 @@ counts their successors as a fresh step would, so no graph, limit or
 error depends on what ran before.  Only `build_lts` reads and fills it:
 `equivalence.failures_bounded` stays a route of its own.  Each tier
 counts its hits, misses and evictions, and `_MEMO.clear()` empties both.
+Most explorations are a few states, so their cost is what each node
+pays for this bookkeeping: `step` reads the exploration's memo and the
+step tier, counts, and remembers in its own body, with one call of the
+tier's put on a miss.
+
+`tau_closure` is the engine's one tau-closure, over any successor lookup
+(a graph's table, or the bounded failures route's step cache).
 """
 
 from __future__ import annotations
@@ -123,10 +130,12 @@ def _subsets(items: tuple) -> Iterable[frozenset]:
 
 class StepMemo(dict):
     """An exploration's memo for `step`: the transitions of each node it
-    has stepped, by node, and the number of successors those hold, which
-    must stay within `limit` (with whatever else the exploration counts
-    against it, `spend`).  `tier` is the step tier of `_MEMO` when the
-    exploration may read and fill it (`build_lts`), else None."""
+    has stepped, by node, and the number of successors those hold
+    (`built`), which must stay within `limit`.  `step` counts a node's
+    successors and then remembers the node, in its own body; whatever
+    else the exploration counts against the limit goes through `spend`.
+    `tier` is the step tier of `_MEMO` when the exploration may read and
+    fill it (`build_lts`), else None."""
 
     __slots__ = ("built", "limit", "tier")
 
@@ -141,10 +150,6 @@ class StepMemo(dict):
         self.built += count
         if self.built > self.limit:
             raise BudgetExceeded(f"transition budget {self.limit} exhausted")
-
-    def keep(self, t: Term, out: KeysView):
-        self.spend(len(out))
-        self[t] = out
 
 
 def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView:
@@ -167,11 +172,16 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
     mutated.  It lives as long as that exploration only, and it counts the
     successors it holds: past its limit the step raises BudgetExceeded.
     A node whose step raises is not remembered; prefixes and sums, read
-    straight off the node, are not remembered either.
+    straight off the node, are not remembered either.  The memo protocol
+    is written out here rather than called: a node's successors are
+    counted (as `StepMemo.spend` counts) and only then is the node
+    remembered, so a node past the limit is not.
 
     When the memo has a `tier` (the step tier of `_MEMO`), a node the
-    exploration has not stepped yet is looked up there, and a node it
-    steps afresh is kept there: its pairs, or a recursion's unfolding.
+    exploration has not stepped yet is looked up there, counted as a hit
+    or a miss as `_Tier.get` counts it, and a node it steps afresh is
+    kept there (`_Tier.put`) before its successors are counted: its
+    pairs, or a recursion's unfolding.
     A node found there is still walked as a fresh step would walk it:
     its components are stepped, and counted if this exploration has not
     counted them yet, in the same order and at the same unfolding depth,
@@ -185,13 +195,19 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
         return {(t.action, t.cont): None}.keys()
     if kind is Sum:
         return dict.fromkeys(t.branches).keys()
-    known = None
+    known = tier = None
     if _memo is not None:
         out = _memo.get(t)
         if out is not None:
             return out
-        if _memo.tier is not None:
-            known = _memo.tier.get(t)
+        tier = _memo.tier
+        if tier is not None:
+            known = _tier_lookup(tier, t)  # `_Tier.get`, written out
+            if known is None:
+                tier.misses += 1
+            else:
+                tier.hits += 1
+                tier.move_to_end(t)
     # A prefix or sum component is read in place below, as the two lines
     # above read it: a leaf has no memo or tier entry, and this call has
     # already checked the unfolding depth.
@@ -214,7 +230,7 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
         labels = t.labels
         inner = step(t.proc, _depth, _memo)
         out = known if known is not None else dict.fromkeys(
-            (a, restrict(p, labels)) for a, p in inner if not labels.blocks(a)
+            [(a, restrict(p, labels)) for a, p in inner if not labels.blocks(a)]
         ).keys()
     elif kind is Rename:
         u = t.proc
@@ -227,7 +243,7 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
             ren = t.ren
             images = ren._memo  # what `apply_action` has answered, by action
             out = dict.fromkeys(
-                (images.get(a) or ren.apply_action(a), rename(p, ren)) for a, p in inner
+                [(images.get(a) or ren.apply_action(a), rename(p, ren)) for a, p in inner]
             ).keys()
         else:
             out = known
@@ -235,8 +251,8 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
         unfolded = substitute_var(t.body, t.var, t) if known is None else known
         out = step(unfolded, _depth + 1, _memo)
         if _memo is not None:
-            if known is None and _memo.tier is not None:
-                _memo.tier.put(t, unfolded)
+            if known is None and tier is not None:
+                tier.put(t, unfolded)
             _memo[t] = out  # the unfolding's successors, counted once
         return out
     elif kind is Var:
@@ -246,9 +262,13 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
     else:
         raise TypeError(f"not a term: {t!r}")
     if _memo is not None:
-        if known is None and _memo.tier is not None:
-            _memo.tier.put(t, out)
-        _memo.keep(t, out)
+        if known is None and tier is not None:
+            tier.put(t, out)
+        # `spend`, then remembered: a node past the limit is not
+        built = _memo.built = _memo.built + len(out)
+        if built > _memo.limit:
+            raise BudgetExceeded(f"transition budget {_memo.limit} exhausted")
+        _memo[t] = out
     return out
 
 
@@ -413,6 +433,10 @@ class _Tier(OrderedDict):
     constant.  The tier counts its hits, misses and evictions; `clear`
     empties it and resets them."""
 
+    # slots, not an instance dict: `step` counts a hit or a miss here for
+    # nearly every node it meets
+    __slots__ = ("bound", "weigh", "weight", "hits", "misses", "evictions")
+
     def __init__(self, bound: Callable[[], int], weigh: Callable[[object], int]):
         super().__init__()
         self.bound = bound
@@ -432,24 +456,28 @@ class _Tier(OrderedDict):
         """Keeps `value` (not None) under `key`, replacing the value and
         weight the tier holds there (two threads that miss on one key both
         put it), and returns it."""
+        weigh = self.weigh
         old = self.pop(key, None)
         if old is not None:
-            self.weight -= self.weigh(old)
-        size = self.weigh(value)
+            self.weight -= weigh(old)
+        size = weigh(value)
         bound = self.bound()
         if size > bound:
             return value
         self[key] = value
         self.weight += size
         while self.weight > bound:
-            _, old = self.popitem(last=False)
-            self.weight -= self.weigh(old)
+            self.weight -= weigh(self.popitem(last=False)[1])
             self.evictions += 1
         return value
 
     def clear(self):
         super().clear()
         self.weight = self.hits = self.misses = self.evictions = 0
+
+
+# `_Tier.get` without its counters, for `step`, which counts in place
+_tier_lookup = OrderedDict.get
 
 
 def _step_weight(kept) -> int:
@@ -509,7 +537,10 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     for the exploration without changing what it counts.
     """
     steps = StepMemo(budget.max_transitions, _MEMO.steps)
-    lts = LTS(initial=t, terms={t: None})
+    max_states = budget.max_states
+    terms = {t: None}
+    transitions = {}
+    lts = LTS(t, terms, transitions)
     frontier = [t]
     full = capped = False
     try:
@@ -519,16 +550,17 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
                 if term_depth(u) > DEPTH_CAP:
                     capped = True
                     continue
-                succs = []
-                for a, p in step(u, 0, steps):
-                    if p not in lts.terms:
-                        if len(lts.terms) >= budget.max_states:
-                            full = True
+                pairs = step(u, 0, steps)
+                refused = False
+                for _, p in pairs:
+                    if p not in terms:
+                        if len(terms) >= max_states:
+                            refused = full = True
                             continue
-                        lts.terms[p] = None
+                        terms[p] = None
                         next_frontier.append(p)
-                    succs.append((a, p))
-                lts.transitions[u] = tuple(succs)
+                # a refused state is never admitted later: the graph only grows
+                transitions[u] = tuple([pair for pair in pairs if pair[1] in terms] if refused else pairs)
             frontier = next_frontier
     except BudgetExceeded:
         lts.limit = "transition budget exhausted"
@@ -540,21 +572,24 @@ def build_lts(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> LTS:
     return lts
 
 
-def tau_closure(graph, keys) -> frozenset:
+def tau_closure(successors: Callable, keys) -> frozenset:
     """The states reachable from `keys` by tau moves alone, `keys`
-    included.  `graph` is anything whose `successors(key)` gives
-    (action, key) pairs; an exception raised there propagates.  The walk
-    is depth first from the last key, so the order of its `successors`
-    calls is fixed by the order of `keys`."""
-    seen = set(keys)
+    included.  `successors(key)` gives a key's (action, key) pairs; an
+    exception raised there propagates.  The walk is depth first from the
+    last key, so the order of the `successors` calls is fixed by the
+    order of `keys`.  The set of states met is made only when a tau move
+    is met: most closures have none."""
+    seen = None
     stack = list(keys)
     while stack:
-        key = stack.pop()
-        for a, dst in graph.successors(key):
-            if a == TAU and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
+        for a, dst in successors(stack.pop()):
+            if not a:  # TAU
+                if seen is None:
+                    seen = set(keys)
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+    return frozenset(keys if seen is None else seen)
 
 
 def tau_cycle_exists(lts: LTS) -> bool:

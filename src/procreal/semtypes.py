@@ -28,7 +28,15 @@ from .combinators import (
     swap_halves,
     tensor,
 )
-from .equivalence import INCOMPLETE, BudgetExceeded, failures_fingerprint, failures_verdict, perp
+from .equivalence import (
+    BOUNDED_DEPTH,
+    INCOMPLETE,
+    BudgetExceeded,
+    bounded_verdicts,
+    failures_fingerprint,
+    failures_verdict,
+    perp,
+)
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
 from .semantics import ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
@@ -148,10 +156,12 @@ def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> C
 
 def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Classification:
     """Verdict "unknown" with the detail of the first of `reps` whose
-    comparison with `term` is undecided, else "no".  Called only where a
-    graph is partial, so no comparison finds them equal."""
-    for rep in reps:
-        res = failures_verdict(term, rep, budget)
+    comparison with `term` is undecided, else "no".  Called only where
+    `term`'s graph or each of `reps`' is partial, so `failures_verdict`
+    would take the bounded route for each, and no comparison finds them
+    equal; `bounded_verdicts` takes it with `term`'s failures computed
+    once."""
+    for res in bounded_verdicts(term, reps, budget, BOUNDED_DEPTH):
         if res.verdict == "unknown":
             return Classification("unknown", detail=res.detail)
     return Classification("no")

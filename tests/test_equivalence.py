@@ -9,7 +9,7 @@ from conftest import subprocess_env
 from oracle_step import canonical, naive_step
 
 from procreal import combinators as C
-from procreal import equivalence
+from procreal import equivalence, semantics
 from procreal.combinators import bang
 from procreal.equivalence import (
     BudgetExceeded,
@@ -170,8 +170,22 @@ def test_minimize_keeps_exactly_the_minimal_sets(family, rng):
 
 
 def test_failures_budget_reported():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^state budget 20 exhausted$"):
         failures_bounded(bang(parse_term("{}.0")), 3, ExplorationBudget(max_states=20))
+
+
+@pytest.mark.parametrize("source, depth, budget, per_state, limit", [
+    # a swap under a restriction, stacked by each unfolding
+    (r"rec X. ({}.X \ {a,b}) [map{a:b,b:a}]", 4, ExplorationBudget(), None, "depth cap 200 reached"),
+    # 63 successors in the first state, one allowed per state
+    ("{a}.0 | {b}.0 | {c}.0 | {d}.0 | {e}.0 | {f}.0", 2, ExplorationBudget(max_states=64), 1,
+     "transition budget 64 exhausted"),
+], ids=["depth-cap", "transition-budget"])
+def test_failures_bounded_names_the_limit_it_reached(monkeypatch, source, depth, budget, per_state, limit):
+    if per_state is not None:
+        monkeypatch.setattr(semantics, "TRANSITIONS_PER_STATE", per_state)
+    with pytest.raises(BudgetExceeded, match=f"^{limit}$"):
+        failures_bounded(parse_term(source), depth, budget)
 
 
 def test_equiv_reflexive():
@@ -187,6 +201,16 @@ def test_equiv_distinguishes_choice_point():
     assert res.verdict == "distinguished"
     assert res.witness["trace"] == ["{a}"]
     assert res.witness["reason"] == "acceptance families differ"
+
+
+def test_equiv_tells_apart_the_moves_of_an_unstable_state():
+    # each root settles by tau into the same stable {c} state, so the root
+    # families agree; only the root's own move, {a} or {b}, differs
+    left = parse_term(r"({x}.{c}.0 | ({~x}.0 + {a}.0)) \ {x}")
+    right = parse_term(r"({x}.{c}.0 | ({~x}.0 + {b}.0)) \ {x}")
+    res = failures_equiv(left, right, BUD)
+    assert res.verdict == "distinguished"
+    assert res.witness == {"trace": ["{a}"], "reason": "trace on one side only", "left": True, "right": False}
 
 
 def test_equiv_tau_prefix():

@@ -2,6 +2,7 @@
 oracle stays independent of the engine it checks."""
 
 import ast
+import importlib
 import pkgutil
 import subprocess
 import sys
@@ -39,22 +40,71 @@ def test_oracle_step_does_not_import_the_engine():
     assert not [m for m in imported if m.startswith(engine)]
 
 
+def _definitions(*modules) -> dict:
+    """The module-level functions and classes of the named engine
+    modules, by name."""
+    defs = {}
+    for module in modules:
+        source = Path(procreal.__file__).parent / f"{module}.py"
+        for node in ast.parse(source.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+    return defs
+
+
+def _named(node) -> set:
+    """The names and attribute names that `node`'s code reads."""
+    named = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            named.add(sub.attr)
+    return named
+
+
 def test_bounded_failures_route_reads_nothing_of_the_engine_route():
     # failures_bounded is the oracle the normal-form route is checked
-    # against, so neither its code nor the determinisation and unfolding
-    # the two routes share names a memo, graph or normal form
-    source = Path(procreal.__file__).parent / "equivalence.py"
-    route = {"failures_bounded", "_StepCache", "_determinise", "_unfold"}
-    defs = [
-        node for node in ast.parse(source.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in route
-    ]
-    assert {node.name for node in defs} == route
-    named = set()
-    for node in defs:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                named.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                named.add(sub.attr)
+    # against, so no definition it reaches, in its module or in the
+    # semantics it steps and closes with, names a memo, graph or normal
+    # form; that includes the determinisation and unfolding the two
+    # routes share
+    defs = _definitions("semantics", "equivalence")
+    route, todo = set(), ["failures_bounded"]
+    while todo:
+        name = todo.pop()
+        if name not in route:
+            route.add(name)
+            todo.extend(n for n in _named(defs[name]) if n in defs)
+    assert {"failures_bounded", "_StepCache", "_determinise", "_unfold", "tau_closure", "step"} <= route
+    named = set().union(*(_named(defs[name]) for name in route))
     assert not named & {"_MEMO", "build_lts", "normal_form", "_normalise"}
+
+
+def _tracer_targets() -> dict:
+    """`TARGETS` of bench/tracing.py, built by running only the statements
+    of that file that assign or update it, so nothing of bench/ is
+    imported."""
+    source = Path(__file__).parent.parent / "bench" / "tracing.py"
+    names = {"TARGETS", "COMBINATORS"}
+    kept = [
+        node for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} <= names
+        or isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute) and getattr(node.value.func.value, "id", None) in names
+    ]
+    namespace: dict = {}
+    exec(compile(ast.Module(body=kept, type_ignores=[]), str(source), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # the tracer patches these by name, a method in its class's own
+    # namespace; a refactor that renames or moves one breaks traced runs
+    targets = _tracer_targets()
+    assert ("procreal.semantics", "step") in targets and ("procreal.combinators", "seq") in targets
+    for module, name in targets:
+        owner, _, attr = name.rpartition(".")
+        found = importlib.import_module(module)
+        where = vars(getattr(found, owner)) if owner else vars(found)
+        assert callable(where.get(attr)), f"{module}.{name}"

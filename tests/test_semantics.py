@@ -522,17 +522,17 @@ def test_tau_closure_chain_cycle_and_visible_edges():
         3: ((TAU, 4),),  # tau cycle 3 <-> 4
         4: ((TAU, 3), (a, 0)),
     })
-    assert tau_closure(g, [0]) == frozenset({0, 1, 2})
-    assert tau_closure(g, [2]) == frozenset({2})
-    assert tau_closure(g, [3]) == frozenset({3, 4})
-    assert tau_closure(g, [5]) == frozenset({5})
-    assert tau_closure(g, [2, 4]) == frozenset({2, 3, 4})
+    assert tau_closure(g.successors, [0]) == frozenset({0, 1, 2})
+    assert tau_closure(g.successors, [2]) == frozenset({2})
+    assert tau_closure(g.successors, [3]) == frozenset({3, 4})
+    assert tau_closure(g.successors, [5]) == frozenset({5})
+    assert tau_closure(g.successors, [2, 4]) == frozenset({2, 3, 4})
 
 
 def test_tau_closure_propagates_budget_exhaustion():
     g = _Graph({0: ((TAU, 1),), 1: ((TAU, "boom"),)})
     with pytest.raises(BudgetExceeded):
-        tau_closure(g, [0])
+        tau_closure(g.successors, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +588,23 @@ def test_exploration_memos_do_not_change_graphs():
             assert lts.transitions[u] == tuple(step(u))
             assert all(p in lts.terms for _, p in lts.transitions[u])
     assert complete > 30
+
+
+def test_a_step_past_the_transition_budget_is_not_remembered():
+    # the inner parallel's 3 successors fit a limit of 5, the outer's 7
+    # more do not: the outer node is kept in the step tier, then counted,
+    # and not remembered by the exploration
+    fan = parse_term("{}.0 | {}.0 | {}.0")
+    inner = fan.left if isinstance(fan.left, Par) else fan.right
+    _MEMO.clear()
+    try:
+        for steps in (StepMemo(5), StepMemo(5, _MEMO.steps)):
+            with pytest.raises(BudgetExceeded, match="^transition budget 5 exhausted$"):
+                step(fan, 0, steps)
+            assert list(steps) == [inner] and steps.built == 10
+        assert list(_MEMO.steps) == [inner, fan] and _MEMO.steps.misses == 2
+    finally:
+        _MEMO.clear()
 
 
 def test_unguarded_recursion_raises_and_caches_nothing():

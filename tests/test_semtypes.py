@@ -85,13 +85,29 @@ def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(mo
     verdicts = {(y, x): "distinguished", (z, x): "unknown"}
     monkeypatch.setattr("procreal.semtypes.failures_fingerprint", lambda t, budget: fingerprints[t])
     monkeypatch.setattr(
-        "procreal.semtypes.failures_verdict",
-        lambda p, q, budget: EquivResult(verdicts.get((p, q), "unknown")),
+        "procreal.semtypes.bounded_verdicts",
+        lambda p, qs, budget, depth: (EquivResult(verdicts.get((p, q), "unknown")) for q in qs),
     )
     assert partition([x, y, z], BUD).classes == ((x,), (y, z))
     # equal to no class, and undecided against one
     with pytest.raises(BudgetExceeded):
         partition([x, y, w], BUD)
+
+
+def test_classify_steps_a_partial_term_once_against_every_class(monkeypatch):
+    # the term's graph is partial, so each class is compared with it by
+    # the bounded route, which computes the term's failures once
+    term = parse_term("rec X. ({a}.(X [n1of3]) + {b}.0)")
+    reps = [parse_term(s) for s in ("0", "{a}.0", "{b}.0", "{c}.0", "{a}.{a}.0", "{b}.{b}.0")]
+    budget = ExplorationBudget(max_states=400)
+    stepped = []
+    run = equivalence.failures_bounded
+    monkeypatch.setattr(
+        equivalence, "failures_bounded", lambda t, depth, budget: stepped.append(t) or run(t, depth, budget)
+    )
+    _MEMO.clear()
+    assert classify(term, RepPER(tuple((rep,) for rep in reps)), budget) == Classification("no")
+    assert stepped == [term] + reps
 
 
 def test_the_class_index_explores_what_comparing_in_order_would(monkeypatch):
