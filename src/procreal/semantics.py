@@ -28,24 +28,27 @@ exponentially many successors, so without the second limit the first
 does not bound memory.  A partial graph records the limit that stopped
 it (`LTS.limit`).
 
-`_MEMO` keeps what explorations found, in two tiers, each least
-recently used first and bounded by a module constant.  Graphs are not
-kept: each `build_lts` call explores afresh, and returns a graph of its
-own.  The answer tier keeps, for up to ANSWERS terms, what callers asked
-of their graphs (a `diverges` verdict, a failures fingerprint), keyed by
-term and state budget; an answer holds no graph.  The step tier keeps
+`_MEMO` keeps what explorations found, in two tiers, each least recently
+used first and bounded by a module constant.  Graphs are not kept: each
+`build_lts` call explores afresh, and returns a graph of its own.  The
+answer tier keeps up to ANSWERS answers: what callers asked of a term's
+graph (a `diverges` verdict, a failures fingerprint), keyed by term and
+state budget, and what the semantic-type checks built from such answers
+(`semtypes.formula_to_type`'s types, keyed by formula, atom types, state
+budget, value domain and fuel, and `semtypes.total`'s verdicts, keyed by
+type and state budget); an answer holds no graph.  The step tier keeps
 what `step` found for a node, up to STEP_SUCCESSORS successors, so a
-node that many explorations meet has its transitions built once, as
-FDR3 builds a node's transitions once from its components'.  An
-exploration that finds a node there still steps its components and
-counts their successors as a fresh step would, so no graph, limit or
-error depends on what ran before.  Only `build_lts` reads and fills it:
+node that many explorations meet has its transitions built once, as FDR3
+builds a node's transitions once from its components'.  An exploration
+that finds a node there still steps its components and counts their
+successors as a fresh step would, so no graph, limit or error depends on
+what ran before.  Only `build_lts` reads and fills it:
 `equivalence.failures_bounded` stays a route of its own.  Each tier
 counts its hits, misses and evictions, and `_MEMO.clear()` empties both.
-Most explorations are a few states, so their cost is what each node
-pays for this bookkeeping: `step` reads the exploration's memo and the
-step tier, counts, and remembers in its own body, with one call of the
-tier's put on a miss.
+Most explorations are a few states, so their cost is what each node pays
+for this bookkeeping: `step` reads the exploration's memo and the step
+tier, counts, and remembers in its own body, with one call of the tier's
+put on a miss.
 
 `tau_closure` is the engine's one tau-closure, over any successor lookup
 (a graph's table, or the bounded failures route's step cache).
@@ -408,9 +411,11 @@ def _dot_escape(s: str) -> str:
 
 
 # Bound on the answers `_MEMO` keeps, by entry.  An answer holds no graph,
-# only a fingerprint or a verdict: a full `semtypes` run keeps about 1,100
-# (the fingerprints of 698 classified terms and the verdicts of 391 closed
-# `perp` compositions), whose graphs hold thousands of states.
+# only a fingerprint, a verdict or a semantic type (its representatives):
+# the 2,678 queries of a `--seconds 20` `semtypes` run (seed 101) keep
+# 1,424 and evict none: the fingerprints of 698 classified terms, the
+# verdicts of 391 closed `perp` compositions, 228 types and 107 totality
+# verdicts.  The graphs behind them hold thousands of states.
 ANSWERS = 2048
 
 
@@ -487,11 +492,12 @@ def _step_weight(kept) -> int:
 
 class _GraphMemo:
     """Two tiers (`_Tier`).  `answers` holds at most ANSWERS answers by
-    (question, term, state budget), and `shared` the one kept copy of each
-    value they hold (`share`).  `steps` holds, by node, what `step` found
-    for it (its pairs, or a recursion's unfolding), up to STEP_SUCCESSORS
-    successors; only `build_lts` reads and fills it.  `clear` empties them
-    all."""
+    (question, subject, state budget, ...): a term's `diverges` verdict or
+    failures fingerprint, a formula's semantic type, a type's totality
+    verdict.  `shared` holds the one kept copy of each fingerprint part
+    (`share`).  `steps` holds, by node, what `step` found for it (its
+    pairs, or a recursion's unfolding), up to STEP_SUCCESSORS successors;
+    only `build_lts` reads and fills it.  `clear` empties them all."""
 
     def __init__(self):
         self.answers = _Tier(lambda: ANSWERS, lambda answer: 1)

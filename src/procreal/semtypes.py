@@ -38,7 +38,7 @@ from .equivalence import (
     perp,
 )
 from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
-from .semantics import ExplorationBudget
+from .semantics import _MEMO, ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
 from .logic import (
     DUAL_CONNECTIVES,
@@ -354,36 +354,58 @@ def formula_to_type(
     fuel: int = 1,
 ) -> SemType:
     """The semantic type of `f`.  Atoms, tensor, with, of-course and forall
-    are built; each other connective is the dual of its de Morgan dual."""
+    are built; each other connective is the dual of its de Morgan dual.
+
+    The type is kept in the memo's answer tier, keyed by `f`, the types of
+    the atoms `f` mentions (in name order), the state budget, `values` and
+    `fuel`: nothing else enters the construction.  The recursion goes
+    through this function, so each subformula's type, and the type a dual
+    connective is the dual of, is kept too.  A type asked for again is the
+    kept object, whose class indices (`classify`) are already filled; a
+    construction that raises keeps nothing."""
+    atoms = tuple((ident, atom_types.get(ident)) for ident in sorted(_atom_idents(f)))
+    key = ("type", f, atoms, budget.max_states, values, fuel)
+    ty = _MEMO.answers.get(key)
+    if ty is not None:
+        return ty
     if isinstance(f, DUAL_CONNECTIVES):
-        return formula_to_type(negate(f), atom_types, budget, values, fuel).dual()
-    if isinstance(f, FAtom):
+        ty = formula_to_type(negate(f), atom_types, budget, values, fuel).dual()
+    elif isinstance(f, FAtom):
         if f.ident not in atom_types:
             raise ValueError(f"undeclared atom {f.ident!r} in a type")
         base = atom_types[f.ident]
-        return base if f.pos else base.dual()
-    if isinstance(f, FTensor):
-        return tensor_type(
+        ty = base if f.pos else base.dual()
+    elif isinstance(f, FTensor):
+        ty = tensor_type(
             formula_to_type(f.left, atom_types, budget, values, fuel),
             formula_to_type(f.right, atom_types, budget, values, fuel),
             budget,
         )
-    if isinstance(f, FWith):
-        return with_type(
+    elif isinstance(f, FWith):
+        ty = with_type(
             formula_to_type(f.left, atom_types, budget, values, fuel),
             formula_to_type(f.right, atom_types, budget, values, fuel),
         )
-    if isinstance(f, FBang):
-        return bang_type(formula_to_type(f.body, atom_types, budget, values, fuel), fuel, budget)
-    if isinstance(f, FForall):
+    elif isinstance(f, FBang):
+        ty = bang_type(formula_to_type(f.body, atom_types, budget, values, fuel), fuel, budget)
+    elif isinstance(f, FForall):
         family = {
             v: formula_to_type(subst_value_formula(f.body, f.var, v), atom_types, budget, values, fuel)
             for v in values
         }
         if not family:
             raise ValueError("quantified type needs a declared value domain")
-        return forall_v_type(family)
-    raise TypeError(f"not a formula: {f!r}")
+        ty = forall_v_type(family)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return _MEMO.answers.put(key, ty)
+
+
+def _atom_idents(f: Formula) -> frozenset:
+    """The identifiers of the atoms `f` mentions."""
+    if isinstance(f, FAtom):
+        return frozenset([f.ident])
+    return frozenset().union(*(_atom_idents(getattr(f, n)) for n in getattr(f, "formula_names", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +464,8 @@ def _class_map(classes, image, per: RepPER, budget, where: str, outside: str, on
         landed = set()
         for member in cls:
             c = classify(image(member), per, budget)
-            if c.verdict == "unknown":
-                return MorphismResult("unknown", witness=f"{name}: budget exhausted during classification")
+            if c.verdict == "unknown":  # the detail says what left it undecided
+                return MorphismResult("unknown", witness=f"{name}: {c.detail}")
             if c.verdict == "no":
                 return MorphismResult("no", witness=outside.format(name))
             landed.add(c.index)
@@ -489,22 +511,32 @@ def projection_realizer(t: SemType, which: str) -> Term:
 # Totality and inhabitation
 
 
-@dataclass
+@dataclass(frozen=True)
 class TotalityResult:
     verdict: str  # "yes" | "no" | "unknown"
     witness: Optional[tuple] = None  # (pos rep, neg rep) printed forms
 
 
 def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> TotalityResult:
+    """Whether every positive representative of `t` converges with every
+    negative one (`perp`): "no" with the first pair, in class order, that
+    does not; else "unknown" when some pair is undecided; else "yes".  The
+    result is kept in the memo's answer tier by type and state budget, and
+    types compare by value, so a type equal to one already checked is
+    answered with the kept result and decides no `perp`."""
+    key = ("total", t, budget.max_states)
+    res = _MEMO.answers.get(key)
+    if res is not None:
+        return res
     saw_unknown = False
     for p in t.pos.reps():
         for n in t.neg.reps():
             out = perp(p, n, budget)
             if out == "no":
-                return TotalityResult("no", (print_term(p), print_term(n)))
+                return _MEMO.answers.put(key, TotalityResult("no", (print_term(p), print_term(n))))
             if out == "unknown":
                 saw_unknown = True
-    return TotalityResult("unknown" if saw_unknown else "yes")
+    return _MEMO.answers.put(key, TotalityResult("unknown" if saw_unknown else "yes"))
 
 
 def inhabited(t: SemType) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from golden_lines import fresh_lines, golden_lines
 
 from procreal import equivalence, semantics
-from procreal.combinators import bang, identity_wire, pairing, tensor
+from procreal.combinators import bang, identity_wire, lapp, pairing, tensor
 from procreal.equivalence import INCOMPLETE, BudgetExceeded, EquivResult, failures_equiv, perp
 from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
@@ -409,16 +410,23 @@ def test_morphism_extensionality_across_members():
     assert res.verdict == "morphism"
 
 
+def _record_explorations(monkeypatch) -> list:
+    """The arguments of every exploration made from here on: each graph
+    `build_lts` builds and each term `failures_bounded` steps."""
+    explored = []
+    for module, name in ((equivalence, "build_lts"), (semantics, "build_lts"), (equivalence, "failures_bounded")):
+        run = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, run=run: explored.append(args) or run(*args))
+    return explored
+
+
 def test_the_category_instance_checked_again_explores_nothing(monkeypatch):
     # its laws are decided from the fingerprints and verdicts the answer
     # memo keeps
     budget = ExplorationBudget(max_states=4000)
     _MEMO.clear()
     first = product_suite(budget)
-    explored = []
-    for module, name in ((equivalence, "build_lts"), (semantics, "build_lts"), (equivalence, "failures_bounded")):
-        run = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, run=run: explored.append(args) or run(*args))
+    explored = _record_explorations(monkeypatch)
     assert product_suite(budget) == first and first["ok"]
     assert explored == []
     _MEMO.clear()
@@ -443,6 +451,74 @@ def test_formula_to_type_names_undeclared_atom():
 def test_formula_to_type_matches_golden():
     # captured before the dual connectives were typed as duals
     assert fresh_lines("formula_types") == golden_lines("formula_types")
+
+
+def test_a_type_asked_for_again_explores_nothing(monkeypatch):
+    # the type and its totality verdict are kept in the answer memo
+    types = {"a": TA, "b": TB}
+    f = parse_formula("!(a&~b)")
+    _MEMO.clear()
+    ty = formula_to_type(f, types, BUD)
+    verdict = total(ty, BUD)
+    assert verdict.verdict == "yes"
+    explored = _record_explorations(monkeypatch)
+    assert formula_to_type(f, dict(types), BUD) is ty
+    assert total(ty, BUD) is verdict
+    # types compare by value
+    assert total(SemType(ty.pos, ty.neg, ty.interface), BUD) is verdict
+    assert explored == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.verdict = "no"
+    _MEMO.clear()
+    again = formula_to_type(f, types, BUD)
+    assert again is not ty and again == ty
+    assert explored
+    assert total(again, BUD) == verdict
+    _MEMO.clear()
+
+
+def test_a_type_is_kept_under_everything_its_construction_reads():
+    tc = atom_type("c")
+    f = parse_formula("(forall x. a(x)) & !b")
+    types = {"a": TA, "b": TB, "c": tc}
+    _MEMO.clear()
+    ty = formula_to_type(f, types, BUD, (0, 1), 1)
+    # an atom the formula does not mention does not enter the key
+    assert formula_to_type(f, dict(types, c=TA), BUD, (0, 1), 1) is ty
+    changes = (
+        (dict(types, b=tc), BUD, (0, 1), 1),  # a mentioned atom's type
+        (types, BUD, (0, 1), 0),  # fuel
+        (types, BUD, (0,), 1),  # the value domain
+        (types, ExplorationBudget(max_states=2000), (0, 1), 1),  # the state budget
+    )
+    for args in changes:
+        changed = formula_to_type(f, *args)
+        assert changed is not ty
+        _MEMO.clear()
+        assert formula_to_type(f, *args) == changed
+        ty = formula_to_type(f, types, BUD, (0, 1), 1)
+    # an undeclared atom raises every time, and nothing that mentions it is kept
+    undeclared = parse_formula("a*(b@~d)")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="undeclared atom 'd'"):
+            formula_to_type(undeclared, types, BUD)
+    assert not [key for key in _MEMO.answers if key[0] == "type" and "d" in dict(key[2])]
+    _MEMO.clear()
+
+
+def test_an_undecided_morphism_check_names_what_stopped_the_classification():
+    a = REGISTRY.intern("a")
+    wire = identity_wire(frozenset([a]))
+    budget = ExplorationBudget(max_states=60)
+    for pos, detail in (
+        ("rec X. {a}.(X | 0)", "bounded agreement to depth 6"),
+        ("bang({a}.0)", "budget exhausted: state budget 60 exhausted"),
+    ):
+        t = SemType(RepPER(((parse_term(pos),),)), TA.neg, frozenset([a]))
+        image = classify(lapp(t.pos.classes[0][0], wire), t.pos, budget)
+        assert (image.verdict, image.detail) == ("unknown", detail)
+        res = is_morphism(wire, t, t, budget)
+        assert (res.verdict, res.witness) == ("unknown", f"source class 0: {detail}")
 
 
 def test_forall_v_type_clauses():
