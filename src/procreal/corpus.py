@@ -1,6 +1,8 @@
 """Shipped regression corpus: proofs covering every implemented
-cut-elimination step kind.  The named combinator-law exercise suites
-that the command line runs live in `exercises.py`.
+cut-elimination step kind, and the expanded identities (`eta_proof`) over
+the small formulas of `eta_formulas`, whose cuts against themselves reach
+the commuting conversions.  The named combinator-law exercise suites that
+the command line runs live in `exercises.py`.
 
 Promotions in the corpus carry empty ?-contexts except where the
 consumer signals (dereliction): the discard signal carries no handshake,
@@ -10,6 +12,7 @@ so a discarded promotion cannot relay the discard to a nonempty context.
 from __future__ import annotations
 
 from .logic import (
+    DUAL_CONNECTIVES,
     FAtom,
     FBang,
     FExists,
@@ -19,6 +22,7 @@ from .logic import (
     FQuest,
     FTensor,
     FWith,
+    Formula,
     PAxiom,
     PContr,
     PCut,
@@ -33,6 +37,7 @@ from .logic import (
     PTensorR,
     PWeak,
     PWithR,
+    Proof,
     negate,
 )
 
@@ -276,3 +281,41 @@ def corpus_proofs() -> dict:
         expect_kinds={"push-right-weak"},
     )
     return proofs
+
+
+def eta_proof(f: Formula) -> Proof:
+    """The expanded identity on `f`: a proof of |- ~f, f whose axioms are
+    on positive atoms only.  A tensor, with or bang is introduced last; a
+    negated atom, par, plus or why-not takes the proof of its dual with
+    the two formulas exchanged.  Quantifiers are not covered."""
+    if isinstance(f, DUAL_CONNECTIVES) or (isinstance(f, FAtom) and not f.pos):
+        return PExchange((1, 0), eta_proof(negate(f)))
+    if isinstance(f, FAtom):
+        return PAxiom(f)
+    if isinstance(f, FTensor):  # |- ~l@~r, l*r from |- l*r, ~l, ~r
+        pair = PTensorR(eta_proof(f.left), eta_proof(f.right))
+        return PExchange((1, 0), PParR(PExchange((2, 0, 1), pair)))
+    if isinstance(f, FWith):  # each branch |- ~l(+)~r, l or r
+        left = PPlusR1(PExchange((1, 0), eta_proof(f.left)), negate(f.right))
+        right = PPlusR2(PExchange((1, 0), eta_proof(f.right)), negate(f.left))
+        return PWithR(PExchange((1, 0), left), PExchange((1, 0), right))
+    if isinstance(f, FBang):  # promote |- ?~b, b
+        return PProm(PExchange((1, 0), PDerel(PExchange((1, 0), eta_proof(f.body)))))
+    raise ValueError(f"no expanded identity on {f!r}")
+
+
+def eta_formulas() -> list:
+    """The 903 formulas with one to three leaves, each `a`, `b` or `~a`,
+    joined by `*`, `@`, `&` and `(+)`: by leaf count, then by the split
+    into left and right leaves, the connective, the left and the right
+    subformula."""
+    by_leaves = {1: [A, B, NA]}
+    for n in (2, 3):
+        by_leaves[n] = [
+            cls(left, right)
+            for k in range(1, n)
+            for cls in (FTensor, FPar, FWith, FPlus)
+            for left in by_leaves[k]
+            for right in by_leaves[n - k]
+        ]
+    return [f for n in (1, 2, 3) for f in by_leaves[n]]

@@ -5,9 +5,10 @@ Conventions: sequents are ordered tuples; every introduction rule places
 its principal formula last; a cut node records the positions of the cut
 formula in both premises (-1 meaning last).  With those conventions the
 permutation bookkeeping of cut elimination stays mechanical: principal
-steps fire when both positions are the introduced last formulas,
-exchange premises are stripped one layer at a time, and a cut at a
-non-principal position pushes through the premise's last rule.
+steps fire when both positions are the introduced last formulas, and
+every other step is one commuting conversion (`_commute`), which moves
+the cut above a premise's last rule or exchange using that rule's one
+description of where its conclusion's formulas come from (`_sources`).
 """
 
 from __future__ import annotations
@@ -525,79 +526,132 @@ class NotReducible(Exception):
     pass
 
 
-def _exchange_to(proof: Proof, length: int, order: list) -> Proof:
-    if list(order) == list(range(length)):
+def _exchange_to(proof: Proof, order: list) -> Proof:
+    """`proof` under the exchange to `order`, or as it is for the identity."""
+    if list(order) == list(range(len(order))):
         return proof
     return PExchange(tuple(order), proof)
 
 
-def _intro_arity(p: Proof) -> Optional[int]:
-    """Number of trailing formulas of each premise consumed by the last
-    rule when it introduces one formula at the end; None when not of that
-    shape."""
-    if isinstance(p, (PParR, PContr)):
-        return 2
-    if isinstance(p, (PDerel, PForallR, PExistsR, PPlusR1, PPlusR2, PWithR)):
-        return 1
-    if isinstance(p, PWeak):
-        return 0
-    return None
-
-
 def reduce_cut(cut: PCut) -> tuple:
     """One standard cut-elimination step at this node: the reduced proof
-    and the kind of step performed."""
+    and the kind of step performed.  In order: an axiom premise is cut
+    away (`axiom-left`, `axiom-right`); an exchange premise is folded into
+    an exchange below the cut (`exchange-left`, `exchange-right`); two
+    premises that both introduce the cut formula reduce principally
+    (`tensor-par`, `prom-weak`, ...); else the cut commutes with the last
+    rule of its left premise, or of its right one, when that rule does
+    not introduce the cut formula (`push-left-withr`, `push-right-weak`,
+    ...).  Raises NotReducible when none applies."""
     ls = conclusion(cut.left)
     rs = conclusion(cut.right)
     i = _resolve(cut.pos_left, len(ls))
     j = _resolve(cut.pos_right, len(rs))
-    target = ls[:i] + ls[i + 1 :] + rs[:j] + rs[j + 1 :]
     left, right = cut.left, cut.right
 
     # axiom cuts
     if isinstance(left, PAxiom):
         # leftover formula of the axiom goes to the front of the result
         order = [j] + [k for k in range(len(rs)) if k != j]
-        return _exchange_to(right, len(rs), order), "axiom-left"
+        return _exchange_to(right, order), "axiom-left"
     if isinstance(right, PAxiom):
         order = [k for k in range(len(ls)) if k != i] + [i]
-        return _exchange_to(left, len(ls), order), "axiom-right"
+        return _exchange_to(left, order), "axiom-right"
 
-    # strip exchanges
-    if isinstance(left, PExchange):
-        i2 = left.perm[i]
-        new_cut = PCut(cut.formula, left.premise, right, i2, j)
-        # order of the new conclusion: (inner minus i2) ++ (rs minus j)
-        order = [m - (m > i2) for k, m in enumerate(left.perm) if k != i]
-        order += range(len(ls) - 1, len(target))
-        return _exchange_to(new_cut, len(target), order), "exchange-left"
-    if isinstance(right, PExchange):
-        j2 = right.perm[j]
-        new_cut = PCut(cut.formula, left, right.premise, i, j2)
-        order = list(range(len(ls) - 1))
-        order += [len(ls) - 1 + m - (m > j2) for k, m in enumerate(right.perm) if k != j]
-        return _exchange_to(new_cut, len(target), order), "exchange-right"
+    for side, premise in enumerate((left, right)):
+        if isinstance(premise, PExchange):
+            return _commute(cut, side)
 
     left_principal = i == len(ls) - 1
     right_principal = j == len(rs) - 1
-
     if left_principal and right_principal:
         step = _principal(cut, left, right)
         if step is not None:
             return step
-
-    if not left_principal:
-        step = _push_left(cut, ls, rs, i, j)
-        if step is not None:
-            return step
-    if not right_principal:
-        step = _push_right(cut, ls, rs, i, j)
+    for side, principal in enumerate((left_principal, right_principal)):
+        step = None if principal else _commute(cut, side)
         if step is not None:
             return step
     raise NotReducible(
         f"no reduction for cut on {print_formula(cut.formula)} "
         f"(left {type(left).__name__}, right {type(right).__name__})"
     )
+
+
+# The number of trailing formulas of each premise that a rule consumes to
+# build its principal formula, which it places last.  The rest of each
+# premise is the conclusion's context, in premise order; a with's two
+# premises share theirs.  A cut commutes with these rules and with an
+# exchange, and with no other.
+_TAIL = {
+    PParR: 2, PContr: 2, PTensorR: 1, PWithR: 1, PPlusR1: 1, PPlusR2: 1,
+    PDerel: 1, PForallR: 1, PExistsR: 1, PWeak: 0,
+}
+
+
+def _sources(p: Proof, lengths: list) -> Optional[list]:
+    """Where each formula of `p`'s conclusion comes from, given the
+    lengths of its premises' conclusions: a tuple of (premise, position)
+    pairs, or () for the principal formula; None for a rule that no cut
+    commutes with."""
+    if isinstance(p, PExchange):
+        return [((0, k),) for k in p.perm]
+    tail = _TAIL.get(type(p))
+    if tail is None:
+        return None
+    if isinstance(p, PWithR):
+        return [((0, k), (1, k)) for k in range(lengths[0] - tail)] + [()]
+    return [((n, k),) for n, size in enumerate(lengths) for k in range(size - tail)] + [()]
+
+
+def _commute(cut: PCut, side: int) -> Optional[tuple]:
+    """Commutes `cut` with the last rule of its premise on `side` (0 for
+    left), whose conclusion holds the cut formula at a position that is
+    not the rule's principal formula: the cut goes into every premise of
+    the rule that holds the formula (both of a with's), each premise cut
+    is exchanged to end with the premise's tail, and the rule is applied
+    again; an exchange is not, its permutation going into the final one.
+    A last exchange, from the `_sources` of the two rules, restores the
+    order of the cut's conclusion.  None when `_sources` has none."""
+    node = (cut.left, cut.right)[side]
+    lengths = [len(conclusion(q)) for q in node.premises()]
+    sources = _sources(node, lengths)
+    if sources is None:
+        return None
+    ends = (conclusion(cut.left), conclusion(cut.right))
+    at = [_resolve(cut.pos_left, len(ends[0])), _resolve(cut.pos_right, len(ends[1]))]
+
+    def place(end: int, k: int) -> int:
+        """The position of `ends[end][k]` in the cut's conclusion."""
+        return k - (k > at[end]) + (len(ends[0]) - 1 if end else 0)
+
+    # each premise formula's place in the cut's conclusion; None for a tail
+    places = [[None] * size for size in lengths]
+    for x, pairs in enumerate(sources):
+        for n, k in pairs:
+            places[n][k] = place(side, x)
+    others = [place(1 - side, k) for k in range(len(ends[1 - side])) if k != at[1 - side]]
+    premises = list(node.premises())
+    for n, k in sources[at[side]]:
+        ours = places[n][:k] + places[n][k + 1 :]
+        if side == 0:
+            premise, new = PCut(cut.formula, premises[n], cut.right, k, at[1]), ours + others
+        else:
+            premise, new = PCut(cut.formula, cut.left, premises[n], at[0], k), others + ours
+        order = sorted(range(len(new)), key=lambda y: new[y] is None)  # the tail last
+        premises[n] = _exchange_to(premise, order)
+        places[n] = [new[y] for y in order]
+
+    name = ("left", "right")[side]
+    if isinstance(node, PExchange):
+        out, kind, out_places = premises[0], f"exchange-{name}", places[0]
+    else:
+        out = node.with_premises(tuple(premises))
+        kind = f"push-{name}-{type(node).__name__[1:].lower()}"
+        principal = place(side, len(sources) - 1)
+        out_places = [places[pairs[0][0]][pairs[0][1]] if pairs else principal
+                      for pairs in _sources(out, [len(ps) for ps in places])]
+    return _exchange_to(out, [out_places.index(x) for x in range(len(out_places))]), kind
 
 
 def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
@@ -610,7 +664,7 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         inner = PCut(a, p1, p3, len(s1) - 1, len(s3) - 2)
         outer = PCut(b, p2, inner, len(s2) - 1, -1)
         order = list(range(g2, g2 + g1)) + list(range(g2)) + list(range(g1 + g2, g1 + g2 + d))
-        return _exchange_to(outer, g1 + g2 + d, order), "tensor-par"
+        return _exchange_to(outer, order), "tensor-par"
 
     if isinstance(left, PParR) and isinstance(right, PTensorR):
         p1, p2, p3 = left.premise, right.left, right.right
@@ -621,7 +675,7 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         c2 = PCut(a, c1, p2, g, len(s2) - 1)
         # c2 concludes Γ ++ Δ2 ++ Δ1; target is Γ ++ Δ1 ++ Δ2
         order = list(range(g)) + list(range(g + d2, g + d2 + d1)) + list(range(g, g + d2))
-        return _exchange_to(c2, g + d1 + d2, order), "par-tensor"
+        return _exchange_to(c2, order), "par-tensor"
 
     if isinstance(left, PWithR) and isinstance(right, PPlusR1):
         return PCut(conclusion(left.left)[-1], left.left, right.premise, -1, -1), "with-plus1"
@@ -640,7 +694,7 @@ def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
         d = len(conclusion(right.premise))
         m = len(context)
         order = list(range(d, d + m)) + list(range(d))
-        return _exchange_to(out, d + m, order), "prom-weak"
+        return _exchange_to(out, order), "prom-weak"
     if isinstance(left, PWeak) and isinstance(right, PProm):
         context = conclusion(right.premise)[:-1]
         out = left.premise
@@ -696,7 +750,7 @@ def _contract_pairs(proof: Proof, m: int, rest: int, context_first: bool) -> Pro
         p1 = slots.index(("a", k))
         p2 = slots.index(("b", k))
         order = [x for x in range(len(slots)) if x not in (p1, p2)] + [p1, p2]
-        out = _exchange_to(out, len(slots), order)
+        out = _exchange_to(out, order)
         slots = [slots[x] for x in order]
         out = PContr(out)
         slots = slots[:-2] + [("a", k)]
@@ -705,86 +759,7 @@ def _contract_pairs(proof: Proof, m: int, rest: int, context_first: bool) -> Pro
         order = list(range(rest, rest + m)) + list(range(rest))
     else:
         order = list(range(len(slots)))
-    return _exchange_to(out, len(slots), order)
-
-
-def _push_left(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
-    left, right = cut.left, cut.right
-    dlen = len(rs) - 1
-    arity = _intro_arity(left)
-    if arity is not None:
-        gg = len(ls) - 1
-        # each premise cut: (Γ minus i) ++ tail ++ Δ'; move the tail to the end
-        order = (
-            list(range(gg - 1))
-            + list(range(gg - 1 + arity, gg - 1 + arity + dlen))
-            + list(range(gg - 1, gg - 1 + arity))
-        )
-        reapplied = left.with_premises(tuple(
-            _exchange_to(PCut(cut.formula, prem, right, i, j), gg - 1 + arity + dlen, order)
-            for prem in left.premises()
-        ))
-        # reapplied: (Γ minus i) ++ Δ' ++ intro; target wants intro before Δ'
-        order2 = list(range(gg - 1)) + [gg - 1 + dlen] + list(range(gg - 1, gg - 1 + dlen))
-        return _exchange_to(reapplied, gg + dlen, order2), f"push-left-{type(left).__name__[1:].lower()}"
-    if isinstance(left, PTensorR):
-        g1, g2 = len(conclusion(left.left)) - 1, len(conclusion(left.right)) - 1
-        if i < g1:
-            inner = PCut(cut.formula, left.left, right, i, j)
-            # (Γ1 minus i) ++ [A] ++ Δ'; move A to the end
-            order = list(range(g1 - 1)) + list(range(g1, g1 + dlen)) + [g1 - 1]
-            moved = _exchange_to(inner, g1 + dlen, order)
-            reapplied = PTensorR(moved, left.right)
-            # (Γ1-i) ++ Δ' ++ Γ2 ++ [AxB]; target (Γ1-i) ++ Γ2 ++ [AxB] ++ Δ'
-            n = g1 - 1 + dlen + g2 + 1
-            order2 = (
-                list(range(g1 - 1))
-                + list(range(g1 - 1 + dlen, g1 - 1 + dlen + g2 + 1))
-                + list(range(g1 - 1, g1 - 1 + dlen))
-            )
-            return _exchange_to(reapplied, n, order2), "push-left-tensorr"
-        if g1 <= i < g1 + g2:
-            i2 = i - g1
-            inner = PCut(cut.formula, left.right, right, i2, j)
-            order = list(range(g2 - 1)) + list(range(g2, g2 + dlen)) + [g2 - 1]
-            moved = _exchange_to(inner, g2 + dlen, order)
-            reapplied = PTensorR(left.left, moved)
-            # Γ1 ++ (Γ2-i) ++ Δ' ++ [AxB]; target Γ1 ++ (Γ2-i) ++ [AxB] ++ Δ'
-            n = g1 + g2 - 1 + dlen + 1
-            order2 = (
-                list(range(g1 + g2 - 1))
-                + [n - 1]
-                + list(range(g1 + g2 - 1, n - 1))
-            )
-            return _exchange_to(reapplied, n, order2), "push-left-tensorr"
-    return None
-
-
-def _push_right(cut: PCut, ls, rs, i: int, j: int) -> Optional[Proof]:
-    left, right = cut.left, cut.right
-    glen = len(ls) - 1
-    arity = _intro_arity(right)
-    if arity is not None:
-        # each premise cut: Γ' ++ (Θ minus j) ++ tail, tail already last
-        premises = tuple(PCut(cut.formula, left, prem, i, j) for prem in right.premises())
-        return right.with_premises(premises), f"push-right-{type(right).__name__[1:].lower()}"
-    if isinstance(right, PTensorR):
-        d1, d2 = len(conclusion(right.left)) - 1, len(conclusion(right.right)) - 1
-        if j < d1:
-            inner = PCut(cut.formula, left, right.left, i, j)
-            return PTensorR(inner, right.right), "push-right-tensorr"
-        if d1 <= j < d1 + d2:
-            inner = PCut(cut.formula, left, right.right, i, j - d1)
-            reapplied = PTensorR(right.left, inner)
-            # Δ1 ++ Γ' ++ (Δ2-j) ++ [AxB]; target Γ' ++ Δ1 ++ (Δ2-j) ++ [AxB]
-            n = d1 + glen + d2 - 1 + 1
-            order = (
-                list(range(d1, d1 + glen))
-                + list(range(d1))
-                + list(range(d1 + glen, n))
-            )
-            return _exchange_to(reapplied, n, order), "push-right-tensorr"
-    return None
+    return _exchange_to(out, order)
 
 
 # ---------------------------------------------------------------------------
@@ -930,13 +905,19 @@ def proof_to_json(p: Proof) -> dict:
 
 def proof_from_json(data) -> Proof:
     """Decodes `proof_to_json` output; raises ValueError naming the rule
-    on a malformed node."""
+    on a malformed node, including one with a key that is not "rule",
+    "premises" or one of the rule's side fields."""
     if not isinstance(data, dict):
         raise ValueError(f"proof node must be a JSON object, found {reprlib.repr(data)}")
     rule = data.get("rule")
     cls = _RULES.get(rule) if isinstance(rule, str) else None
     if cls is None:
         raise ValueError(f"unknown proof rule {rule!r}")
+    side = [f for f in fields(cls) if f.type != "Proof"]
+    known = {"rule", "premises", *(f.name for f in side)}
+    unknown = [key for key in data if key not in known]  # in file order
+    if unknown:
+        raise ValueError(f"proof rule {rule!r} has no field {reprlib.repr(unknown[0])}")
     premises = data.get("premises", [])
     if not isinstance(premises, list) or len(premises) != len(cls.premise_names):
         raise ValueError(
@@ -944,9 +925,7 @@ def proof_from_json(data) -> Proof:
             f"found {reprlib.repr(premises)}"
         )
     kwargs = {name: proof_from_json(q) for name, q in zip(cls.premise_names, premises)}
-    for f in fields(cls):
-        if f.name in kwargs:
-            continue
+    for f in side:
         if f.name not in data:
             if f.default is MISSING:
                 raise ValueError(f"proof rule {rule!r} needs field {f.name!r}")

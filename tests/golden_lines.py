@@ -11,10 +11,16 @@ registry, so the lines are computed in a fresh interpreter:
     PYTHONPATH=src python tests/golden_lines.py corpus_realizers
     PYTHONPATH=src python tests/golden_lines.py lts_exports
     PYTHONPATH=src python tests/golden_lines.py explorations
+
+The cut-elimination trails read no registry, so their test computes them
+in its own interpreter; they are written with
+
+    PYTHONPATH=src python tests/golden_lines.py eta_trails > tests/golden/eta_trails.txt
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -27,7 +33,7 @@ from procreal.corpus import corpus_proofs
 from procreal.exercises import atom_type, pairing_counterexample
 from procreal.extraction import extract, formula_wire
 from procreal.generators import random_term
-from procreal.logic import PAxiom, PCut, cut_eliminate, parse_formula
+from procreal.logic import PAxiom, PCut, cut_eliminate, parse_formula, proof_to_json
 from procreal.names import ALL_LABELS, REGISTRY, action_key, l_code, print_name, r_code
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget, build_lts
@@ -155,6 +161,23 @@ def explorations() -> list:
     return lines
 
 
+def trail_line(name: str, res) -> str:
+    """One line of `eta_trails`: the status, step count and step kinds of
+    the `cut_eliminate` result `res` kept with its trail, and a sha256 of
+    the trail's JSON."""
+    trail = json.dumps([proof_to_json(p) for p in res.trail])
+    digest = hashlib.sha256(trail.encode("utf-8")).hexdigest()
+    return f"{name} | {res.status} {res.steps} | {' '.join(res.kinds)} | {digest}"
+
+
+def eta_trails() -> list:
+    """The trail of each cut of `test_logic.eta_cuts`: the eta cuts, then
+    one hand-built cut per commuting conversion they miss."""
+    from test_logic import eta_cuts  # which imports this module
+
+    return [trail_line(name, cut_eliminate(cut, keep_trail=True)) for name, cut in eta_cuts()]
+
+
 def fresh_lines(which: str) -> list:
     proc = subprocess.run(
         [sys.executable, __file__, which],
@@ -174,5 +197,6 @@ if __name__ == "__main__":
         "corpus_realizers": corpus_realizers,
         "lts_exports": lts_exports,
         "explorations": explorations,
+        "eta_trails": eta_trails,
     }
     print("\n".join(goldens[sys.argv[1]]()))

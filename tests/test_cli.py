@@ -328,6 +328,14 @@ def _run(argv, contents, files):
         pytest.param(*_proof("extract", {"rule": "exchange", "perm": 5, "premises": [AXIOM]}),
                      id="ill-typed-perm"),
         pytest.param(*_proof("extract", {"rule": "lemma"}), id="unknown-rule"),
+        pytest.param(*_proof("verify-cut", {"rule": "cut", "formula": "?a", "pos_lft": 2,
+                                            "pos_right": 1, "premises": [
+            {"rule": "weakening", "formula": "a", "premises": [
+                {"rule": "weakening", "formula": "a", "premises": [
+                    {"rule": "axiom", "formula": "b"}]}]},
+            {"rule": "promotion", "premises": [{"rule": "exchange", "perm": [1, 0], "premises": [
+                {"rule": "dereliction", "premises": [AXIOM]}]}]},
+        ]}), id="misspelt-field"),
         pytest.param(*_check_type(TYPE_ENV, "a*"), id="bad-formula-check-type"),
         pytest.param(*_check_type({"atoms": {"a": {"pos": ["{a}.0"]}}}), id="atom-without-neg"),
         pytest.param(*_check_type(TYPE_ENV, "a*zz"), id="undeclared-atom"),

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from procreal.corpus import corpus_proofs
+from golden_lines import golden_lines, trail_line
+from procreal.corpus import corpus_proofs, eta_formulas, eta_proof
 from procreal.logic import (
     FAtom,
     FBang,
@@ -18,11 +19,16 @@ from procreal.logic import (
     FWith,
     RULE_NAMES,
     PAxiom,
+    PContr,
     PCut,
+    PDerel,
     PExchange,
+    PExistsR,
     PForallR,
     PParR,
+    PProm,
     PTensorR,
+    PWeak,
     Proof,
     _check_rule,
     check_proof,
@@ -285,6 +291,17 @@ def test_proof_json_matches_golden():
 AXIOM_JSON = {"rule": "axiom", "formula": "a"}
 
 
+def _misspelt_cut() -> dict:
+    """The cut of ?a in |- ~b, b, ?a, ?a (at 2) against |- ?a, !~a, as JSON
+    with `pos_left` spelt `pos_lft`: read as the default -1, it would be
+    another valid cut, whose first step is no longer `push-left-weak`."""
+    left = PWeak(A, PWeak(A, PAxiom(B)))
+    right = PProm(PExchange((1, 0), PDerel(PAxiom(A))))
+    data = proof_to_json(PCut(FQuest(A), left, right, 2, 1))
+    data["pos_lft"] = data.pop("pos_left")
+    return data
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -297,6 +314,11 @@ AXIOM_JSON = {"rule": "axiom", "formula": "a"}
         ({"rule": "exchange", "perm": 5, "premises": [AXIOM_JSON]}, "'exchange'"),
         ({"rule": "exists", "value": "1", "formula": "exists x. a", "premises": [AXIOM_JSON]},
          "'exists'"),
+        ({"rule": "axiom", "formula": "a", "formulas": "b"}, "'axiom' has no field 'formulas'"),
+        ({"rule": "par", "premise": AXIOM_JSON}, "'par' has no field 'premise'"),
+        ({"rule": "par", "premises": [dict(AXIOM_JSON, pos_left=0)]},
+         "'axiom' has no field 'pos_left'"),
+        (_misspelt_cut(), "'cut' has no field 'pos_lft'"),
     ],
 )
 def test_proof_from_json_refuses_malformed_nodes(data, message):
@@ -342,3 +364,76 @@ def test_subst_value_proof_on_every_rule():
         assert subst_value_proof(before, "y", 2) == y_done
     shielded = PForallR("x", PAxiom(FAtom("p", True, ("x",))))
     assert subst_value_proof(shielded, "x", 1) == shielded
+
+
+# |- a*~a, ~a, a: the compound cut formula comes first, so no end of a cut
+# on it is an axiom or an exchange
+_CONTEXT = PExchange((2, 0, 1), PTensorR(PAxiom(A), PAxiom(negate(A))))
+_DUAL = PParR(PAxiom(A))  # |- ~a@a
+# the rules whose commuting conversions no eta cut reaches, over _CONTEXT
+_OVER_CONTEXT = {
+    "derel": PDerel(_CONTEXT),
+    "contr": PContr(PWeak(B, PWeak(B, _CONTEXT))),
+    "forallr": PForallR("x", _CONTEXT),
+    "existsr": PExistsR(0, FExists("x", A), _CONTEXT),
+}
+
+
+def eta_cuts() -> list:
+    """(name, cut) of each cut whose trail `tests/golden/eta_trails.txt`
+    pins: the cut of each expanded identity against itself, named by its
+    formula, then a cut on the first formula of each proof of
+    `_OVER_CONTEXT`, named by the push its first step takes."""
+    cuts = []
+    for f in eta_formulas():
+        eta = eta_proof(f)
+        cuts.append((print_formula(f), PCut(f, eta, eta, 1, 0)))
+    for rule, proof in _OVER_CONTEXT.items():
+        cuts.append((f"push-left-{rule}", PCut(FTensor(A, negate(A)), proof, _DUAL, 0, -1)))
+        cuts.append((f"push-right-{rule}", PCut(FPar(negate(A), A), _DUAL, proof, -1, 0)))
+    return cuts
+
+
+def test_eta_proof_proves_the_expanded_identity():
+    formulas = eta_formulas()
+    assert len(formulas) == len(set(formulas)) == 903
+    for f in formulas + [parse_formula(t) for t in ("!a", "?a", "!(a*b)", "!a*?b")]:
+        proof = eta_proof(f)
+        assert conclusion(proof) == (negate(f), f)
+        assert not has_cut(proof)
+    with pytest.raises(ValueError):
+        eta_proof(FForall("x", A))
+
+
+PUSHED = ("parr", "contr", "derel", "forallr", "existsr", "plusr1", "plusr2", "withr", "weak",
+          "tensorr")
+
+
+def test_eta_trails_match_golden(monkeypatch):
+    # every step checks and keeps the conclusion; every commuting
+    # conversion occurs, a tensor's on each premise, on each side
+    tensor_premises = set()
+
+    def recording(cut):
+        reduced, kind = reduce_cut(cut)
+        if kind.endswith("tensorr"):
+            left = kind.startswith("push-left")
+            tensor, pos = (cut.left, cut.pos_left) if left else (cut.right, cut.pos_right)
+            tensor_premises.add((kind, pos >= len(conclusion(tensor.left)) - 1))
+        return reduced, kind
+
+    monkeypatch.setattr("procreal.logic.reduce_cut", recording)
+    lines, kinds = [], set()
+    for name, cut in eta_cuts():
+        res = cut_eliminate(cut, keep_trail=True)
+        assert res.status == "done", name
+        target = conclusion(cut)
+        for proof in res.trail:
+            assert check_proof(proof).sequent == target, name
+        kinds |= set(res.kinds)
+        lines.append(trail_line(name, res))
+    assert lines == golden_lines("eta_trails")
+    pushes = {f"push-{side}-{rule}" for side in ("left", "right") for rule in PUSHED}
+    assert pushes | {"exchange-left", "exchange-right"} <= kinds
+    assert tensor_premises == {(f"push-{side}-tensorr", second)
+                               for side in ("left", "right") for second in (False, True)}
