@@ -8,17 +8,16 @@ family, so failures equivalence is map equality.
 
 Two routes reach failures.  `normal_form` determinises a complete graph
 from `build_lts`, as in Roscoe's *Model-checking CSP* (1994);
-`failures_bounded` steps the term lazily (`_StepCache`) up to a trace
-depth.  Both use `step`, `_minimize`, the engine's one `tau_closure`,
-one `_determinise` (a node's acceptance family and moves) and one
-`_unfold` (the traces).  `tau_closure` and `_determinise` take a
-successor lookup: the complete graph's transition table, or the step
-cache's `successors`.  The routes differ in the graph each reads and in
-when a node's moves are tau-closed: all at once, or when a trace first
-leaves the node.  Only
-`build_lts` reads the engine's memo tiers, so a fault there shows as the
-routes disagreeing; the shared code is checked against a reference in
-the tests over an independent one-step matcher.
+`failures_bounded` steps the term lazily up to a trace depth.  Both
+use `step`, the engine's one `tau_closure` and one `_determinise` (a
+node's acceptance family and moves), called once per tau-closed node
+on the graph's table or on the transitions the bounded route stepped;
+they differ in when a node's moves are tau-closed: all at once, or when
+a trace first leaves the node.  A trace then costs one table lookup,
+and the traces stop at the depth or when none goes on.  Only
+`build_lts` reads the engine's memo tiers, so a fault there shows as
+the routes disagreeing; the shared code is checked against a reference
+in the tests over an independent one-step matcher.
 
 A complete graph's failures are also summed up by a canonical
 fingerprint (`fingerprint`): its normal form minimised by partition
@@ -133,126 +132,107 @@ class FailureSet:
 
 
 # ---------------------------------------------------------------------------
-# Determinisation and trace unfolding, shared by the two routes.
+# Determinisation, shared by the two routes.
 
 
-def _determinise(successors, nodes: dict, node: frozenset) -> tuple:
-    """A tau-closed node's entry in `nodes`, made once in one pass over its
-    states (`successors(state)` gives a state's (action, state) pairs):
-    its minimal acceptance family, and its visible moves as (action,
-    target states) pairs in `action_key` order."""
-    entry = nodes.get(node)
-    if entry is None:
-        acceptances = set()
-        moves: dict[Action, set] = {}
-        for state in node:
-            succs = successors(state)
-            stable = True
-            for a, dst in succs:
-                if not a:  # TAU
-                    stable = False
+def _move_key(move: tuple) -> tuple:
+    return action_key(move[0])
+
+
+def _determinise(successors, node: frozenset) -> tuple:
+    """A tau-closed node's minimal acceptance family and its visible moves
+    as (action, target states) pairs in `action_key` order, in one pass
+    over its states; `successors(state)` gives a state's (action, state)
+    pairs."""
+    acceptances = set()
+    moves: dict[Action, set] = {}
+    for state in node:
+        succs = successors(state)
+        stable = True
+        for a, dst in succs:
+            if not a:  # TAU
+                stable = False
+            else:
+                dsts = moves.get(a)
+                if dsts is None:
+                    moves[a] = {dst}
                 else:
-                    dsts = moves.get(a)
-                    if dsts is None:
-                        moves[a] = {dst}
-                    else:
-                        dsts.add(dst)
-            if stable:
-                acceptances.add(frozenset([a for a, _ in succs]))
-        moves = list(moves.items())
-        if len(moves) > 1:
-            moves.sort(key=lambda move: action_key(move[0]))
-        entry = nodes[node] = (_minimize(acceptances), moves)
-    return entry
-
-
-def _unfold(root, depth: int, family, edges) -> FailureSet:
-    """Failures of each trace of length <= depth, breadth first from `root`
-    of an action-deterministic graph: `family(node)` gives a node's
-    acceptance family, `edges(node)` its (action, node) moves; only nodes
-    a trace shorter than `depth` reaches are asked for their moves."""
-    fs = FailureSet()
-    fs.table[()] = family(root)
-    frontier = [((), root)]
-    for _ in range(depth):
-        next_frontier = []
-        for trace, node in frontier:
-            for a, succ in edges(node):
-                tr2 = trace + (a,)
-                fs.table[tr2] = family(succ)
-                next_frontier.append((tr2, succ))
-        frontier = next_frontier
-    return fs
+                    dsts.add(dst)
+        if stable:
+            acceptances.add(frozenset(dict(succs)))  # the actions offered
+    moves = list(moves.items())
+    if len(moves) > 1:
+        moves.sort(key=_move_key)
+    return _minimize(acceptances), moves
 
 
 # ---------------------------------------------------------------------------
 # Bounded failures straight from the transition rules (no normal form).
 
 
-class _StepCache:
-    """The states one `failures_bounded` call has met, numbered in the
-    order admitted, and their transitions.  Like `build_lts` it memoises
-    for its own life only; it reads no graph or memo of another
-    exploration."""
-
-    def __init__(self, budget: ExplorationBudget):
-        self.states: dict = {}  # state -> its number
-        self.trans: dict = {}  # state -> tuple[(Action, state)]
-        self.budget = budget
-        self.steps = StepMemo(budget.max_transitions)
-
-    def admit(self, t: Term) -> Term:
-        if term_depth(t) > DEPTH_CAP:
-            raise BudgetExceeded(f"depth cap {DEPTH_CAP} reached")
-        if t not in self.states:
-            if len(self.states) >= self.budget.max_states:
-                raise BudgetExceeded(f"state budget {self.budget.max_states} exhausted")
-            self.states[t] = len(self.states)
-        return t
-
-    def successors(self, state: Term) -> tuple:
-        cached = self.trans.get(state)
-        if cached is None:
-            pairs = step(state, 0, self.steps)
-            for _, p in pairs:
-                self.admit(p)
-            cached = self.trans[state] = tuple(pairs)
-        return cached
-
-
 def failures_bounded(
     t: Term, depth: int, budget: ExplorationBudget = ExplorationBudget()
 ) -> FailureSet:
-    """Failures for every trace of length <= depth, by `_unfold` over the
-    tau-closed state sets, each determinised once per call.  A node's
-    moves are tau-closed when a trace shorter than `depth` first leaves
-    it, so the states stepped are those the traces need.  Raises
-    BudgetExceeded when closing or stepping outruns the state budget, or
-    when the successors built and the traces entered together outrun the
-    transition budget: the traces of a few states grow exponentially with
-    the depth."""
-    cache = _StepCache(budget)
-    successors = cache.successors
-    nodes: dict = {}  # tau-closed node -> _determinise's entry
-    closed: dict = {}  # tau-closed node -> its (action, tau-closed node) moves
+    """Failures for every trace of length <= depth, breadth first over the
+    tau-closed state sets, each determinised once.  A node's moves are
+    tau-closed when a trace shorter than `depth` first leaves it, so only
+    the states the traces need are stepped.  Raises BudgetExceeded past
+    the state budget or the depth cap, or when the successors built and
+    the traces entered together outrun the transition budget (the traces
+    of a few states grow exponentially with the depth).  Like `build_lts`
+    it memoises for its own life only."""
+    admitted: dict = {}  # state -> its number, in the order admitted
+    trans: dict = {}  # state -> tuple[(Action, state)]
+    steps = StepMemo(budget.max_transitions)
 
-    def family(node):
-        return _determinise(successors, nodes, node)[0]
+    def admit(state: Term):
+        if state not in admitted:
+            if term_depth(state) > DEPTH_CAP:
+                raise BudgetExceeded(f"depth cap {DEPTH_CAP} reached")
+            if len(admitted) >= budget.max_states:
+                raise BudgetExceeded(f"state budget {budget.max_states} exhausted")
+            admitted[state] = len(admitted)
 
-    def edges(node):
-        succs = closed.get(node)
-        if succs is None:
-            # closed from the targets in the order admitted, not in set
-            # order (their addresses), so that which limit a call reaches
-            # first does not vary from run to run
-            succs = closed[node] = [
-                (a, tau_closure(successors, sorted(dsts, key=cache.states.get)))
-                for a, dsts in _determinise(successors, nodes, node)[1]
-            ]
-        cache.steps.spend(len(succs))
-        return succs
+    def successors(state: Term) -> tuple:
+        pairs = trans.get(state)
+        if pairs is None:
+            pairs = tuple(step(state, 0, steps))
+            for _, dst in pairs:
+                admit(dst)
+            trans[state] = pairs
+        return pairs
 
-    return _unfold(tau_closure(successors, [cache.admit(t)]), depth, family, edges)
+    admit(t)
+    root = tau_closure(successors, (t,))
+    stepped = trans.__getitem__  # a closure steps each of its states
+    # node -> [family, moves, closed moves as (action, target, its family)]:
+    # no entry holds another, so a cyclic graph leaves no reference cycle
+    nodes = {root: [*_determinise(stepped, root), None]}
+    table = {(): nodes[root][0]}
+    frontier = [((), root)]
+    while frontier and len(frontier[0][0]) < depth:  # a level's traces have its length
+        next_frontier = []
+        for trace, node in frontier:
+            entry = nodes[node]
+            closed = entry[2]
+            if closed is None:
+                closed = entry[2] = []
+                for a, dsts in entry[1]:
+                    # closed from the targets in the order admitted, not in
+                    # set order (their addresses), so that which limit a call
+                    # reaches first does not vary from run to run
+                    succ = tau_closure(successors, sorted(dsts, key=admitted.get) if len(dsts) > 1 else dsts)
+                    target = nodes.get(succ)
+                    if target is None:
+                        target = nodes[succ] = [*_determinise(stepped, succ), None]
+                    closed.append((a, succ, target[0]))
+            steps.spend(len(closed))
+            for a, succ, family in closed:
+                tr2 = trace + (a,)
+                table[tr2] = family
+                next_frontier.append((tr2, succ))
+        frontier = next_frontier
+    return FailureSet(table)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +249,24 @@ class NormalForm:
     edges: dict = field(default_factory=dict)  # node -> tuple[(Action, node)], in action_key order
 
     def failures_to_depth(self, depth: int) -> FailureSet:
-        return _unfold(self.root, depth, self.families.__getitem__, self.edges.__getitem__)
+        """Failures of each trace of length <= depth."""
+        families, edges = self.families, self.edges
+        table = {(): families[self.root]}
+        frontier = [((), self.root)]
+        while frontier and len(frontier[0][0]) < depth:  # a level's traces have its length
+            next_frontier = []
+            for trace, node in frontier:
+                for a, succ in edges[node]:
+                    tr2 = trace + (a,)
+                    table[tr2] = families[succ]
+                    next_frontier.append((tr2, succ))
+            frontier = next_frontier
+        return FailureSet(table)
 
 
 def normal_form(lts: LTS) -> NormalForm:
     """The normal form of a complete graph: every tau-closed node reached
-    from the initial state, determinised, with its moves tau-closed.
+    from the initial state, determinised once, with its moves tau-closed.
     Graphs are not shared (each `build_lts` call returns its own), so
     nothing is kept: a caller that asks again of a term keeps the answer
     it needs, as `failures_fingerprint` keeps the fingerprint."""
@@ -284,14 +276,19 @@ def normal_form(lts: LTS) -> NormalForm:
     root = tau_closure(successors, [lts.initial])
     families: dict = {}
     edges: dict = {}
-    nodes: dict = {}
     todo = [root]
     while todo:
         node = todo.pop()
-        if node not in families:
-            families[node], moves = _determinise(successors, nodes, node)
-            edges[node] = out = tuple([(a, tau_closure(successors, dsts)) for a, dsts in moves])
-            todo.extend([succ for _, succ in out])
+        if node in families:  # pushed again before it was reached
+            continue
+        families[node], moves = _determinise(successors, node)
+        out = []
+        for a, dsts in moves:
+            succ = tau_closure(successors, dsts)
+            out.append((a, succ))
+            if succ not in families:
+                todo.append(succ)
+        edges[node] = tuple(out)
     return NormalForm(root, families, edges)
 
 

@@ -51,7 +51,8 @@ tier, counts, and remembers in its own body, with one call of the tier's
 put on a miss.
 
 `tau_closure` is the engine's one tau-closure, over any successor lookup
-(a graph's table, or the bounded failures route's step cache).
+(a graph's table, or the transitions the bounded failures route has
+stepped).
 """
 
 from __future__ import annotations

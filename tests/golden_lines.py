@@ -11,6 +11,7 @@ registry, so the lines are computed in a fresh interpreter:
     PYTHONPATH=src python tests/golden_lines.py corpus_realizers
     PYTHONPATH=src python tests/golden_lines.py lts_exports
     PYTHONPATH=src python tests/golden_lines.py explorations
+    PYTHONPATH=src python tests/golden_lines.py bounded_failures
 
 The cut-elimination trails read no registry, so their test computes them
 in its own interpreter; they are written with
@@ -30,13 +31,14 @@ from pathlib import Path
 from conftest import subprocess_env
 from procreal.combinators import bang, identity_wire, lapp, rapp, seq
 from procreal.corpus import corpus_proofs
+from procreal.equivalence import failures_bounded
 from procreal.exercises import atom_type, pairing_counterexample
 from procreal.extraction import extract, formula_wire
 from procreal.generators import random_term
 from procreal.logic import PAxiom, PCut, cut_eliminate, parse_formula, proof_to_json
 from procreal.names import ALL_LABELS, REGISTRY, action_key, l_code, print_name, r_code
 from procreal.parsing import parse_term
-from procreal.semantics import _MEMO, ExplorationBudget, build_lts
+from procreal.semantics import _MEMO, BudgetExceeded, ExplorationBudget, build_lts
 from procreal.semtypes import formula_to_type, unit_type
 from procreal.terms import Par, Restrict, print_term
 
@@ -161,6 +163,43 @@ def explorations() -> list:
     return lines
 
 
+# the two terms of test_failures_bounded_names_the_limit_it_reached, a
+# second restriction stacked under recursion, and two one-state loops whose
+# traces outrun the transition budget at small state budgets
+BOUNDED_TERMS = (
+    r"rec X. ({}.X \ {a,b}) [map{a:b,b:a}]",
+    "{a}.0 | {b}.0 | {c}.0 | {d}.0 | {e}.0 | {f}.0",
+    r"rec X. ({}.X [map{a:b,b:a}] \ {a})",
+    "rec X. ({a}.X + {b}.X)",
+    "rec X. ({a}.X + {~a}.X + {b}.X)",
+)
+
+
+def bounded_failures() -> list:
+    """`failures_bounded` of seeded random terms (with recursion, renaming
+    and restriction), of the parallel compositions of pairs of them and of
+    `BOUNDED_TERMS`, at a grid of depths and state budgets where the state
+    budget, the transition budget and the depth cap each fire: one line
+    per (term, depth, budget), with a sha256 of the failures' JSON or the
+    limit the call names."""
+    rng = random.Random(25)
+    atoms = (REGISTRY.intern("a"), REGISTRY.intern("b"))
+    terms = [random_term(rng, atoms, rng.randint(4, 14)) for _ in range(80)]
+    terms += [Par(terms[i], terms[i + 1]) for i in range(0, 40, 2)]
+    terms += [parse_term(text) for text in BOUNDED_TERMS]
+    grid = [(depth, states) for depth in (0, 1, 3, 6, 12) for states in (1, 3, 10, 40, 100)]
+    lines = []
+    for t in terms:
+        for depth, states in grid + [(4, ExplorationBudget().max_states)]:
+            try:
+                table = json.dumps(failures_bounded(t, depth, ExplorationBudget(max_states=states)).to_json())
+                outcome = hashlib.sha256(table.encode("utf-8")).hexdigest()
+            except BudgetExceeded as exc:
+                outcome = str(exc)
+            lines.append(f"{print_term(t)} | depth {depth} | states {states} | {outcome}")
+    return lines
+
+
 def trail_line(name: str, res) -> str:
     """One line of `eta_trails`: the status, step count and step kinds of
     the `cut_eliminate` result `res` kept with its trail, and a sha256 of
@@ -198,5 +237,6 @@ if __name__ == "__main__":
         "lts_exports": lts_exports,
         "explorations": explorations,
         "eta_trails": eta_trails,
+        "bounded_failures": bounded_failures,
     }
     print("\n".join(goldens[sys.argv[1]]()))

@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import subprocess_env
+from golden_lines import fresh_lines, golden_lines
 from oracle_step import canonical, naive_step
 
 from procreal import combinators as C
@@ -188,6 +190,16 @@ def test_failures_bounded_names_the_limit_it_reached(monkeypatch, source, depth,
         failures_bounded(parse_term(source), depth, budget)
 
 
+def test_failures_bounded_matches_golden():
+    # the tables and the limits named, the state budget, the transition
+    # budget and the depth cap each several times
+    lines = fresh_lines("bounded_failures")
+    assert lines == golden_lines("bounded_failures")
+    outcomes = [line.rsplit(" | ", 1)[1] for line in lines]
+    for limit in ("state budget", "transition budget", "depth cap"):
+        assert sum(o.startswith(limit) for o in outcomes) >= 5, limit
+
+
 def test_equiv_reflexive():
     t = parse_term("{a}.{b}.0 + {b}.0")
     assert failures_equiv(t, t, BUD).verdict == "equal"
@@ -268,6 +280,74 @@ def test_normal_form_failures_match_bounded():
             continue
         nf = normal_form(lts)
         assert nf.failures_to_depth(4) == failures_bounded(t, 4, BUD)
+
+
+def test_each_route_determinises_each_node_once(monkeypatch):
+    real = equivalence._determinise
+    met = []
+    monkeypatch.setattr(
+        equivalence, "_determinise", lambda successors, node: met.append(node) or real(successors, node)
+    )
+    rng = random.Random(61)
+    checked = 0
+    for i in range(200):
+        t = random_term(rng, (A, B), rng.randint(4, 14))
+        lts = build_lts(t, BUD)
+        if not lts.complete:
+            continue
+        checked += 1
+        met.clear()
+        nf = normal_form(lts)
+        assert len(met) == len(set(met)) and set(met) == nf.families.keys(), print_term(t)
+        # the bounded route meets the nodes within `depth` moves of the root
+        depth = i % 5
+        reached = level = {nf.root}
+        for _ in range(depth):
+            level = {succ for node in level for _, succ in nf.edges[node]}
+            reached = reached | level
+        met.clear()
+        failures_bounded(t, depth, BUD)
+        assert len(met) == len(set(met)) and set(met) == reached, (print_term(t), depth)
+    assert checked > 150
+
+
+def test_failures_bounded_leaves_no_reference_cycle():
+    # what a call builds goes when it returns, on cyclic graphs too, so
+    # the collector finds none of it
+    sources = ("rec X. ({a}.X + {b}.X)", "rec X. {a}.{}.X", "{a}.0 | rec X. ({b}.X + {~a}.0)")
+    terms = [parse_term(text) for text in sources]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in terms:
+            for depth in range(6):
+                failures_bounded(t, depth, BUD)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# `{a}.0` has no trace longer than one
+DEEP_PROBE = (
+    "from procreal.equivalence import failures_bounded, normal_form\n"
+    "from procreal.parsing import parse_term\n"
+    "from procreal.semantics import build_lts\n"
+    "t = parse_term('{a}.0')\n"
+    "nf = normal_form(build_lts(t))\n"
+    "for depth in (1, 10 ** 9):\n"
+    "    print(failures_bounded(t, depth).to_json(), nf.failures_to_depth(depth).to_json())\n"
+)
+
+
+def test_failures_stop_when_no_trace_goes_on():
+    # both routes stop at once, with the table of depth 1; in a child, so
+    # that a walk over the 10**9 empty levels fails by its timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_PROBE], capture_output=True, text=True, env=subprocess_env(), timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    one, deep = proc.stdout.splitlines()
+    assert one == deep and "'trace': ['{a}']" in one
 
 
 def test_normal_form_computed_once_per_shared_graph():

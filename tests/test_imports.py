@@ -67,8 +67,7 @@ def test_bounded_failures_route_reads_nothing_of_the_engine_route():
     # failures_bounded is the oracle the normal-form route is checked
     # against, so no definition it reaches, in its module or in the
     # semantics it steps and closes with, names a memo, graph or normal
-    # form; that includes the determinisation and unfolding the two
-    # routes share
+    # form; that includes the determinisation the two routes share
     defs = _definitions("semantics", "equivalence")
     route, todo = set(), ["failures_bounded"]
     while todo:
@@ -76,7 +75,8 @@ def test_bounded_failures_route_reads_nothing_of_the_engine_route():
         if name not in route:
             route.add(name)
             todo.extend(n for n in _named(defs[name]) if n in defs)
-    assert {"failures_bounded", "_StepCache", "_determinise", "_unfold", "tau_closure", "step"} <= route
+    assert {"failures_bounded", "StepMemo", "_determinise", "_move_key", "_minimize", "FailureSet",
+            "tau_closure", "step"} <= route
     named = set().union(*(_named(defs[name]) for name in route))
     assert not named & {"_MEMO", "build_lts", "normal_form", "_normalise"}
 
