@@ -21,7 +21,6 @@ from .names import (
     LCODE,
     LL_CLASS,
     LR_CLASS,
-    Label,
     N2_CLASS,
     Name,
     OMEGA,
@@ -136,9 +135,7 @@ def identity_wire(alphabet: Alphabet) -> Term:
     var = "W"
     branches = []
     for a in act_plus(alphabet):
-        guard = frozenset(Label(2 * l.code, l.neg) for l in a) | frozenset(
-            Label(2 * l.code + 1, l.neg) for l in dual_action(a)
-        )
+        guard = frozenset(map(LCODE.apply_label, a)) | frozenset(map(RCODE.apply_label, dual_action(a)))
         branches.append((guard, Var(var)))
     return Rec(var, Sum(tuple(branches)))
 
@@ -217,8 +214,8 @@ def full_interface(p: Term) -> Alphabet:
 def right_interface(p: Term) -> Alphabet:
     """Decoded names of the sort's r-half; the wire alphabet making
     seq(p, wire) an identity."""
-    return frozenset(Name((l.code - 1) // 2) for l in _finite_sort(p) if l.code % 2 == 1)
+    return frozenset(_RCODE_INV.apply_name(l.name) for l in _finite_sort(p)) - {None}
 
 
 def left_interface(p: Term) -> Alphabet:
-    return frozenset(Name(l.code // 2) for l in _finite_sort(p) if l.code % 2 == 0)
+    return frozenset(_LCODE_INV.apply_name(l.name) for l in _finite_sort(p)) - {None}

@@ -20,6 +20,7 @@ from .names import (
     Piecewise,
     RCODE,
     REGISTRY,
+    l_code,
     negative,
     positive,
 )
@@ -179,7 +180,7 @@ def _relay_renamed_right(src: Name, dst: Name) -> Term:
 
 def _drop_left_morphism(a: Name, b: Name) -> Term:
     """Tensor-of(a,b) to b: consume the left component, relay the right."""
-    consumer = Prefix(frozenset([negative(Name(2 * (2 * a.code)))]), NIL)
+    consumer = Prefix(frozenset([negative(l_code(l_code(a)))]), NIL)
     wire = C.identity_wire(frozenset([b]))
     ren = Piecewise(
         [

@@ -30,7 +30,6 @@ from .names import (
     KwayCode,
     KwayDecode,
     LCODE,
-    Label,
     Name,
     OMEGA,
     Piecewise,
@@ -39,8 +38,10 @@ from .names import (
     Renaming,
     SIGMA,
     SWAP,
+    l_code,
     negative,
     positive,
+    r_code,
 )
 from .semantics import ExplorationBudget
 from .terms import NIL, Par, Prefix, Rec, Sum, Term, Var, choice, rename, value_name
@@ -97,7 +98,7 @@ def atom_alphabet(env: AtomEnv, ident: str) -> frozenset:
 
 
 def port_action(i: int, k: int, labels) -> frozenset:
-    return frozenset(Label(k * lab.code + (i - 1), lab.neg) for lab in labels)
+    return frozenset(map(KwayCode(i, k).apply_label, labels))
 
 
 def relayout(pieces: list) -> Renaming:
@@ -133,7 +134,7 @@ THROUGH_R = through(RCODE)
 
 def _relay(n: Name) -> frozenset:
     """The guard {~l(n), r(n)}: n taken on the left half, offered on the right."""
-    return frozenset([Label(2 * n.code, True), Label(2 * n.code + 1, False)])
+    return frozenset([negative(l_code(n)), positive(r_code(n))])
 
 
 def formula_wire(a: Formula, env: AtomEnv, values: tuple = ()) -> Term:

@@ -17,9 +17,7 @@ import json
 import re
 import reprlib
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Callable, NamedTuple, Optional, Union
-
-ValueExpr = Union[int, str]  # int literal or value variable
+from typing import Callable, NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -140,22 +138,23 @@ def free_value_vars_formula(a: Formula) -> frozenset:
 
 
 def print_formula(a: Formula) -> str:
-    def prn(f: Formula, need_parens: bool) -> str:
-        if isinstance(f, FAtom):
-            base = ("" if f.pos else "~") + f.ident
-            if f.args:
-                base += "(" + ",".join(str(x) for x in f.args) + ")"
-            return base
-        sym = _SYMBOLS[type(f)]
-        if isinstance(f, _PREFIX):
-            return sym + prn(f.body, True)
-        if isinstance(f, _QUANTIFIERS):
-            s = f"{sym} {f.var}. " + prn(f.body, False)
-        else:
-            s = prn(f.left, True) + sym + prn(f.right, True)
-        return f"({s})" if need_parens else s
+    return _print_formula(a, False)
 
-    return prn(a, False)
+
+def _print_formula(f: Formula, need_parens: bool) -> str:
+    if isinstance(f, FAtom):
+        base = ("" if f.pos else "~") + f.ident
+        if f.args:
+            base += "(" + ",".join(str(x) for x in f.args) + ")"
+        return base
+    sym = _SYMBOLS[type(f)]
+    if isinstance(f, _PREFIX):
+        return sym + _print_formula(f.body, True)
+    if isinstance(f, _QUANTIFIERS):
+        s = f"{sym} {f.var}. " + _print_formula(f.body, False)
+    else:
+        s = _print_formula(f.left, True) + sym + _print_formula(f.right, True)
+    return f"({s})" if need_parens else s
 
 
 _F_TOKEN = re.compile(
@@ -184,66 +183,71 @@ def parse_formula(text: str) -> Formula:
             tokens.append(m.group(0))
         pos = m.end()
     tokens.append("<eof>")
-    i = 0
+    parser = _FormulaParser(tokens)
+    out = parser.parse_expr()
+    if parser.peek() != "<eof>":
+        raise FormulaParseError(f"trailing input {parser.peek()!r}")
+    return out
 
-    def peek():
-        return tokens[i]
 
-    def take(expected=None):
-        nonlocal i
-        tok = tokens[i]
+class _FormulaParser:
+    """Recursive descent over a token list ending in ``<eof>``."""
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i]
+
+    def take(self, expected=None) -> str:
+        tok = self.tokens[self.i]
         if expected is not None and tok != expected:
             raise FormulaParseError(f"expected {expected!r}, found {tok!r}")
-        i += 1
+        self.i += 1
         return tok
 
-    def parse_expr() -> Formula:
-        cls = _BY_SYMBOL.get(peek())
+    def parse_expr(self) -> Formula:
+        cls = _BY_SYMBOL.get(self.peek())
         if cls in _QUANTIFIERS:
-            take()
-            var = take()
-            take(".")
-            return cls(var, parse_expr())
-        left = parse_unary()
-        while _BY_SYMBOL.get(peek()) in _INFIX:
-            cls = _BY_SYMBOL[take()]
-            left = cls(left, parse_unary())
+            self.take()
+            var = self.take()
+            self.take(".")
+            return cls(var, self.parse_expr())
+        left = self.parse_unary()
+        while _BY_SYMBOL.get(self.peek()) in _INFIX:
+            cls = _BY_SYMBOL[self.take()]
+            left = cls(left, self.parse_unary())
         return left
 
-    def parse_unary() -> Formula:
-        tok = peek()
+    def parse_unary(self) -> Formula:
+        tok = self.peek()
         cls = _BY_SYMBOL.get(tok)
         if cls in _PREFIX:
-            take()
-            return cls(parse_unary())
+            self.take()
+            return cls(self.parse_unary())
         if tok == "~":
-            take()
-            inner = parse_unary()
-            return negate(inner)
+            self.take()
+            return negate(self.parse_unary())
         if tok == "(":
-            take()
-            inner = parse_expr()
-            take(")")
+            self.take()
+            inner = self.parse_expr()
+            self.take(")")
             return inner
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and cls is None:
-            take()
+            self.take()
             args: list = []
-            if peek() == "(":
-                take()
+            if self.peek() == "(":
+                self.take()
                 while True:
-                    arg = take()
+                    arg = self.take()
                     args.append(int(arg) if arg.isdigit() else arg)
-                    if peek() != ",":
+                    if self.peek() != ",":
                         break
-                    take(",")
-                take(")")
+                    self.take(",")
+                self.take(")")
             return FAtom(tok, True, tuple(args))
         raise FormulaParseError(f"unexpected token {tok!r}")
-
-    out = parse_expr()
-    if peek() != "<eof>":
-        raise FormulaParseError(f"trailing input {peek()!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ structural names arise from arithmetic coding injections: the even/odd
 split ``l``/``r`` (code 2n and 2n+1) and k-way residue splits (code
 k*n + i-1 for port i of k).  Every coding is a total injection on the
 naturals, so the binary and k-way interface splits are exact and
-invertible.
+invertible.  Only the codings' `apply_code` does this arithmetic; a coded
+name, label or action is built by applying a coding or its decode.  One
+table (`_CODING_TABLE`) holds the codings ``l``, ``r``, ``n1``..``n3``
+and their images' coding classes ``Ll``, ``Lr``, ``N1``..``N3``; the
+parser, `_spell` and `CodingClass` read it.
 
 Renamings and restriction sets are name maps (`NameMap`): values that
 compare by class and constructor arguments and hash once.  Each map
@@ -137,7 +141,8 @@ SIGMA = REGISTRY.intern("sigma")
 
 
 def print_name(n: Name) -> str:
-    """Canonical spelling: registered atom, else parity decomposition.
+    """Canonical spelling: registered atom, else `l(x)` or `r(x)`, x the
+    spelling of the name's `l` or `r` decode.
 
     Terminates because code 0 is always registered.
     """
@@ -148,10 +153,10 @@ def _spell(code: int) -> str:
     ident = REGISTRY.ident_of(code)
     if ident is not None:
         return ident
-    if code % 2 == 0:
-        return f"l({_spell(code // 2)})"
-    return f"r({_spell((code - 1) // 2)})"
-
+    for spelling, decode in _SPELL_DECODES:
+        inner = decode.apply_code(code)
+        if inner is not None:
+            return f"{spelling}({_spell(inner)})"
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,12 @@ class Renaming(NameMap):
 
     def is_total(self) -> bool:
         return False
+
+    def apply_name(self, n: Name) -> Optional[Name]:
+        code = self.apply_code(n.code)
+        if code is None:
+            return None
+        return Name(code)
 
     def apply_label(self, lab: Label) -> Optional[Label]:
         code = self.apply_code(lab.code)
@@ -483,12 +494,15 @@ RCODE = KwayCode(2, 2)
 SWAP = SwapLR()
 
 
-def l_code(n: Name) -> Name:
-    return Name(2 * n.code)
-
-
-def r_code(n: Name) -> Name:
-    return Name(2 * n.code + 1)
+# (spelling, coding class of its image, coding): `n2(x)` is the name that
+# port 2 of 3 codes x to, and the class N2 holds all such names
+_CODING_TABLE = (("l", "Ll", LCODE), ("r", "Lr", RCODE)) + tuple(
+    (f"n{i}", f"N{i}", KwayCode(i, 3)) for i in (1, 2, 3)
+)
+CODINGS = {spelling: coding for spelling, _, coding in _CODING_TABLE}
+CODING_CLASSES = {which: coding for _, which, coding in _CODING_TABLE}
+_SPELL_DECODES = tuple((spelling, CODINGS[spelling].inverse()) for spelling in ("l", "r"))
+l_code, r_code = LCODE.apply_name, RCODE.apply_name
 
 
 # Compositions already made, by (after, first) pair; bounded like the kept
@@ -566,8 +580,8 @@ class FiniteRestriction(RestrictionSet):
 
 
 class CodingClass(RestrictionSet):
-    """One of the coding regions: Ll, Lr (label halves), N1..N3 (mod-3
-    name classes, both polarities) or `all` labels."""
+    """`all` labels, or the image of one coding of `CODING_CLASSES`, both
+    polarities: Ll, Lr (label halves), N1..N3 (mod-3 name classes)."""
 
     __slots__ = ("which",)
 
@@ -579,13 +593,10 @@ class CodingClass(RestrictionSet):
         w = self.which
         if w == "all":
             return True
-        if w == "Ll":
-            return lab.code % 2 == 0
-        if w == "Lr":
-            return lab.code % 2 == 1
-        if w in ("N1", "N2", "N3"):
-            return lab.code % 3 == int(w[1]) - 1
-        raise ValueError(f"unknown coding class {w}")
+        coding = CODING_CLASSES.get(w)
+        if coding is None:
+            raise ValueError(f"unknown coding class {w}")
+        return coding.inverse().apply_code(lab.code) is not None
 
     def describe(self) -> str:
         return self.which
@@ -616,23 +627,16 @@ def union_restriction(l1: RestrictionSet, l2: RestrictionSet) -> RestrictionSet:
     absorbs, parts are deduplicated and ordered.  Canonicity keeps state
     keys stable when restrictions stack up under recursion unfolding.
     The result is the kept instance (`kept`)."""
-    parts: list[RestrictionSet] = []
-
-    def flat(r: RestrictionSet):
-        if isinstance(r, UnionRestriction):
-            for p in r._parts:
-                flat(p)
-        else:
-            parts.append(r)
-
-    flat(l1)
-    flat(l2)
     finite: set = set()
     others: dict[str, RestrictionSet] = {}
-    for p in parts:
-        if isinstance(p, CodingClass) and p.which == "all":
+    todo = [l2, l1]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, UnionRestriction):
+            todo.extend(reversed(p._parts))
+        elif isinstance(p, CodingClass) and p.which == "all":
             return kept(ALL_LABELS)
-        if isinstance(p, FiniteRestriction):
+        elif isinstance(p, FiniteRestriction):
             finite |= p.labels
         else:
             others[p.describe()] = p

@@ -31,6 +31,8 @@ from typing import Optional
 from . import combinators as C
 from .names import (
     Action,
+    CODINGS,
+    CODING_CLASSES,
     CodingClass,
     Compose,
     FiniteMap,
@@ -90,7 +92,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_CODING_CLASSES = {"Ll", "Lr", "N1", "N2", "N3", "all"}
 _KEYWORDS = {"in", "out", "rec"}
 
 
@@ -145,22 +146,16 @@ class _Parser:
 
     # -- names, labels, actions ------------------------------------------
 
-    _CODINGS = ("l", "r", "n1", "n2", "n3")
-
     def parse_name(self) -> Name:
         tok = self.peek()
         if tok.kind != "ident":
             self.error("expected a name")
         ident = self.next().text
-        if ident in self._CODINGS and self.at("("):
+        if ident in CODINGS and self.at("("):
             self.next()
             inner = self.parse_name()
             self.expect(")")
-            if ident == "l":
-                return Name(2 * inner.code)
-            if ident == "r":
-                return Name(2 * inner.code + 1)
-            return Name(3 * inner.code + int(ident[1]) - 1)
+            return CODINGS[ident].apply_name(inner)
         return REGISTRY.intern(ident)
 
     def parse_label(self) -> Label:
@@ -241,7 +236,7 @@ class _Parser:
         if self.at("{"):
             return FiniteRestriction(self.parse_braced(self.parse_label))
         tok = self.peek()
-        if tok.kind == "ident" and tok.text in _CODING_CLASSES:
+        if tok.kind == "ident" and (tok.text in CODING_CLASSES or tok.text == "all"):
             self.next()
             return CodingClass(tok.text)
         self.error("expected a restriction set")

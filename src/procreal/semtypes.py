@@ -37,7 +37,7 @@ from .equivalence import (
     failures_verdict,
     perp,
 )
-from .names import ALPHA, BETA, DELTA, GAMMA, Name, OMEGA, SIGMA, negative, positive
+from .names import ALPHA, BETA, DELTA, GAMMA, OMEGA, SIGMA, l_code, negative, positive, r_code
 from .semantics import _MEMO, ExplorationBudget
 from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
 from .logic import (
@@ -245,9 +245,7 @@ def tensor_type(t: SemType, u: SemType, budget: ExplorationBudget = ExplorationB
     neg = partition(survivors, budget)
     iface = None
     if t.interface is not None and u.interface is not None:
-        iface = frozenset(Name(2 * n.code) for n in t.interface) | frozenset(
-            Name(2 * n.code + 1) for n in u.interface
-        )
+        iface = frozenset(map(l_code, t.interface)) | frozenset(map(r_code, u.interface))
     return SemType(pos, neg, iface)
 
 

@@ -41,7 +41,6 @@ from typing import Optional, Union
 from .names import (
     Action,
     IdentityRenaming,
-    Label,
     Name,
     REGISTRY,
     Renaming,
@@ -51,6 +50,7 @@ from .names import (
     kept,
     print_action,
     print_name,
+    negative,
     positive,
     union_restriction,
 )
@@ -502,49 +502,47 @@ def _guarded(t: Term, var: str) -> bool:
 def well_formed(t: Term) -> list[str]:
     """Diagnostics list; empty means well-formed."""
     diags: list[str] = []
-
-    def walk(u: Term, bound: frozenset, vbound: frozenset):
-        if isinstance(u, Sum):
-            for a, p in u.branches:
-                if a == TAU:
-                    diags.append(f"tau guard inside a sum: {print_term(u)}")
-                walk(p, bound, vbound)
-        elif isinstance(u, Prefix):
-            walk(u.cont, bound, vbound)
-        elif isinstance(u, Par):
-            walk(u.left, bound, vbound)
-            walk(u.right, bound, vbound)
-        elif isinstance(u, Restrict):
-            walk(u.proc, bound, vbound)
-        elif isinstance(u, Rename):
-            sub = sort_labels(u.proc)
-            if sub is not None:
-                for lab in sub:
-                    if u.ren.apply_label(lab) is None:
-                        diags.append(
-                            f"label {lab} of sort outside domain of renaming {u.ren}"
-                        )
-            # symbolic sort bound: coverage cannot be decided here; the
-            # engine raises a domain error if a step actually escapes
-            walk(u.proc, bound, vbound)
-        elif isinstance(u, Var):
-            if u.ident not in bound:
-                diags.append(f"unbound process variable {u.ident}")
-        elif isinstance(u, Rec):
-            if not _guarded(u.body, u.var):
-                diags.append(f"unguarded recursion on {u.var} in {print_term(u)}")
-            walk(u.body, bound | {u.var}, vbound)
-        elif isinstance(u, InputPrefix):
-            walk(u.body, bound, vbound | {u.var})
-        elif isinstance(u, OutputPrefix):
-            if isinstance(u.value, str) and u.value not in vbound:
-                diags.append(f"unbound value variable {u.value}")
-            walk(u.body, bound, vbound)
-        else:
-            diags.append(f"unknown term node {u!r}")
-
-    walk(t, frozenset(), frozenset())
+    _diagnose(t, frozenset(), frozenset(), diags)
     return diags
+
+
+def _diagnose(u: Term, bound: frozenset, vbound: frozenset, diags: list) -> None:
+    if isinstance(u, Sum):
+        for a, p in u.branches:
+            if a == TAU:
+                diags.append(f"tau guard inside a sum: {print_term(u)}")
+            _diagnose(p, bound, vbound, diags)
+    elif isinstance(u, Prefix):
+        _diagnose(u.cont, bound, vbound, diags)
+    elif isinstance(u, Par):
+        _diagnose(u.left, bound, vbound, diags)
+        _diagnose(u.right, bound, vbound, diags)
+    elif isinstance(u, Restrict):
+        _diagnose(u.proc, bound, vbound, diags)
+    elif isinstance(u, Rename):
+        sub = sort_labels(u.proc)
+        if sub is not None:
+            for lab in sub:
+                if u.ren.apply_label(lab) is None:
+                    diags.append(f"label {lab} of sort outside domain of renaming {u.ren}")
+        # symbolic sort bound: coverage cannot be decided here; the
+        # engine raises a domain error if a step actually escapes
+        _diagnose(u.proc, bound, vbound, diags)
+    elif isinstance(u, Var):
+        if u.ident not in bound:
+            diags.append(f"unbound process variable {u.ident}")
+    elif isinstance(u, Rec):
+        if not _guarded(u.body, u.var):
+            diags.append(f"unguarded recursion on {u.var} in {print_term(u)}")
+        _diagnose(u.body, bound | {u.var}, vbound, diags)
+    elif isinstance(u, InputPrefix):
+        _diagnose(u.body, bound, vbound | {u.var}, diags)
+    elif isinstance(u, OutputPrefix):
+        if isinstance(u.value, str) and u.value not in vbound:
+            diags.append(f"unbound value variable {u.value}")
+        _diagnose(u.body, bound, vbound, diags)
+    else:
+        diags.append(f"unknown term node {u!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +576,5 @@ def _expand(t: Term, vals: tuple) -> Term:
             raise ValueError(f"unresolved value variable {t.value}")
         if t.value not in vals:
             raise ValueError(f"value {t.value} outside the declared domain")
-        lab = Label(value_name(t.chan, t.value).code, True)
-        return Prefix(frozenset([lab]), _expand(t.body, vals))
+        return Prefix(frozenset([negative(value_name(t.chan, t.value))]), _expand(t.body, vals))
     return map_subterms(t, _expand, vals)

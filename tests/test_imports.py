@@ -108,3 +108,85 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
         found = importlib.import_module(module)
         where = vars(getattr(found, owner)) if owner else vars(found)
         assert callable(where.get(attr)), f"{module}.{name}"
+
+
+SOURCES = sorted((Path(procreal.__file__).parent).glob("*.py"))
+
+
+def _is_code(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "code" or isinstance(node, ast.Attribute) and node.attr == "code"
+
+
+def test_code_arithmetic_is_written_only_in_the_codings():
+    # a coding's residue arithmetic lives in its renaming's apply_code;
+    # everywhere else a coded name, label or action is built by applying
+    # a renaming, so the name coding is decided in one place
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    classes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    renamings = {"Renaming"}
+    for c in classes:  # a base class comes before its subclasses
+        if any(getattr(b, "id", None) in renamings for b in c.bases):
+            renamings.add(c.name)
+    allowed = {
+        id(node)
+        for c in classes if c.name in renamings
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "apply_code"
+        for node in ast.walk(f)
+    }
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.UnaryOp):
+                operands = (node.operand,)
+            elif isinstance(node, ast.AugAssign):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if id(node) not in allowed and any(map(_is_code, operands)):
+                found.append(f"{name}:{node.lineno}")
+    assert not found
+
+
+def _nested_functions(fn) -> list:
+    """The functions defined in `fn`'s own body, not inside a function or
+    class nested in it."""
+    out, todo = [], list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_nested_function_names_itself():
+    # a nested function that reaches itself through the names it reads,
+    # directly or through a sibling, makes a reference cycle (function,
+    # cell, closure) at every call of the function around it, which only
+    # the collector frees; a recursive walk recurses at module level.
+    # generators.py is left out: its closures build the benchmark's inputs
+    found = []
+    for path in SOURCES:
+        if path.name == "generators.py":
+            continue
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nested = {f.name: f for f in _nested_functions(outer)}
+            reads = {
+                name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)} & nested.keys()
+                for name, f in nested.items()
+            }
+            for name in nested:
+                seen, todo = set(), list(reads[name])
+                while todo:
+                    other = todo.pop()
+                    if other not in seen:
+                        seen.add(other)
+                        todo.extend(reads[other])
+                if name in seen:
+                    found.append(f"{path.name}: {outer.name}.{name}")
+    assert not found

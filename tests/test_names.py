@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from procreal import names
 from procreal.names import (
     ALL_LABELS,
+    CodingClass,
     Compose,
     FiniteMap,
     KwayCode,
@@ -32,10 +33,12 @@ from procreal.names import (
     FiniteRestriction,
     Piecewise,
     RenamingDomainError,
+    UnionRestriction,
 )
+from procreal.logic import parse_formula, print_formula
 from procreal.parsing import parse_renaming_text, parse_term
 from procreal.semantics import _MEMO
-from procreal.terms import _TABLES, NIL, Par, Rename, Restrict, rename
+from procreal.terms import _TABLES, NIL, Par, Rename, Restrict, rename, well_formed
 
 
 def test_lr_coding_base_cases():
@@ -127,6 +130,25 @@ def test_restriction_classes():
     assert ALL_LABELS.contains_label(odd)
     assert N2_CLASS.contains_label(Label(7, False))  # 7 = 3*2+1
     assert not N2_CLASS.contains_label(Label(6, False))
+    # an unknown class is a ValueError, which the command line reports as
+    # bad input
+    with pytest.raises(ValueError, match="unknown coding class N4"):
+        CodingClass("N4").contains_label(even)
+
+
+@pytest.mark.parametrize("spelling, which, ways, port",
+                         [("l", "Ll", 2, 1), ("r", "Lr", 2, 2), ("n1", "N1", 3, 1), ("n2", "N2", 3, 2),
+                          ("n3", "N3", 3, 3)])
+def test_a_coded_name_falls_in_its_coding_class(spelling, which, ways, port):
+    # `l(x)` is code 2x, `r(x)` 2x+1 and `nK(x)` 3x+K-1, and the coding
+    # class holds exactly those codes, both polarities
+    t = parse_term(f"({{~{spelling}(a)}}.0) \\ {which}")
+    (lab,) = t.proc.action
+    assert lab == Label(ways * REGISTRY.intern("a").code + port - 1, True)
+    assert str(lab) == "~" + names.print_name(lab.name)
+    for code in range(40):
+        for neg in (False, True):
+            assert t.labels.contains_label(Label(code, neg)) == (code % ways == port - 1)
 
 
 def test_union_restriction_canonical():
@@ -249,3 +271,33 @@ def test_compose_renamings_agrees_with_a_cold_composition(after, first):
     # composition is the one kept
     again = compose_renamings(pickle.loads(pickle.dumps(after)), pickle.loads(pickle.dumps(first)))
     assert again is composed
+
+
+# inputs for each walk, built before the collector is switched off
+_A, _B = positive(REGISTRY.intern("a")), positive(REGISTRY.intern("b"))
+_WALKS = {
+    "union_restriction": (union_restriction, (UnionRestriction([LL_CLASS, FiniteRestriction([_A])]),
+                                              UnionRestriction([N2_CLASS, FiniteRestriction([_B])]))),
+    "well_formed": (well_formed, (parse_term("rec X. ({a}.X + {b}.(X | {c}.0 [lcode]) \\ {a})"),)),
+    "print_formula": (print_formula, (parse_formula("!(a * ~b) @ (c & (forall x. p(x)))"),)),
+    "parse_formula": (parse_formula, ("!(a * ~b) @ (c & (forall x. p(x)))",)),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_recursive_walks_leave_no_reference_cycle(walk):
+    # a walk that recurses through a nested function naming itself leaves
+    # the function, its cell and its closure for the collector at each call
+    fn, args = _WALKS[walk]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            fn(*args)
+        gc.collect()
+        assert not gc.garbage, sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
