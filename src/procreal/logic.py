@@ -19,6 +19,8 @@ import reprlib
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
 
+from .parsing import ParseError, Reader
+
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -168,86 +170,59 @@ _F_TOKEN = re.compile(
 )
 
 
-class FormulaParseError(ValueError):
-    pass
+class FormulaParseError(ParseError, ValueError):
+    """A ValueError, so a bad formula in a proof file is bad input."""
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _F_TOKEN.match(text, pos)
-        if m is None:
-            raise FormulaParseError(f"unexpected character {text[pos]!r} at {pos}")
-        if m.lastgroup != "ws":
-            tokens.append(m.group(0))
-        pos = m.end()
-    tokens.append("<eof>")
-    parser = _FormulaParser(tokens)
-    out = parser.parse_expr()
-    if parser.peek() != "<eof>":
-        raise FormulaParseError(f"trailing input {parser.peek()!r}")
+    reader = _FormulaReader(text, _F_TOKEN)
+    out = reader.parse_expr()
+    reader.end()
     return out
 
 
-class _FormulaParser:
-    """Recursive descent over a token list ending in ``<eof>``."""
+class _FormulaReader(Reader):
+    """The formula grammar: a quantifier's body extends as far as it can,
+    the infix connectives associate to the left, `!`, `?`, `~` bind tightest."""
 
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
-    def take(self, expected=None) -> str:
-        tok = self.tokens[self.i]
-        if expected is not None and tok != expected:
-            raise FormulaParseError(f"expected {expected!r}, found {tok!r}")
-        self.i += 1
-        return tok
+    Error = FormulaParseError
 
     def parse_expr(self) -> Formula:
-        cls = _BY_SYMBOL.get(self.peek())
+        cls = _BY_SYMBOL.get(self.peek().text)
         if cls in _QUANTIFIERS:
-            self.take()
-            var = self.take()
-            self.take(".")
+            self.next()
+            var = self._ident("a bound variable")
+            self.expect(".")
             return cls(var, self.parse_expr())
         left = self.parse_unary()
-        while _BY_SYMBOL.get(self.peek()) in _INFIX:
-            cls = _BY_SYMBOL[self.take()]
+        while _BY_SYMBOL.get(self.peek().text) in _INFIX:
+            cls = _BY_SYMBOL[self.next().text]
             left = cls(left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
-        cls = _BY_SYMBOL.get(tok)
+        cls = _BY_SYMBOL.get(tok.text)
         if cls in _PREFIX:
-            self.take()
+            self.next()
             return cls(self.parse_unary())
-        if tok == "~":
-            self.take()
+        if tok.text == "~":
+            self.next()
             return negate(self.parse_unary())
-        if tok == "(":
-            self.take()
+        if tok.text == "(":
+            self.next()
             inner = self.parse_expr()
-            self.take(")")
+            self.expect(")")
             return inner
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and cls is None:
-            self.take()
+        if tok.kind == "ident" and cls is None:
+            self.next()
             args: list = []
-            if self.peek() == "(":
-                self.take()
-                while True:
-                    arg = self.take()
-                    args.append(int(arg) if arg.isdigit() else arg)
-                    if self.peek() != ",":
-                        break
-                    self.take(",")
-                self.take(")")
-            return FAtom(tok, True, tuple(args))
-        raise FormulaParseError(f"unexpected token {tok!r}")
+            if self.at("("):
+                self.next()
+                args = self.separated(lambda: self._value("an identifier or an integer"), ",")
+                self.expect(")")
+            return FAtom(tok.text, True, tuple(args))
+        self.error(f"expected a formula, found {tok.text!r}")
 
 
 # ---------------------------------------------------------------------------

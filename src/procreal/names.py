@@ -581,22 +581,20 @@ class FiniteRestriction(RestrictionSet):
 
 class CodingClass(RestrictionSet):
     """`all` labels, or the image of one coding of `CODING_CLASSES`, both
-    polarities: Ll, Lr (label halves), N1..N3 (mod-3 name classes)."""
+    polarities: Ll, Lr (label halves), N1..N3 (mod-3 name classes).  Any
+    other class is a ValueError where it is built, unpickling included."""
 
     __slots__ = ("which",)
 
     def __init__(self, which: str):
+        if which != "all" and which not in CODING_CLASSES:
+            raise ValueError(f"unknown coding class {which}")
         self.which = which
         super().__init__(which)
 
     def contains_label(self, lab: Label) -> bool:
         w = self.which
-        if w == "all":
-            return True
-        coding = CODING_CLASSES.get(w)
-        if coding is None:
-            raise ValueError(f"unknown coding class {w}")
-        return coding.inverse().apply_code(lab.code) is not None
+        return w == "all" or CODING_CLASSES[w].inverse().apply_code(lab.code) is not None
 
     def describe(self) -> str:
         return self.which

@@ -1,13 +1,18 @@
-"""Concrete syntax for terms, actions, renamings and restriction sets.
+"""Concrete syntax: one reader, two grammars.
 
-Grammar (precedence low to high):
+`Reader` holds the tokenizer and the token cursor that every text goes
+through; its errors name the line and column.  Two grammars subclass
+it: the term grammar below (terms, actions, renamings and restriction
+sets) and the formula grammar of `logic.parse_formula`.
+
+Term grammar (precedence low to high):
 
     program  := (IDENT '=' expr ';')* [expr]
     expr     := par ('+' par)*                  guarded sum
     par      := prefix ('|' prefix)*
     prefix   := action '.' prefix
               | 'in' name '(' IDENT ')' '.' prefix
-              | 'out' name '(' INT ')' '.' prefix
+              | 'out' name '(' (INT | IDENT) ')' '.' prefix
               | 'rec' IDENT '.' prefix
               | postfix
     postfix  := atom ('\\' restr | '[' renaming ']')*
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from . import combinators as C
@@ -83,6 +89,81 @@ class Token:
     col: int
 
 
+class Reader:
+    """A cursor over the tokens of one text, ending in an `eof` token it
+    never moves past.  `pattern` names each token's kind by its group;
+    `ws` matches are skipped.  A grammar subclasses it, and `error`
+    raises the grammar's `Error` with the line and column of the token at
+    the cursor."""
+
+    Error = ParseError
+
+    def __init__(self, text: str, pattern: re.Pattern):
+        self.tokens = []
+        pos, line, col = 0, 1, 1
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            if m is None:
+                raise self.Error(f"unexpected character {text[pos]!r}", line, col)
+            chunk = m.group(0)
+            if m.lastgroup != "ws":
+                self.tokens.append(Token(m.lastgroup, chunk, line, col))
+            nl = chunk.count("\n")
+            if nl:
+                line += nl
+                col = len(chunk) - chunk.rfind("\n")
+            else:
+                col += len(chunk)
+            pos = m.end()
+        self.tokens.append(Token("eof", "", line, col))
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
+
+    def error(self, msg: str):
+        tok = self.peek()
+        raise self.Error(msg, tok.line, tok.col)
+
+    def expect(self, text: str) -> Token:
+        tok = self.peek()
+        if tok.text != text:
+            self.error(f"expected {text!r}, found {tok.text!r}")
+        return self.next()
+
+    def _ident(self, what: str) -> str:
+        if self.peek().kind != "ident":
+            self.error(f"expected {what}")
+        return self.next().text
+
+    def _value(self, what: str):
+        """An integer or an identifier: a value or a value variable."""
+        if self.peek().kind == "int":
+            return int(self.next().text)
+        return self._ident(what)
+
+    def separated(self, item, sep: str) -> list:
+        """One or more `item`s separated by `sep`."""
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        return items
+
+    def end(self) -> None:
+        if self.peek().kind != "eof":
+            self.error(f"trailing input {self.peek().text!r}")
+
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+|\#[^\n]*)
       | (?P<int>\d+)
@@ -94,63 +175,32 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"in", "out", "rec"}
 
+# the renamings written as one keyword
+_NAMED_RENAMINGS = {"id": ID_RENAMING, "lcode": LCODE, "rcode": RCODE, "swap": SWAP}
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# builder name -> (arity, combinator); `wire` takes a braced name list
+_BUILDERS = {
+    "tensor": (2, C.tensor),
+    "lapp": (2, C.lapp),
+    "rapp": (2, C.rapp),
+    "seq": (2, C.seq),
+    "pair": (2, C.pairing),
+    "inl": (1, C.inj_l),
+    "inr": (1, C.inj_r),
+    "bang": (1, C.bang),
+    "wire": (1, C.identity_wire),
+}
 
 
-class _Parser:
+class _Parser(Reader):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(text, _TOKEN_RE)
         self.env: dict[str, Term] = {}  # the bindings `parse_program` has read
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, msg: str):
-        tok = self.peek()
-        raise ParseError(msg, tok.line, tok.col)
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.next()
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
 
     # -- names, labels, actions ------------------------------------------
 
     def parse_name(self) -> Name:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error("expected a name")
-        ident = self.next().text
+        ident = self._ident("a name")
         if ident in CODINGS and self.at("("):
             self.next()
             inner = self.parse_name()
@@ -172,35 +222,24 @@ class _Parser:
         """`{item, ..., item}`, possibly empty: actions, finite restriction
         sets, wire alphabets and renaming maps."""
         self.expect("{")
-        items = []
-        if not self.at("}"):
-            items.append(item())
-            while self.at(","):
-                self.next()
-                items.append(item())
+        items = [] if self.at("}") else self.separated(item, ",")
         self.expect("}")
         return items
 
     # -- renamings --------------------------------------------------------
 
     def parse_renaming(self) -> Renaming:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error("expected a renaming")
-        ident = self.next().text
-        if ident == "id":
-            return ID_RENAMING
-        if ident == "lcode":
-            return LCODE
-        if ident == "rcode":
-            return RCODE
-        if ident == "swap":
-            return SWAP
-        if re.fullmatch(r"phi[123][123]", ident):
-            return PhiCode(int(ident[3]), int(ident[4]))
-        m = re.fullmatch(r"n(\d+)of(\d+)", ident)
-        if m:
-            return KwayCode(int(m.group(1)), int(m.group(2)))
+        ident = self._ident("a renaming")
+        if ident in _NAMED_RENAMINGS:
+            return _NAMED_RENAMINGS[ident]
+        try:
+            if re.fullmatch(r"phi[123][123]", ident):
+                return PhiCode(int(ident[3]), int(ident[4]))
+            m = re.fullmatch(r"n(\d+)of(\d+)", ident)
+            if m:
+                return KwayCode(int(m.group(1)), int(m.group(2)))
+        except ValueError as exc:  # ports out of range
+            self.error(f"{ident!r}: {exc}")
         if ident == "inv":
             self.expect("(")
             inner = self.parse_renaming()
@@ -215,10 +254,7 @@ class _Parser:
             return Compose(after, first)
         if ident == "piece":
             self.expect("(")
-            pieces = [self.parse_renaming()]
-            while self.at("|"):
-                self.next()
-                pieces.append(self.parse_renaming())
+            pieces = self.separated(self.parse_renaming, "|")
             self.expect(")")
             return Piecewise(pieces)
         if ident == "map":
@@ -244,10 +280,7 @@ class _Parser:
     def parse_restriction(self) -> RestrictionSet:
         if self.at("("):
             self.next()
-            parts = [self.parse_restriction_atom()]
-            while self.at("+"):
-                self.next()
-                parts.append(self.parse_restriction_atom())
+            parts = self.separated(self.parse_restriction_atom, "+")
             self.expect(")")
             if len(parts) == 1:
                 return parts[0]
@@ -280,11 +313,7 @@ class _Parser:
             self.error("sum branches must be guarded")
 
     def parse_par(self) -> Term:
-        t = self.parse_prefix()
-        while self.at("|"):
-            self.next()
-            t = Par(t, self.parse_prefix())
-        return t
+        return reduce(Par, self.separated(self.parse_prefix, "|"))
 
     def parse_prefix(self) -> Term:
         tok = self.peek()
@@ -309,21 +338,11 @@ class _Parser:
             self.next()
             chan = self.parse_name()
             self.expect("(")
-            vtok = self.peek()
-            if vtok.kind == "int":
-                value = int(self.next().text)
-            else:
-                value = self._ident("value")
+            value = self._value("value")
             self.expect(")")
             self.expect(".")
             return OutputPrefix(chan, value, self.parse_prefix())
         return self.parse_postfix()
-
-    def _ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected {what}")
-        return self.next().text
 
     def parse_postfix(self) -> Term:
         t = self.parse_atom()
@@ -339,8 +358,6 @@ class _Parser:
             else:
                 return t
 
-    _BUILDERS = {"tensor", "lapp", "rapp", "seq", "wire", "pair", "inl", "inr", "bang"}
-
     def parse_atom(self) -> Term:
         tok = self.peek()
         if tok.text == "0":
@@ -353,7 +370,7 @@ class _Parser:
             return t
         if tok.kind == "ident":
             name = self.next().text
-            if name in self._BUILDERS and self.at("("):
+            if name in _BUILDERS and self.at("("):
                 return self._builder(name)
             if name in self.env:
                 return self.env[name]
@@ -363,69 +380,45 @@ class _Parser:
     def _builder(self, name: str) -> Term:
         self.expect("(")
         if name == "wire":
-            names = self.parse_braced(self.parse_name)
-            self.expect(")")
-            return C.identity_wire(frozenset(names))
-        args = [self.parse_expr()]
-        while self.at(","):
-            self.next()
-            args.append(self.parse_expr())
+            args = [frozenset(self.parse_braced(self.parse_name))]
+        else:
+            args = self.separated(self.parse_expr, ",")
         self.expect(")")
-        table = {
-            "tensor": (2, lambda a: C.tensor(a[0], a[1])),
-            "lapp": (2, lambda a: C.lapp(a[0], a[1])),
-            "rapp": (2, lambda a: C.rapp(a[0], a[1])),
-            "seq": (2, lambda a: C.seq(a[0], a[1])),
-            "pair": (2, lambda a: C.pairing(a[0], a[1])),
-            "inl": (1, lambda a: C.inj_l(a[0])),
-            "inr": (1, lambda a: C.inj_r(a[0])),
-            "bang": (1, lambda a: C.bang(a[0])),
-        }
-        arity, build = table[name]
+        arity, build = _BUILDERS[name]
         if len(args) != arity:
             self.error(f"{name} expects {arity} argument(s)")
-        return build(args)
+        return build(*args)
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.parse_expr()
-    if p.peek().kind != "eof":
-        p.error(f"trailing input {p.peek().text!r}")
+    p.end()
     return t
 
 
 def parse_program(text: str) -> tuple[dict, Optional[Term]]:
     """Parses `name = term;` bindings plus an optional final bare term."""
     p = _Parser(text)
-    bindings: dict[str, Term] = {}
     main: Optional[Term] = None
     while p.peek().kind != "eof":
-        if (
-            p.peek().kind == "ident"
-            and p.tokens[p.i + 1].text == "="
-            and p.peek().text not in _KEYWORDS
-        ):
-            name = p.next().text
+        tok = p.peek()
+        if tok.kind == "ident" and tok.text not in _KEYWORDS and p.tokens[p.i + 1].text == "=":
+            p.next()
             p.expect("=")
-            p.env = bindings
             term = p.parse_expr()
             p.expect(";")
-            bindings[name] = term
+            p.env[tok.text] = term
         else:
-            p.env = bindings
             main = p.parse_expr()
-            if p.peek().kind != "eof":
-                p.error(f"trailing input {p.peek().text!r}")
-            break
+            p.end()
     if main is None:
-        main = bindings.get("main")
-    return bindings, main
+        main = p.env.get("main")
+    return p.env, main
 
 
 def parse_renaming_text(text: str) -> Renaming:
     p = _Parser(text)
     r = p.parse_renaming()
-    if p.peek().kind != "eof":
-        p.error("trailing input")
+    p.end()
     return r

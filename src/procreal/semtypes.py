@@ -39,7 +39,7 @@ from .equivalence import (
 )
 from .names import ALPHA, BETA, DELTA, GAMMA, OMEGA, SIGMA, l_code, negative, positive, r_code
 from .semantics import _MEMO, ExplorationBudget
-from .terms import NIL, Prefix, Sum, Term, choice, print_term, value_name
+from .terms import NIL, Prefix, Term, choice, print_term, value_name
 from .logic import (
     DUAL_CONNECTIVES,
     FAtom,
@@ -546,11 +546,11 @@ def inhabited(t: SemType) -> bool:
 
 
 def empty_list_realizer() -> Term:
-    return Prefix(frozenset([negative(ALPHA)]), NIL)
+    return inj_l(NIL, port="plain")
 
 
 def cons_realizer(value_realizer: Term, tail_realizer: Term) -> Term:
-    return Prefix(frozenset([negative(BETA)]), tensor(value_realizer, tail_realizer))
+    return inj_r(tensor(value_realizer, tail_realizer), port="plain")
 
 
 def list_realizer(value_realizers) -> Term:
@@ -568,12 +568,7 @@ def list_consumer(q_family) -> Term:
         raise ValueError("need at least the empty-list consumer")
     out = Prefix(frozenset([positive(ALPHA)]), qs[-1])
     for q in reversed(qs[:-1]):
-        out = Sum(
-            (
-                (frozenset([positive(ALPHA)]), q),
-                (frozenset([positive(BETA)]), out),
-            )
-        )
+        out = pairing(q, out, port="plain")
     return out
 
 
@@ -605,25 +600,15 @@ def _tensor_consumer(a: SemType, n: int) -> Term:
 
 
 def stream_realizer(a: SemType, depth: int) -> Term:
-    stop = Prefix(frozenset([positive(ALPHA)]), NIL)
     if depth == 0:
-        return stop
-    rep = a.pos.reps()[0]
-    return Sum(
-        (
-            (frozenset([positive(ALPHA)]), NIL),
-            (frozenset([positive(BETA)]), tensor(rep, stream_realizer(a, depth - 1))),
-        )
-    )
+        return Prefix(frozenset([positive(ALPHA)]), NIL)
+    return pairing(NIL, tensor(a.pos.reps()[0], stream_realizer(a, depth - 1)), port="plain")
 
 
 def stream_consumer(a: SemType, depth: int) -> Term:
     if depth == 0:
-        return Prefix(frozenset([negative(ALPHA)]), NIL)
-    return Prefix(
-        frozenset([negative(BETA)]),
-        tensor(a.neg.reps()[0], stream_consumer(a, depth - 1)),
-    )
+        return inj_l(NIL, port="plain")
+    return inj_r(tensor(a.neg.reps()[0], stream_consumer(a, depth - 1)), port="plain")
 
 
 def stream_type_example(a: SemType, depth: int) -> SemType:

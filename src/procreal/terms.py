@@ -35,7 +35,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Optional, Union
 
 from .names import (

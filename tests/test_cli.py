@@ -393,6 +393,25 @@ def test_malformed_input_exits_three(argv, contents, files, capsys):
     assert err and "\n" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, contents",
+    [
+        pytest.param(*_check_type(TYPE_ENV, "forall"), id="quantifier-alone"),
+        pytest.param(*_check_type(TYPE_ENV, "p("), id="open-arguments"),
+        pytest.param(*_check_type(TYPE_ENV, "p(1,"), id="open-argument-list"),
+        pytest.param(*_check_type(TYPE_ENV, "forall (. a"), id="bound-parenthesis"),
+        pytest.param(*_proof("verify-cut", {"rule": "axiom", "formula": "p(1,"}),
+                     id="open-argument-list-verify-cut"),
+        pytest.param(*_proof("extract", {"rule": "axiom", "formula": "p(1,"}),
+                     id="open-argument-list-extract"),
+    ],
+)
+def test_malformed_formula_exits_three_naming_line_and_column(argv, contents, files, capsys):
+    assert _run(argv, contents, files) == 3
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "Traceback" not in err and "(line 1, column " in err
+
+
 def test_check_type_expands_terms_over_the_environment_values(files, capsys):
     env = {"atoms": {"a": {"pos": ["in s(x). 0"], "neg": ["{~a}.0"]}}, "values": [0]}
     argv, contents = _check_type(env)

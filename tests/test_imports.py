@@ -190,3 +190,20 @@ def test_no_nested_function_names_itself():
                 if name in seen:
                     found.append(f"{path.name}: {outer.name}.{name}")
     assert not found
+
+
+def test_every_import_is_used():
+    # a module-level import that nothing in its module reads is dead code;
+    # `__future__` imports are directives, not names
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                found += [
+                    f"{path.stem}.{name}"
+                    for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read
+                ]
+    assert not found

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_lines import golden_lines, trail_line
+from golden_lines import TYPE_FORMULAS, golden_lines, trail_line
 from procreal.corpus import corpus_proofs, eta_formulas, eta_proof
 from procreal.logic import (
     FAtom,
@@ -17,6 +17,7 @@ from procreal.logic import (
     FQuest,
     FTensor,
     FWith,
+    FormulaParseError,
     RULE_NAMES,
     PAxiom,
     PContr,
@@ -95,6 +96,35 @@ def test_formula_syntax():
     assert parse_formula("!a") == FBang(A)
     assert parse_formula("?~a") == FQuest(negate(A))
     assert parse_formula("forall x. p(x)") == FForall("x", FAtom("p", True, ("x",)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("forall", "expected a bound variable (line 1, column 7)"),
+        ("forall (. a", "expected a bound variable (line 1, column 8)"),
+        ("p(", "expected an identifier or an integer (line 1, column 3)"),
+        ("p(1,", "expected an identifier or an integer (line 1, column 5)"),
+        ("p(~a)", "expected an identifier or an integer (line 1, column 3)"),
+        ("a*\n  (b", "expected ')', found '' (line 2, column 5)"),
+        ("a $", "unexpected character '$' (line 1, column 3)"),
+        ("a)", "trailing input ')' (line 1, column 2)"),
+    ],
+)
+def test_formula_errors_name_line_and_column(text, message):
+    with pytest.raises(FormulaParseError) as exc:
+        parse_formula(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", TYPE_FORMULAS)
+def test_every_prefix_of_a_formula_parses_or_is_a_formula_error(text):
+    # any other exception, such as reading past the end, fails the test
+    for k in range(len(text)):
+        try:
+            parse_formula(text[:k])
+        except FormulaParseError as exc:
+            assert "(line 1, column " in str(exc)
 
 
 def test_subst_value_formula():
@@ -306,7 +336,8 @@ def _misspelt_cut() -> dict:
     "data, message",
     [
         ([1], "JSON object"),
-        ({"rule": "axiom", "formula": "a*"}, "<eof>"),  # a FormulaParseError
+        pytest.param({"rule": "axiom", "formula": "a*"},  # a FormulaParseError
+                     r"^expected a formula, found '' \(line 1, column 3\)$", id="unfinished-formula"),
         ({"rule": "lemma"}, "'lemma'"),
         ({"rule": "par"}, "'par'"),
         ({"rule": "axiom"}, "'axiom'"),

@@ -136,6 +136,17 @@ def test_restriction_classes():
         CodingClass("N4").contains_label(even)
 
 
+def test_an_unknown_coding_class_is_refused_where_it_is_made():
+    # not first when a label is tested, deep inside build_lts
+    with pytest.raises(ValueError, match="unknown coding class N4"):
+        Restrict(parse_term("{a}.0"), CodingClass("N4"))
+    # unpickling builds the class through its constructor too
+    data = pickle.dumps(LL_CLASS)
+    assert pickle.loads(data) == LL_CLASS
+    with pytest.raises(ValueError, match="unknown coding class N4"):
+        pickle.loads(data.replace(b"Ll", b"N4"))
+
+
 @pytest.mark.parametrize("spelling, which, ways, port",
                          [("l", "Ll", 2, 1), ("r", "Lr", 2, 2), ("n1", "N1", 3, 1), ("n2", "N2", 3, 2),
                           ("n3", "N3", 3, 3)])

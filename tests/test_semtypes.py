@@ -14,7 +14,7 @@ from procreal.equivalence import INCOMPLETE, BudgetExceeded, EquivResult, failur
 from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
 from procreal.logic import parse_formula
-from procreal.names import REGISTRY, negative, positive
+from procreal.names import ALPHA, BETA, REGISTRY, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget
 from procreal.semtypes import (
@@ -25,6 +25,8 @@ from procreal.semtypes import (
     SemType,
     bang_type,
     compose_morphisms,
+    cons_realizer,
+    empty_list_realizer,
     formula_to_type,
     forall_v_type,
     identity_morphism,
@@ -35,6 +37,8 @@ from procreal.semtypes import (
     list_type_example,
     partition,
     realizes_pos,
+    stream_consumer,
+    stream_realizer,
     stream_type_example,
     tensor_type,
     total,
@@ -42,7 +46,7 @@ from procreal.semtypes import (
     validate_repper,
     with_type,
 )
-from procreal.terms import NIL, Prefix, print_term
+from procreal.terms import NIL, Prefix, Sum, print_term
 
 BUD = ExplorationBudget(max_states=3000)
 
@@ -531,6 +535,20 @@ def test_forall_v_type_clauses():
 
 def test_empty_list_realizer_shape():
     assert print_term(list_realizer([])) == "{~alpha}.0"
+
+
+def test_list_and_stream_realizers_are_the_additive_combinators_nodes():
+    # each list and stream realizer is built by inj_l, inj_r or pairing on
+    # the plain port, and is the very node (terms are hash-consed) that
+    # its prefix or sum over the bare choice atoms is
+    p, q = TA.pos.reps()[0], TA.neg.reps()[0]
+    alpha, beta = frozenset([positive(ALPHA)]), frozenset([positive(BETA)])
+    co_alpha, co_beta = frozenset([negative(ALPHA)]), frozenset([negative(BETA)])
+    assert empty_list_realizer() is Prefix(co_alpha, NIL)
+    assert cons_realizer(p, NIL) is Prefix(co_beta, tensor(p, NIL))
+    assert list_consumer([NIL, q]) is Sum(((alpha, NIL), (beta, Prefix(alpha, q))))
+    assert stream_realizer(TA, 1) is Sum(((alpha, NIL), (beta, tensor(p, Prefix(alpha, NIL)))))
+    assert stream_consumer(TA, 1) is Prefix(co_beta, tensor(q, Prefix(co_alpha, NIL)))
 
 
 def test_unit_list_realizer_shape():

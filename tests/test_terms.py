@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from golden_lines import LTS_TERMS
 from procreal.combinators import bang
 from procreal.generators import _constructed_terms, enumerate_terms, random_term
 from procreal.names import LCODE, SWAP, Compose, FiniteRestriction, REGISTRY, negative, positive
@@ -81,6 +82,29 @@ def test_unclosed_brace_message(text, message):
     with pytest.raises(ParseError) as exc:
         parse_term(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 [n3of2]", "'n3of2': port out of range (line 1, column 9)"),
+        ("0 [comp(lcode, phi11)]", "'phi11': phi ports must be distinct in 1..3 (line 1, column 21)"),
+    ],
+)
+def test_a_coding_out_of_range_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", LTS_TERMS)
+def test_every_prefix_of_a_term_parses_or_is_a_parse_error(text):
+    # any other exception, such as reading past the end, fails the test
+    for k in range(len(text) + 1):
+        try:
+            parse_term(text[:k])
+        except ParseError as exc:
+            assert "(line 1, column " in str(exc)
 
 
 def test_bindings_and_main():
