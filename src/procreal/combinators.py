@@ -31,7 +31,6 @@ from .names import (
     dual_action,
     kept,
     l_code,
-    label_key,
     negative,
     positive,
     r_code,
@@ -107,10 +106,7 @@ def seq(p: Term, q: Term) -> Term:
 
 def act_plus(alphabet: Alphabet) -> list:
     """All nonempty actions over the alphabet's labels, canonically ordered."""
-    labels = sorted(
-        [positive(n) for n in alphabet] + [negative(n) for n in alphabet],
-        key=label_key,
-    )
+    labels = sorted([positive(n) for n in alphabet] + [negative(n) for n in alphabet])
     actions = []
     for k in range(1, len(labels) + 1):
         for combo in combinations(labels, k):

@@ -49,55 +49,58 @@ def _action_pools(atoms: tuple) -> tuple:
 def random_term(rng: random.Random, atoms, size: int) -> Term:
     """Closed well-formed guarded term over the given atoms."""
     atoms = tuple(atoms)
-    guards, prefixes = _action_pools(atoms)
-    counter = [0]
+    return _random_term(rng, atoms, *_action_pools(atoms), [0], size, (), False)
 
-    def gen(budget: int, bound: tuple, guarded: bool) -> Term:
-        if budget <= 1:
-            if bound and guarded and rng.random() < 0.5:
-                return Var(rng.choice(bound))
-            return NIL
-        choices = ["prefix", "prefix", "sum", "par", "restrict", "rename"]
-        if budget >= 3:
-            choices.append("rec")
-        kind = rng.choice(choices)
-        if kind == "prefix":
-            return Prefix(rng.choice(prefixes), gen(budget - 1, bound, True))
-        if kind == "sum":
-            n = 2
-            split = max(1, (budget - 1) // n)
-            branches = tuple(
-                (rng.choice(guards), gen(split, bound, True)) for _ in range(n)
+
+def _random_term(rng, atoms, guards, prefixes, counter, budget: int, bound: tuple,
+                 guarded: bool) -> Term:
+    """A term of at most `budget` nodes whose recursion variables are drawn
+    from `bound`; `counter` numbers the recursions built so far."""
+    pools = rng, atoms, guards, prefixes, counter
+    if budget <= 1:
+        if bound and guarded and rng.random() < 0.5:
+            return Var(rng.choice(bound))
+        return NIL
+    choices = ["prefix", "prefix", "sum", "par", "restrict", "rename"]
+    if budget >= 3:
+        choices.append("rec")
+    kind = rng.choice(choices)
+    if kind == "prefix":
+        return Prefix(rng.choice(prefixes), _random_term(*pools, budget - 1, bound, True))
+    if kind == "sum":
+        n = 2
+        split = max(1, (budget - 1) // n)
+        branches = tuple(
+            (rng.choice(guards), _random_term(*pools, split, bound, True)) for _ in range(n)
+        )
+        return Sum(branches)
+    if kind == "par":
+        # recursion variables stay out of parallel branches: a
+        # variable under Par replicates the term on unfolding and
+        # the state space stops being finite
+        lb = max(1, (budget - 1) // 2)
+        return Par(_random_term(*pools, lb, (), guarded),
+                   _random_term(*pools, budget - 1 - lb, (), guarded))
+    if kind == "restrict":
+        k = rng.randint(1, len(atoms))
+        labels = [positive(a) for a in rng.sample(list(atoms), k)]
+        return Restrict(_random_term(*pools, budget - 1, bound, guarded), FiniteRestriction(labels))
+    if kind == "rename":
+        if len(atoms) >= 2 and rng.random() < 0.7:
+            a, b = rng.sample(list(atoms), 2)
+            ren = FiniteMap(
+                [(a, b), (b, a)] + [(c, c) for c in atoms if c not in (a, b)]
             )
-            return Sum(branches)
-        if kind == "par":
-            # recursion variables stay out of parallel branches: a
-            # variable under Par replicates the term on unfolding and
-            # the state space stops being finite
-            lb = max(1, (budget - 1) // 2)
-            return Par(gen(lb, (), guarded), gen(budget - 1 - lb, (), guarded))
-        if kind == "restrict":
-            k = rng.randint(1, len(atoms))
-            labels = [positive(a) for a in rng.sample(list(atoms), k)]
-            return Restrict(gen(budget - 1, bound, guarded), FiniteRestriction(labels))
-        if kind == "rename":
-            if len(atoms) >= 2 and rng.random() < 0.7:
-                a, b = rng.sample(list(atoms), 2)
-                ren = FiniteMap(
-                    [(a, b), (b, a)] + [(c, c) for c in atoms if c not in (a, b)]
-                )
-            else:
-                ren = FiniteMap([(c, c) for c in atoms])
-            # keep recursion variables out of renamed subterms: iterated
-            # relabelling under recursion has no finite sort bound
-            return Rename(gen(budget - 1, (), guarded), ren)
-        # rec: body starts with a guard so every variable stays guarded
-        counter[0] += 1
-        var = f"Z{counter[0]}"
-        body = Prefix(rng.choice(guards), gen(budget - 2, bound + (var,), True))
-        return Rec(var, body)
-
-    return gen(size, (), False)
+        else:
+            ren = FiniteMap([(c, c) for c in atoms])
+        # keep recursion variables out of renamed subterms: iterated
+        # relabelling under recursion has no finite sort bound
+        return Rename(_random_term(*pools, budget - 1, (), guarded), ren)
+    # rec: body starts with a guard so every variable stays guarded
+    counter[0] += 1
+    var = f"Z{counter[0]}"
+    body = Prefix(rng.choice(guards), _random_term(*pools, budget - 2, bound + (var,), True))
+    return Rec(var, body)
 
 
 def equivalent_pair(rng: random.Random, atoms, size: int) -> tuple:
@@ -200,7 +203,6 @@ def _constructed_terms(atoms: tuple, max_size: int):
     guards = [frozenset([l]) for l in labels]
     if len(atoms) >= 2:
         guards.append(frozenset([positive(atoms[0]), negative(atoms[1])]))
-    prefixes = [TAU] + guards
     restrictions = [
         FiniteRestriction([positive(atoms[0])]),
         FiniteRestriction([positive(a) for a in atoms]),
@@ -210,39 +212,42 @@ def _constructed_terms(atoms: tuple, max_size: int):
         renamings.append(
             FiniteMap([(atoms[0], atoms[1]), (atoms[1], atoms[0])])
         )
-
-    def gen(size: int, bound: tuple, guarded: bool):
-        if size >= 1:
-            yield NIL
-            if bound and guarded:
-                yield Var(bound[-1])
-        if size >= 2:
-            for a in prefixes:
-                for p in gen(size - 1, bound, True):
-                    yield Prefix(a, p)
-            for p in gen(size - 1, bound, guarded):
-                for L in restrictions:
-                    yield Restrict(p, L)
-                for f in renamings:
-                    yield Rename(p, f)
-            if not bound:
-                for body in gen(size - 1, ("X",), False):
-                    if _body_guarded(body):
-                        yield Rec("X", body)
-        if size >= 3:
-            for ls in range(1, size - 1):
-                for p in gen(ls, (), guarded):
-                    for q in gen(size - 1 - ls, (), guarded):
-                        yield Par(p, q)
-            for ls in range(1, size - 1):
-                for ga in guards:
-                    for p in gen(ls, bound, True):
-                        for gb in guards:
-                            for q in gen(size - 1 - ls, bound, True):
-                                yield Sum(((ga, p), (gb, q)))
-
-    def _body_guarded(body: Term) -> bool:
-        return not well_formed(Rec("X", body))
-
+    pools = guards, [TAU] + guards, restrictions, renamings
     for size in range(1, max_size + 1):
-        yield from gen(size, (), False)
+        yield from _sized_terms(pools, size, (), False)
+
+
+def _sized_terms(pools: tuple, size: int, bound: tuple, guarded: bool):
+    """The terms of `size` nodes `_constructed_terms` builds, their
+    recursion variables drawn from `bound`; `pools` holds the guards,
+    the prefixes, the restriction sets and the renamings."""
+    guards, prefixes, restrictions, renamings = pools
+    if size >= 1:
+        yield NIL
+        if bound and guarded:
+            yield Var(bound[-1])
+    if size >= 2:
+        for a in prefixes:
+            for p in _sized_terms(pools, size - 1, bound, True):
+                yield Prefix(a, p)
+        for p in _sized_terms(pools, size - 1, bound, guarded):
+            for L in restrictions:
+                yield Restrict(p, L)
+            for f in renamings:
+                yield Rename(p, f)
+        if not bound:
+            for body in _sized_terms(pools, size - 1, ("X",), False):
+                rec = Rec("X", body)
+                if not well_formed(rec):  # its body is guarded
+                    yield rec
+    if size >= 3:
+        for ls in range(1, size - 1):
+            for p in _sized_terms(pools, ls, (), guarded):
+                for q in _sized_terms(pools, size - 1 - ls, (), guarded):
+                    yield Par(p, q)
+        for ls in range(1, size - 1):
+            for ga in guards:
+                for p in _sized_terms(pools, ls, bound, True):
+                    for gb in guards:
+                        for q in _sized_terms(pools, size - 1 - ls, bound, True):
+                            yield Sum(((ga, p), (gb, q)))

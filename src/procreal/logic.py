@@ -801,13 +801,13 @@ def _eliminate(p: Proof, step_bound: int, keep_trail: bool) -> ElimResult:
     kinds: list = []
     current = p
     status = "done"
-    while has_cut(current):
-        if steps >= step_bound:
-            status = "bound"
-            break
-        found = _reduce_innermost(current)
+    while True:
+        # one walk per step: the proof is searched for a cut only when
+        # none reduces or the bound stops the reduction
+        found = _reduce_innermost(current) if steps < step_bound else None
         if found is None:
-            status = "stuck"
+            if has_cut(current):
+                status = "stuck" if steps < step_bound else "bound"
             break
         current, kind = found
         steps += 1

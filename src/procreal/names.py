@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -38,6 +37,7 @@ class Name(NamedTuple):
         return print_name(self)
 
 
+# a label sorts as the tuple it is: by code, then polarity
 class Label(NamedTuple):
     code: int
     neg: bool
@@ -75,10 +75,6 @@ def dual_action(a: Action) -> Action:
     return frozenset(lab.dual() for lab in a)
 
 
-# a label's sort key, (code, neg)
-label_key = attrgetter("code", "neg")
-
-
 # An action's key depends on its label codes alone, so it is kept for the
 # process; the printed form is not, because it reads the atom registry,
 # which may grow.  A full benchmark stream meets 13 (`oracle`), 287
@@ -86,11 +82,11 @@ label_key = attrgetter("code", "neg")
 # and more, so 1,024 entries hold them all, with room to spare.
 @lru_cache(maxsize=1024)
 def action_key(a: Action):
-    return tuple(sorted(map(label_key, a)))
+    return tuple(sorted(map(tuple, a)))
 
 
 def print_action(a: Action) -> str:
-    return "{" + ",".join(map(str, sorted(a, key=label_key))) + "}"
+    return "{" + ",".join(map(str, sorted(a))) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +572,7 @@ class FiniteRestriction(RestrictionSet):
         return lab in self.labels
 
     def describe(self) -> str:
-        return "{" + ",".join(str(l) for l in sorted(self.labels, key=label_key)) + "}"
+        return "{" + ",".join(map(str, sorted(self.labels))) + "}"
 
 
 class CodingClass(RestrictionSet):

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, KeysView, Optional
 
-from .names import RestrictionSet, action_key, dual_action, label_key, print_action
+from .names import RestrictionSet, action_key, dual_action, print_action
 from .terms import (
     InputPrefix,
     OutputPrefix,
@@ -327,7 +327,7 @@ def _par_step(t: Par, labels: Optional[RestrictionSet], left: KeysView, right: K
                     pairs[rest_d | rest_e, succ if labels is None else Restrict(succ, labels)] = None
                 continue
             succ = None
-            for s in _subsets(tuple(sorted(free, key=label_key))):
+            for s in _subsets(tuple(sorted(free))):
                 b = bd | s
                 combined_l = d - b
                 combined_r = e - dual_action(b)
@@ -390,7 +390,7 @@ class LTS:
             "initial": keys[self.initial],
             "complete": self.complete,
             "transitions": [
-                [src, [str(l) for l in sorted(a, key=label_key)], dst] for src, _, dst, a in edges
+                [src, [str(l) for l in sorted(a)], dst] for src, _, dst, a in edges
             ],
         }
 

@@ -3,17 +3,20 @@ well-formedness, syntactic sorts and value-passing expansion.
 
 Terms are immutable and hash-consed: constructing a node returns the
 live node with the same fields, when there is one (`_node`), so no
-structure has two live nodes and identity is equality.  A node compares
-and hashes as the object it is, so the memo tiers, graphs and closures
-keyed by nodes do so without a Python call.  Each node keeps one value
-computed once, when it is built, from its children's: its constructor
-depth (`term_depth`).  So a node is the state key of the transition
-engine: explorations hash and compare nodes and print nothing.  The
-canonical printed form is made only where text leaves the program (graph
-exports, witnesses, reports), and it is deterministic: actions print
-their labels sorted, sums print their branches in construction order.
-Nothing printed or compared follows the order of a set of nodes, which
-is the order of their addresses.
+structure has two live nodes and identity is equality.  A node's
+children are the fields its class annotates `Term` (its `_kids`), or a
+sum's branch continuations; a walk that treats most kinds alike reads
+them through `subterms` or `map_subterms`.  A node compares and hashes
+as the object it is, so the memo tiers, graphs and closures keyed by
+nodes do so without a Python call.  Each node keeps one value computed
+once, when it is built, from its children's: its constructor depth
+(`term_depth`).  So a node is the state key of the transition engine:
+explorations hash and compare nodes and print nothing.  The canonical
+printed form is made only where text leaves the program (graph exports,
+witnesses, reports), and it is deterministic: actions print their labels
+sorted, sums print their branches in construction order.  Nothing
+printed or compared follows the order of a set of nodes, which is the
+order of their addresses.
 
 Transitions are not kept on nodes.  An exploration memoises them by node
 for as long as it runs (`semantics.step`'s `_memo`), so a subtree shared
@@ -34,7 +37,7 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .names import (
@@ -63,7 +66,7 @@ class Term:
         # the live node with these fields if there is one: restoring the
         # slots would go through the frozen __setattr__ and make a second
         # node of one structure
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple([getattr(self, n) for n in self.__match_args__])
 
 
 class _Ref(weakref.ref):
@@ -116,24 +119,26 @@ def _node(cls):
     a miss builds and enters its node under `_LOCK`, after looking again,
     so that two threads building one structure get one node.
 
-    A new node gets `_depth`, one more than its deepest child's
-    (`term_depth`), computed once from the children's slots; the children
-    are the fields annotated `Term`, or what the class's `_below` reads (a
-    test checks that `term_depth` agrees with a level count over
-    `subterms`).  The slots are set through their own setters: the frozen
-    dataclass refuses plain assignment.
+    A node's children are the fields its class annotates `Term`, kept in
+    field order as the class's `_kids`; a sum's, its branch continuations,
+    are what its `_below` reads.  A new node gets `_depth`, one more than
+    its deepest child's (`term_depth`) or 1 with no child, computed once
+    from the children's slots (a test checks that `term_depth` agrees with
+    a level count over `subterms`).  The slots are set through their own
+    setters: the frozen dataclass refuses plain assignment.
 
     A field annotated `Renaming` or `RestrictionSet` is set to the kept
     instance of its map (`names.kept`), so equal nodes hold one map
     object; only a new node looks it up."""
     names = tuple(cls.__annotations__)
+    cls._kids = tuple(n for n in names if cls.__annotations__[n] == "Term")
     # the depth below the node: what `_below` returns, or the children's
     # slots read inline, which saves a Python call per new node
     if "_below" in cls.__dict__:
         below = "_below(node)"
     else:
-        kids = [f"{n}._depth" for n, a in cls.__annotations__.items() if a == "Term"]
-        below = kids[0] if len(kids) == 1 else "({0} if {0} > {1} else {1})".format(*kids)
+        depths = [f"{n}._depth" for n in cls._kids]
+        below = ("0", "{0}", "({0} if {0} > {1} else {1})")[len(depths)].format(*depths)
     table = _TABLES[cls] = {}
     ref = type(f"_{cls.__name__}Ref", (_Ref,), {"__slots__": (), "table": table})
     env = {
@@ -219,9 +224,6 @@ class Var(Term):
     __slots__ = ("ident", "_depth", "__weakref__")
     ident: str
 
-    def _below(self):
-        return 0
-
 
 @_node
 class Rec(Term):
@@ -283,20 +285,13 @@ def restrict(proc: Term, labels: RestrictionSet) -> Term:
 
 
 def subterms(t: Term) -> tuple:
-    """Immediate children of a node, in field order."""
-    if isinstance(t, Prefix):
-        return (t.cont,)
-    if isinstance(t, Sum):
-        return tuple(p for _, p in t.branches)
-    if isinstance(t, Par):
-        return (t.left, t.right)
-    if isinstance(t, (Restrict, Rename)):
-        return (t.proc,)
-    if isinstance(t, (Rec, InputPrefix, OutputPrefix)):
-        return (t.body,)
-    if isinstance(t, Var):
-        return ()
-    raise TypeError(f"not a term: {t!r}")
+    """Immediate children of a node, in field order: its class's `_kids`,
+    or a sum's branch continuations."""
+    if type(t) is Sum:
+        return tuple([p for _, p in t.branches])
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return tuple([getattr(t, n) for n in t._kids])
 
 
 def map_subterms(t: Term, f, *args) -> Term:
@@ -305,25 +300,15 @@ def map_subterms(t: Term, f, *args) -> Term:
     restrictions are not fused.  A recursive walk passes itself and its
     own arguments here rather than a nested function that names itself,
     which would leave a reference cycle for the collector at every call."""
-    if isinstance(t, Prefix):
-        return Prefix(t.action, f(t.cont, *args))
-    if isinstance(t, Sum):
-        return Sum(tuple((a, f(p, *args)) for a, p in t.branches))
-    if isinstance(t, Par):
-        return Par(f(t.left, *args), f(t.right, *args))
-    if isinstance(t, Restrict):
-        return Restrict(f(t.proc, *args), t.labels)
-    if isinstance(t, Rename):
-        return Rename(f(t.proc, *args), t.ren)
-    if isinstance(t, Rec):
-        return Rec(t.var, f(t.body, *args))
-    if isinstance(t, InputPrefix):
-        return InputPrefix(t.chan, t.var, f(t.body, *args))
-    if isinstance(t, OutputPrefix):
-        return OutputPrefix(t.chan, t.value, f(t.body, *args))
-    if isinstance(t, Var):
-        return t
-    raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is Sum:
+        return Sum(tuple([(a, f(p, *args)) for a, p in t.branches]))
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    fields = []
+    for n in kind.__match_args__:
+        fields.append(f(getattr(t, n), *args) if n in kind._kids else getattr(t, n))
+    return kind(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +468,15 @@ def sort_labels(t: Term) -> Optional[frozenset]:
 
 def _guarded(t: Term, var: str) -> bool:
     """Every free occurrence of `var` lies beneath a prefix or guard."""
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         return t.ident != var
-    if isinstance(t, (Prefix, Sum, InputPrefix, OutputPrefix)):
+    if kind in (Prefix, Sum, InputPrefix, OutputPrefix) or kind is Rec and t.var == var:
         return True
-    if isinstance(t, Par):
-        return _guarded(t.left, var) and _guarded(t.right, var)
-    if isinstance(t, (Restrict, Rename)):
-        return _guarded(t.proc, var)
-    if isinstance(t, Rec):
-        if t.var == var:
-            return True
-        return _guarded(t.body, var)
-    raise TypeError(f"not a term: {t!r}")
+    for u in subterms(t):
+        if not _guarded(u, var):
+            return False
+    return True
 
 
 def well_formed(t: Term) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,52 @@ def test_malformed_input_exits_three(argv, contents, files, capsys):
     err = capsys.readouterr().err.strip()
     assert err and "\n" not in err and "Traceback" not in err
 
+
+# The pieces random inputs are made of: the punctuation of terms, formulas
+# and JSON, digits, identifiers, a NUL and a byte that is no UTF-8.
+FUZZ_PIECES = [b"{", b"}", b"(", b")", b"[", b"]", b"\\", b"~", b".", b"|", b"+", b",",
+               b":", b'"', b" ", b"\n", b"0", b"1", b"42", b"a", b"b", b"X", b"rec",
+               b"\x00", b"\xff"]
+FUZZ_TERM = b"rec X. ({a}.X + {b,~a}.0) | {~b}.0 \\ {a}"
+FUZZ_PROOF = json.dumps({"rule": "cut", "formula": "a", "premises": [AXIOM, AXIOM]}).encode()
+
+# Each file argument of each command that reads one (FUZZ stands for the
+# file of random bytes, next to well-formed companions), with a text of
+# that argument's kind: half the inputs are that text altered in one place.
+FUZZ_COMMANDS = [
+    (["lts", "FUZZ", "--max-states", "50"], FUZZ_TERM),
+    (["equiv", "FUZZ", "t.term", "--max-states", "50"], FUZZ_TERM),
+    (["check-type", "FUZZ", "env.json", "a", "--max-states", "50"], FUZZ_TERM),
+    (["check-type", "t.term", "FUZZ", "a", "--max-states", "50"], json.dumps(TYPE_ENV).encode()),
+    (["extract", "FUZZ"], FUZZ_PROOF),
+    (["extract", "p.json", "--atoms", "FUZZ"], b'{"a": ["a", "b"]}'),
+    (["verify-cut", "FUZZ", "--max-states", "50"], FUZZ_PROOF),
+]
+
+
+def test_random_bytes_as_any_file_argument_exit_with_a_code(tmp_path, files, capsys):
+    # a file of random bytes is a usage error, a verdict or an unknown,
+    # never an exception out of main
+    paths = {"FUZZ": str(tmp_path / "fuzz")}
+    for name, text in {"t.term": "{a}.0\n", "env.json": json.dumps(TYPE_ENV),
+                       "p.json": json.dumps(AXIOM)}.items():
+        paths[name] = files(name, text)
+    rng = random.Random(29)
+    codes = set()
+    for _ in range(300):
+        for argv, text in FUZZ_COMMANDS:
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(text))
+                data = text[:i] + rng.choice(FUZZ_PIECES) + text[i + rng.randint(0, 1):]
+            else:
+                data = b"".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 30)))
+            Path(paths["FUZZ"]).write_bytes(data)
+            code = main([paths.get(arg, arg) for arg in argv])
+            assert code in (0, 1, 2, 3), (argv, data)
+            codes.add(code)
+        capsys.readouterr()
+    # some altered texts still parse and reach a verdict
+    assert codes - {3}
 
 @pytest.mark.parametrize(
     "argv, contents",

@@ -166,12 +166,9 @@ def test_no_nested_function_names_itself():
     # a nested function that reaches itself through the names it reads,
     # directly or through a sibling, makes a reference cycle (function,
     # cell, closure) at every call of the function around it, which only
-    # the collector frees; a recursive walk recurses at module level.
-    # generators.py is left out: its closures build the benchmark's inputs
+    # the collector frees; a recursive walk recurses at module level
     found = []
     for path in SOURCES:
-        if path.name == "generators.py":
-            continue
         for outer in ast.walk(ast.parse(path.read_text())):
             if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

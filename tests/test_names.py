@@ -1,5 +1,6 @@
 import gc
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +36,7 @@ from procreal.names import (
     RenamingDomainError,
     UnionRestriction,
 )
+from procreal.generators import enumerate_terms, random_context, random_term
 from procreal.logic import parse_formula, print_formula
 from procreal.parsing import parse_renaming_text, parse_term
 from procreal.semantics import _MEMO
@@ -292,6 +294,9 @@ _WALKS = {
     "well_formed": (well_formed, (parse_term("rec X. ({a}.X + {b}.(X | {c}.0 [lcode]) \\ {a})"),)),
     "print_formula": (print_formula, (parse_formula("!(a * ~b) @ (c & (forall x. p(x)))"),)),
     "parse_formula": (parse_formula, ("!(a * ~b) @ (c & (forall x. p(x)))",)),
+    "random_term": (random_term, (random.Random(1), (_A.name, _B.name), 12)),
+    "random_context": (random_context, (random.Random(1), (_A.name, _B.name), 6)),
+    "enumerate_terms": (lambda *args: list(enumerate_terms(*args)), ((_A.name, _B.name), 3)),
 }
 
 
