@@ -378,10 +378,13 @@ def verify_cut_soundness(
     return SoundnessReport("unknown", detail=res.detail)
 
 
+@lru_cache(maxsize=64)
 def pack_to_nested_binary(k: int) -> Renaming:
     """k-way layout to the left-nested binary coding of a folded
     multi-position interface: position 1 at l^(k-1), position j>1 at
-    l^(k-j) r."""
+    l^(k-j) r.  Built once per arity and kept, as the other layouts here
+    and `combinators.identity_wire` are, so `verify_totality_pipeline`
+    asked again builds no renaming."""
     pieces = []
     for j in range(1, k + 1):
         enc: Optional[Renaming] = None

@@ -28,7 +28,10 @@ from .parsing import ParseError, Reader
 
 class Formula:
     """A formula node.  Its subformulas are its fields annotated
-    `Formula`, in field order; every other field is a side datum."""
+    `Formula`, in field order; every other field is a side datum.  A node
+    `semtypes.formula_to_type` has read keeps the sorted identifiers of
+    the atoms it mentions as `_atoms`, which is no field: `==`, `hash`,
+    `repr` and `rebuild` ignore it."""
 
     __slots__ = ()
     formula_names: tuple = ()

@@ -35,8 +35,9 @@ answer tier keeps up to ANSWERS answers: what callers asked of a term's
 graph (a `diverges` verdict, a failures fingerprint), keyed by term and
 state budget, and what the semantic-type checks built from such answers
 (`semtypes.formula_to_type`'s types, keyed by formula, atom types, state
-budget, value domain and fuel, and `semtypes.total`'s verdicts, keyed by
-type and state budget); an answer holds no graph.  The step tier keeps
+budget, value domain and fuel, `semtypes.list_type_example`'s, keyed by
+element type and length, and `semtypes.total`'s verdicts, keyed by type
+and state budget); an answer holds no graph.  The step tier keeps
 what `step` found for a node, up to STEP_SUCCESSORS successors, so a
 node that many explorations meet has its transitions built once, as FDR3
 builds a node's transitions once from its components'.  An exploration
@@ -414,9 +415,9 @@ def _dot_escape(s: str) -> str:
 # Bound on the answers `_MEMO` keeps, by entry.  An answer holds no graph,
 # only a fingerprint, a verdict or a semantic type (its representatives):
 # the 2,678 queries of a `--seconds 20` `semtypes` run (seed 101) keep
-# 1,424 and evict none: the fingerprints of 698 classified terms, the
-# verdicts of 391 closed `perp` compositions, 228 types and 107 totality
-# verdicts.  The graphs behind them hold thousands of states.
+# 1,427 and evict none: the fingerprints of 698 classified terms, the
+# verdicts of 391 closed `perp` compositions, 228 formula types, 3 list
+# types and 107 totality verdicts.  The graphs behind them hold thousands of states.
 ANSWERS = 2048
 
 
@@ -494,8 +495,8 @@ def _step_weight(kept) -> int:
 class _GraphMemo:
     """Two tiers (`_Tier`).  `answers` holds at most ANSWERS answers by
     (question, subject, state budget, ...): a term's `diverges` verdict or
-    failures fingerprint, a formula's semantic type, a type's totality
-    verdict.  `shared` holds the one kept copy of each fingerprint part
+    failures fingerprint, a formula's or a list's semantic type, a type's
+    totality verdict.  `shared` holds the one kept copy of each fingerprint part
     (`share`).  `steps` holds, by node, what `step` found for it (its
     pairs, or a recursion's unfolding), up to STEP_SUCCESSORS successors;
     only `build_lts` reads and fills it.  `clear` empties them all."""

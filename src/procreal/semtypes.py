@@ -8,6 +8,16 @@ negative side only after passing the defining clause against the finite
 positive representatives.  This finite-representation reading is the
 toolkit's central approximation: all checks are effective, and the PER
 structure shows up as machine-checked extensionality of morphisms.
+
+The question asked most is whether a term realizes a type (`classify`),
+and it is asked again and again of types already built, so an answer
+asked for again costs one lookup.  The memo's answer tier keeps types
+(`formula_to_type`, `list_type_example`) and totality verdicts (`total`)
+with the fingerprints they rest on.  A type keeps its hash, and each of
+its class lists a class index per state budget, which keeps the terms
+it has placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
+index); none of these is a field.  A formula node keeps the atoms it
+mentions.
 """
 
 from __future__ import annotations
@@ -57,10 +67,14 @@ from .logic import (
 class RepPER:
     """Finite partial equivalence relation: a tuple of classes, each a
     nonempty tuple of pairwise failures-equivalent terms, with distinct
-    classes pairwise distinguishable.  `classify` keeps a class index
-    (`_ClassIndex`) per state budget on the instance as `_indices`, which
-    is no field: `==`, `hash` and `repr` ignore it, and it goes with the
-    instance."""
+    classes pairwise distinguishable.  Two values are kept on the instance
+    and are no field, so `==`, `repr` and pickling ignore them and they go
+    with the instance: `classify`'s class index (`_ClassIndex`) per state
+    budget, as `_indices`, and the hash, as `_hash`.  The hash is the one
+    the dataclass computes, `hash((classes,))`, computed at the first call:
+    a type kept as a key (`total`, `formula_to_type`) is hashed again in
+    one attribute lookup.  Terms hash by address, so no pickle carries it
+    into another process."""
 
     classes: tuple  # tuple[tuple[Term, ...], ...]
 
@@ -70,15 +84,38 @@ class RepPER:
     def __len__(self):
         return len(self.classes)
 
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.classes,))
+        return h
+
+    def __reduce__(self):
+        return RepPER, (self.classes,)
+
 
 @dataclass(frozen=True)
 class SemType:
+    """A pair of finite PERs, the realizers (`pos`) and counter-realizers
+    (`neg`), over an interface alphabet.  Its hash is kept as
+    `RepPER`'s is: the dataclass's `hash((pos, neg, interface))`, computed
+    at the first call and no field."""
+
     pos: RepPER
     neg: RepPER
     interface: Optional[frozenset] = None  # Alphabet; None when unbounded
 
     def dual(self) -> "SemType":
         return SemType(self.neg, self.pos, self.interface)
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.pos, self.neg, self.interface))
+        return h
+
+    def __reduce__(self):
+        return SemType, (self.pos, self.neg, self.interface)
 
 
 @dataclass
@@ -88,6 +125,13 @@ class Classification:
     detail: str = ""
 
 
+# Bound on the terms a class index keeps as members (`_ClassIndex.members`),
+# each held alive with the type.  All 41,200 `semtypes` queries of seed 101
+# fill no index past 18 members, and 9,600 `laws` queries none past 13; a
+# full index is emptied and refills, which costs speed only.
+CLASS_MEMBERS = 256
+
+
 class _ClassIndex:
     """What `classify` has learnt of a list of class representatives
     (`reps`) under one state budget: the failures fingerprints of the
@@ -95,15 +139,20 @@ class _ClassIndex:
     (`first`), and the representatives among them whose graph is partial
     (`partial`), in class order.  It is filled in class order only as far
     as a question needs, so it fingerprints the representatives that
-    comparing with each class in order would."""
+    comparing with each class in order would.  `members` keeps each term
+    found in a class, with the class, so a term asked about again is one
+    lookup; only "class" answers are kept, since a "no" can turn into a
+    class as `partition` adds classes.  Past CLASS_MEMBERS terms it is
+    emptied and refills."""
 
-    __slots__ = ("reps", "filled", "first", "partial")
+    __slots__ = ("reps", "filled", "first", "partial", "members")
 
     def __init__(self, reps: list):
         self.reps = reps
         self.filled = 0
         self.first: dict = {}
         self.partial: list = []
+        self.members: dict = {}
 
 
 def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
@@ -116,7 +165,10 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classificati
     classes whose representative's graph is partial are compared by the
     bounded route, in order.  When no class is equal and some comparison
     was undecided, the verdict is "unknown" and its detail is the first
-    undecided comparison's, which names the limit that stopped it."""
+    undecided comparison's, which names the limit that stopped it.  A
+    term the index has placed in a class before is answered from the
+    index's `members`, with no fingerprint looked up: a question asked
+    again of a kept type costs one lookup."""
     indices = per.__dict__.get("_indices")
     if indices is None:
         indices = per.__dict__["_indices"] = {}
@@ -128,6 +180,9 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classificati
 
 def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> Classification:
     """`classify` among the representatives of `index`."""
+    found = index.members.get(term)
+    if found is not None:
+        return Classification("class", found)
     reps = index.reps
     if not reps:
         return Classification("no")
@@ -140,7 +195,7 @@ def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> C
     j = index.filled
     found = index.first.get(fp)
     if found is not None:
-        return Classification("class", found)
+        return _member(index, term, found)
     while j < len(reps):
         fq = failures_fingerprint(reps[j], budget)
         if fq is INCOMPLETE:
@@ -150,8 +205,16 @@ def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> C
         j += 1
         index.filled = j
         if fq == fp:
-            return Classification("class", j - 1)
+            return _member(index, term, j - 1)
     return _first_undecided(term, index.partial, budget)
+
+
+def _member(index: _ClassIndex, term: Term, cls: int) -> Classification:
+    """Keeps `term` in `index.members` as a member of class `cls`."""
+    if len(index.members) >= CLASS_MEMBERS:
+        index.members.clear()
+    index.members[term] = cls
+    return Classification("class", cls)
 
 
 def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Classification:
@@ -360,8 +423,11 @@ def formula_to_type(
     through this function, so each subformula's type, and the type a dual
     connective is the dual of, is kept too.  A type asked for again is the
     kept object, whose class indices (`classify`) are already filled; a
-    construction that raises keeps nothing."""
-    atoms = tuple((ident, atom_types.get(ident)) for ident in sorted(_atom_idents(f)))
+    construction that raises keeps nothing.  The atoms `f` mentions are
+    found once per formula node (`_atom_idents`), and the atom types in
+    the key hash in one attribute lookup each (`SemType`), so a type asked
+    for again costs its key, the hash of `f` and one lookup."""
+    atoms = tuple((ident, atom_types.get(ident)) for ident in _atom_idents(f))
     key = ("type", f, atoms, budget.max_states, values, fuel)
     ty = _MEMO.answers.get(key)
     if ty is not None:
@@ -399,11 +465,19 @@ def formula_to_type(
     return _MEMO.answers.put(key, ty)
 
 
-def _atom_idents(f: Formula) -> frozenset:
-    """The identifiers of the atoms `f` mentions."""
-    if isinstance(f, FAtom):
-        return frozenset([f.ident])
-    return frozenset().union(*(_atom_idents(getattr(f, n)) for n in getattr(f, "formula_names", ())))
+def _atom_idents(f: Formula) -> tuple:
+    """The identifiers of the atoms `f` mentions, sorted, kept on the node
+    as `_atoms`, which is no field (`Formula`)."""
+    if not isinstance(f, Formula):  # `formula_to_type` raises on it
+        return ()
+    idents = f.__dict__.get("_atoms")
+    if idents is None:
+        if isinstance(f, FAtom):
+            idents = (f.ident,)
+        else:
+            idents = tuple(sorted(set().union(*(_atom_idents(getattr(f, n)) for n in f.formula_names))))
+        f.__dict__["_atoms"] = idents
+    return idents
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +651,14 @@ def list_type_example(
 ) -> SemType:
     """Positive realizers of element lists up to the given length; the
     negative side is the truncated consumer chain driven by canonical
-    tensor-consumers of the element type."""
+    tensor-consumers of the element type.  The type is kept in the memo's
+    answer tier by element type and length, as `formula_to_type` keeps
+    its types, so a list type asked for again is the kept object, whose
+    class indices are already filled.  `budget` enters no construction."""
+    key = ("list", a, max_len)
+    ty = _MEMO.answers.get(key)
+    if ty is not None:
+        return ty
     pos_classes = []
     reps = a.pos.reps()
     for n in range(max_len + 1):
@@ -587,7 +668,7 @@ def list_type_example(
     for n in range(max_len + 1):
         q_family.append(_tensor_consumer(a, n))
     neg_classes = ((list_consumer(q_family),),)
-    return SemType(RepPER(tuple(pos_classes)), RepPER(neg_classes), None)
+    return _MEMO.answers.put(key, SemType(RepPER(tuple(pos_classes)), RepPER(neg_classes), None))
 
 
 def _tensor_consumer(a: SemType, n: int) -> Term:

@@ -413,6 +413,9 @@ FUZZ_COMMANDS = [
     (["extract", "FUZZ"], FUZZ_PROOF),
     (["extract", "p.json", "--atoms", "FUZZ"], b'{"a": ["a", "b"]}'),
     (["verify-cut", "FUZZ", "--max-states", "50"], FUZZ_PROOF),
+    (["failures", "FUZZ", "--max-states", "50"], FUZZ_TERM),
+    (["perp", "FUZZ", "t.term", "--max-states", "50"], FUZZ_TERM),
+    (["perp", "t.term", "FUZZ", "--max-states", "50"], FUZZ_TERM),
 ]
 
 

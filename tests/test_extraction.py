@@ -266,6 +266,7 @@ def test_port_layout_pack_unpack_neutral():
         t = extract(entry["proof"], {}, entry["values"])
         k = len(conclusion(entry["proof"]))
         pack = pack_to_nested_binary(k)
+        assert pack_to_nested_binary(k) is pack  # built once per arity
         packed_unpacked = rename(rename(t, pack), pack.inverse())
         assert failures_equiv(packed_unpacked, t, BUD).equal, name
 

@@ -1,19 +1,21 @@
 import dataclasses
+import pickle
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden_lines import fresh_lines, golden_lines
 
-from procreal import equivalence, semantics
+from procreal import equivalence, semantics, semtypes
 from procreal.combinators import bang, identity_wire, lapp, pairing, tensor
 from procreal.equivalence import INCOMPLETE, BudgetExceeded, EquivResult, failures_equiv, perp
 from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
-from procreal.logic import parse_formula
+from procreal.logic import FAtom, FTensor, FWith, parse_formula
 from procreal.names import ALPHA, BETA, REGISTRY, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget
@@ -295,6 +297,77 @@ def test_threads_filling_one_class_index_get_the_ordered_answers():
     assert wrong == []
 
 
+def _count_fingerprints(monkeypatch) -> list:
+    """The terms `classify` fingerprints from here on."""
+    asked = []
+    run = semtypes.failures_fingerprint
+    monkeypatch.setattr(semtypes, "failures_fingerprint", lambda t, budget: asked.append(t) or run(t, budget))
+    return asked
+
+
+def test_a_term_asked_again_of_a_type_is_one_lookup(monkeypatch):
+    # duplicate and partial classes, and a few complete ones, so the pool
+    # gets every verdict
+    asked = _count_fingerprints(monkeypatch)
+    seen = set()
+    for picks, budget in product(((10, 3, 0, 8, 1, 2, 3, 6, 7, 11, 5, 4), (0, 2, 3)), _CLASS_BUDGETS):
+        per = RepPER(tuple((_CLASS_POOL[i],) for i in picks))
+        for term in _CLASS_POOL:
+            expected = _pairwise_classify(term, per, budget)
+            first = classify(term, per, budget)
+            del asked[:]
+            again = classify(term, per, budget)
+            assert (first.verdict, first.index, first.detail) == expected, print_term(term)
+            assert again == first
+            # only a class is kept: a "no" or "unknown" is asked afresh
+            assert (asked == []) == (expected[0] == "class"), print_term(term)
+            seen.add(expected[0])
+    assert seen == {"class", "no", "unknown"}
+
+
+def test_kept_members_stay_right_when_the_memo_or_the_index_is_emptied(monkeypatch):
+    monkeypatch.setattr(semtypes, "CLASS_MEMBERS", 3)
+    budget = _CLASS_BUDGETS[1]
+    reps = [_CLASS_POOL[i] for i in (3, 0, 8, 2, 6, 4)]
+    per = RepPER(tuple((r,) for r in reps))
+    expected = {t: _pairwise_classify(t, per, budget) for t in _CLASS_POOL}
+    for rnd in range(4):
+        if rnd % 2:
+            _MEMO.clear()
+        for term in _CLASS_POOL[rnd:] + _CLASS_POOL[:rnd]:
+            c = classify(term, per, budget)
+            assert (c.verdict, c.index, c.detail) == expected[term], print_term(term)
+            assert len(per._indices[budget.max_states].members) <= 3
+    assert sum(v[0] == "class" for v in expected.values()) > 3
+    _MEMO.clear()
+
+
+def test_a_type_keeps_the_dataclass_hash_and_no_pickle_carries_it():
+    ty = formula_to_type(parse_formula("a&b"), {"a": TA, "b": TB}, BUD)
+    assert hash(ty.pos) == hash((ty.pos.classes,))
+    assert hash(ty) == hash((ty.pos, ty.neg, ty.interface))
+    assert realizes_pos(ty.pos.classes[0][0], ty, BUD).verdict == "class"
+    kept = {"_hash", "_indices"}
+    assert kept <= set(vars(ty.pos)) and "_hash" in vars(ty)
+    back, back_pos = pickle.loads(pickle.dumps(ty)), pickle.loads(pickle.dumps(ty.pos))
+    for obj in (back, back.pos, back.neg, back_pos):
+        assert not kept & set(vars(obj))
+    assert back == ty and hash(back) == hash(ty) and back_pos == ty.pos
+    assert "_hash" not in vars(dataclasses.replace(ty))
+
+
+def test_equal_formulas_built_apart_share_one_type():
+    types = {"a": TA, "b": TB}
+    _MEMO.clear()
+    parsed = parse_formula("(a*b)&~a")
+    built = FWith(FTensor(FAtom("a"), FAtom("b")), FAtom("a", False))
+    assert parsed == built and parsed is not built
+    assert formula_to_type(parsed, types, BUD) is formula_to_type(built, types, BUD)
+    assert parsed._atoms == built._atoms == ("a", "b")
+    assert repr(parsed) == repr(built) and "_atoms" not in repr(parsed)
+    _MEMO.clear()
+
+
 def test_undecided_classification_names_the_limit():
     # two replicating terms: no state budget separates them
     per = RepPER(((parse_term("{b}.0"),), (parse_term("bang({a}.0)"),)))
@@ -559,6 +632,9 @@ def test_unit_list_realizer_shape():
 
 def test_list_example_perp_and_classification():
     lt = list_type_example(TA, 3, BUD)
+    # kept by element type and length; the state budget enters nothing
+    assert list_type_example(TA, 3, ExplorationBudget(max_states=10)) is lt
+    assert list_type_example(TA, 2, BUD) != lt
     consumer = lt.neg.classes[0][0]
     for idx, cls in enumerate(lt.pos.classes):
         assert perp(cls[0], consumer, BUD) == "yes", idx
