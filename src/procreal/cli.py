@@ -28,15 +28,7 @@ from .names import REGISTRY, RenamingDomainError
 from .parsing import ParseError, parse_program
 from .semantics import ExplorationBudget, build_lts
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
-from .terms import (
-    InputPrefix,
-    OutputPrefix,
-    Term,
-    expand_values,
-    print_term,
-    subterms,
-    well_formed,
-)
+from .terms import Term, print_term, well_formed
 
 EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
@@ -55,16 +47,6 @@ class CliError(Exception):
     pass
 
 
-def _has_value_prefixes(t) -> bool:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, (InputPrefix, OutputPrefix)):
-            return True
-        stack.extend(subterms(u))
-    return False
-
-
 def load_term(path: str, values: tuple) -> Term:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -76,18 +58,13 @@ def load_term(path: str, values: tuple) -> Term:
 
 def _checked_term(text: str, where: str, values: tuple) -> Term:
     """Every term a user supplies: parsed, its value-passing prefixes
-    expanded over `values`, and checked well formed.  Errors name
-    `where`."""
+    read over `values`, and checked well formed.  Errors name `where`."""
     try:
-        _, main = parse_program(text)
+        main = parse_program(text, values)
     except ParseError as exc:
         raise CliError(f"{where}: {exc}")
     if main is None:
         raise CliError(f"{where}: no term (bind `main = ...;` or end with a bare term)")
-    if _has_value_prefixes(main):
-        if not values:
-            raise CliError(f"{where}: value-passing prefixes need --values")
-        main = expand_values(main, values)
     diags = well_formed(main)
     if diags:
         raise CliError(f"{where}: " + "; ".join(diags))

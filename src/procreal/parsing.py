@@ -11,8 +11,8 @@ Term grammar (precedence low to high):
     expr     := par ('+' par)*                  guarded sum
     par      := prefix ('|' prefix)*
     prefix   := action '.' prefix
-              | 'in' name '(' IDENT ')' '.' prefix
-              | 'out' name '(' (INT | IDENT) ')' '.' prefix
+              | 'in' name '(' IDENT ')' '.' prefix        value input
+              | 'out' name '(' (INT | IDENT) ')' '.' prefix  value output
               | 'rec' IDENT '.' prefix
               | postfix
     postfix  := atom ('\\' restr | '[' renaming ']')*
@@ -25,6 +25,20 @@ Builders call directly into the combinator layer: tensor(P,Q), lapp(Q,P),
 rapp(P,R), seq(P,Q), wire({a,b}), pair(P,Q), inl(P), inr(P), bang(P).
 An identifier that is not a builder or a prior binding parses as a free
 process variable.
+
+Value passing is notation (Milner's value-passing CCS), read away over a
+finite value domain `values`: `in s(x). P` reads as the sum over each
+value v, in the domain's order, of `{s_v}.P` with x standing for v, and
+`out s(v). P` as `{~s_v}.P` (`terms.value_name`).  A value variable's
+scope is the text of its `in` body.  With no domain a value prefix is a
+`ParseError` naming `--values`; so are an unbound value variable and a
+value outside the domain.  A text with value prefixes is read twice:
+first to register its written names in text order, reading each value
+prefix's body once and making no value name; then over the domain, from
+the main term, reading a binding's text where the main term first uses
+it.  So value names, whose codes order the labels of printed actions and
+exported transitions, come after the written ones, in the order of the
+main term read over the domain.
 """
 
 from __future__ import annotations
@@ -56,11 +70,11 @@ from .names import (
     RestrictionSet,
     SWAP,
     UnionRestriction,
+    negative,
+    positive,
 )
 from .terms import (
-    InputPrefix,
     NIL,
-    OutputPrefix,
     Par,
     Prefix,
     Rec,
@@ -70,6 +84,8 @@ from .terms import (
     TAU,
     Term,
     Var,
+    choice,
+    value_name,
 )
 
 
@@ -130,8 +146,9 @@ class Reader:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
-    def error(self, msg: str):
-        tok = self.peek()
+    def error(self, msg: str, tok: Optional[Token] = None):
+        """Raises `Error` at `tok`, by default the token at the cursor."""
+        tok = tok or self.peek()
         raise self.Error(msg, tok.line, tok.col)
 
     def expect(self, text: str) -> Token:
@@ -193,9 +210,17 @@ _BUILDERS = {
 
 
 class _Parser(Reader):
+    """The term grammar over one text, read once and, when that read meets
+    a value prefix, again over the value domain (`reread`)."""
+
     def __init__(self, text: str):
         super().__init__(text, _TOKEN_RE)
-        self.env: dict[str, Term] = {}  # the bindings `parse_program` has read
+        self.values: Optional[tuple] = None  # the second read's domain; None in the first
+        self.passes_values = False  # the first read has met a value prefix
+        self.scope: dict[str, int] = {}  # the value of each value variable in scope
+        self.env: dict[str, int] = {}  # each binding read so far: where its term starts
+        self.uses: dict[int, int] = {}  # each token naming a binding: where its term starts
+        self.terms: dict[int, Term] = {}  # the term read from each start, in this read
 
     # -- names, labels, actions ------------------------------------------
 
@@ -326,23 +351,40 @@ class _Parser(Reader):
             var = self._ident("recursion variable")
             self.expect(".")
             return Rec(var, self.parse_prefix())
-        if tok.text == "in":
-            self.next()
-            chan = self.parse_name()
-            self.expect("(")
-            var = self._ident("value variable")
-            self.expect(")")
-            self.expect(".")
-            return InputPrefix(chan, var, self.parse_prefix())
-        if tok.text == "out":
-            self.next()
-            chan = self.parse_name()
-            self.expect("(")
-            value = self._value("value")
-            self.expect(")")
-            self.expect(".")
-            return OutputPrefix(chan, value, self.parse_prefix())
+        if tok.text in ("in", "out"):
+            return self._value_prefix()
         return self.parse_postfix()
+
+    def _value_prefix(self) -> Term:
+        if self.values == ():
+            self.error("value-passing prefixes need --values")
+        output = self.next().text == "out"
+        chan = self.parse_name()
+        self.expect("(")
+        tok = self.peek()
+        arg = self._value("value") if output else self._ident("value variable")
+        self.expect(")")
+        self.expect(".")
+        if self.values is None:
+            # the first read: the body once, and no value name.  What it
+            # returns is no guard, so a sum refuses it as a branch.
+            self.passes_values = True
+            self.parse_prefix()
+            return Var("in")
+        if output:
+            if isinstance(arg, str) and arg not in self.scope:
+                self.error(f"unbound value variable {arg}", tok)
+            value = self.scope.get(arg, arg)
+            if value not in self.values:
+                self.error(f"value {value} outside the declared domain", tok)
+            return Prefix(frozenset([negative(value_name(chan, value))]), self.parse_prefix())
+        start, scope = self.i, self.scope
+        branches = []
+        for v in self.values:
+            self.i, self.scope = start, {**scope, arg: v}
+            branches.append((frozenset([positive(value_name(chan, v))]), self.parse_prefix()))
+        self.scope = scope
+        return choice(tuple(branches))
 
     def parse_postfix(self) -> Term:
         t = self.parse_atom()
@@ -369,11 +411,14 @@ class _Parser(Reader):
             self.expect(")")
             return t
         if tok.kind == "ident":
+            at = self.i
             name = self.next().text
             if name in _BUILDERS and self.at("("):
                 return self._builder(name)
-            if name in self.env:
-                return self.env[name]
+            if self.values is None and name in self.env:
+                self.uses[at] = self.env[name]
+            if at in self.uses:
+                return self.read_from(self.uses[at])
             return Var(name)
         self.error(f"expected a term, found {tok.text!r}")
 
@@ -389,32 +434,56 @@ class _Parser(Reader):
             self.error(f"{name} expects {arity} argument(s)")
         return build(*args)
 
+    def read_from(self, start: int) -> Term:
+        """The term whose text starts at token `start`, read with no value
+        variable in scope, once per read: a binding's term, where it is
+        first used."""
+        if start not in self.terms:
+            at, scope = self.i, self.scope
+            self.i, self.scope = start, {}
+            self.terms[start] = self.parse_expr()
+            self.i, self.scope = at, scope
+        return self.terms[start]
 
-def parse_term(text: str) -> Term:
+    def reread(self, start: int, values: tuple) -> Term:
+        """The term the first read read from `start`, or, when that read met
+        a value prefix, the term read again from `start` over `values`."""
+        if not self.passes_values:
+            return self.terms[start]
+        self.values, self.terms = tuple(values), {}
+        return self.read_from(start)
+
+
+def parse_term(text: str, values: tuple = ()) -> Term:
+    """The term `text` writes, its value prefixes read over `values`."""
     p = _Parser(text)
-    t = p.parse_expr()
+    p.terms[0] = p.parse_expr()
     p.end()
-    return t
+    return p.reread(0, values)
 
 
-def parse_program(text: str) -> tuple[dict, Optional[Term]]:
-    """Parses `name = term;` bindings plus an optional final bare term."""
+def parse_program(text: str, values: tuple = ()) -> Optional[Term]:
+    """The main term of `name = term;` bindings and an optional final bare
+    term: that term, else the binding of `main`, else None.  Its value
+    prefixes, and those of the bindings it uses, are read over `values`."""
     p = _Parser(text)
-    main: Optional[Term] = None
+    main = None
     while p.peek().kind != "eof":
         tok = p.peek()
         if tok.kind == "ident" and tok.text not in _KEYWORDS and p.tokens[p.i + 1].text == "=":
             p.next()
             p.expect("=")
-            term = p.parse_expr()
+            start = p.i
+            p.terms[start] = p.parse_expr()
             p.expect(";")
-            p.env[tok.text] = term
+            p.env[tok.text] = start
         else:
-            main = p.parse_expr()
+            main = p.i
+            p.terms[main] = p.parse_expr()
             p.end()
     if main is None:
         main = p.env.get("main")
-    return p.env, main
+    return None if main is None else p.reread(main, values)
 
 
 def parse_renaming_text(text: str) -> Renaming:

@@ -65,8 +65,6 @@ from typing import Callable, Iterable, KeysView, Optional
 
 from .names import RestrictionSet, action_key, dual_action, print_action
 from .terms import (
-    InputPrefix,
-    OutputPrefix,
     Par,
     Prefix,
     Rec,
@@ -262,8 +260,6 @@ def step(t: Term, _depth: int = 0, _memo: Optional[StepMemo] = None) -> KeysView
         return out
     elif kind is Var:
         raise SemanticsError(f"cannot step open term with free variable {t.ident}")
-    elif kind is InputPrefix or kind is OutputPrefix:
-        raise SemanticsError("value-passing prefix not expanded; apply expand_values first")
     else:
         raise TypeError(f"not a term: {t!r}")
     if _memo is not None:

@@ -1,5 +1,5 @@
 """Guarded process terms: AST, canonical printing, substitution,
-well-formedness, syntactic sorts and value-passing expansion.
+well-formedness, syntactic sorts and the names of passed values.
 
 Terms are immutable and hash-consed: constructing a node returns the
 live node with the same fields, when there is one (`_node`), so no
@@ -27,9 +27,12 @@ hold the nodes.
 
 A term's sort (`sort_labels`) is a syntactic bound on the labels it can
 ever perform: a frozenset of labels, or None when no finite bound is
-known (a renaming over a recursion variable, a renaming that leaves its
-domain, an unexpanded value-passing prefix).  A restriction drops the
-labels its set blocks (`RestrictionSet.blocks`, both polarities).
+known (a renaming over a recursion variable, or a renaming that leaves
+its domain).  A restriction drops the labels its set blocks
+(`RestrictionSet.blocks`, both polarities).
+
+Value passing is notation that the parser reads away into sums and
+prefixes on the names `value_name` makes: no node kind holds a value.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .names import (
     Action,
@@ -52,8 +55,6 @@ from .names import (
     kept,
     print_action,
     print_name,
-    negative,
-    positive,
     union_restriction,
 )
 
@@ -232,27 +233,6 @@ class Rec(Term):
     body: Term
 
 
-# Value expressions inside value-passing prefixes: either a bound
-# variable (str) or an integer literal.
-ValueExpr = Union[int, str]
-
-
-@_node
-class InputPrefix(Term):
-    __slots__ = ("chan", "var", "body", "_depth", "__weakref__")
-    chan: Name
-    var: str
-    body: Term
-
-
-@_node
-class OutputPrefix(Term):
-    __slots__ = ("chan", "value", "body", "_depth", "__weakref__")
-    chan: Name
-    value: ValueExpr
-    body: Term
-
-
 NIL: Term = Sum(())
 
 
@@ -318,8 +298,7 @@ def map_subterms(t: Term, f, *args) -> Term:
 # The precedence a node's text binds at: printed where a higher one is
 # required, it is parenthesised.  0 sum, 1 par, 2 prefix, 3 postfix/atom.
 _BINDS = {
-    Sum: 0, Par: 1, Prefix: 2, InputPrefix: 2, OutputPrefix: 2, Rec: 2,
-    Restrict: 3, Rename: 3, Var: 3,
+    Sum: 0, Par: 1, Prefix: 2, Rec: 2, Restrict: 3, Rename: 3, Var: 3,
 }
 
 
@@ -340,10 +319,6 @@ def _print(t: Term, prec: int) -> str:
         s = f"rec {t.var}. " + _print(t.body, 2)
     elif kind is Var:
         s = t.ident
-    elif kind is InputPrefix:
-        s = f"in {print_name(t.chan)}({t.var}). " + _print(t.body, 2)
-    elif kind is OutputPrefix:
-        s = f"out {print_name(t.chan)}({t.value}). " + _print(t.body, 2)
     else:
         raise TypeError(f"not a term: {t!r}")
     # the empty sum, 0, is atomic
@@ -382,14 +357,6 @@ def substitute_var(t: Term, ident: str, repl: Term) -> Term:
     return map_subterms(t, substitute_var, ident, repl)
 
 
-def substitute_value(t: Term, var: str, value: int) -> Term:
-    if isinstance(t, InputPrefix) and t.var == var:
-        return t
-    if isinstance(t, OutputPrefix) and t.value == var:
-        return OutputPrefix(t.chan, value, substitute_value(t.body, var, value))
-    return map_subterms(t, substitute_value, var, value)
-
-
 def free_process_vars(t: Term) -> frozenset:
     free = set()
     stack = [(t, frozenset())]
@@ -406,8 +373,7 @@ def free_process_vars(t: Term) -> frozenset:
 # ---------------------------------------------------------------------------
 # Sorts: sound over-approximation of the labels a term can ever perform.
 # A sort is a frozenset of labels, or None for the symbolic bound "all
-# labels" (a renaming over a recursion variable, or an unexpanded
-# value-passing prefix).
+# labels" (a renaming over a recursion variable).
 
 
 def _sort(t: Term) -> tuple[Optional[frozenset], bool]:
@@ -452,8 +418,6 @@ def _sort(t: Term) -> tuple[Optional[frozenset], bool]:
     if isinstance(t, Rec):
         sub, _ = _sort(t.body)
         return sub, False
-    if isinstance(t, (InputPrefix, OutputPrefix)):
-        return None, False
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -471,7 +435,7 @@ def _guarded(t: Term, var: str) -> bool:
     kind = type(t)
     if kind is Var:
         return t.ident != var
-    if kind in (Prefix, Sum, InputPrefix, OutputPrefix) or kind is Rec and t.var == var:
+    if kind in (Prefix, Sum) or kind is Rec and t.var == var:
         return True
     for u in subterms(t):
         if not _guarded(u, var):
@@ -482,23 +446,23 @@ def _guarded(t: Term, var: str) -> bool:
 def well_formed(t: Term) -> list[str]:
     """Diagnostics list; empty means well-formed."""
     diags: list[str] = []
-    _diagnose(t, frozenset(), frozenset(), diags)
+    _diagnose(t, frozenset(), diags)
     return diags
 
 
-def _diagnose(u: Term, bound: frozenset, vbound: frozenset, diags: list) -> None:
+def _diagnose(u: Term, bound: frozenset, diags: list) -> None:
     if isinstance(u, Sum):
         for a, p in u.branches:
             if a == TAU:
                 diags.append(f"tau guard inside a sum: {print_term(u)}")
-            _diagnose(p, bound, vbound, diags)
+            _diagnose(p, bound, diags)
     elif isinstance(u, Prefix):
-        _diagnose(u.cont, bound, vbound, diags)
+        _diagnose(u.cont, bound, diags)
     elif isinstance(u, Par):
-        _diagnose(u.left, bound, vbound, diags)
-        _diagnose(u.right, bound, vbound, diags)
+        _diagnose(u.left, bound, diags)
+        _diagnose(u.right, bound, diags)
     elif isinstance(u, Restrict):
-        _diagnose(u.proc, bound, vbound, diags)
+        _diagnose(u.proc, bound, diags)
     elif isinstance(u, Rename):
         sub = sort_labels(u.proc)
         if sub is not None:
@@ -507,54 +471,24 @@ def _diagnose(u: Term, bound: frozenset, vbound: frozenset, diags: list) -> None
                     diags.append(f"label {lab} of sort outside domain of renaming {u.ren}")
         # symbolic sort bound: coverage cannot be decided here; the
         # engine raises a domain error if a step actually escapes
-        _diagnose(u.proc, bound, vbound, diags)
+        _diagnose(u.proc, bound, diags)
     elif isinstance(u, Var):
         if u.ident not in bound:
             diags.append(f"unbound process variable {u.ident}")
     elif isinstance(u, Rec):
         if not _guarded(u.body, u.var):
             diags.append(f"unguarded recursion on {u.var} in {print_term(u)}")
-        _diagnose(u.body, bound | {u.var}, vbound, diags)
-    elif isinstance(u, InputPrefix):
-        _diagnose(u.body, bound, vbound | {u.var}, diags)
-    elif isinstance(u, OutputPrefix):
-        if isinstance(u.value, str) and u.value not in vbound:
-            diags.append(f"unbound value variable {u.value}")
-        _diagnose(u.body, bound, vbound, diags)
+        _diagnose(u.body, bound | {u.var}, diags)
     else:
         diags.append(f"unknown term node {u!r}")
 
 
 # ---------------------------------------------------------------------------
-# Value-passing expansion
+# Value names
 
 
 def value_name(chan: Name, v: int) -> Name:
+    """The name on which value `v` passes over channel `chan`: `s_v`."""
     base = REGISTRY.ident_of(chan.code) or print_name(chan)
     return REGISTRY.intern(f"{base}_{v}")
 
-
-def expand_values(t: Term, values: tuple) -> Term:
-    """Compiles value-passing prefixes into finite sums over the domain."""
-    if not values:
-        raise ValueError("empty value domain")
-    return _expand(t, tuple(values))
-
-
-def _expand(t: Term, vals: tuple) -> Term:
-    if isinstance(t, InputPrefix):
-        branches = tuple(
-            (
-                frozenset([positive(value_name(t.chan, v))]),
-                _expand(substitute_value(t.body, t.var, v), vals),
-            )
-            for v in vals
-        )
-        return choice(branches)
-    if isinstance(t, OutputPrefix):
-        if isinstance(t.value, str):
-            raise ValueError(f"unresolved value variable {t.value}")
-        if t.value not in vals:
-            raise ValueError(f"value {t.value} outside the declared domain")
-        return Prefix(frozenset([negative(value_name(t.chan, t.value))]), _expand(t.body, vals))
-    return map_subterms(t, _expand, vals)

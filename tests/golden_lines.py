@@ -12,6 +12,7 @@ registry, so the lines are computed in a fresh interpreter:
     PYTHONPATH=src python tests/golden_lines.py lts_exports
     PYTHONPATH=src python tests/golden_lines.py explorations
     PYTHONPATH=src python tests/golden_lines.py bounded_failures
+    PYTHONPATH=src python tests/golden_lines.py value_passing
 
 The cut-elimination trails read no registry, so their test computes them
 in its own interpreter; they are written with
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 from conftest import subprocess_env
+from procreal.cli import _checked_term
 from procreal.combinators import bang, identity_wire, lapp, rapp, seq
 from procreal.corpus import corpus_proofs
 from procreal.equivalence import failures_bounded
@@ -200,6 +202,39 @@ def bounded_failures() -> list:
     return lines
 
 
+# value-passing programs, each with its value domain, read in this order
+# into one registry: a written name first met inside an input's body, a
+# written value name, nested inputs of one variable, a restriction over
+# value names, a one-value domain, a value name met first through a
+# binding, an unused binding with a value outside the domain (whose value
+# names the next program's action would order first, had it made them),
+# a builder's argument and a recursion over a domain in descending order
+VALUE_PROGRAMS = (
+    ("in s(x). {e}.out s(x). 0", (0, 1)),
+    ("{f,~k_1}.in k(x). out k(x). {g}.0", (0, 1)),
+    ("in m(x). in m(x). out m(x). 0", (0, 1)),
+    ("(in p(x). out q(x). 0 | in q(y). {~h}.0) \\ {q_0,q_1}", (0, 1)),
+    ("{c}.in a1(x). 0 + {d}.{a1_0}.0", (0,)),
+    ("out u(0). {i}.0 | {j}.out u(1). 0", (0, 1)),
+    ("P = out w(1). 0;\nQ = in v(x). out v(7). 0;\nmain = out w(0). P | in w(z). {n}.0;\n", (0, 1)),
+    ("in v(x). out v(x). 0 | {o}.0", (0, 1)),
+    ("tensor(in y(x). out y(x). 0, {b1}.0)", (0, 1)),
+    ("rec X. in z(x). out z(x). X", (1, 0)),
+)
+
+
+def value_passing() -> list:
+    """`lts --format json` and depth-3 `failures` (one line per trace) of
+    each program of `VALUE_PROGRAMS`, read as a term file is."""
+    lines = []
+    for text, values in VALUE_PROGRAMS:
+        t = _checked_term(text, "program", values)
+        lines.append(f"== {text!r} over {values}")
+        lines += json.dumps(build_lts(t).to_json(), indent=2, sort_keys=True).splitlines()
+        lines += [json.dumps(entry, sort_keys=True) for entry in failures_bounded(t, 3).to_json()]
+    return lines
+
+
 def trail_line(name: str, res) -> str:
     """One line of `eta_trails`: the status, step count and step kinds of
     the `cut_eliminate` result `res` kept with its trail, and a sha256 of
@@ -238,5 +273,6 @@ if __name__ == "__main__":
         "explorations": explorations,
         "eta_trails": eta_trails,
         "bounded_failures": bounded_failures,
+        "value_passing": value_passing,
     }
     print("\n".join(goldens[sys.argv[1]]()))

@@ -9,8 +9,6 @@ intersecting against duals first.
 from itertools import combinations
 
 from procreal.terms import (
-    InputPrefix,
-    OutputPrefix,
     Par,
     Prefix,
     Rec,
@@ -94,6 +92,6 @@ def naive_step(t):
         return out
     if isinstance(t, Rec):
         return naive_step(substitute_var(t.body, t.var, t))
-    if isinstance(t, (Var, InputPrefix, OutputPrefix)):
-        raise ValueError("naive matcher handles closed expanded terms only")
+    if isinstance(t, Var):
+        raise ValueError("naive matcher handles closed terms only")
     raise TypeError(t)

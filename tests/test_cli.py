@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from conftest import run_capped, subprocess_env
+from golden_lines import fresh_lines, golden_lines
 
 from procreal.cli import main
 from procreal.corpus import corpus_proofs
@@ -454,12 +455,30 @@ def test_random_bytes_as_any_file_argument_exit_with_a_code(tmp_path, files, cap
                      id="open-argument-list-verify-cut"),
         pytest.param(*_proof("extract", {"rule": "axiom", "formula": "p(1,"}),
                      id="open-argument-list-extract"),
+        pytest.param(["lts", "t.term", "--values", "0,1"], {"t.term": "out s(7). 0\n"},
+                     id="value-outside-the-domain"),
+        pytest.param(["lts", "t.term", "--values", "0,1"], {"t.term": "out s(x). 0\n"},
+                     id="unbound-value-variable"),
+        pytest.param(["lts", "t.term"], {"t.term": "in s(x). 0\n"}, id="value-input-without-values"),
     ],
 )
 def test_malformed_formula_exits_three_naming_line_and_column(argv, contents, files, capsys):
     assert _run(argv, contents, files) == 3
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "Traceback" not in err and "(line 1, column " in err
+
+
+def test_a_value_variable_is_bound_in_its_input_text_alone(files, capsys):
+    # `P` is read where it is written, outside the input that binds `x`
+    p = files("p.term", "P = out s(x). 0;\nmain = in s(x). P;\n")
+    assert main(["lts", p, "--values", "0,1"]) == 3
+    assert capsys.readouterr().err == f"{p}: unbound value variable x (line 1, column 11)\n"
+
+
+def test_value_passing_matches_golden():
+    # `lts` and `failures` of value-passing programs read in one registry,
+    # pinned with the order in which their names are registered
+    assert fresh_lines("value_passing") == golden_lines("value_passing")
 
 
 def test_check_type_expands_terms_over_the_environment_values(files, capsys):

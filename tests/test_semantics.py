@@ -56,7 +56,6 @@ from procreal.terms import (
     Sum,
     Term,
     Var,
-    expand_values,
     print_term,
     restrict,
     sort_labels,
@@ -109,11 +108,6 @@ def test_step_restriction_filters():
 def test_step_open_term_rejected():
     with pytest.raises(SemanticsError):
         step(Var("X"))
-
-
-def test_step_value_prefix_rejected():
-    with pytest.raises(SemanticsError):
-        step(parse_term("in s(x). 0"))
 
 
 def test_build_lts_nil():
@@ -801,7 +795,7 @@ def test_nodes_that_print_the_same_export_as_one_state():
 def test_a_one_value_domain_gives_one_state_per_printed_key():
     # the input over one value is a prefix, the node its text parses to,
     # so it and the written-out prefix are one state
-    t = expand_values(parse_term("{c}.in a(x). 0 + {d}.{a_0}.0"), (0,))
+    t = parse_term("{c}.in a(x). 0 + {d}.{a_0}.0", (0,))
     assert t.branches[0][1] is t.branches[1][1] is parse_term("{a_0}.0")
     lts = build_lts(t)
     assert len(lts.terms) == len(lts.to_json()["states"]) == 3

@@ -10,16 +10,30 @@ import pytest
 
 from golden_lines import LTS_TERMS
 from procreal.combinators import bang
-from procreal.generators import _constructed_terms, enumerate_terms, random_term
-from procreal.names import LCODE, SWAP, Compose, FiniteRestriction, REGISTRY, negative, positive
+from procreal.generators import _constructed_terms, enumerate_terms, random_context, random_term
+from procreal.names import (
+    LCODE,
+    RCODE,
+    SWAP,
+    CodingClass,
+    Compose,
+    FiniteRestriction,
+    KwayCode,
+    Label,
+    PhiCode,
+    REGISTRY,
+    UnionRestriction,
+    l_code,
+    negative,
+    positive,
+    r_code,
+)
 from procreal.parsing import ParseError, parse_program, parse_term
 from procreal.terms import (
     _TABLES,
     _drop,
-    InputPrefix,
     Term,
     NIL,
-    OutputPrefix,
     Par,
     Prefix,
     Rec,
@@ -28,7 +42,6 @@ from procreal.terms import (
     Sum,
     Var,
     choice,
-    expand_values,
     free_process_vars,
     map_subterms,
     print_term,
@@ -36,7 +49,6 @@ from procreal.terms import (
     restrict,
     sort_labels,
     subterms,
-    substitute_value,
     substitute_var,
     term_depth,
     well_formed,
@@ -108,21 +120,34 @@ def test_every_prefix_of_a_term_parses_or_is_a_parse_error(text):
 
 
 def test_bindings_and_main():
-    bindings, main = parse_program("w = rec X. {a}.X;\nmain = w | w;\n")
-    assert "w" in bindings
-    assert isinstance(main, Par)
+    main = parse_program("w = rec X. {a}.X;\nmain = w | w;\n")
+    assert main is Par(parse_term("rec X. {a}.X"), parse_term("rec X. {a}.X"))
+    assert parse_program("w = {a}.0;") is None
+
+
+# wrappers the random terms and contexts do not build: coding renamings
+# and coding-class restrictions, alone and in a union
+CODING_WRAPPERS = (
+    lambda t: t,
+    lambda t: Rename(t, LCODE),
+    lambda t: Rename(Rename(t, RCODE), PhiCode(1, 3).inverse()),
+    lambda t: Rename(t, Compose(KwayCode(2, 3), SWAP)),
+    lambda t: Restrict(t, CodingClass("Ll")),
+    lambda t: Restrict(Restrict(t, CodingClass("N2")), FiniteRestriction([negative(A)])),
+    lambda t: Restrict(t, UnionRestriction([CodingClass("Lr"), FiniteRestriction([positive(B)])])),
+)
 
 
 def test_roundtrip_random_terms():
+    # every constructor, printed and read back, is the node it was
     rng = random.Random(11)
-    for _ in range(300):
-        t = random_term(rng, (A, B), rng.randint(1, 12))
-        assert parse_term(print_term(t)) == t
-
-
-def test_roundtrip_value_prefixes():
-    t = parse_term("in s(x). out s(x). 0")
-    assert parse_term(print_term(t)) == t
+    atoms = (A, B, l_code(A), r_code(B))
+    for k in range(3000):
+        plug = random_context(rng, atoms, rng.randint(0, 6))
+        t = CODING_WRAPPERS[k % len(CODING_WRAPPERS)](plug(random_term(rng, atoms, rng.randint(1, 10))))
+        assert parse_term(print_term(t)) is t, print_term(t)
+    for t in enumerate_terms((A, B), 4):
+        assert parse_term(print_term(t)) is t, print_term(t)
 
 
 def test_well_formed_tau_prefix_guards_recursion():
@@ -161,20 +186,14 @@ def test_sort_sound_for_restriction():
     assert positive(B) in s
 
 
-def test_expand_values_input():
-    t = parse_term("in s(x). 0")
-    e = expand_values(t, (0, 1))
-    assert isinstance(e, Sum)
-    assert len(e.branches) == 2
-    names = sorted(str(next(iter(a))) for a, _ in e.branches)
-    assert names == ["s_0", "s_1"]
+def test_an_input_reads_as_a_sum_over_the_domain():
+    e = parse_term("in s(x). 0", (0, 1))
+    assert e is parse_term("{s_0}.0 + {s_1}.0")
 
 
-def test_expand_values_output_single_branch():
-    t = parse_term("out s(1). 0")
-    e = expand_values(t, (0, 1))
-    assert isinstance(e, Prefix)
-    assert str(next(iter(e.action))) == "~s_1"
+def test_an_output_reads_as_one_prefix():
+    e = parse_term("out s(1). 0", (0, 1))
+    assert e is parse_term("{~s_1}.0")
 
 
 def test_a_one_branch_choice_is_a_prefix():
@@ -184,52 +203,63 @@ def test_a_one_branch_choice_is_a_prefix():
     assert choice(()) is NIL
     # one value: the input is the prefix on its value name, and prints
     # with no parentheses where a sum would take them
-    e = expand_values(parse_term("in s(x). 0 | {a}.0"), (0,))
+    e = parse_term("in s(x). 0 | {a}.0", (0,))
     assert isinstance(e.left, Prefix) and print_term(e) == "{s_0}.0 | {a}.0"
 
 
-def test_expand_values_binding():
-    t = parse_term("in s(x). out s(x). 0")
-    e = expand_values(t, (0, 1))
-    for (_, branch) in e.branches:
-        assert isinstance(branch, Prefix)
+def test_an_input_binds_its_variable_in_its_body():
+    e = parse_term("in s(x). out s(x). 0", (0, 1))
+    assert e is parse_term("{s_0}.{~s_0}.0 + {s_1}.{~s_1}.0")
 
 
-def test_expand_values_empty_domain_rejected():
-    with pytest.raises(ValueError):
-        expand_values(parse_term("in s(x). 0"), ())
+@pytest.mark.parametrize(
+    "text, values, message",
+    [
+        ("in s(x). 0", (), "value-passing prefixes need --values (line 1, column 1)"),
+        ("{a}.out s(0). 0", (), "value-passing prefixes need --values (line 1, column 5)"),
+        ("out s(7). 0", (0, 1), "value 7 outside the declared domain (line 1, column 7)"),
+        ("in s(x). out s(y). 0", (0, 1), "unbound value variable y (line 1, column 16)"),
+        ("(in s(x). 0) | out s(x). 0", (0, 1), "unbound value variable x (line 1, column 22)"),
+    ],
+    ids=["no-domain-input", "no-domain-output", "outside-domain", "unbound", "out-of-scope"],
+)
+def test_a_value_the_domain_cannot_give_is_a_parse_error(text, values, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text, values)
+    assert str(exc.value) == message
 
 
-def test_expand_values_out_of_domain_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        expand_values(parse_term("out s(7). 0"), (0, 1))
+def test_a_binding_is_read_over_the_domain_only_where_it_is_used():
+    # a binding the main term leaves unused is not read over the domain,
+    # and one used inside an input is read with no value variable in scope
+    assert parse_program("P = out s(x). 0; main = {a}.0;") is parse_term("{a}.0")
+    main = parse_program("P = {b}.0; main = in s(x). out s(x). P;", (0, 1))
+    assert main is parse_term("{s_0}.{~s_0}.{b}.0 + {s_1}.{~s_1}.{b}.0")
 
 
 def test_expand_preserves_well_formedness():
     rng = random.Random(5)
     for _ in range(50):
-        t = random_term(rng, (A, B), rng.randint(1, 6))
-        wrapped = InputPrefix(REGISTRY.intern("s"), "x", OutputPrefix(REGISTRY.intern("s"), "x", t))
-        assert well_formed(expand_values(wrapped, (0, 1, 2))) == []
+        text = print_term(random_term(rng, (A, B), rng.randint(1, 6)))
+        assert well_formed(parse_term(f"in s(x). out s(x). ({text})", (0, 1, 2))) == []
 
 
-def test_substitute_value_shadowing():
-    inner = InputPrefix(REGISTRY.intern("s"), "x", OutputPrefix(REGISTRY.intern("s"), "x", NIL))
-    out = substitute_value(inner, "x", 3)
-    assert out == inner  # binder shadows
+def test_an_inner_input_shadows_an_outer_variable():
+    inner = "{s_0}.{~s_0}.0 + {s_1}.{~s_1}.0"
+    e = parse_term("in s(x). in s(x). out s(x). 0", (0, 1))
+    assert e is parse_term(f"{{s_0}}.({inner}) + {{s_1}}.({inner})")
 
 
 def test_substitution_leaves_no_garbage_cycle():
-    # unfolding a recursion, or expanding a value-passing prefix, frees all
-    # it built by reference counting: a walk that recursed through a
-    # nested function naming itself left a cycle at every call
+    # unfolding a recursion, or reading a value-passing prefix over a
+    # domain, frees all it built by reference counting: a walk that recursed
+    # through a nested function naming itself left a cycle at every call
     recs = [
         parse_term("rec X. ({a}.X + {b}.(X | {~a}.0))"),
         parse_term("rec X. {a}.rec Y. ({b}.Y + {~b}.X) [swap]"),
         bang(parse_term("{a}.0 + {b}.0")),
     ]
-    s = REGISTRY.intern("s")
-    passing = InputPrefix(s, "x", OutputPrefix(s, "x", InputPrefix(s, "y", OutputPrefix(s, "y", NIL))))
+    passing = "in s(x). out s(x). in s(y). out s(y). 0"
     gc.collect()
     gc.disable()
     try:
@@ -237,7 +267,7 @@ def test_substitution_leaves_no_garbage_cycle():
             while isinstance(t, Rename):
                 t = t.proc
             substitute_var(t.body, t.var, t)
-        expand_values(passing, (0, 1))
+        parse_term(passing, (0, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -261,7 +291,6 @@ def test_restrict_constructor_fuses():
 
 
 def test_term_nodes_are_slotted_and_hash_once():
-    s = REGISTRY.intern("s")
     a = frozenset([positive(A)])
     la = FiniteRestriction([positive(A)])
 
@@ -275,8 +304,6 @@ def test_term_nodes_are_slotted_and_hash_once():
             Rename(p, SWAP),
             Var("X"),
             Rec("X", Prefix(a, Var("X"))),
-            InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
-            OutputPrefix(s, 1, p),
         ]
 
     for first, second in zip(every_constructor(), every_constructor()):
@@ -297,7 +324,6 @@ def test_term_nodes_are_slotted_and_hash_once():
 
 
 def test_every_way_of_building_a_term_meets_the_live_node():
-    s = REGISTRY.intern("s")
     a = frozenset([positive(A)])
     la, lb = FiniteRestriction([positive(A)]), FiniteRestriction([positive(B)])
     p = Prefix(a, NIL)
@@ -309,8 +335,6 @@ def test_every_way_of_building_a_term_meets_the_live_node():
         Rename(p, SWAP),
         Var("X"),
         Rec("X", Prefix(a, Var("X"))),
-        InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
-        OutputPrefix(s, 1, p),
     ]
     for t in built:
         values = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
@@ -366,22 +390,22 @@ def test_equal_nodes_built_apart_still_meet():
     assert _TABLES[Par][first.left, first.right]() is first
     # two live structures whose field tuples hash alike (hash(-1) ==
     # hash(-2)) keep an entry each, and each construction returns its own
-    s = REGISTRY.intern("s")
-    low, lower = OutputPrefix(s, -1, NIL), OutputPrefix(s, -2, NIL)
-    assert hash((s, -1, NIL)) == hash((s, -2, NIL)) and low is not lower
-    table = _TABLES[OutputPrefix]
-    assert table[s, -1, NIL]() is low and table[s, -2, NIL]() is lower
-    assert OutputPrefix(s, -1, NIL) is low and OutputPrefix(s, -2, NIL) is lower
+    one, two = frozenset([Label(-1, False)]), frozenset([Label(-2, False)])
+    low, lower = Prefix(one, NIL), Prefix(two, NIL)
+    assert hash((one, NIL)) == hash((two, NIL)) and low is not lower
+    table = _TABLES[Prefix]
+    assert table[one, NIL]() is low and table[two, NIL]() is lower
+    assert Prefix(one, NIL) is low and Prefix(two, NIL) is lower
     # a node's death removes its own entry and leaves its neighbour's
-    entry = table[s, -1, NIL]
+    entry = table[one, NIL]
     del low
-    assert entry() is None and (s, -1, NIL) not in table
-    assert OutputPrefix(s, -2, NIL) is lower
+    assert entry() is None and (one, NIL) not in table
+    assert Prefix(two, NIL) is lower
     # a late callback of the dead node, as a racing thread could run it,
     # leaves the entry of the node built since
-    again = OutputPrefix(s, -1, NIL)
+    again = Prefix(one, NIL)
     _drop(entry)
-    assert table[s, -1, NIL]() is again and OutputPrefix(s, -1, NIL) is again
+    assert table[one, NIL]() is again and Prefix(one, NIL) is again
 
 
 def test_threads_building_equal_terms_get_equal_nodes():
@@ -426,7 +450,6 @@ def test_threads_building_equal_terms_get_equal_nodes():
 
 
 def test_subterms_and_map_subterms_on_every_constructor():
-    s = REGISTRY.intern("s")
     a, b = frozenset([positive(A)]), frozenset([positive(B)])
     p, q = Prefix(a, NIL), Prefix(b, NIL)
     la, lb = FiniteRestriction([positive(A)]), FiniteRestriction([positive(B)])
@@ -439,8 +462,6 @@ def test_subterms_and_map_subterms_on_every_constructor():
         (Rename(Rename(p, SWAP), SWAP), (Rename(p, SWAP),)),
         (Var("X"), ()),
         (Rec("X", Prefix(a, Var("X"))), (Prefix(a, Var("X")),)),
-        (InputPrefix(s, "x", OutputPrefix(s, "x", NIL)), (OutputPrefix(s, "x", NIL),)),
-        (OutputPrefix(s, 1, p), (p,)),
     ]
     for t, children in cases:
         assert subterms(t) == children
@@ -470,7 +491,6 @@ def _level_count(t) -> int:
 
 
 def test_term_depth_equals_level_count_on_every_constructor():
-    s = REGISTRY.intern("s")
     a = frozenset([positive(A)])
     la = FiniteRestriction([positive(A)])
     p = Prefix(a, Prefix(a, NIL))
@@ -485,8 +505,6 @@ def test_term_depth_equals_level_count_on_every_constructor():
         Rename(p, SWAP),
         Var("X"),
         Rec("X", Prefix(a, Var("X"))),
-        InputPrefix(s, "x", OutputPrefix(s, "x", NIL)),
-        OutputPrefix(s, 1, p),
     ]
     rng = random.Random(41)
     cases += list(enumerate_terms((A, B), 4))[::5]
