@@ -25,7 +25,7 @@ from .logic import (
     print_sequent,
 )
 from .names import REGISTRY, RenamingDomainError
-from .parsing import ParseError, parse_program
+from .parsing import ParseError, parse_program, value_domain
 from .semantics import ExplorationBudget, build_lts
 from .semtypes import SemType, formula_to_type, partition, realizes_pos
 from .terms import Term, print_term, well_formed
@@ -233,7 +233,10 @@ def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
         type(v) is int for v in env_values
     ):
         raise CliError(f'{path}: expected an "atoms" object and a "values" list of integers')
-    values = values or tuple(env_values)
+    try:
+        values = values or value_domain(env_values)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}")
     atom_types = {}
     for ident, spec in atoms.items():
         if not (
@@ -307,9 +310,13 @@ def _parse_values(text: Optional[str]) -> tuple:
     if not text:
         return ()
     try:
-        return tuple(int(v) for v in text.split(","))
+        values = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise CliError(f"invalid value domain {text!r}; expected comma-separated integers")
+    try:
+        return value_domain(values)
+    except ValueError as exc:
+        raise CliError(f"--values {text}: {exc}")
 
 
 class _Parser(argparse.ArgumentParser):

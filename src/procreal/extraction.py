@@ -76,7 +76,7 @@ from .logic import (
     subst_value_formula,
     subst_value_proof,
 )
-from .semtypes import RepPER, SemType, formula_to_type, total
+from .semtypes import RepPER, SemType, _atom_idents, formula_to_type, total
 
 
 class ExtractionError(ValueError):
@@ -409,9 +409,22 @@ def verify_totality_pipeline(
 ) -> str:
     """Checks the extracted realizer against every negative representative
     of the conclusion's folded type: "convergent" when all closed systems
-    converge, "diverging" when one diverges, else "unknown"."""
+    converge, "diverging" when one diverges, else "unknown".
+
+    The verdict is kept on the proof node as `_pipelines`, beside
+    `_realizers`, keyed by everything it reads: the types of the atoms
+    the conclusion mentions, the env's items, the value domain and the
+    state budget.  So a pipeline asked again builds no formula, type or
+    realizer and decides nothing; a call that raises keeps nothing."""
     concl = conclusion(proof)
-    ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
-    packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
-    verdict = total(SemType(RepPER(((packed,),)), ty.neg), budget).verdict
-    return {"yes": "convergent", "no": "diverging"}.get(verdict, "unknown")
+    types = tuple([atom_types.get(ident) for f in concl for ident in _atom_idents(f)])
+    key = (types, frozenset((env or {}).items()), tuple(values), budget.max_states)
+    kept = proof.__dict__.get("_pipelines") or {}
+    verdict = kept.get(key)
+    if verdict is None:
+        ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
+        packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
+        res = total(SemType(RepPER(((packed,),)), ty.neg), budget).verdict
+        verdict = kept[key] = {"yes": "convergent", "no": "diverging"}.get(res, "unknown")
+        proof.__dict__["_pipelines"] = kept
+    return verdict

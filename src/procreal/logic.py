@@ -28,10 +28,16 @@ from .parsing import ParseError, Reader
 
 class Formula:
     """A formula node.  Its subformulas are its fields annotated
-    `Formula`, in field order; every other field is a side datum.  A node
-    `semtypes.formula_to_type` has read keeps the sorted identifiers of
-    the atoms it mentions as `_atoms`, which is no field: `==`, `hash`,
-    `repr` and `rebuild` ignore it."""
+    `Formula`, in field order; every other field is a side datum.  Two
+    values are kept on the node and are no field, so `==`, `repr`,
+    `rebuild`, pickling and copying ignore them: its hash, as `_hash`,
+    and, once `semtypes.formula_to_type` has read it, the sorted
+    identifiers of the atoms it mentions, as `_atoms`.  The hash is the
+    one the dataclass computes, `hash` of the tuple of the fields,
+    computed at the first call, so a formula kept in a key is hashed
+    again in one attribute lookup and no set or dict order moves.  A
+    string hashes differently in each process, so `__reduce__` rebuilds a
+    node from its fields alone, and no pickle or copy carries either."""
 
     __slots__ = ()
     formula_names: tuple = ()
@@ -45,55 +51,72 @@ class Formula:
         return cls(*[fn(getattr(self, n)) if n in self.formula_names else getattr(self, n)
                      for n in self.__match_args__])
 
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple([getattr(self, n) for n in self.__match_args__]))
+        return h
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, n) for n in self.__match_args__])
+
+
+def _formula(cls: type) -> type:
+    """A frozen dataclass formula node that keeps its hash: the dataclass
+    writes its own `__hash__` into each class it makes, over `Formula`'s."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_formula
 class FAtom(Formula):
     ident: str
     pos: bool = True
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@_formula
 class FTensor(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FPar(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FWith(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FPlus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FBang(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FQuest(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FForall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class FExists(Formula):
     var: str
     body: Formula
@@ -243,10 +266,13 @@ class Proof:
     field order; every other field is a side datum of the rule.  A checked
     node keeps its `check_proof` result as `_checked`, an extracted one
     its realizers, per atom env and value domain, as `_realizers`
-    (`extraction.extract`), and an eliminated one its `cut_eliminate`
-    results as `_eliminated`.  None is a field: `==`, `hash`, `repr`,
-    `replace` and `proof_to_json` ignore them, and a node that `replace`
-    or a reduction builds starts with none."""
+    (`extraction.extract`), one whose totality pipeline has run its
+    verdicts, per atom types, atom env, value domain and state budget, as
+    `_pipelines` (`extraction.verify_totality_pipeline`), and an
+    eliminated one its `cut_eliminate` results as `_eliminated`.  None is
+    a field: `==`, `hash`, `repr`, `replace` and `proof_to_json` ignore
+    them, and a node that `replace` or a reduction builds starts with
+    none."""
 
     premise_names: tuple = ()
 

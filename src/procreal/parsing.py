@@ -19,7 +19,8 @@ Term grammar (precedence low to high):
     atom     := '0' | '(' expr ')' | builder '(' ... ')' | IDENT
     action   := '{' [label (',' label)*] '}'
     label    := ['~'] name
-    name     := IDENT | 'l(' name ')' | 'r(' name ')' | 'n1(' name ')' ...
+    name     := IDENT | coded ('_' INT)*        written right after the ')'
+    coded    := 'l(' name ')' | 'r(' name ')' | 'n1(' name ')' ...
 
 Builders call directly into the combinator layer: tensor(P,Q), lapp(Q,P),
 rapp(P,R), seq(P,Q), wire({a,b}), pair(P,Q), inl(P), inr(P), bang(P).
@@ -29,10 +30,13 @@ process variable.
 Value passing is notation (Milner's value-passing CCS), read away over a
 finite value domain `values`: `in s(x). P` reads as the sum over each
 value v, in the domain's order, of `{s_v}.P` with x standing for v, and
-`out s(v). P` as `{~s_v}.P` (`terms.value_name`).  A value variable's
+`out s(v). P` as `{~s_v}.P` (`terms.value_name`).  A value name over a
+coded channel prints as `l(a)_0` and reads back as that value name, so
+every printed state reads back in a fresh process.  A value variable's
 scope is the text of its `in` body.  With no domain a value prefix is a
 `ParseError` naming `--values`; so are an unbound value variable and a
-value outside the domain.  A text with value prefixes is read twice:
+value outside the domain.  A domain that repeats a value is a
+ValueError (`value_domain`).  A text with value prefixes is read twice:
 first to register its written names in text order, reading each value
 prefix's body once and making no value name; then over the domain, from
 the main term, reading a binding's text where the main term first uses
@@ -192,6 +196,9 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"in", "out", "rec"}
 
+# the `_v` suffixes `terms.value_name` writes after a coded channel
+_VALUE_SUFFIX = re.compile(r"(?:_(?:0|[1-9][0-9]*))+")
+
 # the renamings written as one keyword
 _NAMED_RENAMINGS = {"id": ID_RENAMING, "lcode": LCODE, "rcode": RCODE, "swap": SWAP}
 
@@ -229,8 +236,15 @@ class _Parser(Reader):
         if ident in CODINGS and self.at("("):
             self.next()
             inner = self.parse_name()
-            self.expect(")")
-            return CODINGS[ident].apply_name(inner)
+            close = self.expect(")")
+            name = CODINGS[ident].apply_name(inner)
+            # a value name over a coded channel prints as `l(a)_0`
+            tok = self.peek()
+            if (tok.line, tok.col) == (close.line, close.col + 1) and _VALUE_SUFFIX.fullmatch(tok.text):
+                self.next()
+                for v in tok.text[1:].split("_"):
+                    name = value_name(name, int(v))
+            return name
         return REGISTRY.intern(ident)
 
     def parse_label(self) -> Label:
@@ -448,10 +462,22 @@ class _Parser(Reader):
     def reread(self, start: int, values: tuple) -> Term:
         """The term the first read read from `start`, or, when that read met
         a value prefix, the term read again from `start` over `values`."""
+        values = value_domain(values)
         if not self.passes_values:
             return self.terms[start]
-        self.values, self.terms = tuple(values), {}
+        self.values, self.terms = values, {}
         return self.read_from(start)
+
+
+def value_domain(values) -> tuple:
+    """`values` as a tuple; a ValueError names the first value it repeats,
+    since each value is one branch of every input read over it."""
+    values, seen = tuple(values), set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"value {v} repeated in the value domain")
+        seen.add(v)
+    return values
 
 
 def parse_term(text: str, values: tuple = ()) -> Term:

@@ -9,15 +9,19 @@ positive representatives.  This finite-representation reading is the
 toolkit's central approximation: all checks are effective, and the PER
 structure shows up as machine-checked extensionality of morphisms.
 
-The question asked most is whether a term realizes a type (`classify`),
-and it is asked again and again of types already built, so an answer
-asked for again costs one lookup.  The memo's answer tier keeps types
-(`formula_to_type`, `list_type_example`) and totality verdicts (`total`)
-with the fingerprints they rest on.  A type keeps its hash, and each of
-its class lists a class index per state budget, which keeps the terms
-it has placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
-index); none of these is a field.  A formula node keeps the atoms it
-mentions.
+The questions asked most are whether a term realizes a type (`classify`)
+and whether a type is total (`total`), and they are asked again and
+again of types already built, so an answer asked for again is read off
+the object it is about.  A type keeps its hash and its totality verdict
+per state budget (`_totals`); each of its class lists keeps a class
+index per state budget, which keeps the answer object of each term it
+has placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
+index).  None of these is a field, so a re-asked totality or membership
+question builds no key and no answer.  The memo's answer tier keeps
+types (`formula_to_type`, `list_type_example`) and totality verdicts by
+value, with the fingerprints they rest on, so a type equal to one kept
+but built apart shares its answers.  A formula node keeps its hash and
+the atoms it mentions (`logic.Formula`).
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ class SemType:
     """A pair of finite PERs, the realizers (`pos`) and counter-realizers
     (`neg`), over an interface alphabet.  Its hash is kept as
     `RepPER`'s is: the dataclass's `hash((pos, neg, interface))`, computed
-    at the first call and no field."""
+    at the first call and no field; so is its `total` verdict per state
+    budget, as `_totals`."""
 
     pos: RepPER
     neg: RepPER
@@ -118,8 +123,13 @@ class SemType:
         return SemType, (self.pos, self.neg, self.interface)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
+    """Where `classify` places a term: in class `index` ("class"), in no
+    class ("no"), or undecided ("unknown", with the limit that stopped it
+    as `detail`).  Frozen, since a "class" answer is kept in its class
+    index's `members` and returned again to each caller that asks."""
+
     verdict: str  # "class" | "no" | "unknown"
     index: Optional[int] = None
     detail: str = ""
@@ -139,11 +149,12 @@ class _ClassIndex:
     (`first`), and the representatives among them whose graph is partial
     (`partial`), in class order.  It is filled in class order only as far
     as a question needs, so it fingerprints the representatives that
-    comparing with each class in order would.  `members` keeps each term
-    found in a class, with the class, so a term asked about again is one
-    lookup; only "class" answers are kept, since a "no" can turn into a
-    class as `partition` adds classes.  Past CLASS_MEMBERS terms it is
-    emptied and refills."""
+    comparing with each class in order would.  `members` maps each term
+    found in a class to the `Classification` built when it was placed, so
+    a term asked about again is one lookup that builds nothing; only
+    "class" answers are kept, since a "no" can turn into a class as
+    `partition` adds classes.  Past CLASS_MEMBERS terms it is emptied and
+    refills."""
 
     __slots__ = ("reps", "filled", "first", "partial", "members")
 
@@ -168,7 +179,8 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classificati
     undecided comparison's, which names the limit that stopped it.  A
     term the index has placed in a class before is answered from the
     index's `members`, with no fingerprint looked up: a question asked
-    again of a kept type costs one lookup."""
+    again of a kept type costs one lookup and returns the answer object
+    given the first time."""
     indices = per.__dict__.get("_indices")
     if indices is None:
         indices = per.__dict__["_indices"] = {}
@@ -180,9 +192,9 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classificati
 
 def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> Classification:
     """`classify` among the representatives of `index`."""
-    found = index.members.get(term)
-    if found is not None:
-        return Classification("class", found)
+    kept = index.members.get(term)
+    if kept is not None:
+        return kept
     reps = index.reps
     if not reps:
         return Classification("no")
@@ -210,11 +222,13 @@ def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> C
 
 
 def _member(index: _ClassIndex, term: Term, cls: int) -> Classification:
-    """Keeps `term` in `index.members` as a member of class `cls`."""
+    """Keeps `term` in `index.members` as a member of class `cls`, with
+    the answer built here, so threads racing on one index each keep an
+    answer that names the class they found."""
     if len(index.members) >= CLASS_MEMBERS:
         index.members.clear()
-    index.members[term] = cls
-    return Classification("class", cls)
+    out = index.members[term] = Classification("class", cls)
+    return out
 
 
 def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Classification:
@@ -427,7 +441,8 @@ def formula_to_type(
     found once per formula node (`_atom_idents`), and the atom types in
     the key hash in one attribute lookup each (`SemType`), so a type asked
     for again costs its key, the hash of `f` and one lookup."""
-    atoms = tuple((ident, atom_types.get(ident)) for ident in _atom_idents(f))
+    idents = _atom_idents(f)
+    atoms = tuple(zip(idents, map(atom_types.get, idents)))
     key = ("type", f, atoms, budget.max_states, values, fuel)
     ty = _MEMO.answers.get(key)
     if ty is not None:
@@ -592,10 +607,27 @@ class TotalityResult:
 def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> TotalityResult:
     """Whether every positive representative of `t` converges with every
     negative one (`perp`): "no" with the first pair, in class order, that
-    does not; else "unknown" when some pair is undecided; else "yes".  The
-    result is kept in the memo's answer tier by type and state budget, and
-    types compare by value, so a type equal to one already checked is
-    answered with the kept result and decides no `perp`."""
+    does not; else "unknown" when some pair is undecided; else "yes".
+
+    The verdict is kept on the type, per state budget, as `_totals`, which
+    is no field (as `_indices` on a `RepPER`): a type asked again returns
+    it with no key built or hashed.  A kept verdict goes with the type,
+    so it outlives `_MEMO.clear()`, as a class index does.  On a miss the
+    verdict is looked up in the memo's answer tier by type and state
+    budget, and types compare by value, so a type equal to one already
+    checked but built apart shares its verdict object and decides no
+    `perp`."""
+    totals = t.__dict__.get("_totals")
+    if totals is None:
+        totals = t.__dict__["_totals"] = {}
+    res = totals.get(budget.max_states)
+    if res is None:
+        res = totals[budget.max_states] = _total(t, budget)
+    return res
+
+
+def _total(t: SemType, budget: ExplorationBudget) -> TotalityResult:
+    """`total`'s verdict from the memo's answer tier, else decided."""
     key = ("total", t, budget.max_states)
     res = _MEMO.answers.get(key)
     if res is not None:

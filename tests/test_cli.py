@@ -174,6 +174,44 @@ def test_values_required(files, capsys):
     assert main(["lts", p]) == 3
 
 
+def test_a_repeated_value_is_refused_by_name(files, capsys):
+    p = files("p.term", "in s(x). 0\n")
+    assert main(["lts", p, "--values", "0,1,0"]) == 3
+    assert capsys.readouterr().err == "--values 0,1,0: value 0 repeated in the value domain\n"
+    argv, contents = _check_type(dict(TYPE_ENV, values=[2, 2]))
+    assert _run(argv, contents, files) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("env.json: value 2 repeated in the value domain\n") and err.count("\n") == 1
+    with pytest.raises(ValueError, match="^value 1 repeated in the value domain$"):
+        parse_term("{a}.0", (1, 1))
+
+
+READ_BACK = """
+import json, sys
+from procreal.parsing import parse_term
+from procreal.terms import print_term
+print(json.dumps([print_term(parse_term(s)) for s in json.loads(sys.stdin.read())]))
+"""
+
+
+@pytest.mark.parametrize("chan", ["l(a)", "r(l(b))"])
+def test_every_exported_state_of_a_coded_channel_reads_back(chan, files):
+    # a value name over a coded channel prints as `l(a)_0`; a fresh
+    # process reads each exported state to a term that prints the same.
+    # Both run in fresh processes, since what a name prints as depends on
+    # the names the process registered before.
+    p = files("p.term", f"in {chan}(x). out {chan}(x). 0\n")
+    lts = subprocess.run([sys.executable, "-m", "procreal.cli", "lts", p, "--values", "0,1", "--format", "json"],
+                         capture_output=True, text=True, env=subprocess_env())
+    assert lts.returncode == 0, lts.stderr
+    states = json.loads(lts.stdout)["states"]
+    assert f"{{~{chan}_1}}.0" in states
+    back = subprocess.run([sys.executable, "-c", READ_BACK], input=json.dumps(states),
+                          capture_output=True, text=True, env=subprocess_env())
+    assert back.returncode == 0, back.stderr
+    assert json.loads(back.stdout) == states
+
+
 def test_extract_and_verify_cut(files, tmp_path, capsys):
     proof = corpus_proofs()["tensor_par"]["proof"]
     ppath = files("p.json", json.dumps(proof_to_json(proof)))
@@ -342,6 +380,10 @@ def _run(argv, contents, files):
         pytest.param(*_check_type({"atoms": {"a": {"pos": ["{a}.0"]}}}), id="atom-without-neg"),
         pytest.param(*_check_type(TYPE_ENV, "a*zz"), id="undeclared-atom"),
         pytest.param(*_check_type(dict(TYPE_ENV, values=5)), id="values-not-a-list"),
+        pytest.param(*_check_type(dict(TYPE_ENV, values=[1, 0, 1])), id="environment-value-repeated"),
+        pytest.param(["lts", "t.term", "--values", "0,0"], {"t.term": "in s(x). 0\n"}, id="value-repeated"),
+        pytest.param(*_proof("extract", {"rule": "axiom", "formula": "forall x. a(x)"}, "--values", "2,1,2"),
+                     id="value-repeated-extract"),
         pytest.param(*_check_type([TYPE_ENV]), id="type-env-not-an-object"),
         pytest.param(*_check_type({"atoms": {"a": {"pos": ["rec X. X"], "neg": ["{~a}.0"]}}}),
                      id="unguarded-environment-term"),

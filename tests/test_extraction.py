@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from golden_lines import fresh_lines, golden_lines
 
-from procreal import equivalence
+from procreal import equivalence, extraction
 from procreal.combinators import identity_wire, lapp, tensor
 from procreal.corpus import corpus_proofs
 from procreal.equivalence import failures_equiv, perp
@@ -301,3 +301,21 @@ def test_totality_negative_control_diverges():
     loop = parse_term("rec X. {}.X")
     t = _atom_type("a")
     assert perp(loop, t.neg.classes[0][0], BUD) == "no"
+
+
+def test_a_pipeline_asked_again_is_read_off_the_proof(monkeypatch):
+    types = {"a": _atom_type("a")}
+    cut = PCut(A, PAxiom(A), PAxiom(negate(A)), -1, -1)
+    assert verify_totality_pipeline(cut, types, budget=BUD) == "convergent"
+    asked = []
+    for name in ("formula_to_type", "total"):
+        run = getattr(extraction, name)
+        monkeypatch.setattr(extraction, name, lambda *args, run=run, name=name: asked.append(name) or run(*args))
+    assert verify_totality_pipeline(cut, dict(types), budget=BUD) == "convergent"
+    assert asked == []
+    # a consumer of `a` that diverges is another question, with another answer
+    diverging = SemType(types["a"].pos, RepPER(((parse_term("rec X. {}.X"),),)), types["a"].interface)
+    assert verify_totality_pipeline(cut, {"a": diverging}, budget=BUD) == "diverging"
+    assert asked == ["formula_to_type", "total"]
+    assert verify_totality_pipeline(cut, types, budget=BUD) == "convergent"
+    assert len(cut._pipelines) == 2

@@ -204,3 +204,38 @@ def test_every_import_is_used():
                     if name not in read
                 ]
     assert not found
+
+
+def _methods(cls) -> dict:
+    return {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+
+def _keeps_hash(fn) -> bool:
+    """`fn` keeps `_hash` in its instance's `__dict__`."""
+    return any(
+        isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute) and n.value.attr == "__dict__"
+        and isinstance(n.slice, ast.Constant) and n.slice.value == "_hash"
+        for n in ast.walk(fn)
+    )
+
+
+def _reduces(name, classes: dict) -> bool:
+    """The class `name`, or a base of it among `classes`, defines `__reduce__`."""
+    c = classes.get(name)
+    return c is not None and (
+        "__reduce__" in _methods(c) or any(_reduces(getattr(b, "id", None), classes) for b in c.bases)
+    )
+
+
+def test_a_class_that_keeps_its_hash_pickles_from_its_fields():
+    # a kept hash is of strings or addresses, which hash differently in
+    # each process, so no pickle or copy may carry it: a class whose
+    # `__hash__` keeps it in `__dict__` defines `__reduce__`, in itself or
+    # in a base
+    classes = {
+        node.name: node
+        for path in SOURCES for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+    }
+    keeping = {name for name, c in classes.items() if _keeps_hash(_methods(c).get("__hash__", ast.Pass()))}
+    assert {"RepPER", "SemType", "Formula"} <= keeping
+    assert not [name for name in sorted(keeping) if not _reduces(name, classes)]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -552,6 +553,65 @@ def test_a_type_asked_for_again_explores_nothing(monkeypatch):
     assert explored
     assert total(again, BUD) == verdict
     _MEMO.clear()
+
+
+def _count_answer_lookups(monkeypatch) -> list:
+    """The keys looked up in the memo's answer tier from here on."""
+    looked = []
+    tier = type(_MEMO.answers)  # slotted, so its class's `get` is patched
+
+    def get(self, key, run=tier.get):
+        if self is _MEMO.answers:
+            looked.append(key)
+        return run(self, key)
+
+    monkeypatch.setattr(tier, "get", get)
+    return looked
+
+
+def test_a_total_asked_again_is_read_off_the_type(monkeypatch):
+    ty = formula_to_type(parse_formula("!(a*~b)"), {"a": TA, "b": TB}, BUD)
+    verdict = total(ty, BUD)
+    looked = _count_answer_lookups(monkeypatch)
+    assert total(ty, BUD) is verdict
+    assert looked == []
+    # another budget is another question
+    assert total(ty, ExplorationBudget(max_states=BUD.max_states + 1)) == verdict
+    assert looked
+    # the kept verdict goes with the type, not with the memo
+    _MEMO.clear()
+    del looked[:]
+    assert total(ty, BUD) is verdict and looked == []
+    assert "_totals" in vars(ty) and "_totals" not in vars(pickle.loads(pickle.dumps(ty)))
+    _MEMO.clear()
+
+
+def test_a_membership_asked_again_returns_the_kept_answer():
+    per = RepPER(((parse_term("{a}.0"),), (parse_term("{b}.0"),)))
+    term = parse_term("{}.{b}.0")
+    first = classify(term, per, BUD)
+    assert first == Classification("class", 1)
+    assert classify(term, per, BUD) is first
+    assert per._indices[BUD.max_states].members[term] is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.index = 0
+
+
+def test_a_formula_keeps_the_dataclass_hash_and_no_pickle_or_copy_carries_it():
+    f = parse_formula("(a*~b)&!(a@b)")
+    formula_to_type(f, {"a": TA, "b": TB}, BUD)
+    nodes = [f, f.left, f.left.right, f.right, f.right.body]
+    for node in nodes:
+        assert hash(node) == hash(tuple(getattr(node, fld.name) for fld in dataclasses.fields(node)))
+        assert {"_hash", "_atoms"} <= set(vars(node))
+    kept = {"_hash", "_atoms"}
+    back = pickle.loads(pickle.dumps(f))
+    for node in (back, back.left, back.left.right, back.right, back.right.body):
+        assert not kept & set(vars(node))
+    for again in (back, copy.copy(f), copy.deepcopy(f), dataclasses.replace(f)):
+        assert not kept & set(vars(again))
+        assert again == f and hash(again) == hash(f)
+    assert repr(back) == repr(f) and "_hash" not in repr(f)
 
 
 def test_a_type_is_kept_under_everything_its_construction_reads():
