@@ -26,8 +26,8 @@ from .logic import (
 )
 from .names import REGISTRY, RenamingDomainError
 from .parsing import ParseError, parse_program, value_domain
-from .semantics import ExplorationBudget, build_lts
-from .semtypes import SemType, formula_to_type, partition, realizes_pos
+from .semantics import VERDICT_OK, ExplorationBudget, build_lts
+from .semtypes import SemType, formula_to_type, law_outcome, partition, realizes_pos
 from .terms import Term, print_term, well_formed
 
 EXIT_OK = 0
@@ -35,12 +35,9 @@ EXIT_DISTINGUISHED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
-# The exit code of each decided verdict of equiv, perp, verify-cut,
-# check-type and exercises; any other verdict exits EXIT_UNKNOWN.
-EXIT_CODES = {
-    "equal": EXIT_OK, "yes": EXIT_OK, "pass": EXIT_OK, "class": EXIT_OK,
-    "distinguished": EXIT_DISTINGUISHED, "no": EXIT_DISTINGUISHED, "fail": EXIT_DISTINGUISHED,
-}
+# The exit code of a verdict of equiv, perp, verify-cut, check-type and
+# exercises, by whether it answers its question yes (`Verdict.ok`).
+EXIT_CODES = {True: EXIT_OK, False: EXIT_DISTINGUISHED, None: EXIT_UNKNOWN}
 
 
 class CliError(Exception):
@@ -103,6 +100,16 @@ def _emit_text(data, indent: int = 0) -> None:
         print(f"{pad}{data}")
 
 
+def _verdict_out(res, word: str = "verdict", witness: str = "witness") -> dict:
+    """A verdict's word under `word`, then its witness and detail if set."""
+    out = {word: res.verdict}
+    if res.witness is not None:
+        out[witness] = res.witness
+    if res.detail:
+        out["detail"] = res.detail
+    return out
+
+
 def cmd_lts(args) -> int:
     term = load_term(args.term, args.values)
     budget = _budget(args)
@@ -131,21 +138,16 @@ def cmd_equiv(args) -> int:
         res = weak_bisim(t1, t2, _budget(args))
     else:
         res = failures_equiv(t1, t2, _budget(args), args.depth)
-    out = {"verdict": res.verdict}
-    if res.witness:
-        out["witness"] = res.witness
-    if res.detail:
-        out["detail"] = res.detail
-    _emit(out, args)
-    return EXIT_CODES.get(res.verdict, EXIT_UNKNOWN)
+    _emit(_verdict_out(res), args)
+    return EXIT_CODES[res.ok]
 
 
 def cmd_perp(args) -> int:
     t1 = load_term(args.left, args.values)
     t2 = load_term(args.right, args.values)
-    verdict = perp(t1, t2, _budget(args))
-    _emit({"perp": verdict}, args)
-    return EXIT_CODES.get(verdict, EXIT_UNKNOWN)
+    res = perp(t1, t2, _budget(args))
+    _emit(_verdict_out(res, "perp"), args)
+    return EXIT_CODES[res.ok]
 
 
 def _load_json(path: str):
@@ -197,30 +199,21 @@ def cmd_verify_cut(args) -> int:
     steps = []
     for count, (before, after, kind) in enumerate(zip(elim.trail, elim.trail[1:], elim.kinds)):
         report = verify_cut_soundness(before, after, env, args.values, budget, args.depth)
-        entry = {"step": count, "kind": kind, "verdict": report.verdict}
-        if report.witness:
-            entry["witness"] = report.witness
-        if report.detail:
-            entry["detail"] = report.detail
-        steps.append(entry)
-    if elim.status == "stuck":
-        steps.append({"step": elim.steps, "kind": "stuck", "verdict": "unknown"})
-    elif elim.status == "bound":
-        steps.append({"step": elim.steps, "kind": "bound", "verdict": "unknown",
-                      "detail": f"step bound {args.step_bound} reached"})
-    verdicts = {entry["verdict"] for entry in steps}
-    overall = "fail" if "fail" in verdicts else "unknown" if "unknown" in verdicts else "pass"
+        steps.append({"step": count, "kind": kind, **_verdict_out(report)})
+    if elim.status != "done":  # "stuck" or "bound"
+        steps.append({"step": elim.steps, "kind": elim.status, "verdict": "unknown", "detail": elim.detail})
+    ok = law_outcome(VERDICT_OK[entry["verdict"]] for entry in steps)
     out = {
         "conclusion": print_sequent(sequent),
         "steps": steps,
         "cut_free": elim.status == "done",
-        "overall": overall,
+        "overall": _LAW_VERDICTS[ok],
     }
     _emit(out, args)
     if args.format != "json":
         for entry in steps:
             print(f"step {entry['step']:3d} {entry['kind']:<22} {entry['verdict']}")
-    return EXIT_CODES.get(overall, EXIT_UNKNOWN)
+    return EXIT_CODES[ok]
 
 
 def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
@@ -276,16 +269,11 @@ def cmd_check_type(args) -> int:
     except ValueError as exc:  # e.g. an atom the environment does not declare
         raise CliError(f"{args.type_env}: {exc}") from exc
     cls = realizes_pos(term, ty, budget)
-    out = {"verdict": cls.verdict}
-    if cls.index is not None:
-        out["class"] = cls.index
-    if cls.detail:
-        out["detail"] = cls.detail
-    _emit(out, args)
-    return EXIT_CODES.get(cls.verdict, EXIT_UNKNOWN)
+    _emit(_verdict_out(cls, witness="class"), args)
+    return EXIT_CODES[cls.ok]
 
 
-# a law report's "ok" (`semtypes.law_outcome`) as a verdict
+# a law report's or a cut check's "ok" (`semtypes.law_outcome`) as a verdict
 _LAW_VERDICTS = {True: "pass", False: "fail", None: "unknown"}
 
 
@@ -303,7 +291,7 @@ def cmd_exercises(args) -> int:
                           file=status_out)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_CODES.get(_LAW_VERDICTS[report["ok"]], EXIT_UNKNOWN)
+    return EXIT_CODES[report["ok"]]
 
 
 def _parse_values(text: Optional[str]) -> tuple:

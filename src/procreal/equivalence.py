@@ -51,7 +51,10 @@ from .semantics import (
     BudgetExceeded,
     ExplorationBudget,
     LTS,
+    NO,
     StepMemo,
+    Verdict,
+    YES,
     build_lts,
     diverges,
     step,
@@ -362,18 +365,12 @@ def failures_fingerprint(t: Term, budget: ExplorationBudget = ExplorationBudget(
     return fp
 
 
-@dataclass
-class EquivResult:
-    verdict: str  # "equal" | "distinguished" | "unknown"
-    witness: Optional[dict] = None
-    detail: str = ""
-
-    @property
-    def equal(self) -> bool:
-        return self.verdict == "equal"
+# The decided answers that carry no witness, shared.
+EQUAL = Verdict("equal")
+DISTINGUISHED = Verdict("distinguished")
 
 
-def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
+def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> Verdict:
     seen = set()
     frontier = [((), nf1.root, nf2.root)]
     while frontier:
@@ -384,14 +381,14 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
             seen.add((n1, n2))
             f1, f2 = nf1.families[n1], nf2.families[n2]
             if f1 != f2:
-                return EquivResult("distinguished", witness=_witness(trace, f1, f2))
+                return Verdict("distinguished", _witness(trace, f1, f2))
             # edges are in `action_key` order, so the same actions are
             # the same sequence, and pairing them keeps that order
             edges1, edges2 = nf1.edges[n1], nf2.edges[n2]
             if [a for a, _ in edges1] != [a for a, _ in edges2]:
                 e1, e2 = dict(edges1), dict(edges2)
                 only = min(e1.keys() ^ e2.keys(), key=action_key)
-                return EquivResult("distinguished", witness=_witness(
+                return Verdict("distinguished", _witness(
                     trace + (only,),
                     nf1.families[e1[only]] if only in e1 else None,
                     nf2.families[e2[only]] if only in e2 else None,
@@ -399,7 +396,7 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> EquivResult:
             for (a, succ1), (_, succ2) in zip(edges1, edges2):
                 next_frontier.append((trace + (a,), succ1, succ2))
         frontier = next_frontier
-    return EquivResult("equal")
+    return EQUAL
 
 
 # The trace length the bounded route compares to, unless a caller says.
@@ -411,7 +408,7 @@ def failures_equiv(
     q: Term,
     budget: ExplorationBudget = ExplorationBudget(),
     depth: int = BOUNDED_DEPTH,
-) -> EquivResult:
+) -> Verdict:
     """Exact decision via normal forms when both state spaces complete
     within budget; otherwise a bounded comparison at the given depth,
     reporting `unknown` on agreement.  `q` is explored only when `p`'s
@@ -431,7 +428,7 @@ def failures_verdict(
     q: Term,
     budget: ExplorationBudget = ExplorationBudget(),
     depth: int = BOUNDED_DEPTH,
-) -> EquivResult:
+) -> Verdict:
     """The verdict of `failures_equiv` at the same `depth`, and its detail
     when undecided, from the fingerprints the answer memo keeps: exact
     when both graphs are complete, else by the same bounded route, which
@@ -444,10 +441,10 @@ def failures_verdict(
     fq = INCOMPLETE if fp is INCOMPLETE else failures_fingerprint(q, budget)
     if fq is INCOMPLETE:
         return _bounded_route(p, q, budget, depth)
-    return EquivResult("equal" if fp == fq else "distinguished")
+    return EQUAL if fp == fq else DISTINGUISHED
 
 
-def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> EquivResult:
+def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> Verdict:
     """Failures up to `depth` by brute force, for a pair with a partial
     graph: "distinguished" with a witness, or "unknown" with the reason."""
     return next(bounded_verdicts(p, (q,), budget, depth))
@@ -464,13 +461,13 @@ def bounded_verdicts(p: Term, qs, budget: ExplorationBudget, depth: int):
                 fp = failures_bounded(p, depth, budget)
             fq = failures_bounded(q, depth, budget)
         except BudgetExceeded as exc:
-            yield EquivResult("unknown", detail=f"budget exhausted: {exc}")
+            yield Verdict("unknown", detail=f"budget exhausted: {exc}")
             continue
         diff = fp.first_difference(fq)
         if diff is not None:
-            yield EquivResult("distinguished", witness=diff)
+            yield Verdict("distinguished", diff)
         else:
-            yield EquivResult("unknown", detail=f"bounded agreement to depth {depth}")
+            yield Verdict("unknown", detail=f"bounded agreement to depth {depth}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +500,13 @@ def _signature(s: Term, tau_reach: dict, weak: dict, block: dict) -> frozenset:
 
 def weak_bisim(
     p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()
-) -> EquivResult:
+) -> Verdict:
     lts_p = build_lts(p, budget)
     if not lts_p.complete:
-        return EquivResult("unknown", detail=lts_p.limit)
+        return Verdict("unknown", detail=lts_p.limit)
     lts_q = build_lts(q, budget)
     if not lts_q.complete:
-        return EquivResult("unknown", detail=lts_q.limit)
+        return Verdict("unknown", detail=lts_q.limit)
     # An equal node behaves the same in both graphs; merge them.
     merged = LTS(initial=lts_p.initial)
     merged.terms = {**lts_p.terms, **lts_q.terms}
@@ -519,13 +516,13 @@ def weak_bisim(
         merged.terms, dict.fromkeys(merged.terms, 0), lambda s, blk: _signature(s, tau_reach, weak, blk)
     )
     if block[lts_p.initial] == block[lts_q.initial]:
-        return EquivResult("equal")
+        return EQUAL
     diff = _signature(lts_p.initial, tau_reach, weak, block) ^ _signature(
         lts_q.initial, tau_reach, weak, block
     )
-    return EquivResult(
+    return Verdict(
         "distinguished",
-        witness={
+        {
             "reason": "weak bisimulation classes differ",
             "actions": sorted({"" if a == TAU else print_action(a) for a, _ in diff}),
         },
@@ -538,11 +535,8 @@ def weak_bisim(
 
 def perp(
     p: Term, q: Term, budget: ExplorationBudget = ExplorationBudget()
-) -> str:
-    closed = Restrict(Par(p, q), ALL_LABELS)
-    d = diverges(closed, budget)
-    if d == "yes":
-        return "no"
-    if d == "no":
-        return "yes"
-    return "unknown"
+) -> Verdict:
+    """Orthogonality: "yes" when the closed composition cannot diverge,
+    "no" when it can, else `diverges`' "unknown", which names the limit."""
+    d = diverges(Restrict(Par(p, q), ALL_LABELS), budget)
+    return NO if d.verdict == "yes" else YES if d.verdict == "no" else d

@@ -33,7 +33,6 @@ from .semtypes import (
     law_outcome,
     tensor_type,
     unit_type,
-    verdict_ok,
     with_type,
 )
 from .terms import NIL, Par, Prefix, Term, print_term, rename
@@ -45,7 +44,7 @@ def _atoms():
 
 def _law(report: dict, name: str, ok: Optional[bool], detail: str = ""):
     """Records a law check: its outcome is True, False, or None when
-    undecided (`semtypes.verdict_ok`)."""
+    undecided (`Verdict.ok`)."""
     report["checks"].append({"law": name, "ok": ok, "detail": detail})
     report["ok"] = law_outcome((report["ok"], ok))
 
@@ -53,9 +52,9 @@ def _law(report: dict, name: str, ok: Optional[bool], detail: str = ""):
 def _law_equal(report: dict, name: str, res, about: str = ""):
     """Records the law `name` unless `res` is "equal": failed when it is
     decided, else undecided.  The detail is the verdict, then `about`."""
-    if not res.equal:
+    if not res.ok:
         detail = f"{res.verdict} {about}" if about else res.verdict
-        _law(report, name, verdict_ok(res.verdict, "equal"), detail)
+        _law(report, name, res.ok, detail)
 
 
 def identity_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
@@ -141,13 +140,12 @@ def pairing_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
         _law_equal(report, f"trial {i}: distribution law (failures)", res)
     lhs, rhs = pairing_counterexample()
     fe = failures_equiv(lhs, rhs, budget)
-    _law(report, "counterexample instance: equal under failures", verdict_ok(fe.verdict, "equal"),
-         fe.verdict)
+    _law(report, "counterexample instance: equal under failures", fe.ok, fe.verdict)
     wb = weak_bisim(lhs, rhs, budget)
     _law(
         report,
         "counterexample instance: distinguished under weak bisimulation",
-        verdict_ok(wb.verdict, "distinguished"),
+        None if wb.ok is None else not wb.ok,
         wb.verdict,
     )
     _law(report, f"pairing laws on {trials} triples", report["ok"])

@@ -15,7 +15,6 @@ quantifiers) and a recursive relay for the exponentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
 
@@ -43,7 +42,7 @@ from .names import (
     positive,
     r_code,
 )
-from .semantics import ExplorationBudget
+from .semantics import ExplorationBudget, Verdict
 from .terms import NIL, Par, Prefix, Rec, Sum, Term, Var, choice, rename, value_name
 from .logic import (
     DUAL_CONNECTIVES,
@@ -344,11 +343,8 @@ def _realize(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
 # Verification drivers
 
 
-@dataclass
-class SoundnessReport:
-    verdict: str  # "pass" | "fail" | "unknown"
-    detail: str = ""
-    witness: Optional[dict] = None
+# A step whose realizers are failures-equal.
+PASS = Verdict("pass")
 
 
 def verify_cut_soundness(
@@ -358,9 +354,10 @@ def verify_cut_soundness(
     values: tuple = (),
     budget: ExplorationBudget = ExplorationBudget(),
     depth: int = 4,
-) -> SoundnessReport:
+) -> Verdict:
     """Compares the realizers of a proof and its reduct under failures
-    equivalence, with the bounded fallback at `depth`.  Decided from the
+    equivalence, with the bounded fallback at `depth`: "pass", "fail" with
+    a failures witness, or the comparison's "unknown".  Decided from the
     fingerprints the answer memo keeps (`failures_verdict`), so a step
     checked again, whose realizers are kept on its proofs' nodes,
     explores nothing while its answers are kept; only a step found
@@ -371,11 +368,9 @@ def verify_cut_soundness(
     res = failures_verdict(t1, t2, budget, depth)
     if res.verdict == "distinguished" and res.witness is None:
         res = failures_equiv(t1, t2, budget, depth)
-    if res.verdict == "equal":
-        return SoundnessReport("pass")
-    if res.verdict == "distinguished":
-        return SoundnessReport("fail", witness=res.witness)
-    return SoundnessReport("unknown", detail=res.detail)
+    if res.verdict == "unknown":
+        return res
+    return PASS if res.ok else Verdict("fail", res.witness)
 
 
 @lru_cache(maxsize=64)

@@ -780,22 +780,25 @@ def has_cut(p: Proof) -> bool:
     return any(has_cut(q) for q in p.premises())
 
 
-def _reduce_innermost(p: Proof) -> Optional[tuple]:
+def _reduce_innermost(p: Proof):
     """Reduces the leftmost-innermost reducible cut of `p` (premises
-    first, then this node): the rebuilt proof and the step kind, or None
-    when no cut in `p` reduces."""
+    first, then this node): the rebuilt proof and the step kind; else the
+    NotReducible of the first cut met when no cut in `p` reduces, or None
+    when `p` has no cut."""
     premises = p.premises()
+    stuck = None
     for k, q in enumerate(premises):
         found = _reduce_innermost(q)
-        if found is not None:
+        if isinstance(found, tuple):
             reduced, kind = found
             return p.with_premises(premises[:k] + (reduced,) + premises[k + 1 :]), kind
+        stuck = stuck or found
     if isinstance(p, PCut):
         try:
             return reduce_cut(p)
-        except NotReducible:
-            return None
-    return None
+        except NotReducible as exc:
+            return stuck or exc
+    return stuck
 
 
 @dataclass(frozen=True)
@@ -805,11 +808,13 @@ class ElimResult:
     status: str  # "done" | "bound" | "stuck"
     trail: tuple = ()  # intermediate proofs
     kinds: tuple = ()  # step kind per transition
+    detail: str = ""  # why a "stuck" or "bound" proof keeps a cut
 
 
 def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> ElimResult:
     """Reduces the leftmost-innermost cut until none is left, none
-    reduces ("stuck") or `step_bound` steps are taken ("bound"); with
+    reduces ("stuck", with the NotReducible message of the first cut met
+    as `detail`) or `step_bound` steps are taken ("bound"); with
     `keep_trail`, the trail holds `p` and each proof after it.  The result
     is kept on `p` (`_eliminated`, by step bound and `keep_trail`), the way
     `_checked` and `_realizers` are, so a proof eliminated again returns
@@ -829,21 +834,23 @@ def _eliminate(p: Proof, step_bound: int, keep_trail: bool) -> ElimResult:
     trail = [p] if keep_trail else []
     kinds: list = []
     current = p
-    status = "done"
+    status, detail = "done", ""
     while True:
         # one walk per step: the proof is searched for a cut only when
-        # none reduces or the bound stops the reduction
+        # the bound stops the reduction
         found = _reduce_innermost(current) if steps < step_bound else None
-        if found is None:
-            if has_cut(current):
-                status = "stuck" if steps < step_bound else "bound"
+        if not isinstance(found, tuple):
+            if found is not None:
+                status, detail = "stuck", str(found)
+            elif steps >= step_bound and has_cut(current):
+                status, detail = "bound", f"step bound {step_bound} reached"
             break
         current, kind = found
         steps += 1
         kinds.append(kind)
         if keep_trail:
             trail.append(current)
-    return ElimResult(current, steps, status, tuple(trail), tuple(kinds))
+    return ElimResult(current, steps, status, tuple(trail), tuple(kinds), detail)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,14 @@ coded channel prints as `l(a)_0` and reads back as that value name, so
 every printed state reads back in a fresh process.  A value variable's
 scope is the text of its `in` body.  With no domain a value prefix is a
 `ParseError` naming `--values`; so are an unbound value variable and a
-value outside the domain.  A domain that repeats a value is a
-ValueError (`value_domain`).  A text with value prefixes is read twice:
-first to register its written names in text order, reading each value
-prefix's body once and making no value name; then over the domain, from
-the main term, reading a binding's text where the main term first uses
-it.  So value names, whose codes order the labels of printed actions and
-exported transitions, come after the written ones, in the order of the
-main term read over the domain.
+value outside the domain.  A domain that repeats a value or holds a
+negative one is a ValueError (`value_domain`).  A text with value
+prefixes is read twice: first to register its written names in text
+order, reading each value prefix's body once and making no value name;
+then over the domain, from the main term, reading a binding's text
+where the main term first uses it.  So value names, whose codes order
+the labels of printed actions and exported transitions, come after the
+written ones, in the order of the main term read over the domain.
 """
 
 from __future__ import annotations
@@ -471,11 +471,14 @@ class _Parser(Reader):
 
 def value_domain(values) -> tuple:
     """`values` as a tuple; a ValueError names the first value it repeats,
-    since each value is one branch of every input read over it."""
+    since each value is one branch of every input read over it, or the
+    first negative one, since `s_-1` reads back as no name."""
     values, seen = tuple(values), set()
     for v in values:
         if v in seen:
             raise ValueError(f"value {v} repeated in the value domain")
+        if v < 0:
+            raise ValueError(f"negative value {v} in the value domain")
         seen.add(v)
     return values
 

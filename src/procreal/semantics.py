@@ -125,6 +125,48 @@ class ExplorationBudget:
         return self.max_states * TRANSITIONS_PER_STATE
 
 
+# Whether each verdict word answers its question yes (True) or no
+# (False); "unknown" leaves it undecided (None).
+VERDICT_OK = {
+    "equal": True, "distinguished": False,  # equivalence.failures_equiv, weak_bisim
+    "class": True,  # semtypes.classify; "no" places the term in no class
+    "morphism": True,  # semtypes.is_morphism
+    "yes": True, "no": False,  # diverges, equivalence.perp, semtypes.total
+    "pass": True, "fail": False,  # extraction.verify_cut_soundness
+    "unknown": None,
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """The answer to one question: its own word (`verdict`, a key of
+    VERDICT_OK), what decided it (`witness`: a class, a `Morphism`, a
+    failures witness, a printed pair, a reason) and why it is undecided
+    (`detail`, required for "unknown").  Frozen, so one answer can be
+    kept and handed to every caller that asks again."""
+
+    verdict: str
+    witness: object = None
+    detail: str = ""
+
+    def __post_init__(self):
+        if self.verdict == "unknown" and not self.detail:
+            raise ValueError('an "unknown" verdict needs a detail')
+
+    @property
+    def ok(self) -> Optional[bool]:
+        return VERDICT_OK[self.verdict]
+
+    @property
+    def index(self) -> Optional[int]:
+        """The class of a "class" answer, else None."""
+        return self.witness if self.verdict == "class" else None
+
+
+YES = Verdict("yes")
+NO = Verdict("no")
+
+
 def _subsets(items: tuple) -> Iterable[frozenset]:
     for k in range(len(items) + 1):
         for combo in combinations(items, k):
@@ -624,23 +666,24 @@ def tau_cycle_exists(lts: LTS) -> bool:
     return False
 
 
-def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> str:
+def diverges(t: Term, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     """Three-valued: "yes" when some reachable state starts an infinite
     tau-path, "no" when the full graph excludes it, "unknown" when the
-    exploration budget was exhausted first.  The verdict is kept in the
-    memo's answer tier, so the term is explored once while it stays.
+    exploration budget was exhausted first, with the limit that stopped
+    it (`LTS.limit`) as the detail.  The verdict is kept in the memo's
+    answer tier, so the term is explored once while it stays.
     """
     key = ("diverges", t, budget.max_states)
     verdict = _MEMO.answers.get(key)
     if verdict is None:
         lts = build_lts(t, budget)
         if tau_cycle_exists(lts):
-            verdict = "yes"
+            verdict = YES
         elif lts.complete:
-            verdict = "no"
+            verdict = NO
         else:
             # unexpanded frontier states are reachable and their
             # tau-futures unknown
-            verdict = "unknown"
+            verdict = Verdict("unknown", detail=lts.limit)
         _MEMO.answers.put(key, verdict)
     return verdict

@@ -14,8 +14,8 @@ and whether a type is total (`total`), and they are asked again and
 again of types already built, so an answer asked for again is read off
 the object it is about.  A type keeps its hash and its totality verdict
 per state budget (`_totals`); each of its class lists keeps a class
-index per state budget, which keeps the answer object of each term it
-has placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
+index per state budget, which keeps the verdict of each term it has
+placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
 index).  None of these is a field, so a re-asked totality or membership
 question builds no key and no answer.  The memo's answer tier keeps
 types (`formula_to_type`, `list_type_example`) and totality verdicts by
@@ -52,7 +52,7 @@ from .equivalence import (
     perp,
 )
 from .names import ALPHA, BETA, DELTA, GAMMA, OMEGA, SIGMA, l_code, negative, positive, r_code
-from .semantics import _MEMO, ExplorationBudget
+from .semantics import _MEMO, NO, YES, ExplorationBudget, Verdict
 from .terms import NIL, Prefix, Term, choice, print_term, value_name
 from .logic import (
     DUAL_CONNECTIVES,
@@ -123,18 +123,6 @@ class SemType:
         return SemType, (self.pos, self.neg, self.interface)
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Where `classify` places a term: in class `index` ("class"), in no
-    class ("no"), or undecided ("unknown", with the limit that stopped it
-    as `detail`).  Frozen, since a "class" answer is kept in its class
-    index's `members` and returned again to each caller that asks."""
-
-    verdict: str  # "class" | "no" | "unknown"
-    index: Optional[int] = None
-    detail: str = ""
-
-
 # Bound on the terms a class index keeps as members (`_ClassIndex.members`),
 # each held alive with the type.  All 41,200 `semtypes` queries of seed 101
 # fill no index past 18 members, and 9,600 `laws` queries none past 13; a
@@ -150,7 +138,7 @@ class _ClassIndex:
     (`partial`), in class order.  It is filled in class order only as far
     as a question needs, so it fingerprints the representatives that
     comparing with each class in order would.  `members` maps each term
-    found in a class to the `Classification` built when it was placed, so
+    found in a class to the verdict built when it was placed, so
     a term asked about again is one lookup that builds nothing; only
     "class" answers are kept, since a "no" can turn into a class as
     `partition` adds classes.  Past CLASS_MEMBERS terms it is emptied and
@@ -166,10 +154,10 @@ class _ClassIndex:
         self.members: dict = {}
 
 
-def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classification:
-    """The first class of `per` that `term` is failures-equivalent to, as
-    comparing it with each class representative in order by
-    `failures_verdict` finds it.  Every membership question in this
+def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Verdict:
+    """The first class of `per` that `term` is failures-equivalent to
+    (the witness of a "class"), as comparing it with each class
+    representative in order by `failures_verdict` finds it.  Every membership question in this
     module is answered here.  Fingerprints are canonical, so where both
     graphs are complete the answer is one lookup of `term`'s fingerprint
     in the class index `per` keeps for this state budget; only the
@@ -190,14 +178,14 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Classificati
     return _classify_in(term, index, budget)
 
 
-def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> Classification:
+def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> Verdict:
     """`classify` among the representatives of `index`."""
     kept = index.members.get(term)
     if kept is not None:
         return kept
     reps = index.reps
     if not reps:
-        return Classification("no")
+        return NO
     fp = failures_fingerprint(term, budget)
     if fp is INCOMPLETE:  # every comparison takes the bounded route
         return _first_undecided(term, reps, budget)
@@ -221,34 +209,33 @@ def _classify_in(term: Term, index: _ClassIndex, budget: ExplorationBudget) -> C
     return _first_undecided(term, index.partial, budget)
 
 
-def _member(index: _ClassIndex, term: Term, cls: int) -> Classification:
+def _member(index: _ClassIndex, term: Term, cls: int) -> Verdict:
     """Keeps `term` in `index.members` as a member of class `cls`, with
     the answer built here, so threads racing on one index each keep an
     answer that names the class they found."""
     if len(index.members) >= CLASS_MEMBERS:
         index.members.clear()
-    out = index.members[term] = Classification("class", cls)
+    out = index.members[term] = Verdict("class", cls)
     return out
 
 
-def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Classification:
-    """Verdict "unknown" with the detail of the first of `reps` whose
-    comparison with `term` is undecided, else "no".  Called only where
-    `term`'s graph or each of `reps`' is partial, so `failures_verdict`
-    would take the bounded route for each, and no comparison finds them
-    equal; `bounded_verdicts` takes it with `term`'s failures computed
-    once."""
+def _first_undecided(term: Term, reps, budget: ExplorationBudget) -> Verdict:
+    """The "unknown" of the first of `reps` whose comparison with `term`
+    is undecided, else "no".  Called only where `term`'s graph or each of
+    `reps`' is partial, so `failures_verdict` would take the bounded route
+    for each, and no comparison finds them equal; `bounded_verdicts` takes
+    it with `term`'s failures computed once."""
     for res in bounded_verdicts(term, reps, budget, BOUNDED_DEPTH):
         if res.verdict == "unknown":
-            return Classification("unknown", detail=res.detail)
-    return Classification("no")
+            return res
+    return NO
 
 
-def realizes_pos(term: Term, t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Classification:
+def realizes_pos(term: Term, t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     return classify(term, t.pos, budget)
 
 
-def realizes_neg(term: Term, t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Classification:
+def realizes_neg(term: Term, t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     return classify(term, t.neg, budget)
 
 
@@ -508,19 +495,12 @@ class Morphism:
     f_minus: tuple = ()  # target neg class -> source neg class
 
 
-@dataclass
-class MorphismResult:
-    verdict: str  # "morphism" | "no" | "unknown"
-    morphism: Optional[Morphism] = None
-    witness: Optional[str] = None
-
-
 def is_morphism(
     realizer: Term,
     a: SemType,
     b: SemType,
     budget: ExplorationBudget = ExplorationBudget(),
-) -> MorphismResult:
+) -> Verdict:
     """Checks that the term tracks a pair of class maps: forward on the
     positives of the source, backward on the negatives of the target.
     Every member of a class must land in the same class; that is the
@@ -529,20 +509,20 @@ def is_morphism(
         a.pos.classes, lambda q: lapp(q, realizer), b.pos, budget,
         "source class {}", "image of {} not a positive of the target", "target",
     )
-    if isinstance(f_plus, MorphismResult):
+    if isinstance(f_plus, Verdict):
         return f_plus
     f_minus = _class_map(
         b.neg.classes, lambda t: rapp(realizer, t), a.neg, budget,
         "target neg class {}", "preimage of {} not a negative of the source", "source",
     )
-    if isinstance(f_minus, MorphismResult):
+    if isinstance(f_minus, Verdict):
         return f_minus
-    return MorphismResult("morphism", Morphism(a, b, realizer, f_plus, f_minus))
+    return Verdict("morphism", Morphism(a, b, realizer, f_plus, f_minus))
 
 
 def _class_map(classes, image, per: RepPER, budget, where: str, outside: str, onto: str):
     """The class of `per` that `image` sends each class into, or the
-    MorphismResult saying why a class lands outside `per` or in several
+    verdict saying why a class lands outside `per` or in several
     of its classes.  `where` names a class in witnesses, `outside` says
     it lands outside, and `onto` names the side `per` belongs to."""
     out = []
@@ -552,36 +532,36 @@ def _class_map(classes, image, per: RepPER, budget, where: str, outside: str, on
         for member in cls:
             c = classify(image(member), per, budget)
             if c.verdict == "unknown":  # the detail says what left it undecided
-                return MorphismResult("unknown", witness=f"{name}: {c.detail}")
+                return Verdict("unknown", detail=f"{name}: {c.detail}")
             if c.verdict == "no":
-                return MorphismResult("no", witness=outside.format(name))
+                return Verdict("no", outside.format(name))
             landed.add(c.index)
         if len(landed) != 1:
-            return MorphismResult("no", witness=f"{name} maps to several {onto} classes")
+            return Verdict("no", f"{name} maps to several {onto} classes")
         out.append(landed.pop())
     return tuple(out)
 
 
-def identity_morphism(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> MorphismResult:
+def identity_morphism(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     if t.interface is None:
-        return MorphismResult("no", witness="type has no finite interface alphabet")
+        return Verdict("no", "type has no finite interface alphabet")
     return is_morphism(identity_wire(t.interface), t, t, budget)
 
 
 def compose_morphisms(
     f: Morphism, g: Morphism, budget: ExplorationBudget = ExplorationBudget()
-) -> MorphismResult:
+) -> Verdict:
     """g after f: the composition realizer chains through the hidden middle."""
     return is_morphism(seq(f.realizer, g.realizer), f.source, g.target, budget)
 
 
-def dual_morphism(f: Morphism, budget: ExplorationBudget = ExplorationBudget()) -> MorphismResult:
+def dual_morphism(f: Morphism, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     return is_morphism(swap_halves(f.realizer), f.target.dual(), f.source.dual(), budget)
 
 
 def pairing_morphism(
     f: Morphism, g: Morphism, budget: ExplorationBudget = ExplorationBudget()
-) -> MorphismResult:
+) -> Verdict:
     """The mediating morphism into a product type built by with_type."""
     target = with_type(f.target, g.target)
     return is_morphism(pairing(f.realizer, g.realizer, port="right"), f.source, target, budget)
@@ -598,16 +578,11 @@ def projection_realizer(t: SemType, which: str) -> Term:
 # Totality and inhabitation
 
 
-@dataclass(frozen=True)
-class TotalityResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    witness: Optional[tuple] = None  # (pos rep, neg rep) printed forms
-
-
-def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> TotalityResult:
+def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Verdict:
     """Whether every positive representative of `t` converges with every
     negative one (`perp`): "no" with the first pair, in class order, that
-    does not; else "unknown" when some pair is undecided; else "yes".
+    does not, printed, as witness; else the "unknown" of the first pair
+    left undecided; else "yes".
 
     The verdict is kept on the type, per state budget, as `_totals`, which
     is no field (as `_indices` on a `RepPER`): a type asked again returns
@@ -626,21 +601,21 @@ def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Totali
     return res
 
 
-def _total(t: SemType, budget: ExplorationBudget) -> TotalityResult:
+def _total(t: SemType, budget: ExplorationBudget) -> Verdict:
     """`total`'s verdict from the memo's answer tier, else decided."""
     key = ("total", t, budget.max_states)
     res = _MEMO.answers.get(key)
     if res is not None:
         return res
-    saw_unknown = False
+    undecided = None
     for p in t.pos.reps():
         for n in t.neg.reps():
             out = perp(p, n, budget)
-            if out == "no":
-                return _MEMO.answers.put(key, TotalityResult("no", (print_term(p), print_term(n))))
-            if out == "unknown":
-                saw_unknown = True
-    return _MEMO.answers.put(key, TotalityResult("unknown" if saw_unknown else "yes"))
+            if out.verdict == "no":
+                return _MEMO.answers.put(key, Verdict("no", (print_term(p), print_term(n))))
+            if out.verdict == "unknown":
+                undecided = undecided or out
+    return _MEMO.answers.put(key, undecided or YES)
 
 
 def inhabited(t: SemType) -> bool:
@@ -734,10 +709,10 @@ def stream_type_example(a: SemType, depth: int) -> SemType:
 # Category laws on a finite instance
 
 
-def verdict_ok(verdict: str, passing: str) -> Optional[bool]:
-    """A law check's outcome from a verdict: True when it is `passing`,
-    None when the check is undecided ("unknown"), else False."""
-    return None if verdict == "unknown" else verdict == passing
+def _why(res: Verdict) -> str:
+    """A morphism check's detail in a law report: the reason of a "no",
+    else the verdict's detail."""
+    return res.witness if res.verdict == "no" else res.detail
 
 
 def law_outcome(oks) -> Optional[bool]:
@@ -769,23 +744,20 @@ def check_category_laws(
         report["checks"].append({"check": name, "ok": ok, "detail": detail})
         report["ok"] = law_outcome((report["ok"], ok))
 
-    verified: dict[str, Morphism] = {}
-    outcomes: dict[str, Optional[bool]] = {}  # morphism name -> its check
+    checked: dict[str, Verdict] = {}  # morphism name -> its check
     for spec in morphisms:
-        res = is_morphism(spec["term"], types[spec["src"]], types[spec["dst"]], budget)
-        outcomes[spec["name"]] = verdict_ok(res.verdict, "morphism")
-        record(f"morphism {spec['name']}", outcomes[spec["name"]], res.witness or "")
-        if res.verdict == "morphism":
-            verified[spec["name"]] = res.morphism
+        res = checked[spec["name"]] = is_morphism(spec["term"], types[spec["src"]], types[spec["dst"]], budget)
+        record(f"morphism {spec['name']}", res.ok, _why(res))
+    verified = {name: res.witness for name, res in checked.items() if res.verdict == "morphism"}
 
     idents: dict[str, Morphism] = {}
     for tname, t in sorted(types.items()):
         if t.interface is None:
             continue
         res = identity_morphism(t, budget)
-        record(f"identity on {tname}", verdict_ok(res.verdict, "morphism"), res.witness or "")
+        record(f"identity on {tname}", res.ok, _why(res))
         if res.verdict == "morphism":
-            idents[tname] = res.morphism
+            idents[tname] = res.witness
 
     by_name = {spec["name"]: spec for spec in morphisms}
     for name, m in sorted(verified.items()):
@@ -793,11 +765,11 @@ def check_category_laws(
         if spec["src"] in idents:
             composed = seq(idents[spec["src"]].realizer, m.realizer)
             res = failures_verdict(composed, m.realizer, budget)
-            record(f"id;{name} = {name}", verdict_ok(res.verdict, "equal"), res.detail)
+            record(f"id;{name} = {name}", res.ok, res.detail)
         if spec["dst"] in idents:
             composed = seq(m.realizer, idents[spec["dst"]].realizer)
             res = failures_verdict(composed, m.realizer, budget)
-            record(f"{name};id = {name}", verdict_ok(res.verdict, "equal"), res.detail)
+            record(f"{name};id = {name}", res.ok, res.detail)
 
     # associativity over composable triples
     names = sorted(verified)
@@ -812,17 +784,17 @@ def check_category_laws(
     for n1, n2, n3 in triples:
         f, g, h = verified[n1].realizer, verified[n2].realizer, verified[n3].realizer
         res = failures_verdict(seq(seq(f, g), h), seq(f, seq(g, h)), budget)
-        record(f"({n1};{n2});{n3} assoc", verdict_ok(res.verdict, "equal"), res.detail)
+        record(f"({n1};{n2});{n3} assoc", res.ok, res.detail)
 
     for name, m in sorted(verified.items()):
         dres = dual_morphism(m, budget)
-        record(f"dual of {name} is a morphism", verdict_ok(dres.verdict, "morphism"), dres.witness or "")
+        record(f"dual of {name} is a morphism", dres.ok, _why(dres))
         if dres.verdict == "morphism":
-            ddres = dual_morphism(dres.morphism, budget)
+            ddres = dual_morphism(dres.witness, budget)
             ok = (
-                verdict_ok(ddres.verdict, "morphism")
-                and ddres.morphism.f_plus == m.f_plus
-                and ddres.morphism.f_minus == m.f_minus
+                ddres.ok
+                and ddres.witness.f_plus == m.f_plus
+                and ddres.witness.f_minus == m.f_minus
             )
             record(f"double dual of {name} tracks the same maps", ok)
 
@@ -830,25 +802,24 @@ def check_category_laws(
         unverified = [n for n in (fname, gname) if n not in verified]
         if unverified:
             record(f"pairing <{fname},{gname}> is a morphism",
-                   law_outcome(outcomes.get(n, False) for n in unverified),
+                   law_outcome(checked[n].ok if n in checked else False for n in unverified),
                    f"morphism {' and '.join(unverified)} not verified")
             continue
         f, g = verified[fname], verified[gname]
         pres = pairing_morphism(f, g, budget)
-        record(f"pairing <{fname},{gname}> is a morphism", verdict_ok(pres.verdict, "morphism"),
-               pres.witness or "")
+        record(f"pairing <{fname},{gname}> is a morphism", pres.ok, _why(pres))
         if pres.verdict != "morphism":
             continue
-        pair_term = pres.morphism.realizer
+        pair_term = pres.witness.realizer
         proj1 = projection_realizer(f.target, "left")
         proj2 = projection_realizer(g.target, "right")
         r1 = failures_verdict(seq(pair_term, proj1), f.realizer, budget)
-        record(f"proj1 . <{fname},{gname}> = {fname}", verdict_ok(r1.verdict, "equal"), r1.detail)
+        record(f"proj1 . <{fname},{gname}> = {fname}", r1.ok, r1.detail)
         r2 = failures_verdict(seq(pair_term, proj2), g.realizer, budget)
-        record(f"proj2 . <{fname},{gname}> = {gname}", verdict_ok(r2.verdict, "equal"), r2.detail)
+        record(f"proj2 . <{fname},{gname}> = {gname}", r2.ok, r2.detail)
         # uniqueness on this instance: any mediator with the same
         # projections is equal at the realizer level
         again = pairing(f.realizer, g.realizer, port="right")
         r3 = failures_verdict(again, pair_term, budget)
-        record(f"mediator uniqueness for <{fname},{gname}>", verdict_ok(r3.verdict, "equal"), r3.detail)
+        record(f"mediator uniqueness for <{fname},{gname}>", r3.ok, r3.detail)
     return report

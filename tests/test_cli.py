@@ -146,6 +146,16 @@ def test_perp_exit_codes(files):
     assert main(["perp", loop, nil]) == 1
 
 
+def test_an_undecided_perp_names_the_limit(files, capsys):
+    # both sides replicate, so no state budget closes the composition
+    p = files("p.term", "rec X. ({a}.0 + {b}.(X|X))\n")
+    q = files("q.term", "rec Y. {~b}.(Y|Y)\n")
+    assert main(["perp", p, q, "--max-states", "20"]) == 2
+    assert capsys.readouterr().out.splitlines() == ["perp: unknown", "detail: state budget exhausted"]
+    assert main(["perp", p, q, "--max-states", "20", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"perp": "unknown", "detail": "state budget exhausted"}
+
+
 def test_parse_error_exit_three(files, capsys):
     bad = files("bad.term", "{a}.0 +\n")
     assert main(["equiv", bad, bad]) == 3
@@ -184,6 +194,17 @@ def test_a_repeated_value_is_refused_by_name(files, capsys):
     assert err.endswith("env.json: value 2 repeated in the value domain\n") and err.count("\n") == 1
     with pytest.raises(ValueError, match="^value 1 repeated in the value domain$"):
         parse_term("{a}.0", (1, 1))
+
+
+def test_a_negative_value_is_refused_by_name(files, capsys):
+    # `s_-1` would print as a name that reads back as no name
+    p = files("p.term", "in s(x). 0\n")
+    assert main(["lts", p, "--values=-1,0"]) == 3
+    assert capsys.readouterr().err == "--values -1,0: negative value -1 in the value domain\n"
+    argv, contents = _check_type(dict(TYPE_ENV, values=[0, -2]))
+    assert _run(argv, contents, files) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("env.json: negative value -2 in the value domain\n") and err.count("\n") == 1
 
 
 READ_BACK = """
@@ -253,7 +274,8 @@ def test_verify_cut_reports_stuck_cut(files, capsys):
     ppath = files("p.json", json.dumps(proof_to_json(stuck)))
     assert main(["verify-cut", ppath, "--format", "json"]) == 2
     data = json.loads(capsys.readouterr().out)
-    assert data["steps"] == [{"kind": "stuck", "step": 0, "verdict": "unknown"}]
+    assert data["steps"] == [{"kind": "stuck", "step": 0, "verdict": "unknown",
+                              "detail": "no reduction for cut on !a (left PProm, right PProm)"}]
     assert data["cut_free"] is False and data["overall"] == "unknown"
 
 

@@ -21,7 +21,7 @@ def actions_of(t):
 
 
 def test_tensor_nil_inert():
-    assert failures_equiv(C.tensor(NIL, NIL), NIL, BUD).equal
+    assert failures_equiv(C.tensor(NIL, NIL), NIL, BUD).ok
 
 
 def test_tensor_steps_disjoint_and_simultaneous():
@@ -45,10 +45,10 @@ def test_tensor_decomposition_unique():
         for p2 in terms[:3]:
             for q1 in terms[3:]:
                 for q2 in terms[3:]:
-                    both = failures_equiv(C.tensor(p1, p2), C.tensor(q1, q2), BUD).equal
+                    both = failures_equiv(C.tensor(p1, p2), C.tensor(q1, q2), BUD).ok
                     comp = (
-                        failures_equiv(p1, q1, BUD).equal
-                        and failures_equiv(p2, q2, BUD).equal
+                        failures_equiv(p1, q1, BUD).ok
+                        and failures_equiv(p2, q2, BUD).ok
                     )
                     assert both == comp
 
@@ -86,12 +86,12 @@ def test_identity_wire_empty_alphabet_inert():
 def test_lapp_identity_on_exercise_instance():
     p = parse_term("{a}.0")
     w = C.identity_wire(frozenset([A]))
-    assert failures_equiv(C.lapp(p, w), p, BUD).equal
+    assert failures_equiv(C.lapp(p, w), p, BUD).ok
 
 
 def test_lapp_left_inert():
     t = C.lapp(NIL, C.tensor(NIL, parse_term("{b}.0")))
-    assert failures_equiv(t, parse_term("{b}.0"), BUD).equal
+    assert failures_equiv(t, parse_term("{b}.0"), BUD).ok
 
 
 def test_lapp_silent_interaction():
@@ -99,14 +99,14 @@ def test_lapp_silent_interaction():
     qp = parse_term("{a}.0")
     r = parse_term("{b}.0")
     t = C.lapp(q, C.tensor(qp, r))
-    assert failures_equiv(t, r, BUD).equal
+    assert failures_equiv(t, r, BUD).ok
 
 
 def test_rapp_mirrors():
     p = parse_term("{a}.{b}.0")
     w = C.identity_wire(C.full_interface(p))
-    assert failures_equiv(C.rapp(w, p), p, BUD).equal
-    assert failures_equiv(C.rapp(C.tensor(p, NIL), NIL), p, BUD).equal
+    assert failures_equiv(C.rapp(w, p), p, BUD).ok
+    assert failures_equiv(C.rapp(C.tensor(p, NIL), NIL), p, BUD).ok
 
 
 def test_seq_identities_and_associativity():
@@ -117,12 +117,12 @@ def test_seq_identities_and_associativity():
         r = random_term(rng, (A, B), rng.randint(2, 6))
         assert failures_equiv(
             C.seq(p, C.identity_wire(C.right_interface(p))), p, BUD
-        ).equal
+        ).ok
         assert failures_equiv(
             C.seq(C.identity_wire(C.left_interface(p)), p), p, BUD
-        ).equal
-        assert failures_equiv(C.seq(C.seq(p, q), r), C.seq(p, C.seq(q, r)), BUD).equal
-        assert failures_equiv(C.lapp(p, C.seq(q, r)), C.lapp(C.lapp(p, q), r), BUD).equal
+        ).ok
+        assert failures_equiv(C.seq(C.seq(p, q), r), C.seq(p, C.seq(q, r)), BUD).ok
+        assert failures_equiv(C.lapp(p, C.seq(q, r)), C.lapp(C.lapp(p, q), r), BUD).ok
 
 
 def test_pairing_selection_laws():
@@ -132,15 +132,15 @@ def test_pairing_selection_laws():
     s = parse_term("{b}.{a}.0")
     l1l, l1r = C.seq(C.pairing(p, q), C.inj_l(r)), C.seq(p, r)
     l2l, l2r = C.seq(C.pairing(p, q), C.inj_r(s)), C.seq(q, s)
-    assert failures_equiv(l1l, l1r, BUD).equal
-    assert weak_bisim(l1l, l1r, BUD).equal
-    assert failures_equiv(l2l, l2r, BUD).equal
-    assert weak_bisim(l2l, l2r, BUD).equal
+    assert failures_equiv(l1l, l1r, BUD).ok
+    assert weak_bisim(l1l, l1r, BUD).ok
+    assert failures_equiv(l2l, l2r, BUD).ok
+    assert weak_bisim(l2l, l2r, BUD).ok
 
 
 def test_pairing_distribution_failures_only():
     lhs, rhs = pairing_counterexample()
-    assert failures_equiv(lhs, rhs, BUD).equal
+    assert failures_equiv(lhs, rhs, BUD).ok
     assert weak_bisim(lhs, rhs, BUD).verdict == "distinguished"
 
 
@@ -157,14 +157,14 @@ def test_bang_delta_delivers_copy():
     b = C.bang(NIL)
     for a, t in step(b):
         if print_action(a) == "{delta}":
-            assert failures_equiv(t, NIL, BUD).equal
+            assert failures_equiv(t, NIL, BUD).ok
 
 
 def test_double_swap_neutral():
     rng = random.Random(19)
     for _ in range(20):
         p = random_term(rng, (A, B), rng.randint(1, 6))
-        assert failures_equiv(C.swap_halves(C.swap_halves(p)), p, BUD).equal
+        assert failures_equiv(C.swap_halves(C.swap_halves(p)), p, BUD).ok
 
 
 def test_interface_helpers():

@@ -239,3 +239,28 @@ def test_a_class_that_keeps_its_hash_pickles_from_its_fields():
     keeping = {name for name, c in classes.items() if _keeps_hash(_methods(c).get("__hash__", ast.Pass()))}
     assert {"RepPER", "SemType", "Formula"} <= keeping
     assert not [name for name in sorted(keeping) if not _reduces(name, classes)]
+
+
+def _declares_verdict(cls: ast.ClassDef) -> bool:
+    """A class body that declares a `verdict` field, or code in the class
+    that sets a `verdict` attribute."""
+    for stmt in cls.body:
+        targets = [stmt.target] if isinstance(stmt, ast.AnnAssign) else getattr(stmt, "targets", [])
+        if any(isinstance(t, ast.Name) and t.id == "verdict" for t in targets):
+            return True
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "verdict" and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(cls)
+    )
+
+
+def test_one_record_answers_every_question():
+    # every question answers with `semantics.Verdict`, so no result class
+    # of its own may grow back beside it
+    found = [
+        f"{path.name}: {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _declares_verdict(node)
+    ]
+    assert found == ["semantics.py: Verdict"]

@@ -174,9 +174,9 @@ def test_incomplete_graph_is_memoised_with_its_limit(monkeypatch):
     monkeypatch.setattr("procreal.equivalence.build_lts", semantics.build_lts)
     for t in (bang(parse_term("{a}.0")), parse_term(deep)):
         assert failures_fingerprint(t, budget) is INCOMPLETE
-        assert diverges(t, budget) == "unknown"
+        assert diverges(t, budget).verdict == "unknown"
         assert failures_fingerprint(t, budget) is INCOMPLETE
-        assert diverges(t, budget) == "unknown"
+        assert diverges(t, budget).verdict == "unknown"
     assert len(explored) == 4
     _MEMO.clear()
 
@@ -206,7 +206,7 @@ def test_transition_budget_ends_the_seq_bang_probe_under_a_memory_cap():
         "res = failures_equiv(probe, probe, budget)\n"
         "print(res.verdict, '|', res.detail)\n"
         # closed under every label, the composition leaves the probe no move
-        "print(perp(probe, wire, budget))\n"
+        "print(perp(probe, wire, budget).verdict)\n"
     )
     proc = run_capped(code, GIB, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -231,7 +231,7 @@ def test_questions_on_runaway_explorations_answer_unknown_under_a_memory_cap():
         "res = failures_equiv(names, names, budget)\n"
         "print(res.verdict, '|', res.detail)\n"
         "silent = parse_term(' | '.join(['{}.{}.0'] * 14))\n"
-        "print(perp(silent, NIL, budget))\n"
+        "print(perp(silent, NIL, budget).verdict)\n"
     )
     proc = run_capped(code, GIB, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -326,13 +326,13 @@ def test_answers_are_kept_and_cleared_with_the_graphs(monkeypatch):
     budget = ExplorationBudget(max_states=40)
     _MEMO.clear()
     explored = _count_explorations(monkeypatch)
-    assert diverges(loop, budget) == "yes" and len(explored) == 1
-    assert diverges(loop, budget) == "yes" and len(explored) == 1  # the kept answer
+    assert diverges(loop, budget).verdict == "yes" and len(explored) == 1
+    assert diverges(loop, budget).verdict == "yes" and len(explored) == 1  # the kept answer
     # equal fingerprints are one object
     assert failures_fingerprint(parse_term("{}.{b}.0")) is failures_fingerprint(parse_term("{b}.0"))
     _MEMO.clear()
     assert not _MEMO.answers and not _MEMO.shared and not _MEMO.steps
-    assert diverges(loop, budget) == "yes" and len(explored) == 2
+    assert diverges(loop, budget).verdict == "yes" and len(explored) == 2
 
 
 def test_answers_under_a_patched_transition_budget_go_with_it(monkeypatch):
@@ -343,11 +343,11 @@ def test_answers_under_a_patched_transition_budget_go_with_it(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(semantics, "TRANSITIONS_PER_STATE", 1)
             assert failures_fingerprint(fan, budget) == INCOMPLETE
-            assert diverges(fan, budget) == "unknown"
+            assert diverges(fan, budget).verdict == "unknown"
     finally:
         _MEMO.clear()
     assert failures_fingerprint(fan, budget) != INCOMPLETE
-    assert diverges(fan, budget) == "no"
+    assert diverges(fan, budget).verdict == "no"
 
 
 def test_answers_keep_their_bound_and_no_graph(monkeypatch):
@@ -366,15 +366,15 @@ def test_answers_keep_their_bound_and_no_graph(monkeypatch):
 
 
 def test_diverges_examples():
-    assert diverges(parse_term("rec X. {}.X")) == "yes"
-    assert diverges(parse_term("{a}.0")) == "no"
+    assert diverges(parse_term("rec X. {}.X")).verdict == "yes"
+    assert diverges(parse_term("{a}.0")).verdict == "no"
     # closed interaction with a wire: finite tau chain, no cycle
     t = parse_term("({a}.0 | {~a}.(rec X. {a,b}.X)) \\ (Ll+Lr)")
-    assert diverges(parse_term("({a}.0 | {~a}.0) \\ {a,b}")) == "no"
+    assert diverges(parse_term("({a}.0 | {~a}.0) \\ {a,b}")).verdict == "no"
 
 
 def test_diverges_unknown_on_budget():
-    assert diverges(bang(parse_term("{}.0")), ExplorationBudget(max_states=10)) == "unknown"
+    assert diverges(bang(parse_term("{}.0")), ExplorationBudget(max_states=10)).verdict == "unknown"
 
 
 def test_par_symmetry():
@@ -770,7 +770,7 @@ def test_exploration_never_prints(monkeypatch):
     assert failures_equiv(bang_a, bang_a, small, depth=1).verdict == "unknown"
     assert weak_bisim(p, q).verdict == "distinguished"
     assert weak_bisim(q, q).verdict == "equal"
-    assert perp(p, q) in ("yes", "no")
+    assert perp(p, q).verdict in ("yes", "no")
     # weak bisimulation refines on actions; only a witness prints them
     monkeypatch.setattr("procreal.equivalence.print_action", refuse)
     assert weak_bisim(p, p).verdict == "equal"

@@ -13,16 +13,15 @@ from golden_lines import fresh_lines, golden_lines
 
 from procreal import equivalence, semantics, semtypes
 from procreal.combinators import bang, identity_wire, lapp, pairing, tensor
-from procreal.equivalence import INCOMPLETE, BudgetExceeded, EquivResult, failures_equiv, perp
+from procreal.equivalence import INCOMPLETE, BudgetExceeded, failures_equiv, perp
 from procreal.exercises import product_suite
 from procreal.generators import equivalent_pair, random_term
 from procreal.logic import FAtom, FTensor, FWith, parse_formula
 from procreal.names import ALPHA, BETA, REGISTRY, negative, positive
 from procreal.parsing import parse_term
-from procreal.semantics import _MEMO, ExplorationBudget
+from procreal.semantics import _MEMO, ExplorationBudget, Verdict
 from procreal.semtypes import (
     _passes_tensor_neg_clause,
-    Classification,
     classify,
     RepPER,
     SemType,
@@ -90,11 +89,12 @@ def test_partition_places_a_term_in_the_class_it_equals_past_an_undecided_one(mo
     # x's graph is partial, z has y's fingerprint, and the bounded route
     # leaves z (and w) undecided against x
     fingerprints = {x: INCOMPLETE, y: ("y",), z: ("y",), w: ("w",)}
-    verdicts = {(y, x): "distinguished", (z, x): "unknown"}
+    verdicts = {(y, x): Verdict("distinguished")}
+    undecided = Verdict("unknown", detail="bounded agreement to depth 6")
     monkeypatch.setattr("procreal.semtypes.failures_fingerprint", lambda t, budget: fingerprints[t])
     monkeypatch.setattr(
         "procreal.semtypes.bounded_verdicts",
-        lambda p, qs, budget, depth: (EquivResult(verdicts.get((p, q), "unknown")) for q in qs),
+        lambda p, qs, budget, depth: (verdicts.get((p, q), undecided) for q in qs),
     )
     assert partition([x, y, z], BUD).classes == ((x,), (y, z))
     # equal to no class, and undecided against one
@@ -114,7 +114,7 @@ def test_classify_steps_a_partial_term_once_against_every_class(monkeypatch):
         equivalence, "failures_bounded", lambda t, depth, budget: stepped.append(t) or run(t, depth, budget)
     )
     _MEMO.clear()
-    assert classify(term, RepPER(tuple((rep,) for rep in reps)), budget) == Classification("no")
+    assert classify(term, RepPER(tuple((rep,) for rep in reps)), budget) == Verdict("no")
     assert stepped == [term] + reps
 
 
@@ -129,10 +129,10 @@ def test_the_class_index_explores_what_comparing_in_order_would(monkeypatch):
     c0, c1, c2 = (parse_term(s) for s in ("{a}.0", "{b}.0", "{a}.0 + {b}.0"))
     per = RepPER(((c0,), (c1,), (c2,)))
     # a term of class 0 never fingerprints class 1's representative
-    assert classify(parse_term("{}.{a}.0"), per, BUD) == Classification("class", 0)
+    assert classify(parse_term("{}.{a}.0"), per, BUD) == Verdict("class", 0)
     assert explored == [parse_term("{}.{a}.0"), c0]
     # a term of class 1 fingerprints it, and class 2's still not
-    assert classify(parse_term("{}.{b}.0"), per, BUD) == Classification("class", 1)
+    assert classify(parse_term("{}.{b}.0"), per, BUD) == Verdict("class", 1)
     assert explored[2:] == [parse_term("{}.{b}.0"), c1]
     # the index is no field of the type
     assert per == RepPER(per.classes) and hash(per) == hash(RepPER(per.classes))
@@ -159,7 +159,7 @@ def _pairwise_diagnostics(per, budget) -> list:
     diags = []
     for i, cls in enumerate(per.classes):
         for u in cls[1:]:
-            if not failures_equiv(cls[0], u, budget).equal:
+            if not failures_equiv(cls[0], u, budget).ok:
                 diags.append(f"class {i} members not equivalent")
     for i, ci in enumerate(per.classes):
         for j in range(i + 1, len(per.classes)):
@@ -392,7 +392,7 @@ def test_with_type_classes_are_pairs():
     assert len(w.pos.classes) == 1
     rep = w.pos.classes[0][0]
     expected = pairing(TA.pos.classes[0][0], TB.pos.classes[0][0], port="plain")
-    assert failures_equiv(rep, expected, BUD).equal
+    assert failures_equiv(rep, expected, BUD).ok
     # membership example
     assert realizes_pos(expected, w, BUD).verdict == "class"
 
@@ -409,7 +409,7 @@ def test_tensor_type_neg_passes_clause():
     cand = t.neg.classes[0][0]
     assert failures_equiv(
         cand, tensor(TA.neg.classes[0][0], TB.neg.classes[0][0]), BUD
-    ).equal
+    ).ok
 
 
 def test_tensor_type_adversarial_candidate_dropped():
@@ -427,9 +427,9 @@ def test_de_morgan_coherence():
     rhs = formula_to_type(parse_formula("~a@~b"), types, BUD)
     assert len(lhs.pos.classes) == len(rhs.pos.classes)
     for c1, c2 in zip(lhs.pos.classes, rhs.pos.classes):
-        assert failures_equiv(c1[0], c2[0], BUD).equal
+        assert failures_equiv(c1[0], c2[0], BUD).ok
     for c1, c2 in zip(lhs.neg.classes, rhs.neg.classes):
-        assert failures_equiv(c1[0], c2[0], BUD).equal
+        assert failures_equiv(c1[0], c2[0], BUD).ok
 
 
 def test_bang_type_stage_zero_contains_discard():
@@ -452,18 +452,29 @@ def test_total_with_diverging_witness():
     assert res.witness is not None
 
 
+def test_an_undecided_total_names_the_limit_of_its_first_undecided_pair():
+    # the second positive replicates with the negative: no state budget
+    # closes their composition, and no pair diverges
+    replicating = parse_term("rec X. ({a}.0 + {b}.(X|X))")
+    neg = parse_term("rec Y. {~b}.(Y|Y)")
+    budget = ExplorationBudget(max_states=20)
+    res = total(SemType(RepPER(((NIL,), (replicating,))), RepPER(((neg,),))), budget)
+    assert (res.verdict, res.witness, res.detail) == ("unknown", None, "state budget exhausted")
+    assert res == perp(replicating, neg, budget) and perp(NIL, neg, budget).verdict == "yes"
+
+
 def test_identity_morphism_tracks_identity():
     res = identity_morphism(TA, BUD)
     assert res.verdict == "morphism"
-    assert res.morphism.f_plus == (0,)
-    assert res.morphism.f_minus == (0,)
+    assert res.witness.f_plus == (0,)
+    assert res.witness.f_minus == (0,)
 
 
 def test_morphism_composition():
-    ida = identity_morphism(TA, BUD).morphism
+    ida = identity_morphism(TA, BUD).witness
     comp = compose_morphisms(ida, ida, BUD)
     assert comp.verdict == "morphism"
-    assert comp.morphism.f_plus == (0,)
+    assert comp.witness.f_plus == (0,)
 
 
 def test_morphism_backward_condition_failure_witnessed():
@@ -590,11 +601,11 @@ def test_a_membership_asked_again_returns_the_kept_answer():
     per = RepPER(((parse_term("{a}.0"),), (parse_term("{b}.0"),)))
     term = parse_term("{}.{b}.0")
     first = classify(term, per, BUD)
-    assert first == Classification("class", 1)
+    assert first == Verdict("class", 1)
     assert classify(term, per, BUD) is first
     assert per._indices[BUD.max_states].members[term] is first
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.index = 0
+        first.witness = 0
 
 
 def test_a_formula_keeps_the_dataclass_hash_and_no_pickle_or_copy_carries_it():
@@ -655,7 +666,7 @@ def test_an_undecided_morphism_check_names_what_stopped_the_classification():
         image = classify(lapp(t.pos.classes[0][0], wire), t.pos, budget)
         assert (image.verdict, image.detail) == ("unknown", detail)
         res = is_morphism(wire, t, t, budget)
-        assert (res.verdict, res.witness) == ("unknown", f"source class 0: {detail}")
+        assert (res.verdict, res.detail) == ("unknown", f"source class 0: {detail}")
 
 
 def test_forall_v_type_clauses():
@@ -697,7 +708,7 @@ def test_list_example_perp_and_classification():
     assert list_type_example(TA, 2, BUD) != lt
     consumer = lt.neg.classes[0][0]
     for idx, cls in enumerate(lt.pos.classes):
-        assert perp(cls[0], consumer, BUD) == "yes", idx
+        assert perp(cls[0], consumer, BUD).verdict == "yes", idx
         got = realizes_pos(cls[0], lt, BUD)
         assert got.verdict == "class" and got.index == idx
 
@@ -707,4 +718,4 @@ def test_stream_example_perp():
     assert inhabited(st)
     # depth-d realizer against depth-d consumer converges
     for d in range(3):
-        assert perp(st.pos.classes[d][0], st.neg.classes[d][0], BUD) == "yes"
+        assert perp(st.pos.classes[d][0], st.neg.classes[d][0], BUD).verdict == "yes"
