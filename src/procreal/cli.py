@@ -159,6 +159,14 @@ def _is_names(x) -> bool:
     return isinstance(x, list) and all(isinstance(n, str) for n in x)
 
 
+def _idents(path: str, what: str, names: list) -> list:
+    """`names`, each checked against the term reader's identifier rule."""
+    for n in names:
+        if not (n.isascii() and n.isidentifier()):
+            raise CliError(f"{path}: {what} {n!r} is not an identifier ([A-Za-z_][A-Za-z0-9_]*)")
+    return names
+
+
 def _load_atom_env(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -166,7 +174,7 @@ def _load_atom_env(path: Optional[str]) -> dict:
     if not isinstance(raw, dict) or not all(_is_names(names) for names in raw.values()):
         raise CliError(f"{path}: expected an object mapping each atom to a list of names")
     return {
-        ident: frozenset(REGISTRY.intern(n) for n in names)
+        ident: frozenset(REGISTRY.intern(n) for n in _idents(path, f"atom {ident!r}: name", names))
         for ident, names in raw.items()
     }
 
@@ -242,7 +250,9 @@ def _load_type_env(path: str, values: tuple, budget: ExplorationBudget):
                 f'{path}: atom {ident!r} needs "pos" and "neg" lists of terms '
                 f'and an optional "alphabet" list of names'
             )
-        alphabet = frozenset(REGISTRY.intern(n) for n in spec.get("alphabet", [ident]))
+        _idents(path, "atom", [ident])
+        names = _idents(path, f"atom {ident!r}: alphabet name", spec.get("alphabet", [ident]))
+        alphabet = frozenset(REGISTRY.intern(n) for n in names)
         pos = _partition_side(spec, ident, "pos", path, values, budget)
         neg = _partition_side(spec, ident, "neg", path, values, budget)
         atom_types[ident] = SemType(pos, neg, alphabet)

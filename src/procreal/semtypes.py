@@ -13,20 +13,21 @@ The questions asked most are whether a term realizes a type (`classify`)
 and whether a type is total (`total`), and they are asked again and
 again of types already built, so an answer asked for again is read off
 the object it is about.  A type keeps its hash and its totality verdict
-per state budget (`_totals`); each of its class lists keeps a class
-index per state budget, which keeps the verdict of each term it has
-placed in a class (`_ClassIndex.members`, up to CLASS_MEMBERS per
-index).  None of these is a field, so a re-asked totality or membership
-question builds no key and no answer.  The memo's answer tier keeps
-types (`formula_to_type`, `list_type_example`) and totality verdicts by
-value, with the fingerprints they rest on, so a type equal to one kept
-but built apart shares its answers.  A formula node keeps its hash and
-the atoms it mentions (`logic.Formula`).
+per state budget (`SemType._totals`); each of its class lists keeps a
+class index per state budget (`RepPER._indices`), which keeps the
+verdict of each term it has placed in a class (`_ClassIndex.members`).
+None of these is a field, so a re-asked totality or membership question
+builds no key and no answer.  The memo's answer tier keeps types
+(`formula_to_type`, `list_type_example`) by value, and the fingerprint
+and `diverges` answers they rest on, so a type equal to one kept but
+built apart is answered from them.  A formula node keeps its hash and the
+atoms it mentions (`logic.Formula`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -58,7 +59,6 @@ from .logic import (
     DUAL_CONNECTIVES,
     FAtom,
     FBang,
-    FForall,
     FTensor,
     FWith,
     Formula,
@@ -74,11 +74,11 @@ class RepPER:
     classes pairwise distinguishable.  Two values are kept on the instance
     and are no field, so `==`, `repr` and pickling ignore them and they go
     with the instance: `classify`'s class index (`_ClassIndex`) per state
-    budget, as `_indices`, and the hash, as `_hash`.  The hash is the one
-    the dataclass computes, `hash((classes,))`, computed at the first call:
-    a type kept as a key (`total`, `formula_to_type`) is hashed again in
-    one attribute lookup.  Terms hash by address, so no pickle carries it
-    into another process."""
+    budget, `_indices`, and the hash, as `_hash`.  The hash is the one
+    the dataclass computes, `hash((classes,))`, computed at the first call
+    and written out as `Formula`'s is: a type kept in a key
+    (`formula_to_type`) is hashed again in one attribute lookup.  Terms
+    hash by address, so no pickle carries it into another process."""
 
     classes: tuple  # tuple[tuple[Term, ...], ...]
 
@@ -87,6 +87,10 @@ class RepPER:
 
     def __len__(self):
         return len(self.classes)
+
+    @cached_property
+    def _indices(self) -> dict:
+        return {}
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -104,7 +108,7 @@ class SemType:
     (`neg`), over an interface alphabet.  Its hash is kept as
     `RepPER`'s is: the dataclass's `hash((pos, neg, interface))`, computed
     at the first call and no field; so is its `total` verdict per state
-    budget, as `_totals`."""
+    budget, `_totals`."""
 
     pos: RepPER
     neg: RepPER
@@ -112,6 +116,10 @@ class SemType:
 
     def dual(self) -> "SemType":
         return SemType(self.neg, self.pos, self.interface)
+
+    @cached_property
+    def _totals(self) -> dict:
+        return {}
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
@@ -126,7 +134,10 @@ class SemType:
 # Bound on the terms a class index keeps as members (`_ClassIndex.members`),
 # each held alive with the type.  All 41,200 `semtypes` queries of seed 101
 # fill no index past 18 members, and 9,600 `laws` queries none past 13; a
-# full index is emptied and refills, which costs speed only.
+# full index is emptied and refills, which costs speed only.  The table is
+# written out, not an `lru_cache`: it is one per index, it keeps only the
+# "class" answers `classify` finds, and its bound is read at each store,
+# so it follows this constant.
 CLASS_MEMBERS = 256
 
 
@@ -169,9 +180,7 @@ def classify(term: Term, per: RepPER, budget: ExplorationBudget) -> Verdict:
     index's `members`, with no fingerprint looked up: a question asked
     again of a kept type costs one lookup and returns the answer object
     given the first time."""
-    indices = per.__dict__.get("_indices")
-    if indices is None:
-        indices = per.__dict__["_indices"] = {}
+    indices = per._indices
     index = indices.get(budget.max_states)
     if index is None:
         index = indices[budget.max_states] = _ClassIndex(per.reps())
@@ -425,10 +434,13 @@ def formula_to_type(
     connective is the dual of, is kept too.  A type asked for again is the
     kept object, whose class indices (`classify`) are already filled; a
     construction that raises keeps nothing.  The atoms `f` mentions are
-    found once per formula node (`_atom_idents`), and the atom types in
+    found once per formula node (`Formula.atoms`), and the atom types in
     the key hash in one attribute lookup each (`SemType`), so a type asked
     for again costs its key, the hash of `f` and one lookup."""
-    idents = _atom_idents(f)
+    try:
+        idents = f.atoms
+    except AttributeError:
+        raise TypeError(f"not a formula: {f!r}") from None
     atoms = tuple(zip(idents, map(atom_types.get, idents)))
     key = ("type", f, atoms, budget.max_states, values, fuel)
     ty = _MEMO.answers.get(key)
@@ -454,7 +466,7 @@ def formula_to_type(
         )
     elif isinstance(f, FBang):
         ty = bang_type(formula_to_type(f.body, atom_types, budget, values, fuel), fuel, budget)
-    elif isinstance(f, FForall):
+    else:  # FForall, the last connective built
         family = {
             v: formula_to_type(subst_value_formula(f.body, f.var, v), atom_types, budget, values, fuel)
             for v in values
@@ -462,24 +474,7 @@ def formula_to_type(
         if not family:
             raise ValueError("quantified type needs a declared value domain")
         ty = forall_v_type(family)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
     return _MEMO.answers.put(key, ty)
-
-
-def _atom_idents(f: Formula) -> tuple:
-    """The identifiers of the atoms `f` mentions, sorted, kept on the node
-    as `_atoms`, which is no field (`Formula`)."""
-    if not isinstance(f, Formula):  # `formula_to_type` raises on it
-        return ()
-    idents = f.__dict__.get("_atoms")
-    if idents is None:
-        if isinstance(f, FAtom):
-            idents = (f.ident,)
-        else:
-            idents = tuple(sorted(set().union(*(_atom_idents(getattr(f, n)) for n in f.formula_names))))
-        f.__dict__["_atoms"] = idents
-    return idents
 
 
 # ---------------------------------------------------------------------------
@@ -584,38 +579,30 @@ def total(t: SemType, budget: ExplorationBudget = ExplorationBudget()) -> Verdic
     does not, printed, as witness; else the "unknown" of the first pair
     left undecided; else "yes".
 
-    The verdict is kept on the type, per state budget, as `_totals`, which
-    is no field (as `_indices` on a `RepPER`): a type asked again returns
-    it with no key built or hashed.  A kept verdict goes with the type,
-    so it outlives `_MEMO.clear()`, as a class index does.  On a miss the
-    verdict is looked up in the memo's answer tier by type and state
-    budget, and types compare by value, so a type equal to one already
-    checked but built apart shares its verdict object and decides no
-    `perp`."""
-    totals = t.__dict__.get("_totals")
-    if totals is None:
-        totals = t.__dict__["_totals"] = {}
+    The verdict is kept on the type, per state budget
+    (`SemType._totals`), the only copy: a type asked again returns it
+    with no key built or hashed, and it goes with the type, so it
+    outlives `_MEMO.clear()`, as a class index does.  A type equal to one
+    already checked but built apart holds the same representatives, and
+    terms are hash-consed, so each of its `perp` pairs is the closed
+    composition already decided, whose `diverges` answer the memo's
+    answer tier keeps: it explores nothing."""
+    totals = t._totals
     res = totals.get(budget.max_states)
-    if res is None:
-        res = totals[budget.max_states] = _total(t, budget)
-    return res
-
-
-def _total(t: SemType, budget: ExplorationBudget) -> Verdict:
-    """`total`'s verdict from the memo's answer tier, else decided."""
-    key = ("total", t, budget.max_states)
-    res = _MEMO.answers.get(key)
     if res is not None:
         return res
     undecided = None
-    for p in t.pos.reps():
-        for n in t.neg.reps():
-            out = perp(p, n, budget)
-            if out.verdict == "no":
-                return _MEMO.answers.put(key, Verdict("no", (print_term(p), print_term(n))))
-            if out.verdict == "unknown":
-                undecided = undecided or out
-    return _MEMO.answers.put(key, undecided or YES)
+    for p, n in product(t.pos.reps(), t.neg.reps()):
+        out = perp(p, n, budget)
+        if out.verdict == "no":
+            res = Verdict("no", (print_term(p), print_term(n)))
+            break
+        if out.verdict == "unknown":
+            undecided = undecided or out
+    else:
+        res = undecided or YES
+    totals[budget.max_states] = res
+    return res
 
 
 def inhabited(t: SemType) -> bool:

@@ -207,6 +207,25 @@ def test_a_negative_value_is_refused_by_name(files, capsys):
     assert err.endswith("env.json: negative value -2 in the value domain\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["x}", "y z", "\u00e9"])
+def test_a_name_the_term_reader_cannot_read_is_refused_by_name(name, files, capsys):
+    # `intern` checks only the first character, so such a name would
+    # print in a realizer or a state that reads back as no term
+    rule = "([A-Za-z_][A-Za-z0-9_]*)"
+    argv, contents = _proof("extract", AXIOM, "--atoms", "atoms.json")
+    contents["atoms.json"] = json.dumps({"a": ["ok", name]})
+    assert _run(argv, contents, files) == 3
+    assert capsys.readouterr().err.endswith(f"atoms.json: atom 'a': name {name!r} is not an identifier {rule}\n")
+    side = {"pos": ["{a}.0"], "neg": ["{~a}.0"]}
+    argv, contents = _check_type({"atoms": {"a": dict(side, alphabet=["a", name])}})
+    assert _run(argv, contents, files) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(f"env.json: atom 'a': alphabet name {name!r} is not an identifier {rule}\n")
+    argv, contents = _check_type({"atoms": {"a": dict(side, alphabet=["a"]), name: side}})
+    assert _run(argv, contents, files) == 3
+    assert capsys.readouterr().err.endswith(f"env.json: atom {name!r} is not an identifier {rule}\n")
+
+
 READ_BACK = """
 import json, sys
 from procreal.parsing import parse_term

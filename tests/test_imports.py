@@ -241,6 +241,30 @@ def test_a_class_that_keeps_its_hash_pickles_from_its_fields():
     assert not [name for name in sorted(keeping) if not _reduces(name, classes)]
 
 
+def _dict_stores(node, in_hash=False):
+    """The `x.__dict__[...] = ...` stores under `node`, as (line, whether
+    a `__hash__` method holds it) pairs."""
+    if isinstance(node, ast.FunctionDef):
+        in_hash = in_hash or node.name == "__hash__"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and isinstance(
+        node.value, ast.Attribute
+    ) and node.value.attr == "__dict__":
+        yield node.lineno, in_hash
+    for child in ast.iter_child_nodes(node):
+        yield from _dict_stores(child, in_hash)
+
+
+def test_an_answer_is_kept_on_its_object_by_cached_property():
+    # what is asked of an object is kept on it by `functools.cached_property`;
+    # only a kept hash is written into `__dict__` by hand
+    stores = [
+        (path.name, line, in_hash)
+        for path in SOURCES for line, in_hash in _dict_stores(ast.parse(path.read_text()))
+    ]
+    assert [(name, line) for name, line, in_hash in stores if not in_hash] == []
+    assert sorted({name for name, _, _ in stores}) == ["logic.py", "semtypes.py"]
+
+
 def _declares_verdict(cls: ast.ClassDef) -> bool:
     """A class body that declares a `verdict` field, or code in the class
     that sets a `verdict` attribute."""

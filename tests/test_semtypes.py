@@ -364,8 +364,8 @@ def test_equal_formulas_built_apart_share_one_type():
     built = FWith(FTensor(FAtom("a"), FAtom("b")), FAtom("a", False))
     assert parsed == built and parsed is not built
     assert formula_to_type(parsed, types, BUD) is formula_to_type(built, types, BUD)
-    assert parsed._atoms == built._atoms == ("a", "b")
-    assert repr(parsed) == repr(built) and "_atoms" not in repr(parsed)
+    assert parsed.atoms == built.atoms == ("a", "b")
+    assert repr(parsed) == repr(built) and "atoms" not in repr(parsed)
     _MEMO.clear()
 
 
@@ -597,6 +597,25 @@ def test_a_total_asked_again_is_read_off_the_type(monkeypatch):
     _MEMO.clear()
 
 
+def test_a_total_of_a_type_built_apart_explores_nothing(monkeypatch):
+    # the type keeps the only copy of its verdict; an equal type built
+    # apart holds the same hash-consed representatives, so its `perp`
+    # pairs are the closed compositions already decided, whose `diverges`
+    # answers the memo keeps
+    _MEMO.clear()
+    types = [formula_to_type(parse_formula(text), {"a": TA, "b": TB}, BUD) for text in ("!(a*~b)", "a&b", "a*~a")]
+    types.append(SemType(TA.pos, RepPER(((parse_term("rec X. {}.X"),),)), TA.interface))
+    verdicts = [total(ty, BUD) for ty in types]
+    assert {v.verdict for v in verdicts} == {"yes", "no"}
+    explored = _record_explorations(monkeypatch)
+    for ty, verdict in zip(types, verdicts):
+        apart = SemType(RepPER(ty.pos.classes), RepPER(ty.neg.classes), ty.interface)
+        assert apart == ty and "_totals" not in vars(apart)
+        assert total(apart, BUD) == verdict
+    assert explored == []
+    _MEMO.clear()
+
+
 def test_a_membership_asked_again_returns_the_kept_answer():
     per = RepPER(((parse_term("{a}.0"),), (parse_term("{b}.0"),)))
     term = parse_term("{}.{b}.0")
@@ -614,8 +633,8 @@ def test_a_formula_keeps_the_dataclass_hash_and_no_pickle_or_copy_carries_it():
     nodes = [f, f.left, f.left.right, f.right, f.right.body]
     for node in nodes:
         assert hash(node) == hash(tuple(getattr(node, fld.name) for fld in dataclasses.fields(node)))
-        assert {"_hash", "_atoms"} <= set(vars(node))
-    kept = {"_hash", "_atoms"}
+        assert {"_hash", "atoms"} <= set(vars(node))
+    kept = {"_hash", "atoms"}
     back = pickle.loads(pickle.dumps(f))
     for node in (back, back.left, back.left.right, back.right, back.right.body):
         assert not kept & set(vars(node))
