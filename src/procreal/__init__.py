@@ -3,8 +3,8 @@ linear-logic realizability."""
 
 import sys as _sys
 
-# recursion headroom for comparing and printing deeply nested terms near
-# the exploration depth cap
+# recursion headroom for stepping and printing deeply nested terms: at the
+# default 1000, `step` overflows on `rec X. (X | X)` before its 512 unfoldings
 if _sys.getrecursionlimit() < 20000:
     _sys.setrecursionlimit(20000)
 

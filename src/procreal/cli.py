@@ -24,7 +24,7 @@ from .logic import (
     parse_formula,
     print_sequent,
 )
-from .names import REGISTRY, RenamingDomainError
+from .names import IDENTIFIER, REGISTRY, RenamingDomainError, is_identifier
 from .parsing import ParseError, parse_program, value_domain
 from .semantics import VERDICT_OK, ExplorationBudget, build_lts
 from .semtypes import SemType, formula_to_type, law_outcome, partition, realizes_pos
@@ -162,8 +162,8 @@ def _is_names(x) -> bool:
 def _idents(path: str, what: str, names: list) -> list:
     """`names`, each checked against the term reader's identifier rule."""
     for n in names:
-        if not (n.isascii() and n.isidentifier()):
-            raise CliError(f"{path}: {what} {n!r} is not an identifier ([A-Za-z_][A-Za-z0-9_]*)")
+        if not is_identifier(n):
+            raise CliError(f"{path}: {what} {n!r} is not an identifier ({IDENTIFIER})")
     return names
 
 

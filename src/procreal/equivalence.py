@@ -21,19 +21,14 @@ in the tests over an independent one-step matcher.
 
 A complete graph's failures are also summed up by a canonical
 fingerprint (`fingerprint`): its normal form minimised by partition
-refinement (`refine`) and numbered breadth-first.  Two complete graphs
-are failures-equal exactly when their fingerprints are equal.  The
-memo's answer tier keeps a term's fingerprint after its graph goes, so
-`failures_verdict` explores each term once while its answer is kept.
-Its callers ask the same questions again and again: the semantic-type
-drivers compare a few hundred representatives over and over, the
-category laws are re-checked on the same instance, and a cut step is
-re-checked whenever its proof's trail is.  `failures_equiv` compares two
-normal forms pairwise (`_compare_normal_forms`), which builds a witness;
-its callers, the randomised law checks, mostly ask about fresh terms,
-whose fingerprints would never be asked for again, and a cut step asks
-it only for the witness of a step already found unsound.
-`weak_bisim` uses the same `refine` on the saturated graph.
+refinement (`refine`) and numbered breadth-first, itself a normal form.
+Two complete graphs are failures-equal exactly when their fingerprints
+are, and one pairwise walk (`_compare_normal_forms`) finds the same
+witness on their normal forms as on their fingerprints.  Only
+`failures_verdict` keeps fingerprints, in the memo's answer tier, for
+callers that ask again and again (semantic types, category laws, cut
+steps re-checked); those of `failures_equiv`, the randomised law checks,
+ask about fresh terms.  `weak_bisim` uses `refine` on the saturated graph.
 
 Divergence does not enter the failures model; it is a separate
 predicate used by the orthogonality check `perp`.
@@ -44,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .names import ALL_LABELS, Action, TAU, action_key, print_action
+from .names import ALL_LABELS, Action, Label, TAU, action_key, print_action
 from .semantics import (
     _MEMO,
     DEPTH_CAP,
@@ -365,12 +360,29 @@ def failures_fingerprint(t: Term, budget: ExplorationBudget = ExplorationBudget(
     return fp
 
 
-# The decided answers that carry no witness, shared.
+def _read_action(key: tuple) -> Action:
+    return frozenset(map(Label._make, key))
+
+
+def _read_fingerprint(fp: tuple) -> NormalForm:
+    """A fingerprint read as the normal form it numbers: node i is entry i,
+    the root 0, its `action_key` tuples decoded back to label sets."""
+    families, edges = {}, {}
+    for i, (family, *moves) in enumerate(fp):
+        families[i] = frozenset(frozenset(map(_read_action, acc)) for acc in family)
+        edges[i] = tuple(zip(map(_read_action, moves[::2]), moves[1::2]))
+    return NormalForm(0, families, edges)
+
+
+# The decided answer that carries no witness, shared.
 EQUAL = Verdict("equal")
-DISTINGUISHED = Verdict("distinguished")
 
 
 def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> Verdict:
+    """The one witness walk, on two graphs' normal forms or two fingerprints
+    read as normal forms: pairs of nodes breadth first along equal actions
+    in `action_key` order, each pair once, to the first whose families or
+    moves differ.  Which pair that is depends on the failures alone."""
     seen = set()
     frontier = [((), nf1.root, nf2.root)]
     while frontier:
@@ -382,8 +394,6 @@ def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> Verdict:
             f1, f2 = nf1.families[n1], nf2.families[n2]
             if f1 != f2:
                 return Verdict("distinguished", _witness(trace, f1, f2))
-            # edges are in `action_key` order, so the same actions are
-            # the same sequence, and pairing them keeps that order
             edges1, edges2 = nf1.edges[n1], nf2.edges[n2]
             if [a for a, _ in edges1] != [a for a, _ in edges2]:
                 e1, e2 = dict(edges1), dict(edges2)
@@ -429,19 +439,14 @@ def failures_verdict(
     budget: ExplorationBudget = ExplorationBudget(),
     depth: int = BOUNDED_DEPTH,
 ) -> Verdict:
-    """The verdict of `failures_equiv` at the same `depth`, and its detail
-    when undecided, from the fingerprints the answer memo keeps: exact
-    when both graphs are complete, else by the same bounded route, which
-    keeps its witness.  An exact "distinguished" carries no witness; a
-    caller that reports one asks `failures_equiv` for it then.  A term
-    asked about again is not explored again while its answer is kept.
-    A partial graph of `p` sends the pair to the bounded route whatever
-    `q` is, so `q` is fingerprinted only when `p`'s graph is complete."""
+    """`failures_equiv`'s whole verdict, witness included, from the
+    fingerprints the answer memo keeps: a term asked about again is not
+    explored again while its answer is kept."""
     fp = failures_fingerprint(p, budget)
     fq = INCOMPLETE if fp is INCOMPLETE else failures_fingerprint(q, budget)
     if fq is INCOMPLETE:
         return _bounded_route(p, q, budget, depth)
-    return EQUAL if fp == fq else DISTINGUISHED
+    return EQUAL if fp == fq else _compare_normal_forms(_read_fingerprint(fp), _read_fingerprint(fq))
 
 
 def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> Verdict:

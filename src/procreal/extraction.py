@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 from .combinators import identity_wire, seq
-from .equivalence import failures_equiv, failures_verdict
+from .equivalence import failures_verdict
 from .names import (
     ALPHA,
     BETA,
@@ -356,17 +356,11 @@ def verify_cut_soundness(
 ) -> Verdict:
     """Compares the realizers of a proof and its reduct under failures
     equivalence, with the bounded fallback at `depth`: "pass", "fail" with
-    a failures witness, or the comparison's "unknown".  Decided from the
-    fingerprints the answer memo keeps (`failures_verdict`), so a step
-    checked again, whose realizers are kept on its proofs' nodes,
-    explores nothing while its answers are kept; only a step found
-    unsound by the exact route explores again, through `failures_equiv`,
-    for the witness."""
-    t1 = extract(before, env, values)
-    t2 = extract(after, env, values)
-    res = failures_verdict(t1, t2, budget, depth)
-    if res.verdict == "distinguished" and res.witness is None:
-        res = failures_equiv(t1, t2, budget, depth)
+    a failures witness, or the comparison's "unknown".  Decided, witness
+    included, from the fingerprints the answer memo keeps
+    (`failures_verdict`), so a step checked again, whose realizers are kept
+    on its proofs' nodes, explores nothing while its answers are kept."""
+    res = failures_verdict(extract(before, env, values), extract(after, env, values), budget, depth)
     if res.verdict == "unknown":
         return res
     return PASS if res.ok else Verdict("fail", res.witness)

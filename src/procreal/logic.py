@@ -20,6 +20,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
+from .names import IDENTIFIER
 from .parsing import ParseError, Reader
 
 
@@ -199,10 +200,10 @@ def _print_formula(f: Formula, need_parens: bool) -> str:
 
 
 _F_TOKEN = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<plus>\(\+\))
       | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>{IDENTIFIER})
       | (?P<sym>[~*@&!?().,])
     """,
     re.VERBOSE,

@@ -25,6 +25,7 @@ comparison is identity and never reaches a map.)
 
 from __future__ import annotations
 
+import re
 import threading
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -90,36 +91,38 @@ def print_action(a: Action) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Atom registry
+# Atom registry, and the identifier rule of the term and formula readers
+
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+is_identifier = re.compile(IDENTIFIER).fullmatch
 
 
 class AtomRegistry:
     """Maps user-written atom identifiers to unique natural codes.
 
     Codes 0..5 are fixed for the global control atoms used by the
-    additive, exponential and value-passing protocols.
-    """
+    additive, exponential and value-passing protocols (`ALPHA`..`SIGMA`,
+    registered first)."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._by_ident: dict[str, int] = {}
         self._by_code: dict[int, str] = {}
-        for ident in ("alpha", "beta", "omega", "delta", "gamma", "sigma"):
-            self._register(ident)
-
-    def _register(self, ident: str) -> int:
-        code = len(self._by_ident)
-        self._by_ident[ident] = code
-        self._by_code[code] = ident
-        return code
 
     def intern(self, ident: str) -> Name:
-        if not ident or not (ident[0].isalpha() or ident[0] == "_"):
-            raise ValueError(f"invalid atom identifier: {ident!r}")
+        """The name of the atom `ident`; a new one must be an `IDENTIFIER`."""
+        code = self._by_ident.get(ident)
+        if code is None:
+            if not is_identifier(ident):
+                raise ValueError(f"invalid atom identifier: {ident!r}")
+            return self.register(ident)
+        return Name(code)
+
+    def register(self, spelling: str) -> Name:
+        """The name spelled `spelling`, unchecked: `terms.value_name` spells `l(a)_0`."""
         with self._lock:
-            code = self._by_ident.get(ident)
-            if code is None:
-                code = self._register(ident)
+            code = self._by_ident.setdefault(spelling, len(self._by_ident))
+            self._by_code[code] = spelling
         return Name(code)
 
     def ident_of(self, code: int) -> Optional[str]:

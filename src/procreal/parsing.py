@@ -62,6 +62,7 @@ from .names import (
     FiniteMap,
     FiniteRestriction,
     IDENT as ID_RENAMING,
+    IDENTIFIER,
     KwayCode,
     LCODE,
     Label,
@@ -186,10 +187,10 @@ class Reader:
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
+    rf"""(?P<ws>\s+|\#[^\n]*)
       | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>\\|\{|\}|\(|\)|\[|\]|\||\+|\.|,|~|=|;|:)
+      | (?P<ident>{IDENTIFIER})
+      | (?P<sym>\\|\{{|\}}|\(|\)|\[|\]|\||\+|\.|,|~|=|;|:)
     """,
     re.VERBOSE,
 )

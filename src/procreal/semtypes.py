@@ -721,9 +721,8 @@ def check_category_laws(
     duality as a contravariant involution, and the product property of
     the with-construction for the given (f, g) pairs sharing a source.
     A check is undecided ("ok" None) when a verdict it rests on is.
-    The equational laws record no witness, so they are decided from kept
-    fingerprints (`failures_verdict`): the instance checked again
-    explores nothing while its answers are kept.
+    The equational laws are decided from kept fingerprints
+    (`failures_verdict`), so the instance checked again explores nothing.
     """
     report: dict = {"checks": [], "ok": True}
 

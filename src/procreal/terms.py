@@ -451,19 +451,14 @@ def well_formed(t: Term) -> list[str]:
 
 
 def _diagnose(u: Term, bound: frozenset, diags: list) -> None:
+    """A node's diagnostics, then its children's; a sum's guard before its branch's."""
     if isinstance(u, Sum):
         for a, p in u.branches:
             if a == TAU:
                 diags.append(f"tau guard inside a sum: {print_term(u)}")
             _diagnose(p, bound, diags)
-    elif isinstance(u, Prefix):
-        _diagnose(u.cont, bound, diags)
-    elif isinstance(u, Par):
-        _diagnose(u.left, bound, diags)
-        _diagnose(u.right, bound, diags)
-    elif isinstance(u, Restrict):
-        _diagnose(u.proc, bound, diags)
-    elif isinstance(u, Rename):
+        return
+    if isinstance(u, Rename):
         sub = sort_labels(u.proc)
         if sub is not None:
             for lab in sub:
@@ -471,16 +466,18 @@ def _diagnose(u: Term, bound: frozenset, diags: list) -> None:
                     diags.append(f"label {lab} of sort outside domain of renaming {u.ren}")
         # symbolic sort bound: coverage cannot be decided here; the
         # engine raises a domain error if a step actually escapes
-        _diagnose(u.proc, bound, diags)
     elif isinstance(u, Var):
         if u.ident not in bound:
             diags.append(f"unbound process variable {u.ident}")
     elif isinstance(u, Rec):
         if not _guarded(u.body, u.var):
             diags.append(f"unguarded recursion on {u.var} in {print_term(u)}")
-        _diagnose(u.body, bound | {u.var}, diags)
-    else:
+        bound = bound | {u.var}
+    elif not isinstance(u, Term):
         diags.append(f"unknown term node {u!r}")
+        return
+    for child in subterms(u):
+        _diagnose(child, bound, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -490,5 +487,5 @@ def _diagnose(u: Term, bound: frozenset, diags: list) -> None:
 def value_name(chan: Name, v: int) -> Name:
     """The name on which value `v` passes over channel `chan`: `s_v`."""
     base = REGISTRY.ident_of(chan.code) or print_name(chan)
-    return REGISTRY.intern(f"{base}_{v}")
+    return REGISTRY.register(f"{base}_{v}")
 

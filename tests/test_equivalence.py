@@ -18,6 +18,7 @@ from procreal.equivalence import (
     _bounded_route,
     _compare_normal_forms,
     _minimize,
+    _read_fingerprint,
     failures_bounded,
     failures_equiv,
     failures_verdict,
@@ -367,17 +368,22 @@ def test_normal_form_computed_once_per_shared_graph():
 
 def _fingerprints_decide_as_normal_forms(pairs) -> tuple:
     """Checks that fingerprint equality is `_compare_normal_forms`'s
-    verdict on every pair whose graphs are complete; returns the counts of
-    equal and distinguished pairs."""
+    verdict on every pair whose graphs are complete, and that the walk on
+    two unequal fingerprints read as normal forms gives its whole verdict,
+    witness included; returns the counts of equal and distinguished pairs."""
     counts = [0, 0]
     for p, q in pairs:
         lp, lq = build_lts(p, BUD), build_lts(q, BUD)
         if not (lp.complete and lq.complete):
             continue
         nfp, nfq = normal_form(lp), normal_form(lq)
-        equal = _compare_normal_forms(nfp, nfq).ok
-        assert (fingerprint(nfp) == fingerprint(nfq)) == equal, (print_term(p), print_term(q))
-        counts[equal] += 1
+        res = _compare_normal_forms(nfp, nfq)
+        fp, fq = fingerprint(nfp), fingerprint(nfq)
+        assert (fp == fq) == res.ok, (print_term(p), print_term(q))
+        if not res.ok:
+            read = _compare_normal_forms(_read_fingerprint(fp), _read_fingerprint(fq))
+            assert read == res, (print_term(p), print_term(q))
+        counts[res.ok] += 1
     return tuple(counts)
 
 

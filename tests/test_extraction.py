@@ -8,7 +8,7 @@ from golden_lines import fresh_lines, golden_lines
 
 from procreal import equivalence, extraction
 from procreal.combinators import identity_wire, lapp, tensor
-from procreal.corpus import corpus_proofs
+from procreal.corpus import corpus_proofs, eta_proof
 from procreal.equivalence import failures_equiv, perp
 from procreal.extraction import (
     ExtractionError,
@@ -37,6 +37,7 @@ from procreal.logic import (
     conclusion,
     cut_eliminate,
     negate,
+    parse_formula,
     proof_from_json,
     proof_to_json,
 )
@@ -180,6 +181,29 @@ def test_a_corpus_trail_checked_again_explores_nothing(monkeypatch):
             passes.append((len(built), reports))
         assert passes == [(elim.steps + 1, reports), (0, reports)], name
         assert all(r.verdict == "pass" for r in reports), name
+    _MEMO.clear()
+
+
+def test_an_unsound_step_explores_each_realizer_once(monkeypatch):
+    # the witness of a failing step is read off the two kept fingerprints,
+    # so neither realizer is explored again for it
+    f = parse_formula("(a(+)b)*a")
+    eta = eta_proof(f)
+    elim = cut_eliminate(PCut(f, eta, eta, 1, 0), keep_trail=True)
+    step = elim.kinds.index("push-left-withr")
+    before, after = elim.trail[step : step + 2]
+    budget = ExplorationBudget(max_states=2000)
+    built = []
+    monkeypatch.setattr(equivalence, "build_lts", lambda t, budget: built.append(t) or build_lts(t, budget))
+    _MEMO.clear()
+    reports = []
+    for _ in range(2):
+        built.clear()
+        reports.append((verify_cut_soundness(before, after, budget=budget), len(built)))
+    rep = reports[0][0]
+    assert reports == [(rep, 2), (rep, 0)]
+    assert rep.verdict == "fail"
+    assert rep.witness == failures_equiv(extract(before), extract(after), budget, 4).witness
     _MEMO.clear()
 
 

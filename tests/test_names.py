@@ -40,7 +40,7 @@ from procreal.generators import enumerate_terms, random_context, random_term
 from procreal.logic import parse_formula, print_formula
 from procreal.parsing import parse_renaming_text, parse_term
 from procreal.semantics import _MEMO
-from procreal.terms import _TABLES, NIL, Par, Rename, Restrict, rename, well_formed
+from procreal.terms import _TABLES, NIL, Par, Prefix, Rename, Restrict, rename, value_name, well_formed
 
 
 def test_lr_coding_base_cases():
@@ -298,6 +298,20 @@ _WALKS = {
     "random_context": (random_context, (random.Random(1), (_A.name, _B.name), 6)),
     "enumerate_terms": (lambda *args: list(enumerate_terms(*args)), ((_A.name, _B.name), 3)),
 }
+
+
+def test_the_registry_refuses_a_new_name_the_readers_cannot_read_back():
+    # an atom name follows the term reader's identifier rule; a value name
+    # over a coded channel, registered apart, still reads back
+    for bad in ("x}", "y z", "é"):
+        with pytest.raises(ValueError, match="invalid atom identifier"):
+            REGISTRY.intern(bad)
+    # atom codes are registration order, so a channel far above them all
+    # is one that no atom, old or new, spells
+    chan = l_code(Name(10**9))
+    name = value_name(chan, 0)
+    assert str(name) == f"{chan}_0" and str(name).startswith("l(")
+    assert parse_term(f"{{{name}}}.0") == Prefix(frozenset([positive(name)]), NIL)
 
 
 @pytest.mark.parametrize("walk", sorted(_WALKS))
