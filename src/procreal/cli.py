@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .combinators import AlphabetTooLarge
-from .equivalence import BudgetExceeded, failures_bounded, failures_equiv, perp, weak_bisim
+from .equivalence import BOUNDED_DEPTH, BudgetExceeded, failures_bounded, failures_equiv, perp, weak_bisim
 from .exercises import run_exercises
 from .extraction import extract, verify_cut_soundness
 from .logic import (
@@ -325,8 +325,8 @@ class _Parser(argparse.ArgumentParser):
 
 # The options several subcommands share; each takes those it reads.
 _OPTIONS = {
-    "--max-states": dict(type=int, default=5000, metavar="N"),
-    "--depth": dict(type=int, default=6, metavar="K"),
+    "--max-states": dict(type=int, default=ExplorationBudget.max_states, metavar="N"),
+    "--depth": dict(type=int, default=BOUNDED_DEPTH, metavar="K"),
     "--seed": dict(type=int, default=0, metavar="S"),
     "--format": dict(choices=["json", "text"], default="text"),
     "--values": dict(type=str, default="", metavar="V1,V2,..."),

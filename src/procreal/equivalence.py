@@ -19,16 +19,18 @@ and the traces stop at the depth or when none goes on.  Only
 the routes disagreeing; the shared code is checked against a reference
 in the tests over an independent one-step matcher.
 
-A complete graph's failures are also summed up by a canonical
-fingerprint (`fingerprint`): its normal form minimised by partition
-refinement (`refine`) and numbered breadth-first, itself a normal form.
-Two complete graphs are failures-equal exactly when their fingerprints
-are, and one pairwise walk (`_compare_normal_forms`) finds the same
-witness on their normal forms as on their fingerprints.  Only
-`failures_verdict` keeps fingerprints, in the memo's answer tier, for
-callers that ask again and again (semantic types, category laws, cut
-steps re-checked); those of `failures_equiv`, the randomised law checks,
-ask about fresh terms.  `weak_bisim` uses `refine` on the saturated graph.
+A normal form is a value: its nodes are numbered breadth first from the
+root, node 0, and hold actions and node numbers, not terms.  A complete
+graph's failures are summed up by a canonical fingerprint
+(`fingerprint`): its normal form minimised by partition refinement
+(`refine`), itself a normal form.  Two complete graphs are failures-equal
+exactly when their fingerprints are, and one pairwise walk
+(`_compare_normal_forms`) finds the same witness on their normal forms
+as on their fingerprints.  Only `failures_verdict` keeps fingerprints,
+in the memo's answer tier, for callers that ask again and again
+(semantic types, category laws, cut steps re-checked); those of
+`failures_equiv`, the randomised law checks, ask about fresh terms.
+`weak_bisim` uses `refine` on the saturated graph.
 
 Divergence does not enter the failures model; it is a separate
 predicate used by the orthogonality check `perp`.
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .names import ALL_LABELS, Action, Label, TAU, action_key, print_action
+from .names import ALL_LABELS, Action, TAU, action_key, print_action
 from .semantics import (
     _MEMO,
     DEPTH_CAP,
@@ -237,20 +239,24 @@ def failures_bounded(
 # Normal form over a completely explored LTS and exact comparison.
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalForm:
-    """Action-deterministic graph over tau-closed state sets, each node
-    carrying its minimal acceptance family (`_determinise`)."""
+    """Action-deterministic graph of tau-closed state sets, as a value: node
+    i carries its minimal acceptance family (`_determinise`) in
+    `families[i]` and its moves as (action, node) pairs in `action_key`
+    order in `edges[i]`.  The root is node 0, and the others are numbered
+    breadth first along those moves.  So a normal form holds no term, is
+    the same under every hash seed, and equals any other that numbers the
+    same graph."""
 
-    root: frozenset
-    families: dict = field(default_factory=dict)  # node -> family
-    edges: dict = field(default_factory=dict)  # node -> tuple[(Action, node)], in action_key order
+    families: tuple
+    edges: tuple
 
     def failures_to_depth(self, depth: int) -> FailureSet:
         """Failures of each trace of length <= depth."""
         families, edges = self.families, self.edges
-        table = {(): families[self.root]}
-        frontier = [((), self.root)]
+        table = {(): families[0]}
+        frontier = [((), 0)]
         while frontier and len(frontier[0][0]) < depth:  # a level's traces have its length
             next_frontier = []
             for trace, node in frontier:
@@ -264,30 +270,30 @@ class NormalForm:
 
 def normal_form(lts: LTS) -> NormalForm:
     """The normal form of a complete graph: every tau-closed node reached
-    from the initial state, determinised once, with its moves tau-closed.
-    Graphs are not shared (each `build_lts` call returns its own), so
-    nothing is kept: a caller that asks again of a term keeps the answer
-    it needs, as `failures_fingerprint` keeps the fingerprint."""
+    from the initial state, numbered and determinised in that order, once
+    each, with its moves tau-closed.  Graphs are not shared (each
+    `build_lts` call returns its own), so nothing is kept: a caller that
+    asks again of a term keeps the answer it needs, as
+    `failures_fingerprint` keeps the fingerprint."""
     if not lts.complete:
         raise ValueError("normal form requires a completely explored LTS")
     successors = lts.transitions.__getitem__  # every state of a complete graph has its entry
-    root = tau_closure(successors, [lts.initial])
-    families: dict = {}
-    edges: dict = {}
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        if node in families:  # pushed again before it was reached
-            continue
-        families[node], moves = _determinise(successors, node)
+    order = [tau_closure(successors, [lts.initial])]
+    number = {order[0]: 0}
+    families, edges = [], []
+    for node in order:  # grows while it is walked
+        family, moves = _determinise(successors, node)
         out = []
         for a, dsts in moves:
             succ = tau_closure(successors, dsts)
-            out.append((a, succ))
-            if succ not in families:
-                todo.append(succ)
-        edges[node] = tuple(out)
-    return NormalForm(root, families, edges)
+            n = number.get(succ)
+            if n is None:
+                n = number[succ] = len(order)
+                order.append(succ)
+            out.append((a, n))
+        families.append(family)
+        edges.append(tuple(out))
+    return NormalForm(tuple(families), tuple(edges))
 
 
 def refine(nodes, block: dict, signature) -> dict:
@@ -306,42 +312,36 @@ def refine(nodes, block: dict, signature) -> dict:
         block, count = new_block, len(buckets)
 
 
-def _family_key(family: frozenset) -> tuple:
-    return tuple(sorted(tuple(sorted(map(action_key, acc))) for acc in family))
-
-
-def fingerprint(nf: NormalForm) -> tuple:
+def fingerprint(nf: NormalForm) -> NormalForm:
     """The canonical failures fingerprint of a normal form: its minimal
-    deterministic graph, one entry per block of failures-equal nodes,
-    numbered breadth-first from the root's block along edges in
-    `action_key` order.  An entry is the block's acceptance family
-    followed by each edge's action key and target block number, all made
-    of `action_key` tuples, so it holds no term and is the same under
-    every hash seed.  Two normal forms have equal fingerprints exactly
-    when `_compare_normal_forms` finds them equal.  Each family, each
-    entry and the whole are the memo's kept copies (`_MEMO.share`), so
-    that equal ones are one object."""
-    edges = nf.edges
+    normal form, one node per block of failures-equal nodes, numbered as
+    `normal_form` numbers nodes.  Two normal forms have equal fingerprints
+    exactly when `_compare_normal_forms` finds them equal, and a
+    fingerprint is its own.  Each family, each edge tuple and the whole
+    are the memo's kept copies (`_MEMO.share`), so that equal ones are one
+    object."""
+    families, edges = nf.families, nf.edges
     share = _MEMO.share
     first: dict = {}
     block = {
-        n: first.setdefault((family, tuple(a for a, _ in edges[n])), len(first))
-        for n, family in nf.families.items()
+        n: first.setdefault((family, tuple(a for a, _ in out)), len(first))
+        for n, (family, out) in enumerate(zip(families, edges))
     }
-    block = refine(nf.families, block, lambda n, blk: tuple(blk[dst] for _, dst in edges[n]))
-    number = {block[nf.root]: 0}
-    order = [nf.root]  # a node of each numbered block
-    out = []
+    block = refine(range(len(families)), block, lambda n, blk: tuple(blk[dst] for _, dst in edges[n]))
+    number = {block[0]: 0}
+    order = [0]  # a node of each numbered block
+    out_families, out_edges = [], []
     for node in order:  # grows while it is walked
-        entry = [share(_family_key(nf.families[node]))]
+        out = []
         for a, dst in edges[node]:
             b = block[dst]
             if b not in number:
                 number[b] = len(order)
                 order.append(dst)
-            entry += (action_key(a), number[b])
-        out.append(share(tuple(entry)))
-    return share(tuple(out))
+            out.append((a, number[b]))
+        out_families.append(share(families[node]))
+        out_edges.append(share(tuple(out)))
+    return share(NormalForm(tuple(out_families), tuple(out_edges)))
 
 
 # The fingerprint of a term whose graph is partial.
@@ -360,31 +360,17 @@ def failures_fingerprint(t: Term, budget: ExplorationBudget = ExplorationBudget(
     return fp
 
 
-def _read_action(key: tuple) -> Action:
-    return frozenset(map(Label._make, key))
-
-
-def _read_fingerprint(fp: tuple) -> NormalForm:
-    """A fingerprint read as the normal form it numbers: node i is entry i,
-    the root 0, its `action_key` tuples decoded back to label sets."""
-    families, edges = {}, {}
-    for i, (family, *moves) in enumerate(fp):
-        families[i] = frozenset(frozenset(map(_read_action, acc)) for acc in family)
-        edges[i] = tuple(zip(map(_read_action, moves[::2]), moves[1::2]))
-    return NormalForm(0, families, edges)
-
-
 # The decided answer that carries no witness, shared.
 EQUAL = Verdict("equal")
 
 
 def _compare_normal_forms(nf1: NormalForm, nf2: NormalForm) -> Verdict:
-    """The one witness walk, on two graphs' normal forms or two fingerprints
-    read as normal forms: pairs of nodes breadth first along equal actions
+    """The one witness walk, on two normal forms, minimised (fingerprints)
+    or not: pairs of nodes breadth first from the roots along equal actions
     in `action_key` order, each pair once, to the first whose families or
     moves differ.  Which pair that is depends on the failures alone."""
     seen = set()
-    frontier = [((), nf1.root, nf2.root)]
+    frontier = [((), 0, 0)]
     while frontier:
         next_frontier = []
         for trace, n1, n2 in frontier:
@@ -446,7 +432,7 @@ def failures_verdict(
     fq = INCOMPLETE if fp is INCOMPLETE else failures_fingerprint(q, budget)
     if fq is INCOMPLETE:
         return _bounded_route(p, q, budget, depth)
-    return EQUAL if fp == fq else _compare_normal_forms(_read_fingerprint(fp), _read_fingerprint(fq))
+    return EQUAL if fp == fq else _compare_normal_forms(fp, fq)
 
 
 def _bounded_route(p: Term, q: Term, budget: ExplorationBudget, depth: int) -> Verdict:

@@ -120,20 +120,13 @@ def pairing_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
         p = random_term(rng, atoms, rng.randint(2, 6))
         q = random_term(rng, atoms, rng.randint(2, 6))
         r = random_term(rng, atoms, rng.randint(2, 6))
-        law1_l = C.seq(C.pairing(p, q), C.inj_l(r))
-        law1_r = C.seq(p, r)
-        law2_l = C.seq(C.pairing(p, q), C.inj_r(r))
-        law2_r = C.seq(q, r)
-        for name, lhs, rhs in (
-            (f"trial {i}: <P,Q>;inl(R) = P;R (failures)", law1_l, law1_r),
-            (f"trial {i}: <P,Q>;inr(R) = Q;R (failures)", law2_l, law2_r),
-        ):
-            _law_equal(report, name, failures_equiv(lhs, rhs, budget))
-        for name, lhs, rhs in (
-            (f"trial {i}: <P,Q>;inl(R) = P;R (weak bisim)", law1_l, law1_r),
-            (f"trial {i}: <P,Q>;inr(R) = Q;S (weak bisim)", law2_l, law2_r),
-        ):
-            _law_equal(report, name, weak_bisim(lhs, rhs, budget))
+        selection = (
+            ("<P,Q>;inl(R) = P;R", C.seq(C.pairing(p, q), C.inj_l(r)), C.seq(p, r)),
+            ("<P,Q>;inr(R) = Q;R", C.seq(C.pairing(p, q), C.inj_r(r)), C.seq(q, r)),
+        )
+        for mode, decide in (("failures", failures_equiv), ("weak bisim", weak_bisim)):
+            for law, lhs, rhs in selection:
+                _law_equal(report, f"trial {i}: {law} ({mode})", decide(lhs, rhs, budget))
         law3_l = C.lapp(r, C.pairing(p, q))
         law3_r = C.pairing(C.lapp(r, p), C.lapp(r, q), port="plain")
         res = failures_equiv(law3_l, law3_r, budget)

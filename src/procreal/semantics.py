@@ -533,10 +533,11 @@ class _GraphMemo:
     """Two tiers (`_Tier`) and a table.  `answers` holds at most ANSWERS
     answers by (question, subject, state budget, ...): a term's `diverges`
     verdict or failures fingerprint, a formula's or a list's semantic
-    type.  `shared` holds the one kept copy of each fingerprint part
-    (`share`).  `steps` holds, by node, what `step` found for it (its
-    pairs, or a recursion's unfolding), up to STEP_SUCCESSORS successors;
-    only `build_lts` reads and fills it.  `clear` empties them all."""
+    type.  `shared` holds the one kept copy of each fingerprint and of
+    each of its families and edge tuples (`share`).  `steps` holds, by
+    node, what `step` found for it (its pairs, or a recursion's
+    unfolding), up to STEP_SUCCESSORS successors; only `build_lts` reads
+    and fills it.  `clear` empties them all."""
 
     def __init__(self):
         self.answers = _Tier(lambda: ANSWERS, lambda answer: 1)
@@ -546,7 +547,8 @@ class _GraphMemo:
     def share(self, value):
         """The kept copy of a value equal to `value`, so that equal answers,
         and equal parts of them, are one object.  Past 4 * ANSWERS copies
-        (a full `semtypes` run makes about 1,000) they are all forgotten,
+        (the 2,678 queries of a `--seconds 20` `semtypes` run, seed 101,
+        make 874; 9,600 `laws` queries make 122) they are all forgotten,
         not freed: the answers that hold them keep them.  Written out, not
         an `lru_cache`: the bound is read at each call, so it follows
         ANSWERS, which tests patch."""

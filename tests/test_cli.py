@@ -8,7 +8,7 @@ import pytest
 from conftest import run_capped, subprocess_env
 from golden_lines import fresh_lines, golden_lines
 
-from procreal.cli import main
+from procreal.cli import build_parser, main
 from procreal.corpus import corpus_proofs
 from procreal.logic import (
     FAtom,
@@ -23,8 +23,9 @@ from procreal.logic import (
     negate,
     proof_to_json,
 )
+from procreal.equivalence import BOUNDED_DEPTH
 from procreal.parsing import parse_term
-from procreal.semantics import _MEMO
+from procreal.semantics import _MEMO, ExplorationBudget
 from procreal.semtypes import law_outcome
 
 
@@ -352,6 +353,25 @@ def test_exercises_that_decide_nothing_false_report_unknown(capsys):
     assert report["ok"] is None
     assert [suite["ok"] for suite in report["suites"]] == [True, None, None, None]
     assert {check["ok"] for suite in report["suites"] for check in suite["checks"]} <= {True, None}
+
+
+def test_the_budget_and_depth_defaults_are_the_engines():
+    args = build_parser().parse_args(["equiv", "p.term", "q.term"])
+    assert (args.max_states, args.depth) == (ExplorationBudget().max_states, BOUNDED_DEPTH) == (5000, 6)
+
+
+def test_the_pairing_suite_names_each_selection_law_it_checks(capsys):
+    # at two states no selection law is decided, so each is reported, by
+    # the name of the law checked under each equivalence, in check order
+    assert main(["exercises", "--trials", "1", "--max-states", "2"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    start = out.index("suite pairing      unknown")
+    assert out[start + 1:start + 5] == [
+        "  trial 0: <P,Q>;inl(R) = P;R (failures): unknown",
+        "  trial 0: <P,Q>;inr(R) = Q;R (failures): unknown",
+        "  trial 0: <P,Q>;inl(R) = P;R (weak bisim): unknown",
+        "  trial 0: <P,Q>;inr(R) = Q;R (weak bisim): unknown",
+    ]
 
 
 @pytest.mark.parametrize(

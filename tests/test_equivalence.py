@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from conftest import subprocess_env
 from golden_lines import fresh_lines, golden_lines
-from oracle_step import canonical, naive_step
+from oracle_step import canonical
+from oracle_types import reference_failures
 
 from procreal import combinators as C
 from procreal import equivalence, semantics
@@ -18,7 +19,6 @@ from procreal.equivalence import (
     _bounded_route,
     _compare_normal_forms,
     _minimize,
-    _read_fingerprint,
     failures_bounded,
     failures_equiv,
     failures_verdict,
@@ -71,48 +71,6 @@ def test_failures_acceptances_are_antichains():
                 assert not any(other < acc for other in family)
 
 
-def _reference_failures(t, depth):
-    """Failures to `depth` by determinising each trace's tau-closed state
-    set afresh over the naive one-step matcher, and the number of states
-    that admits, counted as `failures_bounded` counts them: the root and
-    every successor of a state it steps."""
-    steps = {}
-
-    def successors(s):
-        if s not in steps:
-            steps[s] = {(a, canonical(p)) for a, p in naive_step(s)}
-        return steps[s]
-
-    def closure(states):
-        seen, todo = set(states), list(states)
-        while todo:
-            for a, p in successors(todo.pop()):
-                if not a and p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        return seen
-
-    def family(node):
-        offers = {
-            frozenset(a for a, _ in successors(s)) for s in node
-            if all(a for a, _ in successors(s))
-        }
-        return frozenset(x for x in offers if not any(y < x for y in offers))
-
-    table = {}
-
-    def visit(trace, node):
-        table[trace] = family(node)
-        if len(trace) < depth:
-            for a in {a for s in node for a, _ in successors(s) if a}:
-                dsts = {p for s in node for b, p in successors(s) if b == a}
-                visit(trace + (a,), closure(dsts))
-
-    visit((), closure({t}))
-    admitted = {t} | {p for succ in steps.values() for _, p in succ}
-    return table, len(admitted)
-
-
 def test_failures_bounded_matches_per_trace_determinisation():
     rng = random.Random(57)
     kinds = set()
@@ -121,7 +79,7 @@ def test_failures_bounded_matches_per_trace_determinisation():
         # move as it was given, and the reference rebuilds every successor
         t = canonical(random_term(rng, (A, B), rng.randint(4, 14)))
         depth = i % 5
-        table, admitted = _reference_failures(t, depth)
+        table, admitted = reference_failures(t, depth)
         assert failures_bounded(t, depth, ExplorationBudget(max_states=admitted)).table == table, (
             print_term(t), depth
         )
@@ -148,7 +106,7 @@ def test_normal_form_failures_match_per_trace_determinisation():
             continue
         complete += 1
         depth = i % 5
-        assert normal_form(lts).failures_to_depth(depth).table == _reference_failures(t, depth)[0], (
+        assert normal_form(lts).failures_to_depth(depth).table == reference_failures(t, depth)[0], (
             print_term(t), depth
         )
     assert complete > 200
@@ -281,6 +239,18 @@ def test_normal_form_failures_match_bounded():
             continue
         nf = normal_form(lts)
         assert nf.failures_to_depth(4) == failures_bounded(t, 4, BUD)
+    # a fingerprint, the minimised normal form, keeps the failures, and is
+    # its own fingerprint
+    checked = 0
+    for t in enumerate_terms((A, B), 4):
+        lts = build_lts(t, BUD)
+        if not lts.complete:
+            continue
+        fp = fingerprint(normal_form(lts))
+        assert fp.failures_to_depth(4) == failures_bounded(t, 4, BUD), print_term(t)
+        assert fingerprint(fp) is fp, print_term(t)
+        checked += 1
+    assert checked == 2095
 
 
 def test_each_route_determinises_each_node_once(monkeypatch):
@@ -299,16 +269,18 @@ def test_each_route_determinises_each_node_once(monkeypatch):
         checked += 1
         met.clear()
         nf = normal_form(lts)
-        assert len(met) == len(set(met)) and set(met) == nf.families.keys(), print_term(t)
+        # node i is the i-th state set determinised
+        assert len(met) == len(set(met)) == len(nf.families), print_term(t)
+        node_sets = list(met)
         # the bounded route meets the nodes within `depth` moves of the root
         depth = i % 5
-        reached = level = {nf.root}
+        reached = level = {0}
         for _ in range(depth):
             level = {succ for node in level for _, succ in nf.edges[node]}
             reached = reached | level
         met.clear()
         failures_bounded(t, depth, BUD)
-        assert len(met) == len(set(met)) and set(met) == reached, (print_term(t), depth)
+        assert len(met) == len(set(met)) and set(met) == {node_sets[n] for n in reached}, (print_term(t), depth)
     assert checked > 150
 
 
@@ -362,15 +334,15 @@ def test_normal_form_computed_once_per_shared_graph():
     nf = normal_form(lts)
     assert normal_form(lts) is not nf
     other = normal_form(again)
-    assert (other.root, other.families, other.edges) == (nf.root, nf.families, nf.edges)
+    assert other == nf
     assert fingerprint(other) is fingerprint(nf)
 
 
 def _fingerprints_decide_as_normal_forms(pairs) -> tuple:
     """Checks that fingerprint equality is `_compare_normal_forms`'s
     verdict on every pair whose graphs are complete, and that the walk on
-    two unequal fingerprints read as normal forms gives its whole verdict,
-    witness included; returns the counts of equal and distinguished pairs."""
+    two unequal fingerprints gives its whole verdict, witness included;
+    returns the counts of equal and distinguished pairs."""
     counts = [0, 0]
     for p, q in pairs:
         lp, lq = build_lts(p, BUD), build_lts(q, BUD)
@@ -381,8 +353,7 @@ def _fingerprints_decide_as_normal_forms(pairs) -> tuple:
         fp, fq = fingerprint(nfp), fingerprint(nfq)
         assert (fp == fq) == res.ok, (print_term(p), print_term(q))
         if not res.ok:
-            read = _compare_normal_forms(_read_fingerprint(fp), _read_fingerprint(fq))
-            assert read == res, (print_term(p), print_term(q))
+            assert _compare_normal_forms(fp, fq) == res, (print_term(p), print_term(q))
         counts[res.ok] += 1
     return tuple(counts)
 

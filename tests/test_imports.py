@@ -27,17 +27,33 @@ def test_module_imports_alone(name):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_oracle_step_does_not_import_the_engine():
-    tree = ast.parse((Path(__file__).parent / "oracle_step.py").read_text())
+def _imported(filename: str) -> set:
+    """The modules that the test module `filename` imports, and each name
+    it imports from one, as `module.name`."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((Path(__file__).parent / filename).read_text())):
         if isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
             imported.update(f"{node.module}.{a.name}" for a in node.names)
+    return imported
+
+
+def test_oracle_step_does_not_import_the_engine():
     engine = ("procreal.semantics", "procreal.equivalence")
-    assert not [m for m in imported if m.startswith(engine)]
+    assert not [m for m in _imported("oracle_step.py") if m.startswith(engine)]
+
+
+def test_oracle_types_imports_only_terms_names_and_the_step_oracle():
+    # the typed layer's oracle reads types and classes as plain attributes,
+    # so it needs nothing of the engine or of `semtypes`
+    imported = _imported("oracle_types.py")
+    allowed = ("procreal.names", "procreal.terms")
+    assert [m for m in imported if m.startswith("procreal")] and all(
+        m.startswith(allowed) for m in imported if m.startswith("procreal")
+    )
+    assert "oracle_step" in imported
 
 
 def _definitions(*modules) -> dict:
