@@ -15,9 +15,10 @@ from typing import Optional
 
 from .combinators import AlphabetTooLarge
 from .equivalence import BOUNDED_DEPTH, BudgetExceeded, failures_bounded, failures_equiv, perp, weak_bisim
-from .exercises import run_exercises
+from .exercises import TRIALS, run_exercises
 from .extraction import extract, verify_cut_soundness
 from .logic import (
+    STEP_BOUND,
     conclusion,
     cut_eliminate,
     load_proof,
@@ -27,7 +28,7 @@ from .logic import (
 from .names import IDENTIFIER, REGISTRY, RenamingDomainError, is_identifier
 from .parsing import ParseError, parse_program, value_domain
 from .semantics import VERDICT_OK, ExplorationBudget, build_lts
-from .semtypes import SemType, formula_to_type, law_outcome, partition, realizes_pos
+from .semtypes import BANG_FUEL, SemType, formula_to_type, law_outcome, partition, realizes_pos
 from .terms import Term, print_term, well_formed
 
 EXIT_OK = 0
@@ -374,18 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "--max-states", "--depth", "--format", "--values")
     p.add_argument("proof")
     p.add_argument("--atoms", default=None)
-    p.add_argument("--step-bound", type=int, default=200)
+    p.add_argument("--step-bound", type=int, default=STEP_BOUND)
 
     p = command("check-type", cmd_check_type, "classify a term against a semantic type",
                 "--max-states", "--format", "--values")
     p.add_argument("term")
     p.add_argument("type_env", help="type environment JSON")
     p.add_argument("type", help="type expression, e.g. 'a*b'")
-    p.add_argument("--fuel", type=int, default=1)
+    p.add_argument("--fuel", type=int, default=BANG_FUEL)
 
     p = command("exercises", cmd_exercises, "run the named verification suites",
                 "--max-states", "--seed", "--format")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=TRIALS)
     return ap
 
 

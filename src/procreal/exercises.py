@@ -229,7 +229,10 @@ def congruence_suite(trials: int, seed: int, budget: ExplorationBudget) -> dict:
     return report
 
 
-def run_exercises(seed: int, budget: ExplorationBudget, trials: int = 25) -> dict:
+TRIALS = 25
+
+
+def run_exercises(seed: int, budget: ExplorationBudget, trials: int = TRIALS) -> dict:
     """The four named suites at CLI scale.  A suite's "ok", and the
     report's, is False when a check fails, else None when one is
     undecided, else True."""

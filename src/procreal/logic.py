@@ -829,7 +829,10 @@ class ElimResult:
     detail: str = ""  # why a "stuck" or "bound" proof keeps a cut
 
 
-def cut_eliminate(p: Proof, step_bound: int = 200, keep_trail: bool = False) -> ElimResult:
+STEP_BOUND = 200
+
+
+def cut_eliminate(p: Proof, step_bound: int = STEP_BOUND, keep_trail: bool = False) -> ElimResult:
     """Reduces the leftmost-innermost cut until none is left, none
     reduces ("stuck", with the NotReducible message of the first cut met
     as `detail`) or `step_bound` steps are taken ("bound"); with

@@ -1,12 +1,16 @@
 """Names, labels, actions, the renaming algebra and restriction predicates.
 
 Names are coded naturals.  User-written atoms get codes from a registry;
-structural names arise from arithmetic coding injections: the even/odd
-split ``l``/``r`` (code 2n and 2n+1) and k-way residue splits (code
-k*n + i-1 for port i of k).  Every coding is a total injection on the
-naturals, so the binary and k-way interface splits are exact and
-invertible.  Only the codings' `apply_code` does this arithmetic; a coded
-name, label or action is built by applying a coding or its decode.  One
+structural names arise from arithmetic codings, each one `Coding`: a
+residue table that sends the code m*q + r, m the table's length, to
+a*q + b when its entry r is (a, b).  The even/odd split ``l``/``r``
+(code 2n and 2n+1), the k-way residue splits (`KwayCode`: code k*n + i-1
+for port i of k), the mod-3 layouts of the two halves (`PhiCode`),
+`SWAP` and `IDENT` are such tables, and so is each one's inverse, so the
+binary and k-way interface splits are exact and invertible.  Only
+`Coding.apply_code` does this arithmetic; a coded name, label or action
+is built by applying a coding or its decode.  A coding prints as the
+term reader reads it, so a printed renaming reads back as itself.  One
 table (`_CODING_TABLE`) holds the codings ``l``, ``r``, ``n1``..``n3``
 and their images' coding classes ``Ll``, ``Lr``, ``N1``..``N3``; the
 parser, `_spell` and `CodingClass` read it.
@@ -242,15 +246,11 @@ class Renaming(NameMap):
 
     def apply_name(self, n: Name) -> Optional[Name]:
         code = self.apply_code(n.code)
-        if code is None:
-            return None
-        return Name(code)
+        return None if code is None else Name(code)
 
     def apply_label(self, lab: Label) -> Optional[Label]:
         code = self.apply_code(lab.code)
-        if code is None:
-            return None
-        return Label(code, lab.neg)
+        return None if code is None else Label(code, lab.neg)
 
     def apply_action(self, a: Action) -> Action:
         """The image of `a`, memoised per map and action.  An action the
@@ -277,137 +277,72 @@ class RenamingDomainError(Exception):
         self.renaming = ren
 
 
-class IdentityRenaming(Renaming):
-    __slots__ = ()
+class Coding(Renaming):
+    """A residue coding: the code m*q + r, m = len(table), goes to a*q + b
+    when `table[r]` is (a, b), and lies outside the domain when it is
+    None.  Every defined entry has the same a, so the inverse is a coding
+    whose table, of length a, sends b back to (m, r).  A coding keeps its
+    text and its inverse's (`spelling`, `inverse_spelling`); one whose
+    inverse spells as itself is its own inverse."""
+
+    __slots__ = ("table", "spelling", "inverse_spelling")
+
+    def __init__(self, table: tuple, spelling: str, inverse_spelling: str):
+        self.table, self.spelling, self.inverse_spelling = table, spelling, inverse_spelling
+        super().__init__(table, spelling, inverse_spelling)
+
+    def __reduce__(self):
+        # the identity unpickles as itself, the one map that `terms.rename`
+        # and `compose_renamings` drop by an identity test
+        return "IDENT" if self is IDENT else super().__reduce__()
 
     def apply_code(self, code: int) -> Optional[int]:
-        return code
+        q, r = divmod(code, len(self.table))
+        entry = self.table[r]
+        return None if entry is None else entry[0] * q + entry[1]
 
-    def inverse(self) -> Renaming:
-        return self
+    def inverse(self) -> "Coding":
+        if self.spelling == self.inverse_spelling:
+            return self
+        back = {entry: (len(self.table), r) for r, entry in enumerate(self.table) if entry is not None}
+        (a,) = {a for a, _ in back}
+        return Coding(tuple(back.get((a, b)) for b in range(a)), self.inverse_spelling, self.spelling)
 
     def describe(self) -> str:
-        return "id"
+        return self.spelling
 
     def is_total(self) -> bool:
-        return True
+        return None not in self.table
 
 
-class KwayCode(Renaming):
-    """Total injection onto the i-th residue class mod k: n -> k*n + i-1."""
-
-    __slots__ = ("port", "ways")
-
-    def __init__(self, port: int, ways: int):
-        if not (1 <= port <= ways):
-            raise ValueError("port out of range")
-        self.port, self.ways = port, ways
-        super().__init__(port, ways)
-
-    def apply_code(self, code: int) -> Optional[int]:
-        return self.ways * code + (self.port - 1)
-
-    def inverse(self) -> Renaming:
-        return KwayDecode(self.port, self.ways)
-
-    def describe(self) -> str:
-        if self.ways == 2:
-            return "lcode" if self.port == 1 else "rcode"
-        if self.ways == 1:
-            return "id"
-        return f"n{self.port}of{self.ways}"
-
-    def is_total(self) -> bool:
-        return True
+# The codings, built by name; each describes as the parser reads it.
+def KwayCode(port: int, ways: int) -> Coding:
+    """Total injection onto the port-th residue class mod ways: n -> ways*n + port-1."""
+    if not (1 <= port <= ways):
+        raise ValueError("port out of range")
+    spelling = ("lcode", "rcode")[port - 1] if ways == 2 else f"n{port}of{ways}"
+    return Coding(((ways, port - 1),), spelling, f"inv({spelling})")
 
 
-class KwayDecode(Renaming):
-    __slots__ = ("port", "ways")
-
-    def __init__(self, port: int, ways: int):
-        self.port, self.ways = port, ways
-        super().__init__(port, ways)
-
-    def apply_code(self, code: int) -> Optional[int]:
-        if code % self.ways != self.port - 1:
-            return None
-        return code // self.ways
-
-    def inverse(self) -> Renaming:
-        return KwayCode(self.port, self.ways)
-
-    def describe(self) -> str:
-        return f"inv({KwayCode(self.port, self.ways).describe()})"
+def KwayDecode(port: int, ways: int) -> Coding:
+    return KwayCode(port, ways).inverse()
 
 
-class PhiCode(Renaming):
+def PhiCode(i: int, j: int) -> Coding:
     """Bijection onto the union of residue classes i and j mod 3.
 
     The l-half (even codes 2n) lands in class i, the r-half (odd codes
     2n+1) in class j: 2n -> 3n+i-1 and 2n+1 -> 3n+j-1.
     """
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
-            raise ValueError("phi ports must be distinct in 1..3")
-        self.i, self.j = i, j
-        super().__init__(i, j)
-
-    def apply_code(self, code: int) -> Optional[int]:
-        if code % 2 == 0:
-            return 3 * (code // 2) + (self.i - 1)
-        return 3 * ((code - 1) // 2) + (self.j - 1)
-
-    def inverse(self) -> Renaming:
-        return PhiDecode(self.i, self.j)
-
-    def describe(self) -> str:
-        return f"phi{self.i}{self.j}"
-
-    def is_total(self) -> bool:
-        return True
+    if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
+        raise ValueError("phi ports must be distinct in 1..3")
+    return Coding(((3, i - 1), (3, j - 1)), f"phi{i}{j}", f"inv(phi{i}{j})")
 
 
-class PhiDecode(Renaming):
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        self.i, self.j = i, j
-        super().__init__(i, j)
-
-    def apply_code(self, code: int) -> Optional[int]:
-        r = code % 3
-        if r == self.i - 1:
-            return 2 * (code // 3)
-        if r == self.j - 1:
-            return 2 * (code // 3) + 1
-        return None
-
-    def inverse(self) -> Renaming:
-        return PhiCode(self.i, self.j)
-
-    def describe(self) -> str:
-        return f"inv(phi{self.i}{self.j})"
-
-
-class SwapLR(Renaming):
-    """Interchanges the l/r halves of the name space: code XOR 1."""
-
-    __slots__ = ()
-
-    def apply_code(self, code: int) -> Optional[int]:
-        return code ^ 1
-
-    def inverse(self) -> Renaming:
-        return self
-
-    def describe(self) -> str:
-        return "swap"
-
-    def is_total(self) -> bool:
-        return True
+IDENT = Coding(((1, 0),), "id", "id")
+SWAP = Coding(((2, 1), (2, 0)), "swap", "swap")  # interchanges the l/r halves: code XOR 1
+LCODE = KwayCode(1, 2)
+RCODE = KwayCode(2, 2)
 
 
 class FiniteMap(Renaming):
@@ -447,9 +382,7 @@ class Compose(Renaming):
 
     def apply_code(self, code: int) -> Optional[int]:
         mid = self.first.apply_code(code)
-        if mid is None:
-            return None
-        return self.after.apply_code(mid)
+        return None if mid is None else self.after.apply_code(mid)
 
     def inverse(self) -> Renaming:
         return Compose(self.first.inverse(), self.after.inverse())
@@ -488,20 +421,16 @@ class Piecewise(Renaming):
         return "piece(" + "|".join(p.describe() for p in self._pieces) + ")"
 
 
-IDENT = IdentityRenaming()
-LCODE = KwayCode(1, 2)
-RCODE = KwayCode(2, 2)
-SWAP = SwapLR()
-
-
 # (spelling, coding class of its image, coding): `n2(x)` is the name that
 # port 2 of 3 codes x to, and the class N2 holds all such names
-_CODING_TABLE = (("l", "Ll", LCODE), ("r", "Lr", RCODE)) + tuple(
-    (f"n{i}", f"N{i}", KwayCode(i, 3)) for i in (1, 2, 3)
-)
+_CODING_TABLE = (("l", "Ll", LCODE), ("r", "Lr", RCODE),
+                 *((f"n{i}", f"N{i}", KwayCode(i, 3)) for i in (1, 2, 3)))
 CODINGS = {spelling: coding for spelling, _, coding in _CODING_TABLE}
-CODING_CLASSES = {which: coding for _, which, coding in _CODING_TABLE}
-_SPELL_DECODES = tuple((spelling, CODINGS[spelling].inverse()) for spelling in ("l", "r"))
+# `all` is the image of the identity
+CODING_CLASSES = {"all": IDENT, **{which: coding for _, which, coding in _CODING_TABLE}}
+# each class's decode, defined on exactly the class's codes
+_CLASS_DECODES = {which: coding.inverse() for which, coding in CODING_CLASSES.items()}
+_SPELL_DECODES = (("l", _CLASS_DECODES["Ll"]), ("r", _CLASS_DECODES["Lr"]))
 l_code, r_code = LCODE.apply_name, RCODE.apply_name
 
 
@@ -513,9 +442,9 @@ def compose_renamings(after: Renaming, first: Renaming) -> Renaming:
     stacks renamings.  The result is the kept instance (`kept`) when the
     pair is first composed; the pair then keeps it, up to KEPT pairs
     (`lru_cache`), so a repeated composition builds nothing."""
-    if isinstance(after, IdentityRenaming):
+    if after is IDENT:
         return kept(first)
-    if isinstance(first, IdentityRenaming):
+    if first is IDENT:
         return kept(after)
     if first.is_total() and after == first.inverse():
         return kept(IDENT)
@@ -566,21 +495,20 @@ class FiniteRestriction(RestrictionSet):
 
 
 class CodingClass(RestrictionSet):
-    """`all` labels, or the image of one coding of `CODING_CLASSES`, both
-    polarities: Ll, Lr (label halves), N1..N3 (mod-3 name classes).  Any
-    other class is a ValueError where it is built, unpickling included."""
+    """The image of one coding of `CODING_CLASSES`, both polarities: `all`
+    labels, Ll, Lr (label halves), N1..N3 (mod-3 name classes).  Any other
+    class is a ValueError where it is built, unpickling included."""
 
     __slots__ = ("which",)
 
     def __init__(self, which: str):
-        if which != "all" and which not in CODING_CLASSES:
+        if which not in CODING_CLASSES:
             raise ValueError(f"unknown coding class {which}")
         self.which = which
         super().__init__(which)
 
     def contains_label(self, lab: Label) -> bool:
-        w = self.which
-        return w == "all" or CODING_CLASSES[w].inverse().apply_code(lab.code) is not None
+        return _CLASS_DECODES[self.which].apply_code(lab.code) is not None
 
     def describe(self) -> str:
         return self.which

@@ -21,6 +21,9 @@ Term grammar (precedence low to high):
     label    := ['~'] name
     name     := IDENT | coded ('_' INT)*        written right after the ')'
     coded    := 'l(' name ')' | 'r(' name ')' | 'n1(' name ')' ...
+    renaming := 'id' | 'swap' | 'lcode' | 'rcode' | 'nKofW' | 'phiIJ'   port K of W; I != J in 1..3
+              | 'inv(' renaming ')' | 'comp(' renaming ',' renaming ')'
+              | 'piece(' renaming ('|' renaming)* ')' | 'map{' [name ':' name (',' ...)*] '}'
 
 Builders call directly into the combinator layer: tensor(P,Q), lapp(Q,P),
 rapp(P,R), seq(P,Q), wire({a,b}), pair(P,Q), inl(P), inr(P), bang(P).
@@ -312,7 +315,7 @@ class _Parser(Reader):
         if self.at("{"):
             return FiniteRestriction(self.parse_braced(self.parse_label))
         tok = self.peek()
-        if tok.kind == "ident" and (tok.text in CODING_CLASSES or tok.text == "all"):
+        if tok.kind == "ident" and tok.text in CODING_CLASSES:
             self.next()
             return CodingClass(tok.text)
         self.error("expected a restriction set")

@@ -354,8 +354,11 @@ def with_type(t: SemType, u: SemType) -> SemType:
     return SemType(RepPER(tuple(pos_classes)), RepPER(tuple(neg_classes)), iface)
 
 
+BANG_FUEL = 1
+
+
 def bang_type(
-    t: SemType, fuel: int = 1, budget: ExplorationBudget = ExplorationBudget()
+    t: SemType, fuel: int = BANG_FUEL, budget: ExplorationBudget = ExplorationBudget()
 ) -> SemType:
     pos_classes = [
         _cap_members(tuple(bang(p) for p in cls)) for cls in t.pos.classes
@@ -422,7 +425,7 @@ def formula_to_type(
     atom_types: dict,
     budget: ExplorationBudget = ExplorationBudget(),
     values: tuple = (),
-    fuel: int = 1,
+    fuel: int = BANG_FUEL,
 ) -> SemType:
     """The semantic type of `f`.  Atoms, tensor, with, of-course and forall
     are built; each other connective is the dual of its de Morgan dual.

@@ -45,7 +45,7 @@ from typing import Optional
 
 from .names import (
     Action,
-    IdentityRenaming,
+    IDENT,
     Name,
     REGISTRY,
     Renaming,
@@ -251,7 +251,7 @@ def rename(proc: Term, ren: Renaming) -> Term:
     identities, keeping unfolded state keys canonical."""
     if isinstance(proc, Rename):
         return rename(proc.proc, compose_renamings(ren, proc.ren))
-    if isinstance(ren, IdentityRenaming):
+    if ren is IDENT:
         return proc
     return Rename(proc, ren)
 

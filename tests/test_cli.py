@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import subprocess
@@ -20,13 +21,15 @@ from procreal.logic import (
     PParR,
     PProm,
     PTensorR,
+    cut_eliminate,
     negate,
     proof_to_json,
 )
 from procreal.equivalence import BOUNDED_DEPTH
+from procreal.exercises import run_exercises
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget
-from procreal.semtypes import law_outcome
+from procreal.semtypes import bang_type, formula_to_type, law_outcome
 
 
 @pytest.fixture()
@@ -358,6 +361,16 @@ def test_exercises_that_decide_nothing_false_report_unknown(capsys):
 def test_the_budget_and_depth_defaults_are_the_engines():
     args = build_parser().parse_args(["equiv", "p.term", "q.term"])
     assert (args.max_states, args.depth) == (ExplorationBudget().max_states, BOUNDED_DEPTH) == (5000, 6)
+    # each command's own bound is its engine's default, read off the signature
+    parse = build_parser().parse_args
+    defaults = (
+        (parse(["verify-cut", "p.json"]).step_bound, cut_eliminate, "step_bound", 200),
+        (parse(["check-type", "t.term", "env.json", "a"]).fuel, formula_to_type, "fuel", 1),
+        (parse(["check-type", "t.term", "env.json", "a"]).fuel, bang_type, "fuel", 1),
+        (parse(["exercises"]).trials, run_exercises, "trials", 25),
+    )
+    for given, engine, param, value in defaults:
+        assert given == inspect.signature(engine).parameters[param].default == value, param
 
 
 def test_the_pairing_suite_names_each_selection_law_it_checks(capsys):

@@ -45,7 +45,7 @@ from procreal.names import REGISTRY, SWAP, negative, positive
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget, build_lts
 from procreal.semtypes import RepPER, SemType
-from procreal.terms import NIL, Prefix, Term, rename, well_formed
+from procreal.terms import NIL, Prefix, Term, print_term, rename, well_formed
 
 A = FAtom("a")
 B = FAtom("b")
@@ -248,6 +248,24 @@ def test_verify_cut_soundness_catches_wrong_reduct():
 def test_corpus_realizers_match_golden():
     # captured before the dual connectives' wires were derived by swapping
     assert fresh_lines("corpus_realizers") == golden_lines("corpus_realizers")
+
+
+def test_a_printed_realizer_reads_back_as_itself():
+    # over each corpus proof's cut-elimination trail and the first steps
+    # of every 7th eta cut: a printed renaming reads back as the map it
+    # describes, so the realizer's text reads back as the very node
+    from test_logic import eta_cuts  # which imports golden_lines
+
+    cases = [
+        (proof, entry["values"])
+        for entry in corpus_proofs().values()
+        for proof in cut_eliminate(entry["proof"], keep_trail=True).trail
+    ]
+    cases += [(proof, ()) for _, cut in eta_cuts()[::7] for proof in cut_eliminate(cut, 5, keep_trail=True).trail]
+    assert len(cases) == 863
+    for proof, values in cases:
+        t = extract(proof, {}, values)
+        assert parse_term(print_term(t), values) is t, print_term(t)
 
 
 def test_formula_wires_match_golden():

@@ -23,7 +23,6 @@ from procreal.names import (
     RCODE,
     REGISTRY,
     SWAP,
-    IdentityRenaming,
     compose_renamings,
     dual_action,
     l_code,
@@ -110,7 +109,7 @@ def test_finite_map_composition_materializes():
 
 
 def test_swap_composition_cancels():
-    assert isinstance(compose_renamings(SWAP, SWAP), IdentityRenaming)
+    assert compose_renamings(SWAP, SWAP) is IDENT
 
 
 def test_apply_renaming_examples():
@@ -176,10 +175,34 @@ def test_union_restriction_canonical():
     assert mixed1 == mixed2
 
 
+CODINGS = [IDENT, LCODE, RCODE, SWAP]
+CODINGS += [KwayCode(p, w) for w in range(1, 5) for p in range(1, w + 1)]
+CODINGS += [PhiCode(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+CODINGS += [c.inverse() for c in CODINGS]
+
+
 def test_kway_decode_describe_roundtrip():
-    for ren in (LCODE, RCODE, SWAP, KwayCode(2, 3), PhiCode(1, 3),
-                Compose(KwayCode(1, 3), KwayDecode(1, 2)), KwayDecode(2, 2)):
-        assert parse_renaming_text(ren.describe()) == ren
+    # a map's text reads back, and a pickle loads back, as an equal map;
+    # the identity loads back as itself, the one map rename drops
+    for ren in CODINGS + [Compose(KwayCode(1, 3), KwayDecode(1, 2)), KwayDecode(2, 2)]:
+        for back in (parse_renaming_text(ren.describe()), pickle.loads(pickle.dumps(ren))):
+            assert back == ren and hash(back) == hash(ren) and back.describe() == ren.describe()
+        assert (pickle.loads(pickle.dumps(ren)) is IDENT) == (ren is IDENT)
+        inverse, images = ren.inverse(), [ren.apply_code(code) for code in range(201)]
+        for code, image in enumerate(images):
+            assert image is None or inverse.apply_code(image) == code
+            pre = inverse.apply_code(code)
+            assert pre is None or ren.apply_code(pre) == code
+        assert inverse.inverse() == ren and ren.is_total() == (None not in images)
+    # codings are equal when they spell alike: one port of two is the named
+    # half; one port of one renames like the identity but is no identity
+    assert all((a == b) == (a.describe() == b.describe()) for a in CODINGS for b in CODINGS)
+    assert KwayCode(1, 2) == LCODE and KwayCode(2, 2) == RCODE and KwayDecode(1, 2) == LCODE.inverse()
+    assert KwayCode(1, 1) != IDENT and KwayDecode(1, 1) != IDENT and KwayCode(1, 1) != KwayDecode(1, 1)
+    assert [KwayCode(1, 1).describe(), KwayDecode(1, 1).describe()] == ["n1of1", "inv(n1of1)"]
+    assert IDENT.inverse() is IDENT and SWAP.inverse() is SWAP
+    assert compose_renamings(SWAP, SWAP) is IDENT
+    assert compose_renamings(KwayDecode(2, 3), KwayCode(2, 3)) is IDENT
 
 
 def _relayout():
