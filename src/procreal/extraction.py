@@ -37,6 +37,7 @@ from .names import (
     Renaming,
     SIGMA,
     SWAP,
+    compose_renamings,
     l_code,
     negative,
     positive,
@@ -108,8 +109,8 @@ def relayout(pieces: list) -> Renaming:
     for src, src_k, inner, dst, dst_k in pieces:
         r: Renaming = KwayDecode(src, src_k)
         if inner is not None:
-            r = Compose(inner, r)
-        parts.append(Compose(KwayCode(dst, dst_k), r))
+            r = compose_renamings(inner, r)
+        parts.append(compose_renamings(KwayCode(dst, dst_k), r))
     return Piecewise(parts)
 
 

@@ -3,12 +3,16 @@ cut-elimination steps.
 
 Conventions: sequents are ordered tuples; every introduction rule places
 its principal formula last; a cut node records the positions of the cut
-formula in both premises (-1 meaning last).  With those conventions the
-permutation bookkeeping of cut elimination stays mechanical: principal
-steps fire when both positions are the introduced last formulas, and
-every other step is one commuting conversion (`_commute`), which moves
-the cut above a premise's last rule or exchange using that rule's one
-description of where its conclusion's formulas come from (`_sources`).
+formula in both premises (-1 meaning last).  A rule's shape is written
+once: `_TAIL` (how many trailing formulas of each premise it consumes)
+and `_PRINCIPAL` (the principal formula it builds of them), read through
+`_sources`, which says where each conclusion formula comes from.  The
+checker reads each conclusion off it, and every cut-elimination step
+places its subproofs by it: principal steps fire when both positions are
+the introduced last formulas, every other step is one commuting
+conversion (`_commute`), which moves the cut above a premise's last rule
+or exchange, and each step ends in one exchange (`_restore`) that puts
+every formula of the reduct in its place.
 """
 
 from __future__ import annotations
@@ -434,7 +438,9 @@ def check_proof(p: Proof) -> CheckResult:
 
 def _check_rule(p: Proof, seqs: list) -> CheckResult:
     """The side condition of `p`'s rule over its premises' conclusions
-    `seqs`, and the conclusion it gives, or the error."""
+    `seqs`, and the conclusion it gives, or the error.  A rule other than
+    the axiom and the cut concludes what `_sources` says, with the
+    principal formula `_PRINCIPAL` builds from the formulas it consumes."""
     s = seqs[0] if seqs else ()
 
     if isinstance(p, PAxiom):
@@ -448,63 +454,40 @@ def _check_rule(p: Proof, seqs: list) -> CheckResult:
                                      f"not at position {i} of {print_sequent(ls)}")
         if not (0 <= j < len(rs)) or rs[j] != negate(p.formula):
             return CheckResult(None, f"dual cut formula not at position {j} of {print_sequent(rs)}")
-        conclusion = ls[:i] + ls[i + 1 :] + rs[:j] + rs[j + 1 :]
+        conclusion = _splice(ls, rs, i, j)
         if not conclusion:
             return CheckResult(None, "cut would produce an empty sequent")
         return CheckResult(conclusion)
-    if isinstance(p, PTensorR):
-        ls, rs = seqs
-        if not ls or not rs:
-            return CheckResult(None, "tensor premises must be nonempty")
-        return CheckResult(ls[:-1] + rs[:-1] + (FTensor(ls[-1], rs[-1]),))
-    if isinstance(p, PParR):
-        if len(s) < 2:
-            return CheckResult(None, "par needs two formulas to merge")
-        return CheckResult(s[:-2] + (FPar(s[-2], s[-1]),))
+    if isinstance(p, PTensorR) and not all(seqs):
+        return CheckResult(None, "tensor premises must be nonempty")
+    if isinstance(p, PParR) and len(s) < 2:
+        return CheckResult(None, "par needs two formulas to merge")
     if isinstance(p, PWithR):
-        ls, rs = seqs
-        if not ls or not rs:
+        if not all(seqs):
             return CheckResult(None, "with premises must be nonempty")
-        if ls[:-1] != rs[:-1]:
+        if seqs[0][:-1] != seqs[1][:-1]:
             return CheckResult(None, "with premises must share their context")
-        return CheckResult(ls[:-1] + (FWith(ls[-1], rs[-1]),))
-    if isinstance(p, PPlusR1):
-        if not s:
-            return CheckResult(None, "plus premise must be nonempty")
-        return CheckResult(s[:-1] + (FPlus(s[-1], p.other),))
-    if isinstance(p, PPlusR2):
-        if not s:
-            return CheckResult(None, "plus premise must be nonempty")
-        return CheckResult(s[:-1] + (FPlus(p.other, s[-1]),))
-    if isinstance(p, PExchange):
-        if sorted(p.perm) != list(range(len(s))):
-            return CheckResult(None, f"invalid permutation {p.perm} for {print_sequent(s)}")
-        return CheckResult(tuple(s[k] for k in p.perm))
-    if isinstance(p, PWeak):
-        return CheckResult(s + (FQuest(p.formula),))
-    if isinstance(p, PDerel):
-        if not s:
-            return CheckResult(None, "dereliction premise must be nonempty")
-        return CheckResult(s[:-1] + (FQuest(s[-1]),))
+    if isinstance(p, (PPlusR1, PPlusR2)) and not s:
+        return CheckResult(None, "plus premise must be nonempty")
+    if isinstance(p, PExchange) and sorted(p.perm) != list(range(len(s))):
+        return CheckResult(None, f"invalid permutation {p.perm} for {print_sequent(s)}")
+    if isinstance(p, PDerel) and not s:
+        return CheckResult(None, "dereliction premise must be nonempty")
     if isinstance(p, PContr):
         if len(s) < 2 or s[-1] != s[-2]:
             return CheckResult(None, "contraction needs two equal final formulas")
         if not isinstance(s[-1], FQuest):
             return CheckResult(None, "contraction applies to ?-formulas only")
-        return CheckResult(s[:-1])
     if isinstance(p, PProm):
         if not s:
             return CheckResult(None, "promotion premise must be nonempty")
         if not all(isinstance(f, FQuest) for f in s[:-1]):
             return CheckResult(None, "promotion context must consist of ?-formulas")
-        return CheckResult(s[:-1] + (FBang(s[-1]),))
     if isinstance(p, PForallR):
         if not s:
             return CheckResult(None, "forall premise must be nonempty")
-        for f in s[:-1]:
-            if p.var in free_value_vars_formula(f):
-                return CheckResult(None, f"value variable {p.var} free in the context")
-        return CheckResult(s[:-1] + (FForall(p.var, s[-1]),))
+        if any(p.var in free_value_vars_formula(f) for f in s[:-1]):
+            return CheckResult(None, f"value variable {p.var} free in the context")
     if isinstance(p, PExistsR):
         if not isinstance(p.formula, FExists):
             return CheckResult(None, "exists rule must carry an existential formula")
@@ -512,12 +495,13 @@ def _check_rule(p: Proof, seqs: list) -> CheckResult:
             return CheckResult(None, "exists premise must be nonempty")
         expected = subst_value_formula(p.formula.body, p.formula.var, p.value)
         if s[-1] != expected:
-            return CheckResult(None, 
-                f"premise ends with {print_formula(s[-1])}, expected "
-                f"{print_formula(expected)}"
-            )
-        return CheckResult(s[:-1] + (p.formula,))
-    return CheckResult(None, f"unknown proof node {p!r}")
+            return CheckResult(None, f"premise ends with {print_formula(s[-1])}, expected "
+                                     f"{print_formula(expected)}")
+    rule, tail = _PRINCIPAL.get(type(p)), _TAIL.get(type(p), 0)
+    out = _conclude(p, seqs, rule and rule(p, [f for q in seqs for f in q[len(q) - tail :]]))
+    if out is None:
+        return CheckResult(None, f"unknown proof node {p!r}")
+    return CheckResult(tuple(out))
 
 
 def conclusion(p: Proof) -> Sequent:
@@ -559,6 +543,66 @@ def _exchange_to(proof: Proof, order: list) -> Proof:
     return PExchange(tuple(order), proof)
 
 
+# Every step builds its reduct from placed subproofs: (proof, places),
+# where places[k] is the place in the reduced cut's conclusion of formula
+# k of the proof's conclusion, or None for a formula that a cut or a rule
+# of the reduct consumes.  `_restore` then puts each formula in its place.
+
+
+def _splice(ls, rs, i: int, j: int):
+    """A cut's conclusion: `ls` without position i, then `rs` without j."""
+    return ls[:i] + ls[i + 1 :] + rs[:j] + rs[j + 1 :]
+
+
+def _cut_places(cut: PCut) -> tuple:
+    """The places of the formulas of `cut`'s left and right premises, with
+    None for the cut formula."""
+    ls, rs = len(conclusion(cut.left)), len(conclusion(cut.right))
+    i, j = _resolve(cut.pos_left, ls), _resolve(cut.pos_right, rs)
+    return ([None if k == i else k - (k > i) for k in range(ls)],
+            [None if k == j else ls - 1 + k - (k > j) for k in range(rs)])
+
+
+def _premise_places(node: Proof, places: list) -> Optional[list]:
+    """`node`'s premises, each placed: a formula that `_sources` says
+    conclusion formula x comes from takes `places[x]`, and one the rule
+    consumes takes None.  None for a rule that `_sources` does not cover."""
+    premises = node.premises()
+    rows = [[None] * len(conclusion(q)) for q in premises]
+    sources = _sources(node, [len(row) for row in rows])
+    if sources is None:
+        return None
+    for x, pairs in zip(places, sources):
+        for n, k in pairs:
+            rows[n][k] = x
+    return list(zip(premises, rows))
+
+
+def _cut(formula: Formula, left: tuple, right: tuple, i: int, j: int) -> tuple:
+    """The placed cut of two placed proofs at positions i and j (-1 for
+    the last), which the cut node keeps as given."""
+    (p, lp), (q, rp) = left, right
+    return PCut(formula, p, q, i, j), _splice(lp, rp, _resolve(i, len(lp)), _resolve(j, len(rp)))
+
+
+def _restore(proof: Proof, places: list) -> Proof:
+    """`proof` under the exchange that puts each formula in its place."""
+    return _exchange_to(proof, [places.index(x) for x in range(len(places))])
+
+
+def _contract(proof: Proof, places: list) -> tuple:
+    """Contracts each place that two formulas of the placed `proof` hold
+    (a ?-context the reduct holds twice), in place order: the first and
+    the second occurrence are exchanged to the end and contracted."""
+    for x in sorted({x for x in places if places.count(x) > 1}):
+        first = places.index(x)
+        second = places.index(x, first + 1)
+        order = [y for y in range(len(places)) if y not in (first, second)] + [first, second]
+        proof = PContr(_exchange_to(proof, order))
+        places = [places[y] for y in order[:-1]]
+    return proof, places
+
+
 def reduce_cut(cut: PCut) -> tuple:
     """One standard cut-elimination step at this node: the reduced proof
     and the kind of step performed.  In order: an axiom premise is cut
@@ -569,29 +613,24 @@ def reduce_cut(cut: PCut) -> tuple:
     rule of its left premise, or of its right one, when that rule does
     not introduce the cut formula (`push-left-withr`, `push-right-weak`,
     ...).  Raises NotReducible when none applies."""
-    ls = conclusion(cut.left)
-    rs = conclusion(cut.right)
-    i = _resolve(cut.pos_left, len(ls))
-    j = _resolve(cut.pos_right, len(rs))
     left, right = cut.left, cut.right
+    lp, rp = _cut_places(cut)
+    i, j = lp.index(None), rp.index(None)
 
-    # axiom cuts
+    # an axiom's other formula takes the place of the other premise's cut formula
     if isinstance(left, PAxiom):
-        # leftover formula of the axiom goes to the front of the result
-        order = [j] + [k for k in range(len(rs)) if k != j]
-        return _exchange_to(right, order), "axiom-left"
+        return _restore(right, rp[:j] + [lp[1 - i]] + rp[j + 1 :]), "axiom-left"
     if isinstance(right, PAxiom):
-        order = [k for k in range(len(ls)) if k != i] + [i]
-        return _exchange_to(left, order), "axiom-right"
+        return _restore(left, lp[:i] + [rp[1 - j]] + lp[i + 1 :]), "axiom-right"
 
     for side, premise in enumerate((left, right)):
         if isinstance(premise, PExchange):
             return _commute(cut, side)
 
-    left_principal = i == len(ls) - 1
-    right_principal = j == len(rs) - 1
+    left_principal = i == len(lp) - 1
+    right_principal = j == len(rp) - 1
     if left_principal and right_principal:
-        step = _principal(cut, left, right)
+        step = _principal(cut, lp, rp)
         if step is not None:
             return step
     for side, principal in enumerate((left_principal, right_principal)):
@@ -607,19 +646,35 @@ def reduce_cut(cut: PCut) -> tuple:
 # The number of trailing formulas of each premise that a rule consumes to
 # build its principal formula, which it places last.  The rest of each
 # premise is the conclusion's context, in premise order; a with's two
-# premises share theirs.  A cut commutes with these rules and with an
-# exchange, and with no other.
+# premises share theirs.  A cut commutes with these rules but the
+# promotion, and with an exchange, and with no other.
 _TAIL = {
     PParR: 2, PContr: 2, PTensorR: 1, PWithR: 1, PPlusR1: 1, PPlusR2: 1,
-    PDerel: 1, PForallR: 1, PExistsR: 1, PWeak: 0,
+    PDerel: 1, PProm: 1, PForallR: 1, PExistsR: 1, PWeak: 0,
+}
+
+# Each rule's principal formula, from the rule and the formulas it consumes.
+_PRINCIPAL = {
+    PTensorR: lambda p, tail: FTensor(*tail),
+    PParR: lambda p, tail: FPar(*tail),
+    PWithR: lambda p, tail: FWith(*tail),
+    PPlusR1: lambda p, tail: FPlus(*tail, p.other),
+    PPlusR2: lambda p, tail: FPlus(p.other, *tail),
+    PWeak: lambda p, tail: FQuest(p.formula),
+    PDerel: lambda p, tail: FQuest(*tail),
+    PContr: lambda p, tail: tail[0],
+    PProm: lambda p, tail: FBang(*tail),
+    PForallR: lambda p, tail: FForall(p.var, *tail),
+    PExistsR: lambda p, tail: p.formula,
 }
 
 
 def _sources(p: Proof, lengths: list) -> Optional[list]:
     """Where each formula of `p`'s conclusion comes from, given the
     lengths of its premises' conclusions: a tuple of (premise, position)
-    pairs, or () for the principal formula; None for a rule that no cut
-    commutes with."""
+    pairs, or () for the principal formula; None for the axiom, the cut
+    and a node of no rule.  The checker reads a conclusion off it, and
+    every cut-elimination step places a rule's premises by it."""
     if isinstance(p, PExchange):
         return [((0, k),) for k in p.perm]
     tail = _TAIL.get(type(p))
@@ -630,6 +685,16 @@ def _sources(p: Proof, lengths: list) -> Optional[list]:
     return [((n, k),) for n, size in enumerate(lengths) for k in range(size - tail)] + [()]
 
 
+def _conclude(p: Proof, rows: list, principal) -> Optional[list]:
+    """`p`'s conclusion read off `_sources`, given a row of values for
+    each premise's formulas (the formulas, or their places) and the
+    principal formula's value; None where `_sources` has none."""
+    sources = _sources(p, [len(row) for row in rows])
+    if sources is None:
+        return None
+    return [rows[pairs[0][0]][pairs[0][1]] if pairs else principal for pairs in sources]
+
+
 def _commute(cut: PCut, side: int) -> Optional[tuple]:
     """Commutes `cut` with the last rule of its premise on `side` (0 for
     left), whose conclusion holds the cut formula at a position that is
@@ -637,155 +702,88 @@ def _commute(cut: PCut, side: int) -> Optional[tuple]:
     the rule that holds the formula (both of a with's), each premise cut
     is exchanged to end with the premise's tail, and the rule is applied
     again; an exchange is not, its permutation going into the final one.
-    A last exchange, from the `_sources` of the two rules, restores the
-    order of the cut's conclusion.  None when `_sources` has none."""
+    Each premise is placed by `_premise_places`, and the rule applied
+    again is placed by `_conclude`.  None for a promotion, whose context
+    no cut enters yet, and where `_sources` has none."""
     node = (cut.left, cut.right)[side]
-    lengths = [len(conclusion(q)) for q in node.premises()]
-    sources = _sources(node, lengths)
-    if sources is None:
+    if isinstance(node, PProm):
         return None
-    ends = (conclusion(cut.left), conclusion(cut.right))
-    at = [_resolve(cut.pos_left, len(ends[0])), _resolve(cut.pos_right, len(ends[1]))]
-
-    def place(end: int, k: int) -> int:
-        """The position of `ends[end][k]` in the cut's conclusion."""
-        return k - (k > at[end]) + (len(ends[0]) - 1 if end else 0)
-
-    # each premise formula's place in the cut's conclusion; None for a tail
-    places = [[None] * size for size in lengths]
-    for x, pairs in enumerate(sources):
-        for n, k in pairs:
-            places[n][k] = place(side, x)
-    others = [place(1 - side, k) for k in range(len(ends[1 - side])) if k != at[1 - side]]
-    premises = list(node.premises())
-    for n, k in sources[at[side]]:
-        ours = places[n][:k] + places[n][k + 1 :]
+    ends = list(zip((cut.left, cut.right), _cut_places(cut)))
+    premises = _premise_places(node, ends[side][1])
+    if premises is None:
+        return None
+    at = [places.index(None) for _, places in ends]
+    for n, k in _sources(node, [len(places) for _, places in premises])[at[side]]:
         if side == 0:
-            premise, new = PCut(cut.formula, premises[n], cut.right, k, at[1]), ours + others
+            premise, places = _cut(cut.formula, premises[n], ends[1], k, at[1])
         else:
-            premise, new = PCut(cut.formula, cut.left, premises[n], at[0], k), others + ours
-        order = sorted(range(len(new)), key=lambda y: new[y] is None)  # the tail last
-        premises[n] = _exchange_to(premise, order)
-        places[n] = [new[y] for y in order]
+            premise, places = _cut(cut.formula, ends[0], premises[n], at[0], k)
+        order = sorted(range(len(places)), key=lambda y: places[y] is None)  # the tail last
+        premises[n] = _exchange_to(premise, order), [places[y] for y in order]
 
     name = ("left", "right")[side]
     if isinstance(node, PExchange):
-        out, kind, out_places = premises[0], f"exchange-{name}", places[0]
-    else:
-        out = node.with_premises(tuple(premises))
-        kind = f"push-{name}-{type(node).__name__[1:].lower()}"
-        principal = place(side, len(sources) - 1)
-        out_places = [places[pairs[0][0]][pairs[0][1]] if pairs else principal
-                      for pairs in _sources(out, [len(ps) for ps in places])]
-    return _exchange_to(out, [out_places.index(x) for x in range(len(out_places))]), kind
+        return _restore(*premises[0]), f"exchange-{name}"
+    out = node.with_premises(tuple(premise for premise, _ in premises))
+    places = _conclude(out, [places for _, places in premises], ends[side][1][-1])
+    return _restore(out, places), f"push-{name}-{type(node).__name__[1:].lower()}"
 
 
-def _principal(cut: PCut, left: Proof, right: Proof) -> Optional[Proof]:
-    if isinstance(left, PTensorR) and isinstance(right, PParR):
-        # C = A (x) B against A' par B'
-        p1, p2, p3 = left.left, left.right, right.premise
-        s1, s2, s3 = conclusion(p1), conclusion(p2), conclusion(p3)
-        a, b = s1[-1], s2[-1]
-        g1, g2, d = len(s1) - 1, len(s2) - 1, len(s3) - 2
-        inner = PCut(a, p1, p3, len(s1) - 1, len(s3) - 2)
-        outer = PCut(b, p2, inner, len(s2) - 1, -1)
-        order = list(range(g2, g2 + g1)) + list(range(g2)) + list(range(g1 + g2, g1 + g2 + d))
-        return _exchange_to(outer, order), "tensor-par"
+def _principal(cut: PCut, lp: list, rp: list) -> Optional[tuple]:
+    """The principal step of `cut`, whose premises both introduce the cut
+    formula and are placed by `lp` and `rp`, or None for none."""
+    left, right = cut.left, cut.right
+    f = cut.formula
+    rules = (type(left), type(right))
+    ls, rs = _premise_places(left, lp), _premise_places(right, rp)
 
-    if isinstance(left, PParR) and isinstance(right, PTensorR):
-        p1, p2, p3 = left.premise, right.left, right.right
-        s1, s2, s3 = conclusion(p1), conclusion(p2), conclusion(p3)
-        a, b = s1[-2], s1[-1]
-        g, d1, d2 = len(s1) - 2, len(s2) - 1, len(s3) - 1
-        c1 = PCut(b, p1, p3, len(s1) - 1, len(s3) - 1)
-        c2 = PCut(a, c1, p2, g, len(s2) - 1)
-        # c2 concludes Γ ++ Δ2 ++ Δ1; target is Γ ++ Δ1 ++ Δ2
-        order = list(range(g)) + list(range(g + d2, g + d2 + d1)) + list(range(g, g + d2))
-        return _exchange_to(c2, order), "par-tensor"
+    if rules == (PTensorR, PParR):
+        (p1, p2), (p3,) = ls, rs
+        inner = _cut(f.left, p1, p3, len(p1[1]) - 1, len(p3[1]) - 2)
+        return _restore(*_cut(f.right, p2, inner, len(p2[1]) - 1, -1)), "tensor-par"
+    if rules == (PParR, PTensorR):
+        (p1,), (p2, p3) = ls, rs
+        inner = _cut(f.right, p1, p3, len(p1[1]) - 1, len(p3[1]) - 1)
+        return _restore(*_cut(f.left, inner, p2, len(p1[1]) - 2, len(p2[1]) - 1)), "par-tensor"
 
-    if isinstance(left, PWithR) and isinstance(right, PPlusR1):
-        return PCut(conclusion(left.left)[-1], left.left, right.premise, -1, -1), "with-plus1"
-    if isinstance(left, PWithR) and isinstance(right, PPlusR2):
-        return PCut(conclusion(left.right)[-1], left.right, right.premise, -1, -1), "with-plus2"
-    if isinstance(left, PPlusR1) and isinstance(right, PWithR):
-        return PCut(conclusion(left.premise)[-1], left.premise, right.left, -1, -1), "plus1-with"
-    if isinstance(left, PPlusR2) and isinstance(right, PWithR):
-        return PCut(conclusion(left.premise)[-1], left.premise, right.right, -1, -1), "plus2-with"
+    if rules == (PWithR, PPlusR1):
+        return _restore(*_cut(f.left, ls[0], rs[0], -1, -1)), "with-plus1"
+    if rules == (PWithR, PPlusR2):
+        return _restore(*_cut(f.right, ls[1], rs[0], -1, -1)), "with-plus2"
+    if rules == (PPlusR1, PWithR):
+        return _restore(*_cut(f.left, ls[0], rs[0], -1, -1)), "plus1-with"
+    if rules == (PPlusR2, PWithR):
+        return _restore(*_cut(f.right, ls[0], rs[1], -1, -1)), "plus2-with"
 
-    if isinstance(left, PProm) and isinstance(right, PWeak):
-        context = conclusion(left.premise)[:-1]  # all ?-formulas
-        out = right.premise
-        for qf in context:
-            out = PWeak(qf.body, out)
-        d = len(conclusion(right.premise))
-        m = len(context)
-        order = list(range(d, d + m)) + list(range(d))
-        return _exchange_to(out, order), "prom-weak"
-    if isinstance(left, PWeak) and isinstance(right, PProm):
-        context = conclusion(right.premise)[:-1]
-        out = left.premise
-        for qf in context:
-            out = PWeak(qf.body, out)
-        return out, "weak-prom"
-    if isinstance(left, PProm) and isinstance(right, PDerel):
-        a = conclusion(left.premise)[-1]
-        return PCut(a, left.premise, right.premise, -1, -1), "prom-derel"
-    if isinstance(left, PDerel) and isinstance(right, PProm):
-        a = conclusion(left.premise)[-1]
-        return PCut(a, left.premise, right.premise, -1, -1), "derel-prom"
-    if isinstance(left, PProm) and isinstance(right, PContr):
-        m = len(conclusion(left.premise)) - 1
-        c1 = PCut(cut.formula, left, right.premise, -1, -1)
-        c2 = PCut(cut.formula, left, c1, -1, -1)
-        d = len(conclusion(right.premise)) - 2
-        return _contract_pairs(c2, m, d, context_first=True), "prom-contr"
-    if isinstance(left, PContr) and isinstance(right, PProm):
-        m = len(conclusion(right.premise)) - 1
-        g = len(conclusion(left.premise)) - 2
-        c1 = PCut(cut.formula, left.premise, right, -1, -1)
-        c2 = PCut(cut.formula, c1, right, g, -1)
-        return _contract_pairs(c2, m, g, context_first=False), "contr-prom"
+    if rules in ((PProm, PWeak), (PWeak, PProm)):
+        # the weakening's premise, weakened by each formula of the box's context
+        (box, box_places), (out, places) = (ls[0], rs[0]) if rules[0] is PProm else (rs[0], ls[0])
+        for qf, x in zip(conclusion(box)[:-1], box_places):
+            out, places = PWeak(qf.body, out), places + [x]
+        return _restore(out, places), "prom-weak" if rules[0] is PProm else "weak-prom"
+    if rules == (PProm, PDerel):
+        return _restore(*_cut(f.body, ls[0], rs[0], -1, -1)), "prom-derel"
+    if rules == (PDerel, PProm):
+        return _restore(*_cut(f.body, ls[0], rs[0], -1, -1)), "derel-prom"
+    if rules == (PProm, PContr):
+        inner = _cut(f, (left, lp), rs[0], -1, -1)
+        return _restore(*_contract(*_cut(f, (left, lp), inner, -1, -1))), "prom-contr"
+    if rules == (PContr, PProm):
+        inner = _cut(f, ls[0], (right, rp), -1, -1)
+        return _restore(*_contract(*_cut(f, inner, (right, rp), len(ls[0][1]) - 2, -1))), "contr-prom"
 
-    if isinstance(left, PForallR) and isinstance(right, PExistsR):
-        v = right.value
-        body = conclusion(left.premise)[-1]
-        inst = subst_value_formula(body, left.var, v)
-        return PCut(inst, subst_value_proof(left.premise, left.var, v), right.premise, -1, -1), "forall-exists"
-    if isinstance(left, PExistsR) and isinstance(right, PForallR):
-        v = left.value
-        inst = conclusion(left.premise)[-1]
-        return PCut(inst, left.premise, subst_value_proof(right.premise, right.var, v), -1, -1), "exists-forall"
+    if rules == (PForallR, PExistsR):
+        (premise, places), v = ls[0], right.value
+        inst = subst_value_formula(f.body, left.var, v)
+        step = _cut(inst, (subst_value_proof(premise, left.var, v), places), rs[0], -1, -1)
+        return _restore(*step), "forall-exists"
+    if rules == (PExistsR, PForallR):
+        (premise, places), v = rs[0], left.value
+        inst = subst_value_formula(f.body, f.var, v)
+        step = _cut(inst, ls[0], (subst_value_proof(premise, right.var, v), places), -1, -1)
+        return _restore(*step), "exists-forall"
 
     return None
-
-
-def _contract_pairs(proof: Proof, m: int, rest: int, context_first: bool) -> Proof:
-    """proof concludes two adjacent copies of an m-formula ?-context
-    followed (context_first) or preceded by `rest` other formulas;
-    contracts the copies pairwise and restores the context position."""
-    if context_first:
-        slots = [("a", k) for k in range(m)] + [("b", k) for k in range(m)] + [
-            ("d", k) for k in range(rest)
-        ]
-    else:
-        slots = [("d", k) for k in range(rest)] + [("a", k) for k in range(m)] + [
-            ("b", k) for k in range(m)
-        ]
-    out = proof
-    for k in range(m):
-        p1 = slots.index(("a", k))
-        p2 = slots.index(("b", k))
-        order = [x for x in range(len(slots)) if x not in (p1, p2)] + [p1, p2]
-        out = _exchange_to(out, order)
-        slots = [slots[x] for x in order]
-        out = PContr(out)
-        slots = slots[:-2] + [("a", k)]
-    # now: d's in order followed by contracted context
-    if context_first:
-        order = list(range(rest, rest + m)) + list(range(rest))
-    else:
-        order = list(range(len(slots)))
-    return _exchange_to(out, order)
 
 
 # ---------------------------------------------------------------------------

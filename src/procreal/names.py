@@ -317,9 +317,12 @@ class Coding(Renaming):
 
 # The codings, built by name; each describes as the parser reads it.
 def KwayCode(port: int, ways: int) -> Coding:
-    """Total injection onto the port-th residue class mod ways: n -> ways*n + port-1."""
+    """Total injection onto the port-th residue class mod ways: n -> ways*n + port-1,
+    so one way is `IDENT`."""
     if not (1 <= port <= ways):
         raise ValueError("port out of range")
+    if ways == 1:
+        return IDENT
     spelling = ("lcode", "rcode")[port - 1] if ways == 2 else f"n{port}of{ways}"
     return Coding(((ways, port - 1),), spelling, f"inv({spelling})")
 

@@ -165,6 +165,44 @@ def test_code_arithmetic_is_written_only_in_the_codings():
     assert not found
 
 
+def _dict_keys(tree, name: str) -> list:
+    """The keys, as written, of the dict literal assigned to `name` at
+    the top of `tree`."""
+    (found,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+    ]
+    return [key.id for key in found.keys]
+
+
+def test_each_rule_shape_is_written_once():
+    # a rule's shape is its `_TAIL` entry and its `_PRINCIPAL` entry,
+    # which the checker and every cut-elimination step read; the axiom,
+    # the cut and the exchange have their own shapes
+    tree = ast.parse((Path(procreal.__file__).parent / "logic.py").read_text())
+    rules = sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Proof" for b in node.bases)
+    )
+    assert len(rules) == 14 and sorted(_dict_keys(tree, "RULE_NAMES")) == rules
+    shaped = [r for r in rules if r not in ("PAxiom", "PCut", "PExchange")]
+    assert sorted(_dict_keys(tree, "_TAIL")) == sorted(_dict_keys(tree, "_PRINCIPAL")) == shaped
+
+
+def test_no_step_writes_a_permutation_by_hand():
+    # a reduct's formulas reach their places through `_restore`; only the
+    # tail-last order of a commuted premise and a contraction's order
+    # exchange otherwise
+    callers = [
+        outer.name
+        for path in SOURCES for outer in ast.parse(path.read_text()).body
+        if isinstance(outer, ast.FunctionDef)
+        for node in ast.walk(outer)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_exchange_to"
+    ]
+    assert sorted(callers) == ["_commute", "_contract", "_restore"]
+
+
 def _nested_functions(fn) -> list:
     """The functions defined in `fn`'s own body, not inside a function or
     class nested in it."""

@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from procreal.logic import (
     FWith,
     FormulaParseError,
     RULE_NAMES,
+    CheckResult,
     PAxiom,
     PContr,
     PCut,
@@ -27,9 +28,12 @@ from procreal.logic import (
     PExistsR,
     PForallR,
     PParR,
+    PPlusR1,
+    PPlusR2,
     PProm,
     PTensorR,
     PWeak,
+    PWithR,
     Proof,
     _check_rule,
     check_proof,
@@ -164,6 +168,70 @@ def test_nested_invalid_proof_reports_its_path():
     assert check_proof(fresh.right).path == (0,)
     assert check_proof(fresh) == res
     assert check_proof(PForallR("x", fresh)).path == (0, 1, 0)
+
+
+def _concluding(*formulas) -> Proof:
+    """An axiom whose kept check says it concludes `formulas`: no proof
+    concludes the empty sequent, so only this reaches the checks that
+    refuse one."""
+    stub = PAxiom(A)
+    stub.__dict__["_checked"] = CheckResult(formulas)
+    return stub
+
+
+@dataclass(frozen=True)
+class _PLemma(Proof):
+    premise: Proof
+
+
+_PX = FAtom("p", True, ("x",))
+# a node of each rule refused by each check of the rule's side condition,
+# with its error; a node with two faults is refused by the check made first
+CHECK_ERRORS = [
+    (PCut(B, PAxiom(A), PAxiom(A)), "cut formula b not at position 1 of |- ~a, a"),
+    (PCut(A, PAxiom(A), PAxiom(A), 5, 7), "cut formula a not at position 5 of |- ~a, a"),
+    (PCut(A, PAxiom(A), PAxiom(A)), "dual cut formula not at position 1 of |- ~a, a"),
+    (PCut(A, PAxiom(A), PAxiom(negate(A)), -1, 2), "dual cut formula not at position 2 of |- a, ~a"),
+    (PCut(A, _concluding(A), _concluding(negate(A))), "cut would produce an empty sequent"),
+    (PTensorR(_concluding(), PAxiom(A)), "tensor premises must be nonempty"),
+    (PTensorR(PAxiom(A), _concluding()), "tensor premises must be nonempty"),
+    (PParR(PParR(PAxiom(A))), "par needs two formulas to merge"),
+    (PWithR(_concluding(), PAxiom(B)), "with premises must be nonempty"),
+    (PWithR(PAxiom(A), PAxiom(B)), "with premises must share their context"),
+    (PPlusR1(_concluding(), B), "plus premise must be nonempty"),
+    (PPlusR2(_concluding(), B), "plus premise must be nonempty"),
+    (PExchange((0, 0), PAxiom(B)), NESTED_ERROR),
+    (PExchange((0,), PAxiom(B)), "invalid permutation (0,) for |- ~b, b"),
+    (PDerel(_concluding()), "dereliction premise must be nonempty"),
+    (PContr(PParR(PAxiom(A))), "contraction needs two equal final formulas"),
+    (PContr(PWeak(A, PAxiom(A))), "contraction needs two equal final formulas"),
+    (PContr(PExchange((2, 0, 1), PTensorR(PAxiom(A), PAxiom(A)))),
+     "contraction applies to ?-formulas only"),
+    (PProm(_concluding()), "promotion premise must be nonempty"),
+    (PProm(PAxiom(A)), "promotion context must consist of ?-formulas"),
+    (PForallR("x", _concluding()), "forall premise must be nonempty"),
+    (PForallR("x", PAxiom(_PX)), "value variable x free in the context"),
+    (PExistsR(0, A, _concluding()), "exists rule must carry an existential formula"),
+    (PExistsR(0, FExists("x", A), _concluding()), "exists premise must be nonempty"),
+    (PExistsR(0, FExists("x", _PX), PAxiom(A)), "premise ends with a, expected p(0)"),
+    (_PLemma(PAxiom(A)), "unknown proof node _PLemma(premise=PAxiom(formula=FAtom(ident='a', pos=True, args=())))"),
+]
+
+
+@pytest.mark.parametrize("bad, error", CHECK_ERRORS)
+def test_each_check_refuses_with_its_own_error(bad, error):
+    assert check_proof(bad) == CheckResult(None, error, ())
+    # a failing premise's error keeps its text, under its path
+    assert check_proof(PWeak(A, PTensorR(PAxiom(A), bad))) == CheckResult(None, error, (0, 1))
+    with pytest.raises(ValueError) as caught:
+        conclusion(PParR(PTensorR(bad, PAxiom(A))))
+    assert str(caught.value) == f"invalid proof at (0, 0): {error}"
+
+
+def test_a_node_that_is_no_proof_is_refused_under_its_path():
+    assert check_proof("lemma") == CheckResult(None, "unknown proof node 'lemma'", ())
+    assert check_proof(PWeak(A, PTensorR(PAxiom(A), "lemma"))) == CheckResult(
+        None, "unknown proof node 'lemma'", (0, 1))
 
 
 def _count_rule_checks(monkeypatch) -> list:
@@ -410,11 +478,30 @@ _OVER_CONTEXT = {
 }
 
 
+def _promotable(x):
+    """|- ?~x, x"""
+    return PExchange((1, 0), PDerel(PExchange((1, 0), PAxiom(x))))
+
+
+# |- ?~a, ?~b, !(a*!b): a promotion over a two-formula ?-context, against
+# a weakening or a contraction of its cut formula's dual over |- ~d, d
+_BOX = PProm(PTensorR(_promotable(A), PProm(_promotable(B))))
+_BOXED = FBang(FTensor(A, FBang(B)))
+_WEAK = PWeak(negate(_BOXED.body), PAxiom(FAtom("d")))
+_AGAINST_BOX = {
+    "prom-contr": PCut(_BOXED, _BOX, PContr(PWeak(negate(_BOXED.body), _WEAK))),
+    "contr-prom": PCut(negate(_BOXED), PContr(PWeak(negate(_BOXED.body), _WEAK)), _BOX),
+    "prom-weak": PCut(_BOXED, _BOX, _WEAK),
+    "weak-prom": PCut(negate(_BOXED), _WEAK, _BOX),
+}
+
+
 def eta_cuts() -> list:
     """(name, cut) of each cut whose trail `tests/golden/eta_trails.txt`
     pins: the cut of each expanded identity against itself, named by its
     formula, then a cut on the first formula of each proof of
-    `_OVER_CONTEXT`, named by the push its first step takes."""
+    `_OVER_CONTEXT`, named by the push its first step takes, then the
+    cuts of `_AGAINST_BOX`, named by their first step."""
     cuts = []
     for f in eta_formulas():
         eta = eta_proof(f)
@@ -422,7 +509,7 @@ def eta_cuts() -> list:
     for rule, proof in _OVER_CONTEXT.items():
         cuts.append((f"push-left-{rule}", PCut(FTensor(A, negate(A)), proof, _DUAL, 0, -1)))
         cuts.append((f"push-right-{rule}", PCut(FPar(negate(A), A), _DUAL, proof, -1, 0)))
-    return cuts
+    return cuts + list(_AGAINST_BOX.items())
 
 
 def test_eta_proof_proves_the_expanded_identity():

@@ -1,6 +1,7 @@
 """`classify` and `total` against the independent oracle of the typed
 layer (`oracle_types`), on the atom and unit types, their duals, and the
-tensors and withs of pairs of them.  Each question is asked cold, after
+tensors and withs of pairs of them; `perp` against the oracle's
+divergence, on every pair of small terms.  Each question is asked cold, after
 `_MEMO.clear()` on a freshly built type, and then warm, on the same type,
 so a kept answer is checked as well as a fresh one.  A question the
 oracle cannot finish is skipped and counted."""
@@ -8,14 +9,16 @@ oracle cannot finish is skipped and counted."""
 import random
 from itertools import product
 
-from oracle_types import Undecided, classify as oracle_classify, total as oracle_total
+from oracle_types import Undecided, classify as oracle_classify, diverges, total as oracle_total
 
+from procreal.equivalence import perp
 from procreal.exercises import atom_type
-from procreal.generators import random_term
+from procreal.generators import enumerate_terms, random_term
+from procreal.names import ALL_LABELS, REGISTRY
 from procreal.parsing import parse_term
 from procreal.semantics import _MEMO, ExplorationBudget
 from procreal.semtypes import RepPER, SemType, classify, tensor_type, total, unit_type, with_type
-from procreal.terms import NIL, TAU, Prefix, Sum, print_term
+from procreal.terms import NIL, TAU, Par, Prefix, Restrict, Sum, print_term
 
 BUD = ExplorationBudget(max_states=2000)
 # Random terms classified per type, over its interface names.
@@ -104,3 +107,24 @@ def test_total_agrees_with_the_oracle_cold_and_warm():
         verdicts.append(cold.verdict)
     # pinned, so that a skip cannot grow unseen
     assert (verdicts.count("yes"), verdicts.count("no"), skipped) == (80, 4, 0)
+
+
+def test_perp_agrees_with_the_oracle_cold_and_warm():
+    # every ordered pair of the 142 terms up to size 3 over a and b
+    terms = list(enumerate_terms((REGISTRY.intern("a"), REGISTRY.intern("b")), 3))
+    verdicts = []
+    skipped = 0
+    for p in terms:
+        for q in terms:
+            _MEMO.clear()
+            cold = perp(p, q)
+            assert perp(p, q) == cold, (print_term(p), print_term(q))
+            try:
+                expected = "no" if diverges(Restrict(Par(p, q), ALL_LABELS)) else "yes"
+            except Undecided:
+                skipped += 1
+                continue
+            assert cold.verdict == expected, (print_term(p), print_term(q))
+            verdicts.append(cold.verdict)
+    # pinned, so that a skip cannot grow unseen
+    assert (len(terms), verdicts.count("yes"), verdicts.count("no"), skipped) == (142, 19877, 287, 0)
