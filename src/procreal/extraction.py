@@ -7,6 +7,11 @@ mediate between the k-way layout and the binary l/r split that the
 process combinators use, so Cut is composition with focus renamings and
 the multiplicative rules are pure relabellings.
 
+Each premise's layout is read off the rule's shape in `logic`
+(`_sources`, `_TAIL`; see `_layouts`), so no rule's shape is written
+here a second time.  Only the cut's packing into `seq`'s binary layout,
+and back, is written by hand, besides the promotion's two port splits.
+
 Axioms are realized by structural wires: an identity wire over the
 atom's alphabet, with compound wires assembled from component wires by
 through-codings (tensor/par), choice-relaying sums (with/plus,
@@ -26,6 +31,7 @@ from .names import (
     Compose,
     DELTA,
     GAMMA,
+    IDENT,
     KwayCode,
     KwayDecode,
     LCODE,
@@ -58,10 +64,8 @@ from .logic import (
     PContr,
     PCut,
     PDerel,
-    PExchange,
     PExistsR,
     PForallR,
-    PParR,
     PPlusR1,
     PPlusR2,
     PProm,
@@ -69,7 +73,9 @@ from .logic import (
     PWeak,
     PWithR,
     Proof,
+    _TAIL,
     _resolve,
+    _sources,
     check_proof,
     conclusion,
     negate,
@@ -101,10 +107,12 @@ def port_action(i: int, k: int, labels) -> frozenset:
     return frozenset(map(KwayCode(i, k).apply_label, labels))
 
 
-def relayout(pieces: list) -> Renaming:
+@lru_cache(maxsize=1024)
+def relayout(pieces: tuple) -> Renaming:
     """pieces: (src_port, src_ways, inner: Optional[Renaming], dst_port, dst_ways).
     Each piece routes one source region into a destination region,
-    optionally transforming the port content with `inner` in between."""
+    optionally transforming the port content with `inner` in between.
+    Kept per layout (`lru_cache`), so a layout met again builds nothing."""
     parts = []
     for src, src_k, inner, dst, dst_k in pieces:
         r: Renaming = KwayDecode(src, src_k)
@@ -206,29 +214,43 @@ _SIGNALS = {
     PPlusR1: lambda p: ALPHA,
     PPlusR2: lambda p: BETA,
     PDerel: lambda p: DELTA,
+    PContr: lambda p: GAMMA,
     PExistsR: lambda p: value_name(SIGMA, p.value),
 }
 
 
-@lru_cache(maxsize=64)
-def _merge_last_two(kp: int) -> Renaming:
-    """A kp-way layout onto kp - 1 ports: the last two ports become the
-    l and r halves of the new last one."""
-    k = kp - 1
-    pieces = [(m, kp, None, m, k) for m in range(1, k)]
-    pieces.append((k, kp, LCODE, k, k))
-    pieces.append((kp, kp, RCODE, k, k))
-    return relayout(pieces)
+def _layouts(p: Proof, k: int) -> list:
+    """Each premise's port layout onto `p`'s k ports, read off `_sources`:
+    a context formula goes to the port of the conclusion formula it
+    becomes, and the formulas the rule consumes (`_TAIL`) go to the
+    principal port k, coded into its l and r halves when one process
+    consumes two of them (a tensor's, a par's, a contraction's; a with's
+    premises are alternatives).  A layout that keeps every port in place
+    is `IDENT`."""
+    lengths = [len(conclusion(q)) for q in p.premises()]
+    pieces = [[] for _ in lengths]
+    for x, pairs in enumerate(_sources(p, lengths)):
+        for n, m in pairs:
+            pieces[n].append((m + 1, lengths[n], None, x + 1, k))
+    tail = _TAIL.get(type(p), 0)
+    consumed = [(n, m) for n, size in enumerate(lengths) for m in range(size - tail, size)]
+    codes = (LCODE, RCODE) if len(consumed) == 2 and not isinstance(p, PWithR) else (None, None)
+    for (n, m), code in zip(consumed, codes):
+        pieces[n].append((m + 1, lengths[n], code, k, k))
+    return [
+        IDENT if all(src == dst and src_k == k and inner is None for src, src_k, inner, dst, _ in row)
+        else relayout(tuple(row))
+        for row in pieces
+    ]
 
 
-@lru_cache(maxsize=256)
 def _cut_layout(k: int, c: int, half: int) -> Renaming:
     """A cut premise's k-way layout onto the binary one: its cut port `c`
     to `half`, the other ports, in order, (k-1)-way into the other half."""
-    return relayout([
+    return relayout(tuple(
         (m, k, None, half, 2) if m == c else (m, k, KwayCode(m - (m > c), k - 1), 3 - half, 2)
         for m in range(1, k + 1)
-    ])
+    ))
 
 
 def _extract(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
@@ -256,78 +278,12 @@ def _realize(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
         k = g + d
         pieces_out = [(1, 2, KwayDecode(m, g), m, k) for m in range(1, g + 1)]
         pieces_out += [(2, 2, KwayDecode(m, d), g + m, k) for m in range(1, d + 1)]
-        return rename(composed, relayout(pieces_out))
+        return rename(composed, relayout(tuple(pieces_out)))
 
-    if isinstance(p, PTensorR):
-        k1, k2 = len(conclusion(p.left)), len(conclusion(p.right))
-        k = k1 + k2 - 1
-        tl = _extract(p.left, env, values, key)
-        tr = _extract(p.right, env, values, key)
-        pieces_l = [(m, k1, None, m, k) for m in range(1, k1)]
-        pieces_l.append((k1, k1, LCODE, k, k))
-        pieces_r = [(m, k2, None, k1 - 1 + m, k) for m in range(1, k2)]
-        pieces_r.append((k2, k2, RCODE, k, k))
-        return Par(rename(tl, relayout(pieces_l)), rename(tr, relayout(pieces_r)))
-
-    if isinstance(p, PParR):
-        kp = len(conclusion(p.premise))
-        return rename(_extract(p.premise, env, values, key), _merge_last_two(kp))
-
-    if isinstance(p, PWithR):
-        k = len(conclusion(p.left))
-        tl = _extract(p.left, env, values, key)
-        tr = _extract(p.right, env, values, key)
-        ga = port_action(k, k, [positive(ALPHA)])
-        gb = port_action(k, k, [positive(BETA)])
-        return Sum(((ga, tl), (gb, tr)))
-
-    signal = _SIGNALS.get(type(p))
-    if signal is not None:
-        k = len(conclusion(p.premise))
-        guard = port_action(k, k, [negative(signal(p))])
-        return Prefix(guard, _extract(p.premise, env, values, key))
-
-    if isinstance(p, PExchange):
-        k = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values, key)
-        pieces = [(p.perm[m] + 1, k, None, m + 1, k) for m in range(k)]
-        return rename(tp, relayout(pieces))
-
-    if isinstance(p, PWeak):
-        kp = len(conclusion(p.premise))
-        k = kp + 1
-        tp = _extract(p.premise, env, values, key)
-        pieces = [(m, kp, None, m, k) for m in range(1, kp + 1)]
-        unit = Prefix(port_action(k, k, [positive(OMEGA)]), NIL)
-        return Par(rename(tp, relayout(pieces)), unit)
-
-    if isinstance(p, PContr):
-        kp = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values, key)
-        guard = port_action(kp - 1, kp - 1, [negative(GAMMA)])
-        return Prefix(guard, rename(tp, _merge_last_two(kp)))
-
-    if isinstance(p, PProm):
-        k = len(conclusion(p.premise))
-        tp = _extract(p.premise, env, values, key)
-        var = "X"
-        theta1 = relayout([(m, k, LCODE, m, k) for m in range(1, k + 1)])
-        theta2 = relayout([(m, k, RCODE, m, k) for m in range(1, k + 1)])
-        split = Par(rename(Var(var), theta1), rename(Var(var), theta2))
-        gamma_guard = port_action(k, k, [positive(GAMMA)])
-        for m in range(1, k):
-            gamma_guard |= port_action(m, k, [negative(GAMMA)])
-        branches = (
-            (port_action(k, k, [positive(OMEGA)]), NIL),
-            (port_action(k, k, [positive(DELTA)]), tp),
-            (gamma_guard, split),
-        )
-        return Rec(var, Sum(branches))
-
+    k = len(conclusion(p))
     if isinstance(p, PForallR):
         if not values:
             raise ExtractionError("quantifier extraction needs a declared value domain")
-        k = len(conclusion(p.premise))
         branches = []
         for v in values:
             inst = subst_value_proof(p.premise, p.var, v)
@@ -336,7 +292,35 @@ def _realize(p: Proof, env: AtomEnv, values: tuple, key: tuple) -> Term:
             branches.append((guard, extract(inst, env, values)))
         return choice(tuple(branches))
 
-    raise ExtractionError(f"unsupported proof node {type(p).__name__}")
+    premises = [
+        rename(_extract(q, env, values, key), layout) for q, layout in zip(p.premises(), _layouts(p, k))
+    ]
+    signal = _SIGNALS.get(type(p))
+    if signal is not None:
+        return Prefix(port_action(k, k, [negative(signal(p))]), premises[0])
+    if isinstance(p, PTensorR):
+        return Par(*premises)
+    if isinstance(p, PWithR):
+        ga = port_action(k, k, [positive(ALPHA)])
+        gb = port_action(k, k, [positive(BETA)])
+        return Sum(((ga, premises[0]), (gb, premises[1])))
+    if isinstance(p, PWeak):
+        return Par(premises[0], Prefix(port_action(k, k, [positive(OMEGA)]), NIL))
+    if isinstance(p, PProm):
+        var = "X"
+        theta1 = relayout(tuple((m, k, LCODE, m, k) for m in range(1, k + 1)))
+        theta2 = relayout(tuple((m, k, RCODE, m, k) for m in range(1, k + 1)))
+        split = Par(rename(Var(var), theta1), rename(Var(var), theta2))
+        gamma_guard = port_action(k, k, [positive(GAMMA)])
+        for m in range(1, k):
+            gamma_guard |= port_action(m, k, [negative(GAMMA)])
+        branches = (
+            (port_action(k, k, [positive(OMEGA)]), NIL),
+            (port_action(k, k, [positive(DELTA)]), premises[0]),
+            (gamma_guard, split),
+        )
+        return Rec(var, Sum(branches))
+    return premises[0]  # a par or an exchange: the renamed premise
 
 
 # ---------------------------------------------------------------------------

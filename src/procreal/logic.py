@@ -440,7 +440,10 @@ def _check_rule(p: Proof, seqs: list) -> CheckResult:
     """The side condition of `p`'s rule over its premises' conclusions
     `seqs`, and the conclusion it gives, or the error.  A rule other than
     the axiom and the cut concludes what `_sources` says, with the
-    principal formula `_PRINCIPAL` builds from the formulas it consumes."""
+    principal formula `_PRINCIPAL` builds from the formulas it consumes.
+    No premise concludes the empty sequent: the axiom concludes two
+    formulas, every other rule adds its principal one, and the cut
+    refuses to make one."""
     s = seqs[0] if seqs else ()
 
     if isinstance(p, PAxiom):
@@ -458,41 +461,24 @@ def _check_rule(p: Proof, seqs: list) -> CheckResult:
         if not conclusion:
             return CheckResult(None, "cut would produce an empty sequent")
         return CheckResult(conclusion)
-    if isinstance(p, PTensorR) and not all(seqs):
-        return CheckResult(None, "tensor premises must be nonempty")
     if isinstance(p, PParR) and len(s) < 2:
         return CheckResult(None, "par needs two formulas to merge")
-    if isinstance(p, PWithR):
-        if not all(seqs):
-            return CheckResult(None, "with premises must be nonempty")
-        if seqs[0][:-1] != seqs[1][:-1]:
-            return CheckResult(None, "with premises must share their context")
-    if isinstance(p, (PPlusR1, PPlusR2)) and not s:
-        return CheckResult(None, "plus premise must be nonempty")
+    if isinstance(p, PWithR) and seqs[0][:-1] != seqs[1][:-1]:
+        return CheckResult(None, "with premises must share their context")
     if isinstance(p, PExchange) and sorted(p.perm) != list(range(len(s))):
         return CheckResult(None, f"invalid permutation {p.perm} for {print_sequent(s)}")
-    if isinstance(p, PDerel) and not s:
-        return CheckResult(None, "dereliction premise must be nonempty")
     if isinstance(p, PContr):
         if len(s) < 2 or s[-1] != s[-2]:
             return CheckResult(None, "contraction needs two equal final formulas")
         if not isinstance(s[-1], FQuest):
             return CheckResult(None, "contraction applies to ?-formulas only")
-    if isinstance(p, PProm):
-        if not s:
-            return CheckResult(None, "promotion premise must be nonempty")
-        if not all(isinstance(f, FQuest) for f in s[:-1]):
-            return CheckResult(None, "promotion context must consist of ?-formulas")
-    if isinstance(p, PForallR):
-        if not s:
-            return CheckResult(None, "forall premise must be nonempty")
-        if any(p.var in free_value_vars_formula(f) for f in s[:-1]):
-            return CheckResult(None, f"value variable {p.var} free in the context")
+    if isinstance(p, PProm) and not all(isinstance(f, FQuest) for f in s[:-1]):
+        return CheckResult(None, "promotion context must consist of ?-formulas")
+    if isinstance(p, PForallR) and any(p.var in free_value_vars_formula(f) for f in s[:-1]):
+        return CheckResult(None, f"value variable {p.var} free in the context")
     if isinstance(p, PExistsR):
         if not isinstance(p.formula, FExists):
             return CheckResult(None, "exists rule must carry an existential formula")
-        if not s:
-            return CheckResult(None, "exists premise must be nonempty")
         expected = subst_value_formula(p.formula.body, p.formula.var, p.value)
         if s[-1] != expected:
             return CheckResult(None, f"premise ends with {print_formula(s[-1])}, expected "

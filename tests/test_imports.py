@@ -12,6 +12,8 @@ import pytest
 from conftest import subprocess_env
 
 import procreal
+from procreal.corpus import corpus_proofs
+from procreal.logic import _TAIL, PExchange, cut_eliminate
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(procreal.__path__))
 
@@ -187,6 +189,29 @@ def test_each_rule_shape_is_written_once():
     assert len(rules) == 14 and sorted(_dict_keys(tree, "RULE_NAMES")) == rules
     shaped = [r for r in rules if r not in ("PAxiom", "PCut", "PExchange")]
     assert sorted(_dict_keys(tree, "_TAIL")) == sorted(_dict_keys(tree, "_PRINCIPAL")) == shaped
+
+
+def test_each_realizer_layout_is_read_off_the_rule_shape():
+    # a premise's port layout is derived from `_sources` and `_TAIL` in
+    # `_layouts`; only the cut's packing into `seq`'s binary layout and its
+    # unpacking, and the promotion's two port splits, are written by hand
+    tree = ast.parse((Path(procreal.__file__).parent / "extraction.py").read_text())
+    calls = {
+        outer.name: sum(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "relayout"
+            for node in ast.walk(outer)
+        )
+        for outer in tree.body if isinstance(outer, ast.FunctionDef)
+    }
+    assert {name: n for name, n in calls.items() if n} == {"_layouts": 1, "_cut_layout": 1, "_realize": 3}
+    # every derived layout is printed by the corpus_realizers golden
+    met = set()
+    todo = [p for e in corpus_proofs().values() for p in cut_eliminate(e["proof"], keep_trail=True).trail]
+    while todo:
+        node = todo.pop()
+        met.add(type(node))
+        todo.extend(node.premises())
+    assert {*_TAIL, PExchange} <= met
 
 
 def test_no_step_writes_a_permutation_by_hand():

@@ -28,8 +28,6 @@ from procreal.logic import (
     PExistsR,
     PForallR,
     PParR,
-    PPlusR1,
-    PPlusR2,
     PProm,
     PTensorR,
     PWeak,
@@ -172,8 +170,8 @@ def test_nested_invalid_proof_reports_its_path():
 
 def _concluding(*formulas) -> Proof:
     """An axiom whose kept check says it concludes `formulas`: no proof
-    concludes the empty sequent, so only this reaches the checks that
-    refuse one."""
+    concludes the empty sequent, so only this reaches the cut's check that
+    refuses to make one."""
     stub = PAxiom(A)
     stub.__dict__["_checked"] = CheckResult(formulas)
     return stub
@@ -186,39 +184,34 @@ class _PLemma(Proof):
 
 _PX = FAtom("p", True, ("x",))
 # a node of each rule refused by each check of the rule's side condition,
-# with its error; a node with two faults is refused by the check made first
-CHECK_ERRORS = [
-    (PCut(B, PAxiom(A), PAxiom(A)), "cut formula b not at position 1 of |- ~a, a"),
-    (PCut(A, PAxiom(A), PAxiom(A), 5, 7), "cut formula a not at position 5 of |- ~a, a"),
-    (PCut(A, PAxiom(A), PAxiom(A)), "dual cut formula not at position 1 of |- ~a, a"),
-    (PCut(A, PAxiom(A), PAxiom(negate(A)), -1, 2), "dual cut formula not at position 2 of |- a, ~a"),
-    (PCut(A, _concluding(A), _concluding(negate(A))), "cut would produce an empty sequent"),
-    (PTensorR(_concluding(), PAxiom(A)), "tensor premises must be nonempty"),
-    (PTensorR(PAxiom(A), _concluding()), "tensor premises must be nonempty"),
-    (PParR(PParR(PAxiom(A))), "par needs two formulas to merge"),
-    (PWithR(_concluding(), PAxiom(B)), "with premises must be nonempty"),
-    (PWithR(PAxiom(A), PAxiom(B)), "with premises must share their context"),
-    (PPlusR1(_concluding(), B), "plus premise must be nonempty"),
-    (PPlusR2(_concluding(), B), "plus premise must be nonempty"),
-    (PExchange((0, 0), PAxiom(B)), NESTED_ERROR),
-    (PExchange((0,), PAxiom(B)), "invalid permutation (0,) for |- ~b, b"),
-    (PDerel(_concluding()), "dereliction premise must be nonempty"),
-    (PContr(PParR(PAxiom(A))), "contraction needs two equal final formulas"),
-    (PContr(PWeak(A, PAxiom(A))), "contraction needs two equal final formulas"),
-    (PContr(PExchange((2, 0, 1), PTensorR(PAxiom(A), PAxiom(A)))),
-     "contraction applies to ?-formulas only"),
-    (PProm(_concluding()), "promotion premise must be nonempty"),
-    (PProm(PAxiom(A)), "promotion context must consist of ?-formulas"),
-    (PForallR("x", _concluding()), "forall premise must be nonempty"),
-    (PForallR("x", PAxiom(_PX)), "value variable x free in the context"),
-    (PExistsR(0, A, _concluding()), "exists rule must carry an existential formula"),
-    (PExistsR(0, FExists("x", A), _concluding()), "exists premise must be nonempty"),
-    (PExistsR(0, FExists("x", _PX), PAxiom(A)), "premise ends with a, expected p(0)"),
-    (_PLemma(PAxiom(A)), "unknown proof node _PLemma(premise=PAxiom(formula=FAtom(ident='a', pos=True, args=())))"),
-]
+# with its error; a node with two faults is refused by the check made first.
+# Each row keeps the number it was first listed under, so its test id
+# (`bad<number>-<error>`) stays when another row goes.
+CHECK_ERRORS = {
+    0: (PCut(B, PAxiom(A), PAxiom(A)), "cut formula b not at position 1 of |- ~a, a"),
+    1: (PCut(A, PAxiom(A), PAxiom(A), 5, 7), "cut formula a not at position 5 of |- ~a, a"),
+    2: (PCut(A, PAxiom(A), PAxiom(A)), "dual cut formula not at position 1 of |- ~a, a"),
+    3: (PCut(A, PAxiom(A), PAxiom(negate(A)), -1, 2), "dual cut formula not at position 2 of |- a, ~a"),
+    4: (PCut(A, _concluding(A), _concluding(negate(A))), "cut would produce an empty sequent"),
+    7: (PParR(PParR(PAxiom(A))), "par needs two formulas to merge"),
+    9: (PWithR(PAxiom(A), PAxiom(B)), "with premises must share their context"),
+    12: (PExchange((0, 0), PAxiom(B)), NESTED_ERROR),
+    13: (PExchange((0,), PAxiom(B)), "invalid permutation (0,) for |- ~b, b"),
+    15: (PContr(PParR(PAxiom(A))), "contraction needs two equal final formulas"),
+    16: (PContr(PWeak(A, PAxiom(A))), "contraction needs two equal final formulas"),
+    17: (PContr(PExchange((2, 0, 1), PTensorR(PAxiom(A), PAxiom(A)))),
+         "contraction applies to ?-formulas only"),
+    19: (PProm(PAxiom(A)), "promotion context must consist of ?-formulas"),
+    21: (PForallR("x", PAxiom(_PX)), "value variable x free in the context"),
+    22: (PExistsR(0, A, _concluding()), "exists rule must carry an existential formula"),
+    24: (PExistsR(0, FExists("x", _PX), PAxiom(A)), "premise ends with a, expected p(0)"),
+    25: (_PLemma(PAxiom(A)), "unknown proof node _PLemma(premise=PAxiom(formula=FAtom(ident='a', pos=True, args=())))"),
+}
 
 
-@pytest.mark.parametrize("bad, error", CHECK_ERRORS)
+@pytest.mark.parametrize(
+    "bad, error", CHECK_ERRORS.values(), ids=[f"bad{n}-{error}" for n, (_, error) in CHECK_ERRORS.items()]
+)
 def test_each_check_refuses_with_its_own_error(bad, error):
     assert check_proof(bad) == CheckResult(None, error, ())
     # a failing premise's error keeps its text, under its path
